@@ -33,7 +33,7 @@ series = []
 for phi in (0.0, math.pi):
     elapsed = phi / config.clock_frequency
     state, probability = rd.readout_chain(config, elapsed)
-    trace = rd.emit_field_trace(state, config)
+    trace = rd.emit_field_trace(state, model)
     print(f"\nclock phase {phi:.3f}: post-selection probability {probability:.3f}, "
           f"fitted field phase {trace.fitted_phase:+.4f}")
     series.append((trace.times, trace.quadrature, f"clock phase {phi:.2f}"))

@@ -229,39 +229,36 @@ def _zeno_final_time(section: Section, cycle: float, rate: float) -> float:
     return math.log(1.0 / floor) / rate
 
 
-def cmd_zeno2(section: Section, out_dir: Path, args, config_text: str):
-    delta = section.get_float("half_difference")
-    cycle_times = section.get_float_list("cycle_times")
-    photons = section.get_int("photon_number")
-    ratio = section.get_float("measure_ratio")
+def _survival_curves(command: str, section: Section, out_dir: Path, args,
+                     config_text: str, rate: float, run, title: str):
+    """Shared body of zeno2 and zeno4: one protocol run per cycle time.
+
+    ``run(cycle, final_time, trace_points)`` returns (config, trace,
+    provenance entries of the run).  ``rate * cycle`` is the closed-form
+    survival decay rate that places an "auto" final time.  Writes one CSV
+    per cycle time and fails on a populated truncation boundary.  Returns
+    the runs as (cycle, config, trace, provenance) with the results and flags.
+    """
     trace_points = section.get_int("trace_points")
-    provenance = _provenance("zeno2", config_text, args.seed)
+    provenance = _provenance(command, config_text, args.seed)
 
     def run_one(cycle):
-        final_time = _zeno_final_time(section, cycle, delta**2 * cycle)
-        config = z2.config_for_cycle_time(
-            cycle, final_time, half_difference=delta, photon_number=photons,
-            measure_ratio=ratio, cavity_frequency=section.get_float("cavity_frequency"),
-            common_offset=section.get_float("common_offset"))
-        trace = z2.run_protocol(config, max_trace_points=trace_points)
-        return cycle, config, trace
+        final_time = _zeno_final_time(section, cycle, rate * cycle)
+        return (cycle, *run(cycle, final_time, trace_points))
 
-    runs = parallel_map(run_one, cycle_times)
+    runs = parallel_map(run_one, section.get_float_list("cycle_times"))
     results = {}
     flags = {"out_of_regime": False}
     plot_series = []
-    for cycle, config, trace in runs:
+    for cycle, config, trace, described in runs:
         tag = repr(float(cycle))
         record = TraceRecord(
-            name=f"zeno2_cycle_{tag}",
+            name=f"{command}_cycle_{tag}",
             columns=("t", "p_success", "p_error_per_cycle", "analytic_p_s"),
             rows=np.column_stack([trace.times, trace.p_success,
                                   trace.p_error_per_cycle, trace.analytic_p_s]),
-            provenance={**provenance, "cycle_time": tag,
-                        "half_difference": repr(delta),
-                        "coupling": repr(config.coupling),
-                        "measure_interval": repr(config.measure_interval)})
-        write_csv(record, out_dir / f"zeno2_cycle_{tag}.csv")
+            provenance={**provenance, "cycle_time": tag, **described})
+        write_csv(record, out_dir / f"{command}_cycle_{tag}.csv")
         flags["out_of_regime"] |= trace.out_of_regime
         if trace.max_mode_tail > 1e-8:
             raise z2.ProtocolError(
@@ -271,61 +268,55 @@ def cmd_zeno2(section: Section, out_dir: Path, args, config_text: str):
         plot_series.append((trace.times, trace.p_success, f"numeric {tag}"))
         plot_series.append((trace.times, trace.analytic_p_s, f"analytic {tag}"))
     if args.plots:
-        line_plot(out_dir / "zeno2_survival.svg", plot_series,
-                  title="Two-level survival probability", xlabel="t", ylabel="P_S")
+        line_plot(out_dir / f"{command}_survival.svg", plot_series,
+                  title=title, xlabel="t", ylabel="P_S")
+    return runs, results, flags
+
+
+def cmd_zeno2(section: Section, out_dir: Path, args, config_text: str):
+    delta = section.get_float("half_difference")
+    photons = section.get_int("photon_number")
+    ratio = section.get_float("measure_ratio")
+
+    def run(cycle, final_time, trace_points):
+        config = z2.config_for_cycle_time(
+            cycle, final_time, half_difference=delta, photon_number=photons,
+            measure_ratio=ratio, cavity_frequency=section.get_float("cavity_frequency"),
+            common_offset=section.get_float("common_offset"))
+        trace = z2.run_protocol(config, max_trace_points=trace_points)
+        return config, trace, {"half_difference": repr(delta),
+                               "coupling": repr(config.coupling),
+                               "measure_interval": repr(config.measure_interval)}
+
+    _, results, flags = _survival_curves("zeno2", section, out_dir, args, config_text,
+                                         delta**2, run, "Two-level survival probability")
     return results, flags, args.seed
 
 
 def cmd_zeno4(section: Section, out_dir: Path, args, config_text: str):
     delta_1 = section.get_float("delta_1")
     delta_2 = section.get_float("delta_2")
-    cycle_times = section.get_float_list("cycle_times")
     photons = section.get_int("photon_number")
     ratio = section.get_float("measure_ratio")
-    trace_points = section.get_int("trace_points")
-    provenance = _provenance("zeno4", config_text, args.seed)
-    rate = 0.5 * (delta_1**2 + delta_2**2)
 
-    def run_one(cycle):
-        final_time = _zeno_final_time(section, cycle, rate * cycle)
+    def run(cycle, final_time, trace_points):
         config = zm.four_level_config_from_deltas(
             delta_1, delta_2, cycle_time=cycle, final_time=final_time,
             photon_number=photons, measure_ratio=ratio,
             transition_1=section.get_float("transition_1"),
             transition_2=section.get_float("transition_2"))
         trace = zm.run_four_level_protocol(config, max_trace_points=trace_points)
-        return cycle, config, trace
+        return config, trace, {"delta_1": repr(delta_1), "delta_2": repr(delta_2),
+                               "coupling": repr(config.coupling)}
 
-    runs = parallel_map(run_one, cycle_times)
-    results = {}
-    flags = {"out_of_regime": False, "mode_off_resonance": False}
-    plot_series = []
-    for cycle, config, trace in runs:
-        tag = repr(float(cycle))
-        record = TraceRecord(
-            name=f"zeno4_cycle_{tag}",
-            columns=("t", "p_success", "p_error_per_cycle", "analytic_p_s"),
-            rows=np.column_stack([trace.times, trace.p_success,
-                                  trace.p_error_per_cycle, trace.analytic_p_s]),
-            provenance={**provenance, "cycle_time": tag,
-                        "delta_1": repr(delta_1), "delta_2": repr(delta_2),
-                        "coupling": repr(config.coupling)})
-        write_csv(record, out_dir / f"zeno4_cycle_{tag}.csv")
-        flags["out_of_regime"] |= trace.out_of_regime
-        flags["mode_off_resonance"] |= any(
-            abs(d) > 1e-9 for d in config.mode_detunings())
-        if trace.max_mode_tail > 1e-8:
-            raise z2.ProtocolError(
-                f"mode truncation boundary populated ({trace.max_mode_tail:.3e})")
-        results[f"final_p_success_{tag}"] = float(trace.p_success[-1])
-        results[f"final_analytic_p_s_{tag}"] = float(trace.analytic_p_s[-1])
+    runs, results, flags = _survival_curves(
+        "zeno4", section, out_dir, args, config_text, 0.5 * (delta_1**2 + delta_2**2),
+        run, "Four-level survival probability")
+    flags["mode_off_resonance"] = False
+    for cycle, config, _, _ in runs:
+        flags["mode_off_resonance"] |= any(abs(d) > 1e-9 for d in config.mode_detunings())
         residual = zm.measurement_residual_cosines(config)
-        results[f"manifold2_residual_cosine_{tag}"] = residual[1]
-        plot_series.append((trace.times, trace.p_success, f"numeric {tag}"))
-        plot_series.append((trace.times, trace.analytic_p_s, f"analytic {tag}"))
-    if args.plots:
-        line_plot(out_dir / "zeno4_survival.svg", plot_series,
-                  title="Four-level survival probability", xlabel="t", ylabel="P_S")
+        results[f"manifold2_residual_cosine_{float(cycle)!r}"] = residual[1]
     return results, flags, args.seed
 
 
@@ -347,13 +338,17 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
     method = section.get_str("method")
     if method not in ("full", "perturbative"):
         raise ConfigError(f"[readout] method must be 'full' or 'perturbative', got {method!r}")
+    if config.clock_frequency == 0.0:
+        raise ConfigError("[readout] transition_1 equals transition_2, so the clock "
+                          "frequency is zero and no clock phase accumulates")
     phases = section.get_float_list("clock_phases")
     provenance = _provenance("readout", config_text, args.seed)
+    model = readout.emission_model(config)
 
     def run_one(target):
         elapsed = target / config.clock_frequency
         state, probability = readout.readout_chain(config, elapsed)
-        trace = readout.emit_field_trace(state, config, method=method)
+        trace = readout.emit_field_trace(state, model, method=method)
         return target, elapsed, probability, trace
 
     runs = parallel_map(run_one, phases)
@@ -379,8 +374,7 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
             results[f"extracted_phase_{index}"] = float(trace.fitted_phase)
         results[f"postselect_probability_{index}"] = float(probability)
         plot_series.append((trace.times, trace.quadrature, f"target {target:.4g}"))
-    results["emission_frequency"] = float(
-        readout.emission_model(config).beat_frequency())
+    results["emission_frequency"] = float(model.beat_frequency())
     if args.plots:
         line_plot(out_dir / "readout_traces.svg", plot_series,
                   title="Emitted field quadrature", xlabel="t_r",

@@ -128,12 +128,8 @@ def locked_pair_state() -> StateVector:
 
 
 def _averaged_level_hamiltonian(config: ReadoutConfig) -> OperatorMatrix:
-    basis = pair_basis()
-    weights = np.array([config.mean_level("g1"), config.mean_level("g2"),
-                        config.mean_level("e1"), config.mean_level("e2")])
-    multi = np.unravel_index(np.arange(basis.dimension), basis.dims)
-    diag = weights[multi[0]] + weights[multi[1]]
-    return OperatorMatrix(basis, np.diag(diag.astype(complex)), hermitian=True)
+    weights = [config.mean_level(name) for name in ("g1", "g2", "e1", "e2")]
+    return h.assemble_hamiltonian(pair_basis(), [weights, weights], [])
 
 
 def accumulate_clock_phase(state: StateVector, elapsed_time: float,
@@ -228,26 +224,16 @@ def _rotating_frame_hamiltonian(config: ReadoutConfig,
     and makes both couplings static.  The quadrature of the unrotated mode is
     unchanged by the transformation.
     """
-    basis = emission_basis(config)
-    dim = basis.dimension
-    mode_dim = config.emission_mode_cutoff + 1
     e2_frame = config.mean_level("g1") + config.detuning
-    atom_weights = np.array([config.mean_level("g1"), config.mean_level("g2"),
-                             config.mean_level("e1"), e2_frame])
-    mode_weights = mode_frequency * (np.arange(mode_dim) + 0.5)
-    multi = np.unravel_index(np.arange(dim), basis.dims)
-    diag = atom_weights[multi[0]] + atom_weights[multi[1]] + mode_weights[multi[2]]
-    m = np.diag(diag.astype(complex))
-    a_local = np.diag(np.sqrt(np.arange(1.0, mode_dim)), k=1).astype(complex)
-    a_full = h._embed(basis, 2, a_local)
+    atom_weights = [config.mean_level("g1"), config.mean_level("g2"),
+                    config.mean_level("e1"), e2_frame]
+    mode_weights = mode_frequency * (np.arange(config.emission_mode_cutoff + 1) + 0.5)
+    exchange = []
     for atom_axis in (0, 1):
-        raise_1 = h.atomic_projector(basis, atom_axis, E1, G1).matrix
-        term = 0.5 * config.coupling * (raise_1 @ a_full)
-        m += term + term.conj().T
-        raise_2 = h.atomic_projector(basis, atom_axis, E2, G1).matrix
-        drive = 0.5 * config.drive_amplitude * raise_2
-        m += drive + drive.conj().T
-    return OperatorMatrix(basis, m, hermitian=True)
+        exchange.append((atom_axis, E1, G1, 2, 0.5 * config.coupling))
+        exchange.append((atom_axis, E2, G1, None, 0.5 * config.drive_amplitude))
+    return h.assemble_hamiltonian(emission_basis(config),
+                                  [atom_weights, atom_weights, mode_weights], exchange)
 
 
 @dataclass(frozen=True)
@@ -374,6 +360,11 @@ class _EmissionModel:
                                                 + 1.0 / denominators[q, j])
         self.h_eff = h_eff
 
+    @property
+    def readout_times(self) -> tuple:
+        """Readout grid of the configuration the model was built for."""
+        return self.config.readout_times
+
     def resonance_mismatch(self) -> float:
         """Effective-energy gap between the transfer endpoints."""
         return float((self.h_eff[1, 1] - self.h_eff[0, 0]).real)
@@ -414,14 +405,14 @@ def emission_model(config: ReadoutConfig, iterations: int = 4) -> _EmissionModel
     return model
 
 
-def _full_quadrature(state: StateVector, config: ReadoutConfig,
+def _full_quadrature(state: StateVector, model: _EmissionModel,
                      radiated_only: bool = True):
-    model = emission_model(config)
+    config = model.config
     mode_dim = config.emission_mode_cutoff + 1
     amps = model.embed(state, dressed=True)
     w, v = model.hamiltonian.eigensystem()
     coeff = v.conj().T @ amps
-    times = np.asarray(config.readout_times)
+    times = np.asarray(model.readout_times)
     phases = np.exp(-1j * np.outer(times, w))
     states = (phases * coeff) @ v.T  # (n_t, dim)
     populations = np.abs(states.reshape(len(times), -1, mode_dim)) ** 2
@@ -434,25 +425,14 @@ def _full_quadrature(state: StateVector, config: ReadoutConfig,
     return 2.0 * mean_a.real, above_one, model.beat_frequency()
 
 
-def effective_readout_hamiltonian(config: ReadoutConfig) -> np.ndarray:
-    """Second-order effective Hamiltonian on the resonant subspace.
-
-    Couplings through every off-resonant product state enter at second
-    order, producing the effective Raman coupling (scaling as
-    coupling*drive/(2*detuning), the exact constant computed here rather
-    than assumed) and the light shifts of all four channel states.
-    """
-    return emission_model(config).h_eff
-
-
-def _perturbative_quadrature(state: StateVector, config: ReadoutConfig):
+def _perturbative_quadrature(state: StateVector, model: _EmissionModel):
     """Adiabatic-elimination fast path, full driven evolution as its oracle."""
-    model = emission_model(config)
+    config = model.config
     mode_dim = config.emission_mode_cutoff + 1
     amps = np.kron(state.amplitudes, np.eye(mode_dim, dtype=complex)[0])
     psi0 = model.p_matrix.conj().T @ amps
     w, v = np.linalg.eigh(model.h_eff)
-    times = np.asarray(config.readout_times)
+    times = np.asarray(model.readout_times)
     coeff = v.conj().T @ psi0
     trajectories = (np.exp(-1j * np.outer(times, w)) * coeff) @ v.T
     a_eff = model.p_matrix.conj().T @ (_mode_annihilation(config) @ model.p_matrix)
@@ -460,27 +440,33 @@ def _perturbative_quadrature(state: StateVector, config: ReadoutConfig):
     return 2.0 * mean_a.real, 0.0, model.beat_frequency()
 
 
-def emit_field_trace(state: StateVector, config: ReadoutConfig,
+def emit_field_trace(state: StateVector, config: _EmissionModel,
                      method: str = "full", fit: bool = True,
                      radiated_only: bool = True) -> FieldTrace:
     """Quadrature of the emitted field over the readout grid.
 
     ``state`` is the post-selected two-atom state; the emission mode starts
-    in vacuum.  The reported quadrature is the radiated (Raman-transfer)
-    component; set ``radiated_only`` false to see the bare intracavity
-    quadrature including the virtual-cloud interference term.  Raises
+    in vacuum.  ``config`` is the :func:`emission_model` of the readout
+    configuration; it does not depend on the state, so one model serves
+    every trace of a run and shares its cached eigensystem.  The reported
+    quadrature is the radiated (Raman-transfer) component; set
+    ``radiated_only`` false to see the bare intracavity quadrature including
+    the virtual-cloud interference term.  Raises
     :class:`CutoffOverflowError` when population above the single-photon
     level exceeds the configured threshold (the single-photon picture has
     then broken down).
     """
+    # The model keeps the argument name ``config``: perfbench/tracer.py binds
+    # this argument by name and reads its ``readout_times``.
+    model, config = config, config.config
     if not config.readout_times:
         raise ValueError("config.readout_times is empty")
     if state.basis != pair_basis():
         raise h.BasisMismatchError("emission expects a bare two-atom state")
     if method == "full":
-        quadrature, above_one, frequency = _full_quadrature(state, config, radiated_only)
+        quadrature, above_one, frequency = _full_quadrature(state, model, radiated_only)
     elif method == "perturbative":
-        quadrature, above_one, frequency = _perturbative_quadrature(state, config)
+        quadrature, above_one, frequency = _perturbative_quadrature(state, model)
     else:
         raise ValueError(f"unknown method {method!r}")
     if above_one > config.overflow_threshold:
@@ -501,7 +487,7 @@ def readout_phase(config: ReadoutConfig, elapsed_time: Optional[float] = None,
                   method: str = "full") -> float:
     """Extracted field phase for a full chain run at the given elapsed time."""
     state, _ = readout_chain(config, elapsed_time)
-    trace = emit_field_trace(state, config, method=method)
+    trace = emit_field_trace(state, emission_model(config), method=method)
     if trace.fitted_phase is None:
         raise DegenerateFitError("no oscillation to fit")
     return trace.fitted_phase

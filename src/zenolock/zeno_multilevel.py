@@ -20,13 +20,15 @@ import numpy as np
 from . import hilbert as h
 from .hilbert import Atom, Mode, OperatorMatrix, StateVector
 from .zeno_two_level import (
+    CycleResult,
     OutOfRegimeError,
     ProtocolError,
     SurvivalClosedForm,
     SurvivalTrace,
-    _iterate_success_branch,
-    _record_cycles,
+    _validate_protocol,
+    cycle_matrix,
     half_flop_time_inverse,
+    run_zeno,
 )
 
 G3, E1_3, E2_3 = 0, 1, 2          # three-level ordering
@@ -55,16 +57,7 @@ class FourLevelEnergies:
 
 
 def _common_validation(config):
-    if config.free_interval <= 0.0:
-        raise ValueError("free_interval must be positive")
-    if config.measure_interval < 0.0:
-        raise ValueError("measure_interval must be non-negative")
-    if config.final_time < config.free_interval + config.measure_interval:
-        raise ValueError("final_time must cover at least one cycle")
-    if config.photon_number < 0:
-        raise ValueError("photon_number must be non-negative")
-    if config.photon_number > 0 and config.coupling <= 0.0:
-        raise ValueError("coupling must be positive when photons are injected")
+    _validate_protocol(config)
     if config.fock_cutoffs is None:
         n = config.photon_number
         object.__setattr__(config, "fock_cutoffs", (n + 2, n + 2))
@@ -198,36 +191,6 @@ def four_level_basis(config: FourLevelConfig) -> h.ProductBasis:
     return h.build_basis([Atom(4), Atom(4), Mode(c1), Mode(c2)])
 
 
-def _assemble_hamiltonian(basis, diagonal_weights, exchange_terms) -> OperatorMatrix:
-    """Dense Hamiltonian from per-level diagonal weights and exchange couplings.
-
-    ``diagonal_weights`` is one weight vector per subsystem (summed over
-    occupations); each exchange term (atom_axis, upper, lower, mode_axis,
-    strength) adds strength*(|upper><lower| a + h.c.) with the usual
-    ladder-operator sqrt(k) factors.  Index arithmetic keeps the assembly
-    O(nonzeros) instead of chained Kronecker products.
-    """
-    dims = basis.dims
-    dim = basis.dimension
-    multi = np.unravel_index(np.arange(dim), dims)
-    strides = np.ones(len(dims), dtype=np.int64)
-    for axis in range(len(dims) - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * dims[axis + 1]
-    m = np.zeros((dim, dim), dtype=complex)
-    diagonal = np.zeros(dim)
-    for weights, occ in zip(diagonal_weights, multi):
-        diagonal += np.asarray(weights, dtype=float)[occ]
-    m[np.arange(dim), np.arange(dim)] = diagonal
-    for atom_axis, upper, lower, mode_axis, strength in exchange_terms:
-        cols = np.flatnonzero((multi[atom_axis] == lower) & (multi[mode_axis] >= 1))
-        photons = multi[mode_axis][cols]
-        rows = cols + (upper - lower) * strides[atom_axis] - strides[mode_axis]
-        values = strength * np.sqrt(photons.astype(float))
-        np.add.at(m, (rows, cols), values)
-        np.add.at(m, (cols, rows), values)
-    return OperatorMatrix(basis, m, hermitian=True)
-
-
 def build_three_level_hamiltonian(config: ThreeLevelConfig,
                                   coupled: bool = True) -> OperatorMatrix:
     """V-configuration pair: |E_k> <-> |G> exchanges a photon with mode k."""
@@ -242,7 +205,7 @@ def build_three_level_hamiltonian(config: ThreeLevelConfig,
         for atom_axis in (0, 1):
             exchange.append((atom_axis, E1_3, G3, 2, 0.5 * config.coupling))
             exchange.append((atom_axis, E2_3, G3, 3, 0.5 * config.coupling))
-    return _assemble_hamiltonian(basis, atom_weights + mode_weights, exchange)
+    return h.assemble_hamiltonian(basis, atom_weights + mode_weights, exchange)
 
 
 def build_four_level_hamiltonian(config: FourLevelConfig,
@@ -263,7 +226,7 @@ def build_four_level_hamiltonian(config: FourLevelConfig,
         for atom_axis in (0, 1):
             exchange.append((atom_axis, E1, G1, 2, 0.5 * config.coupling))
             exchange.append((atom_axis, E2, G2, 3, 0.5 * config.coupling))
-    return _assemble_hamiltonian(basis, atom_weights + mode_weights, exchange)
+    return h.assemble_hamiltonian(basis, atom_weights + mode_weights, exchange)
 
 
 def three_level_labels(config: ThreeLevelConfig) -> np.ndarray:
@@ -390,29 +353,8 @@ def ps_four_level(delta_1: float, delta_2: float, free_interval: float,
                               exponential_form=math.exp(-rate * final_time))
 
 
-def _four_level_cycle_matrix(config: FourLevelConfig, drift: OperatorMatrix,
-                             evolver: h.BlockEvolver) -> np.ndarray:
-    """16x16 success-branch map on the two-atom sector (both modes empty)."""
-    basis = drift.basis
-    f1 = config.fock_cutoffs[0] + 1
-    f2 = config.fock_cutoffs[1] + 1
-    n = config.photon_number
-    cycle_map = np.zeros((16, 16), dtype=complex)
-    for i in range(16):
-        amps = np.zeros(basis.dimension, dtype=complex)
-        amps[i * f1 * f2] = 1.0
-        amps = h._propagate(drift, amps, config.free_interval)
-        view = amps.reshape(16, f1, f2)
-        keep = view[:, 0, 0].copy()
-        view[:] = 0.0
-        view[:, n, n] = keep
-        amps = evolver.propagate(amps, config.measure_interval)
-        cycle_map[:, i] = amps.reshape(16, f1, f2)[:, n, n]
-    return cycle_map
-
-
 def _four_level_stepwise_cycle(state: StateVector, config: FourLevelConfig,
-                               drift: OperatorMatrix, evolver: h.BlockEvolver):
+                               drift: OperatorMatrix, evolver: h.BlockEvolver) -> CycleResult:
     """One explicit cycle following the success branch of both projections."""
     state = h.evolve(state, drift, config.free_interval)
     state = h.replace_mode_state(state, 2, config.photon_number)
@@ -428,7 +370,7 @@ def _four_level_stepwise_cycle(state: StateVector, config: FourLevelConfig,
         probability *= outcome.probability
     state = h.replace_mode_state(state, 2, 0)
     state = h.replace_mode_state(state, 3, 0)
-    return state, probability, tail
+    return CycleResult(state, probability, tail)
 
 
 def run_four_level_protocol(config: FourLevelConfig, max_trace_points: int = 2000,
@@ -437,74 +379,19 @@ def run_four_level_protocol(config: FourLevelConfig, max_trace_points: int = 200
 
     Each cycle is a free drift, injection of n photons into both modes, the
     half-flop coupling window, projection of both photon numbers back onto n
-    and photon removal.  A trailing partial cycle is a free drift only.
+    and photon removal; see :func:`zeno_two_level.run_zeno` for ``method``.
     """
-    if method not in ("compiled", "stepwise"):
-        raise ValueError(f"unknown method {method!r}")
-    cycle = config.cycle_time
-    cycles = int(math.floor(config.final_time / cycle + 1e-9))
-    remainder = max(0.0, config.final_time - cycles * cycle)
     drift = build_four_level_hamiltonian(config, coupled=False)
     coupled = build_four_level_hamiltonian(config, coupled=True)
     evolver = h.BlockEvolver(coupled, four_level_labels(config))
     delta_1, delta_2 = config.delta(1), config.delta(2)
-
-    try:
-        pe_four_level(delta_1, delta_2, config.free_interval)
-        out_of_regime = False
-    except OutOfRegimeError:
-        out_of_regime = True
-
-    record = _record_cycles(cycles, max_trace_points)
-    initial = initial_state_four(config)
-    _, _, max_tail = _four_level_stepwise_cycle(initial, config, drift, evolver)
-
-    if method == "compiled":
-        cycle_map = _four_level_cycle_matrix(config, drift, evolver)
-        f1 = config.fock_cutoffs[0] + 1
-        f2 = config.fock_cutoffs[1] + 1
-        x0 = initial.amplitudes.reshape(16, f1, f2)[:, 0, 0].copy()
-        x, cumulative, per_cycle_error = _iterate_success_branch(
-            cycle_map, x0, cycles, record)
-        amps = np.zeros(initial.basis.dimension, dtype=complex)
-        amps.reshape(16, f1, f2)[:, 0, 0] = x / np.linalg.norm(x)
-        final = StateVector(initial.basis, amps)
-    else:
-        state = initial
-        cumulative = np.empty(len(record))
-        per_cycle_error = np.empty(len(record))
-        running = 1.0
-        previous = 1.0
-        record_set = set(int(j) for j in record)
-        slot = 0
-        for j in range(1, cycles + 1):
-            state, probability, tail = _four_level_stepwise_cycle(
-                state, config, drift, evolver)
-            max_tail = max(max_tail, tail)
-            running *= probability
-            if j in record_set:
-                cumulative[slot] = running
-                per_cycle_error[slot] = 1.0 - running / previous
-                slot += 1
-            previous = running
-        final = state
-
-    if remainder > 0.0:
-        final = h.evolve(final, drift, remainder)
-
-    times = np.concatenate([[0.0], record * cycle])
-    if remainder > 0.0:
-        times = np.append(times, config.final_time)
-        cumulative = np.append(cumulative, cumulative[-1])
-        per_cycle_error = np.append(per_cycle_error, 0.0)
-    p_success = np.concatenate([[1.0], cumulative])
-    p_error = np.concatenate([[0.0], per_cycle_error])
-    rate = 0.5 * (delta_1**2 + delta_2**2) * cycle
-    analytic = np.exp(-rate * times)
-    return SurvivalTrace(times=times, p_success=np.clip(p_success, 0.0, 1.0),
-                         p_error_per_cycle=p_error, analytic_p_s=analytic,
-                         final_state=final, out_of_regime=out_of_regime,
-                         max_mode_tail=max_tail)
+    return run_zeno(
+        config, initial_state_four(config), drift,
+        cycle_matrix(config, drift, evolver.propagate),
+        lambda state: _four_level_stepwise_cycle(state, config, drift, evolver),
+        rate=0.5 * (delta_1**2 + delta_2**2) * config.cycle_time,
+        regime_check=lambda: pe_four_level(delta_1, delta_2, config.free_interval),
+        max_trace_points=max_trace_points, method=method)
 
 
 def cross_manifold_population(state: StateVector) -> float:

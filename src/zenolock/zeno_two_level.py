@@ -12,9 +12,10 @@ the relative phase.
 All quantities are dimensionless angular frequencies and times (hbar = 1).
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,7 +30,26 @@ class OutOfRegimeError(ValueError):
 
 
 class ProtocolError(RuntimeError):
-    """A protocol segment was entered with the cavity in the wrong state."""
+    """A protocol run left its numerically valid range.
+
+    Raised when a segment is entered with the cavity in the wrong state, when
+    the success branch has zero probability, when population reaches a Fock
+    truncation boundary, and when the survival probability underflows to zero.
+    """
+
+
+def _validate_protocol(config) -> None:
+    """Checks shared by every Zeno protocol config (timing, photons, coupling)."""
+    if config.free_interval <= 0.0:
+        raise ValueError("free_interval must be positive")
+    if config.measure_interval < 0.0:
+        raise ValueError("measure_interval must be non-negative")
+    if config.final_time < config.free_interval + config.measure_interval:
+        raise ValueError("final_time must cover at least one cycle")
+    if config.photon_number < 0:
+        raise ValueError("photon_number must be non-negative")
+    if config.photon_number > 0 and config.coupling <= 0.0:
+        raise ValueError("coupling must be positive when photons are injected")
 
 
 @dataclass(frozen=True)
@@ -52,16 +72,7 @@ class TwoLevelConfig:
     fock_cutoff: Optional[int] = None
 
     def __post_init__(self):
-        if self.free_interval <= 0.0:
-            raise ValueError("free_interval must be positive")
-        if self.measure_interval < 0.0:
-            raise ValueError("measure_interval must be non-negative")
-        if self.final_time < self.cycle_time:
-            raise ValueError("final_time must cover at least one cycle")
-        if self.photon_number < 0:
-            raise ValueError("photon_number must be non-negative")
-        if self.photon_number > 0 and self.coupling <= 0.0:
-            raise ValueError("coupling must be positive when photons are injected")
+        _validate_protocol(self)
         if self.fock_cutoff is None:
             object.__setattr__(self, "fock_cutoff", self.photon_number + 3)
         if self.fock_cutoff < self.photon_number + 2:
@@ -111,19 +122,10 @@ def build_two_level_hamiltonian(config: TwoLevelConfig, coupled: bool) -> Operat
     With ``coupled`` false the exchange terms are dropped, which models the
     free-drift segments where the photons have been removed.
     """
-    basis = two_level_basis(config)
-    dim = basis.dimension
-    a = h.annihilation(basis, 2).matrix
-    n_op = a.conj().T @ a
-    m = config.cavity_frequency * (n_op + 0.5 * np.eye(dim))
-    m += config.frequency_a * h.atomic_projector(basis, 0, E, E).matrix
-    m += config.frequency_b * h.atomic_projector(basis, 1, E, E).matrix
-    if coupled:
-        for atom in (0, 1):
-            raise_op = h.atomic_projector(basis, atom, E, G).matrix
-            term = 0.5 * config.coupling * (raise_op @ a)
-            m += term + term.conj().T
-    return OperatorMatrix(basis, m, hermitian=True)
+    weights = [(0.0, config.frequency_a), (0.0, config.frequency_b),
+               config.cavity_frequency * (np.arange(config.fock_cutoff + 1) + 0.5)]
+    exchange = [(atom, E, G, 2, 0.5 * config.coupling) for atom in (0, 1)] if coupled else []
+    return h.assemble_hamiltonian(two_level_basis(config), weights, exchange)
 
 
 def excitation_labels(config: TwoLevelConfig) -> np.ndarray:
@@ -203,6 +205,7 @@ def measurement_segment(state: StateVector, config: TwoLevelConfig,
 class CycleResult(NamedTuple):
     state: StateVector
     success_probability: float
+    mode_tail: float           # truncation-boundary population before the projection
 
 
 def zeno_cycle(state: StateVector, config: TwoLevelConfig,
@@ -220,7 +223,7 @@ def zeno_cycle(state: StateVector, config: TwoLevelConfig,
     if outcome.state is None:
         raise ProtocolError("the success branch has zero probability")
     reset = h.replace_mode_state(outcome.state, 2, 0)
-    return CycleResult(reset, outcome.probability)
+    return CycleResult(reset, outcome.probability, h.mode_top_population(measured, 2))
 
 
 def pe_analytic(half_difference: float, free_interval: float) -> float:
@@ -281,123 +284,98 @@ def _record_cycles(total_cycles: int, max_points: int) -> np.ndarray:
     return recorded
 
 
-def _iterate_success_branch(cycle_map: np.ndarray, x0: np.ndarray, cycles: int,
-                            record: np.ndarray):
-    """Iterate the per-cycle linear success-branch map, tracking probabilities.
+def cycle_matrix(config, drift: OperatorMatrix,
+                 couple: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
+    """Per-cycle success-branch map on the atom sector with every mode empty.
 
-    The map is the composition drift -> inject -> couple -> project(n),
-    restricted to the sector with empty modes; every step is linear, so the
-    cumulative success probability is the squared norm of the running vector.
-    Cross-validated against the step-by-step cycle in the test suite.
+    Column i is one cycle applied to atom basis state i: free drift, n
+    photons injected into every mode, the coupling window propagated by
+    ``couple(amplitudes, duration)``, and the n-photon component of every
+    mode read off.  Every step is linear, so the squared norm of the iterated
+    vector is the cumulative success probability.
     """
-    x = x0.copy()
-    previous = 1.0
-    record_set = set(int(j) for j in record)
-    cumulative = np.empty(len(record))
-    per_cycle_error = np.empty(len(record))
-    slot = 0
-    for j in range(1, cycles + 1):
-        x = cycle_map @ x
-        current = float(x.real @ x.real + x.imag @ x.imag)
-        if j in record_set:
-            cumulative[slot] = current
-            per_cycle_error[slot] = 1.0 - current / previous
-            slot += 1
-        previous = current
-    return x, cumulative, per_cycle_error
-
-
-def _two_level_cycle_matrix(config: TwoLevelConfig, drift: OperatorMatrix,
-                            coupled: OperatorMatrix) -> np.ndarray:
-    """4x4 success-branch map on the atom sector (mode empty)."""
     basis = drift.basis
-    fock_dim = config.fock_cutoff + 1
-    n = config.photon_number
-    cycle_map = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
+    mode_dims = basis.dims[len(basis.atom_indices()):]
+    mode_dim = int(np.prod(mode_dims))
+    atom_dim = basis.dimension // mode_dim
+    injected = int(np.ravel_multi_index((config.photon_number,) * len(mode_dims), mode_dims))
+    cycle_map = np.zeros((atom_dim, atom_dim), dtype=complex)
+    for i in range(atom_dim):
         amps = np.zeros(basis.dimension, dtype=complex)
-        amps[i * fock_dim] = 1.0
+        amps[i * mode_dim] = 1.0
         amps = h._propagate(drift, amps, config.free_interval)
-        view = amps.reshape(4, fock_dim)
-        column = view[:, 0].copy()
+        view = amps.reshape(atom_dim, mode_dim)
+        vacuum = view[:, 0].copy()
         view[:] = 0.0
-        view[:, n] = column
-        amps = h._propagate(coupled, amps, config.measure_interval)
-        cycle_map[:, i] = amps.reshape(4, fock_dim)[:, n]
+        view[:, injected] = vacuum
+        amps = couple(amps, config.measure_interval)
+        cycle_map[:, i] = amps.reshape(atom_dim, mode_dim)[:, injected]
     return cycle_map
 
 
-def _probe_mode_tail(config: TwoLevelConfig, drift: OperatorMatrix,
-                     coupled: OperatorMatrix) -> float:
-    """Truncation-boundary population during one cycle from the protocol state."""
-    drifted = free_drift(subradiant_state(config, 0), config, drift)
-    measured = measurement_segment(drifted, config, coupled)
-    return h.mode_top_population(measured, 2)
+def run_zeno(config, initial: StateVector, drift: OperatorMatrix, cycle_map: np.ndarray,
+             stepwise_cycle: Callable[[StateVector], CycleResult], rate: float,
+             regime_check: Callable[[], float], max_trace_points: int = 2000,
+             method: str = "compiled") -> SurvivalTrace:
+    """Iterate Zeno cycles from ``initial`` until ``config.final_time``.
 
-
-def run_protocol(config: TwoLevelConfig, max_trace_points: int = 2000,
-                 method: str = "compiled") -> SurvivalTrace:
-    """Iterate Zeno cycles until the final time.
-
-    ``p_success`` is the cumulative product of per-cycle success
-    probabilities; the closed-form exponential is tabulated alongside.  If
-    the cycle time does not divide the final time, the trailing remainder is
-    a free drift without a measurement.  ``method`` selects the per-cycle
-    linear map ("compiled", default) or the explicit state-by-state loop
-    ("stepwise"); both produce the same numbers to 1e-10.
+    ``method`` "compiled" iterates ``cycle_map`` (see :func:`cycle_matrix`)
+    on the atom sector; "stepwise" applies ``stepwise_cycle`` state by state.
+    Both give the same numbers to 1e-10.  ``p_success`` is the cumulative
+    product of per-cycle success probabilities and ``analytic_p_s`` is
+    exp(-rate t); ``regime_check`` raises :class:`OutOfRegimeError` outside
+    the perturbative regime.  A trailing partial cycle is a free drift under
+    ``drift`` without a measurement.  The truncation tail is taken from one
+    stepwise cycle of ``initial`` (and from every cycle when stepwise).
     """
     if method not in ("compiled", "stepwise"):
         raise ValueError(f"unknown method {method!r}")
     cycle = config.cycle_time
     cycles = int(math.floor(config.final_time / cycle + 1e-9))
     remainder = max(0.0, config.final_time - cycles * cycle)
-    drift = build_two_level_hamiltonian(config, coupled=False)
-    coupled = build_two_level_hamiltonian(config, coupled=True)
-
     try:
-        pe_analytic(config.half_difference, config.free_interval)
+        regime_check()
         out_of_regime = False
     except OutOfRegimeError:
         out_of_regime = True
 
     record = _record_cycles(cycles, max_trace_points)
+    record_set = set(int(j) for j in record)
+    # survival before and after each recorded cycle
+    survival = np.empty((len(record), 2))
+    slot = 0
+    previous = 1.0
+    max_tail = stepwise_cycle(initial).mode_tail
     if method == "compiled":
-        cycle_map = _two_level_cycle_matrix(config, drift, coupled)
-        max_tail = _probe_mode_tail(config, drift, coupled)
-        basis = drift.basis
-        sub = subradiant_state(config, 0)
-        x0 = sub.amplitudes.reshape(4, config.fock_cutoff + 1)[:, 0].copy()
-        x, cumulative, per_cycle_error = _iterate_success_branch(
-            cycle_map, x0, cycles, record)
-        amps = np.zeros(basis.dimension, dtype=complex)
-        view = amps.reshape(4, config.fock_cutoff + 1)
-        view[:, 0] = x / np.linalg.norm(x)
-        final = StateVector(basis, amps)
-    else:
-        state = subradiant_state(config, 0)
-        max_tail = 0.0
-        cumulative = np.empty(len(record))
-        per_cycle_error = np.empty(len(record))
-        running = 1.0
-        previous = 1.0
-        record_set = set(int(j) for j in record)
-        slot = 0
+        atom_dim = cycle_map.shape[0]
+        x = initial.amplitudes.reshape(atom_dim, -1)[:, 0].copy()
         for j in range(1, cycles + 1):
-            drifted = free_drift(state, config, drift)
-            measured = measurement_segment(drifted, config, coupled)
-            max_tail = max(max_tail, h.mode_top_population(measured, 2))
-            outcome = h.project_photon_number(measured, 2, config.photon_number)
-            if outcome.state is None:
-                raise ProtocolError("the success branch has zero probability")
-            state = h.replace_mode_state(outcome.state, 2, 0)
-            running *= outcome.probability
+            x = cycle_map @ x
+            current = float(x.real @ x.real + x.imag @ x.imag)
             if j in record_set:
-                cumulative[slot] = running
-                per_cycle_error[slot] = 1.0 - running / previous
+                if current == 0.0:
+                    raise ProtocolError(f"survival underflowed to zero by cycle {j}")
+                survival[slot] = previous, current
                 slot += 1
-            previous = running
-        final = state
+            previous = current
+        amps = np.zeros(initial.basis.dimension, dtype=complex)
+        amps.reshape(atom_dim, -1)[:, 0] = x / np.linalg.norm(x)
+        final = StateVector(initial.basis, amps)
+    else:
+        final = initial
+        for j in range(1, cycles + 1):
+            final, probability, tail = stepwise_cycle(final)
+            max_tail = max(max_tail, tail)
+            current = previous * probability
+            if j in record_set:
+                if current == 0.0:
+                    raise ProtocolError(f"survival underflowed to zero by cycle {j}")
+                survival[slot] = previous, current
+                slot += 1
+            previous = current
 
+    before, cumulative = survival.T
+    per_cycle_error = 1.0 - cumulative / before
     if remainder > 0.0:
         final = h.evolve(final, drift, remainder)
 
@@ -408,9 +386,25 @@ def run_protocol(config: TwoLevelConfig, max_trace_points: int = 2000,
         per_cycle_error = np.append(per_cycle_error, 0.0)
     p_success = np.concatenate([[1.0], cumulative])
     p_error = np.concatenate([[0.0], per_cycle_error])
-    rate = config.half_difference**2 * cycle
-    analytic = np.exp(-rate * times)
     return SurvivalTrace(times=times, p_success=np.clip(p_success, 0.0, 1.0),
-                         p_error_per_cycle=p_error, analytic_p_s=analytic,
+                         p_error_per_cycle=p_error, analytic_p_s=np.exp(-rate * times),
                          final_state=final, out_of_regime=out_of_regime,
                          max_mode_tail=max_tail)
+
+
+def run_protocol(config: TwoLevelConfig, max_trace_points: int = 2000,
+                 method: str = "compiled") -> SurvivalTrace:
+    """Iterate two-atom Zeno cycles from the subradiant pair until the final time.
+
+    ``method`` selects the per-cycle linear map ("compiled", default) or the
+    explicit state-by-state loop ("stepwise"); see :func:`run_zeno`.
+    """
+    drift = build_two_level_hamiltonian(config, coupled=False)
+    coupled = build_two_level_hamiltonian(config, coupled=True)
+    return run_zeno(
+        config, subradiant_state(config, 0), drift,
+        cycle_matrix(config, drift, functools.partial(h._propagate, coupled)),
+        lambda state: zeno_cycle(state, config, drift, coupled),
+        rate=config.half_difference**2 * config.cycle_time,
+        regime_check=lambda: pe_analytic(config.half_difference, config.free_interval),
+        max_trace_points=max_trace_points, method=method)

@@ -198,8 +198,9 @@ def test_09_phase_recovery():
     for amplitude in (1.0, 0.5):
         weak = rd.readout_config(drive_amplitude=amplitude)
         state, _ = rd.readout_chain(weak, 0.0)
-        full = rd.emit_field_trace(state, weak, method="full", fit=False)
-        fast = rd.emit_field_trace(state, weak, method="perturbative", fit=False)
+        model = rd.emission_model(weak)
+        full = rd.emit_field_trace(state, model, method="full", fit=False)
+        fast = rd.emit_field_trace(state, model, method="perturbative", fit=False)
         scale = np.max(np.abs(full.quadrature))
         assert np.max(np.abs(full.quadrature - fast.quadrature)) <= 0.05 * scale
     report(9, f"phases ({phase_zero:+.3f}, pi{wrapped:+.3f}), slope "

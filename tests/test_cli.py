@@ -117,6 +117,24 @@ class TestExitCodes:
                          str(tmp_path / "out")])
         assert code == cli.EXIT_NUMERICAL
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
+    def test_survival_underflow_exit_code(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, f"[{command}]\ncycle_times = 0.05\nfinal_time = 5000\n")
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "survival underflowed to zero by cycle" in err
+
+    def test_zero_clock_frequency_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[readout]\ntransition_1 = 110\n")
+        code = cli.main(["readout", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "transition_1" in err and "transition_2" in err
+
     def test_out_of_regime_with_strict(self, tmp_path):
         text = "[zeno2]\nhalf_difference = 30.0\ncycle_times = 0.1\nfinal_time = 0.5\n"
         path = write_config(tmp_path, text)
@@ -255,7 +273,7 @@ photon_number = 2
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("command", ["dephasing", "zeno2", "readout"])
+    @pytest.mark.parametrize("command", ["dephasing", "zeno2", "zeno4", "readout"])
     def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch, command):
         path = write_config(tmp_path, SMALL)
         outputs = {}

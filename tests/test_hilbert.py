@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenolock import hilbert as h
+from zenolock import readout as rd
+from zenolock import zeno_multilevel as zm
+from zenolock import zeno_two_level as z2
 
 
 def random_state(basis, rng):
@@ -347,3 +350,97 @@ class TestOperatorFlags:
         with pytest.raises(ValueError):
             h.OperatorMatrix(basis, [[1, 0], [0, 2]], unitary=True)
         h.OperatorMatrix(basis, [[0, 1], [1, 0]], hermitian=True, unitary=True)
+
+
+def kronecker_hamiltonian(basis, atom_energies, mode_frequencies, exchange_terms):
+    """Oracle for assemble_hamiltonian built from chained Kronecker operators.
+
+    sum E |level><level| per atom, sum w (a^dag a + 1/2) per mode, and
+    g (|upper><lower| a + h.c.) per exchange term (no ``a`` when the mode is
+    None).
+    """
+    dim = basis.dimension
+    m = np.zeros((dim, dim), dtype=complex)
+    for atom, energies in enumerate(atom_energies):
+        for level, energy in enumerate(energies):
+            m += energy * h.atomic_projector(basis, atom, level, level).matrix
+    for offset, frequency in enumerate(mode_frequencies):
+        a = h.annihilation(basis, len(atom_energies) + offset).matrix
+        m += frequency * (a.conj().T @ a + 0.5 * np.eye(dim))
+    for atom, upper, lower, mode, strength in exchange_terms:
+        op = h.atomic_projector(basis, atom, upper, lower).matrix
+        if mode is not None:
+            op = op @ h.annihilation(basis, mode).matrix
+        m += strength * (op + op.conj().T)
+    return m
+
+
+def _two_level_case(coupled):
+    config = z2.config_for_cycle_time(0.05, 1.0, common_offset=0.3)
+    g = 0.5 * config.coupling
+    exchange = [(0, 1, 0, 2, g), (1, 1, 0, 2, g)] if coupled else []
+    oracle = kronecker_hamiltonian(
+        z2.two_level_basis(config),
+        [(0.0, config.frequency_a), (0.0, config.frequency_b)],
+        [config.cavity_frequency], exchange)
+    return z2.build_two_level_hamiltonian(config, coupled), oracle
+
+
+def _three_level_case(coupled):
+    config = zm.three_level_config(photon_number=1, ground=0.25)
+    g = 0.5 * config.coupling
+    exchange = []
+    if coupled:
+        for atom in (0, 1):
+            exchange += [(atom, zm.E1_3, zm.G3, 2, g), (atom, zm.E2_3, zm.G3, 3, g)]
+    levels = [(e.g, e.e1, e.e2) for e in (config.atom_a, config.atom_b)]
+    oracle = kronecker_hamiltonian(zm.three_level_basis(config), levels,
+                                   config.mode_frequencies, exchange)
+    return zm.build_three_level_hamiltonian(config, coupled), oracle
+
+
+def _four_level_case(coupled):
+    config = zm.four_level_config_from_deltas(1.0, 0.5, cycle_time=0.02, final_time=0.2,
+                                              photon_number=1, ground_2=0.75)
+    g = 0.5 * config.coupling
+    exchange = []
+    if coupled:
+        for atom in (0, 1):
+            exchange += [(atom, zm.E1, zm.G1, 2, g), (atom, zm.E2, zm.G2, 3, g)]
+    levels = [(e.g1, e.g2, e.e1, e.e2) for e in (config.atom_a, config.atom_b)]
+    oracle = kronecker_hamiltonian(zm.four_level_basis(config), levels,
+                                   config.mode_frequencies, exchange)
+    return zm.build_four_level_hamiltonian(config, coupled), oracle
+
+
+def _readout_case(coupled):
+    config = rd.readout_config(transition_1=121.5)
+    mode_frequency = config.emission_frequency
+    levels = (config.mean_level("g1"), config.mean_level("g2"), config.mean_level("e1"),
+              config.mean_level("g1") + config.detuning)
+    exchange = []
+    for atom in (0, 1):
+        exchange += [(atom, rd.E1, rd.G1, 2, 0.5 * config.coupling),
+                     (atom, rd.E2, rd.G1, None, 0.5 * config.drive_amplitude)]
+    oracle = kronecker_hamiltonian(rd.emission_basis(config), [levels, levels],
+                                   [mode_frequency], exchange)
+    return rd._rotating_frame_hamiltonian(config, mode_frequency), oracle
+
+
+class TestAssembleHamiltonian:
+    @pytest.mark.parametrize("case, coupled", [
+        (_two_level_case, False), (_two_level_case, True),
+        (_three_level_case, False), (_three_level_case, True),
+        (_four_level_case, False), (_four_level_case, True),
+        (_readout_case, True),  # exchange with the mode plus an atom-only drive
+    ])
+    def test_matches_kronecker_construction(self, case, coupled):
+        assembled, oracle = case(coupled)
+        assert assembled.hermitian
+        assert np.max(np.abs(assembled.matrix - oracle)) <= 1e-12
+
+    def test_photon_energies_are_exact(self):
+        basis = h.build_basis([h.Atom(2), h.Mode(15)])
+        ham = h.assemble_hamiltonian(basis, [(0.0, 0.0), 100.0 * (np.arange(16) + 0.5)], [])
+        photons = np.array([basis.occupations(i)[1] for i in range(basis.dimension)])
+        assert np.array_equal(ham.matrix.diagonal().real, 100.0 * (photons + 0.5))

@@ -158,12 +158,13 @@ class TestChain:
 class TestEmission:
     def test_phases_at_zero_and_pi(self):
         config = rd.readout_config()
+        model = rd.emission_model(config)
         state0, _ = rd.readout_chain(config, 0.0)
-        trace0 = rd.emit_field_trace(state0, config)
+        trace0 = rd.emit_field_trace(state0, model)
         assert abs(trace0.fitted_phase) < 0.05
         t_pi = math.pi / config.clock_frequency
         state_pi, _ = rd.readout_chain(config, t_pi)
-        trace_pi = rd.emit_field_trace(state_pi, config)
+        trace_pi = rd.emit_field_trace(state_pi, model)
         wrapped = (trace_pi.fitted_phase - math.pi + math.pi) % (2 * math.pi) - math.pi
         assert abs(wrapped) < 0.05
 
@@ -171,15 +172,16 @@ class TestEmission:
         config = rd.readout_config()
         state0, _ = rd.readout_chain(config, 0.0)
         state_pi, _ = rd.readout_chain(config, math.pi / config.clock_frequency)
-        trace0 = rd.emit_field_trace(state0, config, fit=False)
-        trace_pi = rd.emit_field_trace(state_pi, config, fit=False)
+        model = rd.emission_model(config)
+        trace0 = rd.emit_field_trace(state0, model, fit=False)
+        trace_pi = rd.emit_field_trace(state_pi, model, fit=False)
         amplitude = np.max(np.abs(trace0.quadrature))
         assert np.max(np.abs(trace0.quadrature + trace_pi.quadrature)) < 0.01 * amplitude
 
     def test_no_drive_means_no_emission(self):
         config = rd.readout_config(drive_amplitude=0.0)
         state, _ = rd.readout_chain(config, 0.3)
-        trace = rd.emit_field_trace(state, config)
+        trace = rd.emit_field_trace(state, rd.emission_model(config))
         assert np.max(np.abs(trace.quadrature)) < 1e-12
         assert trace.fitted_phase is None
 
@@ -187,8 +189,9 @@ class TestEmission:
     def test_perturbative_matches_full(self, amplitude):
         config = rd.readout_config(drive_amplitude=amplitude)
         state, _ = rd.readout_chain(config, 0.0)
-        full = rd.emit_field_trace(state, config, method="full", fit=False)
-        fast = rd.emit_field_trace(state, config, method="perturbative", fit=False)
+        model = rd.emission_model(config)
+        full = rd.emit_field_trace(state, model, method="full", fit=False)
+        fast = rd.emit_field_trace(state, model, method="perturbative", fit=False)
         scale = np.max(np.abs(full.quadrature))
         assert np.max(np.abs(full.quadrature - fast.quadrature)) <= 0.05 * scale
 
@@ -201,8 +204,9 @@ class TestEmission:
     def test_virtual_cloud_component_exists_in_bare_quadrature(self):
         config = rd.readout_config()
         state, _ = rd.readout_chain(config, 0.0)
-        radiated = rd.emit_field_trace(state, config, fit=False)
-        bare = rd.emit_field_trace(state, config, fit=False, radiated_only=False)
+        model = rd.emission_model(config)
+        radiated = rd.emit_field_trace(state, model, fit=False)
+        bare = rd.emit_field_trace(state, model, fit=False, radiated_only=False)
         scale = np.max(np.abs(radiated.quadrature))
         assert np.max(np.abs(bare.quadrature - radiated.quadrature)) > 0.01 * scale
 
@@ -218,17 +222,17 @@ class TestEmission:
                                   overflow_threshold=1e-30)
         both_excited = chain_state({(E1, E1): 1.0})
         with pytest.raises(rd.CutoffOverflowError):
-            rd.emit_field_trace(both_excited, config)
+            rd.emit_field_trace(both_excited, rd.emission_model(config))
 
     def test_mode_population_above_one_photon_is_small(self):
         config = rd.readout_config()
         state, _ = rd.readout_chain(config, 0.0)
-        rd.emit_field_trace(state, config)  # threshold 1e-3 not tripped
+        rd.emit_field_trace(state, rd.emission_model(config))  # threshold 1e-3 not tripped
 
     def test_measured_frequency_near_model_value(self):
         config = rd.readout_config()
         state, _ = rd.readout_chain(config, 0.0)
-        trace = rd.emit_field_trace(state, config)
+        trace = rd.emit_field_trace(state, rd.emission_model(config))
         measured = rd.estimate_oscillation_frequency(trace.times, trace.quadrature)
         resolution = 2.0 * math.pi / (trace.times[-1] - trace.times[0])
         assert abs(measured - trace.fitted_frequency) < resolution
