@@ -240,6 +240,8 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
     the runs as (cycle, config, trace, provenance) with the results and flags.
     """
     trace_points = section.get_int("trace_points")
+    if trace_points < 1:
+        raise ConfigError(f"[{command}] trace_points must be at least 1, got {trace_points}")
     provenance = _provenance(command, config_text, args.seed)
 
     def run_one(cycle):

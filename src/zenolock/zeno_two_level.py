@@ -277,6 +277,9 @@ class SurvivalTrace:
 
 
 def _record_cycles(total_cycles: int, max_points: int) -> np.ndarray:
+    """At most ``max_points`` cycle indices, every stride-th one plus the last."""
+    if max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
     stride = max(1, -(-total_cycles // max_points))
     recorded = np.arange(stride, total_cycles + 1, stride)
     if recorded.size == 0 or recorded[-1] != total_cycles:
@@ -319,14 +322,22 @@ def run_zeno(config, initial: StateVector, drift: OperatorMatrix, cycle_map: np.
              method: str = "compiled") -> SurvivalTrace:
     """Iterate Zeno cycles from ``initial`` until ``config.final_time``.
 
-    ``method`` "compiled" iterates ``cycle_map`` (see :func:`cycle_matrix`)
-    on the atom sector; "stepwise" applies ``stepwise_cycle`` state by state.
-    Both give the same numbers to 1e-10.  ``p_success`` is the cumulative
-    product of per-cycle success probabilities and ``analytic_p_s`` is
-    exp(-rate t); ``regime_check`` raises :class:`OutOfRegimeError` outside
-    the perturbative regime.  A trailing partial cycle is a free drift under
-    ``drift`` without a measurement.  The truncation tail is taken from one
-    stepwise cycle of ``initial`` (and from every cycle when stepwise).
+    Every stride-th cycle and the last are recorded, at most
+    ``max_trace_points`` of them.  ``method`` "compiled" works on the atom
+    sector with ``cycle_map`` (see :func:`cycle_matrix`) and jumps between
+    recorded cycles: across a gap of g cycles it applies the cached power
+    ``cycle_map**(g-1)`` (one per distinct gap, so at most two) and then one
+    more ``cycle_map``, whose success probability is the recorded cycle's
+    own.  Its cost grows with the number of recorded points, not of cycles.
+    "stepwise" applies ``stepwise_cycle`` state by state to every cycle; it
+    is the reference the compiled path is tested against to 1e-10.
+    ``p_success`` is the cumulative product of per-cycle success
+    probabilities and ``analytic_p_s`` is exp(-rate t); ``regime_check``
+    raises :class:`OutOfRegimeError` outside the perturbative regime.  A
+    trailing partial cycle is a free drift under ``drift`` without a
+    measurement.  The truncation tail is taken from one stepwise cycle of
+    ``initial`` (and from every cycle when stepwise).  A survival of zero at
+    a recorded cycle raises :class:`ProtocolError`.
     """
     if method not in ("compiled", "stepwise"):
         raise ValueError(f"unknown method {method!r}")
@@ -340,28 +351,34 @@ def run_zeno(config, initial: StateVector, drift: OperatorMatrix, cycle_map: np.
         out_of_regime = True
 
     record = _record_cycles(cycles, max_trace_points)
-    record_set = set(int(j) for j in record)
     # survival before and after each recorded cycle
     survival = np.empty((len(record), 2))
-    slot = 0
-    previous = 1.0
     max_tail = stepwise_cycle(initial).mode_tail
     if method == "compiled":
         atom_dim = cycle_map.shape[0]
         x = initial.amplitudes.reshape(atom_dim, -1)[:, 0].copy()
-        for j in range(1, cycles + 1):
+        powers = {}
+        done = 0
+        for slot, j in enumerate(record.tolist()):
+            gap = j - done
+            if gap > 1:
+                if gap not in powers:
+                    powers[gap] = np.linalg.matrix_power(cycle_map, gap - 1)
+                x = powers[gap] @ x
+            previous = float(x.real @ x.real + x.imag @ x.imag)
             x = cycle_map @ x
             current = float(x.real @ x.real + x.imag @ x.imag)
-            if j in record_set:
-                if current == 0.0:
-                    raise ProtocolError(f"survival underflowed to zero by cycle {j}")
-                survival[slot] = previous, current
-                slot += 1
-            previous = current
+            if current == 0.0:
+                raise ProtocolError(f"survival underflowed to zero by cycle {j}")
+            survival[slot] = previous, current
+            done = j
         amps = np.zeros(initial.basis.dimension, dtype=complex)
         amps.reshape(atom_dim, -1)[:, 0] = x / np.linalg.norm(x)
         final = StateVector(initial.basis, amps)
     else:
+        record_set = set(int(j) for j in record)
+        slot = 0
+        previous = 1.0
         final = initial
         for j in range(1, cycles + 1):
             final, probability, tail = stepwise_cycle(final)

@@ -127,6 +127,16 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "survival underflowed to zero by cycle" in err
 
+    @pytest.mark.parametrize("points", [0, -3])
+    @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
+    def test_trace_points_below_one_is_config_error(self, tmp_path, capsys, command, points):
+        path = write_config(tmp_path, f"[{command}]\ntrace_points = {points}\n")
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "trace_points must be at least 1" in err
+
     def test_zero_clock_frequency_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "[readout]\ntransition_1 = 110\n")
         code = cli.main(["readout", "--config", str(path), "--out", str(tmp_path / "out")])

@@ -180,6 +180,27 @@ class TestProtocol:
         np.testing.assert_allclose(compiled.final_state.amplitudes,
                                    stepwise.final_state.amplitudes, atol=1e-10)
 
+    def test_compiled_jump_matches_stepwise(self):
+        # 10 cycles at stride 4 end in a ragged gap of 2
+        config = four_level_small()
+        compiled = zm.run_four_level_protocol(config, max_trace_points=3, method="compiled")
+        stepwise = zm.run_four_level_protocol(config, max_trace_points=3, method="stepwise")
+        np.testing.assert_allclose(compiled.times, [0.0, 0.08, 0.16, 0.2], rtol=1e-12)
+        np.testing.assert_allclose(compiled.p_success, stepwise.p_success, atol=1e-10)
+        np.testing.assert_allclose(compiled.p_error_per_cycle, stepwise.p_error_per_cycle,
+                                   atol=1e-10)
+        np.testing.assert_allclose(compiled.final_state.amplitudes,
+                                   stepwise.final_state.amplitudes, atol=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_survival_underflow_raises(self):
+        # the CLI's [zeno4] cycle_times = 0.05, final_time = 5000
+        config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.05,
+                                                  final_time=5000.0)
+        with pytest.raises(z2.ProtocolError,
+                           match="^survival underflowed to zero by cycle 74250$"):
+            zm.run_four_level_protocol(config, max_trace_points=400)
+
     def test_matches_exponential_form(self):
         config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.002,
                                                   final_time=0.5, photon_number=4)

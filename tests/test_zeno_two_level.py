@@ -258,6 +258,44 @@ class TestRunProtocol:
         np.testing.assert_allclose(compiled.final_state.amplitudes,
                                    stepwise.final_state.amplitudes, atol=1e-10)
 
+    def test_compiled_jump_matches_stepwise(self):
+        # 80 whole cycles at stride 12 end in a ragged gap of 8, then a
+        # trailing partial cycle
+        config = z2.config_for_cycle_time(0.01, 0.807)
+        compiled = z2.run_protocol(config, max_trace_points=7, method="compiled")
+        stepwise = z2.run_protocol(config, max_trace_points=7, method="stepwise")
+        np.testing.assert_allclose(compiled.times[1:-1], 0.01 * np.r_[12:84:12, 80],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(compiled.p_success, stepwise.p_success, atol=1e-10)
+        np.testing.assert_allclose(compiled.p_error_per_cycle, stepwise.p_error_per_cycle,
+                                   atol=1e-10)
+        np.testing.assert_allclose(compiled.final_state.amplitudes,
+                                   stepwise.final_state.amplitudes, atol=1e-10)
+
+    def test_hundred_million_cycles(self):
+        config = z2.config_for_cycle_time(1e-6, 100.0)
+        trace = z2.run_protocol(config, max_trace_points=800)
+        assert len(trace.times) == 801
+        assert np.max(np.abs(trace.p_success / trace.analytic_p_s - 1.0)) <= 0.02
+        numeric = 1.0 - trace.p_success[-1]
+        analytic = 1.0 - trace.analytic_p_s[-1]
+        assert numeric / analytic == pytest.approx(1.0, abs=0.05)
+        assert trace.max_mode_tail < 1e-8
+        assert np.linalg.norm(trace.final_state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_survival_underflow_raises(self):
+        # the CLI's [zeno2] cycle_times = 0.05, final_time = 5000
+        config = z2.config_for_cycle_time(0.05, 5000.0)
+        with pytest.raises(z2.ProtocolError,
+                           match="^survival underflowed to zero by cycle 74125$"):
+            z2.run_protocol(config, max_trace_points=800)
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_trace_points_below_one_rejected(self, points):
+        with pytest.raises(ValueError, match="max_points must be at least 1"):
+            z2.run_protocol(z2.config_for_cycle_time(0.01, 0.1), max_trace_points=points)
+
     def test_short_run_matches_exponential(self):
         config = z2.config_for_cycle_time(0.002, 1.0)
         trace = z2.run_protocol(config)
