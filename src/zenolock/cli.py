@@ -141,6 +141,11 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
     f0 = section.get_float("center_frequency")
     fwhm = section.get_float("fwhm")
     replicas = section.get_int("replicas")
+    # the e-fold fit needs a curve, and the histogram sigma ratio a sample spread
+    for key in ("time_points", "histogram_replicas"):
+        value = section.get_int(key)
+        if value < 2:
+            raise ConfigError(f"[dephasing] {key} must be at least 2, got {value}")
     grid = np.linspace(0.0, section.get_float("time_max"),
                        section.get_int("time_points"))
     provenance = _provenance("dephasing", config_text, seed)
@@ -235,13 +240,26 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
 
     ``run(cycle, final_time, trace_points)`` returns (config, trace,
     provenance entries of the run).  ``rate * cycle`` is the closed-form
-    survival decay rate that places an "auto" final time.  Writes one CSV
+    survival decay rate that places an "auto" final time.  Rejects
+    out-of-range values of the keys both sections share before any run,
+    so they end as config errors naming the key.  Writes one CSV
     per cycle time and fails on a populated truncation boundary.  Returns
     the runs as (cycle, config, trace, provenance) with the results and flags.
     """
     trace_points = section.get_int("trace_points")
     if trace_points < 1:
         raise ConfigError(f"[{command}] trace_points must be at least 1, got {trace_points}")
+    ratio = section.get_float("measure_ratio")
+    if not ratio > 0.0:
+        raise ConfigError(f"[{command}] measure_ratio must be positive, got {ratio!r}")
+    photons = section.get_int("photon_number")
+    if photons < 0:
+        raise ConfigError(f"[{command}] photon_number must be non-negative, got {photons}")
+    if section.get_str("survival_floor") != "auto":
+        floor = section.get_float("survival_floor")
+        if not 0.0 < floor < 1.0:
+            raise ConfigError(f"[{command}] survival_floor must be 'auto' or lie "
+                              f"strictly between 0 and 1, got {floor!r}")
     provenance = _provenance(command, config_text, args.seed)
 
     def run_one(cycle):

@@ -16,9 +16,11 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .parallel import parallel_map
-
 TWO_PI = 2.0 * np.pi
+# Complex entries per replica block of the phasor recurrence: a fixed
+# budget, so the blocking depends on the input shape only and the block
+# temporaries stay small next to the (grid x replicas) result.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def fwhm_to_sigma(fwhm: float) -> float:
@@ -70,12 +72,30 @@ def sample_frequencies(config: EnsembleConfig, replica: int = 0) -> np.ndarray:
     return config.center_frequency + config.sigma * draws
 
 
+# The last draw of sample_all_replicas: ((seed, replicas, center, fwhm), frequencies).
+# Two threads that miss at once both draw the same deterministic array, so
+# the memo needs no lock.
+_last_draw = None
+
+
 def sample_all_replicas(config: EnsembleConfig) -> np.ndarray:
-    """Frequencies of every replica, shape (replicas, atom_count)."""
-    out = np.empty((config.replicas, config.atom_count))
-    for r in range(config.replicas):
-        out[r] = sample_frequencies(config, r)
-    return out
+    """Frequencies of every replica, shape (replicas, atom_count), read-only.
+
+    The first n normals of a replica stream are the prefix of its first
+    m > n, so the last draw is kept: a later call with the same seed,
+    replica count, center frequency and width and at most as many atoms
+    returns a column-prefix view of it, equal bit for bit to a fresh draw.
+    """
+    global _last_draw
+    key = (config.seed, config.replicas, config.center_frequency, config.fwhm)
+    draw = _last_draw
+    if draw is None or draw[0] != key or draw[1].shape[1] < config.atom_count:
+        out = np.empty((config.replicas, config.atom_count))
+        for r in range(config.replicas):
+            out[r] = sample_frequencies(config, r)
+        out.flags.writeable = False
+        draw = _last_draw = (key, out)
+    return draw[1][:, :config.atom_count]
 
 
 def mean_frequency(frequencies: Sequence[float]) -> float:
@@ -139,40 +159,75 @@ def allan_deviation(params: AllanParams) -> float:
             * np.sqrt(params.cycle_time / params.averaging_time))
 
 
-def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False,
-                         max_workers: int | None = None):
+def _uniform_step(grid: np.ndarray) -> float | None:
+    """Spacing dt of a grid t_k = t_0 + k dt, or None for any other grid.
+
+    A grid of two or more points is uniform when every point lies within a
+    few ulp of max|t| of t_0 + k dt, which covers the rounding of linspace
+    and of a scaled linspace.
+    """
+    if grid.size < 2:
+        return None
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    rebuilt = grid[0] + step * np.arange(grid.size)
+    tolerance = 4.0 * np.spacing(np.abs(grid).max())
+    return float(step) if np.abs(grid - rebuilt).max() <= tolerance else None
+
+
+def _cos_values(freqs: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Per-replica mean cosine, shape (grid, replicas), by one cos per atom and point."""
+    values = np.empty((grid.size, freqs.shape[0]))
+    for k, t in enumerate(grid):
+        values[k] = np.cos(TWO_PI * t * freqs).mean(axis=1)
+    return values
+
+
+def _phasor_values(freqs: np.ndarray, start: float, step: float,
+                   points: int) -> np.ndarray:
+    """Per-replica mean cosine on the uniform grid start + k step, k < points.
+
+    The phasor z = exp(2 pi i f t) advances by w = exp(2 pi i f step) per
+    grid point, so each point costs one complex multiply per atom instead of
+    a cosine.  Replicas are processed in fixed blocks; each block writes its
+    own columns of the (points, replicas) result.
+    """
+    replicas, atoms = freqs.shape
+    values = np.empty((points, replicas))
+    rows = max(1, _BLOCK_ENTRIES // atoms)
+    for lo in range(0, replicas, rows):
+        block = freqs[lo:lo + rows]
+        phasor = np.exp(1j * (TWO_PI * start) * block)
+        turn = np.exp(1j * (TWO_PI * step) * block)
+        for k in range(points):
+            values[k, lo:lo + rows] = phasor.real.mean(axis=1)
+            phasor *= turn
+    return values
+
+
+def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False):
     """Replica-averaged mean cosine on the config time grid.
 
     Returns ``(mean, standard_error)`` arrays.  In the locked variant every
-    atom of a replica oscillates at that replica's mean frequency.  Grid
-    points are processed independently (optionally in parallel); the result
-    is bit-identical for any worker count.
+    atom of a replica oscillates at that replica's mean frequency, so each
+    replica is a one-atom ensemble.  A uniform grid is advanced by the
+    phasor recurrence of :func:`_phasor_values`; any other grid takes one
+    cosine per atom and point.  Either way the per-replica means land in one
+    (grid, replicas) array that is reduced once, in a fixed order, so the
+    result does not depend on the thread count.
     """
     freqs = sample_all_replicas(config)
-    grid = np.asarray(config.time_grid)
-    single = config.replicas == 1
-
-    def spread(values):
-        if single:
-            return 0.0
-        return values.std(ddof=1) / np.sqrt(config.replicas)
-
     if locked:
-        per_replica_freq = freqs.mean(axis=1)
-
-        def at_time(t):
-            values = np.cos(TWO_PI * t * per_replica_freq)
-            return values.mean(), spread(values)
+        freqs = freqs.mean(axis=1, keepdims=True)
+    grid = np.asarray(config.time_grid)
+    step = _uniform_step(grid)
+    if step is None:
+        values = _cos_values(freqs, grid)
     else:
-
-        def at_time(t):
-            values = np.cos(TWO_PI * t * freqs).mean(axis=1)
-            return values.mean(), spread(values)
-
-    results = parallel_map(at_time, grid, max_workers=max_workers)
-    mean = np.array([m for m, _ in results])
-    se = np.array([s for _, s in results])
-    return mean, se
+        values = _phasor_values(freqs, grid[0], step, grid.size)
+    mean = values.mean(axis=1)
+    if config.replicas == 1:
+        return mean, np.zeros(grid.size)
+    return mean, values.std(axis=1, ddof=1) / np.sqrt(config.replicas)
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,32 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "trace_points must be at least 1" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("measure_ratio", "-1"), ("measure_ratio", "0"), ("survival_floor", "0"),
+        ("survival_floor", "1"), ("survival_floor", "-0.5"), ("photon_number", "-1"),
+    ])
+    @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
+    def test_out_of_range_zeno_key_is_config_error(self, tmp_path, capsys, command,
+                                                   key, value):
+        path = write_config(tmp_path, f"[{command}]\n{key} = {value}\n")
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"[{command}] {key} must" in err
+
+    @pytest.mark.parametrize("key, value", [("time_points", 1), ("time_points", 0),
+                                            ("histogram_replicas", 1)])
+    def test_too_few_dephasing_samples_is_config_error(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, f"[dephasing]\n{key} = {value}\n")
+        code = cli.main(["dephasing", "--config", str(path), "--out",
+                         str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"[dephasing] {key} must be at least 2" in err
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
     def test_zero_clock_frequency_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "[readout]\ntransition_1 = 110\n")
         code = cli.main(["readout", "--config", str(path), "--out", str(tmp_path / "out")])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from zenolock import cli
 from zenolock import dephasing as dp
 
 
@@ -74,6 +75,56 @@ class TestSampling:
         _ = dp.sample_frequencies(config, 2)
         again = dp.sample_frequencies(config, 7)
         np.testing.assert_array_equal(direct, again)
+
+
+class TestReplicaDraw:
+    def test_prefix_of_larger_draw_is_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(dp, "_last_draw", None)
+        wide = dp.sample_all_replicas(make_config(atom_count=100, replicas=40))
+        narrow_config = make_config(atom_count=9, replicas=40)
+        narrow = dp.sample_all_replicas(narrow_config)
+        assert narrow.shape == (40, 9)
+        assert np.shares_memory(narrow, wide)
+        for replica in range(40):
+            np.testing.assert_array_equal(narrow[replica],
+                                          dp.sample_frequencies(narrow_config, replica))
+
+    def test_returned_draw_is_read_only(self, monkeypatch):
+        monkeypatch.setattr(dp, "_last_draw", None)
+        for atoms in (100, 9):
+            freqs = dp.sample_all_replicas(make_config(atom_count=atoms, replicas=20))
+            assert not freqs.flags.writeable
+            with pytest.raises(ValueError):
+                freqs[0, 0] = 0.0
+
+    @pytest.mark.parametrize("change", [dict(seed=1), dict(replicas=21), dict(fwhm=3.0),
+                                        dict(center_frequency=50.0), dict(atom_count=12)])
+    def test_changed_inputs_draw_afresh(self, monkeypatch, change):
+        monkeypatch.setattr(dp, "_last_draw", None)
+        dp.sample_all_replicas(make_config(atom_count=10, replicas=20))
+        config = make_config(**{"atom_count": 10, "replicas": 20, **change})
+        fresh = np.array([dp.sample_frequencies(config, r) for r in range(config.replicas)])
+        np.testing.assert_array_equal(dp.sample_all_replicas(config), fresh)
+
+    def test_each_replica_stream_drawn_once_per_run(self, monkeypatch):
+        # the three draws of the dephasing subcommand: independent curve,
+        # locked curve (other grid), histogram (fewer atoms)
+        monkeypatch.setattr(dp, "_last_draw", None)
+        calls = []
+        original = dp._replica_rng
+
+        def counting(seed, replica):
+            calls.append(replica)
+            return original(seed, replica)
+
+        monkeypatch.setattr(dp, "_replica_rng", counting)
+        grid = np.linspace(0.0, 0.1, 11)
+        config = make_config(atom_count=16, replicas=30, time_grid=tuple(grid))
+        locked = make_config(atom_count=16, replicas=30, time_grid=tuple(4.0 * grid))
+        dp.monte_carlo_mean_cos(config)
+        dp.monte_carlo_mean_cos(locked, locked=True)
+        dp.bandwidth_histogram(make_config(atom_count=9, replicas=30, time_grid=(0.0, 1.0)))
+        assert sorted(calls) == list(range(30))
 
 
 class TestMeanFrequency:
@@ -166,6 +217,77 @@ class TestEnvelopes:
         mean, se = dp.monte_carlo_mean_cos(config, locked=True)
         analytic = dp.envelope_locked(np.array(config.time_grid), config.sigma, 100.0, 25)
         assert np.all(np.abs(mean - analytic) <= 3.0 * se)
+
+
+def _cos_oracle(monkeypatch, config, locked):
+    # the per-point cosine path, which every non-uniform grid takes
+    with monkeypatch.context() as patch:
+        patch.setattr(dp, "_uniform_step", lambda grid: None)
+        return dp.monte_carlo_mean_cos(config, locked=locked)
+
+
+CLI_GRID = np.linspace(0.0, 0.1, 201)
+
+
+class TestPhasorPath:
+    @pytest.mark.parametrize("locked", [False, True])
+    @pytest.mark.parametrize("grid, atoms, replicas", [
+        (CLI_GRID, 100, 200),
+        (CLI_GRID * np.sqrt(100), 100, 200),
+        (np.linspace(0.0, 10.0, 20001), 10, 20),
+    ], ids=["linspace", "linspace-sqrt-n", "20001-points"])
+    def test_matches_cos_oracle(self, monkeypatch, locked, grid, atoms, replicas):
+        config = make_config(atom_count=atoms, replicas=replicas, time_grid=tuple(grid))
+        assert dp._uniform_step(np.asarray(config.time_grid)) is not None
+        mean, se = dp.monte_carlo_mean_cos(config, locked=locked)
+        oracle_mean, oracle_se = _cos_oracle(monkeypatch, config, locked)
+        np.testing.assert_allclose(mean, oracle_mean, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(se, oracle_se, rtol=0.0, atol=1e-12)
+
+    def test_single_replica_has_zero_spread(self, monkeypatch):
+        config = make_config(replicas=1)
+        mean, se = dp.monte_carlo_mean_cos(config)
+        np.testing.assert_allclose(mean, _cos_oracle(monkeypatch, config, False)[0],
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(se, np.zeros(len(config.time_grid)))
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 0.3, 30) ** 2,
+        np.concatenate([np.linspace(0.0, 0.1, 20), [0.2]]),
+        np.linspace(0.0, 0.1, 21) + np.where(np.arange(21) == 7, 1e-12, 0.0),
+    ], ids=["quadratic", "trailing-gap", "one-point-off-by-1e-12"])
+    def test_non_uniform_grid_takes_cos_path(self, monkeypatch, grid):
+        config = make_config(replicas=50, time_grid=tuple(grid))
+        assert dp._uniform_step(np.asarray(config.time_grid)) is None
+
+        def refuse(*args):
+            raise AssertionError("phasor recurrence used on a non-uniform grid")
+
+        monkeypatch.setattr(dp, "_phasor_values", refuse)
+        mean, _ = dp.monte_carlo_mean_cos(config)
+        direct = [np.cos(dp.TWO_PI * t * dp.sample_all_replicas(config)).mean()
+                  for t in config.time_grid]
+        np.testing.assert_allclose(mean, direct, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("time_max, points, atoms", [(0.1, 201, 100), (0.1, 31, 100),
+                                                         (0.25, 1001, 7)])
+    def test_cli_grids_are_uniform(self, time_max, points, atoms):
+        # the grids cmd_dephasing builds, after EnsembleConfig's float conversion
+        grid = np.linspace(0.0, time_max, points)
+        for scaled in (grid, grid * np.sqrt(atoms)):
+            step = dp._uniform_step(np.asarray(tuple(float(t) for t in scaled)))
+            assert step == pytest.approx(scaled[-1] / (points - 1), rel=1e-14)
+
+    def test_cli_run_takes_phasor_path(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-point cosine path used on a CLI grid")
+
+        monkeypatch.setattr(dp, "_cos_values", refuse)
+        config = tmp_path / "run.cfg"
+        config.write_text("[dephasing]\nreplicas = 300\nhistogram_replicas = 300\n"
+                          "time_points = 31\n")
+        code = cli.main(["dephasing", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_OK
 
 
 class TestAllanDeviation:
