@@ -31,8 +31,8 @@ for n in (1, 2, 4, 8):
                               atom_a=four.atom_a, atom_b=four.atom_b, coupling=2.0,
                               photon_number=n, free_interval=tau_m,
                               measure_interval=tau_m, final_time=2 * tau_m)
-    print(f"{n:>8} {zm.three_level_leakage(three):>14.3e} "
-          f"{zm.four_level_leakage(four):>12.1e}")
+    print(f"{n:>8} {zm.leakage(three):>14.3e} "
+          f"{zm.leakage(four):>12.1e}")
 
 print("\nfour-level protocol with both manifolds split by Delta = 2:")
 config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.001,

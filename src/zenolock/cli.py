@@ -10,6 +10,7 @@ under --strict; 4 numerical-validity failure.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import sys
@@ -146,8 +147,13 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
         value = section.get_int(key)
         if value < 2:
             raise ConfigError(f"[dephasing] {key} must be at least 2, got {value}")
-    grid = np.linspace(0.0, section.get_float("time_max"),
-                       section.get_int("time_points"))
+    time_max = section.get_float("time_max")
+    if not time_max > 0.0:
+        raise ConfigError(f"[dephasing] time_max must be positive, got {time_max!r}")
+    bins = section.get_int("histogram_bins")
+    if bins < 1:
+        raise ConfigError(f"[dephasing] histogram_bins must be at least 1, got {bins}")
+    grid = np.linspace(0.0, time_max, section.get_int("time_points"))
     provenance = _provenance("dephasing", config_text, seed)
 
     config = dephasing.EnsembleConfig(atom_count=atom_count, center_frequency=f0,
@@ -181,8 +187,7 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
         atom_count=section.get_int("histogram_atom_count"), center_frequency=f0,
         fwhm=fwhm, seed=seed, time_grid=(0.0, 1.0),
         replicas=section.get_int("histogram_replicas"))
-    histograms = dephasing.bandwidth_histogram(hist_config,
-                                               bins=section.get_int("histogram_bins"))
+    histograms = dephasing.bandwidth_histogram(hist_config, bins=bins)
     individual = histograms.individual
     means = histograms.replica_means
     centers = 0.5 * (individual.bin_edges[:-1] + individual.bin_edges[1:])
@@ -224,11 +229,10 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
 
 
 def _zeno_final_time(section: Section, cycle: float, rate: float) -> float:
-    raw = section.get_str("final_time")
-    if raw != "auto":
-        return float(raw)
-    floor_raw = section.get_str("survival_floor")
-    floor = 0.1 if floor_raw == "auto" else float(floor_raw)
+    if section.get_str("final_time") != "auto":
+        return section.get_float("final_time")
+    auto_floor = section.get_str("survival_floor") == "auto"
+    floor = 0.1 if auto_floor else section.get_float("survival_floor")
     if rate <= 0.0:
         return 1000.0 * cycle
     return math.log(1.0 / floor) / rate
@@ -349,12 +353,11 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
         transition_2=section.get_float("transition_2"),
         time_max=section.get_float("time_max"),
         time_points=section.get_int("time_points"))
-    config = readout.ReadoutConfig(
-        atom_a=config.atom_a, atom_b=config.atom_b, elapsed_time=0.0,
-        detuning=config.detuning, drive_amplitude=config.drive_amplitude,
-        coupling=config.coupling, emission_mode_cutoff=section.get_int("emission_cutoff"),
-        readout_times=config.readout_times,
-        fit_periods=section.get_float("fit_periods"))
+    cutoff = section.get_int("emission_cutoff")
+    if cutoff < 1:
+        raise ConfigError(f"[readout] emission_cutoff must be at least 1, got {cutoff}")
+    config = dataclasses.replace(config, emission_mode_cutoff=cutoff,
+                                 fit_periods=section.get_float("fit_periods"))
     method = section.get_str("method")
     if method not in ("full", "perturbative"):
         raise ConfigError(f"[readout] method must be 'full' or 'perturbative', got {method!r}")

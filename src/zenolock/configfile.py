@@ -10,6 +10,7 @@ Values are plain scalars or comma-separated lists; types are enforced at
 lookup time with line-numbered diagnostics.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -49,6 +50,13 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{number}: duplicate key {key!r}")
         current[key] = ConfigEntry(value, number)
     return sections
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def load_config(path) -> dict:
@@ -93,7 +101,7 @@ class Section:
         return raw
 
     def get_float(self, key: str):
-        return self._convert(key, float, "a number")
+        return self._convert(key, _finite_float, "a finite number")
 
     def get_int(self, key: str):
         return self._convert(key, lambda v: int(v, 0), "an integer")
@@ -113,8 +121,8 @@ class Section:
             items = [part.strip() for part in v.split(",") if part.strip()]
             if not items:
                 raise ValueError(v)
-            return tuple(float(part) for part in items)
-        return self._convert(key, parse, "a comma-separated number list")
+            return tuple(_finite_float(part) for part in items)
+        return self._convert(key, parse, "a comma-separated list of finite numbers")
 
     def get_str(self, key: str):
         raw, _ = self._raw(key)

@@ -25,7 +25,7 @@ _BLOCK_ENTRIES = 1 << 15
 
 def fwhm_to_sigma(fwhm: float) -> float:
     """Standard deviation of a Gaussian with the given full width at half maximum."""
-    if fwhm <= 0.0:
+    if not fwhm > 0.0:
         raise ValueError(f"fwhm must be positive, got {fwhm}")
     return fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
@@ -46,7 +46,7 @@ class EnsembleConfig:
             raise ValueError("atom_count must be >= 1")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.fwhm <= 0.0:
+        if not self.fwhm > 0.0:
             raise ValueError("fwhm must be positive")
         grid = tuple(float(t) for t in self.time_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):

@@ -110,9 +110,6 @@ class ProductBasis:
     def atom_indices(self) -> tuple:
         return tuple(i for i, s in enumerate(self.subsystems) if isinstance(s, Atom))
 
-    def mode_indices(self) -> tuple:
-        return tuple(i for i, s in enumerate(self.subsystems) if isinstance(s, Mode))
-
 
 def build_basis(specs: Sequence[SubsystemSpec]) -> ProductBasis:
     """Build a product basis, reordering subsystems atoms-first.

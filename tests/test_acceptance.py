@@ -129,7 +129,7 @@ def test_06_four_level_correspondence():
 
 def test_07_three_level_defect():
     three = zm.three_level_config(coupling=2.0, photon_number=8)
-    leakage = zm.three_level_leakage(three)
+    leakage = zm.leakage(three)
     assert leakage > 1e-6
 
     tau_m = three.measure_interval
@@ -139,7 +139,7 @@ def test_07_three_level_defect():
                               atom_a=four.atom_a, atom_b=four.atom_b,
                               coupling=2.0, photon_number=8, free_interval=tau_m,
                               measure_interval=tau_m, final_time=2 * tau_m)
-    cross = zm.four_level_leakage(four)
+    cross = zm.leakage(four)
     assert cross < 1e-12
     report(7, f"three-level leakage {leakage:.3e} > 1e-6, four-level {cross:.1e} < 1e-12")
 

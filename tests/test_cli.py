@@ -78,6 +78,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="f.cfg:2"):
             section.get_float("x")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_numbers_rejected(self, value):
+        parsed = parse_config_text(f"[a]\nx = {value}\nlist = 1, {value}\n", source="f.cfg")
+        section = Section("a", parsed["a"], {"x": "0", "list": "0"}, "f.cfg")
+        with pytest.raises(ConfigError, match="^f.cfg:2: field 'x' needs a finite number"):
+            section.get_float("x")
+        with pytest.raises(ConfigError, match="^f.cfg:3: field 'list' needs a comma"):
+            section.get_float_list("list")
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
@@ -162,6 +171,35 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert f"[dephasing] {key} must be at least 2" in err
         assert not (tmp_path / "out" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("dephasing", "time_max", "0"), ("dephasing", "time_max", "-0.1"),
+        ("dephasing", "histogram_bins", "0"), ("readout", "emission_cutoff", "0"),
+    ])
+    def test_out_of_range_key_is_config_error(self, tmp_path, capsys, section, key, value):
+        path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+        code = cli.main([section, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"[{section}] {key} must" in err
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("zeno4", "final_time", "inf"), ("zeno4", "final_time", "nan"),
+        ("zeno4", "final_time", "banana"), ("zeno2", "final_time", "inf"),
+        ("zeno2", "survival_floor", "nan"), ("zeno2", "cycle_times", "0.01, inf"),
+        ("dephasing", "fwhm", "nan"), ("allan", "fwhm", "inf"),
+    ])
+    def test_non_finite_or_unparsed_number_is_config_error(self, tmp_path, capsys,
+                                                           section, key, value):
+        path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+        code = cli.main([section, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{path}:2: field {key!r} needs" in err
+        assert "Traceback" not in err
 
     def test_zero_clock_frequency_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "[readout]\ntransition_1 = 110\n")

@@ -31,8 +31,16 @@ class TestFwhmToSigma:
         with pytest.raises(ValueError):
             dp.fwhm_to_sigma(-1.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            dp.fwhm_to_sigma(float("nan"))
+
 
 class TestEnsembleConfig:
+    def test_nan_fwhm_rejected(self):
+        with pytest.raises(ValueError, match="fwhm must be positive"):
+            make_config(fwhm=float("nan"))
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             make_config(fwhm=0.0)

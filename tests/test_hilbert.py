@@ -394,9 +394,9 @@ def _three_level_case(coupled):
         for atom in (0, 1):
             exchange += [(atom, zm.E1_3, zm.G3, 2, g), (atom, zm.E2_3, zm.G3, 3, g)]
     levels = [(e.g, e.e1, e.e2) for e in (config.atom_a, config.atom_b)]
-    oracle = kronecker_hamiltonian(zm.three_level_basis(config), levels,
+    oracle = kronecker_hamiltonian(zm.pair_basis(config), levels,
                                    config.mode_frequencies, exchange)
-    return zm.build_three_level_hamiltonian(config, coupled), oracle
+    return zm.build_hamiltonian(config, coupled), oracle
 
 
 def _four_level_case(coupled):
@@ -408,9 +408,9 @@ def _four_level_case(coupled):
         for atom in (0, 1):
             exchange += [(atom, zm.E1, zm.G1, 2, g), (atom, zm.E2, zm.G2, 3, g)]
     levels = [(e.g1, e.g2, e.e1, e.e2) for e in (config.atom_a, config.atom_b)]
-    oracle = kronecker_hamiltonian(zm.four_level_basis(config), levels,
+    oracle = kronecker_hamiltonian(zm.pair_basis(config), levels,
                                    config.mode_frequencies, exchange)
-    return zm.build_four_level_hamiltonian(config, coupled), oracle
+    return zm.build_hamiltonian(config, coupled), oracle
 
 
 def _readout_case(coupled):

@@ -1,5 +1,6 @@
 """Three-level leakage defect and the four-level protocol."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,29 +16,66 @@ def four_level_small(delta_1=1.0, delta_2=0.5, n=2, cycle=0.02, final=0.2):
                                             final_time=final, photon_number=n)
 
 
+def hand_written_numbers(config, basis):
+    """Per-mode excitation numbers, written out for each level scheme."""
+    c1, c2 = config.fock_cutoffs
+    if isinstance(config, zm.ThreeLevelConfig):
+        upper_1, upper_2 = [0, 1, 0], [0, 0, 1]
+    else:
+        upper_1, upper_2 = [0, 0, 1, 0], [0, 0, 0, 1]
+    n1 = h.occupation_labels(basis, [upper_1, upper_1,
+                                     list(range(c1 + 1)), [0] * (c2 + 1)])
+    n2 = h.occupation_labels(basis, [upper_2, upper_2,
+                                     [0] * (c1 + 1), list(range(c2 + 1))])
+    return n1, n2
+
+
+SCHEMES = {
+    "three": lambda n: zm.three_level_config(photon_number=n),
+    "four": lambda n: four_level_small(n=n),
+}
+
+
+class TestSchemeModel:
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_conserved_labels_match_hand_written_tables(self, scheme):
+        config = SCHEMES[scheme](2)
+        n1, n2 = hand_written_numbers(config, zm.pair_basis(config))
+        assert np.array_equal(zm.conserved_labels(config), h.combine_labels(n1, n2))
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_default_cutoffs(self, scheme, n):
+        config = SCHEMES[scheme](n)
+        assert config.fock_cutoffs == (n + 2, n + 2)
+        assert zm.pair_basis(config).dims == (config.LEVELS, config.LEVELS, n + 3, n + 3)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("cutoffs", [(3, 4), (4, 3), (1, 1)])
+    def test_cutoff_below_photon_number_plus_two_raises(self, scheme, cutoffs):
+        config = SCHEMES[scheme](2)
+        assert dataclasses.replace(config, fock_cutoffs=(4, 5)).fock_cutoffs == (4, 5)
+        with pytest.raises(ValueError, match="fock_cutoffs must be at least photon_number"):
+            dataclasses.replace(config, fock_cutoffs=cutoffs)
+
+
 class TestHamiltonians:
     def test_three_level_hermitian(self):
         config = zm.three_level_config(photon_number=3)
-        assert zm.build_three_level_hamiltonian(config).hermitian
+        assert zm.build_hamiltonian(config).hermitian
 
     def test_three_level_conserves_both_numbers(self):
         config = zm.three_level_config(photon_number=2)
-        ham = zm.build_three_level_hamiltonian(config)
-        basis = ham.basis
-        c1, c2 = config.fock_cutoffs
-        n1 = h.occupation_labels(basis, [[0, 1, 0], [0, 1, 0],
-                                         list(range(c1 + 1)), [0] * (c2 + 1)])
-        n2 = h.occupation_labels(basis, [[0, 0, 1], [0, 0, 1],
-                                         [0] * (c1 + 1), list(range(c2 + 1))])
-        for labels in (n1, n2):
-            number = h.OperatorMatrix(basis, np.diag(labels.astype(complex)),
+        ham = zm.build_hamiltonian(config)
+        for labels in hand_written_numbers(config, ham.basis):
+            number = h.OperatorMatrix(ham.basis, np.diag(labels.astype(complex)),
                                       hermitian=True)
             assert h.commutator_norm(ham, number) < 1e-12
 
     def test_three_level_identical_atoms_initial_state_stationary_uncoupled(self):
         config = zm.three_level_config(photon_number=2)
-        ham = zm.build_three_level_hamiltonian(config, coupled=False)
-        state = zm.initial_state_three(config)
+        ham = zm.build_hamiltonian(config, coupled=False)
+        state = zm.initial_state(config)
         evolved = h.evolve(state, ham, 0.37)
         # identical atoms: both subradiant halves pick up pure phases
         populations = np.abs(evolved.amplitudes) ** 2
@@ -46,22 +84,16 @@ class TestHamiltonians:
 
     def test_four_level_hermitian_and_doubly_conserving(self):
         config = four_level_small()
-        ham = zm.build_four_level_hamiltonian(config)
+        ham = zm.build_hamiltonian(config)
         assert ham.hermitian
-        basis = ham.basis
-        c1, c2 = config.fock_cutoffs
-        n1 = h.occupation_labels(basis, [[0, 0, 1, 0], [0, 0, 1, 0],
-                                         list(range(c1 + 1)), [0] * (c2 + 1)])
-        n2 = h.occupation_labels(basis, [[0, 0, 0, 1], [0, 0, 0, 1],
-                                         [0] * (c1 + 1), list(range(c2 + 1))])
-        for labels in (n1, n2):
-            number = h.OperatorMatrix(basis, np.diag(labels.astype(complex)),
+        for labels in hand_written_numbers(config, ham.basis):
+            number = h.OperatorMatrix(ham.basis, np.diag(labels.astype(complex)),
                                       hermitian=True)
             assert h.commutator_norm(ham, number) < 1e-12
 
     def test_four_level_has_no_cross_matrix_elements(self):
         config = four_level_small()
-        ham = zm.build_four_level_hamiltonian(config)
+        ham = zm.build_hamiltonian(config)
         basis = ham.basis
         # any <E1 paired with G2| H |...> exchange: E1 <-> G2 or E2 <-> G1
         c1, c2 = config.fock_cutoffs
@@ -77,9 +109,9 @@ class TestHamiltonians:
 
     def test_block_evolver_matches_dense(self):
         config = four_level_small(n=2)
-        ham = zm.build_four_level_hamiltonian(config)
-        evolver = h.BlockEvolver(ham, zm.four_level_labels(config))
-        state = zm.initial_state_four(config)
+        ham = zm.build_hamiltonian(config)
+        evolver = h.BlockEvolver(ham, zm.conserved_labels(config))
+        state = zm.initial_state(config)
         injected = h.replace_mode_state(h.replace_mode_state(state, 2, 2), 3, 2)
         for t in (0.01, 0.4):
             dense = h.evolve(injected, ham, t)
@@ -96,12 +128,12 @@ class TestHamiltonians:
 
 class TestInitialStates:
     def test_normalized(self):
-        assert zm.initial_state_three(zm.three_level_config()).norm() == pytest.approx(1.0, abs=1e-15)
-        assert zm.initial_state_four(four_level_small()).norm() == pytest.approx(1.0, abs=1e-15)
+        assert zm.initial_state(zm.three_level_config()).norm() == pytest.approx(1.0, abs=1e-15)
+        assert zm.initial_state(four_level_small()).norm() == pytest.approx(1.0, abs=1e-15)
 
     def test_halves_antisymmetric_under_exchange(self):
         config = four_level_small()
-        state = zm.initial_state_four(config)
+        state = zm.initial_state(config)
         basis = state.basis
         swapped = np.zeros_like(state.amplitudes)
         for i, amp in enumerate(state.amplitudes):
@@ -111,18 +143,18 @@ class TestInitialStates:
 
     def test_manifold_halves_are_orthogonal(self):
         config = four_level_small()
-        basis = zm.four_level_basis(config)
+        basis = zm.pair_basis(config)
         half_1 = zm._pair_superposition(basis, [(zm.E1, zm.G1)], (0, 0))
         half_2 = zm._pair_superposition(basis, [(zm.E2, zm.G2)], (0, 0))
         assert abs(half_1.overlap(half_2)) == 0.0
-        full = zm.initial_state_four(config)
+        full = zm.initial_state(config)
         assert abs(full.overlap(half_1)) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
 class TestLeakage:
     def test_three_level_leaks(self):
         config = zm.three_level_config(coupling=2.0, photon_number=8)
-        assert zm.three_level_leakage(config) > 1e-6
+        assert zm.leakage(config) > 1e-6
 
     def test_four_level_does_not(self):
         config = four_level_small(delta_1=0.0, delta_2=0.0, n=8)
@@ -131,11 +163,11 @@ class TestLeakage:
             mode_frequencies=config.mode_frequencies, atom_a=config.atom_a,
             atom_b=config.atom_b, coupling=2.0, photon_number=8,
             free_interval=tau_m, measure_interval=tau_m, final_time=2 * tau_m)
-        assert zm.four_level_leakage(resonant) < 1e-12
+        assert zm.leakage(resonant) < 1e-12
 
     def test_vacuum_modes_cannot_be_absorbed(self):
         config = zm.three_level_config(coupling=2.0, photon_number=8)
-        assert zm.three_level_leakage(config, photon_number=0) < 1e-12
+        assert zm.leakage(config, photon_number=0) < 1e-12
 
     def test_ordering_over_parameter_sweep(self):
         for n in (1, 2, 4, 8):
@@ -144,9 +176,9 @@ class TestLeakage:
                 three = zm.three_level_config(coupling=2.0, photon_number=n,
                                               measure_interval=tau_m)
                 four = four_level_small(0.0, 0.0, n=n)
-                assert zm.three_level_leakage(three) > 1e-6
-                assert zm.four_level_leakage(four, photon_number=n,
-                                             measure_interval=tau_m) < 1e-12
+                assert zm.leakage(three) > 1e-6
+                assert zm.leakage(four, photon_number=n,
+                                  measure_interval=tau_m) < 1e-12
 
 
 class TestClosedForms:
@@ -223,10 +255,10 @@ class TestProtocol:
 
     def test_branch_probabilities_sum_to_one(self):
         config = four_level_small()
-        drift = zm.build_four_level_hamiltonian(config, coupled=False)
-        coupled = zm.build_four_level_hamiltonian(config, coupled=True)
-        evolver = h.BlockEvolver(coupled, zm.four_level_labels(config))
-        state = h.evolve(zm.initial_state_four(config), drift, config.free_interval)
+        drift = zm.build_hamiltonian(config, coupled=False)
+        coupled = zm.build_hamiltonian(config, coupled=True)
+        evolver = h.BlockEvolver(coupled, zm.conserved_labels(config))
+        state = h.evolve(zm.initial_state(config), drift, config.free_interval)
         state = h.replace_mode_state(state, 2, config.photon_number)
         state = h.replace_mode_state(state, 3, config.photon_number)
         state = evolver.evolve(state, config.measure_interval)
