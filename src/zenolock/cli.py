@@ -90,6 +90,15 @@ _DEFAULTS = {
 }
 
 
+# Largest pair basis a Zeno run may build, checked against the photon number
+# before anything is allocated.  zeno2 holds several dense operators of
+# 16 d^2 bytes each; zeno4 holds state vectors and sector blocks, which grow
+# linearly with d.  The dimensions follow the default Fock cutoffs: n + 3 for
+# the zeno2 mode, n + 2 for each zeno4 mode.
+_MAX_DIMENSION = {"zeno2": 2048, "zeno4": 1 << 16}
+_BASIS_DIMENSION = {"zeno2": lambda n: 4 * (n + 4), "zeno4": lambda n: 16 * (n + 3) ** 2}
+
+
 def _format_value(value) -> str:
     if isinstance(value, float):
         return repr(float(value))  # plain shortest round-trip form, also for numpy scalars
@@ -230,7 +239,11 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
 
 def _zeno_final_time(section: Section, cycle: float, rate: float) -> float:
     if section.get_str("final_time") != "auto":
-        return section.get_float("final_time")
+        final_time = section.get_float("final_time")
+        if not final_time > 0.0:
+            raise ConfigError(f"[{section.name}] final_time must be positive or 'auto', "
+                              f"got {final_time!r}")
+        return final_time
     auto_floor = section.get_str("survival_floor") == "auto"
     floor = 0.1 if auto_floor else section.get_float("survival_floor")
     if rate <= 0.0:
@@ -259,6 +272,10 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
     photons = section.get_int("photon_number")
     if photons < 0:
         raise ConfigError(f"[{command}] photon_number must be non-negative, got {photons}")
+    dimension = _BASIS_DIMENSION[command](photons)
+    if dimension > _MAX_DIMENSION[command]:
+        raise ConfigError(f"[{command}] photon_number must keep the basis dimension at most "
+                          f"{_MAX_DIMENSION[command]}, got {photons} (dimension {dimension})")
     if section.get_str("survival_floor") != "auto":
         floor = section.get_float("survival_floor")
         if not 0.0 < floor < 1.0:
@@ -266,11 +283,13 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
                               f"strictly between 0 and 1, got {floor!r}")
     provenance = _provenance(command, config_text, args.seed)
 
-    def run_one(cycle):
-        final_time = _zeno_final_time(section, cycle, rate * cycle)
-        return (cycle, *run(cycle, final_time, trace_points))
+    cycles = section.get_float_list("cycle_times")
+    final_times = {cycle: _zeno_final_time(section, cycle, rate * cycle) for cycle in cycles}
 
-    runs = parallel_map(run_one, section.get_float_list("cycle_times"))
+    def run_one(cycle):
+        return (cycle, *run(cycle, final_times[cycle], trace_points))
+
+    runs = parallel_map(run_one, cycles)
     results = {}
     flags = {"out_of_regime": False}
     plot_series = []
@@ -345,6 +364,14 @@ def cmd_zeno4(section: Section, out_dir: Path, args, config_text: str):
 
 
 def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
+    points = section.get_int("time_points")
+    if points < 4:
+        # extract_phase fits a sine through at least four samples
+        raise ConfigError(f"[readout] time_points must be at least 4, got {points}")
+    for key in ("time_max", "fit_periods"):
+        value = section.get_float(key)
+        if not value > 0.0:
+            raise ConfigError(f"[readout] {key} must be positive, got {value!r}")
     config = readout.readout_config(
         detuning=section.get_float("detuning"),
         drive_amplitude=section.get_float("drive_amplitude"),

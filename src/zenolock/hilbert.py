@@ -3,8 +3,10 @@
 States are dense complex vectors over an ordered tensor product, atoms first
 and then modes.  Every Hamiltonian in this package is piecewise constant, so
 time evolution is done exactly through a single eigendecomposition that is
-cached on the operator.  hbar = 1 throughout; all frequencies are angular
-unless a module says otherwise.
+cached on the operator.  A Hamiltonian that conserves an occupation label
+can instead be assembled straight into its label sectors and evolved block
+by block, with no dense operator of the full basis.  hbar = 1 throughout;
+all frequencies are angular unless a module says otherwise.
 
 All values are immutable after construction (backing arrays are marked
 read-only) and every operation returns a new value, so states and operators
@@ -176,13 +178,6 @@ def _bare_state(basis: ProductBasis, amps: np.ndarray) -> StateVector:
     return state
 
 
-def basis_state(basis: ProductBasis, occupations: Sequence[int]) -> StateVector:
-    """Product basis state |occupations>."""
-    amps = np.zeros(basis.dimension, dtype=complex)
-    amps[basis.index(occupations)] = 1.0
-    return _bare_state(basis, amps)
-
-
 class OperatorMatrix:
     """Dense operator tagged with the basis it acts on.
 
@@ -216,10 +211,6 @@ class OperatorMatrix:
         self._eig = None
         self._diag = None
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.basis, self.matrix.conj().T,
-                              hermitian=self.hermitian, unitary=self.unitary)
-
     def is_diagonal(self) -> bool:
         if self._diag is None:
             off = self.matrix - np.diag(self.matrix.diagonal())
@@ -240,6 +231,33 @@ class OperatorMatrix:
                 f"hermitian={self.hermitian}, unitary={self.unitary})")
 
 
+def _hamiltonian_entries(basis: ProductBasis, diagonal_weights, exchange_terms):
+    """Diagonal energies and, per exchange term, its (rows, cols, values) entries.
+
+    The entries lie on one side of the diagonal; the Hamiltonian adds each
+    one and its mirror image.  See :func:`assemble_hamiltonian`.
+    """
+    dims = basis.dims
+    dim = basis.dimension
+    multi = np.unravel_index(np.arange(dim), dims)
+    strides = np.ones(len(dims), dtype=np.int64)
+    for axis in range(len(dims) - 2, -1, -1):
+        strides[axis] = strides[axis + 1] * dims[axis + 1]
+    diagonal = np.zeros(dim)
+    for weights, occ in zip(diagonal_weights, multi):
+        diagonal += np.asarray(weights, dtype=float)[occ]
+    entries = []
+    for atom_axis, upper, lower, mode_axis, strength in exchange_terms:
+        if mode_axis is None:
+            ladder, shift = np.ones(dim), 0
+        else:
+            ladder, shift = np.sqrt(multi[mode_axis].astype(float)), strides[mode_axis]
+        cols = np.flatnonzero((multi[atom_axis] == lower) & (ladder > 0.0))
+        rows = cols + (upper - lower) * strides[atom_axis] - shift
+        entries.append((rows, cols, strength * ladder[cols]))
+    return diagonal, entries
+
+
 def assemble_hamiltonian(basis: ProductBasis, diagonal_weights,
                          exchange_terms) -> OperatorMatrix:
     """Dense Hamiltonian from per-level diagonal weights and exchange couplings.
@@ -252,28 +270,70 @@ def assemble_hamiltonian(basis: ProductBasis, diagonal_weights,
     keeps the assembly O(nonzeros) instead of chained Kronecker products,
     and photon energies come out exact (k + 1/2, not a^dag a rounded).
     """
-    dims = basis.dims
+    diagonal, entries = _hamiltonian_entries(basis, diagonal_weights, exchange_terms)
     dim = basis.dimension
-    multi = np.unravel_index(np.arange(dim), dims)
-    strides = np.ones(len(dims), dtype=np.int64)
-    for axis in range(len(dims) - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * dims[axis + 1]
     m = np.zeros((dim, dim), dtype=complex)
-    diagonal = np.zeros(dim)
-    for weights, occ in zip(diagonal_weights, multi):
-        diagonal += np.asarray(weights, dtype=float)[occ]
     m[np.arange(dim), np.arange(dim)] = diagonal
-    for atom_axis, upper, lower, mode_axis, strength in exchange_terms:
-        if mode_axis is None:
-            ladder, shift = np.ones(dim), 0
-        else:
-            ladder, shift = np.sqrt(multi[mode_axis].astype(float)), strides[mode_axis]
-        cols = np.flatnonzero((multi[atom_axis] == lower) & (ladder > 0.0))
-        rows = cols + (upper - lower) * strides[atom_axis] - shift
-        values = strength * ladder[cols]
+    for rows, cols, values in entries:
         np.add.at(m, (rows, cols), values)
         np.add.at(m, (cols, rows), values)
     return OperatorMatrix(basis, m, hermitian=True)
+
+
+class SectorHamiltonian(NamedTuple):
+    """A Hermitian Hamiltonian stored as its conserved-label sector blocks.
+
+    ``diagonal`` holds the energy of every basis state, i.e. the Hamiltonian
+    without its exchange terms; ``sectors`` pairs the basis indices of each
+    label value (ascending, label values ascending) with the Hermitian block
+    on them.  Entries between sectors are zero by construction.
+    """
+
+    basis: ProductBasis
+    diagonal: np.ndarray
+    sectors: tuple
+
+
+def assemble_sectors(basis: ProductBasis, diagonal_weights, exchange_terms,
+                     labels) -> SectorHamiltonian:
+    """:func:`assemble_hamiltonian` emitted directly as its label sectors.
+
+    Every block entry is the one the dense assembler writes, so the blocks
+    equal the dense matrix restricted to each sector, and no dense matrix is
+    formed.  Raises ValueError when an exchange term couples two basis
+    states with different labels.
+    """
+    diagonal, entries = _hamiltonian_entries(basis, diagonal_weights, exchange_terms)
+    _, sector_of, sizes = np.unique(np.asarray(labels), return_inverse=True,
+                                    return_counts=True)
+    if sector_of.shape != (basis.dimension,):
+        raise ValueError("labels must assign one integer per basis state")
+    order = np.argsort(sector_of, kind="stable")
+    first = np.cumsum(sizes) - sizes
+    local = np.empty(basis.dimension, dtype=np.int64)
+    local[order] = np.arange(basis.dimension) - np.repeat(first, sizes)
+    offsets = np.cumsum(sizes**2) - sizes**2
+
+    def flat(rows, cols):
+        # position of entry (rows, cols) in the concatenated row-major blocks
+        sector = sector_of[rows]
+        return offsets[sector] + local[rows] * sizes[sector] + local[cols]
+
+    blocks = np.zeros(int(np.sum(sizes**2)), dtype=complex)
+    states = np.arange(basis.dimension)
+    blocks[flat(states, states)] = diagonal
+    for rows, cols, values in entries:
+        crossing = sector_of[rows] != sector_of[cols]
+        if crossing.any():
+            raise ValueError(f"an exchange term couples different label sectors "
+                             f"(basis states {rows[crossing][0]} and {cols[crossing][0]})")
+        np.add.at(blocks, flat(rows, cols), values)
+        np.add.at(blocks, flat(cols, rows), values)
+    blocks.flags.writeable = False
+    diagonal.flags.writeable = False
+    sectors = tuple((idx, blocks[offset:offset + n * n].reshape(n, n))
+                    for idx, offset, n in zip(np.split(order, first[1:]), offsets, sizes))
+    return SectorHamiltonian(basis, diagonal, sectors)
 
 
 def _embed(basis: ProductBasis, subsystem_index: int, local: np.ndarray) -> np.ndarray:
@@ -292,13 +352,6 @@ def _require_mode(basis: ProductBasis, subsystem_index: int) -> Mode:
     return sub
 
 
-def _require_atom(basis: ProductBasis, subsystem_index: int) -> Atom:
-    sub = basis.subsystems[subsystem_index]
-    if not isinstance(sub, Atom):
-        raise TypeError(f"subsystem {subsystem_index} is a mode, expected an atom")
-    return sub
-
-
 def annihilation(basis: ProductBasis, mode_index: int) -> OperatorMatrix:
     """Ladder operator a on one mode factor: a|k> = sqrt(k)|k-1>.
 
@@ -308,30 +361,6 @@ def annihilation(basis: ProductBasis, mode_index: int) -> OperatorMatrix:
     sub = _require_mode(basis, mode_index)
     local = np.diag(np.sqrt(np.arange(1.0, sub.dim)), k=1).astype(complex)
     return OperatorMatrix(basis, _embed(basis, mode_index, local))
-
-
-def creation(basis: ProductBasis, mode_index: int) -> OperatorMatrix:
-    return annihilation(basis, mode_index).dagger()
-
-
-def number_operator(basis: ProductBasis, mode_index: int) -> OperatorMatrix:
-    sub = _require_mode(basis, mode_index)
-    local = np.diag(np.arange(sub.dim, dtype=float)).astype(complex)
-    return OperatorMatrix(basis, _embed(basis, mode_index, local), hermitian=True)
-
-
-def atomic_projector(basis: ProductBasis, atom_index: int, i: int, j: int) -> OperatorMatrix:
-    """|i><j| on one atom factor, identity elsewhere.
-
-    Raising and lowering operators are built from this block, e.g.
-    sigma^+ = |excited><ground|.
-    """
-    sub = _require_atom(basis, atom_index)
-    if not (0 <= i < sub.levels and 0 <= j < sub.levels):
-        raise ValueError(f"level indices ({i}, {j}) out of range for {sub.levels} levels")
-    local = np.zeros((sub.levels, sub.levels), dtype=complex)
-    local[i, j] = 1.0
-    return OperatorMatrix(basis, _embed(basis, atom_index, local), hermitian=(i == j))
 
 
 def evolve(state: StateVector, hamiltonian: OperatorMatrix, duration: float) -> StateVector:
@@ -346,17 +375,15 @@ def evolve(state: StateVector, hamiltonian: OperatorMatrix, duration: float) -> 
 
 def _propagate(hamiltonian: OperatorMatrix, amps: np.ndarray, duration: float) -> np.ndarray:
     if hamiltonian.is_diagonal():
-        phases = np.exp(-1j * duration * hamiltonian.matrix.diagonal().real)
-        return phases * amps
+        return _propagate_diagonal(hamiltonian.matrix.diagonal().real, amps, duration)
     w, v = hamiltonian.eigensystem()
     return v @ (np.exp(-1j * duration * w) * (v.conj().T @ amps))
 
 
-def expectation(state: StateVector, op: OperatorMatrix) -> complex:
-    """<state|Op|state>.  Real up to 1e-12 for Hermitian operators."""
-    if op.basis != state.basis:
-        raise BasisMismatchError("state and operator live on different bases")
-    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
+def _propagate_diagonal(energies: np.ndarray, amps: np.ndarray,
+                        duration: float) -> np.ndarray:
+    """Exact propagation under a diagonal Hamiltonian given by its energies."""
+    return np.exp(-1j * duration * energies) * amps
 
 
 def _mode_view(state: StateVector, mode_index: int) -> np.ndarray:
@@ -469,39 +496,44 @@ def combine_labels(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return first * stride + second
 
 
-def commutator_norm(a: OperatorMatrix, b: OperatorMatrix) -> float:
-    return float(np.max(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix)))
+def _dense_sectors(hamiltonian: OperatorMatrix, labels, tol: float) -> SectorHamiltonian:
+    """Sector blocks sliced out of a dense operator, after a leakage scan."""
+    if not hamiltonian.hermitian:
+        raise ValueError("block evolution requires a Hermitian Hamiltonian")
+    labels = np.asarray(labels)
+    d = hamiltonian.basis.dimension
+    if labels.shape != (d,):
+        raise ValueError("labels must assign one integer per basis state")
+    off_block = labels[:, None] != labels[None, :]
+    leakage = float(np.max(np.abs(hamiltonian.matrix[off_block]))) if off_block.any() else 0.0
+    if leakage > tol:
+        raise ValueError(
+            f"Hamiltonian couples different label sectors (max element {leakage:.3e})"
+        )
+    sectors = []
+    for value in np.unique(labels):
+        idx = np.flatnonzero(labels == value)
+        sectors.append((idx, hamiltonian.matrix[np.ix_(idx, idx)]))
+    return SectorHamiltonian(hamiltonian.basis, hamiltonian.matrix.diagonal().real,
+                             tuple(sectors))
 
 
 class BlockEvolver:
     """Exact evolution exploiting a conserved occupation label.
 
-    The Hamiltonian must be block diagonal with respect to ``labels`` (checked
-    at construction); each block is eigendecomposed once.  Observables agree
-    with the dense :func:`evolve` path to 1e-10 by construction, which is
-    asserted in the test suite.
+    Takes a :class:`SectorHamiltonian`, or a dense Hermitian operator with
+    ``labels`` that it must be block diagonal in (checked at construction,
+    entries between sectors at most ``tol``); each block is eigendecomposed
+    once.  Observables agree with the dense :func:`evolve` path to 1e-10 by
+    construction, which is asserted in the test suite.
     """
 
-    def __init__(self, hamiltonian: OperatorMatrix, labels: np.ndarray, tol: float = 1e-12):
-        if not hamiltonian.hermitian:
-            raise ValueError("block evolution requires a Hermitian Hamiltonian")
-        labels = np.asarray(labels)
-        d = hamiltonian.basis.dimension
-        if labels.shape != (d,):
-            raise ValueError("labels must assign one integer per basis state")
-        off_block = labels[:, None] != labels[None, :]
-        leakage = float(np.max(np.abs(hamiltonian.matrix[off_block]))) if off_block.any() else 0.0
-        if leakage > tol:
-            raise ValueError(
-                f"Hamiltonian couples different label sectors (max element {leakage:.3e})"
-            )
+    def __init__(self, hamiltonian: Union[SectorHamiltonian, OperatorMatrix],
+                 labels: Optional[np.ndarray] = None, tol: float = 1e-12):
+        if isinstance(hamiltonian, OperatorMatrix):
+            hamiltonian = _dense_sectors(hamiltonian, labels, tol)
         self.basis = hamiltonian.basis
-        self._blocks = []
-        for value in np.unique(labels):
-            idx = np.flatnonzero(labels == value)
-            block = hamiltonian.matrix[np.ix_(idx, idx)]
-            w, v = scipy.linalg.eigh(block)
-            self._blocks.append((idx, w, v))
+        self._blocks = [(idx, *scipy.linalg.eigh(block)) for idx, block in hamiltonian.sectors]
 
     def propagate(self, amplitudes: np.ndarray, duration: float) -> np.ndarray:
         out = np.zeros_like(amplitudes)

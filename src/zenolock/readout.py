@@ -314,10 +314,7 @@ def _resonant_subspace(config: ReadoutConfig) -> np.ndarray:
 
 
 def _mode_annihilation(config: ReadoutConfig) -> np.ndarray:
-    basis = emission_basis(config)
-    mode_dim = config.emission_mode_cutoff + 1
-    a_local = np.diag(np.sqrt(np.arange(1.0, mode_dim)), k=1).astype(complex)
-    return h._embed(basis, 2, a_local)
+    return h.annihilation(emission_basis(config), 2).matrix
 
 
 class _EmissionModel:
@@ -376,6 +373,10 @@ class _EmissionModel:
     def effective_coupling(self) -> float:
         return float(abs(self.h_eff[0, 1]))
 
+    def channel_annihilation(self) -> np.ndarray:
+        """The mode's a on the resonant channel, P^dag a P."""
+        return self.p_matrix.conj().T @ (_mode_annihilation(self.config) @ self.p_matrix)
+
     def embed(self, state: StateVector, dressed: bool = True) -> np.ndarray:
         mode_dim = self.config.emission_mode_cutoff + 1
         amps = np.kron(state.amplitudes, np.eye(mode_dim, dtype=complex)[0])
@@ -407,21 +408,30 @@ def emission_model(config: ReadoutConfig, iterations: int = 4) -> _EmissionModel
 
 def _full_quadrature(state: StateVector, model: _EmissionModel,
                      radiated_only: bool = True):
+    """Quadrature from exact evolution under the rotating-frame Hamiltonian.
+
+    The radiated quadrature needs the evolved state only on the 4-column
+    resonant channel P: <a> = c^dag (P^dag a P) c with c = psi P-bar.  The
+    overflow check needs only the basis states with two or more photons.
+    """
     config = model.config
     mode_dim = config.emission_mode_cutoff + 1
     amps = model.embed(state, dressed=True)
     w, v = model.hamiltonian.eigensystem()
-    coeff = v.conj().T @ amps
     times = np.asarray(model.readout_times)
-    phases = np.exp(-1j * np.outer(times, w))
-    states = (phases * coeff) @ v.T  # (n_t, dim)
-    populations = np.abs(states.reshape(len(times), -1, mode_dim)) ** 2
-    above_one = float(populations[:, :, 2:].sum(axis=(1, 2)).max()) if mode_dim > 2 else 0.0
-    measured = states
+    # row t holds the eigencomponents of the state at time t; the state is rows @ v.T
+    rows = np.exp(-1j * np.outer(times, w)) * (v.conj().T @ amps)
+    above = np.flatnonzero(np.arange(v.shape[0]) % mode_dim >= 2)
+    above_one = 0.0
+    if above.size:
+        above_one = float(np.max(np.sum(np.abs(rows @ v[above].T) ** 2, axis=1)))
     if radiated_only:
-        measured = (states @ model.p_matrix.conj()) @ model.p_matrix.T
-    a_full = _mode_annihilation(config)
-    mean_a = np.einsum("ti,ij,tj->t", measured.conj(), a_full, measured)
+        measured = rows @ (v.T @ model.p_matrix.conj())
+        a = model.channel_annihilation()
+    else:
+        measured = rows @ v.T
+        a = _mode_annihilation(config)
+    mean_a = np.einsum("ti,ij,tj->t", measured.conj(), a, measured)
     return 2.0 * mean_a.real, above_one, model.beat_frequency()
 
 
@@ -435,7 +445,7 @@ def _perturbative_quadrature(state: StateVector, model: _EmissionModel):
     times = np.asarray(model.readout_times)
     coeff = v.conj().T @ psi0
     trajectories = (np.exp(-1j * np.outer(times, w)) * coeff) @ v.T
-    a_eff = model.p_matrix.conj().T @ (_mode_annihilation(config) @ model.p_matrix)
+    a_eff = model.channel_annihilation()
     mean_a = np.einsum("ti,ij,tj->t", trajectories.conj(), a_eff, trajectories)
     return 2.0 * mean_a.real, 0.0, model.beat_frequency()
 

@@ -57,8 +57,7 @@ def write_csv(record: TraceRecord, path) -> None:
     for key, value in record.provenance.items():
         lines.append(f"# {key}: {value}")
     lines.append(",".join(record.columns))
-    for row in record.rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in record.rows.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 

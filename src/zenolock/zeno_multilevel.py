@@ -15,9 +15,10 @@ four-level atoms are (G1, G2, E1, E2).  Dimensionless angular units,
 hbar = 1.
 """
 
+import functools
 import math
 from dataclasses import astuple, dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -177,14 +178,14 @@ def pair_basis(config: LevelSchemeConfig) -> h.ProductBasis:
     return h.build_basis([Atom(config.LEVELS), Atom(config.LEVELS), Mode(c1), Mode(c2)])
 
 
-def build_hamiltonian(config: LevelSchemeConfig, coupled: bool = True) -> OperatorMatrix:
-    """|upper_k> <-> |lower_k> exchanges a photon with mode k, on both atoms.
+def _hamiltonian_terms(config: LevelSchemeConfig, coupled: bool):
+    """Basis, diagonal weights and exchange terms of the pair Hamiltonian.
 
+    |upper_k> <-> |lower_k> exchanges a photon with mode k, on both atoms.
     In the V scheme both transitions share the ground level; in the
     four-level scheme there is no cross coupling between the two
     transitions, so each manifold conserves its own excitation number.
     """
-    basis = pair_basis(config)
     atom_weights = [astuple(energies) for energies in (config.atom_a, config.atom_b)]
     mode_weights = [frequency * (np.arange(cutoff + 1) + 0.5)
                     for frequency, cutoff in zip(config.mode_frequencies, config.fock_cutoffs)]
@@ -193,12 +194,26 @@ def build_hamiltonian(config: LevelSchemeConfig, coupled: bool = True) -> Operat
         for atom_axis in (0, 1):
             for mode_axis, (upper, lower) in enumerate(config.TRANSITIONS, start=2):
                 exchange.append((atom_axis, upper, lower, mode_axis, 0.5 * config.coupling))
-    return h.assemble_hamiltonian(basis, atom_weights + mode_weights, exchange)
+    return pair_basis(config), atom_weights + mode_weights, exchange
+
+
+def build_hamiltonian(config: LevelSchemeConfig, coupled: bool = True) -> OperatorMatrix:
+    """Dense pair Hamiltonian; the oracle of :func:`build_sector_hamiltonian`."""
+    return h.assemble_hamiltonian(*_hamiltonian_terms(config, coupled))
+
+
+def build_sector_hamiltonian(config: LevelSchemeConfig) -> h.SectorHamiltonian:
+    """Coupled pair Hamiltonian by :func:`conserved_labels` sector.
+
+    Its ``diagonal`` is the uncoupled Hamiltonian of the free drift.  No
+    operator of the full pair basis is formed.
+    """
+    return h.assemble_sectors(*_hamiltonian_terms(config, True), conserved_labels(config))
 
 
 # perfbench/tracer.py wraps this name to time the four-level builds, so
 # run_four_level_protocol calls the Hamiltonian builder through it.
-build_four_level_hamiltonian = build_hamiltonian
+build_four_level_hamiltonian = build_sector_hamiltonian
 
 
 def conserved_labels(config: LevelSchemeConfig) -> np.ndarray:
@@ -241,8 +256,7 @@ def leakage(config: LevelSchemeConfig, photon_number: Optional[int] = None,
     n = config.photon_number if photon_number is None else photon_number
     tau_m = config.measure_interval if measure_interval is None else measure_interval
     state = _pair_superposition(pair_basis(config), config.TRANSITIONS[:1], (n, n))
-    evolver = h.BlockEvolver(build_hamiltonian(config), conserved_labels(config))
-    evolved = evolver.evolve(state, tau_m)
+    evolved = h.BlockEvolver(build_sector_hamiltonian(config)).evolve(state, tau_m)
     levels = config.LEVELS
     populations = np.abs(evolved.amplitudes.reshape(levels, levels, -1)) ** 2
     excited = [upper for upper, _ in config.TRANSITIONS]
@@ -287,9 +301,10 @@ def ps_four_level(delta_1: float, delta_2: float, free_interval: float,
 
 
 def _four_level_stepwise_cycle(state: StateVector, config: FourLevelConfig,
-                               drift: OperatorMatrix, evolver: h.BlockEvolver) -> CycleResult:
+                               drift: Callable[[np.ndarray, float], np.ndarray],
+                               evolver: h.BlockEvolver) -> CycleResult:
     """One explicit cycle following the success branch of both projections."""
-    state = h.evolve(state, drift, config.free_interval)
+    state = StateVector(state.basis, drift(state.amplitudes, config.free_interval))
     state = h.replace_mode_state(state, 2, config.photon_number)
     state = h.replace_mode_state(state, 3, config.photon_number)
     state = evolver.evolve(state, config.measure_interval)
@@ -313,14 +328,18 @@ def run_four_level_protocol(config: FourLevelConfig, max_trace_points: int = 200
     Each cycle is a free drift, injection of n photons into both modes, the
     half-flop coupling window, projection of both photon numbers back onto n
     and photon removal; see :func:`zeno_two_level.run_zeno` for ``method``.
+    The Hamiltonian is held by sector (:func:`build_sector_hamiltonian`) and
+    the drift by its diagonal, so no dense operator of the pair basis is
+    built.
     """
-    drift = build_four_level_hamiltonian(config, coupled=False)
-    coupled = build_four_level_hamiltonian(config, coupled=True)
-    evolver = h.BlockEvolver(coupled, conserved_labels(config))
+    hamiltonian = build_four_level_hamiltonian(config)
+    evolver = h.BlockEvolver(hamiltonian)
+    drift = functools.partial(h._propagate_diagonal, hamiltonian.diagonal)
+    initial = initial_state(config)
     delta_1, delta_2 = config.delta(1), config.delta(2)
     return run_zeno(
-        config, initial_state(config), drift,
-        cycle_matrix(config, drift, evolver.propagate),
+        config, initial, drift,
+        cycle_matrix(config, initial.basis, drift, evolver.propagate),
         lambda state: _four_level_stepwise_cycle(state, config, drift, evolver),
         rate=0.5 * (delta_1**2 + delta_2**2) * config.cycle_time,
         regime_check=lambda: pe_four_level(delta_1, delta_2, config.free_interval),

@@ -287,17 +287,18 @@ def _record_cycles(total_cycles: int, max_points: int) -> np.ndarray:
     return recorded
 
 
-def cycle_matrix(config, drift: OperatorMatrix,
+def cycle_matrix(config, basis: h.ProductBasis,
+                 drift: Callable[[np.ndarray, float], np.ndarray],
                  couple: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
     """Per-cycle success-branch map on the atom sector with every mode empty.
 
-    Column i is one cycle applied to atom basis state i: free drift, n
-    photons injected into every mode, the coupling window propagated by
-    ``couple(amplitudes, duration)``, and the n-photon component of every
-    mode read off.  Every step is linear, so the squared norm of the iterated
-    vector is the cumulative success probability.
+    Column i is one cycle applied to atom basis state i: the free drift
+    propagated by ``drift(amplitudes, duration)``, n photons injected into
+    every mode, the coupling window propagated by ``couple(amplitudes,
+    duration)``, and the n-photon component of every mode read off.  Every
+    step is linear, so the squared norm of the iterated vector is the
+    cumulative success probability.
     """
-    basis = drift.basis
     mode_dims = basis.dims[len(basis.atom_indices()):]
     mode_dim = int(np.prod(mode_dims))
     atom_dim = basis.dimension // mode_dim
@@ -306,7 +307,7 @@ def cycle_matrix(config, drift: OperatorMatrix,
     for i in range(atom_dim):
         amps = np.zeros(basis.dimension, dtype=complex)
         amps[i * mode_dim] = 1.0
-        amps = h._propagate(drift, amps, config.free_interval)
+        amps = drift(amps, config.free_interval)
         view = amps.reshape(atom_dim, mode_dim)
         vacuum = view[:, 0].copy()
         view[:] = 0.0
@@ -316,7 +317,8 @@ def cycle_matrix(config, drift: OperatorMatrix,
     return cycle_map
 
 
-def run_zeno(config, initial: StateVector, drift: OperatorMatrix, cycle_map: np.ndarray,
+def run_zeno(config, initial: StateVector, drift: Callable[[np.ndarray, float], np.ndarray],
+             cycle_map: np.ndarray,
              stepwise_cycle: Callable[[StateVector], CycleResult], rate: float,
              regime_check: Callable[[], float], max_trace_points: int = 2000,
              method: str = "compiled") -> SurvivalTrace:
@@ -334,8 +336,8 @@ def run_zeno(config, initial: StateVector, drift: OperatorMatrix, cycle_map: np.
     ``p_success`` is the cumulative product of per-cycle success
     probabilities and ``analytic_p_s`` is exp(-rate t); ``regime_check``
     raises :class:`OutOfRegimeError` outside the perturbative regime.  A
-    trailing partial cycle is a free drift under ``drift`` without a
-    measurement.  The truncation tail is taken from one stepwise cycle of
+    trailing partial cycle is a free drift, ``drift(amplitudes, duration)``,
+    without a measurement.  The truncation tail is taken from one stepwise cycle of
     ``initial`` (and from every cycle when stepwise).  A survival of zero at
     a recorded cycle raises :class:`ProtocolError`.
     """
@@ -394,7 +396,7 @@ def run_zeno(config, initial: StateVector, drift: OperatorMatrix, cycle_map: np.
     before, cumulative = survival.T
     per_cycle_error = 1.0 - cumulative / before
     if remainder > 0.0:
-        final = h.evolve(final, drift, remainder)
+        final = StateVector(final.basis, drift(final.amplitudes, remainder))
 
     times = np.concatenate([[0.0], record * cycle])
     if remainder > 0.0:
@@ -418,9 +420,11 @@ def run_protocol(config: TwoLevelConfig, max_trace_points: int = 2000,
     """
     drift = build_two_level_hamiltonian(config, coupled=False)
     coupled = build_two_level_hamiltonian(config, coupled=True)
+    initial = subradiant_state(config, 0)
+    free = functools.partial(h._propagate, drift)
     return run_zeno(
-        config, subradiant_state(config, 0), drift,
-        cycle_matrix(config, drift, functools.partial(h._propagate, coupled)),
+        config, initial, free,
+        cycle_matrix(config, initial.basis, free, functools.partial(h._propagate, coupled)),
         lambda state: zeno_cycle(state, config, drift, coupled),
         rate=config.half_difference**2 * config.cycle_time,
         regime_check=lambda: pe_analytic(config.half_difference, config.free_interval),

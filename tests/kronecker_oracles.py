@@ -1,0 +1,62 @@
+"""Kronecker-product operators and states that the tests use as oracles.
+
+The package builds its Hamiltonians by index arithmetic and evolves them by
+sector; these dense constructions from chained Kronecker products are the
+independent references the tests compare against.
+"""
+
+from typing import Sequence
+
+import numpy as np
+
+from zenolock import hilbert as h
+
+
+def basis_state(basis: h.ProductBasis, occupations: Sequence[int]) -> h.StateVector:
+    """Product basis state |occupations>."""
+    amps = np.zeros(basis.dimension, dtype=complex)
+    amps[basis.index(occupations)] = 1.0
+    return h.StateVector(basis, amps)
+
+
+def dagger(op: h.OperatorMatrix) -> h.OperatorMatrix:
+    return h.OperatorMatrix(op.basis, op.matrix.conj().T,
+                            hermitian=op.hermitian, unitary=op.unitary)
+
+
+def creation(basis: h.ProductBasis, mode_index: int) -> h.OperatorMatrix:
+    return dagger(h.annihilation(basis, mode_index))
+
+
+def number_operator(basis: h.ProductBasis, mode_index: int) -> h.OperatorMatrix:
+    sub = h._require_mode(basis, mode_index)
+    local = np.diag(np.arange(sub.dim, dtype=float)).astype(complex)
+    return h.OperatorMatrix(basis, h._embed(basis, mode_index, local), hermitian=True)
+
+
+def atomic_projector(basis: h.ProductBasis, atom_index: int, i: int,
+                     j: int) -> h.OperatorMatrix:
+    """|i><j| on one atom factor, identity elsewhere.
+
+    Raising and lowering operators are built from this block, e.g.
+    sigma^+ = |excited><ground|.
+    """
+    sub = basis.subsystems[atom_index]
+    if not isinstance(sub, h.Atom):
+        raise TypeError(f"subsystem {atom_index} is a mode, expected an atom")
+    if not (0 <= i < sub.levels and 0 <= j < sub.levels):
+        raise ValueError(f"level indices ({i}, {j}) out of range for {sub.levels} levels")
+    local = np.zeros((sub.levels, sub.levels), dtype=complex)
+    local[i, j] = 1.0
+    return h.OperatorMatrix(basis, h._embed(basis, atom_index, local), hermitian=(i == j))
+
+
+def expectation(state: h.StateVector, op: h.OperatorMatrix) -> complex:
+    """<state|Op|state>.  Real up to 1e-12 for Hermitian operators."""
+    if op.basis != state.basis:
+        raise h.BasisMismatchError("state and operator live on different bases")
+    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
+
+
+def commutator_norm(a: h.OperatorMatrix, b: h.OperatorMatrix) -> float:
+    return float(np.max(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix)))

@@ -149,6 +149,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("measure_ratio", "-1"), ("measure_ratio", "0"), ("survival_floor", "0"),
         ("survival_floor", "1"), ("survival_floor", "-0.5"), ("photon_number", "-1"),
+        # far above the basis-dimension cap: rejected before anything is allocated
+        ("photon_number", "1000000"), ("final_time", "0"), ("final_time", "-1"),
     ])
     @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
     def test_out_of_range_zeno_key_is_config_error(self, tmp_path, capsys, command,
@@ -175,6 +177,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("section, key, value", [
         ("dephasing", "time_max", "0"), ("dephasing", "time_max", "-0.1"),
         ("dephasing", "histogram_bins", "0"), ("readout", "emission_cutoff", "0"),
+        ("readout", "time_points", "3"), ("readout", "time_points", "1"),
+        ("readout", "time_points", "0"), ("readout", "fit_periods", "0"),
+        ("readout", "fit_periods", "-2"), ("readout", "time_max", "0"),
     ])
     def test_out_of_range_key_is_config_error(self, tmp_path, capsys, section, key, value):
         path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")

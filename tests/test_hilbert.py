@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kronecker_oracles import (atomic_projector, basis_state, commutator_norm, creation,
+                               expectation, number_operator)
 from zenolock import hilbert as h
 from zenolock import readout as rd
 from zenolock import zeno_multilevel as zm
@@ -59,28 +61,28 @@ class TestLadderOperators:
     def test_annihilation_on_fock_state(self):
         basis = h.build_basis([h.Mode(3)])
         a = h.annihilation(basis, 0)
-        two = h.basis_state(basis, [2])
+        two = basis_state(basis, [2])
         image = a.matrix @ two.amplitudes
-        expected = np.sqrt(2.0) * h.basis_state(basis, [1]).amplitudes
+        expected = np.sqrt(2.0) * basis_state(basis, [1]).amplitudes
         np.testing.assert_allclose(image, expected, atol=1e-15)
 
     def test_annihilation_kills_vacuum(self):
         basis = h.build_basis([h.Mode(3)])
         a = h.annihilation(basis, 0)
-        vac = h.basis_state(basis, [0])
+        vac = basis_state(basis, [0])
         assert np.max(np.abs(a.matrix @ vac.amplitudes)) == 0.0
 
     def test_creation_truncates_at_cutoff(self):
         basis = h.build_basis([h.Mode(3)])
-        adag = h.creation(basis, 0)
-        top = h.basis_state(basis, [3])
+        adag = creation(basis, 0)
+        top = basis_state(basis, [3])
         assert np.max(np.abs(adag.matrix @ top.amplitudes)) == 0.0
 
     def test_number_expectation(self):
         basis = h.build_basis([h.Mode(3)])
-        n_op = h.number_operator(basis, 0)
-        three = h.basis_state(basis, [3])
-        assert h.expectation(three, n_op) == pytest.approx(3.0)
+        n_op = number_operator(basis, 0)
+        three = basis_state(basis, [3])
+        assert expectation(three, n_op) == pytest.approx(3.0)
         # n = a^dag a entrywise
         a = h.annihilation(basis, 0)
         np.testing.assert_allclose(n_op.matrix, a.matrix.conj().T @ a.matrix, atol=1e-14)
@@ -95,29 +97,29 @@ class TestAtomicProjector:
     def test_projector_and_transitions(self):
         basis = h.build_basis([h.Atom(2)])
         G, E = 0, 1
-        p_ee = h.atomic_projector(basis, 0, E, E)
-        raise_op = h.atomic_projector(basis, 0, E, G)
-        excited = h.basis_state(basis, [E])
-        ground = h.basis_state(basis, [G])
+        p_ee = atomic_projector(basis, 0, E, E)
+        raise_op = atomic_projector(basis, 0, E, G)
+        excited = basis_state(basis, [E])
+        ground = basis_state(basis, [G])
         np.testing.assert_allclose(p_ee.matrix @ excited.amplitudes, excited.amplitudes)
         np.testing.assert_allclose(raise_op.matrix @ ground.amplitudes, excited.amplitudes)
         assert np.max(np.abs(raise_op.matrix @ excited.amplitudes)) == 0.0
 
     def test_adjoint_swaps_levels(self):
         basis = h.build_basis([h.Atom(3)])
-        up = h.atomic_projector(basis, 0, 2, 0)
-        down = h.atomic_projector(basis, 0, 0, 2)
+        up = atomic_projector(basis, 0, 2, 0)
+        down = atomic_projector(basis, 0, 0, 2)
         np.testing.assert_array_equal(up.matrix.conj().T, down.matrix)
 
     def test_out_of_range_levels(self):
         basis = h.build_basis([h.Atom(2)])
         with pytest.raises(ValueError):
-            h.atomic_projector(basis, 0, 0, 2)
+            atomic_projector(basis, 0, 0, 2)
 
     def test_atom_index_must_be_an_atom(self):
         basis = h.build_basis([h.Atom(2), h.Mode(2)])
         with pytest.raises(TypeError):
-            h.atomic_projector(basis, 1, 0, 0)
+            atomic_projector(basis, 1, 0, 0)
 
 
 def jaynes_cummings(basis, cavity_frequency, atom_frequency, coupling):
@@ -125,8 +127,8 @@ def jaynes_cummings(basis, cavity_frequency, atom_frequency, coupling):
     G, E = 0, 1
     a = h.annihilation(basis, 1).matrix
     n = a.conj().T @ a
-    p_e = h.atomic_projector(basis, 0, E, E).matrix
-    sp = h.atomic_projector(basis, 0, E, G).matrix
+    p_e = atomic_projector(basis, 0, E, E).matrix
+    sp = atomic_projector(basis, 0, E, G).matrix
     m = (cavity_frequency * (n + 0.5 * np.eye(basis.dimension))
          + atom_frequency * p_e
          + 0.5 * coupling * (sp @ a + a.conj().T @ sp.conj().T))
@@ -149,17 +151,17 @@ class TestEvolve:
         omega, coupling = 5.0, 1.3
         basis = h.build_basis([h.Atom(2), h.Mode(n + 3)])
         H = jaynes_cummings(basis, omega, omega, coupling)
-        psi0 = h.basis_state(basis, [1, n])
-        p_e_op = h.atomic_projector(basis, 0, 1, 1)
+        psi0 = basis_state(basis, [1, n])
+        p_e_op = atomic_projector(basis, 0, 1, 1)
         for t in [0.0, 0.3, 1.1, 2.9]:
             psi = h.evolve(psi0, H, t)
             expected = np.cos(coupling * np.sqrt(n + 1.0) * t / 2.0) ** 2
-            assert h.expectation(psi, p_e_op).real == pytest.approx(expected, abs=1e-10)
+            assert expectation(psi, p_e_op).real == pytest.approx(expected, abs=1e-10)
 
     def test_requires_hermitian_flag(self):
         basis = h.build_basis([h.Atom(2)])
         H = h.OperatorMatrix(basis, np.eye(2))
-        psi = h.basis_state(basis, [0])
+        psi = basis_state(basis, [0])
         with pytest.raises(ValueError):
             h.evolve(psi, H, 1.0)
 
@@ -168,7 +170,7 @@ class TestEvolve:
         b2 = h.build_basis([h.Atom(3)])
         H = h.OperatorMatrix(b2, np.eye(3), hermitian=True)
         with pytest.raises(h.BasisMismatchError):
-            h.evolve(h.basis_state(b1, [0]), H, 1.0)
+            h.evolve(basis_state(b1, [0]), H, 1.0)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), duration=st.floats(-5.0, 5.0))
@@ -205,16 +207,16 @@ class TestEvolve:
 class TestExpectation:
     def test_number_on_vacuum(self):
         basis = h.build_basis([h.Mode(3)])
-        vac = h.basis_state(basis, [0])
-        assert h.expectation(vac, h.number_operator(basis, 0)) == 0.0
+        vac = basis_state(basis, [0])
+        assert expectation(vac, number_operator(basis, 0)) == 0.0
 
     def test_quadrature_on_fock_states(self):
         basis = h.build_basis([h.Mode(3)])
         a = h.annihilation(basis, 0)
         quad = h.OperatorMatrix(basis, a.matrix + a.matrix.conj().T, hermitian=True)
         for n in range(4):
-            fock = h.basis_state(basis, [n])
-            assert h.expectation(fock, quad).real == pytest.approx(0.0, abs=1e-15)
+            fock = basis_state(basis, [n])
+            assert expectation(fock, quad).real == pytest.approx(0.0, abs=1e-15)
 
     def test_quadrature_on_superposition(self):
         basis = h.build_basis([h.Mode(3)])
@@ -223,14 +225,14 @@ class TestExpectation:
         amps = np.zeros(4, dtype=complex)
         amps[0] = amps[1] = 1.0 / np.sqrt(2.0)
         plus = h.StateVector(basis, amps)
-        assert h.expectation(plus, quad).real == pytest.approx(1.0, abs=1e-12)
+        assert expectation(plus, quad).real == pytest.approx(1.0, abs=1e-12)
 
     def test_hermitian_expectation_is_real(self):
         rng = np.random.default_rng(3)
         basis = h.build_basis([h.Atom(2), h.Mode(2)])
         psi = random_state(basis, rng)
         op = random_hermitian(basis, rng)
-        assert abs(h.expectation(psi, op).imag) < 1e-12
+        assert abs(expectation(psi, op).imag) < 1e-12
 
 
 class TestProjectiveMeasurement:
@@ -259,7 +261,7 @@ class TestProjectiveMeasurement:
 
     def test_out_of_range_outcome(self):
         basis = h.build_basis([h.Mode(3)])
-        psi = h.basis_state(basis, [0])
+        psi = basis_state(basis, [0])
         with pytest.raises(ValueError):
             h.project_photon_number(psi, 0, 4)
 
@@ -307,7 +309,7 @@ class TestBlockEvolver:
         basis = h.build_basis([h.Atom(2), h.Mode(6)])
         H = jaynes_cummings(basis, omega, omega, coupling)
         labels = h.occupation_labels(basis, [[0, 1], list(range(7))])
-        assert h.commutator_norm(H, _label_operator(basis, labels)) < 1e-12
+        assert commutator_norm(H, _label_operator(basis, labels)) < 1e-12
         evolver = h.BlockEvolver(H, labels)
         rng = np.random.default_rng(4)
         psi = random_state(basis, rng)
@@ -321,7 +323,7 @@ class TestBlockEvolver:
         basis = h.build_basis([h.Atom(2), h.Mode(6)])
         H = jaynes_cummings(basis, 5.0, 5.0, 1.3)
         labels = h.occupation_labels(basis, [[0, 1], list(range(7))])
-        psi0 = h.basis_state(basis, [1, 3])
+        psi0 = basis_state(basis, [1, 3])
         psi = h.evolve(psi0, H, 2.1)
         outside = labels != labels[basis.index([1, 3])]
         assert np.max(np.abs(psi.amplitudes[outside])) < 1e-12
@@ -363,12 +365,12 @@ def kronecker_hamiltonian(basis, atom_energies, mode_frequencies, exchange_terms
     m = np.zeros((dim, dim), dtype=complex)
     for atom, energies in enumerate(atom_energies):
         for level, energy in enumerate(energies):
-            m += energy * h.atomic_projector(basis, atom, level, level).matrix
+            m += energy * atomic_projector(basis, atom, level, level).matrix
     for offset, frequency in enumerate(mode_frequencies):
         a = h.annihilation(basis, len(atom_energies) + offset).matrix
         m += frequency * (a.conj().T @ a + 0.5 * np.eye(dim))
     for atom, upper, lower, mode, strength in exchange_terms:
-        op = h.atomic_projector(basis, atom, upper, lower).matrix
+        op = atomic_projector(basis, atom, upper, lower).matrix
         if mode is not None:
             op = op @ h.annihilation(basis, mode).matrix
         m += strength * (op + op.conj().T)
@@ -444,3 +446,63 @@ class TestAssembleHamiltonian:
         ham = h.assemble_hamiltonian(basis, [(0.0, 0.0), 100.0 * (np.arange(16) + 0.5)], [])
         photons = np.array([basis.occupations(i)[1] for i in range(basis.dimension)])
         assert np.array_equal(ham.matrix.diagonal().real, 100.0 * (photons + 0.5))
+
+
+def assert_sectors_match_dense(sectors, dense):
+    """Sector blocks equal the dense operator on each sector, which is zero between them."""
+    dim = dense.basis.dimension
+    covered = np.sort(np.concatenate([idx for idx, _ in sectors.sectors]))
+    assert np.array_equal(covered, np.arange(dim))
+    inside = np.zeros((dim, dim), dtype=bool)
+    for idx, block in sectors.sectors:
+        assert np.max(np.abs(block - dense.matrix[np.ix_(idx, idx)])) <= 1e-12
+        inside[np.ix_(idx, idx)] = True
+    assert not np.any(dense.matrix[~inside])
+    assert np.max(np.abs(sectors.diagonal - dense.matrix.diagonal())) <= 1e-12
+
+
+class TestAssembleSectors:
+    @pytest.mark.parametrize("scheme", ["three", "four"])
+    def test_pair_sectors_match_dense_assembly(self, scheme):
+        if scheme == "three":
+            config = zm.three_level_config(photon_number=2, ground=0.25)
+        else:
+            config = zm.four_level_config_from_deltas(1.0, 0.5, cycle_time=0.02,
+                                                      final_time=0.2, photon_number=2,
+                                                      ground_2=0.75)
+        assert_sectors_match_dense(zm.build_sector_hamiltonian(config),
+                                   zm.build_hamiltonian(config))
+
+    def test_atom_only_drive(self):
+        # the readout Hamiltonian conserves atoms in E1 plus photons: the
+        # drive moves G1 <-> E2, the mode E1 <-> G1 with one photon
+        config = rd.readout_config(transition_1=121.5)
+        basis = rd.emission_basis(config)
+        levels = [config.mean_level(name) for name in ("g1", "g2", "e1", "e2")]
+        weights = [levels, levels, 110.0 * (np.arange(3) + 0.5)]
+        exchange = []
+        for atom in (0, 1):
+            exchange += [(atom, rd.E1, rd.G1, 2, 0.7), (atom, rd.E2, rd.G1, None, 0.3)]
+        labels = h.occupation_labels(basis, [[0, 0, 1, 0], [0, 0, 1, 0], [0, 1, 2]])
+        assert_sectors_match_dense(h.assemble_sectors(basis, weights, exchange, labels),
+                                   h.assemble_hamiltonian(basis, weights, exchange))
+
+    def test_block_evolver_from_sectors_matches_dense(self):
+        config = zm.four_level_config_from_deltas(1.0, 0.5, cycle_time=0.02,
+                                                  final_time=0.2, photon_number=2)
+        dense = zm.build_hamiltonian(config)
+        sectors = h.BlockEvolver(zm.build_sector_hamiltonian(config))
+        oracle = h.BlockEvolver(dense, zm.conserved_labels(config))
+        psi = random_state(dense.basis, np.random.default_rng(8))
+        for t in (0.01, 0.4):
+            np.testing.assert_allclose(sectors.evolve(psi, t).amplitudes,
+                                       h.evolve(psi, dense, t).amplitudes, atol=1e-10)
+            np.testing.assert_array_equal(sectors.evolve(psi, t).amplitudes,
+                                          oracle.evolve(psi, t).amplitudes)
+
+    def test_rejects_term_crossing_sectors(self):
+        basis = h.build_basis([h.Atom(2), h.Mode(2)])
+        photons = h.occupation_labels(basis, [[0, 0], [0, 1, 2]])
+        with pytest.raises(ValueError, match="couples different label sectors"):
+            h.assemble_sectors(basis, [[0.0, 1.0], [0.5, 1.5, 2.5]],
+                               [(0, 1, 0, 1, 0.5)], photons)

@@ -238,6 +238,51 @@ class TestEmission:
         assert abs(measured - trace.fitted_frequency) < resolution
 
 
+def dense_radiated_quadrature(state, model):
+    """The radiated quadrature through the full 48x48 annihilation operator.
+
+    Evolves every basis column, projects onto the resonant channel and takes
+    <a> with the dense ``a``; returns the quadrature and the population above
+    one photon.
+    """
+    mode_dim = model.config.emission_mode_cutoff + 1
+    amps = model.embed(state, dressed=True)
+    w, v = model.hamiltonian.eigensystem()
+    times = np.asarray(model.readout_times)
+    states = (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ amps)) @ v.T
+    populations = np.abs(states.reshape(len(times), -1, mode_dim)) ** 2
+    above_one = float(populations[:, :, 2:].sum(axis=(1, 2)).max())
+    measured = (states @ model.p_matrix.conj()) @ model.p_matrix.T
+    mean_a = np.einsum("ti,ij,tj->t", measured.conj(), rd._mode_annihilation(model.config),
+                       measured)
+    return 2.0 * mean_a.real, above_one
+
+
+class TestChannelQuadrature:
+    def test_matches_dense_annihilation_over_phase_sweep(self):
+        # the 16-phase sweep of demos/04_clock_readout.py
+        config = rd.readout_config()
+        model = rd.emission_model(config)
+        for phi in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
+            state, _ = rd.readout_chain(config, phi / config.clock_frequency)
+            quadrature, above_one, _ = rd._full_quadrature(state, model)
+            oracle, oracle_above_one = dense_radiated_quadrature(state, model)
+            assert np.max(np.abs(oracle)) > 0.2
+            assert np.max(np.abs(quadrature - oracle)) <= 1e-14
+            assert above_one == oracle_above_one
+
+    def test_overflow_population_matches_dense(self):
+        # a doubly excited pair populates the two-photon level
+        config = rd.readout_config()
+        model = rd.emission_model(config)
+        state = chain_state({(E1, E1): 1.0})
+        quadrature, above_one, _ = rd._full_quadrature(state, model)
+        oracle, oracle_above_one = dense_radiated_quadrature(state, model)
+        assert oracle_above_one > 1e-3
+        assert above_one == pytest.approx(oracle_above_one, rel=1e-12)
+        assert np.max(np.abs(quadrature - oracle)) <= 1e-14
+
+
 class TestPhaseExtraction:
     def test_synthetic_trace(self):
         t = np.linspace(0.0, 2.0, 3001)

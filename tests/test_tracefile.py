@@ -54,3 +54,13 @@ class TestRoundTrip:
         write_csv(record, first)
         write_csv(read_csv(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_rows_match_per_value_repr(self, tmp_path):
+        # the row formatter must write what repr(float(v)) writes for every
+        # numpy scalar of the row, on values with awkward shortest forms
+        values = np.array([[-0.0, 5e-324, 1e16], [0.1 + 0.2, 1 / 3, -1e-300]])
+        record = TraceRecord(name="floats", columns=("a", "b", "c"), rows=values)
+        path = tmp_path / "floats.csv"
+        write_csv(record, path)
+        rows = path.read_text(encoding="utf-8").splitlines()[2:]
+        assert rows == [",".join(repr(float(v)) for v in row) for row in record.rows]

@@ -1,11 +1,14 @@
 """Three-level leakage defect and the four-level protocol."""
 
 import dataclasses
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kronecker_oracles import commutator_norm
 from zenolock import hilbert as h
 from zenolock import zeno_multilevel as zm
 from zenolock import zeno_two_level as z2
@@ -70,7 +73,7 @@ class TestHamiltonians:
         for labels in hand_written_numbers(config, ham.basis):
             number = h.OperatorMatrix(ham.basis, np.diag(labels.astype(complex)),
                                       hermitian=True)
-            assert h.commutator_norm(ham, number) < 1e-12
+            assert commutator_norm(ham, number) < 1e-12
 
     def test_three_level_identical_atoms_initial_state_stationary_uncoupled(self):
         config = zm.three_level_config(photon_number=2)
@@ -89,7 +92,7 @@ class TestHamiltonians:
         for labels in hand_written_numbers(config, ham.basis):
             number = h.OperatorMatrix(ham.basis, np.diag(labels.astype(complex)),
                                       hermitian=True)
-            assert h.commutator_norm(ham, number) < 1e-12
+            assert commutator_norm(ham, number) < 1e-12
 
     def test_four_level_has_no_cross_matrix_elements(self):
         config = four_level_small()
@@ -211,6 +214,45 @@ class TestProtocol:
         np.testing.assert_allclose(compiled.p_success, stepwise.p_success, atol=1e-10)
         np.testing.assert_allclose(compiled.final_state.amplitudes,
                                    stepwise.final_state.amplitudes, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_sector_cycle_map_matches_dense(self, n):
+        config = four_level_small(n=n)
+        basis = zm.pair_basis(config)
+        sectors = zm.build_sector_hamiltonian(config)
+        sector_map = z2.cycle_matrix(
+            config, basis, functools.partial(h._propagate_diagonal, sectors.diagonal),
+            h.BlockEvolver(sectors).propagate)
+        dense_map = z2.cycle_matrix(
+            config, basis,
+            functools.partial(h._propagate, zm.build_hamiltonian(config, coupled=False)),
+            functools.partial(h._propagate, zm.build_hamiltonian(config, coupled=True)))
+        assert np.max(np.abs(dense_map)) > 0.1
+        assert np.max(np.abs(sector_map - dense_map)) <= 1e-12
+
+    def test_default_run_builds_no_pair_operator(self, monkeypatch):
+        # the [zeno4] defaults of the CLI; 1936 basis states
+        config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.001,
+                                                  final_time=100.0)
+        assert zm.pair_basis(config).dimension == 1936
+        dimensions = []
+        original = h.OperatorMatrix.__init__
+
+        def recording(self, basis, *args, **kwargs):
+            dimensions.append(basis.dimension)
+            original(self, basis, *args, **kwargs)
+
+        monkeypatch.setattr(h.OperatorMatrix, "__init__", recording)
+        tracemalloc.start()
+        try:
+            trace = zm.run_four_level_protocol(config, max_trace_points=400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.max_mode_tail < 1e-8
+        assert 1936 not in dimensions
+        # one dense complex operator of the pair basis alone takes 60 MB
+        assert peak < 32 * 2**20
 
     def test_compiled_jump_matches_stepwise(self):
         # 10 cycles at stride 4 end in a ragged gap of 2

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kronecker_oracles import commutator_norm
 from zenolock import hilbert as h
 from zenolock import zeno_two_level as z2
 
@@ -55,7 +56,7 @@ class TestHamiltonian:
         labels = z2.excitation_labels(config)
         number = h.OperatorMatrix(ham.basis, np.diag(labels.astype(complex)),
                                   hermitian=True)
-        assert h.commutator_norm(ham, number) < 1e-12
+        assert commutator_norm(ham, number) < 1e-12
 
     def test_degenerate_uncoupled_subradiant_is_eigenstate(self):
         config = small_config(half_difference=0.0, common_offset=0.0)
