@@ -518,7 +518,7 @@ def main(argv=None) -> int:
         print(f"zenolock: config error: {error}", file=sys.stderr)
         return EXIT_CONFIG
     except (z2.ProtocolError, readout.CutoffOverflowError,
-            readout.DegenerateFitError) as error:
+            readout.DegenerateFitError, dephasing.EnvelopeFitError) as error:
         print(f"zenolock: numerical validity failure: {error}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as error:

@@ -10,11 +10,11 @@ clock disciplined by those atoms.
 This is the only module that works in plain Hz and seconds.
 """
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 TWO_PI = 2.0 * np.pi
 # Complex entries per replica block of the phasor recurrence: a fixed
@@ -58,11 +58,35 @@ class EnsembleConfig:
         return fwhm_to_sigma(self.fwhm)
 
 
-def _replica_rng(seed: int, replica: int) -> np.random.Generator:
+def _philox_generator(seed: int, replica: int) -> np.random.Generator:
     # Counter-based stream keyed by (seed, replica); the atom index is the
     # position inside the stream.  Results are independent of execution order.
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(replica)])
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# (generator, state dict of a fresh generator) per thread, so that threads
+# drawing at once never re-key each other's stream.
+_thread_streams = threading.local()
+
+
+def _replica_rng(seed: int, replica: int) -> np.random.Generator:
+    """The stream of :func:`_philox_generator` (seed, replica), at its start.
+
+    A Philox stream is fixed by its key and counter (Salmon et al., SC'11),
+    so instead of constructing a generator per replica this re-keys one
+    generator per thread through its state setter: key (seed, replica),
+    zero counter, empty buffer.  The draws are bit-identical to a fresh
+    generator's.  The result is valid until the thread's next call.
+    """
+    streams = getattr(_thread_streams, "value", None)
+    if streams is None:
+        rng = _philox_generator(seed, replica)
+        streams = _thread_streams.value = (rng, rng.bit_generator.state)
+    rng, state = streams
+    state["state"]["key"][:] = (seed & 0xFFFFFFFFFFFFFFFF, replica)
+    rng.bit_generator.state = state
+    return rng
 
 
 def sample_frequencies(config: EnsembleConfig, replica: int = 0) -> np.ndarray:
@@ -92,7 +116,10 @@ def sample_all_replicas(config: EnsembleConfig) -> np.ndarray:
     if draw is None or draw[0] != key or draw[1].shape[1] < config.atom_count:
         out = np.empty((config.replicas, config.atom_count))
         for r in range(config.replicas):
-            out[r] = sample_frequencies(config, r)
+            _replica_rng(config.seed, r).standard_normal(out=out[r])
+        # in place, the same two roundings per entry as sample_frequencies
+        out *= config.sigma
+        out += config.center_frequency
         out.flags.writeable = False
         draw = _last_draw = (key, out)
     return draw[1][:, :config.atom_count]
@@ -265,25 +292,60 @@ def bandwidth_histogram(config: EnsembleConfig, bins: int = 60) -> BandwidthHist
     return BandwidthHistograms(make(singles), make(means))
 
 
+class EnvelopeFitError(RuntimeError):
+    """The envelope fit did not converge, or the curve does not decay."""
+
+
+# Gauss-Newton steps the envelope fit may take.  The default curves take 5
+# (independent) and 9 (locked); noisy curves from a guess 0.2-5 times off,
+# at most 17.
+_FIT_ITERATIONS = 100
+# Stop once a step moves the decay rate by no more than this, relative.
+_FIT_RTOL = 4.0 * np.finfo(float).eps
+
+
 def fit_efold_time(times, values, center_frequency: float, sigma_guess: float | None = None) -> float:
     """Time at which a Gaussian coherence envelope drops to e^(-1/2).
 
     Fits exp(-a t^2) cos(2 pi f0 t) with the amplitude pinned to 1 (the mean
-    cosine is exactly 1 at t = 0 for every replica).
+    cosine is exactly 1 at t = 0 for every replica), by least squares in the
+    one parameter a: Gauss-Newton steps, each halved until a stays positive,
+    until a step is at rounding level.  Raises :class:`EnvelopeFitError`
+    when that does not happen within a fixed number of steps, which is how a
+    growing curve ends (a is driven towards zero), and when the starting
+    rate is zero or not finite, the fitted envelope does not decay
+    measurably over the grid, or the model loses its dependence on a.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-
-    def model(t, a):
-        return np.exp(-a * t**2) * np.cos(TWO_PI * center_frequency * t)
-
     if sigma_guess is None:
         # assume the grid spans a few e-fold times
         span = float(times[-1]) if times[-1] > 0 else 1.0
         sigma_guess = 3.0 / (TWO_PI * span)
-    a0 = 0.5 * (TWO_PI * sigma_guess) ** 2
-    popt, _ = curve_fit(model, times, values, p0=[a0], maxfev=10_000)
-    a = float(popt[0])
-    if a <= 0.0:
-        raise ValueError("envelope fit produced a non-decaying envelope")
-    return 1.0 / np.sqrt(2.0 * a)
+    a = 0.5 * (TWO_PI * sigma_guess) ** 2
+    if not 0.0 < a < np.inf:
+        raise EnvelopeFitError(f"envelope fit needs a positive finite starting decay "
+                               f"rate, got {a!r} from sigma_guess {sigma_guess!r}")
+    squares = times**2
+    carrier = np.cos(TWO_PI * center_frequency * times)
+    for _ in range(_FIT_ITERATIONS):
+        model = np.exp(-a * squares) * carrier
+        slope = squares * model  # -d model / d a
+        curvature = slope @ slope
+        if not curvature > 0.0:
+            raise EnvelopeFitError(f"envelope fit lost its slope at a = {a:.3e}")
+        step = (slope @ (model - values)) / curvature
+        if not np.isfinite(step):
+            raise EnvelopeFitError(f"envelope fit took a non-finite step at a = {a:.3e}")
+        while a + step <= 0.0:
+            step *= 0.5
+        a += step
+        if abs(step) <= _FIT_RTOL * a:
+            if a * squares.max() <= _FIT_RTOL:
+                # exp(-a t^2) rounds to 1 on the whole grid: a is unresolved
+                raise EnvelopeFitError(
+                    f"envelope does not decay measurably over the time grid (a = {a:.3e})")
+            return float(1.0 / np.sqrt(2.0 * a))
+    raise EnvelopeFitError(
+        f"envelope fit did not converge in {_FIT_ITERATIONS} Gauss-Newton steps "
+        f"(a = {a:.3e}); a curve that does not decay drives a towards zero")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -222,7 +221,7 @@ class OperatorMatrix:
         if not self.hermitian:
             raise ValueError("eigensystem is only provided for Hermitian operators")
         if self._eig is None:
-            w, v = scipy.linalg.eigh(self.matrix)
+            w, v = np.linalg.eigh(self.matrix)
             self._eig = (w, v)
         return self._eig
 
@@ -533,7 +532,7 @@ class BlockEvolver:
         if isinstance(hamiltonian, OperatorMatrix):
             hamiltonian = _dense_sectors(hamiltonian, labels, tol)
         self.basis = hamiltonian.basis
-        self._blocks = [(idx, *scipy.linalg.eigh(block)) for idx, block in hamiltonian.sectors]
+        self._blocks = [(idx, *np.linalg.eigh(block)) for idx, block in hamiltonian.sectors]
 
     def propagate(self, amplitudes: np.ndarray, duration: float) -> np.ndarray:
         out = np.zeros_like(amplitudes)

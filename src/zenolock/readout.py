@@ -330,6 +330,7 @@ class _EmissionModel:
     def __init__(self, config: ReadoutConfig, mode_frequency: float):
         self.config = config
         self.mode_frequency = mode_frequency
+        self._phase_table = None
         self.p_matrix = _resonant_subspace(config)
         self.hamiltonian = _rotating_frame_hamiltonian(config, mode_frequency)
         matrix = self.hamiltonian.matrix
@@ -372,6 +373,19 @@ class _EmissionModel:
 
     def effective_coupling(self) -> float:
         return float(abs(self.h_eff[0, 1]))
+
+    def phase_table(self) -> np.ndarray:
+        """Read-only exp(-i w t), shape (times, eigenvalues), built once.
+
+        t runs over the readout grid and w over the eigenvalues of the
+        Hamiltonian; neither depends on the state, so every trace shares it.
+        """
+        if self._phase_table is None:
+            w, _ = self.hamiltonian.eigensystem()
+            table = np.exp(-1j * np.outer(np.asarray(self.readout_times), w))
+            table.flags.writeable = False
+            self._phase_table = table
+        return self._phase_table
 
     def channel_annihilation(self) -> np.ndarray:
         """The mode's a on the resonant channel, P^dag a P."""
@@ -417,10 +431,9 @@ def _full_quadrature(state: StateVector, model: _EmissionModel,
     config = model.config
     mode_dim = config.emission_mode_cutoff + 1
     amps = model.embed(state, dressed=True)
-    w, v = model.hamiltonian.eigensystem()
-    times = np.asarray(model.readout_times)
+    _, v = model.hamiltonian.eigensystem()
     # row t holds the eigencomponents of the state at time t; the state is rows @ v.T
-    rows = np.exp(-1j * np.outer(times, w)) * (v.conj().T @ amps)
+    rows = model.phase_table() * (v.conj().T @ amps)
     above = np.flatnonzero(np.arange(v.shape[0]) % mode_dim >= 2)
     above_one = 0.0
     if above.size:

@@ -1,11 +1,15 @@
 """Configuration parsing and end-to-end CLI runs."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zenolock import cli
+from zenolock import cli, dephasing
 from zenolock.configfile import ConfigError, Section, parse_config_text
 from zenolock.tracefile import read_csv
 
@@ -125,6 +129,28 @@ class TestExitCodes:
         code = cli.main(["readout", "--config", str(path), "--out",
                          str(tmp_path / "out")])
         assert code == cli.EXIT_NUMERICAL
+
+    def test_envelope_fit_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def failing(times, values, center_frequency, sigma_guess=None):
+            raise dephasing.EnvelopeFitError("envelope fit did not converge")
+
+        monkeypatch.setattr(dephasing, "fit_efold_time", failing)
+        path = write_config(tmp_path, SMALL)
+        code = cli.main(["dephasing", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "zenolock: numerical validity failure: envelope fit did not converge\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_decaying_ensemble_exit_code(self, tmp_path, capsys):
+        # a width this small leaves the mean cosine a plain carrier over the grid
+        path = write_config(tmp_path, SMALL.replace("[dephasing]\n", "[dephasing]\nfwhm = 1e-9\n"))
+        code = cli.main(["dephasing", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "numerical validity failure: envelope" in err
+        assert not (tmp_path / "out" / "manifest.txt").exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
@@ -384,3 +410,47 @@ class TestDeterminism:
         a = read_csv(out_a / "dephasing_independent.csv")
         b = read_csv(out_b / "dephasing_independent.csv")
         assert not np.array_equal(a.rows[:, 2], b.rows[:, 2])
+
+
+# Runs in a fresh interpreter whose import system refuses every scipy module.
+WITHOUT_SCIPY = """
+import importlib.abc
+import sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was not blocked")
+import zenolock.cli
+assert "scipy" not in sys.modules
+config, out = sys.argv[1:]
+for command in ("dephasing", "zeno2"):
+    code = zenolock.cli.main([command, "--config", config, "--out", f"{out}/{command}"])
+    assert code == 0, (command, code)
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+"""
+
+
+class TestWithoutScipy:
+    def test_cli_imports_and_runs_without_scipy(self, tmp_path):
+        path = write_config(tmp_path, SMALL)
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        result = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY, str(path), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "out" / "dephasing" / "manifest.txt").exists()
+        assert (tmp_path / "out" / "zeno2" / "manifest.txt").exists()

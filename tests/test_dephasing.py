@@ -1,5 +1,7 @@
 """Ensemble statistics: sampling, coherence envelopes, Allan deviation."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,57 @@ class TestReplicaDraw:
         dp.monte_carlo_mean_cos(locked, locked=True)
         dp.bandwidth_histogram(make_config(atom_count=9, replicas=30, time_grid=(0.0, 1.0)))
         assert sorted(calls) == list(range(30))
+
+
+    @pytest.mark.parametrize("seed", [0, 7, 20260808, -1])
+    @pytest.mark.parametrize("replicas, atoms", [(1, 1), (13, 9), (40, 100)])
+    def test_rekeyed_draw_matches_fresh_generators(self, monkeypatch, seed, replicas, atoms):
+        monkeypatch.setattr(dp, "_last_draw", None)
+        config = make_config(seed=seed, replicas=replicas, atom_count=atoms)
+        expected = np.array([
+            config.center_frequency
+            + config.sigma * dp._philox_generator(seed, r).standard_normal(atoms)
+            for r in range(replicas)])
+        np.testing.assert_array_equal(dp.sample_all_replicas(config), expected)
+        for replica in (0, replicas - 1):
+            np.testing.assert_array_equal(dp.sample_frequencies(config, replica),
+                                          expected[replica])
+
+    def test_prefix_view_matches_fresh_generators(self, monkeypatch):
+        monkeypatch.setattr(dp, "_last_draw", None)
+        wide = dp.sample_all_replicas(make_config(atom_count=100, replicas=30))
+        config = make_config(atom_count=9, replicas=30)
+        narrow = dp.sample_all_replicas(config)
+        assert np.shares_memory(narrow, wide)
+        for replica in range(30):
+            fresh = dp._philox_generator(config.seed, replica).standard_normal(9)
+            np.testing.assert_array_equal(
+                narrow[replica], config.center_frequency + config.sigma * fresh)
+
+    def test_rekey_discards_a_partly_used_stream(self):
+        used = dp._replica_rng(5, 1)
+        used.random(3, dtype=np.float32)  # leaves half of a 64-bit word buffered
+        used.standard_normal(5)
+        np.testing.assert_array_equal(dp._replica_rng(5, 2).random(4, dtype=np.float32),
+                                      dp._philox_generator(5, 2).random(4, dtype=np.float32))
+
+    def test_concurrent_draws_match_fresh_generators(self):
+        # each thread re-keys its own generator; a shared one would hand a
+        # thread a stream another thread re-keyed in between
+        from concurrent.futures import ThreadPoolExecutor
+
+        config = make_config(atom_count=7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                draws = list(pool.map(lambda r: dp.sample_frequencies(config, r), range(400),
+                                      timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for replica, freqs in enumerate(draws):
+            fresh = dp._philox_generator(config.seed, replica).standard_normal(7)
+            np.testing.assert_array_equal(freqs, config.center_frequency + config.sigma * fresh)
 
 
 class TestMeanFrequency:
@@ -359,3 +412,84 @@ class TestEfoldFit:
         clean = dp.envelope_independent(t, sigma, 100.0)
         fitted = dp.fit_efold_time(t, clean, 100.0, sigma_guess=sigma * 1.4)
         assert fitted == pytest.approx(1.0 / (dp.TWO_PI * sigma), rel=1e-6)
+
+    def test_noisy_fit_minimizes_squared_residual(self):
+        sigma = dp.fwhm_to_sigma(10.0)
+        t = np.linspace(0.0, 0.12, 241)
+        noise = 0.02 * np.random.default_rng(3).normal(size=t.size)
+        noisy = dp.envelope_independent(t, sigma, 100.0) + noise
+        a = 0.5 / dp.fit_efold_time(t, noisy, 100.0, sigma_guess=sigma) ** 2
+
+        def squares(rate):
+            return np.sum((np.exp(-rate * t**2) * np.cos(dp.TWO_PI * 100.0 * t) - noisy) ** 2)
+
+        assert squares(a) < squares(a * (1.0 - 1e-6))
+        assert squares(a) < squares(a * (1.0 + 1e-6))
+
+    def test_growing_curve_raises(self):
+        sigma = dp.fwhm_to_sigma(10.0)
+        t = np.linspace(0.0, 0.12, 241)
+        growing = np.exp(0.5 * (dp.TWO_PI * sigma * t) ** 2) * np.cos(dp.TWO_PI * 100.0 * t)
+        with pytest.raises(dp.EnvelopeFitError, match="did not converge"):
+            dp.fit_efold_time(t, growing, 100.0, sigma_guess=sigma)
+
+    def test_undamped_curve_raises(self):
+        t = np.linspace(0.0, 0.12, 241)
+        with pytest.raises(dp.EnvelopeFitError, match="does not decay measurably"):
+            dp.fit_efold_time(t, np.cos(dp.TWO_PI * 100.0 * t), 100.0, sigma_guess=4.0)
+
+    def test_non_finite_values_raise(self):
+        t = np.linspace(0.0, 0.12, 241)
+        values = dp.envelope_independent(t, 4.0, 100.0)
+        values[7] = np.nan
+        with pytest.raises(dp.EnvelopeFitError, match="non-finite step"):
+            dp.fit_efold_time(t, values, 100.0, sigma_guess=4.0)
+
+    def test_zero_starting_rate_raises(self):
+        t = np.linspace(0.0, 0.12, 241)
+        with pytest.raises(dp.EnvelopeFitError, match="starting decay rate"):
+            dp.fit_efold_time(t, dp.envelope_independent(t, 4.0, 100.0), 100.0,
+                              sigma_guess=0.0)
+
+
+def curve_fit_efold_time(times, values, center_frequency, sigma_guess):
+    """The envelope fit as curve_fit does it: the Gauss-Newton fit's oracle."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def model(t, a):
+        return np.exp(-a * t**2) * np.cos(dp.TWO_PI * center_frequency * t)
+
+    a0 = 0.5 * (dp.TWO_PI * sigma_guess) ** 2
+    popt, _ = optimize.curve_fit(model, times, values, p0=[a0], maxfev=10_000)
+    return 1.0 / np.sqrt(2.0 * popt[0])
+
+
+class TestEfoldFitAgainstCurveFit:
+    # curve_fit stops at its default xtol of 1.5e-8, the Gauss-Newton loop at
+    # rounding level; on the defaults they differ by about 1.3e-8
+    @pytest.mark.parametrize("locked", [False, True])
+    def test_default_curves(self, locked):
+        defaults = cli._DEFAULTS["dephasing"]
+        atoms = int(defaults["atom_count"])
+        grid = np.linspace(0.0, float(defaults["time_max"]), int(defaults["time_points"]))
+        if locked:
+            grid = grid * np.sqrt(atoms)
+        config = dp.EnsembleConfig(
+            atom_count=atoms, center_frequency=float(defaults["center_frequency"]),
+            fwhm=float(defaults["fwhm"]), seed=int(defaults["seed"]), time_grid=tuple(grid),
+            replicas=int(defaults["replicas"]))
+        values, _ = dp.monte_carlo_mean_cos(config, locked=locked)
+        sigma = config.sigma / np.sqrt(atoms) if locked else config.sigma
+        fitted = dp.fit_efold_time(grid, values, config.center_frequency, sigma_guess=sigma)
+        assert fitted == pytest.approx(
+            curve_fit_efold_time(grid, values, config.center_frequency, sigma), rel=1e-6)
+
+    @pytest.mark.parametrize("guess_factor", [0.5, 1.4, 3.0])
+    def test_noisy_synthetic_curve(self, guess_factor):
+        sigma = dp.fwhm_to_sigma(10.0)
+        t = np.linspace(0.0, 0.12, 241)
+        noise = 0.02 * np.random.default_rng(3).normal(size=t.size)
+        noisy = dp.envelope_independent(t, sigma, 100.0) + noise
+        fitted = dp.fit_efold_time(t, noisy, 100.0, sigma_guess=sigma * guess_factor)
+        assert fitted == pytest.approx(
+            curve_fit_efold_time(t, noisy, 100.0, sigma * guess_factor), rel=1e-6)

@@ -283,6 +283,17 @@ class TestChannelQuadrature:
         assert np.max(np.abs(quadrature - oracle)) <= 1e-14
 
 
+class TestPhaseTable:
+    def test_built_once_per_model(self):
+        model = rd.emission_model(rd.readout_config())
+        table = model.phase_table()
+        assert model.phase_table() is table
+        assert not table.flags.writeable
+        w, _ = model.hamiltonian.eigensystem()
+        np.testing.assert_array_equal(
+            table, np.exp(-1j * np.outer(np.asarray(model.readout_times), w)))
+
+
 class TestPhaseExtraction:
     def test_synthetic_trace(self):
         t = np.linspace(0.0, 2.0, 3001)
