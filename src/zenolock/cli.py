@@ -90,13 +90,24 @@ _DEFAULTS = {
 }
 
 
-# Largest pair basis a Zeno run may build, checked against the photon number
-# before anything is allocated.  zeno2 holds several dense operators of
-# 16 d^2 bytes each; zeno4 holds state vectors and sector blocks, which grow
-# linearly with d.  The dimensions follow the default Fock cutoffs: n + 3 for
-# the zeno2 mode, n + 2 for each zeno4 mode.
-_MAX_DIMENSION = {"zeno2": 2048, "zeno4": 1 << 16}
-_BASIS_DIMENSION = {"zeno2": lambda n: 4 * (n + 4), "zeno4": lambda n: 16 * (n + 3) ** 2}
+# Largest basis a run may build, checked against its size key (the Zeno
+# photon number, the readout emission cutoff) before anything is allocated.
+# Both Zeno runs hold state vectors and sector blocks, which grow linearly
+# with d, but every photon injection or removal forms and diagonalizes the
+# reduced density matrix of one mode, (mode dimension)^2 entries: d/4 on a
+# side for zeno2, about sqrt(d)/4 for zeno4.  The readout emission
+# Hamiltonian is dense, 16 d^2 bytes.  The dimensions follow the default Fock cutoffs:
+# n + 3 for the zeno2 mode, n + 2 for each zeno4 mode.
+_MAX_DIMENSION = {"zeno2": 2048, "zeno4": 1 << 16, "readout": 2048}
+_BASIS_DIMENSION = {"zeno2": lambda n: 4 * (n + 4), "zeno4": lambda n: 16 * (n + 3) ** 2,
+                    "readout": lambda c: 16 * (c + 1)}
+
+
+def _check_dimension(command: str, key: str, value: int) -> None:
+    dimension = _BASIS_DIMENSION[command](value)
+    if dimension > _MAX_DIMENSION[command]:
+        raise ConfigError(f"[{command}] {key} must keep the basis dimension at most "
+                          f"{_MAX_DIMENSION[command]}, got {value} (dimension {dimension})")
 
 
 def _format_value(value) -> str:
@@ -272,10 +283,7 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
     photons = section.get_int("photon_number")
     if photons < 0:
         raise ConfigError(f"[{command}] photon_number must be non-negative, got {photons}")
-    dimension = _BASIS_DIMENSION[command](photons)
-    if dimension > _MAX_DIMENSION[command]:
-        raise ConfigError(f"[{command}] photon_number must keep the basis dimension at most "
-                          f"{_MAX_DIMENSION[command]}, got {photons} (dimension {dimension})")
+    _check_dimension(command, "photon_number", photons)
     if section.get_str("survival_floor") != "auto":
         floor = section.get_float("survival_floor")
         if not 0.0 < floor < 1.0:
@@ -372,6 +380,10 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
         value = section.get_float(key)
         if not value > 0.0:
             raise ConfigError(f"[readout] {key} must be positive, got {value!r}")
+    cutoff = section.get_int("emission_cutoff")
+    if cutoff < 1:
+        raise ConfigError(f"[readout] emission_cutoff must be at least 1, got {cutoff}")
+    _check_dimension("readout", "emission_cutoff", cutoff)
     config = readout.readout_config(
         detuning=section.get_float("detuning"),
         drive_amplitude=section.get_float("drive_amplitude"),
@@ -380,9 +392,6 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
         transition_2=section.get_float("transition_2"),
         time_max=section.get_float("time_max"),
         time_points=section.get_int("time_points"))
-    cutoff = section.get_int("emission_cutoff")
-    if cutoff < 1:
-        raise ConfigError(f"[readout] emission_cutoff must be at least 1, got {cutoff}")
     config = dataclasses.replace(config, emission_mode_cutoff=cutoff,
                                  fit_periods=section.get_float("fit_periods"))
     method = section.get_str("method")
@@ -435,9 +444,19 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
 def cmd_allan(section: Section, out_dir: Path, args, config_text: str):
     fwhm = section.get_float("fwhm")
     carrier = section.get_float("carrier")
-    atom_counts = [int(v) for v in section.get_float_list("atom_counts")]
     cycle_time = section.get_float("cycle_time")
     averaging_times = section.get_float_list("averaging_times")
+    for key, values in (("fwhm", [fwhm]), ("carrier", [carrier]),
+                        ("cycle_time", [cycle_time]), ("averaging_times", averaging_times)):
+        for value in values:
+            if not value > 0.0:
+                raise ConfigError(f"[allan] {key} must be positive, got {value!r}")
+    atom_counts = []
+    for count in section.get_float_list("atom_counts"):
+        if count < 1.0 or count != int(count):
+            raise ConfigError(f"[allan] atom_counts must be whole numbers of at least 1, "
+                              f"got {count!r}")
+        atom_counts.append(int(count))
     provenance = _provenance("allan", config_text, args.seed)
 
     rows = []

@@ -2,11 +2,13 @@
 
 States are dense complex vectors over an ordered tensor product, atoms first
 and then modes.  Every Hamiltonian in this package is piecewise constant, so
-time evolution is done exactly through a single eigendecomposition that is
-cached on the operator.  A Hamiltonian that conserves an occupation label
-can instead be assembled straight into its label sectors and evolved block
-by block, with no dense operator of the full basis.  hbar = 1 throughout;
-all frequencies are angular unless a module says otherwise.
+time evolution is exact through eigendecompositions computed once.  A
+Hamiltonian that conserves an occupation label, as both Zeno protocols' do,
+is assembled straight into its label sectors and evolved block by block,
+with no dense operator of the full basis; the dense operator, whose
+eigensystem is cached on it, serves the readout chain and is the test
+oracle of the sector path.  hbar = 1 throughout; all frequencies are
+angular unless a module says otherwise.
 
 All values are immutable after construction (backing arrays are marked
 read-only) and every operation returns a new value, so states and operators
@@ -460,16 +462,6 @@ def replace_mode_state(state: StateVector, mode_index: int, k: int) -> StateVect
     return _bare_state(state.basis, np.ascontiguousarray(out).reshape(-1))
 
 
-def mode_top_population(state: StateVector, mode_index: int, top_levels: int = 2) -> float:
-    """Total population in the highest occupancies of one mode.
-
-    A run is numerically valid only while this stays tiny; support touching
-    the truncation boundary means the cutoff was too low.
-    """
-    dist = photon_number_distribution(state, mode_index)
-    return float(np.sum(dist[-top_levels:]))
-
-
 def occupation_labels(basis: ProductBasis, local_weights: Sequence[Sequence[int]]) -> np.ndarray:
     """Integer label per basis state: sum of per-subsystem level weights.
 
@@ -495,42 +487,15 @@ def combine_labels(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return first * stride + second
 
 
-def _dense_sectors(hamiltonian: OperatorMatrix, labels, tol: float) -> SectorHamiltonian:
-    """Sector blocks sliced out of a dense operator, after a leakage scan."""
-    if not hamiltonian.hermitian:
-        raise ValueError("block evolution requires a Hermitian Hamiltonian")
-    labels = np.asarray(labels)
-    d = hamiltonian.basis.dimension
-    if labels.shape != (d,):
-        raise ValueError("labels must assign one integer per basis state")
-    off_block = labels[:, None] != labels[None, :]
-    leakage = float(np.max(np.abs(hamiltonian.matrix[off_block]))) if off_block.any() else 0.0
-    if leakage > tol:
-        raise ValueError(
-            f"Hamiltonian couples different label sectors (max element {leakage:.3e})"
-        )
-    sectors = []
-    for value in np.unique(labels):
-        idx = np.flatnonzero(labels == value)
-        sectors.append((idx, hamiltonian.matrix[np.ix_(idx, idx)]))
-    return SectorHamiltonian(hamiltonian.basis, hamiltonian.matrix.diagonal().real,
-                             tuple(sectors))
-
-
 class BlockEvolver:
     """Exact evolution exploiting a conserved occupation label.
 
-    Takes a :class:`SectorHamiltonian`, or a dense Hermitian operator with
-    ``labels`` that it must be block diagonal in (checked at construction,
-    entries between sectors at most ``tol``); each block is eigendecomposed
-    once.  Observables agree with the dense :func:`evolve` path to 1e-10 by
-    construction, which is asserted in the test suite.
+    Takes a :class:`SectorHamiltonian` and eigendecomposes each block once;
+    no operator of the full basis is formed.  Observables agree with the
+    dense :func:`evolve` path to 1e-10, which is asserted in the test suite.
     """
 
-    def __init__(self, hamiltonian: Union[SectorHamiltonian, OperatorMatrix],
-                 labels: Optional[np.ndarray] = None, tol: float = 1e-12):
-        if isinstance(hamiltonian, OperatorMatrix):
-            hamiltonian = _dense_sectors(hamiltonian, labels, tol)
+    def __init__(self, hamiltonian: SectorHamiltonian):
         self.basis = hamiltonian.basis
         self._blocks = [(idx, *np.linalg.eigh(block)) for idx, block in hamiltonian.sectors]
 

@@ -15,23 +15,19 @@ four-level atoms are (G1, G2, E1, E2).  Dimensionless angular units,
 hbar = 1.
 """
 
-import functools
 import math
 from dataclasses import astuple, dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import hilbert as h
 from .hilbert import Atom, Mode, OperatorMatrix, StateVector
 from .zeno_two_level import (
-    CycleResult,
     OutOfRegimeError,
-    ProtocolError,
     SurvivalClosedForm,
     SurvivalTrace,
     _validate_protocol,
-    cycle_matrix,
     half_flop_time_inverse,
     run_zeno,
 )
@@ -300,27 +296,6 @@ def ps_four_level(delta_1: float, delta_2: float, free_interval: float,
                               exponential_form=math.exp(-rate * final_time))
 
 
-def _four_level_stepwise_cycle(state: StateVector, config: FourLevelConfig,
-                               drift: Callable[[np.ndarray, float], np.ndarray],
-                               evolver: h.BlockEvolver) -> CycleResult:
-    """One explicit cycle following the success branch of both projections."""
-    state = StateVector(state.basis, drift(state.amplitudes, config.free_interval))
-    state = h.replace_mode_state(state, 2, config.photon_number)
-    state = h.replace_mode_state(state, 3, config.photon_number)
-    state = evolver.evolve(state, config.measure_interval)
-    tail = max(h.mode_top_population(state, 2, 1), h.mode_top_population(state, 3, 1))
-    probability = 1.0
-    for mode_axis in (2, 3):
-        outcome = h.project_photon_number(state, mode_axis, config.photon_number)
-        if outcome.state is None:
-            raise ProtocolError("the success branch has zero probability")
-        state = outcome.state
-        probability *= outcome.probability
-    state = h.replace_mode_state(state, 2, 0)
-    state = h.replace_mode_state(state, 3, 0)
-    return CycleResult(state, probability, tail)
-
-
 def run_four_level_protocol(config: FourLevelConfig, max_trace_points: int = 2000,
                             method: str = "compiled") -> SurvivalTrace:
     """Iterate four-level Zeno cycles until the final time.
@@ -328,19 +303,12 @@ def run_four_level_protocol(config: FourLevelConfig, max_trace_points: int = 200
     Each cycle is a free drift, injection of n photons into both modes, the
     half-flop coupling window, projection of both photon numbers back onto n
     and photon removal; see :func:`zeno_two_level.run_zeno` for ``method``.
-    The Hamiltonian is held by sector (:func:`build_sector_hamiltonian`) and
-    the drift by its diagonal, so no dense operator of the pair basis is
-    built.
+    The Hamiltonian is held by sector (:func:`build_sector_hamiltonian`), so
+    no dense operator of the pair basis is built.
     """
-    hamiltonian = build_four_level_hamiltonian(config)
-    evolver = h.BlockEvolver(hamiltonian)
-    drift = functools.partial(h._propagate_diagonal, hamiltonian.diagonal)
-    initial = initial_state(config)
     delta_1, delta_2 = config.delta(1), config.delta(2)
     return run_zeno(
-        config, initial, drift,
-        cycle_matrix(config, initial.basis, drift, evolver.propagate),
-        lambda state: _four_level_stepwise_cycle(state, config, drift, evolver),
+        config, build_four_level_hamiltonian(config), initial_state(config),
         rate=0.5 * (delta_1**2 + delta_2**2) * config.cycle_time,
         regime_check=lambda: pe_four_level(delta_1, delta_2, config.free_interval),
         max_trace_points=max_trace_points, method=method)

@@ -116,16 +116,31 @@ def two_level_basis(config: TwoLevelConfig) -> h.ProductBasis:
     return h.build_basis([Atom(2), Atom(2), Mode(config.fock_cutoff)])
 
 
-def build_two_level_hamiltonian(config: TwoLevelConfig, coupled: bool) -> OperatorMatrix:
-    """Rotating-wave Hamiltonian of two atoms sharing one cavity mode.
+def _hamiltonian_terms(config: TwoLevelConfig, coupled: bool):
+    """Basis, diagonal weights and exchange terms of the pair Hamiltonian.
 
-    With ``coupled`` false the exchange terms are dropped, which models the
+    Both atoms exchange a photon with the one cavity mode (rotating-wave).
+    Without ``coupled`` the exchange terms are dropped, which models the
     free-drift segments where the photons have been removed.
     """
     weights = [(0.0, config.frequency_a), (0.0, config.frequency_b),
                config.cavity_frequency * (np.arange(config.fock_cutoff + 1) + 0.5)]
     exchange = [(atom, E, G, 2, 0.5 * config.coupling) for atom in (0, 1)] if coupled else []
-    return h.assemble_hamiltonian(two_level_basis(config), weights, exchange)
+    return two_level_basis(config), weights, exchange
+
+
+def build_hamiltonian(config: TwoLevelConfig, coupled: bool = True) -> OperatorMatrix:
+    """Dense pair Hamiltonian; the oracle of :func:`build_two_level_hamiltonian`."""
+    return h.assemble_hamiltonian(*_hamiltonian_terms(config, coupled))
+
+
+def build_two_level_hamiltonian(config: TwoLevelConfig) -> h.SectorHamiltonian:
+    """Coupled pair Hamiltonian by :func:`excitation_labels` sector.
+
+    Its ``diagonal`` is the uncoupled Hamiltonian of the free drift.  No
+    operator of the full pair basis is formed.
+    """
+    return h.assemble_sectors(*_hamiltonian_terms(config, True), excitation_labels(config))
 
 
 def excitation_labels(config: TwoLevelConfig) -> np.ndarray:
@@ -180,50 +195,69 @@ def _require_mode_vacuum(state: StateVector, mode_index: int = 2):
         )
 
 
-def free_drift(state: StateVector, config: TwoLevelConfig,
-               hamiltonian: Optional[OperatorMatrix] = None) -> StateVector:
+def free_drift(state: StateVector, config: TwoLevelConfig) -> StateVector:
     """Exact uncoupled evolution over the free interval (photons removed)."""
     _require_mode_vacuum(state)
-    if hamiltonian is None:
-        hamiltonian = build_two_level_hamiltonian(config, coupled=False)
-    return h.evolve(state, hamiltonian, config.free_interval)
+    energies = build_two_level_hamiltonian(config).diagonal
+    return StateVector(state.basis,
+                       h._propagate_diagonal(energies, state.amplitudes, config.free_interval))
 
 
-def measurement_segment(state: StateVector, config: TwoLevelConfig,
-                        hamiltonian: Optional[OperatorMatrix] = None) -> StateVector:
+def measurement_segment(state: StateVector, config: TwoLevelConfig) -> StateVector:
     """Inject n photons into the empty cavity and couple for half a flop.
 
     Returns the (generally entangled) atom-field state ready for the photon
     number projection.
     """
     injected = h.replace_mode_state(state, 2, config.photon_number)
-    if hamiltonian is None:
-        hamiltonian = build_two_level_hamiltonian(config, coupled=True)
-    return h.evolve(injected, hamiltonian, config.measure_interval)
+    evolver = h.BlockEvolver(build_two_level_hamiltonian(config))
+    return evolver.evolve(injected, config.measure_interval)
 
 
 class CycleResult(NamedTuple):
     state: StateVector
     success_probability: float
-    mode_tail: float           # truncation-boundary population before the projection
+    # population above n + 1 photons in any mode before the projection; a run
+    # is numerically valid only while it stays tiny
+    mode_tail: float
 
 
-def zeno_cycle(state: StateVector, config: TwoLevelConfig,
-               drift_hamiltonian: Optional[OperatorMatrix] = None,
-               coupled_hamiltonian: Optional[OperatorMatrix] = None) -> CycleResult:
-    """One full protocol cycle, following the success branch.
+def _stepwise_cycle(state: StateVector, config, drift: Callable[[np.ndarray, float], np.ndarray],
+                    evolver: h.BlockEvolver) -> CycleResult:
+    """One explicit cycle of either protocol, following the success branch.
 
-    Free drift, photon injection, half-flop coupling, projection onto the
-    original photon number n, photon removal.  The returned probability is
-    the Born weight of the n-photon outcome.
+    Free drift, injection of n photons into every mode, the coupling window,
+    projection of every mode back onto n, and photon removal.  The returned
+    probability is the Born weight of the all-n outcome.
     """
-    drifted = free_drift(state, config, drift_hamiltonian)
-    measured = measurement_segment(drifted, config, coupled_hamiltonian)
-    outcome = h.project_photon_number(measured, 2, config.photon_number)
-    if outcome.state is None:
-        raise ProtocolError("the success branch has zero probability")
-    reset = h.replace_mode_state(outcome.state, 2, 0)
-    return CycleResult(reset, outcome.probability, h.mode_top_population(measured, 2))
+    basis = state.basis
+    modes = range(len(basis.atom_indices()), len(basis.dims))
+    n = config.photon_number
+    state = StateVector(basis, drift(state.amplitudes, config.free_interval))
+    for mode in modes:
+        state = h.replace_mode_state(state, mode, n)
+    state = evolver.evolve(state, config.measure_interval)
+    tail = max(float(np.sum(h.photon_number_distribution(state, mode)[n + 2:]))
+               for mode in modes)
+    probability = 1.0
+    for mode in modes:
+        outcome = h.project_photon_number(state, mode, n)
+        if outcome.state is None:
+            raise ProtocolError("the success branch has zero probability")
+        state = outcome.state
+        probability *= outcome.probability
+    for mode in modes:
+        state = h.replace_mode_state(state, mode, 0)
+    return CycleResult(state, probability, tail)
+
+
+def zeno_cycle(state: StateVector, config: TwoLevelConfig) -> CycleResult:
+    """One full two-atom protocol cycle from an empty cavity; see :func:`_stepwise_cycle`."""
+    _require_mode_vacuum(state)
+    hamiltonian = build_two_level_hamiltonian(config)
+    return _stepwise_cycle(state, config,
+                           functools.partial(h._propagate_diagonal, hamiltonian.diagonal),
+                           h.BlockEvolver(hamiltonian))
 
 
 def pe_analytic(half_difference: float, free_interval: float) -> float:
@@ -317,32 +351,35 @@ def cycle_matrix(config, basis: h.ProductBasis,
     return cycle_map
 
 
-def run_zeno(config, initial: StateVector, drift: Callable[[np.ndarray, float], np.ndarray],
-             cycle_map: np.ndarray,
-             stepwise_cycle: Callable[[StateVector], CycleResult], rate: float,
+def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector, rate: float,
              regime_check: Callable[[], float], max_trace_points: int = 2000,
              method: str = "compiled") -> SurvivalTrace:
     """Iterate Zeno cycles from ``initial`` until ``config.final_time``.
 
-    Every stride-th cycle and the last are recorded, at most
-    ``max_trace_points`` of them.  ``method`` "compiled" works on the atom
-    sector with ``cycle_map`` (see :func:`cycle_matrix`) and jumps between
-    recorded cycles: across a gap of g cycles it applies the cached power
-    ``cycle_map**(g-1)`` (one per distinct gap, so at most two) and then one
-    more ``cycle_map``, whose success probability is the recorded cycle's
-    own.  Its cost grows with the number of recorded points, not of cycles.
-    "stepwise" applies ``stepwise_cycle`` state by state to every cycle; it
-    is the reference the compiled path is tested against to 1e-10.
-    ``p_success`` is the cumulative product of per-cycle success
-    probabilities and ``analytic_p_s`` is exp(-rate t); ``regime_check``
-    raises :class:`OutOfRegimeError` outside the perturbative regime.  A
-    trailing partial cycle is a free drift, ``drift(amplitudes, duration)``,
-    without a measurement.  The truncation tail is taken from one stepwise cycle of
-    ``initial`` (and from every cycle when stepwise).  A survival of zero at
-    a recorded cycle raises :class:`ProtocolError`.
+    ``hamiltonian`` is the coupled Hamiltonian by sector: its blocks drive
+    the coupling window through a :class:`hilbert.BlockEvolver` and its
+    ``diagonal`` the free drift.  Every stride-th cycle and the last are
+    recorded, at most ``max_trace_points`` of them.  ``method`` "compiled"
+    works on the atom sector with the per-cycle map (see
+    :func:`cycle_matrix`) and jumps between recorded cycles: across a gap of
+    g cycles it applies the cached power ``map**(g-1)`` (one per distinct
+    gap, so at most two) and then one more ``map``, whose success
+    probability is the recorded cycle's own.  Its cost grows with the number
+    of recorded points, not of cycles.  "stepwise" applies
+    :func:`_stepwise_cycle` state by state to every cycle; it is the
+    reference the compiled path is tested against to 1e-10.  ``p_success``
+    is the cumulative product of per-cycle success probabilities and
+    ``analytic_p_s`` is exp(-rate t); ``regime_check`` raises
+    :class:`OutOfRegimeError` outside the perturbative regime.  A trailing
+    partial cycle is a free drift without a measurement.  The truncation
+    tail is taken from one stepwise cycle of ``initial`` (and from every
+    cycle when stepwise).  A survival of zero at a recorded cycle raises
+    :class:`ProtocolError`.
     """
     if method not in ("compiled", "stepwise"):
         raise ValueError(f"unknown method {method!r}")
+    evolver = h.BlockEvolver(hamiltonian)
+    drift = functools.partial(h._propagate_diagonal, hamiltonian.diagonal)
     cycle = config.cycle_time
     cycles = int(math.floor(config.final_time / cycle + 1e-9))
     remainder = max(0.0, config.final_time - cycles * cycle)
@@ -355,8 +392,9 @@ def run_zeno(config, initial: StateVector, drift: Callable[[np.ndarray, float], 
     record = _record_cycles(cycles, max_trace_points)
     # survival before and after each recorded cycle
     survival = np.empty((len(record), 2))
-    max_tail = stepwise_cycle(initial).mode_tail
+    max_tail = _stepwise_cycle(initial, config, drift, evolver).mode_tail
     if method == "compiled":
+        cycle_map = cycle_matrix(config, initial.basis, drift, evolver.propagate)
         atom_dim = cycle_map.shape[0]
         x = initial.amplitudes.reshape(atom_dim, -1)[:, 0].copy()
         powers = {}
@@ -383,7 +421,7 @@ def run_zeno(config, initial: StateVector, drift: Callable[[np.ndarray, float], 
         previous = 1.0
         final = initial
         for j in range(1, cycles + 1):
-            final, probability, tail = stepwise_cycle(final)
+            final, probability, tail = _stepwise_cycle(final, config, drift, evolver)
             max_tail = max(max_tail, tail)
             current = previous * probability
             if j in record_set:
@@ -418,14 +456,8 @@ def run_protocol(config: TwoLevelConfig, max_trace_points: int = 2000,
     ``method`` selects the per-cycle linear map ("compiled", default) or the
     explicit state-by-state loop ("stepwise"); see :func:`run_zeno`.
     """
-    drift = build_two_level_hamiltonian(config, coupled=False)
-    coupled = build_two_level_hamiltonian(config, coupled=True)
-    initial = subradiant_state(config, 0)
-    free = functools.partial(h._propagate, drift)
     return run_zeno(
-        config, initial, free,
-        cycle_matrix(config, initial.basis, free, functools.partial(h._propagate, coupled)),
-        lambda state: zeno_cycle(state, config, drift, coupled),
+        config, build_two_level_hamiltonian(config), subradiant_state(config, 0),
         rate=config.half_difference**2 * config.cycle_time,
         regime_check=lambda: pe_analytic(config.half_difference, config.free_interval),
         max_trace_points=max_trace_points, method=method)

@@ -206,6 +206,11 @@ class TestExitCodes:
         ("readout", "time_points", "3"), ("readout", "time_points", "1"),
         ("readout", "time_points", "0"), ("readout", "fit_periods", "0"),
         ("readout", "fit_periods", "-2"), ("readout", "time_max", "0"),
+        # far above the basis-dimension cap: rejected before anything is allocated
+        ("readout", "emission_cutoff", "1000000"),
+        ("allan", "atom_counts", "2.5"), ("allan", "atom_counts", "0"),
+        ("allan", "fwhm", "0"), ("allan", "carrier", "0"), ("allan", "cycle_time", "-1"),
+        ("allan", "averaging_times", "0"),
     ])
     def test_out_of_range_key_is_config_error(self, tmp_path, capsys, section, key, value):
         path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")

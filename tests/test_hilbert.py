@@ -310,7 +310,9 @@ class TestBlockEvolver:
         H = jaynes_cummings(basis, omega, omega, coupling)
         labels = h.occupation_labels(basis, [[0, 1], list(range(7))])
         assert commutator_norm(H, _label_operator(basis, labels)) < 1e-12
-        evolver = h.BlockEvolver(H, labels)
+        evolver = h.BlockEvolver(h.assemble_sectors(
+            basis, [(0.0, omega), omega * (np.arange(7) + 0.5)],
+            [(0, 1, 0, 1, 0.5 * coupling)], labels))
         rng = np.random.default_rng(4)
         psi = random_state(basis, rng)
         for t in [0.2, 1.7, 6.4]:
@@ -327,14 +329,6 @@ class TestBlockEvolver:
         psi = h.evolve(psi0, H, 2.1)
         outside = labels != labels[basis.index([1, 3])]
         assert np.max(np.abs(psi.amplitudes[outside])) < 1e-12
-
-    def test_rejects_block_coupling_hamiltonian(self):
-        basis = h.build_basis([h.Mode(2)])
-        a = h.annihilation(basis, 0)
-        quad = h.OperatorMatrix(basis, a.matrix + a.matrix.conj().T, hermitian=True)
-        labels = h.occupation_labels(basis, [list(range(3))])
-        with pytest.raises(ValueError):
-            h.BlockEvolver(quad, labels)
 
 
 def _label_operator(basis, labels):
@@ -385,7 +379,7 @@ def _two_level_case(coupled):
         z2.two_level_basis(config),
         [(0.0, config.frequency_a), (0.0, config.frequency_b)],
         [config.cavity_frequency], exchange)
-    return z2.build_two_level_hamiltonian(config, coupled), oracle
+    return z2.build_hamiltonian(config, coupled), oracle
 
 
 def _three_level_case(coupled):
@@ -461,17 +455,29 @@ def assert_sectors_match_dense(sectors, dense):
     assert np.max(np.abs(sectors.diagonal - dense.matrix.diagonal())) <= 1e-12
 
 
+def dense_sectors(dense, labels):
+    """Sector Hamiltonian sliced out of a dense operator, one block per label value."""
+    sectors = []
+    for value in np.unique(labels):
+        idx = np.flatnonzero(labels == value)
+        sectors.append((idx, dense.matrix[np.ix_(idx, idx)]))
+    return h.SectorHamiltonian(dense.basis, dense.matrix.diagonal().real, tuple(sectors))
+
+
 class TestAssembleSectors:
-    @pytest.mark.parametrize("scheme", ["three", "four"])
+    @pytest.mark.parametrize("scheme", ["two", "three", "four"])
     def test_pair_sectors_match_dense_assembly(self, scheme):
-        if scheme == "three":
+        build_sectors, build_dense = zm.build_sector_hamiltonian, zm.build_hamiltonian
+        if scheme == "two":
+            config = z2.config_for_cycle_time(0.05, 1.0, photon_number=2, common_offset=0.3)
+            build_sectors, build_dense = z2.build_two_level_hamiltonian, z2.build_hamiltonian
+        elif scheme == "three":
             config = zm.three_level_config(photon_number=2, ground=0.25)
         else:
             config = zm.four_level_config_from_deltas(1.0, 0.5, cycle_time=0.02,
                                                       final_time=0.2, photon_number=2,
                                                       ground_2=0.75)
-        assert_sectors_match_dense(zm.build_sector_hamiltonian(config),
-                                   zm.build_hamiltonian(config))
+        assert_sectors_match_dense(build_sectors(config), build_dense(config))
 
     def test_atom_only_drive(self):
         # the readout Hamiltonian conserves atoms in E1 plus photons: the
@@ -492,7 +498,7 @@ class TestAssembleSectors:
                                                   final_time=0.2, photon_number=2)
         dense = zm.build_hamiltonian(config)
         sectors = h.BlockEvolver(zm.build_sector_hamiltonian(config))
-        oracle = h.BlockEvolver(dense, zm.conserved_labels(config))
+        oracle = h.BlockEvolver(dense_sectors(dense, zm.conserved_labels(config)))
         psi = random_state(dense.basis, np.random.default_rng(8))
         for t in (0.01, 0.4):
             np.testing.assert_allclose(sectors.evolve(psi, t).amplitudes,

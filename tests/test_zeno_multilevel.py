@@ -113,7 +113,7 @@ class TestHamiltonians:
     def test_block_evolver_matches_dense(self):
         config = four_level_small(n=2)
         ham = zm.build_hamiltonian(config)
-        evolver = h.BlockEvolver(ham, zm.conserved_labels(config))
+        evolver = h.BlockEvolver(zm.build_sector_hamiltonian(config))
         state = zm.initial_state(config)
         injected = h.replace_mode_state(h.replace_mode_state(state, 2, 2), 3, 2)
         for t in (0.01, 0.4):
@@ -215,18 +215,24 @@ class TestProtocol:
         np.testing.assert_allclose(compiled.final_state.amplitudes,
                                    stepwise.final_state.amplitudes, atol=1e-10)
 
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_sector_cycle_map_matches_dense(self, n):
-        config = four_level_small(n=n)
-        basis = zm.pair_basis(config)
-        sectors = zm.build_sector_hamiltonian(config)
+    @pytest.mark.parametrize("config, build_sectors, build_dense", [
+        pytest.param(four_level_small(n=2), zm.build_sector_hamiltonian,
+                     zm.build_hamiltonian, id="2"),
+        pytest.param(four_level_small(n=4), zm.build_sector_hamiltonian,
+                     zm.build_hamiltonian, id="4"),
+        pytest.param(z2.config_for_cycle_time(0.02, 0.2, photon_number=6),
+                     z2.build_two_level_hamiltonian, z2.build_hamiltonian, id="two-level"),
+    ])
+    def test_sector_cycle_map_matches_dense(self, config, build_sectors, build_dense):
+        sectors = build_sectors(config)
+        basis = sectors.basis
         sector_map = z2.cycle_matrix(
             config, basis, functools.partial(h._propagate_diagonal, sectors.diagonal),
             h.BlockEvolver(sectors).propagate)
         dense_map = z2.cycle_matrix(
             config, basis,
-            functools.partial(h._propagate, zm.build_hamiltonian(config, coupled=False)),
-            functools.partial(h._propagate, zm.build_hamiltonian(config, coupled=True)))
+            functools.partial(h._propagate, build_dense(config, coupled=False)),
+            functools.partial(h._propagate, build_dense(config, coupled=True)))
         assert np.max(np.abs(dense_map)) > 0.1
         assert np.max(np.abs(sector_map - dense_map)) <= 1e-12
 
@@ -298,8 +304,7 @@ class TestProtocol:
     def test_branch_probabilities_sum_to_one(self):
         config = four_level_small()
         drift = zm.build_hamiltonian(config, coupled=False)
-        coupled = zm.build_hamiltonian(config, coupled=True)
-        evolver = h.BlockEvolver(coupled, zm.conserved_labels(config))
+        evolver = h.BlockEvolver(zm.build_sector_hamiltonian(config))
         state = h.evolve(zm.initial_state(config), drift, config.free_interval)
         state = h.replace_mode_state(state, 2, config.photon_number)
         state = h.replace_mode_state(state, 3, config.photon_number)

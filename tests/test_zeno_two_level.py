@@ -47,12 +47,12 @@ class TestHamiltonian:
     def test_hermitian(self):
         config = small_config()
         for coupled in (False, True):
-            ham = z2.build_two_level_hamiltonian(config, coupled)
+            ham = z2.build_hamiltonian(config, coupled)
             assert ham.hermitian
 
     def test_conserves_total_excitation(self):
         config = small_config()
-        ham = z2.build_two_level_hamiltonian(config, coupled=True)
+        ham = z2.build_hamiltonian(config, coupled=True)
         labels = z2.excitation_labels(config)
         number = h.OperatorMatrix(ham.basis, np.diag(labels.astype(complex)),
                                   hermitian=True)
@@ -60,7 +60,7 @@ class TestHamiltonian:
 
     def test_degenerate_uncoupled_subradiant_is_eigenstate(self):
         config = small_config(half_difference=0.0, common_offset=0.0)
-        ham = z2.build_two_level_hamiltonian(config, coupled=False)
+        ham = z2.build_hamiltonian(config, coupled=False)
         sub = z2.subradiant_state(config, 0)
         image = ham.matrix @ sub.amplitudes
         energy = np.vdot(sub.amplitudes, image)
@@ -68,7 +68,7 @@ class TestHamiltonian:
 
     def test_uncoupled_drops_exchange_terms(self):
         config = small_config()
-        ham = z2.build_two_level_hamiltonian(config, coupled=False)
+        ham = z2.build_hamiltonian(config, coupled=False)
         assert ham.is_diagonal()
 
 
@@ -351,6 +351,23 @@ class TestRunProtocol:
                 base = trace.p_success
             else:
                 np.testing.assert_allclose(trace.p_success, base, atol=1e-10)
+
+    def test_default_run_builds_no_pair_operator(self, monkeypatch):
+        # the [zeno2] defaults of the CLI: two cycle times, each run until the
+        # closed-form survival reaches 0.1
+        dimensions = []
+        original = h.OperatorMatrix.__init__
+
+        def recording(self, basis, *args, **kwargs):
+            dimensions.append(basis.dimension)
+            original(self, basis, *args, **kwargs)
+
+        monkeypatch.setattr(h.OperatorMatrix, "__init__", recording)
+        for cycle in (0.001, 0.05):
+            config = z2.config_for_cycle_time(cycle, math.log(10.0) / (4.0 * cycle))
+            trace = z2.run_protocol(config, max_trace_points=800)
+            assert trace.max_mode_tail < 1e-8
+        assert dimensions == []
 
     def test_mode_tail_stays_empty(self):
         config = z2.config_for_cycle_time(0.005, 0.5)
