@@ -101,6 +101,7 @@ _DEFAULTS = {
 _MAX_DIMENSION = {"zeno2": 2048, "zeno4": 1 << 16, "readout": 2048}
 _BASIS_DIMENSION = {"zeno2": lambda n: 4 * (n + 4), "zeno4": lambda n: 16 * (n + 3) ** 2,
                     "readout": lambda c: 16 * (c + 1)}
+_MAX_PHASE_TABLE = 1 << 24  # readout exp(-i w t): time_points x emission basis dimension
 
 
 def _check_dimension(command: str, key: str, value: int) -> None:
@@ -292,7 +293,17 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
     provenance = _provenance(command, config_text, args.seed)
 
     cycles = section.get_float_list("cycle_times")
-    final_times = {cycle: _zeno_final_time(section, cycle, rate * cycle) for cycle in cycles}
+    auto = "auto gives " if section.get_str("final_time") == "auto" else ""
+    final_times = {}
+    for cycle in cycles:
+        if not cycle > 0.0:
+            raise ConfigError(f"[{command}] cycle_times must be positive, got {cycle!r}")
+        final_times[cycle] = final_time = _zeno_final_time(section, cycle, rate * cycle)
+        tau_m = cycle / (ratio + 1.0)  # the protocol config holds the cycle as tau + tau_m
+        if final_time < (cycle - tau_m) + tau_m:
+            raise ConfigError(f"[{command}] final_time must cover at least one cycle, and "
+                              f"[{command}] cycle_times must fit into it: final_time = "
+                              f"{auto}{final_time!r} is shorter than the cycle {cycle!r}")
 
     def run_one(cycle):
         return (cycle, *run(cycle, final_times[cycle], trace_points))
@@ -384,6 +395,10 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
     if cutoff < 1:
         raise ConfigError(f"[readout] emission_cutoff must be at least 1, got {cutoff}")
     _check_dimension("readout", "emission_cutoff", cutoff)
+    entries = points * _BASIS_DIMENSION["readout"](cutoff)
+    if entries > _MAX_PHASE_TABLE:
+        raise ConfigError(f"[readout] time_points must keep the phase table at most "
+                          f"{_MAX_PHASE_TABLE} entries, got {points} ({entries} entries)")
     config = readout.readout_config(
         detuning=section.get_float("detuning"),
         drive_amplitude=section.get_float("drive_amplitude"),
@@ -391,7 +406,7 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
         transition_1=section.get_float("transition_1"),
         transition_2=section.get_float("transition_2"),
         time_max=section.get_float("time_max"),
-        time_points=section.get_int("time_points"))
+        time_points=points)
     config = dataclasses.replace(config, emission_mode_cutoff=cutoff,
                                  fit_periods=section.get_float("fit_periods"))
     method = section.get_str("method")

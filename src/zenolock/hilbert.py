@@ -5,10 +5,11 @@ and then modes.  Every Hamiltonian in this package is piecewise constant, so
 time evolution is exact through eigendecompositions computed once.  A
 Hamiltonian that conserves an occupation label, as both Zeno protocols' do,
 is assembled straight into its label sectors and evolved block by block,
-with no dense operator of the full basis; the dense operator, whose
-eigensystem is cached on it, serves the readout chain and is the test
-oracle of the sector path.  hbar = 1 throughout; all frequencies are
-angular unless a module says otherwise.
+with no dense operator of the full basis.  The readout chain acts on the
+pair amplitudes directly, so the dense operator, whose eigensystem is cached
+on it, serves only the readout emission model and is the test oracle of the
+sector path.  hbar = 1 throughout; all frequencies are angular unless a
+module says otherwise.
 
 All values are immutable after construction (backing arrays are marked
 read-only) and every operation returns a new value, so states and operators
@@ -21,7 +22,6 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-12
 MODE_PURITY_TOL = 1e-10
 ZERO_PROBABILITY = 1e-30
 
@@ -182,16 +182,15 @@ def _bare_state(basis: ProductBasis, amps: np.ndarray) -> StateVector:
 class OperatorMatrix:
     """Dense operator tagged with the basis it acts on.
 
-    The ``hermitian`` and ``unitary`` flags are verified at construction when
-    set.  The eigendecomposition used by :func:`evolve` is computed lazily and
+    The ``hermitian`` flag is verified at construction when set.  The
+    eigendecomposition used by :func:`evolve` is computed lazily and
     cached, which makes repeated evolution under the same piecewise-constant
     Hamiltonian cheap.
     """
 
-    __slots__ = ("basis", "matrix", "hermitian", "unitary", "_eig", "_diag")
+    __slots__ = ("basis", "matrix", "hermitian", "_eig")
 
-    def __init__(self, basis: ProductBasis, matrix, hermitian: bool = False,
-                 unitary: bool = False):
+    def __init__(self, basis: ProductBasis, matrix, hermitian: bool = False):
         m = np.array(matrix, dtype=complex)
         d = basis.dimension
         if m.shape != (d, d):
@@ -200,23 +199,11 @@ class OperatorMatrix:
             defect = np.max(np.abs(m - m.conj().T))
             if defect >= HERMITIAN_TOL:
                 raise ValueError(f"hermitian flag set but max|M - M^dag| = {defect:.3e}")
-        if unitary:
-            defect = np.max(np.abs(m.conj().T @ m - np.eye(d)))
-            if defect >= UNITARY_TOL:
-                raise ValueError(f"unitary flag set but max|M^dag M - 1| = {defect:.3e}")
         m.flags.writeable = False
         self.basis = basis
         self.matrix = m
         self.hermitian = bool(hermitian)
-        self.unitary = bool(unitary)
         self._eig = None
-        self._diag = None
-
-    def is_diagonal(self) -> bool:
-        if self._diag is None:
-            off = self.matrix - np.diag(self.matrix.diagonal())
-            self._diag = not np.any(off)
-        return self._diag
 
     def eigensystem(self):
         """Cached (eigenvalues, eigenvectors) of a Hermitian operator."""
@@ -229,7 +216,7 @@ class OperatorMatrix:
 
     def __repr__(self):
         return (f"OperatorMatrix(dimension={self.basis.dimension}, "
-                f"hermitian={self.hermitian}, unitary={self.unitary})")
+                f"hermitian={self.hermitian})")
 
 
 def _hamiltonian_entries(basis: ProductBasis, diagonal_weights, exchange_terms):
@@ -375,8 +362,6 @@ def evolve(state: StateVector, hamiltonian: OperatorMatrix, duration: float) -> 
 
 
 def _propagate(hamiltonian: OperatorMatrix, amps: np.ndarray, duration: float) -> np.ndarray:
-    if hamiltonian.is_diagonal():
-        return _propagate_diagonal(hamiltonian.matrix.diagonal().real, amps, duration)
     w, v = hamiltonian.eigensystem()
     return v @ (np.exp(-1j * duration * w) * (v.conj().T @ amps))
 

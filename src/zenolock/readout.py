@@ -50,7 +50,6 @@ class ReadoutConfig:
 
     atom_a: FourLevelEnergies
     atom_b: FourLevelEnergies
-    elapsed_time: float            # default t_f for convenience runs
     detuning: float                # drive offset from the |E2><->|G1| transition
     drive_amplitude: float         # classical coupling-laser strength
     coupling: float                # quantized-mode coupling on |E1><->|G1|
@@ -91,16 +90,15 @@ class ReadoutConfig:
         return self.mean_level("e1") - self.mean_level("g1") - self.detuning
 
 
-def readout_config(elapsed_time: float = 0.0, detuning: float = 10.0,
-                   drive_amplitude: float = 1.0, coupling: float = 2.0,
-                   transition_1: float = 120.0, transition_2: float = 110.0,
-                   time_max: float = 5.0, time_points: int = 4001) -> ReadoutConfig:
+def readout_config(detuning: float = 10.0, drive_amplitude: float = 1.0,
+                   coupling: float = 2.0, transition_1: float = 120.0,
+                   transition_2: float = 110.0, time_max: float = 5.0,
+                   time_points: int = 4001) -> ReadoutConfig:
     """Readout config with identical atoms and both ground levels at zero."""
     atom = FourLevelEnergies(g1=0.0, g2=0.0, e1=transition_1, e2=transition_2)
     grid = tuple(np.linspace(0.0, time_max, time_points))
-    return ReadoutConfig(atom_a=atom, atom_b=atom, elapsed_time=elapsed_time,
-                         detuning=detuning, drive_amplitude=drive_amplitude,
-                         coupling=coupling, readout_times=grid)
+    return ReadoutConfig(atom_a=atom, atom_b=atom, detuning=detuning,
+                         drive_amplitude=drive_amplitude, coupling=coupling, readout_times=grid)
 
 
 def pair_basis() -> h.ProductBasis:
@@ -111,25 +109,27 @@ def emission_basis(config: ReadoutConfig) -> h.ProductBasis:
     return h.build_basis([Atom(4), Atom(4), Mode(config.emission_mode_cutoff)])
 
 
-def _pair_amplitudes(pairs_with_weights) -> np.ndarray:
-    basis = pair_basis()
-    amps = np.zeros(basis.dimension, dtype=complex)
-    for (a, b), weight in pairs_with_weights:
-        amps[basis.index([a, b])] += weight
-    return amps
+# Beam splitter on the ground levels of one atom: |G1> -> (|G1> + |G2>)/sqrt(2),
+# |G2> -> (|G2> - |G1>)/sqrt(2), excited levels untouched.
+_MIXER = np.eye(4)
+_MIXER[G1, G1] = _MIXER[G2, G1] = _MIXER[G2, G2] = 1.0 / math.sqrt(2.0)
+_MIXER[G1, G2] = -1.0 / math.sqrt(2.0)
+_MIXER.flags.writeable = False
+
+
+def _grid(state: StateVector) -> np.ndarray:
+    """Pair amplitudes as a (level of A, level of B) grid, a copy."""
+    if state.basis != pair_basis():
+        raise h.BasisMismatchError("the readout chain acts on the bare two-atom basis")
+    return state.amplitudes.reshape(4, 4).copy()
 
 
 def locked_pair_state() -> StateVector:
     """Equal superposition of the two subradiant manifolds (modes removed)."""
-    w = 0.5
-    amps = _pair_amplitudes([((E1, G1), w), ((G1, E1), -w),
-                             ((E2, G2), w), ((G2, E2), -w)])
-    return StateVector(pair_basis(), amps)
-
-
-def _averaged_level_hamiltonian(config: ReadoutConfig) -> OperatorMatrix:
-    weights = [config.mean_level(name) for name in ("g1", "g2", "e1", "e2")]
-    return h.assemble_hamiltonian(pair_basis(), [weights, weights], [])
+    grid = np.zeros((4, 4), dtype=complex)
+    grid[E1, G1] = grid[E2, G2] = 0.5
+    grid[G1, E1] = grid[G2, E2] = -0.5
+    return StateVector(pair_basis(), grid.ravel())
 
 
 def accumulate_clock_phase(state: StateVector, elapsed_time: float,
@@ -139,14 +139,13 @@ def accumulate_clock_phase(state: StateVector, elapsed_time: float,
     The global phase is normalized so the first-manifold term is real and
     positive, leaving exp(i * clock_frequency * t_f) on the second manifold.
     """
-    ham = _averaged_level_hamiltonian(config)
-    evolved = h.evolve(state, ham, elapsed_time)
-    basis = evolved.basis
-    anchor = evolved.amplitudes[basis.index([E1, G1])]
+    levels = [config.mean_level(name) for name in ("g1", "g2", "e1", "e2")]
+    grid = h._propagate_diagonal(np.add.outer(levels, levels), _grid(state),
+                                 float(elapsed_time))
+    anchor = grid[E1, G1]
     if abs(anchor) < 1e-12:
-        anchor = evolved.amplitudes[int(np.argmax(np.abs(evolved.amplitudes)))]
-    phase = anchor / abs(anchor)
-    return StateVector(basis, evolved.amplitudes * phase.conjugate())
+        anchor = grid.flat[int(np.argmax(np.abs(grid)))]
+    return StateVector(pair_basis(), (grid * (anchor / abs(anchor)).conjugate()).ravel())
 
 
 def flip_sign_atom_b(state: StateVector, level: int) -> StateVector:
@@ -155,36 +154,16 @@ def flip_sign_atom_b(state: StateVector, level: int) -> StateVector:
     Applying it for both excited levels converts the subradiant superposition
     into the superradiant one.
     """
-    basis = state.basis
-    if not 0 <= level < basis.dims[1]:
+    if not 0 <= level < 4:
         raise ValueError(f"level {level} out of range")
-    local = np.eye(basis.dims[1], dtype=complex)
-    local[level, level] = -1.0
-    gate = OperatorMatrix(basis, h._embed(basis, 1, local), hermitian=True, unitary=True)
-    return StateVector(basis, gate.matrix @ state.amplitudes)
-
-
-def ground_mixer_gate(basis: h.ProductBasis) -> OperatorMatrix:
-    """Beam-splitter on the two ground levels of both atoms.
-
-    |G1> -> (|G1> + |G2>)/sqrt(2) and |G2> -> (|G2> - |G1>)/sqrt(2); excited
-    levels untouched.
-    """
-    local = np.eye(4, dtype=complex)
-    inv = 1.0 / math.sqrt(2.0)
-    local[G1, G1] = inv
-    local[G2, G1] = inv
-    local[G1, G2] = -inv
-    local[G2, G2] = inv
-    matrix = np.kron(local, local)
-    for axis in range(2, len(basis.dims)):
-        matrix = np.kron(matrix, np.eye(basis.dims[axis]))
-    return OperatorMatrix(basis, matrix, unitary=True)
+    grid = _grid(state)
+    grid[:, level] *= -1.0
+    return StateVector(pair_basis(), grid.ravel())
 
 
 def mix_ground_levels(state: StateVector) -> StateVector:
-    gate = ground_mixer_gate(state.basis)
-    return StateVector(state.basis, gate.matrix @ state.amplitudes)
+    """The ground-level beam splitter on both atoms."""
+    return StateVector(pair_basis(), (_MIXER @ _grid(state) @ _MIXER.T).ravel())
 
 
 def postselect_not_g2(state: StateVector):
@@ -192,24 +171,22 @@ def postselect_not_g2(state: StateVector):
 
     Returns (state, probability).
     """
-    basis = state.basis
-    multi = np.unravel_index(np.arange(basis.dimension), basis.dims)
-    keep = (multi[0] != G2) & (multi[1] != G2)
-    probability = float(np.sum(np.abs(state.amplitudes[keep]) ** 2))
+    grid = _grid(state)
+    grid[G2, :] = 0.0
+    grid[:, G2] = 0.0
+    probability = float(np.sum(np.abs(grid) ** 2))
     if probability <= h.ZERO_PROBABILITY:
         raise ZeroProbabilityError("no amplitude survives the post-selection")
-    amps = np.where(keep, state.amplitudes, 0.0) / math.sqrt(probability)
-    return StateVector(basis, amps), probability
+    return StateVector(pair_basis(), grid.ravel() / math.sqrt(probability)), probability
 
 
-def readout_chain(config: ReadoutConfig, elapsed_time: Optional[float] = None):
+def readout_chain(config: ReadoutConfig, elapsed_time: float):
     """Locked pair -> precession -> sign flips -> mixer -> post-selection.
 
-    Returns (state, postselect_probability) with the state ready for the
-    emission stage.
+    Every step acts on the 4x4 grid of pair amplitudes.  Returns (state,
+    postselect_probability) with the state ready for the emission stage.
     """
-    t_f = config.elapsed_time if elapsed_time is None else elapsed_time
-    state = accumulate_clock_phase(locked_pair_state(), t_f, config)
+    state = accumulate_clock_phase(locked_pair_state(), elapsed_time, config)
     state = flip_sign_atom_b(state, E1)
     state = flip_sign_atom_b(state, E2)
     state = mix_ground_levels(state)
@@ -280,17 +257,6 @@ def extract_phase(times, values, known_frequency: float,
     return phase
 
 
-def _orthonormal(vectors):
-    out = []
-    for v in vectors:
-        w = v.astype(complex).copy()
-        for u in out:
-            w -= (u.conj() @ w) * u
-        w /= np.linalg.norm(w)
-        out.append(w)
-    return out
-
-
 def _resonant_subspace(config: ReadoutConfig) -> np.ndarray:
     """Orthonormal basis (as columns) of the resonant radiating channel.
 
@@ -308,9 +274,8 @@ def _resonant_subspace(config: ReadoutConfig) -> np.ndarray:
         amps[basis.index([lower, upper, photons])] = 1.0 / math.sqrt(2.0)
         return amps
 
-    vectors = _orthonormal([sym(E1, G1, 0), sym(E2, G1, 1),
-                            sym(E2, G1, 0), sym(E1, G1, 1)])
-    return np.column_stack(vectors)
+    # disjoint supports, so the columns are orthonormal as they stand
+    return np.column_stack([sym(E1, G1, 0), sym(E2, G1, 1), sym(E2, G1, 0), sym(E1, G1, 1)])
 
 
 def _mode_annihilation(config: ReadoutConfig) -> np.ndarray:
@@ -321,7 +286,8 @@ class _EmissionModel:
     """Shared machinery of the emission stage at a fixed mode frequency.
 
     Holds the rotating-frame Hamiltonian, the resonant-channel basis, the
-    second-order effective Hamiltonian on it, and the first-order dressing
+    second-order effective Hamiltonian and the mode's ladder operator on it,
+    and the first-order dressing
     map used to start the evolution in the adiabatically prepared state
     (drive ramp fast compared with the Raman transfer, slow compared with
     the detuning).
@@ -337,26 +303,21 @@ class _EmissionModel:
         bare_energies = matrix.diagonal().real
         couplings = (matrix - np.diag(bare_energies.astype(complex))) @ self.p_matrix
         couplings -= self.p_matrix @ (self.p_matrix.conj().T @ couplings)
-        channel_energies = (self.p_matrix.conj().T @ (matrix @ self.p_matrix)).diagonal().real
+        channel = self.p_matrix.conj().T @ (matrix @ self.p_matrix)
+        channel_energies = channel.diagonal().real
         denominators = channel_energies[None, :] - bare_energies[:, None]
         significant = np.abs(couplings) > 1e-13
         if significant.any() and np.min(np.abs(denominators[significant])) < 1e-6:
             raise ValueError("adiabatic elimination hit a resonant intermediate")
         self.dressing = np.zeros_like(couplings)
         np.divide(couplings, denominators, out=self.dressing, where=significant)
-
-        h_eff = self.p_matrix.conj().T @ (matrix @ self.p_matrix)
-        k = self.p_matrix.shape[1]
-        for q in np.flatnonzero(significant.any(axis=1)):
-            row = couplings[q]
-            for i in range(k):
-                for j in range(k):
-                    num = row[i].conjugate() * row[j]
-                    if abs(num) < 1e-26:
-                        continue
-                    h_eff[i, j] += 0.5 * num * (1.0 / denominators[q, i]
-                                                + 1.0 / denominators[q, j])
-        self.h_eff = h_eff
+        # second order: P^dag H P + (Xi^dag C + C^dag Xi) / 2 with Xi the dressing
+        # and C the couplings out of the channel
+        second_order = self.dressing.conj().T @ couplings
+        self.h_eff = channel + 0.5 * (second_order + second_order.conj().T)
+        # the mode's a on the resonant channel, P^dag a P
+        self.channel_annihilation = self.p_matrix.conj().T @ (
+            _mode_annihilation(config) @ self.p_matrix)
 
     @property
     def readout_times(self) -> tuple:
@@ -387,31 +348,29 @@ class _EmissionModel:
             self._phase_table = table
         return self._phase_table
 
-    def channel_annihilation(self) -> np.ndarray:
-        """The mode's a on the resonant channel, P^dag a P."""
-        return self.p_matrix.conj().T @ (_mode_annihilation(self.config) @ self.p_matrix)
-
-    def embed(self, state: StateVector, dressed: bool = True) -> np.ndarray:
+    def _vacuum(self, state: StateVector) -> np.ndarray:
+        """The two-atom state with the emission mode in vacuum."""
         mode_dim = self.config.emission_mode_cutoff + 1
-        amps = np.kron(state.amplitudes, np.eye(mode_dim, dtype=complex)[0])
-        if dressed:
-            channel = self.p_matrix.conj().T @ amps
-            amps = amps + self.dressing @ channel
-            amps /= np.linalg.norm(amps)
-        return amps
+        return np.kron(state.amplitudes, np.eye(mode_dim, dtype=complex)[0])
+
+    def embed(self, state: StateVector) -> np.ndarray:
+        """The adiabatically dressed start of the emission stage, normalized."""
+        amps = self._vacuum(state)
+        amps = amps + self.dressing @ (self.p_matrix.conj().T @ amps)
+        return amps / np.linalg.norm(amps)
 
 
-def emission_model(config: ReadoutConfig, iterations: int = 4) -> _EmissionModel:
+def emission_model(config: ReadoutConfig) -> _EmissionModel:
     """Emission model with the mode tuned onto the light-shifted resonance.
 
     The bare Raman-resonant frequency is corrected for the differential
-    light shifts of the transfer endpoints by a short fixed-point iteration;
+    light shifts of the transfer endpoints by at most four fixed-point steps;
     detuning the mode by the shift mismatch would otherwise slow and phase-
     slip the transfer.
     """
     frequency = config.emission_frequency
     model = _EmissionModel(config, frequency)
-    for _ in range(iterations):
+    for _ in range(4):
         mismatch = model.resonance_mismatch()
         if abs(mismatch) < 1e-9:
             break
@@ -430,7 +389,7 @@ def _full_quadrature(state: StateVector, model: _EmissionModel,
     """
     config = model.config
     mode_dim = config.emission_mode_cutoff + 1
-    amps = model.embed(state, dressed=True)
+    amps = model.embed(state)
     _, v = model.hamiltonian.eigensystem()
     # row t holds the eigencomponents of the state at time t; the state is rows @ v.T
     rows = model.phase_table() * (v.conj().T @ amps)
@@ -440,7 +399,7 @@ def _full_quadrature(state: StateVector, model: _EmissionModel,
         above_one = float(np.max(np.sum(np.abs(rows @ v[above].T) ** 2, axis=1)))
     if radiated_only:
         measured = rows @ (v.T @ model.p_matrix.conj())
-        a = model.channel_annihilation()
+        a = model.channel_annihilation
     else:
         measured = rows @ v.T
         a = _mode_annihilation(config)
@@ -450,16 +409,11 @@ def _full_quadrature(state: StateVector, model: _EmissionModel,
 
 def _perturbative_quadrature(state: StateVector, model: _EmissionModel):
     """Adiabatic-elimination fast path, full driven evolution as its oracle."""
-    config = model.config
-    mode_dim = config.emission_mode_cutoff + 1
-    amps = np.kron(state.amplitudes, np.eye(mode_dim, dtype=complex)[0])
-    psi0 = model.p_matrix.conj().T @ amps
     w, v = np.linalg.eigh(model.h_eff)
-    times = np.asarray(model.readout_times)
-    coeff = v.conj().T @ psi0
-    trajectories = (np.exp(-1j * np.outer(times, w)) * coeff) @ v.T
-    a_eff = model.channel_annihilation()
-    mean_a = np.einsum("ti,ij,tj->t", trajectories.conj(), a_eff, trajectories)
+    coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(state))
+    trajectories = (np.exp(-1j * np.outer(model.readout_times, w)) * coeff) @ v.T
+    mean_a = np.einsum("ti,ij,tj->t", trajectories.conj(), model.channel_annihilation,
+                       trajectories)
     return 2.0 * mean_a.real, 0.0, model.beat_frequency()
 
 
@@ -506,7 +460,7 @@ def emit_field_trace(state: StateVector, config: _EmissionModel,
                       fitted_frequency=frequency)
 
 
-def readout_phase(config: ReadoutConfig, elapsed_time: Optional[float] = None,
+def readout_phase(config: ReadoutConfig, elapsed_time: float,
                   method: str = "full") -> float:
     """Extracted field phase for a full chain run at the given elapsed time."""
     state, _ = readout_chain(config, elapsed_time)

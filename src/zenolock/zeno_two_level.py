@@ -24,6 +24,10 @@ from .hilbert import Atom, Mode, OperatorMatrix, StateVector
 
 G, E = 0, 1  # atomic level ordering
 
+# Smallest per-cycle error a run resolves: rounding of order eps per cycle
+# gives a per-cycle error p a relative error of about eps/p, 0.1% here.
+MIN_CYCLE_ERROR = 1024 * np.finfo(float).eps
+
 
 class OutOfRegimeError(ValueError):
     """Closed forms requested outside the perturbative regime (P_E > 1)."""
@@ -34,7 +38,8 @@ class ProtocolError(RuntimeError):
 
     Raised when a segment is entered with the cavity in the wrong state, when
     the success branch has zero probability, when population reaches a Fock
-    truncation boundary, and when the survival probability underflows to zero.
+    truncation boundary, when the survival probability underflows to zero,
+    and when the per-cycle error is too small to resolve.
     """
 
 
@@ -374,10 +379,15 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector, rat
     partial cycle is a free drift without a measurement.  The truncation
     tail is taken from one stepwise cycle of ``initial`` (and from every
     cycle when stepwise).  A survival of zero at a recorded cycle raises
-    :class:`ProtocolError`.
+    :class:`ProtocolError`, and so does a nonzero closed-form per-cycle
+    error ``rate * cycle_time`` below :data:`MIN_CYCLE_ERROR`.
     """
     if method not in ("compiled", "stepwise"):
         raise ValueError(f"unknown method {method!r}")
+    if 0.0 < rate * config.cycle_time < MIN_CYCLE_ERROR:
+        raise ProtocolError(
+            f"closed-form per-cycle error {rate * config.cycle_time:.3e} is below "
+            f"{MIN_CYCLE_ERROR:.3e}, where rounding of the cycle map dominates the survival")
     evolver = h.BlockEvolver(hamiltonian)
     drift = functools.partial(h._propagate_diagonal, hamiltonian.diagonal)
     cycle = config.cycle_time

@@ -20,8 +20,7 @@ def basis_state(basis: h.ProductBasis, occupations: Sequence[int]) -> h.StateVec
 
 
 def dagger(op: h.OperatorMatrix) -> h.OperatorMatrix:
-    return h.OperatorMatrix(op.basis, op.matrix.conj().T,
-                            hermitian=op.hermitian, unitary=op.unitary)
+    return h.OperatorMatrix(op.basis, op.matrix.conj().T, hermitian=op.hermitian)
 
 
 def creation(basis: h.ProductBasis, mode_index: int) -> h.OperatorMatrix:

@@ -162,6 +162,17 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "survival underflowed to zero by cycle" in err
 
+    @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
+    def test_unresolvable_cycle_error_exit_code(self, tmp_path, capsys, command):
+        # a per-cycle error of 4e-18 sits below the cycle map's rounding
+        path = write_config(tmp_path, f"[{command}]\ncycle_times = 1e-9\n")
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "numerical validity failure: closed-form per-cycle error 4.000e-18" in err
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
     @pytest.mark.parametrize("points", [0, -3])
     @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
     def test_trace_points_below_one_is_config_error(self, tmp_path, capsys, command, points):
@@ -177,6 +188,10 @@ class TestExitCodes:
         ("survival_floor", "1"), ("survival_floor", "-0.5"), ("photon_number", "-1"),
         # far above the basis-dimension cap: rejected before anything is allocated
         ("photon_number", "1000000"), ("final_time", "0"), ("final_time", "-1"),
+        ("cycle_times", "0"),
+        # a final time shorter than one cycle: zeno2's auto final time
+        # log(1/floor) / (Delta^2 cycle) and zeno4's 100 both fall below it
+        ("cycle_times", "1e3"), ("final_time", "0.0005"),
     ])
     @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
     def test_out_of_range_zeno_key_is_config_error(self, tmp_path, capsys, command,
@@ -206,8 +221,9 @@ class TestExitCodes:
         ("readout", "time_points", "3"), ("readout", "time_points", "1"),
         ("readout", "time_points", "0"), ("readout", "fit_periods", "0"),
         ("readout", "fit_periods", "-2"), ("readout", "time_max", "0"),
-        # far above the basis-dimension cap: rejected before anything is allocated
-        ("readout", "emission_cutoff", "1000000"),
+        # far above the basis-dimension and phase-table caps: rejected before
+        # anything is allocated
+        ("readout", "emission_cutoff", "1000000"), ("readout", "time_points", "1000000000"),
         ("allan", "atom_counts", "2.5"), ("allan", "atom_counts", "0"),
         ("allan", "fwhm", "0"), ("allan", "carrier", "0"), ("allan", "cycle_time", "-1"),
         ("allan", "averaging_times", "0"),

@@ -341,12 +341,6 @@ class TestOperatorFlags:
         with pytest.raises(ValueError):
             h.OperatorMatrix(basis, [[0, 1], [0, 0]], hermitian=True)
 
-    def test_unitary_flag_verified(self):
-        basis = h.build_basis([h.Atom(2)])
-        with pytest.raises(ValueError):
-            h.OperatorMatrix(basis, [[1, 0], [0, 2]], unitary=True)
-        h.OperatorMatrix(basis, [[0, 1], [1, 0]], hermitian=True, unitary=True)
-
 
 def kronecker_hamiltonian(basis, atom_energies, mode_frequencies, exchange_terms):
     """Oracle for assemble_hamiltonian built from chained Kronecker operators.

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from zenolock import hilbert as h
 from zenolock import readout as rd
 from zenolock.hilbert import StateVector
 from zenolock.zeno_multilevel import E1, E2, G1, G2
@@ -95,8 +96,13 @@ class TestGates:
                                        expected_superradiant(phi).amplitudes, atol=1e-12)
 
     def test_mixer_is_unitary(self):
-        gate = rd.ground_mixer_gate(rd.pair_basis())
-        assert gate.unitary
+        rng = np.random.default_rng(5)
+        first, second = (StateVector(rd.pair_basis(), rng.normal(size=16) + 1j * rng.normal(size=16),
+                                     normalize=True) for _ in range(2))
+        mixed_first, mixed_second = rd.mix_ground_levels(first), rd.mix_ground_levels(second)
+        assert mixed_first.norm() == pytest.approx(1.0, abs=1e-15)
+        assert mixed_first.overlap(mixed_second) == pytest.approx(first.overlap(second),
+                                                                  abs=1e-15)
 
     def test_mixer_splits_first_ground_level(self):
         state = chain_state({(G1, E1): 1.0})
@@ -136,6 +142,21 @@ class TestPostselect:
 
 
 class TestChain:
+    def test_builds_no_operator(self, monkeypatch):
+        # every chain step acts on the 4x4 grid of pair amplitudes
+        dimensions = []
+        original = h.OperatorMatrix.__init__
+
+        def recording(self, basis, *args, **kwargs):
+            dimensions.append(basis.dimension)
+            original(self, basis, *args, **kwargs)
+
+        monkeypatch.setattr(h.OperatorMatrix, "__init__", recording)
+        config = rd.readout_config()
+        state, probability = rd.readout_chain(config, 0.3)
+        assert probability == pytest.approx(0.5, abs=1e-12)
+        assert dimensions == []
+
     @pytest.mark.parametrize("phi", np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
     def test_chain_reproduces_expected_states(self, phi):
         config = rd.readout_config()
@@ -195,6 +216,27 @@ class TestEmission:
         scale = np.max(np.abs(full.quadrature))
         assert np.max(np.abs(full.quadrature - fast.quadrature)) <= 0.05 * scale
 
+    def test_effective_hamiltonian_matches_second_order_sum(self):
+        # H_eff[i, j] = (P^dag H P)[i, j] + sum over intermediates q of
+        # conj(C[q, i]) C[q, j] (1/D[q, i] + 1/D[q, j]) / 2, entry by entry
+        model = rd.emission_model(rd.readout_config())
+        matrix, p = model.hamiltonian.matrix, model.p_matrix
+        bare = matrix.diagonal().real
+        channel = p.conj().T @ matrix @ p
+        couplings = (matrix - np.diag(bare)) @ p
+        couplings -= p @ (p.conj().T @ couplings)
+        oracle = channel.copy()
+        for q in range(matrix.shape[0]):
+            for i in range(4):
+                for j in range(4):
+                    if abs(couplings[q, i]) > 1e-13 and abs(couplings[q, j]) > 1e-13:
+                        oracle[i, j] += 0.5 * couplings[q, i].conjugate() * couplings[q, j] * (
+                            1.0 / (channel[i, i].real - bare[q])
+                            + 1.0 / (channel[j, j].real - bare[q]))
+        assert np.max(np.abs(oracle - channel)) > 1e-3
+        # one ulp of the diagonal entries (175 to 286) is 2.8e-14 to 5.7e-14
+        np.testing.assert_allclose(model.h_eff, oracle, rtol=1e-15, atol=1e-14)
+
     def test_effective_coupling_scales_like_drive_over_detuning(self):
         config = rd.readout_config()
         model = rd.emission_model(config)
@@ -215,7 +257,7 @@ class TestEmission:
         # overflow with a doubly excited pair that can emit two photons
         config = rd.readout_config()
         config = rd.ReadoutConfig(atom_a=config.atom_a, atom_b=config.atom_b,
-                                  elapsed_time=0.0, detuning=config.detuning,
+                                  detuning=config.detuning,
                                   drive_amplitude=config.drive_amplitude,
                                   coupling=config.coupling,
                                   readout_times=config.readout_times,
@@ -246,7 +288,7 @@ def dense_radiated_quadrature(state, model):
     one photon.
     """
     mode_dim = model.config.emission_mode_cutoff + 1
-    amps = model.embed(state, dressed=True)
+    amps = model.embed(state)
     w, v = model.hamiltonian.eigensystem()
     times = np.asarray(model.readout_times)
     states = (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ amps)) @ v.T

@@ -68,8 +68,8 @@ class TestHamiltonian:
 
     def test_uncoupled_drops_exchange_terms(self):
         config = small_config()
-        ham = z2.build_hamiltonian(config, coupled=False)
-        assert ham.is_diagonal()
+        matrix = z2.build_hamiltonian(config, coupled=False).matrix
+        assert not np.any(matrix - np.diag(matrix.diagonal()))
 
 
 class TestPairStates:
@@ -291,6 +291,14 @@ class TestRunProtocol:
         with pytest.raises(z2.ProtocolError,
                            match="^survival underflowed to zero by cycle 74125$"):
             z2.run_protocol(config, max_trace_points=800)
+
+    def test_unresolvable_cycle_error_raises(self):
+        # (Delta tau)^2 = 4e-18 is below the rounding of the cycle map's norm,
+        # which would set the survival instead of the physics
+        config = z2.config_for_cycle_time(1e-9, 1e-6)
+        assert 0.0 < config.half_difference**2 * config.cycle_time**2 < z2.MIN_CYCLE_ERROR
+        with pytest.raises(z2.ProtocolError, match="per-cycle error 4.000e-18 is below"):
+            z2.run_protocol(config)
 
     @pytest.mark.parametrize("points", [0, -3])
     def test_trace_points_below_one_rejected(self, points):
