@@ -90,25 +90,18 @@ _DEFAULTS = {
 }
 
 
-# Largest basis a run may build, checked against its size key (the Zeno
-# photon number, the readout emission cutoff) before anything is allocated.
-# Both Zeno runs hold state vectors and sector blocks, which grow linearly
-# with d, but every photon injection or removal forms and diagonalizes the
-# reduced density matrix of one mode, (mode dimension)^2 entries: d/4 on a
-# side for zeno2, about sqrt(d)/4 for zeno4.  The readout emission
-# Hamiltonian is dense, 16 d^2 bytes.  The dimensions follow the default Fock cutoffs:
-# n + 3 for the zeno2 mode, n + 2 for each zeno4 mode.
-_MAX_DIMENSION = {"zeno2": 2048, "zeno4": 1 << 16, "readout": 2048}
-_BASIS_DIMENSION = {"zeno2": lambda n: 4 * (n + 4), "zeno4": lambda n: 16 * (n + 3) ** 2,
-                    "readout": lambda c: 16 * (c + 1)}
+# Largest size key a run may take (the Zeno photon number n, the readout
+# emission cutoff c), so that its basis dimension d stays capped before
+# anything is allocated.  Both Zeno runs hold state vectors and sector blocks,
+# which grow linearly with d, but every photon injection or removal forms and
+# diagonalizes the reduced density matrix of one mode, (mode dimension)^2
+# entries: d/4 on a side for zeno2, about sqrt(d)/4 for zeno4.  The readout
+# emission Hamiltonian is dense, 16 d^2 bytes.  With the default Fock cutoffs
+# (n + 3 for the zeno2 mode, n + 2 for each zeno4 mode) the caps keep
+# d = 4(n + 4) <= 2048 for zeno2, d = 16(n + 3)^2 <= 65,536 for zeno4 and
+# d = 16(c + 1) <= 2048 for readout.
+_MAX_SIZE = {"zeno2": 508, "zeno4": 61, "readout": 127}
 _MAX_PHASE_TABLE = 1 << 24  # readout exp(-i w t): time_points x emission basis dimension
-
-
-def _check_dimension(command: str, key: str, value: int) -> None:
-    dimension = _BASIS_DIMENSION[command](value)
-    if dimension > _MAX_DIMENSION[command]:
-        raise ConfigError(f"[{command}] {key} must keep the basis dimension at most "
-                          f"{_MAX_DIMENSION[command]}, got {value} (dimension {dimension})")
 
 
 def _format_value(value) -> str:
@@ -159,22 +152,17 @@ def _provenance(subcommand: str, config_text: str, seed) -> dict:
 
 def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
     seed = args.seed if args.seed is not None else section.get_int("seed")
-    atom_count = section.get_int("atom_count")
+    atom_count = section.get_int("atom_count", minimum=1)
     f0 = section.get_float("center_frequency")
-    fwhm = section.get_float("fwhm")
-    replicas = section.get_int("replicas")
+    fwhm = section.get_float("fwhm", positive=True)
+    replicas = section.get_int("replicas", minimum=1)
     # the e-fold fit needs a curve, and the histogram sigma ratio a sample spread
-    for key in ("time_points", "histogram_replicas"):
-        value = section.get_int(key)
-        if value < 2:
-            raise ConfigError(f"[dephasing] {key} must be at least 2, got {value}")
-    time_max = section.get_float("time_max")
-    if not time_max > 0.0:
-        raise ConfigError(f"[dephasing] time_max must be positive, got {time_max!r}")
-    bins = section.get_int("histogram_bins")
-    if bins < 1:
-        raise ConfigError(f"[dephasing] histogram_bins must be at least 1, got {bins}")
-    grid = np.linspace(0.0, time_max, section.get_int("time_points"))
+    points = section.get_int("time_points", minimum=2)
+    histogram_replicas = section.get_int("histogram_replicas", minimum=2)
+    time_max = section.get_float("time_max", positive=True)
+    bins = section.get_int("histogram_bins", minimum=1)
+    histogram_atoms = section.get_int("histogram_atom_count", minimum=1)
+    grid = np.linspace(0.0, time_max, points)
     provenance = _provenance("dephasing", config_text, seed)
 
     config = dephasing.EnsembleConfig(atom_count=atom_count, center_frequency=f0,
@@ -205,9 +193,8 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
     write_csv(locked, out_dir / "dephasing_locked.csv")
 
     hist_config = dephasing.EnsembleConfig(
-        atom_count=section.get_int("histogram_atom_count"), center_frequency=f0,
-        fwhm=fwhm, seed=seed, time_grid=(0.0, 1.0),
-        replicas=section.get_int("histogram_replicas"))
+        atom_count=histogram_atoms, center_frequency=f0, fwhm=fwhm, seed=seed,
+        time_grid=(0.0, 1.0), replicas=histogram_replicas)
     histograms = dephasing.bandwidth_histogram(hist_config, bins=bins)
     individual = histograms.individual
     means = histograms.replica_means
@@ -249,64 +236,51 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
     return results, {}, seed
 
 
-def _zeno_final_time(section: Section, cycle: float, rate: float) -> float:
-    if section.get_str("final_time") != "auto":
-        final_time = section.get_float("final_time")
-        if not final_time > 0.0:
-            raise ConfigError(f"[{section.name}] final_time must be positive or 'auto', "
-                              f"got {final_time!r}")
-        return final_time
-    auto_floor = section.get_str("survival_floor") == "auto"
-    floor = 0.1 if auto_floor else section.get_float("survival_floor")
-    if rate <= 0.0:
-        return 1000.0 * cycle
-    return math.log(1.0 / floor) / rate
-
-
 def _survival_curves(command: str, section: Section, out_dir: Path, args,
                      config_text: str, rate: float, run, title: str):
     """Shared body of zeno2 and zeno4: one protocol run per cycle time.
 
-    ``run(cycle, final_time, trace_points)`` returns (config, trace,
-    provenance entries of the run).  ``rate * cycle`` is the closed-form
-    survival decay rate that places an "auto" final time.  Rejects
-    out-of-range values of the keys both sections share before any run,
-    so they end as config errors naming the key.  Writes one CSV
+    ``run(cycle, final_time, photons, ratio, trace_points)`` returns
+    (config, trace, provenance entries of the run).  ``rate * cycle`` is the
+    closed-form survival decay rate that places an "auto" final time.  Reads
+    the keys both sections share and rejects out-of-range values before any
+    run, so they end as config errors naming the key.  Writes one CSV
     per cycle time and fails on a populated truncation boundary.  Returns
     the runs as (cycle, config, trace, provenance) with the results and flags.
     """
-    trace_points = section.get_int("trace_points")
-    if trace_points < 1:
-        raise ConfigError(f"[{command}] trace_points must be at least 1, got {trace_points}")
-    ratio = section.get_float("measure_ratio")
-    if not ratio > 0.0:
-        raise ConfigError(f"[{command}] measure_ratio must be positive, got {ratio!r}")
-    photons = section.get_int("photon_number")
-    if photons < 0:
-        raise ConfigError(f"[{command}] photon_number must be non-negative, got {photons}")
-    _check_dimension(command, "photon_number", photons)
+    trace_points = section.get_int("trace_points", minimum=1)
+    ratio = section.get_float("measure_ratio", positive=True)
+    photons = section.get_int("photon_number", minimum=0, maximum=_MAX_SIZE[command])
+    floor = 0.1
     if section.get_str("survival_floor") != "auto":
         floor = section.get_float("survival_floor")
         if not 0.0 < floor < 1.0:
             raise ConfigError(f"[{command}] survival_floor must be 'auto' or lie "
                               f"strictly between 0 and 1, got {floor!r}")
+    auto = section.get_str("final_time") == "auto"
+    if not auto:
+        final_time = section.get_float("final_time", positive=True)
     provenance = _provenance(command, config_text, args.seed)
 
-    cycles = section.get_float_list("cycle_times")
-    auto = "auto gives " if section.get_str("final_time") == "auto" else ""
+    cycles = section.get_float_list("cycle_times", positive=True)
     final_times = {}
     for cycle in cycles:
-        if not cycle > 0.0:
-            raise ConfigError(f"[{command}] cycle_times must be positive, got {cycle!r}")
-        final_times[cycle] = final_time = _zeno_final_time(section, cycle, rate * cycle)
+        if auto:
+            decay = rate * cycle
+            final_time = math.log(1.0 / floor) / decay if decay > 0.0 else 1000.0 * cycle
+        final_times[cycle] = final_time
         tau_m = cycle / (ratio + 1.0)  # the protocol config holds the cycle as tau + tau_m
+        if not cycle - tau_m > 0.0:
+            raise ConfigError(f"[{command}] measure_ratio must leave a free interval in "
+                              f"the cycle {cycle!r}, got {ratio!r}")
         if final_time < (cycle - tau_m) + tau_m:
             raise ConfigError(f"[{command}] final_time must cover at least one cycle, and "
                               f"[{command}] cycle_times must fit into it: final_time = "
-                              f"{auto}{final_time!r} is shorter than the cycle {cycle!r}")
+                              f"{'auto gives ' if auto else ''}{final_time!r} is shorter "
+                              f"than the cycle {cycle!r}")
 
     def run_one(cycle):
-        return (cycle, *run(cycle, final_times[cycle], trace_points))
+        return (cycle, *run(cycle, final_times[cycle], photons, ratio, trace_points))
 
     runs = parallel_map(run_one, cycles)
     results = {}
@@ -337,10 +311,8 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
 
 def cmd_zeno2(section: Section, out_dir: Path, args, config_text: str):
     delta = section.get_float("half_difference")
-    photons = section.get_int("photon_number")
-    ratio = section.get_float("measure_ratio")
 
-    def run(cycle, final_time, trace_points):
+    def run(cycle, final_time, photons, ratio, trace_points):
         config = z2.config_for_cycle_time(
             cycle, final_time, half_difference=delta, photon_number=photons,
             measure_ratio=ratio, cavity_frequency=section.get_float("cavity_frequency"),
@@ -358,10 +330,8 @@ def cmd_zeno2(section: Section, out_dir: Path, args, config_text: str):
 def cmd_zeno4(section: Section, out_dir: Path, args, config_text: str):
     delta_1 = section.get_float("delta_1")
     delta_2 = section.get_float("delta_2")
-    photons = section.get_int("photon_number")
-    ratio = section.get_float("measure_ratio")
 
-    def run(cycle, final_time, trace_points):
+    def run(cycle, final_time, photons, ratio, trace_points):
         config = zm.four_level_config_from_deltas(
             delta_1, delta_2, cycle_time=cycle, final_time=final_time,
             photon_number=photons, measure_ratio=ratio,
@@ -383,32 +353,32 @@ def cmd_zeno4(section: Section, out_dir: Path, args, config_text: str):
 
 
 def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
-    points = section.get_int("time_points")
-    if points < 4:
-        # extract_phase fits a sine through at least four samples
-        raise ConfigError(f"[readout] time_points must be at least 4, got {points}")
-    for key in ("time_max", "fit_periods"):
-        value = section.get_float(key)
-        if not value > 0.0:
-            raise ConfigError(f"[readout] {key} must be positive, got {value!r}")
-    cutoff = section.get_int("emission_cutoff")
-    if cutoff < 1:
-        raise ConfigError(f"[readout] emission_cutoff must be at least 1, got {cutoff}")
-    _check_dimension("readout", "emission_cutoff", cutoff)
-    entries = points * _BASIS_DIMENSION["readout"](cutoff)
+    # extract_phase fits a sine through at least four samples
+    points = section.get_int("time_points", minimum=4)
+    time_max = section.get_float("time_max", positive=True)
+    fit_periods = section.get_float("fit_periods", positive=True)
+    cutoff = section.get_int("emission_cutoff", minimum=1, maximum=_MAX_SIZE["readout"])
+    entries = points * 16 * (cutoff + 1)
     if entries > _MAX_PHASE_TABLE:
         raise ConfigError(f"[readout] time_points must keep the phase table at most "
                           f"{_MAX_PHASE_TABLE} entries, got {points} ({entries} entries)")
+    detuning = section.get_float("detuning")
+    if detuning == 0.0:
+        raise ConfigError(f"[readout] detuning must be nonzero, got {detuning!r}")
+    transition_1 = section.get_float("transition_1")
+    if not transition_1 > detuning:
+        # the emitted photon's frequency, transition_1 - detuning, must be positive
+        raise ConfigError(f"[readout] transition_1 must exceed [readout] detuning "
+                          f"({detuning!r}), got {transition_1!r}")
     config = readout.readout_config(
-        detuning=section.get_float("detuning"),
+        detuning=detuning,
         drive_amplitude=section.get_float("drive_amplitude"),
         coupling=section.get_float("coupling"),
-        transition_1=section.get_float("transition_1"),
+        transition_1=transition_1,
         transition_2=section.get_float("transition_2"),
-        time_max=section.get_float("time_max"),
+        time_max=time_max,
         time_points=points)
-    config = dataclasses.replace(config, emission_mode_cutoff=cutoff,
-                                 fit_periods=section.get_float("fit_periods"))
+    config = dataclasses.replace(config, emission_mode_cutoff=cutoff, fit_periods=fit_periods)
     method = section.get_str("method")
     if method not in ("full", "perturbative"):
         raise ConfigError(f"[readout] method must be 'full' or 'perturbative', got {method!r}")
@@ -457,21 +427,15 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
 
 
 def cmd_allan(section: Section, out_dir: Path, args, config_text: str):
-    fwhm = section.get_float("fwhm")
-    carrier = section.get_float("carrier")
-    cycle_time = section.get_float("cycle_time")
-    averaging_times = section.get_float_list("averaging_times")
-    for key, values in (("fwhm", [fwhm]), ("carrier", [carrier]),
-                        ("cycle_time", [cycle_time]), ("averaging_times", averaging_times)):
-        for value in values:
-            if not value > 0.0:
-                raise ConfigError(f"[allan] {key} must be positive, got {value!r}")
-    atom_counts = []
-    for count in section.get_float_list("atom_counts"):
-        if count < 1.0 or count != int(count):
+    fwhm = section.get_float("fwhm", positive=True)
+    carrier = section.get_float("carrier", positive=True)
+    cycle_time = section.get_float("cycle_time", positive=True)
+    averaging_times = section.get_float_list("averaging_times", positive=True)
+    atom_counts = section.get_float_list("atom_counts")
+    for count in atom_counts:
+        if count < 1.0 or not count.is_integer():
             raise ConfigError(f"[allan] atom_counts must be whole numbers of at least 1, "
                               f"got {count!r}")
-        atom_counts.append(int(count))
     provenance = _provenance("allan", config_text, args.seed)
 
     rows = []
@@ -483,7 +447,7 @@ def cmd_allan(section: Section, out_dir: Path, args, config_text: str):
             locked = dephasing.allan_deviation(dephasing.AllanParams(
                 fwhm=fwhm / math.sqrt(count), carrier=carrier, atom_count=count,
                 cycle_time=cycle_time, averaging_time=averaging))
-            rows.append((float(count), float(averaging), raw, locked, raw / locked))
+            rows.append((count, averaging, raw, locked, raw / locked))
     record = TraceRecord(
         name="allan_deviation",
         columns=("atom_count", "averaging_time", "sigma_y", "sigma_y_locked",
@@ -546,18 +510,21 @@ def main(argv=None) -> int:
                 raise ConfigError(f"{config_path}: unknown section [{name}]")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        results, flags, seed = _HANDLERS[args.command](section, out_dir, args,
-                                                       config_text)
+        # Floating-point overflow, division by zero and invalid operations
+        # raise here instead of warning.  The pool threads of parallel_map
+        # start in a fresh context, so work mapped onto them is not covered.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            results, flags, seed = _HANDLERS[args.command](section, out_dir, args,
+                                                           config_text)
     except ConfigError as error:
         print(f"zenolock: config error: {error}", file=sys.stderr)
         return EXIT_CONFIG
-    except (z2.ProtocolError, readout.CutoffOverflowError,
-            readout.DegenerateFitError, dephasing.EnvelopeFitError) as error:
+    except (ValueError, ArithmeticError, z2.ProtocolError, readout.CutoffOverflowError,
+            dephasing.EnvelopeFitError) as error:
+        # every config error is a ConfigError raised above; a library
+        # ValueError here is a numerical failure of a valid configuration
         print(f"zenolock: numerical validity failure: {error}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as error:
-        print(f"zenolock: config error: {error}", file=sys.stderr)
-        return EXIT_CONFIG
     _write_manifest(out_dir, args.command, config_path, config_text, seed,
                     args.plots, section.resolved(), results, flags)
     if args.strict and flags.get("out_of_regime"):

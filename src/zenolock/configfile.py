@@ -7,7 +7,8 @@ The format is deliberately trivial to parse from any language:
     key = value
 
 Values are plain scalars or comma-separated lists; types are enforced at
-lookup time with line-numbered diagnostics.
+lookup time with line-numbered diagnostics, and so is the range a lookup
+declares, with a diagnostic naming the [section] and key.
 """
 
 import math
@@ -90,39 +91,41 @@ class Section:
 
     def _convert(self, key: str, converter, kind: str):
         raw, where = self._raw(key)
-        if raw is None:
-            return None
-        if isinstance(raw, str):
-            try:
-                return converter(raw)
-            except (TypeError, ValueError) as error:
-                raise ConfigError(
-                    f"{where}: field {key!r} needs {kind}, got {raw!r}") from error
-        return raw
+        try:
+            return converter(raw)
+        except (TypeError, ValueError) as error:
+            raise ConfigError(f"{where}: field {key!r} needs {kind}, got {raw!r}") from error
 
-    def get_float(self, key: str):
-        return self._convert(key, _finite_float, "a finite number")
+    def _bound(self, key: str, value, minimum=None, maximum=None, positive=False):
+        """``value`` if it keeps the range declared for ``key``, else a ConfigError."""
+        if positive and not value > 0.0:
+            bound = "positive"
+        elif minimum is not None and value < minimum:
+            bound = f"at least {minimum}"
+        elif maximum is not None and value > maximum:
+            bound = f"at most {maximum}"
+        else:
+            return value
+        raise ConfigError(f"[{self.name}] {key} must be {bound}, got {value!r}")
 
-    def get_int(self, key: str):
-        return self._convert(key, lambda v: int(v, 0), "an integer")
+    def get_float(self, key: str, positive: bool = False) -> float:
+        value = self._convert(key, _finite_float, "a finite number")
+        return self._bound(key, value, positive=positive)
 
-    def get_bool(self, key: str):
-        def parse(v):
-            lowered = v.lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(v)
-        return self._convert(key, parse, "a boolean")
+    def get_int(self, key: str, minimum=None, maximum=None) -> int:
+        value = self._convert(key, lambda v: int(v, 0), "an integer")
+        return self._bound(key, value, minimum=minimum, maximum=maximum)
 
-    def get_float_list(self, key: str):
+    def get_float_list(self, key: str, positive: bool = False) -> tuple:
         def parse(v):
             items = [part.strip() for part in v.split(",") if part.strip()]
             if not items:
                 raise ValueError(v)
             return tuple(_finite_float(part) for part in items)
-        return self._convert(key, parse, "a comma-separated list of finite numbers")
+        values = self._convert(key, parse, "a comma-separated list of finite numbers")
+        for value in values:
+            self._bound(key, value, positive=positive)
+        return values
 
     def get_str(self, key: str):
         raw, _ = self._raw(key)

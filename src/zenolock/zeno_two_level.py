@@ -379,12 +379,13 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector, rat
     partial cycle is a free drift without a measurement.  The truncation
     tail is taken from one stepwise cycle of ``initial`` (and from every
     cycle when stepwise).  A survival of zero at a recorded cycle raises
-    :class:`ProtocolError`, and so does a nonzero closed-form per-cycle
-    error ``rate * cycle_time`` below :data:`MIN_CYCLE_ERROR`.
+    :class:`ProtocolError`, and so does a positive ``rate`` whose closed-form
+    per-cycle error ``rate * cycle_time`` falls below :data:`MIN_CYCLE_ERROR`
+    (also when it underflows to zero).
     """
     if method not in ("compiled", "stepwise"):
         raise ValueError(f"unknown method {method!r}")
-    if 0.0 < rate * config.cycle_time < MIN_CYCLE_ERROR:
+    if rate > 0.0 and rate * config.cycle_time < MIN_CYCLE_ERROR:
         raise ProtocolError(
             f"closed-form per-cycle error {rate * config.cycle_time:.3e} is below "
             f"{MIN_CYCLE_ERROR:.3e}, where rounding of the cycle map dominates the survival")

@@ -43,6 +43,38 @@ fit_periods = 16
 [allan]
 """
 
+# Keys read as integers; every other key except method is a number or a
+# list of numbers, or (final_time, survival_floor) also 'auto'.
+INT_KEYS = {"atom_count", "replicas", "time_points", "histogram_atom_count",
+            "histogram_replicas", "histogram_bins", "photon_number", "trace_points",
+            "emission_cutoff"}
+SIZE_KEYS = {"zeno2": "photon_number", "zeno4": "photon_number", "readout": "emission_cutoff"}
+
+
+def contract_cases():
+    """(section, key, value) for every key of every section but the seed."""
+    for section, keys in cli._DEFAULTS.items():
+        for key in keys:
+            if key == "seed":
+                continue
+            if key == "method":
+                values = ["x"]
+            elif key in INT_KEYS:
+                values = ["-1", "0", "1", "2", "3"]
+                if SIZE_KEYS.get(section) == key:
+                    values.append(str(cli._MAX_SIZE[section] + 1))
+            else:
+                values = ["-1", "0", "1e-300", "1e-9", "0.5", "1e9", "1e300", "nan", "banana"]
+            for value in values:
+                yield section, key, value
+
+
+def small_with(section, key, value):
+    """The [section] of SMALL with ``key`` set to ``value``."""
+    entries = {name: entry.value for name, entry in parse_config_text(SMALL)[section].items()}
+    entries[key] = value
+    return f"[{section}]\n" + "".join(f"{name} = {text}\n" for name, text in entries.items())
+
 
 class TestConfigParsing:
     def test_sections_and_values(self):
@@ -73,8 +105,22 @@ class TestConfigParsing:
                           {"x": "0", "n": "0", "flag": "false", "list": "0"}, "f")
         assert section.get_float("x") == 2.5
         assert section.get_int("n") == 7
-        assert section.get_bool("flag") is True
         assert section.get_float_list("list") == (1.0, 2.0)
+
+    @pytest.mark.parametrize("getter, bound, message", [
+        ("get_int", {"minimum": 8}, "[a] n must be at least 8, got 7"),
+        ("get_int", {"maximum": 6}, "[a] n must be at most 6, got 7"),
+        ("get_float", {"positive": True}, "[a] x must be positive, got -2.5"),
+        ("get_float_list", {"positive": True}, "[a] list must be positive, got 0.0"),
+    ])
+    def test_declared_bounds(self, getter, bound, message):
+        parsed = parse_config_text("[a]\nx = -2.5\nn = 7\nlist = 1, 0\n")
+        section = Section("a", parsed["a"], {"x": "0", "n": "0", "list": "0"}, "f")
+        key = {"get_int": "n", "get_float": "x", "get_float_list": "list"}[getter]
+        with pytest.raises(ConfigError) as caught:
+            getattr(section, getter)(key, **bound)
+        assert str(caught.value) == message
+        assert section.get_int("n", minimum=7, maximum=7) == 7
 
     def test_bad_value_diagnostics(self):
         parsed = parse_config_text("[a]\nx = not_a_number\n", source="f.cfg")
@@ -164,14 +210,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
     def test_unresolvable_cycle_error_exit_code(self, tmp_path, capsys, command):
-        # a per-cycle error of 4e-18 sits below the cycle map's rounding
-        path = write_config(tmp_path, f"[{command}]\ncycle_times = 1e-9\n")
-        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == cli.EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "numerical validity failure: closed-form per-cycle error 4.000e-18" in err
-        assert not (tmp_path / "out" / "manifest.txt").exists()
+        # a per-cycle error of 4e-18 sits below the cycle map's rounding, and
+        # one that underflows to zero is no zero split
+        for cycle, error in (("1e-9", "4.000e-18"), ("1e-300", "0.000e+00")):
+            path = write_config(tmp_path, f"[{command}]\ncycle_times = {cycle}\n")
+            code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+            assert code == cli.EXIT_NUMERICAL
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert f"numerical validity failure: closed-form per-cycle error {error}" in err
+            assert not (tmp_path / "out" / "manifest.txt").exists()
 
     @pytest.mark.parametrize("points", [0, -3])
     @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
@@ -192,6 +240,8 @@ class TestExitCodes:
         # a final time shorter than one cycle: zeno2's auto final time
         # log(1/floor) / (Delta^2 cycle) and zeno4's 100 both fall below it
         ("cycle_times", "1e3"), ("final_time", "0.0005"),
+        # tau_m = cycle / (1 + ratio) rounds to the whole cycle
+        ("measure_ratio", "1e-300"),
     ])
     @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
     def test_out_of_range_zeno_key_is_config_error(self, tmp_path, capsys, command,
@@ -227,6 +277,11 @@ class TestExitCodes:
         ("allan", "atom_counts", "2.5"), ("allan", "atom_counts", "0"),
         ("allan", "fwhm", "0"), ("allan", "carrier", "0"), ("allan", "cycle_time", "-1"),
         ("allan", "averaging_times", "0"),
+        ("dephasing", "atom_count", "0"), ("dephasing", "replicas", "0"),
+        ("dephasing", "histogram_atom_count", "0"), ("dephasing", "fwhm", "0"),
+        ("readout", "detuning", "0"),
+        # an emitted photon of frequency transition_1 - detuning <= 0
+        ("readout", "transition_1", "0"), ("readout", "transition_1", "10"),
     ])
     def test_out_of_range_key_is_config_error(self, tmp_path, capsys, section, key, value):
         path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
@@ -260,6 +315,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "transition_1" in err and "transition_2" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_resonant_intermediate_exit_code(self, tmp_path, capsys):
+        # a valid detuning this small puts an intermediate level on resonance
+        path = write_config(tmp_path, "[readout]\ndetuning = 1e-9\n")
+        code = cli.main(["readout", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == ("zenolock: numerical validity failure: adiabatic elimination hit "
+                       "a resonant intermediate\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("section, key, value", list(contract_cases()))
+    def test_every_key_ends_in_a_contract_exit(self, tmp_path, capsys, section, key, value):
+        path = write_config(tmp_path, small_with(section, key, value))
+        code = cli.main([section, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_OUT_OF_REGIME,
+                        cli.EXIT_NUMERICAL)
+        err = capsys.readouterr().err
+        if code != cli.EXIT_OK:
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert "Traceback" not in err
+        if code == cli.EXIT_CONFIG:
+            assert f"[{section}] {key}" in err or f"field {key!r}" in err
 
     def test_out_of_regime_with_strict(self, tmp_path):
         text = "[zeno2]\nhalf_difference = 30.0\ncycle_times = 0.1\nfinal_time = 0.5\n"
