@@ -7,6 +7,7 @@ cosine of the accumulated phases shows the coherence washing out on the
 stretches that by sqrt(N).
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -30,13 +31,15 @@ print(f"coherence e-fold time, independent atoms: {1 / (dp.TWO_PI * sigma):.5f} 
 print(f"coherence e-fold time, locked ensemble:   "
       f"{math.sqrt(ATOMS) / (dp.TWO_PI * sigma):.5f} s")
 
-grid = np.linspace(0.0, 0.1, 201)
-config = dp.EnsembleConfig(ATOMS, F0, FWHM, SEED, tuple(grid), REPLICAS)
+config = dp.EnsembleConfig(ATOMS, F0, FWHM, SEED, time_max=0.1, time_points=201,
+                           replicas=REPLICAS)
+grid = config.time_grid
 mc_ind, se_ind = dp.monte_carlo_mean_cos(config)
 analytic_ind = dp.envelope_independent(grid, sigma, F0)
 
+# the same 201 points stretched by sqrt(N)
 locked_grid = grid * math.sqrt(ATOMS)
-locked_config = dp.EnsembleConfig(ATOMS, F0, FWHM, SEED, tuple(locked_grid), REPLICAS)
+locked_config = dataclasses.replace(config, time_max=locked_grid[-1])
 mc_lock, se_lock = dp.monte_carlo_mean_cos(locked_config, locked=True)
 analytic_lock = dp.envelope_locked(locked_grid, sigma, F0, ATOMS)
 
@@ -53,7 +56,8 @@ line_plot(OUT / "dephasing_locked.svg",
           title="Mean cosine, locked ensemble", xlabel="t [s]", ylabel="mean cos")
 
 # sqrt(N) narrowing of the frequency distribution itself
-hist_config = dp.EnsembleConfig(9, F0, FWHM, SEED, (0.0, 1.0), 10_000)
+hist_config = dp.EnsembleConfig(9, F0, FWHM, SEED, time_max=1.0, time_points=2,
+                                replicas=10_000)
 histograms = dp.bandwidth_histogram(hist_config)
 print(f"\nN = 9 replica-mean distribution is {histograms.sigma_ratio:.2f}x narrower "
       f"than the single-atom one (expect {math.sqrt(9):.0f}x)")

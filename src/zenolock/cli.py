@@ -162,17 +162,14 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
     time_max = section.get_float("time_max", positive=True)
     bins = section.get_int("histogram_bins", minimum=1)
     histogram_atoms = section.get_int("histogram_atom_count", minimum=1)
-    grid = np.linspace(0.0, time_max, points)
     provenance = _provenance("dephasing", config_text, seed)
 
     config = dephasing.EnsembleConfig(atom_count=atom_count, center_frequency=f0,
-                                      fwhm=fwhm, seed=seed, time_grid=tuple(grid),
-                                      replicas=replicas)
+                                      fwhm=fwhm, seed=seed, time_max=time_max,
+                                      time_points=points, replicas=replicas)
+    grid = config.time_grid
     locked_grid = grid * math.sqrt(atom_count)
-    locked_config = dephasing.EnsembleConfig(atom_count=atom_count,
-                                             center_frequency=f0, fwhm=fwhm,
-                                             seed=seed, time_grid=tuple(locked_grid),
-                                             replicas=replicas)
+    locked_config = dataclasses.replace(config, time_max=locked_grid[-1])
     sigma = config.sigma
     mc_ind, se_ind = dephasing.monte_carlo_mean_cos(config, locked=False)
     mc_lock, se_lock = dephasing.monte_carlo_mean_cos(locked_config, locked=True)
@@ -194,7 +191,7 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
 
     hist_config = dephasing.EnsembleConfig(
         atom_count=histogram_atoms, center_frequency=f0, fwhm=fwhm, seed=seed,
-        time_grid=(0.0, 1.0), replicas=histogram_replicas)
+        time_max=1.0, time_points=2, replicas=histogram_replicas)
     histograms = dephasing.bandwidth_histogram(hist_config, bins=bins)
     individual = histograms.individual
     means = histograms.replica_means
@@ -237,17 +234,24 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
 
 
 def _survival_curves(command: str, section: Section, out_dir: Path, args,
-                     config_text: str, rate: float, run, title: str):
+                     config_text: str, deltas: dict, run, title: str):
     """Shared body of zeno2 and zeno4: one protocol run per cycle time.
 
     ``run(cycle, final_time, photons, ratio, trace_points)`` returns
-    (config, trace, provenance entries of the run).  ``rate * cycle`` is the
-    closed-form survival decay rate that places an "auto" final time.  Reads
+    (config, trace, provenance entries of the run).  ``deltas`` maps the
+    splitting keys to their values; the cycle times the mean of their squares
+    is the closed-form decay rate that places an "auto" final time.  Reads
     the keys both sections share and rejects out-of-range values before any
-    run, so they end as config errors naming the key.  Writes one CSV
-    per cycle time and fails on a populated truncation boundary.  Returns
-    the runs as (cycle, config, trace, provenance) with the results and flags.
+    run, so they end as config errors naming the key.  Writes one CSV per
+    cycle time and fails on a populated truncation boundary.  Returns the
+    runs as (cycle, config, trace, provenance) with the results and flags.
     """
+    try:
+        rate = sum(value**2 for value in deltas.values()) / len(deltas)
+    except OverflowError:
+        key, value = max(deltas.items(), key=lambda item: abs(item[1]))
+        raise OverflowError(f"[{command}] {key} = {value!r} overflows the closed-form "
+                            f"decay rate") from None
     trace_points = section.get_int("trace_points", minimum=1)
     ratio = section.get_float("measure_ratio", positive=True)
     photons = section.get_int("photon_number", minimum=0, maximum=_MAX_SIZE[command])
@@ -323,7 +327,8 @@ def cmd_zeno2(section: Section, out_dir: Path, args, config_text: str):
                                "measure_interval": repr(config.measure_interval)}
 
     _, results, flags = _survival_curves("zeno2", section, out_dir, args, config_text,
-                                         delta**2, run, "Two-level survival probability")
+                                         {"half_difference": delta}, run,
+                                         "Two-level survival probability")
     return results, flags, args.seed
 
 
@@ -342,8 +347,8 @@ def cmd_zeno4(section: Section, out_dir: Path, args, config_text: str):
                                "coupling": repr(config.coupling)}
 
     runs, results, flags = _survival_curves(
-        "zeno4", section, out_dir, args, config_text, 0.5 * (delta_1**2 + delta_2**2),
-        run, "Four-level survival probability")
+        "zeno4", section, out_dir, args, config_text,
+        {"delta_1": delta_1, "delta_2": delta_2}, run, "Four-level survival probability")
     flags["mode_off_resonance"] = False
     for cycle, config, _, _ in runs:
         flags["mode_off_resonance"] |= any(abs(d) > 1e-9 for d in config.mode_detunings())
@@ -390,7 +395,9 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
     model = readout.emission_model(config)
 
     def run_one(target):
-        elapsed = target / config.clock_frequency
+        # target mod 2 pi, less the 2.449e-16 per turn that TWO_PI falls short
+        phase = target % readout.TWO_PI - target // readout.TWO_PI * 2.4492935982947064e-16
+        elapsed = (phase % readout.TWO_PI) / config.clock_frequency
         state, probability = readout.readout_chain(config, elapsed)
         trace = readout.emit_field_trace(state, model, method=method)
         return target, elapsed, probability, trace

@@ -12,7 +12,6 @@ This is the only module that works in plain Hz and seconds.
 
 import threading
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +37,8 @@ class EnsembleConfig:
     center_frequency: float  # Hz
     fwhm: float              # Hz
     seed: int
-    time_grid: tuple         # seconds, strictly increasing
+    time_max: float          # seconds, the last of
+    time_points: int         # evenly spaced sample times from t = 0
     replicas: int = 1
 
     def __post_init__(self):
@@ -48,14 +48,19 @@ class EnsembleConfig:
             raise ValueError("replicas must be >= 1")
         if not self.fwhm > 0.0:
             raise ValueError("fwhm must be positive")
-        grid = tuple(float(t) for t in self.time_grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("time_grid must be strictly increasing")
-        object.__setattr__(self, "time_grid", grid)
+        if not self.time_max > 0.0:
+            raise ValueError("time_max must be positive")
+        if self.time_points < 2:
+            raise ValueError("time_points must be >= 2")
 
     @property
     def sigma(self) -> float:
         return fwhm_to_sigma(self.fwhm)
+
+    @property
+    def time_grid(self) -> np.ndarray:
+        """The sample times in seconds: linspace(0, time_max, time_points)."""
+        return np.linspace(0.0, self.time_max, self.time_points)
 
 
 def _philox_generator(seed: int, replica: int) -> np.random.Generator:
@@ -125,24 +130,6 @@ def sample_all_replicas(config: EnsembleConfig) -> np.ndarray:
     return draw[1][:, :config.atom_count]
 
 
-def mean_frequency(frequencies: Sequence[float]) -> float:
-    """Arithmetic mean of the ensemble frequencies."""
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.size == 0:
-        raise ValueError("cannot average an empty frequency list")
-    return float(np.mean(freqs))
-
-
-def mean_cos_phase(frequencies: Sequence[float], t):
-    """Mean over atoms of cos(2 pi f_k t); scalar or vectorized in t."""
-    freqs = np.asarray(frequencies, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise ValueError("time must be non-negative")
-    values = np.cos(TWO_PI * np.multiply.outer(t_arr, freqs)).mean(axis=-1)
-    return float(values) if np.isscalar(t) or t_arr.ndim == 0 else values
-
-
 def envelope_independent(t, sigma: float, center_frequency: float):
     """Expected mean cosine when every atom keeps its own frequency.
 
@@ -186,44 +173,20 @@ def allan_deviation(params: AllanParams) -> float:
             * np.sqrt(params.cycle_time / params.averaging_time))
 
 
-def _uniform_step(grid: np.ndarray) -> float | None:
-    """Spacing dt of a grid t_k = t_0 + k dt, or None for any other grid.
+def _phasor_values(freqs: np.ndarray, step: float, points: int) -> np.ndarray:
+    """Per-replica mean cosine on the grid k step, k < points.
 
-    A grid of two or more points is uniform when every point lies within a
-    few ulp of max|t| of t_0 + k dt, which covers the rounding of linspace
-    and of a scaled linspace.
-    """
-    if grid.size < 2:
-        return None
-    step = (grid[-1] - grid[0]) / (grid.size - 1)
-    rebuilt = grid[0] + step * np.arange(grid.size)
-    tolerance = 4.0 * np.spacing(np.abs(grid).max())
-    return float(step) if np.abs(grid - rebuilt).max() <= tolerance else None
-
-
-def _cos_values(freqs: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Per-replica mean cosine, shape (grid, replicas), by one cos per atom and point."""
-    values = np.empty((grid.size, freqs.shape[0]))
-    for k, t in enumerate(grid):
-        values[k] = np.cos(TWO_PI * t * freqs).mean(axis=1)
-    return values
-
-
-def _phasor_values(freqs: np.ndarray, start: float, step: float,
-                   points: int) -> np.ndarray:
-    """Per-replica mean cosine on the uniform grid start + k step, k < points.
-
-    The phasor z = exp(2 pi i f t) advances by w = exp(2 pi i f step) per
-    grid point, so each point costs one complex multiply per atom instead of
-    a cosine.  Replicas are processed in fixed blocks; each block writes its
-    own columns of the (points, replicas) result.
+    The phasor z = exp(2 pi i f t) starts at 1 and advances by w =
+    exp(2 pi i f step) per grid point: one complex multiply per atom instead
+    of a cosine.  Replicas are processed in fixed blocks; each block writes
+    its own columns of the (points, replicas) result.
     """
     replicas, atoms = freqs.shape
     values = np.empty((points, replicas))
     rows = max(1, _BLOCK_ENTRIES // atoms)
     for lo in range(0, replicas, rows):
         block = freqs[lo:lo + rows]
-        phasor = np.exp(1j * (TWO_PI * start) * block)
+        phasor = np.ones(block.shape, dtype=complex)
         turn = np.exp(1j * (TWO_PI * step) * block)
         for k in range(points):
             values[k, lo:lo + rows] = phasor.real.mean(axis=1)
@@ -236,24 +199,18 @@ def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False):
 
     Returns ``(mean, standard_error)`` arrays.  In the locked variant every
     atom of a replica oscillates at that replica's mean frequency, so each
-    replica is a one-atom ensemble.  A uniform grid is advanced by the
-    phasor recurrence of :func:`_phasor_values`; any other grid takes one
-    cosine per atom and point.  Either way the per-replica means land in one
+    replica is a one-atom ensemble.  The grid is advanced by the phasor
+    recurrence of :func:`_phasor_values`; the per-replica means land in one
     (grid, replicas) array that is reduced once, in a fixed order, so the
     result does not depend on the thread count.
     """
     freqs = sample_all_replicas(config)
     if locked:
         freqs = freqs.mean(axis=1, keepdims=True)
-    grid = np.asarray(config.time_grid)
-    step = _uniform_step(grid)
-    if step is None:
-        values = _cos_values(freqs, grid)
-    else:
-        values = _phasor_values(freqs, grid[0], step, grid.size)
+    values = _phasor_values(freqs, config.time_max / (config.time_points - 1), config.time_points)
     mean = values.mean(axis=1)
     if config.replicas == 1:
-        return mean, np.zeros(grid.size)
+        return mean, np.zeros_like(mean)
     return mean, values.std(axis=1, ddof=1) / np.sqrt(config.replicas)
 
 
@@ -304,7 +261,7 @@ _FIT_ITERATIONS = 100
 _FIT_RTOL = 4.0 * np.finfo(float).eps
 
 
-def fit_efold_time(times, values, center_frequency: float, sigma_guess: float | None = None) -> float:
+def fit_efold_time(times, values, center_frequency: float, sigma_guess: float) -> float:
     """Time at which a Gaussian coherence envelope drops to e^(-1/2).
 
     Fits exp(-a t^2) cos(2 pi f0 t) with the amplitude pinned to 1 (the mean
@@ -318,14 +275,10 @@ def fit_efold_time(times, values, center_frequency: float, sigma_guess: float | 
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if sigma_guess is None:
-        # assume the grid spans a few e-fold times
-        span = float(times[-1]) if times[-1] > 0 else 1.0
-        sigma_guess = 3.0 / (TWO_PI * span)
     a = 0.5 * (TWO_PI * sigma_guess) ** 2
     if not 0.0 < a < np.inf:
         raise EnvelopeFitError(f"envelope fit needs a positive finite starting decay "
-                               f"rate, got {a!r} from sigma_guess {sigma_guess!r}")
+                               f"rate, got {float(a)!r} from sigma_guess {float(sigma_guess)!r}")
     squares = times**2
     carrier = np.cos(TWO_PI * center_frequency * times)
     for _ in range(_FIT_ITERATIONS):

@@ -24,11 +24,10 @@ def report(number, text):
 def test_01_dephasing_envelopes():
     started = time.monotonic()
     atoms, f0, fwhm, replicas, seed = 100, 100.0, 10.0, 10_000, 20260808
-    grid = np.linspace(0.0, 0.1, 201)
-    config = dp.EnsembleConfig(atoms, f0, fwhm, seed, tuple(grid), replicas)
+    config = dp.EnsembleConfig(atoms, f0, fwhm, seed, 0.1, 201, replicas)
+    grid = config.time_grid
     locked_grid = grid * math.sqrt(atoms)
-    locked_config = dp.EnsembleConfig(atoms, f0, fwhm, seed, tuple(locked_grid),
-                                      replicas)
+    locked_config = dp.EnsembleConfig(atoms, f0, fwhm, seed, locked_grid[-1], 201, replicas)
     sigma = config.sigma
 
     mc_ind, se_ind = dp.monte_carlo_mean_cos(config)
@@ -51,7 +50,7 @@ def test_01_dephasing_envelopes():
 
 def test_02_bandwidth_narrowing():
     config = dp.EnsembleConfig(atom_count=9, center_frequency=100.0, fwhm=10.0,
-                               seed=20260808, time_grid=(0.0, 1.0), replicas=10_000)
+                               seed=20260808, time_max=1.0, time_points=2, replicas=10_000)
     histograms = dp.bandwidth_histogram(config)
     fitted = histograms.replica_means.sample_sigma
     assert fitted == pytest.approx(config.sigma / 3.0, rel=0.10)

@@ -177,7 +177,7 @@ class TestExitCodes:
         assert code == cli.EXIT_NUMERICAL
 
     def test_envelope_fit_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        def failing(times, values, center_frequency, sigma_guess=None):
+        def failing(times, values, center_frequency, sigma_guess):
             raise dephasing.EnvelopeFitError("envelope fit did not converge")
 
         monkeypatch.setattr(dephasing, "fit_efold_time", failing)
@@ -337,8 +337,20 @@ class TestExitCodes:
         if code != cli.EXIT_OK:
             assert err.count("\n") == 1 and err.endswith("\n")
             assert "Traceback" not in err
+        # values print as plain numbers, and an overflow names what overflowed
+        assert "np.float64(" not in err and "(34, '" not in err
         if code == cli.EXIT_CONFIG:
             assert f"[{section}] {key}" in err or f"field {key!r}" in err
+
+    @pytest.mark.parametrize("section, key", [("zeno2", "half_difference"),
+                                              ("zeno4", "delta_1"), ("zeno4", "delta_2")])
+    def test_overflowing_decay_rate_names_the_key(self, tmp_path, capsys, section, key):
+        path = write_config(tmp_path, f"[{section}]\n{key} = 1e300\n")
+        code = cli.main([section, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"zenolock: numerical validity failure: [{section}] {key} = 1e+300 overflows "
+            f"the closed-form decay rate\n")
 
     def test_out_of_regime_with_strict(self, tmp_path):
         text = "[zeno2]\nhalf_difference = 30.0\ncycle_times = 0.1\nfinal_time = 0.5\n"
@@ -421,6 +433,23 @@ photon_number = 2
         trace1 = read_csv(out / "readout_trace_1.csv")
         amp = np.max(np.abs(trace0.rows[:, 1]))
         assert np.max(np.abs(trace0.rows[:, 1] + trace1.rows[:, 1])) < 0.02 * amp
+
+    def test_readout_reduces_clock_phase_modulo_two_pi(self, tmp_path):
+        # each target beside its residue modulo the exact 2 pi (from a 40-digit
+        # pi); modulo the double 2 * math.pi, 1e15 would leave 2.1486798353953063
+        pairs = ((1e15, 2.1096981170701126), (123456789.123, 1.5530726387217066),
+                 (-1e15, 4.173487190109474))
+        phases = ", ".join(repr(value) for pair in pairs for value in pair)
+        path = write_config(tmp_path, SMALL.replace("[readout]",
+                                                    f"[readout]\nclock_phases = {phases}"))
+        out = tmp_path / "out"
+        assert cli.main(["readout", "--config", str(path), "--out", str(out)]) == 0
+        results = dict(line.split(" = ") for line in
+                       (out / "manifest.txt").read_text().splitlines() if " = " in line)
+        for index in range(0, 2 * len(pairs), 2):
+            assert results[f"extracted_phase_{index}"] == results[f"extracted_phase_{index + 1}"]
+            np.testing.assert_array_equal(read_csv(out / f"readout_trace_{index}.csv").rows,
+                                          read_csv(out / f"readout_trace_{index + 1}.csv").rows)
 
     def test_readout_zero_drive_flags_degenerate(self, tmp_path):
         text = SMALL + "\n"

@@ -1,5 +1,6 @@
 """Ensemble statistics: sampling, coherence envelopes, Allan deviation."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -7,12 +8,12 @@ import pytest
 
 from zenolock import cli
 from zenolock import dephasing as dp
+from zenolock.tracefile import read_csv
 
 
 def make_config(**overrides):
     defaults = dict(atom_count=100, center_frequency=100.0, fwhm=10.0,
-                    seed=20260808, time_grid=tuple(np.linspace(0.0, 0.1, 41)[1:]),
-                    replicas=200)
+                    seed=20260808, time_max=0.1, time_points=41, replicas=200)
     defaults.update(overrides)
     return dp.EnsembleConfig(**defaults)
 
@@ -50,8 +51,8 @@ class TestEnsembleConfig:
             make_config(atom_count=0)
         with pytest.raises(ValueError):
             make_config(replicas=0)
-        with pytest.raises(ValueError):
-            make_config(time_grid=(0.0, 0.2, 0.1))
+        with pytest.raises(ValueError, match="time_points must be >= 2"):
+            make_config(time_points=1)
 
 
 class TestSampling:
@@ -128,12 +129,12 @@ class TestReplicaDraw:
             return original(seed, replica)
 
         monkeypatch.setattr(dp, "_replica_rng", counting)
-        grid = np.linspace(0.0, 0.1, 11)
-        config = make_config(atom_count=16, replicas=30, time_grid=tuple(grid))
-        locked = make_config(atom_count=16, replicas=30, time_grid=tuple(4.0 * grid))
+        config = make_config(atom_count=16, replicas=30, time_max=0.1, time_points=11)
+        locked = dataclasses.replace(config, time_max=0.4)
         dp.monte_carlo_mean_cos(config)
         dp.monte_carlo_mean_cos(locked, locked=True)
-        dp.bandwidth_histogram(make_config(atom_count=9, replicas=30, time_grid=(0.0, 1.0)))
+        dp.bandwidth_histogram(make_config(atom_count=9, replicas=30, time_max=1.0,
+                                           time_points=2))
         assert sorted(calls) == list(range(30))
 
 
@@ -189,16 +190,6 @@ class TestReplicaDraw:
 
 
 class TestMeanFrequency:
-    def test_constant(self):
-        assert dp.mean_frequency([100.0, 100.0, 100.0]) == 100.0
-
-    def test_pair(self):
-        assert dp.mean_frequency([99.0, 101.0]) == 100.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            dp.mean_frequency([])
-
     def test_replica_means_narrow_by_sqrt_n(self):
         config = make_config(atom_count=9, replicas=10_000)
         freqs = dp.sample_all_replicas(config)
@@ -208,26 +199,29 @@ class TestMeanFrequency:
 
 class TestMeanCosPhase:
     def test_time_zero(self):
-        assert dp.mean_cos_phase([7.0, 93.0, 1024.0], 0.0) == pytest.approx(1.0)
+        # every grid starts at t = 0, where each phasor is exactly 1
+        mean, se = dp.monte_carlo_mean_cos(make_config())
+        assert mean[0] == 1.0 and se[0] == 0.0
 
     def test_single_atom_half_period(self):
-        assert dp.mean_cos_phase([100.0], 0.005) == pytest.approx(-1.0)
+        values = dp._phasor_values(np.array([[100.0]]), 0.005, 2)
+        assert values[1, 0] == pytest.approx(-1.0)
 
     def test_bounded(self):
         rng = np.random.default_rng(0)
-        freqs = rng.normal(100.0, 5.0, size=50)
-        for t in np.linspace(0.0, 1.0, 23):
-            assert abs(dp.mean_cos_phase(freqs, t)) <= 1.0 + 1e-15
+        freqs = rng.normal(100.0, 5.0, size=(1, 50))
+        values = dp._phasor_values(freqs, 1.0 / 22, 23)
+        assert np.all(np.abs(values) <= 1.0 + 1e-15)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            dp.mean_cos_phase([1.0], -0.1)
+        for time_max in (-0.1, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="time_max must be positive"):
+                make_config(time_max=time_max)
 
     def test_monte_carlo_matches_envelope(self):
-        config = make_config(replicas=10_000, atom_count=25,
-                             time_grid=tuple(np.linspace(0.0005, 0.08, 25)))
+        config = make_config(replicas=10_000, atom_count=25, time_max=0.08, time_points=25)
         mean, se = dp.monte_carlo_mean_cos(config)
-        analytic = dp.envelope_independent(np.array(config.time_grid), config.sigma, 100.0)
+        analytic = dp.envelope_independent(config.time_grid, config.sigma, 100.0)
         assert np.all(np.abs(mean - analytic) <= 3.0 * se)
 
 
@@ -273,33 +267,39 @@ class TestEnvelopes:
         np.testing.assert_array_equal(independent[0], locked[0])
 
     def test_locked_monte_carlo_matches_envelope(self):
-        config = make_config(replicas=10_000, atom_count=25,
-                             time_grid=tuple(np.linspace(0.005, 0.4, 25)))
+        config = make_config(replicas=10_000, atom_count=25, time_max=0.4, time_points=25)
         mean, se = dp.monte_carlo_mean_cos(config, locked=True)
-        analytic = dp.envelope_locked(np.array(config.time_grid), config.sigma, 100.0, 25)
+        analytic = dp.envelope_locked(config.time_grid, config.sigma, 100.0, 25)
         assert np.all(np.abs(mean - analytic) <= 3.0 * se)
 
 
+def cos_values(freqs: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Per-replica mean cosine, shape (grid, replicas), by one cos per atom and point."""
+    values = np.empty((grid.size, freqs.shape[0]))
+    for k, t in enumerate(grid):
+        values[k] = np.cos(dp.TWO_PI * t * freqs).mean(axis=1)
+    return values
+
+
 def _cos_oracle(monkeypatch, config, locked):
-    # the per-point cosine path, which every non-uniform grid takes
+    # monte_carlo_mean_cos with one cosine per atom and point of the config grid
+    # in place of the phasor recurrence
     with monkeypatch.context() as patch:
-        patch.setattr(dp, "_uniform_step", lambda grid: None)
+        patch.setattr(dp, "_phasor_values",
+                      lambda freqs, step, points: cos_values(freqs, config.time_grid))
         return dp.monte_carlo_mean_cos(config, locked=locked)
-
-
-CLI_GRID = np.linspace(0.0, 0.1, 201)
 
 
 class TestPhasorPath:
     @pytest.mark.parametrize("locked", [False, True])
-    @pytest.mark.parametrize("grid, atoms, replicas", [
-        (CLI_GRID, 100, 200),
-        (CLI_GRID * np.sqrt(100), 100, 200),
-        (np.linspace(0.0, 10.0, 20001), 10, 20),
+    @pytest.mark.parametrize("time_max, points, atoms, replicas", [
+        (0.1, 201, 100, 200),
+        (0.1 * np.sqrt(100), 201, 100, 200),
+        (10.0, 20001, 10, 20),
     ], ids=["linspace", "linspace-sqrt-n", "20001-points"])
-    def test_matches_cos_oracle(self, monkeypatch, locked, grid, atoms, replicas):
-        config = make_config(atom_count=atoms, replicas=replicas, time_grid=tuple(grid))
-        assert dp._uniform_step(np.asarray(config.time_grid)) is not None
+    def test_matches_cos_oracle(self, monkeypatch, locked, time_max, points, atoms, replicas):
+        config = make_config(atom_count=atoms, replicas=replicas, time_max=time_max,
+                             time_points=points)
         mean, se = dp.monte_carlo_mean_cos(config, locked=locked)
         oracle_mean, oracle_se = _cos_oracle(monkeypatch, config, locked)
         np.testing.assert_allclose(mean, oracle_mean, rtol=0.0, atol=1e-12)
@@ -310,45 +310,41 @@ class TestPhasorPath:
         mean, se = dp.monte_carlo_mean_cos(config)
         np.testing.assert_allclose(mean, _cos_oracle(monkeypatch, config, False)[0],
                                    rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(se, np.zeros(len(config.time_grid)))
-
-    @pytest.mark.parametrize("grid", [
-        np.linspace(0.0, 0.3, 30) ** 2,
-        np.concatenate([np.linspace(0.0, 0.1, 20), [0.2]]),
-        np.linspace(0.0, 0.1, 21) + np.where(np.arange(21) == 7, 1e-12, 0.0),
-    ], ids=["quadratic", "trailing-gap", "one-point-off-by-1e-12"])
-    def test_non_uniform_grid_takes_cos_path(self, monkeypatch, grid):
-        config = make_config(replicas=50, time_grid=tuple(grid))
-        assert dp._uniform_step(np.asarray(config.time_grid)) is None
-
-        def refuse(*args):
-            raise AssertionError("phasor recurrence used on a non-uniform grid")
-
-        monkeypatch.setattr(dp, "_phasor_values", refuse)
-        mean, _ = dp.monte_carlo_mean_cos(config)
-        direct = [np.cos(dp.TWO_PI * t * dp.sample_all_replicas(config)).mean()
-                  for t in config.time_grid]
-        np.testing.assert_allclose(mean, direct, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(se, np.zeros(config.time_points))
 
     @pytest.mark.parametrize("time_max, points, atoms", [(0.1, 201, 100), (0.1, 31, 100),
                                                          (0.25, 1001, 7)])
     def test_cli_grids_are_uniform(self, time_max, points, atoms):
-        # the grids cmd_dephasing builds, after EnsembleConfig's float conversion
+        # the t columns cmd_dephasing writes, grid and grid * sqrt(N), lie
+        # within a few ulp of the grids the phasor recurrence steps through
         grid = np.linspace(0.0, time_max, points)
         for scaled in (grid, grid * np.sqrt(atoms)):
-            step = dp._uniform_step(np.asarray(tuple(float(t) for t in scaled)))
-            assert step == pytest.approx(scaled[-1] / (points - 1), rel=1e-14)
+            config = make_config(atom_count=atoms, time_max=scaled[-1], time_points=points)
+            steps = config.time_max / (points - 1) * np.arange(points)
+            tolerance = 4.0 * np.spacing(scaled[-1])
+            np.testing.assert_allclose(scaled, steps, rtol=0.0, atol=tolerance)
+            np.testing.assert_allclose(scaled, config.time_grid, rtol=0.0, atol=tolerance)
 
     def test_cli_run_takes_phasor_path(self, tmp_path, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("per-point cosine path used on a CLI grid")
+        # each curve is stepped by the spacing of the t column its CSV reports
+        calls = []
+        original = dp._phasor_values
 
-        monkeypatch.setattr(dp, "_cos_values", refuse)
+        def recording(freqs, step, points):
+            calls.append((step, points))
+            return original(freqs, step, points)
+
+        monkeypatch.setattr(dp, "_phasor_values", recording)
         config = tmp_path / "run.cfg"
         config.write_text("[dephasing]\nreplicas = 300\nhistogram_replicas = 300\n"
                           "time_points = 31\n")
-        code = cli.main(["dephasing", "--config", str(config), "--out", str(tmp_path / "out")])
-        assert code == cli.EXIT_OK
+        out = tmp_path / "out"
+        assert cli.main(["dephasing", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+        assert len(calls) == 2
+        for curve, (step, points) in zip(("independent", "locked"), calls):
+            t = read_csv(out / f"dephasing_{curve}.csv").rows[:, 0]
+            assert points == t.size == 31
+            assert step == t[-1] / (points - 1)
 
 
 class TestAllanDeviation:
@@ -450,6 +446,10 @@ class TestEfoldFit:
         with pytest.raises(dp.EnvelopeFitError, match="starting decay rate"):
             dp.fit_efold_time(t, dp.envelope_independent(t, 4.0, 100.0), 100.0,
                               sigma_guess=0.0)
+        # numpy scalars are reported as plain floats
+        with pytest.raises(dp.EnvelopeFitError, match=r"got 0\.0 from sigma_guess 1e-300$"):
+            dp.fit_efold_time(t, dp.envelope_independent(t, 4.0, 100.0), 100.0,
+                              sigma_guess=np.float64(1e-300))
 
 
 def curve_fit_efold_time(times, values, center_frequency, sigma_guess):
@@ -471,13 +471,15 @@ class TestEfoldFitAgainstCurveFit:
     def test_default_curves(self, locked):
         defaults = cli._DEFAULTS["dephasing"]
         atoms = int(defaults["atom_count"])
-        grid = np.linspace(0.0, float(defaults["time_max"]), int(defaults["time_points"]))
-        if locked:
-            grid = grid * np.sqrt(atoms)
         config = dp.EnsembleConfig(
             atom_count=atoms, center_frequency=float(defaults["center_frequency"]),
-            fwhm=float(defaults["fwhm"]), seed=int(defaults["seed"]), time_grid=tuple(grid),
+            fwhm=float(defaults["fwhm"]), seed=int(defaults["seed"]),
+            time_max=float(defaults["time_max"]), time_points=int(defaults["time_points"]),
             replicas=int(defaults["replicas"]))
+        grid = config.time_grid
+        if locked:
+            grid = grid * np.sqrt(atoms)
+            config = dataclasses.replace(config, time_max=grid[-1])
         values, _ = dp.monte_carlo_mean_cos(config, locked=locked)
         sigma = config.sigma / np.sqrt(atoms) if locked else config.sigma
         fitted = dp.fit_efold_time(grid, values, config.center_frequency, sigma_guess=sigma)
