@@ -10,6 +10,7 @@ under --strict; 4 numerical-validity failure.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -92,16 +93,24 @@ _DEFAULTS = {
 
 # Largest size key a run may take (the Zeno photon number n, the readout
 # emission cutoff c), so that its basis dimension d stays capped before
-# anything is allocated.  Both Zeno runs hold state vectors and sector blocks,
-# which grow linearly with d, but every photon injection or removal forms and
-# diagonalizes the reduced density matrix of one mode, (mode dimension)^2
-# entries: d/4 on a side for zeno2, about sqrt(d)/4 for zeno4.  The readout
-# emission Hamiltonian is dense, 16 d^2 bytes.  With the default Fock cutoffs
-# (n + 3 for the zeno2 mode, n + 2 for each zeno4 mode) the caps keep
-# d = 4(n + 4) <= 2048 for zeno2, d = 16(n + 3)^2 <= 65,536 for zeno4 and
-# d = 16(c + 1) <= 2048 for readout.
+# anything is allocated.  Every run holds state vectors and sector blocks,
+# which grow linearly with d, but every Zeno photon injection or removal
+# forms and diagonalizes the reduced density matrix of one mode, (mode
+# dimension)^2 entries: d/4 on a side for zeno2, about sqrt(d)/4 for zeno4.
+# The readout emission sectors hold at most 9 states each.  With the default
+# Fock cutoffs (n + 3 for the zeno2 mode, n + 2 for each zeno4 mode) the caps
+# keep d = 4(n + 4) <= 2048 for zeno2, d = 16(n + 3)^2 <= 65,536 for zeno4
+# and d = 16(c + 1) <= 2048 for readout.
 _MAX_SIZE = {"zeno2": 508, "zeno4": 61, "readout": 127}
-_MAX_PHASE_TABLE = 1 << 24  # readout exp(-i w t): time_points x emission basis dimension
+# Cap on time_points x 16(c + 1), which bounds the readout phase table
+# exp(-i w t) on the resonant channel's sectors, time_points x 21 entries.
+_MAX_PHASE_TABLE = 1 << 24
+# The turn count target // TWO_PI rounds (target - target % TWO_PI) / TWO_PI
+# with a relative error of up to 2^-52; the count stays exact while that error
+# stays below half a turn, that is below 2^51 turns.  Up to this bound the
+# reduction in cmd_readout is exact to about 1e-15 rad; beyond it the error
+# grows with the target (2 rad at 1e300).
+_MAX_CLOCK_PHASE = 2.0**51 * readout.TWO_PI
 
 
 def _format_value(value) -> str:
@@ -141,6 +150,26 @@ def _write_manifest(out_dir: Path, subcommand: str, config_path, config_text: st
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@contextlib.contextmanager
+def _overflow_names(command: str, values: dict, quantity: str):
+    """Re-raise a float overflow in the block naming the largest of ``values``.
+
+    ``values`` maps the keys that ``quantity`` grows with to their values.
+    """
+    try:
+        yield
+    except (OverflowError, FloatingPointError):
+        key, value = max(values.items(), key=lambda item: abs(item[1]))
+        raise OverflowError(f"[{command}] {key} = {value!r} overflows {quantity}") from None
+
+
+def _clock_phase_residue(target: float) -> float:
+    """``target`` modulo the exact 2 pi, for |target| up to _MAX_CLOCK_PHASE."""
+    # target mod 2 pi, less the 2.449e-16 per turn that TWO_PI falls short
+    phase = target % readout.TWO_PI - target // readout.TWO_PI * 2.4492935982947064e-16
+    return phase % readout.TWO_PI
+
+
 def _provenance(subcommand: str, config_text: str, seed) -> dict:
     return {
         "tool": f"zenolock {__version__}",
@@ -173,8 +202,10 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
     sigma = config.sigma
     mc_ind, se_ind = dephasing.monte_carlo_mean_cos(config, locked=False)
     mc_lock, se_lock = dephasing.monte_carlo_mean_cos(locked_config, locked=True)
-    analytic_ind = dephasing.envelope_independent(grid, sigma, f0)
-    analytic_lock = dephasing.envelope_locked(locked_grid, sigma, f0, atom_count)
+    with _overflow_names("dephasing", {"fwhm": fwhm, "time_max": time_max},
+                         "the envelope exponent (2 pi sigma t)^2 / 2"):
+        analytic_ind = dephasing.envelope_independent(grid, sigma, f0)
+        analytic_lock = dephasing.envelope_locked(locked_grid, sigma, f0, atom_count)
 
     independent = TraceRecord(
         name="dephasing_independent",
@@ -246,12 +277,8 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
     cycle time and fails on a populated truncation boundary.  Returns the
     runs as (cycle, config, trace, provenance) with the results and flags.
     """
-    try:
+    with _overflow_names(command, deltas, "the closed-form decay rate"):
         rate = sum(value**2 for value in deltas.values()) / len(deltas)
-    except OverflowError:
-        key, value = max(deltas.items(), key=lambda item: abs(item[1]))
-        raise OverflowError(f"[{command}] {key} = {value!r} overflows the closed-form "
-                            f"decay rate") from None
     trace_points = section.get_int("trace_points", minimum=1)
     ratio = section.get_float("measure_ratio", positive=True)
     photons = section.get_int("photon_number", minimum=0, maximum=_MAX_SIZE[command])
@@ -390,14 +417,15 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
     if config.clock_frequency == 0.0:
         raise ConfigError("[readout] transition_1 equals transition_2, so the clock "
                           "frequency is zero and no clock phase accumulates")
-    phases = section.get_float_list("clock_phases")
+    phases = section.get_float_list("clock_phases", minimum=-_MAX_CLOCK_PHASE,
+                                    maximum=_MAX_CLOCK_PHASE)
     provenance = _provenance("readout", config_text, args.seed)
-    model = readout.emission_model(config)
+    shift_keys = {"drive_amplitude": config.drive_amplitude, "coupling": config.coupling}
+    with _overflow_names("readout", shift_keys, "the second-order light shifts"):
+        model = readout.emission_model(config)
 
     def run_one(target):
-        # target mod 2 pi, less the 2.449e-16 per turn that TWO_PI falls short
-        phase = target % readout.TWO_PI - target // readout.TWO_PI * 2.4492935982947064e-16
-        elapsed = (phase % readout.TWO_PI) / config.clock_frequency
+        elapsed = _clock_phase_residue(target) / config.clock_frequency
         state, probability = readout.readout_chain(config, elapsed)
         trace = readout.emit_field_trace(state, model, method=method)
         return target, elapsed, probability, trace

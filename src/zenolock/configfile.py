@@ -116,7 +116,8 @@ class Section:
         value = self._convert(key, lambda v: int(v, 0), "an integer")
         return self._bound(key, value, minimum=minimum, maximum=maximum)
 
-    def get_float_list(self, key: str, positive: bool = False) -> tuple:
+    def get_float_list(self, key: str, positive: bool = False, minimum=None,
+                       maximum=None) -> tuple:
         def parse(v):
             items = [part.strip() for part in v.split(",") if part.strip()]
             if not items:
@@ -124,7 +125,7 @@ class Section:
             return tuple(_finite_float(part) for part in items)
         values = self._convert(key, parse, "a comma-separated list of finite numbers")
         for value in values:
-            self._bound(key, value, positive=positive)
+            self._bound(key, value, minimum=minimum, maximum=maximum, positive=positive)
         return values
 
     def get_str(self, key: str):

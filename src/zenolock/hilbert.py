@@ -3,13 +3,12 @@
 States are dense complex vectors over an ordered tensor product, atoms first
 and then modes.  Every Hamiltonian in this package is piecewise constant, so
 time evolution is exact through eigendecompositions computed once.  A
-Hamiltonian that conserves an occupation label, as both Zeno protocols' do,
-is assembled straight into its label sectors and evolved block by block,
-with no dense operator of the full basis.  The readout chain acts on the
-pair amplitudes directly, so the dense operator, whose eigensystem is cached
-on it, serves only the readout emission model and is the test oracle of the
-sector path.  hbar = 1 throughout; all frequencies are angular unless a
-module says otherwise.
+Hamiltonian that conserves an occupation label, as both Zeno protocols' and
+the readout emission model's do, is assembled straight into its label
+sectors and evolved block by block, with no dense operator of the full
+basis.  The dense operator, whose eigensystem is cached on it, is the test
+oracle of the sector path.  hbar = 1 throughout; all frequencies are
+angular unless a module says otherwise.
 
 All values are immutable after construction (backing arrays are marked
 read-only) and every operation returns a new value, so states and operators
@@ -324,31 +323,11 @@ def assemble_sectors(basis: ProductBasis, diagonal_weights, exchange_terms,
     return SectorHamiltonian(basis, diagonal, sectors)
 
 
-def _embed(basis: ProductBasis, subsystem_index: int, local: np.ndarray) -> np.ndarray:
-    """Kronecker-embed a local operator, identity on all other factors."""
-    out = None
-    for i, d in enumerate(basis.dims):
-        factor = local if i == subsystem_index else np.eye(d)
-        out = factor if out is None else np.kron(out, factor)
-    return out
-
-
 def _require_mode(basis: ProductBasis, subsystem_index: int) -> Mode:
     sub = basis.subsystems[subsystem_index]
     if not isinstance(sub, Mode):
         raise TypeError(f"subsystem {subsystem_index} is an atom, expected a mode")
     return sub
-
-
-def annihilation(basis: ProductBasis, mode_index: int) -> OperatorMatrix:
-    """Ladder operator a on one mode factor: a|k> = sqrt(k)|k-1>.
-
-    Under truncation the image of the top occupancy under a^dag is dropped,
-    i.e. a^dag|cutoff> = 0.
-    """
-    sub = _require_mode(basis, mode_index)
-    local = np.diag(np.sqrt(np.arange(1.0, sub.dim)), k=1).astype(complex)
-    return OperatorMatrix(basis, _embed(basis, mode_index, local))
 
 
 def evolve(state: StateVector, hamiltonian: OperatorMatrix, duration: float) -> StateVector:

@@ -14,9 +14,10 @@ implemented here converts that phase into something measurable:
    field phase equal to the accumulated clock phase.
 
 The emitted quadrature is computed either by full evolution of the driven
-two-atom-plus-mode system or by a second-order effective model obtained by
-adiabatic elimination of the far-detuned intermediates (the fast path, with
-the full evolution as its oracle).
+two-atom-plus-mode system, on the conserved sectors that the radiating
+channel spans, or by a second-order effective model obtained by adiabatic
+elimination of the far-detuned intermediates (the fast path, with the full
+evolution as its oracle).
 """
 
 import math
@@ -26,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import hilbert as h
-from .hilbert import Atom, Mode, OperatorMatrix, StateVector
+from .hilbert import Atom, Mode, StateVector
 from .zeno_multilevel import E1, E2, G1, G2, FourLevelEnergies
 
 TWO_PI = 2.0 * math.pi
@@ -56,7 +57,6 @@ class ReadoutConfig:
     emission_mode_cutoff: int = 2
     readout_times: tuple = ()
     fit_periods: float = 32.0
-    overflow_threshold: float = 1e-3
 
     def __post_init__(self):
         if self.detuning == 0.0:
@@ -193,24 +193,35 @@ def readout_chain(config: ReadoutConfig, elapsed_time: float):
     return postselect_not_g2(state)
 
 
-def _rotating_frame_hamiltonian(config: ReadoutConfig,
-                                mode_frequency: float) -> OperatorMatrix:
-    """Driven two-atom-plus-mode Hamiltonian in the drive rotating frame.
+def _rotating_frame_terms(config: ReadoutConfig, mode_frequency: float):
+    """Basis, diagonal weights and exchange terms of the emission Hamiltonian.
 
-    Rotating at the drive frequency shifts |E2> down to mean(g1) + detuning
-    and makes both couplings static.  The quadrature of the unrotated mode is
-    unchanged by the transformation.
+    The two atoms plus the mode in the drive rotating frame, which shifts |E2>
+    down to mean(g1) + detuning and makes both couplings static; the
+    quadrature of the unrotated mode is unchanged by it.
     """
-    e2_frame = config.mean_level("g1") + config.detuning
-    atom_weights = [config.mean_level("g1"), config.mean_level("g2"),
-                    config.mean_level("e1"), e2_frame]
-    mode_weights = mode_frequency * (np.arange(config.emission_mode_cutoff + 1) + 0.5)
-    exchange = []
-    for atom_axis in (0, 1):
-        exchange.append((atom_axis, E1, G1, 2, 0.5 * config.coupling))
-        exchange.append((atom_axis, E2, G1, None, 0.5 * config.drive_amplitude))
-    return h.assemble_hamiltonian(emission_basis(config),
-                                  [atom_weights, atom_weights, mode_weights], exchange)
+    levels = [config.mean_level("g1"), config.mean_level("g2"), config.mean_level("e1"),
+              config.mean_level("g1") + config.detuning]
+    photons = mode_frequency * (np.arange(config.emission_mode_cutoff + 1) + 0.5)
+    coupling, drive = 0.5 * config.coupling, 0.5 * config.drive_amplitude
+    exchange = [term for atom in (0, 1)
+                for term in ((atom, E1, G1, 2, coupling), (atom, E2, G1, None, drive))]
+    return emission_basis(config), [levels, levels, photons], exchange
+
+
+def _rotating_frame_hamiltonian(config: ReadoutConfig,
+                                mode_frequency: float) -> h.SectorHamiltonian:
+    """The emission Hamiltonian by sector of its two conserved numbers.
+
+    The mode trades an |E1> atom for a photon and the drive moves
+    |G1> <-> |E2>, so L (photons plus atoms in |E1>) and the number of atoms
+    in |G2> are conserved.  A pair state with the mode in vacuum has L <= 2.
+    """
+    basis, photons = emission_basis(config), np.arange(config.emission_mode_cutoff + 1)
+    quanta = h.occupation_labels(basis, [[0, 0, 1, 0], [0, 0, 1, 0], photons])
+    in_g2 = h.occupation_labels(basis, [[0, 1, 0, 0], [0, 1, 0, 0], 0 * photons])
+    return h.assemble_sectors(*_rotating_frame_terms(config, mode_frequency),
+                              h.combine_labels(quanta, in_g2))
 
 
 @dataclass(frozen=True)
@@ -278,28 +289,48 @@ def _resonant_subspace(config: ReadoutConfig) -> np.ndarray:
     return np.column_stack([sym(E1, G1, 0), sym(E2, G1, 1), sym(E2, G1, 0), sym(E1, G1, 1)])
 
 
-def _mode_annihilation(config: ReadoutConfig) -> np.ndarray:
-    return h.annihilation(emission_basis(config), 2).matrix
+# P^dag a P on the channel columns: a takes |E1 G1> with one photon (column 3)
+# to |E1 G1> (column 0), and |E2 G1> with one photon (column 1) to column 2.
+_CHANNEL_ANNIHILATION = np.zeros((4, 4))
+_CHANNEL_ANNIHILATION[0, 3] = _CHANNEL_ANNIHILATION[2, 1] = 1.0
+_CHANNEL_ANNIHILATION.flags.writeable = False
+OVERFLOW_THRESHOLD = 1e-3  # largest weight that may reach two photons
 
 
 class _EmissionModel:
     """Shared machinery of the emission stage at a fixed mode frequency.
 
-    Holds the rotating-frame Hamiltonian, the resonant-channel basis, the
-    second-order effective Hamiltonian and the mode's ladder operator on it,
-    and the first-order dressing
-    map used to start the evolution in the adiabatically prepared state
-    (drive ramp fast compared with the Raman transfer, slow compared with
-    the detuning).
+    Works on ``states``, the basis states of the conserved sectors that the
+    resonant channel spans (21 of 48 at the default cutoff); no other state
+    couples to them.  Holds the rotating-frame Hamiltonian and its per-sector
+    eigensystem on them, the resonant-channel basis, the second-order
+    effective Hamiltonian, and the first-order dressing map used to start the
+    evolution in the adiabatically prepared state (drive ramp fast compared
+    with the Raman transfer, slow compared with the detuning).
     """
 
     def __init__(self, config: ReadoutConfig, mode_frequency: float):
         self.config = config
         self.mode_frequency = mode_frequency
         self._phase_table = None
-        self.p_matrix = _resonant_subspace(config)
-        self.hamiltonian = _rotating_frame_hamiltonian(config, mode_frequency)
-        matrix = self.hamiltonian.matrix
+        subspace = _resonant_subspace(config)
+        sectors = [(idx, block) for idx, block in
+                   _rotating_frame_hamiltonian(config, mode_frequency).sectors
+                   if subspace[idx].any()]
+        self.states = np.concatenate([idx for idx, _ in sectors])
+        self.p_matrix = subspace[self.states]
+        atom_a, atom_b, photons = np.unravel_index(self.states, emission_basis(config).dims)
+        self.two_quanta = photons + (atom_a == E1) + (atom_b == E1) >= 2  # L >= 2
+        size = len(self.states)
+        self.hamiltonian = matrix = np.zeros((size, size), dtype=complex)
+        self.eigenvalues = np.empty(size)
+        self.eigenvectors = np.zeros((size, size), dtype=complex)
+        start = 0
+        for idx, block in sectors:
+            span = slice(start, start + len(idx))
+            matrix[span, span] = block
+            self.eigenvalues[span], self.eigenvectors[span, span] = np.linalg.eigh(block)
+            start = span.stop
         bare_energies = matrix.diagonal().real
         couplings = (matrix - np.diag(bare_energies.astype(complex))) @ self.p_matrix
         couplings -= self.p_matrix @ (self.p_matrix.conj().T @ couplings)
@@ -315,9 +346,6 @@ class _EmissionModel:
         # and C the couplings out of the channel
         second_order = self.dressing.conj().T @ couplings
         self.h_eff = channel + 0.5 * (second_order + second_order.conj().T)
-        # the mode's a on the resonant channel, P^dag a P
-        self.channel_annihilation = self.p_matrix.conj().T @ (
-            _mode_annihilation(config) @ self.p_matrix)
 
     @property
     def readout_times(self) -> tuple:
@@ -338,100 +366,95 @@ class _EmissionModel:
     def phase_table(self) -> np.ndarray:
         """Read-only exp(-i w t), shape (times, eigenvalues), built once.
 
-        t runs over the readout grid and w over the eigenvalues of the
-        Hamiltonian; neither depends on the state, so every trace shares it.
+        t runs over the readout grid and w over the model's eigenvalues;
+        neither depends on the state, so every trace shares it.
         """
         if self._phase_table is None:
-            w, _ = self.hamiltonian.eigensystem()
-            table = np.exp(-1j * np.outer(np.asarray(self.readout_times), w))
+            table = np.exp(-1j * np.outer(np.asarray(self.readout_times), self.eigenvalues))
             table.flags.writeable = False
             self._phase_table = table
         return self._phase_table
 
     def _vacuum(self, state: StateVector) -> np.ndarray:
-        """The two-atom state with the emission mode in vacuum."""
+        """The two-atom state with the emission mode in vacuum, on the whole basis."""
         mode_dim = self.config.emission_mode_cutoff + 1
         return np.kron(state.amplitudes, np.eye(mode_dim, dtype=complex)[0])
 
     def embed(self, state: StateVector) -> np.ndarray:
-        """The adiabatically dressed start of the emission stage, normalized."""
+        """The adiabatically dressed start on ``states``, normalized on the whole basis."""
         amps = self._vacuum(state)
-        amps = amps + self.dressing @ (self.p_matrix.conj().T @ amps)
-        return amps / np.linalg.norm(amps)
+        start = amps[self.states]
+        amps[self.states] = start + self.dressing @ (self.p_matrix.conj().T @ start)
+        return amps[self.states] / np.linalg.norm(amps)
 
 
 def emission_model(config: ReadoutConfig) -> _EmissionModel:
     """Emission model with the mode tuned onto the light-shifted resonance.
 
-    The bare Raman-resonant frequency is corrected for the differential
-    light shifts of the transfer endpoints by at most four fixed-point steps;
-    detuning the mode by the shift mismatch would otherwise slow and phase-
-    slip the transfer.
+    Detuning the mode by the differential light shift of the transfer
+    endpoints would slow and phase-slip the transfer.  Their mismatch grows
+    with the mode frequency at slope 1 plus the light shifts' slope: one step
+    at slope 1, then secant steps, reach rounding level (four ulps of the
+    endpoint energies) within five builds.
     """
     frequency = config.emission_frequency
     model = _EmissionModel(config, frequency)
+    mismatch, slope = model.resonance_mismatch(), 1.0
     for _ in range(4):
-        mismatch = model.resonance_mismatch()
-        if abs(mismatch) < 1e-9:
+        endpoints = np.max(np.abs(model.h_eff.diagonal()[:2].real))
+        if abs(mismatch) <= 4.0 * np.spacing(endpoints):
             break
-        frequency -= mismatch
+        step = -mismatch / slope
+        frequency += step
         model = _EmissionModel(config, frequency)
+        previous, mismatch = mismatch, model.resonance_mismatch()
+        if mismatch == previous:
+            break
+        slope = (mismatch - previous) / step
     return model
 
 
-def _full_quadrature(state: StateVector, model: _EmissionModel,
-                     radiated_only: bool = True):
+def _full_quadrature(state: StateVector, model: _EmissionModel):
     """Quadrature from exact evolution under the rotating-frame Hamiltonian.
 
     The radiated quadrature needs the evolved state only on the 4-column
-    resonant channel P: <a> = c^dag (P^dag a P) c with c = psi P-bar.  The
-    overflow check needs only the basis states with two or more photons.
+    resonant channel P: <a> = c^dag (P^dag a P) c with c = psi P-bar.  L is
+    conserved and two photons need L >= 2, so the start state's L = 2 weight
+    bounds the population above one photon at every time.
     """
-    config = model.config
-    mode_dim = config.emission_mode_cutoff + 1
     amps = model.embed(state)
-    _, v = model.hamiltonian.eigensystem()
+    v = model.eigenvectors
     # row t holds the eigencomponents of the state at time t; the state is rows @ v.T
     rows = model.phase_table() * (v.conj().T @ amps)
-    above = np.flatnonzero(np.arange(v.shape[0]) % mode_dim >= 2)
-    above_one = 0.0
-    if above.size:
-        above_one = float(np.max(np.sum(np.abs(rows @ v[above].T) ** 2, axis=1)))
-    if radiated_only:
-        measured = rows @ (v.T @ model.p_matrix.conj())
-        a = model.channel_annihilation
-    else:
-        measured = rows @ v.T
-        a = _mode_annihilation(config)
-    mean_a = np.einsum("ti,ij,tj->t", measured.conj(), a, measured)
+    measured = rows @ (v.T @ model.p_matrix.conj())
+    mean_a = np.einsum("ti,ij,tj->t", measured.conj(), _CHANNEL_ANNIHILATION, measured)
+    above_one = float(np.sum(np.abs(amps[model.two_quanta]) ** 2))
     return 2.0 * mean_a.real, above_one, model.beat_frequency()
 
 
 def _perturbative_quadrature(state: StateVector, model: _EmissionModel):
     """Adiabatic-elimination fast path, full driven evolution as its oracle."""
     w, v = np.linalg.eigh(model.h_eff)
-    coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(state))
+    coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(state)[model.states])
     trajectories = (np.exp(-1j * np.outer(model.readout_times, w)) * coeff) @ v.T
-    mean_a = np.einsum("ti,ij,tj->t", trajectories.conj(), model.channel_annihilation,
+    mean_a = np.einsum("ti,ij,tj->t", trajectories.conj(), _CHANNEL_ANNIHILATION,
                        trajectories)
     return 2.0 * mean_a.real, 0.0, model.beat_frequency()
 
 
 def emit_field_trace(state: StateVector, config: _EmissionModel,
-                     method: str = "full", fit: bool = True,
-                     radiated_only: bool = True) -> FieldTrace:
+                     method: str = "full", fit: bool = True) -> FieldTrace:
     """Quadrature of the emitted field over the readout grid.
 
     ``state`` is the post-selected two-atom state; the emission mode starts
     in vacuum.  ``config`` is the :func:`emission_model` of the readout
     configuration; it does not depend on the state, so one model serves
-    every trace of a run and shares its cached eigensystem.  The reported
-    quadrature is the radiated (Raman-transfer) component; set
-    ``radiated_only`` false to see the bare intracavity quadrature including
-    the virtual-cloud interference term.  Raises
-    :class:`CutoffOverflowError` when population above the single-photon
-    level exceeds the configured threshold (the single-photon picture has
-    then broken down).
+    every trace of a run and shares its phase table.  The reported
+    quadrature is the radiated (Raman-transfer) component, on the resonant
+    channel; the virtual cloud dressing the driven atoms is left out.  The
+    full method raises :class:`CutoffOverflowError` when the dressed start's
+    weight that can reach two photons (its conserved L = 2 weight) exceeds
+    ``OVERFLOW_THRESHOLD`` (the single-photon picture has then broken down).
     """
     # The model keeps the argument name ``config``: perfbench/tracer.py binds
     # this argument by name and reads its ``readout_times``.
@@ -441,14 +464,14 @@ def emit_field_trace(state: StateVector, config: _EmissionModel,
     if state.basis != pair_basis():
         raise h.BasisMismatchError("emission expects a bare two-atom state")
     if method == "full":
-        quadrature, above_one, frequency = _full_quadrature(state, model, radiated_only)
+        quadrature, above_one, frequency = _full_quadrature(state, model)
     elif method == "perturbative":
         quadrature, above_one, frequency = _perturbative_quadrature(state, model)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if above_one > config.overflow_threshold:
+    if above_one > OVERFLOW_THRESHOLD:
         raise CutoffOverflowError(
-            f"population above the one-photon level reached {above_one:.3e}")
+            f"weight that can reach two photons (L = 2) is {above_one:.3e}")
     times = np.asarray(config.readout_times)
     phase = None
     if fit:

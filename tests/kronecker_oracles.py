@@ -19,18 +19,38 @@ def basis_state(basis: h.ProductBasis, occupations: Sequence[int]) -> h.StateVec
     return h.StateVector(basis, amps)
 
 
+def embed(basis: h.ProductBasis, subsystem_index: int, local: np.ndarray) -> np.ndarray:
+    """Kronecker-embed a local operator, identity on all other factors."""
+    out = None
+    for i, d in enumerate(basis.dims):
+        factor = local if i == subsystem_index else np.eye(d)
+        out = factor if out is None else np.kron(out, factor)
+    return out
+
+
+def annihilation(basis: h.ProductBasis, mode_index: int) -> h.OperatorMatrix:
+    """Ladder operator a on one mode factor: a|k> = sqrt(k)|k-1>.
+
+    Under truncation the image of the top occupancy under a^dag is dropped,
+    i.e. a^dag|cutoff> = 0.
+    """
+    sub = h._require_mode(basis, mode_index)
+    local = np.diag(np.sqrt(np.arange(1.0, sub.dim)), k=1).astype(complex)
+    return h.OperatorMatrix(basis, embed(basis, mode_index, local))
+
+
 def dagger(op: h.OperatorMatrix) -> h.OperatorMatrix:
     return h.OperatorMatrix(op.basis, op.matrix.conj().T, hermitian=op.hermitian)
 
 
 def creation(basis: h.ProductBasis, mode_index: int) -> h.OperatorMatrix:
-    return dagger(h.annihilation(basis, mode_index))
+    return dagger(annihilation(basis, mode_index))
 
 
 def number_operator(basis: h.ProductBasis, mode_index: int) -> h.OperatorMatrix:
     sub = h._require_mode(basis, mode_index)
     local = np.diag(np.arange(sub.dim, dtype=float)).astype(complex)
-    return h.OperatorMatrix(basis, h._embed(basis, mode_index, local), hermitian=True)
+    return h.OperatorMatrix(basis, embed(basis, mode_index, local), hermitian=True)
 
 
 def atomic_projector(basis: h.ProductBasis, atom_index: int, i: int,
@@ -47,7 +67,7 @@ def atomic_projector(basis: h.ProductBasis, atom_index: int, i: int,
         raise ValueError(f"level indices ({i}, {j}) out of range for {sub.levels} levels")
     local = np.zeros((sub.levels, sub.levels), dtype=complex)
     local[i, j] = 1.0
-    return h.OperatorMatrix(basis, h._embed(basis, atom_index, local), hermitian=(i == j))
+    return h.OperatorMatrix(basis, embed(basis, atom_index, local), hermitian=(i == j))
 
 
 def expectation(state: h.StateVector, op: h.OperatorMatrix) -> complex:

@@ -4,12 +4,15 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zenolock import cli, dephasing
+from zenolock import hilbert as h
 from zenolock.configfile import ConfigError, Section, parse_config_text
 from zenolock.tracefile import read_csv
 
@@ -112,6 +115,8 @@ class TestConfigParsing:
         ("get_int", {"maximum": 6}, "[a] n must be at most 6, got 7"),
         ("get_float", {"positive": True}, "[a] x must be positive, got -2.5"),
         ("get_float_list", {"positive": True}, "[a] list must be positive, got 0.0"),
+        ("get_float_list", {"minimum": -1, "maximum": 0.5},
+         "[a] list must be at most 0.5, got 1.0"),
     ])
     def test_declared_bounds(self, getter, bound, message):
         parsed = parse_config_text("[a]\nx = -2.5\nn = 7\nlist = 1, 0\n")
@@ -339,6 +344,7 @@ class TestExitCodes:
             assert "Traceback" not in err
         # values print as plain numbers, and an overflow names what overflowed
         assert "np.float64(" not in err and "(34, '" not in err
+        assert "encountered in" not in err
         if code == cli.EXIT_CONFIG:
             assert f"[{section}] {key}" in err or f"field {key!r}" in err
 
@@ -351,6 +357,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"zenolock: numerical validity failure: [{section}] {key} = 1e+300 overflows "
             f"the closed-form decay rate\n")
+
+    @pytest.mark.parametrize("section, key, quantity", [
+        ("dephasing", "fwhm", "the envelope exponent (2 pi sigma t)^2 / 2"),
+        ("dephasing", "time_max", "the envelope exponent (2 pi sigma t)^2 / 2"),
+        ("readout", "drive_amplitude", "the second-order light shifts"),
+        ("readout", "coupling", "the second-order light shifts"),
+    ])
+    def test_numpy_overflow_names_the_key(self, tmp_path, capsys, section, key, quantity):
+        path = write_config(tmp_path, small_with(section, key, "1e300"))
+        code = cli.main([section, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"zenolock: numerical validity failure: [{section}] {key} = 1e+300 overflows "
+            f"{quantity}\n")
+
+    @pytest.mark.parametrize("value", ["1e300", "-1e300", "1.4148475504056882e16",
+                                       "-1.4148475504056882e16"])
+    def test_unresolvable_clock_phase_is_config_error(self, tmp_path, capsys, value):
+        # one ulp beyond the 2^51 turns up to which the reduction is exact
+        path = write_config(tmp_path, f"[readout]\nclock_phases = 0.0, {value}\n")
+        code = cli.main(["readout", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "[readout] clock_phases must be at" in err
 
     def test_out_of_regime_with_strict(self, tmp_path):
         text = "[zeno2]\nhalf_difference = 30.0\ncycle_times = 0.1\nfinal_time = 0.5\n"
@@ -451,6 +482,17 @@ photon_number = 2
             np.testing.assert_array_equal(read_csv(out / f"readout_trace_{index}.csv").rows,
                                           read_csv(out / f"readout_trace_{index + 1}.csv").rows)
 
+    def test_clock_phase_residue_up_to_the_bound(self):
+        # against the residue modulo the exact 2 pi from a 64-digit pi
+        pi = Fraction(Decimal("3.141592653589793238462643383279502884197169399375105820974944592"))
+        bound = cli._MAX_CLOCK_PHASE
+        rng = np.random.default_rng(11)
+        targets = [bound, -bound, math.nextafter(bound, 0.0), 1e15, -1e15, 2.0**50 * math.pi]
+        targets += list(rng.uniform(-1.0, 1.0, 64) * bound)
+        for target in targets:
+            error = abs(cli._clock_phase_residue(target) - float(Fraction(target) % (2 * pi)))
+            assert min(error, 2.0 * math.pi - error) <= 2e-15, target
+
     def test_readout_zero_drive_flags_degenerate(self, tmp_path):
         text = SMALL + "\n"
         path = write_config(tmp_path, text.replace("[readout]",
@@ -504,6 +546,29 @@ photon_number = 2
                          "--plots"]) == 0
         svg = (out / "zeno2_survival.svg").read_text()
         assert svg.startswith("<svg")
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+class TestNoDenseOperator:
+    @pytest.mark.parametrize("command, config", [
+        *((command, "configs/defaults.cfg") for command in cli._HANDLERS),
+        ("readout", "perfbench/clock_chain.cfg"),
+    ])
+    def test_run_builds_no_dense_operator(self, tmp_path, monkeypatch, command, config):
+        # every Hamiltonian of a run is assembled by conserved sector
+        dimensions = []
+        original = h.OperatorMatrix.__init__
+
+        def recording(self, basis, *args, **kwargs):
+            dimensions.append(basis.dimension)
+            original(self, basis, *args, **kwargs)
+
+        monkeypatch.setattr(h.OperatorMatrix, "__init__", recording)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(REPO / config), "--out", str(out)]) == 0
+        assert dimensions == []
 
 
 class TestDeterminism:

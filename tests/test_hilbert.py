@@ -1,12 +1,14 @@
 """State machinery: bases, operators, exact evolution, measurement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronecker_oracles import (atomic_projector, basis_state, commutator_norm, creation,
-                               expectation, number_operator)
+from kronecker_oracles import (annihilation, atomic_projector, basis_state, commutator_norm,
+                               creation, expectation, number_operator)
 from zenolock import hilbert as h
 from zenolock import readout as rd
 from zenolock import zeno_multilevel as zm
@@ -60,7 +62,7 @@ class TestBasis:
 class TestLadderOperators:
     def test_annihilation_on_fock_state(self):
         basis = h.build_basis([h.Mode(3)])
-        a = h.annihilation(basis, 0)
+        a = annihilation(basis, 0)
         two = basis_state(basis, [2])
         image = a.matrix @ two.amplitudes
         expected = np.sqrt(2.0) * basis_state(basis, [1]).amplitudes
@@ -68,7 +70,7 @@ class TestLadderOperators:
 
     def test_annihilation_kills_vacuum(self):
         basis = h.build_basis([h.Mode(3)])
-        a = h.annihilation(basis, 0)
+        a = annihilation(basis, 0)
         vac = basis_state(basis, [0])
         assert np.max(np.abs(a.matrix @ vac.amplitudes)) == 0.0
 
@@ -84,13 +86,13 @@ class TestLadderOperators:
         three = basis_state(basis, [3])
         assert expectation(three, n_op) == pytest.approx(3.0)
         # n = a^dag a entrywise
-        a = h.annihilation(basis, 0)
+        a = annihilation(basis, 0)
         np.testing.assert_allclose(n_op.matrix, a.matrix.conj().T @ a.matrix, atol=1e-14)
 
     def test_mode_index_must_be_a_mode(self):
         basis = h.build_basis([h.Atom(2), h.Mode(3)])
         with pytest.raises(TypeError):
-            h.annihilation(basis, 0)
+            annihilation(basis, 0)
 
 
 class TestAtomicProjector:
@@ -125,7 +127,7 @@ class TestAtomicProjector:
 def jaynes_cummings(basis, cavity_frequency, atom_frequency, coupling):
     """Resonant one-atom Hamiltonian used as the evolution oracle fixture."""
     G, E = 0, 1
-    a = h.annihilation(basis, 1).matrix
+    a = annihilation(basis, 1).matrix
     n = a.conj().T @ a
     p_e = atomic_projector(basis, 0, E, E).matrix
     sp = atomic_projector(basis, 0, E, G).matrix
@@ -212,7 +214,7 @@ class TestExpectation:
 
     def test_quadrature_on_fock_states(self):
         basis = h.build_basis([h.Mode(3)])
-        a = h.annihilation(basis, 0)
+        a = annihilation(basis, 0)
         quad = h.OperatorMatrix(basis, a.matrix + a.matrix.conj().T, hermitian=True)
         for n in range(4):
             fock = basis_state(basis, [n])
@@ -220,7 +222,7 @@ class TestExpectation:
 
     def test_quadrature_on_superposition(self):
         basis = h.build_basis([h.Mode(3)])
-        a = h.annihilation(basis, 0)
+        a = annihilation(basis, 0)
         quad = h.OperatorMatrix(basis, a.matrix + a.matrix.conj().T, hermitian=True)
         amps = np.zeros(4, dtype=complex)
         amps[0] = amps[1] = 1.0 / np.sqrt(2.0)
@@ -355,12 +357,12 @@ def kronecker_hamiltonian(basis, atom_energies, mode_frequencies, exchange_terms
         for level, energy in enumerate(energies):
             m += energy * atomic_projector(basis, atom, level, level).matrix
     for offset, frequency in enumerate(mode_frequencies):
-        a = h.annihilation(basis, len(atom_energies) + offset).matrix
+        a = annihilation(basis, len(atom_energies) + offset).matrix
         m += frequency * (a.conj().T @ a + 0.5 * np.eye(dim))
     for atom, upper, lower, mode, strength in exchange_terms:
         op = atomic_projector(basis, atom, upper, lower).matrix
         if mode is not None:
-            op = op @ h.annihilation(basis, mode).matrix
+            op = op @ annihilation(basis, mode).matrix
         m += strength * (op + op.conj().T)
     return m
 
@@ -414,7 +416,8 @@ def _readout_case(coupled):
                      (atom, rd.E2, rd.G1, None, 0.5 * config.drive_amplitude)]
     oracle = kronecker_hamiltonian(rd.emission_basis(config), [levels, levels],
                                    [mode_frequency], exchange)
-    return rd._rotating_frame_hamiltonian(config, mode_frequency), oracle
+    terms = rd._rotating_frame_terms(config, mode_frequency)
+    return h.assemble_hamiltonian(*terms), oracle
 
 
 class TestAssembleHamiltonian:
@@ -472,6 +475,17 @@ class TestAssembleSectors:
                                                       final_time=0.2, photon_number=2,
                                                       ground_2=0.75)
         assert_sectors_match_dense(build_sectors(config), build_dense(config))
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    def test_emission_sectors_match_dense_assembly(self, cutoff):
+        # conserved: L (atoms in E1 plus photons) and the atoms in G2
+        config = dataclasses.replace(rd.readout_config(transition_1=121.5),
+                                     emission_mode_cutoff=cutoff)
+        frequency = config.emission_frequency + 0.3
+        sectors = rd._rotating_frame_hamiltonian(config, frequency)
+        assert_sectors_match_dense(
+            sectors, h.assemble_hamiltonian(*rd._rotating_frame_terms(config, frequency)))
+        assert max(len(idx) for idx, _ in sectors.sectors) == (8 if cutoff == 1 else 9)
 
     def test_atom_only_drive(self):
         # the readout Hamiltonian conserves atoms in E1 plus photons: the

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kronecker_oracles import annihilation
 from zenolock import hilbert as h
 from zenolock import readout as rd
 from zenolock.hilbert import StateVector
@@ -143,7 +144,8 @@ class TestPostselect:
 
 class TestChain:
     def test_builds_no_operator(self, monkeypatch):
-        # every chain step acts on the 4x4 grid of pair amplitudes
+        # every chain step acts on the 4x4 grid of pair amplitudes, and the
+        # emission stage on the sectors the resonant channel spans
         dimensions = []
         original = h.OperatorMatrix.__init__
 
@@ -155,6 +157,9 @@ class TestChain:
         config = rd.readout_config()
         state, probability = rd.readout_chain(config, 0.3)
         assert probability == pytest.approx(0.5, abs=1e-12)
+        model = rd.emission_model(config)
+        for method in ("full", "perturbative"):
+            assert rd.emit_field_trace(state, model, method=method).fitted_phase is not None
         assert dimensions == []
 
     @pytest.mark.parametrize("phi", np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
@@ -220,7 +225,7 @@ class TestEmission:
         # H_eff[i, j] = (P^dag H P)[i, j] + sum over intermediates q of
         # conj(C[q, i]) C[q, j] (1/D[q, i] + 1/D[q, j]) / 2, entry by entry
         model = rd.emission_model(rd.readout_config())
-        matrix, p = model.hamiltonian.matrix, model.p_matrix
+        matrix, p = dense_emission(model)
         bare = matrix.diagonal().real
         channel = p.conj().T @ matrix @ p
         couplings = (matrix - np.diag(bare)) @ p
@@ -237,6 +242,22 @@ class TestEmission:
         # one ulp of the diagonal entries (175 to 286) is 2.8e-14 to 5.7e-14
         np.testing.assert_allclose(model.h_eff, oracle, rtol=1e-15, atol=1e-14)
 
+    @pytest.mark.parametrize("detuning, amplitude", [(10.0, 1.0), (-10.0, 1.0), (10.0, 5.0),
+                                                     (10.0, 0.0), (1e3, 1.0)])
+    def test_tuning_reaches_resonance_at_rounding_level(self, monkeypatch, detuning, amplitude):
+        builds = []
+
+        class Counted(rd._EmissionModel):
+            def __init__(self, config, mode_frequency):
+                builds.append(mode_frequency)
+                super().__init__(config, mode_frequency)
+
+        monkeypatch.setattr(rd, "_EmissionModel", Counted)
+        config = rd.readout_config(detuning=detuning, drive_amplitude=amplitude, time_points=5)
+        model = rd.emission_model(config)
+        assert abs(model.resonance_mismatch()) <= 1e-12
+        assert len(builds) <= 5
+
     def test_effective_coupling_scales_like_drive_over_detuning(self):
         config = rd.readout_config()
         model = rd.emission_model(config)
@@ -248,20 +269,14 @@ class TestEmission:
         state, _ = rd.readout_chain(config, 0.0)
         model = rd.emission_model(config)
         radiated = rd.emit_field_trace(state, model, fit=False)
-        bare = rd.emit_field_trace(state, model, fit=False, radiated_only=False)
+        bare, _ = dense_quadrature(state, model, radiated_only=False)
         scale = np.max(np.abs(radiated.quadrature))
-        assert np.max(np.abs(bare.quadrature - radiated.quadrature)) > 0.01 * scale
+        assert np.max(np.abs(bare - radiated.quadrature)) > 0.01 * scale
 
     def test_cutoff_overflow_flagged(self):
         # states from the readout chain hold at most one quantum, so force the
         # overflow with a doubly excited pair that can emit two photons
         config = rd.readout_config()
-        config = rd.ReadoutConfig(atom_a=config.atom_a, atom_b=config.atom_b,
-                                  detuning=config.detuning,
-                                  drive_amplitude=config.drive_amplitude,
-                                  coupling=config.coupling,
-                                  readout_times=config.readout_times,
-                                  overflow_threshold=1e-30)
         both_excited = chain_state({(E1, E1): 1.0})
         with pytest.raises(rd.CutoffOverflowError):
             rd.emit_field_trace(both_excited, rd.emission_model(config))
@@ -280,38 +295,69 @@ class TestEmission:
         assert abs(measured - trace.fitted_frequency) < resolution
 
 
-def dense_radiated_quadrature(state, model):
-    """The radiated quadrature through the full 48x48 annihilation operator.
+def dense_emission(model):
+    """The dense 48x48 emission Hamiltonian of a model and its 48x4 channel basis."""
+    terms = rd._rotating_frame_terms(model.config, model.mode_frequency)
+    return h.assemble_hamiltonian(*terms).matrix, rd._resonant_subspace(model.config)
 
-    Evolves every basis column, projects onto the resonant channel and takes
-    <a> with the dense ``a``; returns the quadrature and the population above
-    one photon.
+
+def dense_quadrature(state, model, radiated_only=True):
+    """The quadrature through the dense emission Hamiltonian and the dense ``a``.
+
+    Eliminates the intermediates, dresses the start state and evolves every
+    basis column on the whole 48-state emission basis, eigendecomposing the
+    dense matrix on each set of states with equal L (photons plus atoms in
+    E1) and equal atoms in G2, as BlockEvolver does (test_hilbert holds that
+    to the dense eigensystem).  Returns the radiated quadrature (the bare
+    intracavity one, virtual cloud included, when ``radiated_only`` is
+    false) and the population above one photon.
     """
-    mode_dim = model.config.emission_mode_cutoff + 1
-    amps = model.embed(state)
-    w, v = model.hamiltonian.eigensystem()
+    config = model.config
+    mode_dim = config.emission_mode_cutoff + 1
+    matrix, p = dense_emission(model)
+    bare = matrix.diagonal().real
+    couplings = (matrix - np.diag(bare)) @ p
+    couplings -= p @ (p.conj().T @ couplings)
+    denominators = (p.conj().T @ matrix @ p).diagonal().real[None, :] - bare[:, None]
+    dressing = np.zeros_like(couplings)
+    np.divide(couplings, denominators, out=dressing, where=np.abs(couplings) > 1e-13)
+    amps = np.kron(state.amplitudes, np.eye(mode_dim)[0])
+    amps = amps + dressing @ (p.conj().T @ amps)
+    amps /= np.linalg.norm(amps)
+    basis = rd.emission_basis(config)
+    occupations = np.array([basis.occupations(i) for i in range(basis.dimension)])
+    conserved = np.column_stack([(occupations[:, :2] == E1).sum(axis=1) + occupations[:, 2],
+                                 (occupations[:, :2] == G2).sum(axis=1)])
+    w = np.empty(basis.dimension)
+    v = np.zeros_like(matrix)
+    for label in np.unique(conserved, axis=0):
+        idx = np.flatnonzero((conserved == label).all(axis=1))
+        w[idx], v[np.ix_(idx, idx)] = np.linalg.eigh(matrix[np.ix_(idx, idx)])
     times = np.asarray(model.readout_times)
     states = (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ amps)) @ v.T
     populations = np.abs(states.reshape(len(times), -1, mode_dim)) ** 2
     above_one = float(populations[:, :, 2:].sum(axis=(1, 2)).max())
-    measured = (states @ model.p_matrix.conj()) @ model.p_matrix.T
-    mean_a = np.einsum("ti,ij,tj->t", measured.conj(), rd._mode_annihilation(model.config),
-                       measured)
+    if radiated_only:
+        states = (states @ p.conj()) @ p.T
+    a = annihilation(basis, 2).matrix
+    mean_a = np.einsum("ti,ij,tj->t", states.conj(), a, states)
     return 2.0 * mean_a.real, above_one
 
 
 class TestChannelQuadrature:
     def test_matches_dense_annihilation_over_phase_sweep(self):
-        # the 16-phase sweep of demos/04_clock_readout.py
+        # the 16-phase sweep of demos/04_clock_readout.py; a chain state has
+        # no L = 2 weight, so it never reaches two photons
         config = rd.readout_config()
         model = rd.emission_model(config)
         for phi in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
             state, _ = rd.readout_chain(config, phi / config.clock_frequency)
             quadrature, above_one, _ = rd._full_quadrature(state, model)
-            oracle, oracle_above_one = dense_radiated_quadrature(state, model)
+            oracle, oracle_above_one = dense_quadrature(state, model)
             assert np.max(np.abs(oracle)) > 0.2
             assert np.max(np.abs(quadrature - oracle)) <= 1e-14
-            assert above_one == oracle_above_one
+            assert above_one == 0.0
+            assert oracle_above_one <= 1e-28
 
     def test_overflow_population_matches_dense(self):
         # a doubly excited pair populates the two-photon level
@@ -319,10 +365,34 @@ class TestChannelQuadrature:
         model = rd.emission_model(config)
         state = chain_state({(E1, E1): 1.0})
         quadrature, above_one, _ = rd._full_quadrature(state, model)
-        oracle, oracle_above_one = dense_radiated_quadrature(state, model)
+        oracle, oracle_above_one = dense_quadrature(state, model)
         assert oracle_above_one > 1e-3
-        assert above_one == pytest.approx(oracle_above_one, rel=1e-12)
+        assert oracle_above_one <= above_one + 1e-12
         assert np.max(np.abs(quadrature - oracle)) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_state_with_g2_weight_matches_dense(self, seed):
+        # weight outside the channel's sectors still counts in the
+        # normalization of the dressed start
+        if seed is None:
+            state = expected_mixed(1.1)
+        else:
+            rng = np.random.default_rng(seed)
+            state = StateVector(rd.pair_basis(), rng.normal(size=16) + 1j * rng.normal(size=16),
+                                normalize=True)
+        model = rd.emission_model(rd.readout_config())
+        quadrature, _, _ = rd._full_quadrature(state, model)
+        oracle, _ = dense_quadrature(state, model)
+        assert np.max(np.abs(oracle)) > 0.01
+        assert np.max(np.abs(quadrature - oracle)) <= 1e-13
+
+    def test_channel_annihilation_is_dense_a_on_the_channel(self):
+        model = rd.emission_model(rd.readout_config())
+        p = rd._resonant_subspace(model.config)
+        a = annihilation(rd.emission_basis(model.config), 2).matrix
+        # 1/sqrt(2)^2 * 2 rounds to 1 + 2.2e-16
+        np.testing.assert_allclose(p.conj().T @ a @ p, rd._CHANNEL_ANNIHILATION,
+                                   rtol=0, atol=3e-16)
 
 
 class TestPhaseTable:
@@ -331,9 +401,13 @@ class TestPhaseTable:
         table = model.phase_table()
         assert model.phase_table() is table
         assert not table.flags.writeable
-        w, _ = model.hamiltonian.eigensystem()
         np.testing.assert_array_equal(
-            table, np.exp(-1j * np.outer(np.asarray(model.readout_times), w)))
+            table, np.exp(-1j * np.outer(np.asarray(model.readout_times), model.eigenvalues)))
+        # the eigenvalues are those of the dense Hamiltonian on the model's states
+        matrix, _ = dense_emission(model)
+        np.testing.assert_allclose(
+            np.sort(model.eigenvalues),
+            np.linalg.eigvalsh(matrix[np.ix_(model.states, model.states)]), rtol=0, atol=1e-12)
 
 
 class TestPhaseExtraction:
