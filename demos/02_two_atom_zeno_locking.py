@@ -8,6 +8,7 @@ the photon number freezes the rotation.  More frequent cycles lock better,
 with survival following exp(-Delta^2 * cycle * t).
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -21,20 +22,25 @@ OUT.mkdir(exist_ok=True)
 
 DELTA = 2.0
 
-config = z2.TwoLevelConfig(free_interval=1e-3, measure_interval=0.0,
-                           final_time=1e-3, half_difference=DELTA)
-drifted = z2.free_drift(z2.subradiant_state(config, 0), config)
-amp = abs(z2.superradiant_state(config, 0).overlap(drifted))
-print(f"after one free drift of tau = 1e-3: bright amplitude {amp:.3e} "
-      f"(first order predicts Delta*tau = {DELTA * 1e-3:.1e})")
 
-cycle_config = z2.config_for_cycle_time(0.005, 1.0, half_difference=DELTA)
-result = z2.zeno_cycle(z2.subradiant_state(cycle_config, 0), cycle_config)
+def one_cycle(cycle):
+    """The protocol over exactly one cycle of the given length."""
+    config = z2.config_for_cycle_time(cycle, cycle, half_difference=DELTA)
+    return config, z2.run_protocol(dataclasses.replace(config, final_time=config.cycle_time))
+
+
+# the photon check fails on the bright component the free drift built up
+config, trace = one_cycle(1e-3)
+amp = math.sqrt(trace.p_error_per_cycle[-1])
+print(f"one cycle with tau = {config.free_interval:.4g}: the photon check finds a bright "
+      f"amplitude {amp:.3e} (first order predicts Delta*tau = {DELTA * config.free_interval:.3e})")
+
+cycle_config, trace = one_cycle(0.005)
 pe = z2.pe_analytic(DELTA, cycle_config.free_interval)
-print(f"one full cycle: success probability {result.success_probability:.8f} "
+print(f"one full cycle: success probability {trace.p_success[-1]:.8f} "
       f"(closed form 1 - (Delta*tau)^2 = {1 - pe:.8f})")
 print(f"state fidelity with a fresh dark state: "
-      f"{result.state.fidelity(z2.subradiant_state(cycle_config, 0)):.10f}")
+      f"{trace.final_state.fidelity(z2.subradiant_state(cycle_config, 0)):.10f}")
 
 series = []
 print("\nsurvival curves (both run to the analytic 10% point):")

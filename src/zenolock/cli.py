@@ -94,10 +94,9 @@ _DEFAULTS = {
 # Largest size key a run may take (the Zeno photon number n, the readout
 # emission cutoff c), so that its basis dimension d stays capped before
 # anything is allocated.  Every run holds state vectors and sector blocks,
-# which grow linearly with d, but every Zeno photon injection or removal
-# forms and diagonalizes the reduced density matrix of one mode, (mode
-# dimension)^2 entries: d/4 on a side for zeno2, about sqrt(d)/4 for zeno4.
-# The readout emission sectors hold at most 9 states each.  With the default
+# which grow linearly with d, and the Zeno cycle-map build propagates one
+# state vector per atom state (4 for zeno2, 16 for zeno4).  The readout
+# emission sectors hold at most 9 states each.  With the default
 # Fock cutoffs (n + 3 for the zeno2 mode, n + 2 for each zeno4 mode) the caps
 # keep d = 4(n + 4) <= 2048 for zeno2, d = 16(n + 3)^2 <= 65,536 for zeno4
 # and d = 16(c + 1) <= 2048 for readout.
@@ -422,7 +421,12 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
     provenance = _provenance("readout", config_text, args.seed)
     shift_keys = {"drive_amplitude": config.drive_amplitude, "coupling": config.coupling}
     with _overflow_names("readout", shift_keys, "the second-order light shifts"):
-        model = readout.emission_model(config)
+        try:
+            model = readout.emission_model(config)
+        except readout.ResonanceError as error:
+            raise readout.ResonanceError(
+                f"{error}, at [readout] coupling = {config.coupling!r}, drive_amplitude = "
+                f"{config.drive_amplitude!r}, detuning = {config.detuning!r}") from None
 
     def run_one(target):
         elapsed = _clock_phase_residue(target) / config.clock_frequency
@@ -546,8 +550,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         # Floating-point overflow, division by zero and invalid operations
-        # raise here instead of warning.  The pool threads of parallel_map
-        # start in a fresh context, so work mapped onto them is not covered.
+        # raise here instead of warning, also in parallel_map's pool threads.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             results, flags, seed = _HANDLERS[args.command](section, out_dir, args,
                                                            config_text)

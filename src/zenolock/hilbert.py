@@ -7,8 +7,10 @@ Hamiltonian that conserves an occupation label, as both Zeno protocols' and
 the readout emission model's do, is assembled straight into its label
 sectors and evolved block by block, with no dense operator of the full
 basis.  The dense operator, whose eigensystem is cached on it, is the test
-oracle of the sector path.  hbar = 1 throughout; all frequencies are
-angular unless a module says otherwise.
+oracle of the sector path.  The Zeno protocols inject, project and remove
+photons on the atom-sector amplitudes of their cycle map, so there are no
+state-level mode operations here.  hbar = 1 throughout; all frequencies
+are angular unless a module says otherwise.
 
 All values are immutable after construction (backing arrays are marked
 read-only) and every operation returns a new value, so states and operators
@@ -16,25 +18,16 @@ can be shared freely between threads.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-MODE_PURITY_TOL = 1e-10
 ZERO_PROBABILITY = 1e-30
 
 
 class BasisMismatchError(ValueError):
     """A state and an operator live on different product bases."""
-
-
-class EntangledModeError(ValueError):
-    """A mode-factor swap was requested while the mode is entangled.
-
-    In the measurement protocols this signals a sequencing bug: photons must
-    be injected or removed only between segments, when the mode factorizes.
-    """
 
 
 @dataclass(frozen=True)
@@ -323,13 +316,6 @@ def assemble_sectors(basis: ProductBasis, diagonal_weights, exchange_terms,
     return SectorHamiltonian(basis, diagonal, sectors)
 
 
-def _require_mode(basis: ProductBasis, subsystem_index: int) -> Mode:
-    sub = basis.subsystems[subsystem_index]
-    if not isinstance(sub, Mode):
-        raise TypeError(f"subsystem {subsystem_index} is an atom, expected a mode")
-    return sub
-
-
 def evolve(state: StateVector, hamiltonian: OperatorMatrix, duration: float) -> StateVector:
     """Exact propagation exp(-i H t)|state> via the cached eigensystem of H."""
     if hamiltonian.basis != state.basis:
@@ -349,81 +335,6 @@ def _propagate_diagonal(energies: np.ndarray, amps: np.ndarray,
                         duration: float) -> np.ndarray:
     """Exact propagation under a diagonal Hamiltonian given by its energies."""
     return np.exp(-1j * duration * energies) * amps
-
-
-def _mode_view(state: StateVector, mode_index: int) -> np.ndarray:
-    """Amplitudes reshaped to (before, mode, after) around one mode axis."""
-    dims = state.basis.dims
-    pre = int(np.prod(dims[:mode_index], dtype=np.int64)) if mode_index else 1
-    post = int(np.prod(dims[mode_index + 1:], dtype=np.int64)) if mode_index + 1 < len(dims) else 1
-    return state.amplitudes.reshape(pre, dims[mode_index], post)
-
-
-class ProjectionResult(NamedTuple):
-    """Outcome of a projective photon-number measurement.
-
-    ``state`` is None when the requested outcome has (numerically) zero Born
-    probability; this is a flagged result, not an error.
-    """
-
-    state: Optional[StateVector]
-    probability: float
-
-
-def project_photon_number(state: StateVector, mode_index: int, k: int) -> ProjectionResult:
-    """Project one mode onto exactly k photons and renormalize."""
-    sub = _require_mode(state.basis, mode_index)
-    if not 0 <= k <= sub.cutoff:
-        raise ValueError(f"photon number {k} outside 0..{sub.cutoff}")
-    view = _mode_view(state, mode_index)
-    branch = view[:, k, :]
-    probability = float(np.sum(np.abs(branch) ** 2))
-    if probability <= ZERO_PROBABILITY:
-        return ProjectionResult(None, probability)
-    out = np.zeros_like(view)
-    out[:, k, :] = branch / np.sqrt(probability)
-    return ProjectionResult(_bare_state(state.basis, out.reshape(-1)), probability)
-
-
-def photon_number_distribution(state: StateVector, mode_index: int) -> np.ndarray:
-    """Born probabilities of every photon-number outcome on one mode."""
-    _require_mode(state.basis, mode_index)
-    view = _mode_view(state, mode_index)
-    return np.sum(np.abs(view) ** 2, axis=(0, 2))
-
-
-def replace_mode_state(state: StateVector, mode_index: int, k: int) -> StateVector:
-    """Swap an unentangled mode factor to the Fock state |k>.
-
-    Used to inject photons (|0> -> |n>) before a measurement segment and to
-    remove them afterwards.  Requires the reduced purity of the mode to be
-    at least 1 - 1e-10, otherwise the swap would silently discard
-    correlations and an :class:`EntangledModeError` is raised.
-    """
-    sub = _require_mode(state.basis, mode_index)
-    if not 0 <= k <= sub.cutoff:
-        raise ValueError(f"photon number {k} outside 0..{sub.cutoff}")
-    view = _mode_view(state, mode_index)
-    m = np.moveaxis(view, 1, 2).reshape(-1, view.shape[1])
-    rho = m.T @ m.conj()
-    trace = float(np.trace(rho).real)
-    purity = float(np.sum(np.abs(rho) ** 2) / trace**2)
-    if purity < 1.0 - MODE_PURITY_TOL:
-        raise EntangledModeError(
-            f"mode {mode_index} is entangled with the rest of the system "
-            f"(reduced purity {purity:.12f}); photon injection/removal is only "
-            "valid between protocol segments"
-        )
-    _, vecs = np.linalg.eigh(rho)
-    factor = vecs[:, -1]
-    anchor = int(np.argmax(np.abs(factor)))
-    factor = factor * (factor[anchor].conj() / abs(factor[anchor]))
-    rest = m @ factor.conj()
-    rest /= np.linalg.norm(rest)
-    out = np.zeros_like(m)
-    out[:, k] = rest
-    out = np.moveaxis(out.reshape(view.shape[0], view.shape[2], view.shape[1]), 2, 1)
-    return _bare_state(state.basis, np.ascontiguousarray(out).reshape(-1))
 
 
 def occupation_labels(basis: ProductBasis, local_weights: Sequence[Sequence[int]]) -> np.ndarray:

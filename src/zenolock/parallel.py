@@ -2,11 +2,14 @@
 
 ZENOLOCK_THREADS caps the worker count for every parallel sweep in the
 package.  Work items are always mapped to results in submission order, so the
-numerical output is bit-identical no matter how many threads run.
+numerical output is bit-identical no matter how many threads run, and every
+item runs under the caller's numpy floating-point error settings.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 _ENV_VAR = "ZENOLOCK_THREADS"
 
@@ -26,5 +29,12 @@ def parallel_map(fn, items, max_workers: int | None = None) -> list:
     workers = min(max_workers or thread_limit(), len(items)) if items else 1
     if workers <= 1:
         return [fn(item) for item in items]
+    settings = np.geterr()
+
+    def task(item):
+        # a pool thread starts with numpy's default error settings
+        with np.errstate(**settings):
+            return fn(item)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(task, items))

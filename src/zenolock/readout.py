@@ -41,6 +41,10 @@ class DegenerateFitError(ValueError):
     """Phase fit requested on a numerically zero trace."""
 
 
+class ResonanceError(ValueError):
+    """The emission mode could not be tuned onto the light-shifted resonance."""
+
+
 class CutoffOverflowError(RuntimeError):
     """Emission-mode population reached the truncation boundary."""
 
@@ -395,14 +399,18 @@ def emission_model(config: ReadoutConfig) -> _EmissionModel:
     endpoints would slow and phase-slip the transfer.  Their mismatch grows
     with the mode frequency at slope 1 plus the light shifts' slope: one step
     at slope 1, then secant steps, reach rounding level (four ulps of the
-    endpoint energies) within five builds.
+    endpoint energies) within five builds.  Raises :class:`ResonanceError`
+    when they stop short of it with the mismatch above 1e-3 of the effective
+    coupling, where the transfer would be detuned.
     """
+    def resolved(model, mismatch):
+        return abs(mismatch) <= 4.0 * np.spacing(np.max(np.abs(model.h_eff.diagonal()[:2].real)))
+
     frequency = config.emission_frequency
     model = _EmissionModel(config, frequency)
     mismatch, slope = model.resonance_mismatch(), 1.0
     for _ in range(4):
-        endpoints = np.max(np.abs(model.h_eff.diagonal()[:2].real))
-        if abs(mismatch) <= 4.0 * np.spacing(endpoints):
+        if resolved(model, mismatch):
             break
         step = -mismatch / slope
         frequency += step
@@ -411,6 +419,10 @@ def emission_model(config: ReadoutConfig) -> _EmissionModel:
         if mismatch == previous:
             break
         slope = (mismatch - previous) / step
+    if not resolved(model, mismatch) and abs(mismatch) > 1e-3 * model.effective_coupling():
+        raise ResonanceError(
+            f"the emission mode stays {mismatch:.3g} off the Raman resonance, against an "
+            f"effective coupling of {model.effective_coupling():.3g}")
     return model
 
 

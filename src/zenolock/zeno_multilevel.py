@@ -28,8 +28,9 @@ from .zeno_two_level import (
     SurvivalClosedForm,
     SurvivalTrace,
     _validate_protocol,
-    half_flop_time_inverse,
+    half_flop_time,
     run_zeno,
+    split_cycle,
 )
 
 G3, E1_3, E2_3 = 0, 1, 2          # three-level ordering
@@ -139,9 +140,7 @@ def four_level_config_from_deltas(delta_1: float, delta_2: float, cycle_time: fl
     measurement window is cycle_time/(measure_ratio + 1) and the coupling
     makes it exactly half a Rabi flop.
     """
-    tau_m = cycle_time / (measure_ratio + 1.0)
-    tau = cycle_time - tau_m
-    coupling = half_flop_time_inverse(tau_m, photon_number)
+    tau, tau_m, coupling = split_cycle(cycle_time, photon_number, measure_ratio)
     atom_a = FourLevelEnergies(g1=ground_1, g2=ground_2,
                                e1=ground_1 + transition_1 + delta_1,
                                e2=ground_2 + transition_2 + delta_2)
@@ -160,7 +159,7 @@ def three_level_config(coupling: float = 2.0, photon_number: int = 8,
                        ground: float = 0.0) -> ThreeLevelConfig:
     """Identical resonant V-configuration atoms (enough to exhibit the leak)."""
     if measure_interval is None:
-        measure_interval = math.pi / (2.0 * coupling * math.sqrt(photon_number + 0.5))
+        measure_interval = half_flop_time(coupling, photon_number)
     atom = ThreeLevelEnergies(g=ground, e1=ground + transition_1, e2=ground + transition_2)
     return ThreeLevelConfig(mode_frequencies=(transition_1, transition_2),
                             atom_a=atom, atom_b=atom, coupling=coupling,
@@ -296,13 +295,13 @@ def ps_four_level(delta_1: float, delta_2: float, free_interval: float,
                               exponential_form=math.exp(-rate * final_time))
 
 
-def run_four_level_protocol(config: FourLevelConfig, max_trace_points: int = 2000,
-                            method: str = "compiled") -> SurvivalTrace:
+def run_four_level_protocol(config: FourLevelConfig,
+                            max_trace_points: int = 2000) -> SurvivalTrace:
     """Iterate four-level Zeno cycles until the final time.
 
     Each cycle is a free drift, injection of n photons into both modes, the
     half-flop coupling window, projection of both photon numbers back onto n
-    and photon removal; see :func:`zeno_two_level.run_zeno` for ``method``.
+    and photon removal, run as one linear map; see :func:`zeno_two_level.run_zeno`.
     The Hamiltonian is held by sector (:func:`build_sector_hamiltonian`), so
     no dense operator of the pair basis is built.
     """
@@ -311,7 +310,7 @@ def run_four_level_protocol(config: FourLevelConfig, max_trace_points: int = 200
         config, build_four_level_hamiltonian(config), initial_state(config),
         rate=0.5 * (delta_1**2 + delta_2**2) * config.cycle_time,
         regime_check=lambda: pe_four_level(delta_1, delta_2, config.free_interval),
-        max_trace_points=max_trace_points, method=method)
+        max_trace_points=max_trace_points)
 
 
 def cross_manifold_population(state: StateVector) -> float:

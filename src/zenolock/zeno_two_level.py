@@ -36,10 +36,9 @@ class OutOfRegimeError(ValueError):
 class ProtocolError(RuntimeError):
     """A protocol run left its numerically valid range.
 
-    Raised when a segment is entered with the cavity in the wrong state, when
-    the success branch has zero probability, when population reaches a Fock
-    truncation boundary, when the survival probability underflows to zero,
-    and when the per-cycle error is too small to resolve.
+    Raised when population reaches a Fock truncation boundary, when the
+    survival probability underflows to zero, and when the per-cycle error is
+    too small to resolve.
     """
 
 
@@ -108,13 +107,21 @@ def config_for_cycle_time(cycle_time: float, final_time: float,
     closed-form error rate assumes tau_m << tau; the default ratio keeps the
     departure from it below a percent.
     """
-    tau_m = cycle_time / (measure_ratio + 1.0)
-    tau = cycle_time - tau_m
-    coupling = half_flop_time_inverse(tau_m, photon_number)
+    tau, tau_m, coupling = split_cycle(cycle_time, photon_number, measure_ratio)
     return TwoLevelConfig(free_interval=tau, measure_interval=tau_m,
                           final_time=final_time, cavity_frequency=cavity_frequency,
                           common_offset=common_offset, half_difference=half_difference,
                           coupling=coupling, photon_number=photon_number)
+
+
+def split_cycle(cycle_time: float, photon_number: int, measure_ratio: float) -> tuple:
+    """(tau, tau_m, coupling) of a cycle whose window is half a Rabi flop.
+
+    tau_m = cycle_time / (measure_ratio + 1), tau is the rest of the cycle,
+    and the coupling makes tau_m exactly half a flop at ``photon_number``.
+    """
+    tau_m = cycle_time / (measure_ratio + 1.0)
+    return cycle_time - tau_m, tau_m, half_flop_time_inverse(tau_m, photon_number)
 
 
 def two_level_basis(config: TwoLevelConfig) -> h.ProductBasis:
@@ -191,80 +198,6 @@ def half_flop_time_inverse(measure_interval: float, photon_number: int) -> float
     return math.pi / (2.0 * measure_interval * math.sqrt(photon_number + 0.5))
 
 
-def _require_mode_vacuum(state: StateVector, mode_index: int = 2):
-    weight = h.photon_number_distribution(state, mode_index)[0]
-    if weight < 1.0 - 1e-9:
-        raise ProtocolError(
-            f"cavity still holds photons (vacuum weight {weight:.12f}); "
-            "remove them before a free-drift segment"
-        )
-
-
-def free_drift(state: StateVector, config: TwoLevelConfig) -> StateVector:
-    """Exact uncoupled evolution over the free interval (photons removed)."""
-    _require_mode_vacuum(state)
-    energies = build_two_level_hamiltonian(config).diagonal
-    return StateVector(state.basis,
-                       h._propagate_diagonal(energies, state.amplitudes, config.free_interval))
-
-
-def measurement_segment(state: StateVector, config: TwoLevelConfig) -> StateVector:
-    """Inject n photons into the empty cavity and couple for half a flop.
-
-    Returns the (generally entangled) atom-field state ready for the photon
-    number projection.
-    """
-    injected = h.replace_mode_state(state, 2, config.photon_number)
-    evolver = h.BlockEvolver(build_two_level_hamiltonian(config))
-    return evolver.evolve(injected, config.measure_interval)
-
-
-class CycleResult(NamedTuple):
-    state: StateVector
-    success_probability: float
-    # population above n + 1 photons in any mode before the projection; a run
-    # is numerically valid only while it stays tiny
-    mode_tail: float
-
-
-def _stepwise_cycle(state: StateVector, config, drift: Callable[[np.ndarray, float], np.ndarray],
-                    evolver: h.BlockEvolver) -> CycleResult:
-    """One explicit cycle of either protocol, following the success branch.
-
-    Free drift, injection of n photons into every mode, the coupling window,
-    projection of every mode back onto n, and photon removal.  The returned
-    probability is the Born weight of the all-n outcome.
-    """
-    basis = state.basis
-    modes = range(len(basis.atom_indices()), len(basis.dims))
-    n = config.photon_number
-    state = StateVector(basis, drift(state.amplitudes, config.free_interval))
-    for mode in modes:
-        state = h.replace_mode_state(state, mode, n)
-    state = evolver.evolve(state, config.measure_interval)
-    tail = max(float(np.sum(h.photon_number_distribution(state, mode)[n + 2:]))
-               for mode in modes)
-    probability = 1.0
-    for mode in modes:
-        outcome = h.project_photon_number(state, mode, n)
-        if outcome.state is None:
-            raise ProtocolError("the success branch has zero probability")
-        state = outcome.state
-        probability *= outcome.probability
-    for mode in modes:
-        state = h.replace_mode_state(state, mode, 0)
-    return CycleResult(state, probability, tail)
-
-
-def zeno_cycle(state: StateVector, config: TwoLevelConfig) -> CycleResult:
-    """One full two-atom protocol cycle from an empty cavity; see :func:`_stepwise_cycle`."""
-    _require_mode_vacuum(state)
-    hamiltonian = build_two_level_hamiltonian(config)
-    return _stepwise_cycle(state, config,
-                           functools.partial(h._propagate_diagonal, hamiltonian.diagonal),
-                           h.BlockEvolver(hamiltonian))
-
-
 def pe_analytic(half_difference: float, free_interval: float) -> float:
     """First-order per-cycle error probability (Delta*tau)^2."""
     pe = (half_difference * free_interval) ** 2
@@ -326,65 +259,70 @@ def _record_cycles(total_cycles: int, max_points: int) -> np.ndarray:
     return recorded
 
 
+def _coupled_window(config, basis: h.ProductBasis, atoms: np.ndarray,
+                    drift: Callable[[np.ndarray, float], np.ndarray],
+                    couple: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
+    """One cycle up to the photon-number projection, from ``atoms`` with every mode empty.
+
+    The free drift is propagated by ``drift(amplitudes, duration)``, n
+    photons are injected into every mode, and the coupling window is
+    propagated by ``couple(amplitudes, duration)``.  Returns the amplitudes
+    shaped (atom states, photons in mode 1, photons in mode 2, ...).
+    """
+    mode_dims = basis.dims[len(basis.atom_indices()):]
+    injected = int(np.ravel_multi_index((config.photon_number,) * len(mode_dims), mode_dims))
+    amps = np.zeros(basis.dimension, dtype=complex)
+    amps.reshape(len(atoms), -1)[:, 0] = atoms
+    amps = drift(amps, config.free_interval)
+    view = amps.reshape(len(atoms), -1)
+    vacuum = view[:, 0].copy()
+    view[:] = 0.0
+    view[:, injected] = vacuum
+    return couple(amps, config.measure_interval).reshape(len(atoms), *mode_dims)
+
+
 def cycle_matrix(config, basis: h.ProductBasis,
                  drift: Callable[[np.ndarray, float], np.ndarray],
                  couple: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
     """Per-cycle success-branch map on the atom sector with every mode empty.
 
-    Column i is one cycle applied to atom basis state i: the free drift
-    propagated by ``drift(amplitudes, duration)``, n photons injected into
-    every mode, the coupling window propagated by ``couple(amplitudes,
-    duration)``, and the n-photon component of every mode read off.  Every
-    step is linear, so the squared norm of the iterated vector is the
-    cumulative success probability.
+    Column i is one cycle applied to atom basis state i: the
+    :func:`_coupled_window` of that state with its n-photon component of
+    every mode read off.  Every step is linear, so the squared norm of the
+    iterated vector is the cumulative success probability.
     """
-    mode_dims = basis.dims[len(basis.atom_indices()):]
-    mode_dim = int(np.prod(mode_dims))
-    atom_dim = basis.dimension // mode_dim
-    injected = int(np.ravel_multi_index((config.photon_number,) * len(mode_dims), mode_dims))
+    atom_dim = int(np.prod(basis.dims[:len(basis.atom_indices())]))
     cycle_map = np.zeros((atom_dim, atom_dim), dtype=complex)
-    for i in range(atom_dim):
-        amps = np.zeros(basis.dimension, dtype=complex)
-        amps[i * mode_dim] = 1.0
-        amps = drift(amps, config.free_interval)
-        view = amps.reshape(atom_dim, mode_dim)
-        vacuum = view[:, 0].copy()
-        view[:] = 0.0
-        view[:, injected] = vacuum
-        amps = couple(amps, config.measure_interval)
-        cycle_map[:, i] = amps.reshape(atom_dim, mode_dim)[:, injected]
+    for i, atoms in enumerate(np.eye(atom_dim, dtype=complex)):
+        window = _coupled_window(config, basis, atoms, drift, couple)
+        cycle_map[:, i] = window[(slice(None),) + (config.photon_number,) * (window.ndim - 1)]
     return cycle_map
 
 
 def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector, rate: float,
-             regime_check: Callable[[], float], max_trace_points: int = 2000,
-             method: str = "compiled") -> SurvivalTrace:
+             regime_check: Callable[[], float], max_trace_points: int = 2000) -> SurvivalTrace:
     """Iterate Zeno cycles from ``initial`` until ``config.final_time``.
 
-    ``hamiltonian`` is the coupled Hamiltonian by sector: its blocks drive
-    the coupling window through a :class:`hilbert.BlockEvolver` and its
-    ``diagonal`` the free drift.  Every stride-th cycle and the last are
-    recorded, at most ``max_trace_points`` of them.  ``method`` "compiled"
-    works on the atom sector with the per-cycle map (see
-    :func:`cycle_matrix`) and jumps between recorded cycles: across a gap of
-    g cycles it applies the cached power ``map**(g-1)`` (one per distinct
-    gap, so at most two) and then one more ``map``, whose success
-    probability is the recorded cycle's own.  Its cost grows with the number
-    of recorded points, not of cycles.  "stepwise" applies
-    :func:`_stepwise_cycle` state by state to every cycle; it is the
-    reference the compiled path is tested against to 1e-10.  ``p_success``
-    is the cumulative product of per-cycle success probabilities and
+    ``initial`` must have every mode empty.  ``hamiltonian`` is the coupled
+    Hamiltonian by sector: its blocks drive the coupling window through a
+    :class:`hilbert.BlockEvolver` and its ``diagonal`` the free drift.  The
+    run works on the atom sector with the per-cycle map (see
+    :func:`cycle_matrix`).  Every stride-th cycle and the last are recorded,
+    at most ``max_trace_points`` of them, and the run jumps between them:
+    across a gap of g cycles it applies the cached power ``map**(g-1)`` (one
+    per distinct gap, so at most two) and then one more ``map``, whose
+    success probability is the recorded cycle's own.  Its cost grows with
+    the number of recorded points, not of cycles.  ``p_success`` is the
+    cumulative product of per-cycle success probabilities and
     ``analytic_p_s`` is exp(-rate t); ``regime_check`` raises
     :class:`OutOfRegimeError` outside the perturbative regime.  A trailing
-    partial cycle is a free drift without a measurement.  The truncation
-    tail is taken from one stepwise cycle of ``initial`` (and from every
-    cycle when stepwise).  A survival of zero at a recorded cycle raises
+    partial cycle is a free drift without a measurement.  ``max_mode_tail``
+    is the population above n + 1 photons in any mode at the end of the
+    first coupling window.  A survival of zero at a recorded cycle raises
     :class:`ProtocolError`, and so does a positive ``rate`` whose closed-form
     per-cycle error ``rate * cycle_time`` falls below :data:`MIN_CYCLE_ERROR`
     (also when it underflows to zero).
     """
-    if method not in ("compiled", "stepwise"):
-        raise ValueError(f"unknown method {method!r}")
     if rate > 0.0 and rate * config.cycle_time < MIN_CYCLE_ERROR:
         raise ProtocolError(
             f"closed-form per-cycle error {rate * config.cycle_time:.3e} is below "
@@ -401,52 +339,39 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector, rat
         out_of_regime = True
 
     record = _record_cycles(cycles, max_trace_points)
+    cycle_map = cycle_matrix(config, initial.basis, drift, evolver.propagate)
+    atom_dim = cycle_map.shape[0]
+    x = initial.amplitudes.reshape(atom_dim, -1)[:, 0].copy()
+    populations = np.abs(_coupled_window(config, initial.basis, x, drift,
+                                         evolver.propagate)) ** 2
+    max_tail = max(float(np.sum(np.moveaxis(populations, axis, 0)[config.photon_number + 2:]))
+                   for axis in range(1, populations.ndim))
+
     # survival before and after each recorded cycle
     survival = np.empty((len(record), 2))
-    max_tail = _stepwise_cycle(initial, config, drift, evolver).mode_tail
-    if method == "compiled":
-        cycle_map = cycle_matrix(config, initial.basis, drift, evolver.propagate)
-        atom_dim = cycle_map.shape[0]
-        x = initial.amplitudes.reshape(atom_dim, -1)[:, 0].copy()
-        powers = {}
-        done = 0
-        for slot, j in enumerate(record.tolist()):
-            gap = j - done
-            if gap > 1:
-                if gap not in powers:
-                    powers[gap] = np.linalg.matrix_power(cycle_map, gap - 1)
-                x = powers[gap] @ x
-            previous = float(x.real @ x.real + x.imag @ x.imag)
-            x = cycle_map @ x
-            current = float(x.real @ x.real + x.imag @ x.imag)
-            if current == 0.0:
-                raise ProtocolError(f"survival underflowed to zero by cycle {j}")
-            survival[slot] = previous, current
-            done = j
-        amps = np.zeros(initial.basis.dimension, dtype=complex)
-        amps.reshape(atom_dim, -1)[:, 0] = x / np.linalg.norm(x)
-        final = StateVector(initial.basis, amps)
-    else:
-        record_set = set(int(j) for j in record)
-        slot = 0
-        previous = 1.0
-        final = initial
-        for j in range(1, cycles + 1):
-            final, probability, tail = _stepwise_cycle(final, config, drift, evolver)
-            max_tail = max(max_tail, tail)
-            current = previous * probability
-            if j in record_set:
-                if current == 0.0:
-                    raise ProtocolError(f"survival underflowed to zero by cycle {j}")
-                survival[slot] = previous, current
-                slot += 1
-            previous = current
+    powers = {}
+    done = 0
+    for slot, j in enumerate(record.tolist()):
+        gap = j - done
+        if gap > 1:
+            if gap not in powers:
+                powers[gap] = np.linalg.matrix_power(cycle_map, gap - 1)
+            x = powers[gap] @ x
+        previous = float(x.real @ x.real + x.imag @ x.imag)
+        x = cycle_map @ x
+        current = float(x.real @ x.real + x.imag @ x.imag)
+        if current == 0.0:
+            raise ProtocolError(f"survival underflowed to zero by cycle {j}")
+        survival[slot] = previous, current
+        done = j
+    amps = np.zeros(initial.basis.dimension, dtype=complex)
+    amps.reshape(atom_dim, -1)[:, 0] = x / np.linalg.norm(x)
+    if remainder > 0.0:
+        amps = drift(amps, remainder)
+    final = StateVector(initial.basis, amps)
 
     before, cumulative = survival.T
     per_cycle_error = 1.0 - cumulative / before
-    if remainder > 0.0:
-        final = StateVector(final.basis, drift(final.amplitudes, remainder))
-
     times = np.concatenate([[0.0], record * cycle])
     if remainder > 0.0:
         times = np.append(times, config.final_time)
@@ -460,15 +385,13 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector, rat
                          max_mode_tail=max_tail)
 
 
-def run_protocol(config: TwoLevelConfig, max_trace_points: int = 2000,
-                 method: str = "compiled") -> SurvivalTrace:
+def run_protocol(config: TwoLevelConfig, max_trace_points: int = 2000) -> SurvivalTrace:
     """Iterate two-atom Zeno cycles from the subradiant pair until the final time.
 
-    ``method`` selects the per-cycle linear map ("compiled", default) or the
-    explicit state-by-state loop ("stepwise"); see :func:`run_zeno`.
+    See :func:`run_zeno`.
     """
     return run_zeno(
         config, build_two_level_hamiltonian(config), subradiant_state(config, 0),
         rate=config.half_difference**2 * config.cycle_time,
         regime_check=lambda: pe_analytic(config.half_difference, config.free_interval),
-        max_trace_points=max_trace_points, method=method)
+        max_trace_points=max_trace_points)

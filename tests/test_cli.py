@@ -372,6 +372,30 @@ class TestExitCodes:
             f"zenolock: numerical validity failure: [{section}] {key} = 1e+300 overflows "
             f"{quantity}\n")
 
+    def test_pool_threads_keep_the_error_state(self, tmp_path, capsys, monkeypatch):
+        # the two default clock phases run on two pool threads, which raise on
+        # the overflowing readout grid like the calling thread does
+        path = write_config(tmp_path, "[readout]\ntime_max = 1e308\n")
+        outcomes = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ZENOLOCK_THREADS", threads)
+            code = cli.main(["readout", "--config", str(path), "--out",
+                             str(tmp_path / threads)])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0][0] == cli.EXIT_NUMERICAL
+        assert outcomes[1] == outcomes[0]
+
+    def test_untuned_emission_mode_exit_code(self, tmp_path, capsys):
+        # five tuning builds leave the mode 47.9 off the light-shifted resonance
+        path = write_config(tmp_path, "[readout]\ncoupling = 20\ndrive_amplitude = 8\n")
+        code = cli.main(["readout", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "zenolock: numerical validity failure: the emission mode stays 47.9 off the "
+            "Raman resonance, against an effective coupling of 1.15, at [readout] "
+            "coupling = 20.0, drive_amplitude = 8.0, detuning = 10.0\n")
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
     @pytest.mark.parametrize("value", ["1e300", "-1e300", "1.4148475504056882e16",
                                        "-1.4148475504056882e16"])
     def test_unresolvable_clock_phase_is_config_error(self, tmp_path, capsys, value):

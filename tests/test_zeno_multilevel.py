@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import stepwise_oracle as so
 from kronecker_oracles import commutator_norm
 from zenolock import hilbert as h
 from zenolock import zeno_multilevel as zm
@@ -115,7 +116,7 @@ class TestHamiltonians:
         ham = zm.build_hamiltonian(config)
         evolver = h.BlockEvolver(zm.build_sector_hamiltonian(config))
         state = zm.initial_state(config)
-        injected = h.replace_mode_state(h.replace_mode_state(state, 2, 2), 3, 2)
+        injected = so.replace_mode_state(so.replace_mode_state(state, 2, 2), 3, 2)
         for t in (0.01, 0.4):
             dense = h.evolve(injected, ham, t)
             blocked = evolver.evolve(injected, t)
@@ -209,8 +210,8 @@ class TestClosedForms:
 class TestProtocol:
     def test_compiled_matches_stepwise(self):
         config = four_level_small()
-        compiled = zm.run_four_level_protocol(config, method="compiled")
-        stepwise = zm.run_four_level_protocol(config, method="stepwise")
+        compiled = zm.run_four_level_protocol(config)
+        stepwise = so.run_four_level_protocol(config)
         np.testing.assert_allclose(compiled.p_success, stepwise.p_success, atol=1e-10)
         np.testing.assert_allclose(compiled.final_state.amplitudes,
                                    stepwise.final_state.amplitudes, atol=1e-10)
@@ -263,8 +264,8 @@ class TestProtocol:
     def test_compiled_jump_matches_stepwise(self):
         # 10 cycles at stride 4 end in a ragged gap of 2
         config = four_level_small()
-        compiled = zm.run_four_level_protocol(config, max_trace_points=3, method="compiled")
-        stepwise = zm.run_four_level_protocol(config, max_trace_points=3, method="stepwise")
+        compiled = zm.run_four_level_protocol(config, max_trace_points=3)
+        stepwise = so.run_four_level_protocol(config, max_trace_points=3)
         np.testing.assert_allclose(compiled.times, [0.0, 0.08, 0.16, 0.2], rtol=1e-12)
         np.testing.assert_allclose(compiled.p_success, stepwise.p_success, atol=1e-10)
         np.testing.assert_allclose(compiled.p_error_per_cycle, stepwise.p_error_per_cycle,
@@ -306,21 +307,21 @@ class TestProtocol:
         drift = zm.build_hamiltonian(config, coupled=False)
         evolver = h.BlockEvolver(zm.build_sector_hamiltonian(config))
         state = h.evolve(zm.initial_state(config), drift, config.free_interval)
-        state = h.replace_mode_state(state, 2, config.photon_number)
-        state = h.replace_mode_state(state, 3, config.photon_number)
+        state = so.replace_mode_state(state, 2, config.photon_number)
+        state = so.replace_mode_state(state, 3, config.photon_number)
         state = evolver.evolve(state, config.measure_interval)
-        dist_1 = h.photon_number_distribution(state, 2)
-        dist_2 = h.photon_number_distribution(state, 3)
+        dist_1 = so.photon_number_distribution(state, 2)
+        dist_2 = so.photon_number_distribution(state, 3)
         assert dist_1.sum() == pytest.approx(1.0, abs=1e-12)
         assert dist_2.sum() == pytest.approx(1.0, abs=1e-12)
         joint = sum(
-            h.project_photon_number(state, 2, k1).probability
+            so.project_photon_number(state, 2, k1).probability
             for k1 in range(config.fock_cutoffs[0] + 1))
         assert joint == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_manifold_population_stays_zero(self):
         config = four_level_small()
-        trace = zm.run_four_level_protocol(config, method="stepwise")
+        trace = so.run_four_level_protocol(config)
         assert zm.cross_manifold_population(trace.final_state) < 1e-12
 
     def test_survival_monotone_and_tail_empty(self):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from kronecker_oracles import commutator_norm
+import stepwise_oracle as so
+from kronecker_oracles import basis_state, commutator_norm
 from zenolock import hilbert as h
 from zenolock import zeno_two_level as z2
 
@@ -101,7 +102,7 @@ class TestFreeDrift:
         for delta, tau in [(2.0, 1e-3), (2.0, 3e-3), (5.0, 2e-3)]:
             config = z2.TwoLevelConfig(free_interval=tau, measure_interval=0.0,
                                        final_time=tau, half_difference=delta)
-            drifted = z2.free_drift(z2.subradiant_state(config, 0), config)
+            drifted = so.free_drift(z2.subradiant_state(config, 0), config)
             amp = abs(z2.superradiant_state(config, 0).overlap(drifted))
             assert abs(amp - delta * tau) <= (delta * tau) ** 2 * (delta * tau)
 
@@ -110,20 +111,20 @@ class TestFreeDrift:
         config = z2.TwoLevelConfig(free_interval=tau, measure_interval=0.0,
                                    final_time=tau, half_difference=0.0)
         sub = z2.subradiant_state(config, 0)
-        drifted = z2.free_drift(sub, config)
+        drifted = so.free_drift(sub, config)
         assert sub.fidelity(drifted) == pytest.approx(1.0, abs=1e-12)
 
     def test_small_split_probability(self):
         config = z2.TwoLevelConfig(free_interval=0.001, measure_interval=0.0,
                                    final_time=0.001, half_difference=2.0)
-        drifted = z2.free_drift(z2.subradiant_state(config, 0), config)
+        drifted = so.free_drift(z2.subradiant_state(config, 0), config)
         prob = abs(z2.superradiant_state(config, 0).overlap(drifted)) ** 2
         assert prob == pytest.approx(4e-6, rel=1e-5)
 
     def test_requires_empty_cavity(self):
         config = small_config()
         with pytest.raises(z2.ProtocolError):
-            z2.free_drift(z2.subradiant_state(config, config.photon_number), config)
+            so.free_drift(z2.subradiant_state(config, config.photon_number), config)
 
 
 class TestHalfFlop:
@@ -160,8 +161,8 @@ class TestMeasurementSegment:
             free_interval=tau, measure_interval=tau_m, final_time=tau + tau_m,
             half_difference=delta, photon_number=n,
             coupling=z2.half_flop_time_inverse(tau_m, n))
-        drifted = z2.free_drift(z2.subradiant_state(config, 0), config)
-        measured = z2.measurement_segment(drifted, config)
+        drifted = so.free_drift(z2.subradiant_state(config, 0), config)
+        measured = so.measurement_segment(drifted, config)
         basis = measured.basis
         p_gg = measured.probability([z2.G, z2.G, n + 1])
         p_ee = measured.probability([z2.E, z2.E, n - 1])
@@ -171,8 +172,8 @@ class TestMeasurementSegment:
 
     def test_subradiant_is_dark(self):
         config = small_config(half_difference=0.0)
-        measured = z2.measurement_segment(z2.subradiant_state(config, 0), config)
-        stay = h.project_photon_number(measured, 2, config.photon_number)
+        measured = so.measurement_segment(z2.subradiant_state(config, 0), config)
+        stay = so.project_photon_number(measured, 2, config.photon_number)
         assert stay.probability == pytest.approx(1.0, abs=1e-10)
 
     def test_partial_flop_error_probability(self):
@@ -184,9 +185,9 @@ class TestMeasurementSegment:
         config = z2.TwoLevelConfig(
             free_interval=tau, measure_interval=tau_m, final_time=tau + tau_m,
             half_difference=delta, photon_number=n, coupling=400.0)
-        drifted = z2.free_drift(z2.subradiant_state(config, 0), config)
-        measured = z2.measurement_segment(drifted, config)
-        outcome = h.project_photon_number(measured, 2, n + 1)
+        drifted = so.free_drift(z2.subradiant_state(config, 0), config)
+        measured = so.measurement_segment(drifted, config)
+        outcome = so.project_photon_number(measured, 2, n + 1)
         argument = 400.0 * math.sqrt(n + 0.5) * tau_m
         expected = ((tau * delta) ** 2 * (n + 1) / (2 * n + 1)
                     * math.sin(argument) ** 2)
@@ -200,9 +201,9 @@ class TestMeasurementSegment:
             free_interval=tau, measure_interval=tau_m, final_time=tau + tau_m,
             half_difference=delta, photon_number=8,
             coupling=z2.half_flop_time_inverse(tau_m, 8))
-        drifted = z2.free_drift(z2.subradiant_state(config, 0), config)
-        measured = z2.measurement_segment(drifted, config)
-        stay = h.project_photon_number(measured, 2, config.photon_number)
+        drifted = so.free_drift(z2.subradiant_state(config, 0), config)
+        measured = so.measurement_segment(drifted, config)
+        stay = so.project_photon_number(measured, 2, config.photon_number)
         error = 1.0 - stay.probability
         assert error / (delta * tau) ** 2 == pytest.approx(1.0, abs=0.01)
 
@@ -210,19 +211,19 @@ class TestMeasurementSegment:
 class TestZenoCycle:
     def test_zero_split_never_fails(self):
         config = small_config(half_difference=0.0)
-        result = z2.zeno_cycle(z2.subradiant_state(config, 0), config)
+        result = so.zeno_cycle(z2.subradiant_state(config, 0), config)
         assert result.success_probability == pytest.approx(1.0, abs=1e-10)
 
     def test_success_branch_refocuses(self):
         config = small_config(free_interval=0.005, measure_interval=2.5e-5)
         delta_tau = config.half_difference * config.free_interval
-        result = z2.zeno_cycle(z2.subradiant_state(config, 0), config)
+        result = so.zeno_cycle(z2.subradiant_state(config, 0), config)
         fidelity = result.state.fidelity(z2.subradiant_state(config, 0))
         assert fidelity >= 1.0 - 10.0 * delta_tau**2
 
     def test_success_probability_matches_closed_form(self):
         config = small_config(free_interval=0.005, measure_interval=2.5e-5)
-        result = z2.zeno_cycle(z2.subradiant_state(config, 0), config)
+        result = so.zeno_cycle(z2.subradiant_state(config, 0), config)
         pe = z2.pe_analytic(config.half_difference, config.free_interval)
         assert 1.0 - result.success_probability == pytest.approx(pe, rel=0.02)
 
@@ -230,8 +231,8 @@ class TestZenoCycle:
         config = small_config()
         sub = z2.subradiant_state(config, 0)
         phased = h.StateVector(sub.basis, np.exp(1.23j) * sub.amplitudes)
-        p_plain = z2.zeno_cycle(sub, config).success_probability
-        p_phased = z2.zeno_cycle(phased, config).success_probability
+        p_plain = so.zeno_cycle(sub, config).success_probability
+        p_phased = so.zeno_cycle(phased, config).success_probability
         assert p_plain == pytest.approx(p_phased, abs=1e-15)
 
 
@@ -253,8 +254,8 @@ class TestClosedForms:
 class TestRunProtocol:
     def test_compiled_matches_stepwise(self):
         config = z2.config_for_cycle_time(0.01, 0.8)
-        compiled = z2.run_protocol(config, method="compiled")
-        stepwise = z2.run_protocol(config, method="stepwise")
+        compiled = z2.run_protocol(config)
+        stepwise = so.run_protocol(config)
         np.testing.assert_allclose(compiled.p_success, stepwise.p_success, atol=1e-10)
         np.testing.assert_allclose(compiled.final_state.amplitudes,
                                    stepwise.final_state.amplitudes, atol=1e-10)
@@ -263,8 +264,8 @@ class TestRunProtocol:
         # 80 whole cycles at stride 12 end in a ragged gap of 8, then a
         # trailing partial cycle
         config = z2.config_for_cycle_time(0.01, 0.807)
-        compiled = z2.run_protocol(config, max_trace_points=7, method="compiled")
-        stepwise = z2.run_protocol(config, max_trace_points=7, method="stepwise")
+        compiled = z2.run_protocol(config, max_trace_points=7)
+        stepwise = so.run_protocol(config, max_trace_points=7)
         np.testing.assert_allclose(compiled.times[1:-1], 0.01 * np.r_[12:84:12, 80],
                                    rtol=1e-12)
         np.testing.assert_allclose(compiled.p_success, stepwise.p_success, atol=1e-10)
@@ -272,6 +273,19 @@ class TestRunProtocol:
                                    atol=1e-10)
         np.testing.assert_allclose(compiled.final_state.amplitudes,
                                    stepwise.final_state.amplitudes, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [0, 2, 6])
+    def test_mode_tail_matches_first_stepwise_cycle(self, n):
+        # |EE> with the mode empty holds two excitations, so the window
+        # reaches n + 2 photons: the truncation boundary at fock_cutoff = n + 2
+        config = small_config(photon_number=n, fock_cutoff=n + 2)
+        start = basis_state(z2.two_level_basis(config), [z2.E, z2.E, 0])
+        trace = z2.run_zeno(config, z2.build_two_level_hamiltonian(config), start,
+                            rate=config.half_difference**2 * config.cycle_time,
+                            regime_check=lambda: 0.0)
+        expected = so.zeno_cycle(start, config).mode_tail
+        assert expected > 1e-3
+        assert abs(trace.max_mode_tail - expected) <= 1e-15
 
     def test_hundred_million_cycles(self):
         config = z2.config_for_cycle_time(1e-6, 100.0)
