@@ -149,17 +149,24 @@ def _write_manifest(out_dir: Path, subcommand: str, config_path, config_text: st
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+class _NamedOverflow(OverflowError):
+    """A float overflow whose message already names a config key."""
+
+
 @contextlib.contextmanager
 def _overflow_names(command: str, values: dict, quantity: str):
     """Re-raise a float overflow in the block naming the largest of ``values``.
 
     ``values`` maps the keys that ``quantity`` grows with to their values.
+    An overflow that a nested block has named passes through unchanged.
     """
     try:
         yield
+    except _NamedOverflow:
+        raise
     except (OverflowError, FloatingPointError):
         key, value = max(values.items(), key=lambda item: abs(item[1]))
-        raise OverflowError(f"[{command}] {key} = {value!r} overflows {quantity}") from None
+        raise _NamedOverflow(f"[{command}] {key} = {value!r} overflows {quantity}") from None
 
 
 def _clock_phase_residue(target: float) -> float:
@@ -195,16 +202,23 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
     config = dephasing.EnsembleConfig(atom_count=atom_count, center_frequency=f0,
                                       fwhm=fwhm, seed=seed, time_max=time_max,
                                       time_points=points, replicas=replicas)
-    grid = config.time_grid
-    locked_grid = grid * math.sqrt(atom_count)
-    locked_config = dataclasses.replace(config, time_max=locked_grid[-1])
+    hist_config = dephasing.EnsembleConfig(
+        atom_count=histogram_atoms, center_frequency=f0, fwhm=fwhm, seed=seed,
+        time_max=1.0, time_points=2, replicas=histogram_replicas)
     sigma = config.sigma
-    mc_ind, se_ind = dephasing.monte_carlo_mean_cos(config, locked=False)
-    mc_lock, se_lock = dephasing.monte_carlo_mean_cos(locked_config, locked=True)
-    with _overflow_names("dephasing", {"fwhm": fwhm, "time_max": time_max},
-                         "the envelope exponent (2 pi sigma t)^2 / 2"):
-        analytic_ind = dephasing.envelope_independent(grid, sigma, f0)
-        analytic_lock = dephasing.envelope_locked(locked_grid, sigma, f0, atom_count)
+    with _overflow_names("dephasing", {"center_frequency": f0, "fwhm": fwhm,
+                                       "time_max": time_max},
+                         "the sampled frequencies or the Monte Carlo phases"):
+        grid = config.time_grid
+        locked_grid = grid * math.sqrt(atom_count)
+        locked_config = dataclasses.replace(config, time_max=locked_grid[-1])
+        mc_ind, se_ind = dephasing.monte_carlo_mean_cos(config, locked=False)
+        mc_lock, se_lock = dephasing.monte_carlo_mean_cos(locked_config, locked=True)
+        with _overflow_names("dephasing", {"fwhm": fwhm, "time_max": time_max},
+                             "the envelope exponent (2 pi sigma t)^2 / 2"):
+            analytic_ind = dephasing.envelope_independent(grid, sigma, f0)
+            analytic_lock = dephasing.envelope_locked(locked_grid, sigma, f0, atom_count)
+        histograms = dephasing.bandwidth_histogram(hist_config, bins=bins)
 
     independent = TraceRecord(
         name="dephasing_independent",
@@ -219,10 +233,6 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
     write_csv(independent, out_dir / "dephasing_independent.csv")
     write_csv(locked, out_dir / "dephasing_locked.csv")
 
-    hist_config = dephasing.EnsembleConfig(
-        atom_count=histogram_atoms, center_frequency=f0, fwhm=fwhm, seed=seed,
-        time_max=1.0, time_points=2, replicas=histogram_replicas)
-    histograms = dephasing.bandwidth_histogram(hist_config, bins=bins)
     individual = histograms.individual
     means = histograms.replica_means
     centers = 0.5 * (individual.bin_edges[:-1] + individual.bin_edges[1:])

@@ -372,6 +372,19 @@ class TestExitCodes:
             f"zenolock: numerical validity failure: [{section}] {key} = 1e+300 overflows "
             f"{quantity}\n")
 
+    @pytest.mark.parametrize("key, value", [("center_frequency", "1e308"),
+                                            ("center_frequency", "-1e308"),
+                                            ("fwhm", "1e308"), ("time_max", "1e308")])
+    def test_dephasing_overflow_at_the_float_limit_names_the_key(self, tmp_path, capsys,
+                                                                 key, value):
+        # the replica mean, the draw scaling or the scaled grid overflows
+        path = write_config(tmp_path, small_with("dephasing", key, value))
+        code = cli.main(["dephasing", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert f"[dephasing] {key} = {float(value)!r} overflows" in err
+        assert "encountered in" not in err
+
     def test_pool_threads_keep_the_error_state(self, tmp_path, capsys, monkeypatch):
         # the two default clock phases run on two pool threads, which raise on
         # the overflowing readout grid like the calling thread does

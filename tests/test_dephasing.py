@@ -1,7 +1,10 @@
 """Ensemble statistics: sampling, coherence envelopes, Allan deviation."""
 
 import dataclasses
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,14 +299,26 @@ class TestPhasorPath:
         (0.1, 201, 100, 200),
         (0.1 * np.sqrt(100), 201, 100, 200),
         (10.0, 20001, 10, 20),
-    ], ids=["linspace", "linspace-sqrt-n", "20001-points"])
+        (0.1, 2, 100, 200),
+        (0.1, 3, 100, 200),
+        (0.1, 997, 10, 20),
+        (0.1, 210, 100, 200),
+        (0.1, 201, dp._BLOCK_ENTRIES + 3, 5),
+        (0.1, 201, 100, 41),
+    ], ids=["linspace", "linspace-sqrt-n", "20001-points", "2-points", "3-points",
+            "997-points", "210-points", "one-replica-blocks", "ragged-last-block"])
     def test_matches_cos_oracle(self, monkeypatch, locked, time_max, points, atoms, replicas):
+        # also grids whose last giant step is partial or m^2 != points, atoms
+        # beyond one block's budget, and 41 replicas of 100 atoms (blocks of
+        # 40 and 1)
         config = make_config(atom_count=atoms, replicas=replicas, time_max=time_max,
                              time_points=points)
         mean, se = dp.monte_carlo_mean_cos(config, locked=locked)
         oracle_mean, oracle_se = _cos_oracle(monkeypatch, config, locked)
         np.testing.assert_allclose(mean, oracle_mean, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(se, oracle_se, rtol=0.0, atol=1e-12)
+        assert mean[0] == 1.0
+        assert se[0] == 0.0
 
     def test_single_replica_has_zero_spread(self, monkeypatch):
         config = make_config(replicas=1)
@@ -390,15 +405,37 @@ class TestBandwidthHistogram:
         assert result.replica_means.integral() == pytest.approx(1.0, rel=1e-9)
 
 
+_PHASOR_DIGEST = """\
+import hashlib, sys
+from zenolock import dephasing as dp
+config = dp.EnsembleConfig(atom_count=100, center_frequency=100.0, fwhm=10.0,
+                           seed=20260808, time_max=0.1, time_points=201, replicas=300)
+values = dp._phasor_values(dp.sample_all_replicas(config), 0.1 / 200, 201)
+sys.stdout.write(hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
 class TestDeterminism:
     def test_thread_count_does_not_change_results(self, monkeypatch):
-        config = make_config(replicas=500)
-        monkeypatch.setenv("ZENOLOCK_THREADS", "1")
-        serial = dp.monte_carlo_mean_cos(config)
-        monkeypatch.setenv("ZENOLOCK_THREADS", "8")
-        threaded = dp.monte_carlo_mean_cos(config)
-        np.testing.assert_array_equal(serial[0], threaded[0])
-        np.testing.assert_array_equal(serial[1], threaded[1])
+        # the blocking and the BLAS thread count leave the kernel bit-identical
+        config = make_config(replicas=500, time_points=201)
+        freqs = dp.sample_all_replicas(config)
+        step = config.time_max / (config.time_points - 1)
+        reference = dp._phasor_values(freqs, step, config.time_points)
+        for entries in (1, config.atom_count - 1, dp._BLOCK_ENTRIES, 1 << 20):
+            with monkeypatch.context() as patch:
+                patch.setattr(dp, "_BLOCK_ENTRIES", entries)
+                blocked = dp._phasor_values(freqs, step, config.time_points)
+            np.testing.assert_array_equal(blocked, reference)
+        src = str(Path(dp.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", _PHASOR_DIGEST], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestEfoldFit:
