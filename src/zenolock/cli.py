@@ -353,11 +353,14 @@ def cmd_zeno2(section: Section, out_dir: Path, args, config_text: str):
     delta = section.get_float("half_difference")
 
     def run(cycle, final_time, photons, ratio, trace_points):
+        frequency = section.get_float("cavity_frequency")
+        offset = section.get_float("common_offset")
         config = z2.config_for_cycle_time(
             cycle, final_time, half_difference=delta, photon_number=photons,
-            measure_ratio=ratio, cavity_frequency=section.get_float("cavity_frequency"),
-            common_offset=section.get_float("common_offset"))
-        trace = z2.run_protocol(config, max_trace_points=trace_points)
+            measure_ratio=ratio, cavity_frequency=frequency, common_offset=offset)
+        with _overflow_names("zeno2", {"cavity_frequency": frequency, "common_offset": offset,
+                                       "half_difference": delta}, "the pair Hamiltonian"):
+            trace = z2.run_protocol(config, max_trace_points=trace_points)
         return config, trace, {"half_difference": repr(delta),
                                "coupling": repr(config.coupling),
                                "measure_interval": repr(config.measure_interval)}
@@ -373,12 +376,14 @@ def cmd_zeno4(section: Section, out_dir: Path, args, config_text: str):
     delta_2 = section.get_float("delta_2")
 
     def run(cycle, final_time, photons, ratio, trace_points):
+        transitions = {"transition_1": section.get_float("transition_1"),
+                       "transition_2": section.get_float("transition_2")}
         config = zm.four_level_config_from_deltas(
             delta_1, delta_2, cycle_time=cycle, final_time=final_time,
-            photon_number=photons, measure_ratio=ratio,
-            transition_1=section.get_float("transition_1"),
-            transition_2=section.get_float("transition_2"))
-        trace = zm.run_four_level_protocol(config, max_trace_points=trace_points)
+            photon_number=photons, measure_ratio=ratio, **transitions)
+        with _overflow_names("zeno4", {**transitions, "delta_1": delta_1, "delta_2": delta_2},
+                             "the pair Hamiltonian"):
+            trace = zm.run_four_level_protocol(config, max_trace_points=trace_points)
         return config, trace, {"delta_1": repr(delta_1), "delta_2": repr(delta_2),
                                "coupling": repr(config.coupling)}
 
@@ -444,7 +449,11 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
         trace = readout.emit_field_trace(state, model, method=method)
         return target, elapsed, probability, trace
 
-    runs = parallel_map(run_one, phases)
+    with _overflow_names("readout", {"transition_1": transition_1,
+                                     "transition_2": section.get_float("transition_2"),
+                                     "time_max": time_max},
+                         "the clock phase or the readout phase table"):
+        runs = parallel_map(run_one, phases)
     results = {}
     flags = {"degenerate_fit": False}
     plot_series = []
@@ -487,16 +496,22 @@ def cmd_allan(section: Section, out_dir: Path, args, config_text: str):
                               f"got {count!r}")
     provenance = _provenance("allan", config_text, args.seed)
 
+    for averaging in averaging_times:
+        if math.isinf(cycle_time / averaging):
+            raise _NamedOverflow(f"[allan] cycle_time / averaging_times = {cycle_time!r} / "
+                                 f"{averaging!r} overflows")
     rows = []
-    for count in atom_counts:
-        for averaging in averaging_times:
-            raw = dephasing.allan_deviation(dephasing.AllanParams(
-                fwhm=fwhm, carrier=carrier, atom_count=count,
-                cycle_time=cycle_time, averaging_time=averaging))
-            locked = dephasing.allan_deviation(dephasing.AllanParams(
-                fwhm=fwhm / math.sqrt(count), carrier=carrier, atom_count=count,
-                cycle_time=cycle_time, averaging_time=averaging))
-            rows.append((count, averaging, raw, locked, raw / locked))
+    with _overflow_names("allan", {"carrier": carrier, "fwhm": fwhm, "cycle_time": cycle_time},
+                         "the Allan deviation"):
+        for count in atom_counts:
+            for averaging in averaging_times:
+                raw = dephasing.allan_deviation(dephasing.AllanParams(
+                    fwhm=fwhm, carrier=carrier, atom_count=count,
+                    cycle_time=cycle_time, averaging_time=averaging))
+                locked = dephasing.allan_deviation(dephasing.AllanParams(
+                    fwhm=fwhm / math.sqrt(count), carrier=carrier, atom_count=count,
+                    cycle_time=cycle_time, averaging_time=averaging))
+                rows.append((count, averaging, raw, locked, raw / locked))
     record = TraceRecord(
         name="allan_deviation",
         columns=("atom_count", "averaging_time", "sigma_y", "sigma_y_locked",

@@ -9,6 +9,11 @@ state, and projects the photon number back onto n.  Surviving the projection
 collapses the pair back onto the subradiant state, so frequent cycles lock
 the relative phase.
 
+One scheme model serves every pair: the basis, Hamiltonian, conserved labels
+and pair states here follow from a config's ``LEVELS`` and ``TRANSITIONS``
+table, and :func:`run_zeno` drives every pair.  :class:`TwoLevelConfig` is
+the scheme with one transition; :mod:`zeno_multilevel` adds the others.
+
 All quantities are dimensionless angular frequencies and times (hbar = 1).
 """
 
@@ -58,12 +63,15 @@ def _validate_protocol(config) -> None:
 
 @dataclass(frozen=True)
 class TwoLevelConfig:
-    """Parameters of the two-atom protocol.
+    """Parameters of the two-atom protocol: the scheme with one transition.
 
     The atomic frequencies are cavity_frequency + common_offset +/-
     half_difference for atoms A and B; both couple to the mode with the same
     strength.
     """
+
+    LEVELS = 2
+    TRANSITIONS = ((E, G),)
 
     free_interval: float          # tau
     measure_interval: float       # tau_m
@@ -93,6 +101,21 @@ class TwoLevelConfig:
     @property
     def frequency_b(self) -> float:
         return self.cavity_frequency + self.common_offset - self.half_difference
+
+    @property
+    def mode_frequencies(self) -> tuple:
+        return (self.cavity_frequency,)
+
+    @property
+    def fock_cutoffs(self) -> tuple:
+        return (self.fock_cutoff,)
+
+    @property
+    def atom_levels(self) -> tuple:
+        return ((0.0, self.frequency_a), (0.0, self.frequency_b))
+
+    def delta(self, k: int) -> float:
+        return self.half_difference
 
 
 def config_for_cycle_time(cycle_time: float, final_time: float,
@@ -124,59 +147,76 @@ def split_cycle(cycle_time: float, photon_number: int, measure_ratio: float) -> 
     return cycle_time - tau_m, tau_m, half_flop_time_inverse(tau_m, photon_number)
 
 
-def two_level_basis(config: TwoLevelConfig) -> h.ProductBasis:
-    return h.build_basis([Atom(2), Atom(2), Mode(config.fock_cutoff)])
+def pair_basis(config) -> h.ProductBasis:
+    """Both atoms (``config.LEVELS`` levels each), then one mode per transition."""
+    modes = [Mode(cutoff) for cutoff in config.fock_cutoffs]
+    return h.build_basis([Atom(config.LEVELS), Atom(config.LEVELS), *modes])
 
 
-def _hamiltonian_terms(config: TwoLevelConfig, coupled: bool):
+def _hamiltonian_terms(config, coupled: bool):
     """Basis, diagonal weights and exchange terms of the pair Hamiltonian.
 
-    Both atoms exchange a photon with the one cavity mode (rotating-wave).
-    Without ``coupled`` the exchange terms are dropped, which models the
-    free-drift segments where the photons have been removed.
+    |upper_k> <-> |lower_k> exchanges a photon with mode k, on both atoms
+    (rotating-wave).  Without ``coupled`` the exchange terms are dropped,
+    which models the free-drift segments where the photons have been removed.
     """
-    weights = [(0.0, config.frequency_a), (0.0, config.frequency_b),
-               config.cavity_frequency * (np.arange(config.fock_cutoff + 1) + 0.5)]
-    exchange = [(atom, E, G, 2, 0.5 * config.coupling) for atom in (0, 1)] if coupled else []
-    return two_level_basis(config), weights, exchange
+    mode_weights = [frequency * (np.arange(cutoff + 1) + 0.5)
+                    for frequency, cutoff in zip(config.mode_frequencies, config.fock_cutoffs)]
+    exchange = [(atom, upper, lower, mode, 0.5 * config.coupling) for atom in (0, 1)
+                for mode, (upper, lower) in enumerate(config.TRANSITIONS, start=2) if coupled]
+    return pair_basis(config), [*config.atom_levels, *mode_weights], exchange
 
 
-def build_hamiltonian(config: TwoLevelConfig, coupled: bool = True) -> OperatorMatrix:
-    """Dense pair Hamiltonian; the oracle of :func:`build_two_level_hamiltonian`."""
+def build_hamiltonian(config, coupled: bool = True) -> OperatorMatrix:
+    """Dense pair Hamiltonian; the oracle of :func:`build_sector_hamiltonian`."""
     return h.assemble_hamiltonian(*_hamiltonian_terms(config, coupled))
 
 
-def build_two_level_hamiltonian(config: TwoLevelConfig) -> h.SectorHamiltonian:
-    """Coupled pair Hamiltonian by :func:`excitation_labels` sector.
+def build_sector_hamiltonian(config) -> h.SectorHamiltonian:
+    """Coupled pair Hamiltonian by :func:`conserved_labels` sector.
 
     Its ``diagonal`` is the uncoupled Hamiltonian of the free drift.  No
     operator of the full pair basis is formed.
     """
-    return h.assemble_sectors(*_hamiltonian_terms(config, True), excitation_labels(config))
+    return h.assemble_sectors(*_hamiltonian_terms(config, True), conserved_labels(config))
 
 
-def excitation_labels(config: TwoLevelConfig) -> np.ndarray:
-    """Conserved total excitation number (excited atoms plus photons)."""
-    basis = two_level_basis(config)
-    return h.occupation_labels(basis, [[0, 1], [0, 1], list(range(config.fock_cutoff + 1))])
+# perfbench/tracer.py wraps this name; a def, not an alias, keeps the wrap on it
+def build_two_level_hamiltonian(config: TwoLevelConfig) -> h.SectorHamiltonian:
+    return build_sector_hamiltonian(config)
 
 
-def _pair_state(config: TwoLevelConfig, sign: float, photons: int) -> StateVector:
-    basis = two_level_basis(config)
+def conserved_labels(config) -> np.ndarray:
+    """Every excitation number, packed: atoms in upper_k plus photons in mode k."""
+    basis = pair_basis(config)
+    numbers = []
+    for k, (upper, _) in enumerate(config.TRANSITIONS):
+        atom = [int(level == upper) for level in range(config.LEVELS)]
+        modes = [list(range(c + 1)) if j == k else [0] * (c + 1)
+                 for j, c in enumerate(config.fock_cutoffs)]
+        numbers.append(h.occupation_labels(basis, [atom, atom, *modes]))
+    return functools.reduce(h.combine_labels, numbers)
+
+
+def pair_superposition(config, pairs, photons, sign: float = -1.0) -> StateVector:
+    """Even mix over ``pairs`` of (|upper lower> + sign |lower upper>)/sqrt(2)."""
+    basis = pair_basis(config)
     amps = np.zeros(basis.dimension, dtype=complex)
-    amps[basis.index([E, G, photons])] = 1.0 / np.sqrt(2.0)
-    amps[basis.index([G, E, photons])] = sign / np.sqrt(2.0)
+    weight = 1.0 / (math.sqrt(2.0) * math.sqrt(len(pairs)))
+    for upper, lower in pairs:
+        amps[basis.index([upper, lower, *photons])] += weight
+        amps[basis.index([lower, upper, *photons])] += sign * weight
     return StateVector(basis, amps)
 
 
 def subradiant_state(config: TwoLevelConfig, photons: int = 0) -> StateVector:
     """(|EG> - |GE>)/sqrt(2) with a definite photon number."""
-    return _pair_state(config, -1.0, photons)
+    return pair_superposition(config, config.TRANSITIONS, (photons,))
 
 
 def superradiant_state(config: TwoLevelConfig, photons: int = 0) -> StateVector:
     """(|EG> + |GE>)/sqrt(2) with a definite photon number."""
-    return _pair_state(config, +1.0, photons)
+    return pair_superposition(config, config.TRANSITIONS, (photons,), sign=+1.0)
 
 
 def half_flop_time(coupling: float, photon_number: int) -> float:
@@ -299,9 +339,9 @@ def cycle_matrix(config, basis: h.ProductBasis,
     return cycle_map
 
 
-def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector, rate: float,
-             regime_check: Callable[[], float], max_trace_points: int = 2000) -> SurvivalTrace:
-    """Iterate Zeno cycles from ``initial`` until ``config.final_time``.
+def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
+             max_trace_points: int = 2000) -> SurvivalTrace:
+    """Iterate Zeno cycles of any scheme's pair from ``initial`` until ``config.final_time``.
 
     ``initial`` must have every mode empty.  ``hamiltonian`` is the coupled
     Hamiltonian by sector: its blocks drive the coupling window through a
@@ -313,16 +353,22 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector, rat
     per distinct gap, so at most two) and then one more ``map``, whose
     success probability is the recorded cycle's own.  Its cost grows with
     the number of recorded points, not of cycles.  ``p_success`` is the
-    cumulative product of per-cycle success probabilities and
-    ``analytic_p_s`` is exp(-rate t); ``regime_check`` raises
-    :class:`OutOfRegimeError` outside the perturbative regime.  A trailing
-    partial cycle is a free drift without a measurement.  ``max_mode_tail``
-    is the population above n + 1 photons in any mode at the end of the
-    first coupling window.  A survival of zero at a recorded cycle raises
-    :class:`ProtocolError`, and so does a positive ``rate`` whose closed-form
-    per-cycle error ``rate * cycle_time`` falls below :data:`MIN_CYCLE_ERROR`
-    (also when it underflows to zero).
+    cumulative product of per-cycle success probabilities.
+
+    The closed forms come from the scheme: with m the mean of
+    ``config.delta(k)**2`` over the transitions, ``analytic_p_s`` is
+    exp(-rate t) with rate = m * cycle_time, and ``out_of_regime`` is
+    m * tau^2 > 1, the per-cycle error leaving the perturbative regime.  A
+    trailing partial cycle is a free drift without a measurement.
+    ``max_mode_tail`` is the population above n + 1 photons in any mode at the
+    end of the first coupling window.  A survival of zero at a recorded cycle
+    raises :class:`ProtocolError`, and so does a positive rate whose
+    closed-form per-cycle error ``rate * cycle_time`` falls below
+    :data:`MIN_CYCLE_ERROR` (also when it underflows to zero).
     """
+    squares = [config.delta(k) ** 2 for k in range(1, len(config.TRANSITIONS) + 1)]
+    mean_square = sum(squares) / len(squares)
+    rate = mean_square * config.cycle_time
     if rate > 0.0 and rate * config.cycle_time < MIN_CYCLE_ERROR:
         raise ProtocolError(
             f"closed-form per-cycle error {rate * config.cycle_time:.3e} is below "
@@ -332,11 +378,7 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector, rat
     cycle = config.cycle_time
     cycles = int(math.floor(config.final_time / cycle + 1e-9))
     remainder = max(0.0, config.final_time - cycles * cycle)
-    try:
-        regime_check()
-        out_of_regime = False
-    except OutOfRegimeError:
-        out_of_regime = True
+    out_of_regime = mean_square * (config.free_interval * config.free_interval) > 1.0
 
     record = _record_cycles(cycles, max_trace_points)
     cycle_map = cycle_matrix(config, initial.basis, drift, evolver.propagate)
@@ -388,10 +430,7 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector, rat
 def run_protocol(config: TwoLevelConfig, max_trace_points: int = 2000) -> SurvivalTrace:
     """Iterate two-atom Zeno cycles from the subradiant pair until the final time.
 
-    See :func:`run_zeno`.
+    The closed-form rate is Delta^2 * cycle_time; see :func:`run_zeno`.
     """
-    return run_zeno(
-        config, build_two_level_hamiltonian(config), subradiant_state(config, 0),
-        rate=config.half_difference**2 * config.cycle_time,
-        regime_check=lambda: pe_analytic(config.half_difference, config.free_interval),
-        max_trace_points=max_trace_points)
+    return run_zeno(config, build_two_level_hamiltonian(config), subradiant_state(config, 0),
+                    max_trace_points=max_trace_points)

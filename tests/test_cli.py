@@ -385,6 +385,37 @@ class TestExitCodes:
         assert f"[dephasing] {key} = {float(value)!r} overflows" in err
         assert "encountered in" not in err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("zeno2", "cavity_frequency", "1e308"), ("zeno2", "cavity_frequency", "-1e308"),
+        ("zeno2", "common_offset", "1e308"), ("zeno2", "common_offset", "-1e308"),
+        ("zeno4", "transition_1", "1e308"), ("zeno4", "transition_1", "-1e308"),
+        ("zeno4", "transition_2", "1e308"), ("zeno4", "transition_2", "-1e308"),
+        ("readout", "transition_2", "1e308"), ("readout", "transition_2", "-1e308"),
+        ("readout", "time_max", "1e308"), ("allan", "carrier", "1e308"),
+    ])
+    def test_overflow_at_the_float_limit_names_the_key(self, tmp_path, capsys,
+                                                       section, key, value):
+        # the pair Hamiltonian, the clock phase or phase table, or the Allan
+        # deviation overflows
+        path = write_config(tmp_path, small_with(section, key, value))
+        code = cli.main([section, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert f"[{section}] {key} = {float(value)!r} overflows" in err
+        assert "encountered in" not in err
+
+    @pytest.mark.parametrize("cycle_time, averaging, shown", [
+        ("1e308", "0.5", "1e+308 / 0.5"), ("2", "1, 1e-308", "2.0 / 1e-308")])
+    def test_allan_time_ratio_overflow_names_both_keys(self, tmp_path, capsys,
+                                                       cycle_time, averaging, shown):
+        path = write_config(tmp_path, f"[allan]\ncycle_time = {cycle_time}\n"
+                                      f"averaging_times = {averaging}\n")
+        code = cli.main(["allan", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"zenolock: numerical validity failure: [allan] cycle_time / averaging_times = "
+            f"{shown} overflows\n")
+
     def test_pool_threads_keep_the_error_state(self, tmp_path, capsys, monkeypatch):
         # the two default clock phases run on two pool threads, which raise on
         # the overflowing readout grid like the calling thread does

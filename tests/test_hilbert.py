@@ -373,7 +373,7 @@ def _two_level_case(coupled):
     g = 0.5 * config.coupling
     exchange = [(0, 1, 0, 2, g), (1, 1, 0, 2, g)] if coupled else []
     oracle = kronecker_hamiltonian(
-        z2.two_level_basis(config),
+        z2.pair_basis(config),
         [(0.0, config.frequency_a), (0.0, config.frequency_b)],
         [config.cavity_frequency], exchange)
     return z2.build_hamiltonian(config, coupled), oracle

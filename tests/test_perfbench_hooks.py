@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import inspect
 import numbers
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,22 @@ def test_layer_function_resolves(module_name, path, span_name, annotate):
         return
     parameters = inspect.signature(target).parameters
     assert BOUND_ARGUMENTS[span_name] <= set(parameters)
+
+
+MODULE_FUNCTIONS = [entry for entry in tracer.LAYER_FUNCTIONS if "." not in entry[1]]
+
+
+@pytest.mark.parametrize("module_name, path, span_name, annotate", MODULE_FUNCTIONS,
+                         ids=[entry[2] for entry in MODULE_FUNCTIONS])
+def test_wrapped_function_has_no_alias(module_name, path, span_name, annotate):
+    # install() rebinds every name bound to a wrapped function, so an alias
+    # would record this span for calls made under the other name
+    importlib.import_module("zenolock.cli")  # imports every layer module
+    target = _resolve(module_name, path)
+    aliases = [f"{name}.{key}" for name, module in list(sys.modules.items())
+               if name == "zenolock" or name.startswith("zenolock.")
+               for key, value in vars(module).items() if value is target and key != path]
+    assert aliases == []
 
 
 def test_every_annotation_is_listed():

@@ -38,21 +38,33 @@ SCHEMES = {
     "three": lambda n: zm.three_level_config(photon_number=n),
     "four": lambda n: four_level_small(n=n),
 }
+# every pair the scheme model builds, the one-transition two-level pair too
+PAIRS = {**SCHEMES, "two": lambda n: z2.config_for_cycle_time(0.02, 0.2, photon_number=n)}
 
 
 class TestSchemeModel:
-    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("scheme", sorted(PAIRS))
     def test_conserved_labels_match_hand_written_tables(self, scheme):
-        config = SCHEMES[scheme](2)
-        n1, n2 = hand_written_numbers(config, zm.pair_basis(config))
-        assert np.array_equal(zm.conserved_labels(config), h.combine_labels(n1, n2))
+        config = PAIRS[scheme](2)
+        basis = zm.pair_basis(config)
+        if scheme == "two":
+            # excited atoms plus photons
+            expected = h.occupation_labels(basis, [[0, 1], [0, 1],
+                                                   list(range(config.fock_cutoff + 1))])
+        else:
+            expected = h.combine_labels(*hand_written_numbers(config, basis))
+        assert np.array_equal(zm.conserved_labels(config), expected)
 
-    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("scheme", sorted(PAIRS))
     @pytest.mark.parametrize("n", [0, 3])
     def test_default_cutoffs(self, scheme, n):
-        config = SCHEMES[scheme](n)
-        assert config.fock_cutoffs == (n + 2, n + 2)
-        assert zm.pair_basis(config).dims == (config.LEVELS, config.LEVELS, n + 3, n + 3)
+        config = PAIRS[scheme](n)
+        if scheme == "two":
+            assert config.fock_cutoffs == (n + 3,)
+            assert zm.pair_basis(config).dims == (2, 2, n + 4)
+        else:
+            assert config.fock_cutoffs == (n + 2, n + 2)
+            assert zm.pair_basis(config).dims == (config.LEVELS, config.LEVELS, n + 3, n + 3)
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     @pytest.mark.parametrize("cutoffs", [(3, 4), (4, 3), (1, 1)])
@@ -147,9 +159,8 @@ class TestInitialStates:
 
     def test_manifold_halves_are_orthogonal(self):
         config = four_level_small()
-        basis = zm.pair_basis(config)
-        half_1 = zm._pair_superposition(basis, [(zm.E1, zm.G1)], (0, 0))
-        half_2 = zm._pair_superposition(basis, [(zm.E2, zm.G2)], (0, 0))
+        half_1 = zm.pair_superposition(config, [(zm.E1, zm.G1)], (0, 0))
+        half_2 = zm.pair_superposition(config, [(zm.E2, zm.G2)], (0, 0))
         assert abs(half_1.overlap(half_2)) == 0.0
         full = zm.initial_state(config)
         assert abs(full.overlap(half_1)) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
@@ -288,6 +299,27 @@ class TestProtocol:
         trace = zm.run_four_level_protocol(config)
         np.testing.assert_allclose(trace.p_success[1:], trace.analytic_p_s[1:],
                                    rtol=0.02)
+
+    def test_analytic_survival_is_the_closed_form_rate(self):
+        config = zm.four_level_config_from_deltas(1.3, 2.9, cycle_time=0.002,
+                                                  final_time=0.1, photon_number=2)
+        trace = zm.run_four_level_protocol(config)
+        d1, d2 = config.delta(1), config.delta(2)
+        expected = np.exp(-(0.5 * (d1**2 + d2**2) * config.cycle_time) * trace.times)
+        assert np.array_equal(trace.analytic_p_s, expected)
+
+    @pytest.mark.parametrize("pe", [0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0])
+    def test_out_of_regime_flag_agrees_with_closed_form(self, pe):
+        tau = four_level_small().free_interval
+        delta = math.sqrt(pe) / tau
+        config = four_level_small(delta_1=delta, delta_2=delta)
+        try:
+            zm.pe_four_level(config.delta(1), config.delta(2), config.free_interval)
+            raises = False
+        except zm.OutOfRegimeError:
+            raises = True
+        assert raises == (pe > 1.0)
+        assert zm.run_four_level_protocol(config).out_of_regime == raises
 
     def test_per_cycle_error_matches_closed_form(self):
         config = zm.four_level_config_from_deltas(2.0, 1.0, cycle_time=0.002,

@@ -54,7 +54,7 @@ class TestHamiltonian:
     def test_conserves_total_excitation(self):
         config = small_config()
         ham = z2.build_hamiltonian(config, coupled=True)
-        labels = z2.excitation_labels(config)
+        labels = z2.conserved_labels(config)
         number = h.OperatorMatrix(ham.basis, np.diag(labels.astype(complex)),
                                   hermitian=True)
         assert commutator_norm(ham, number) < 1e-12
@@ -279,10 +279,8 @@ class TestRunProtocol:
         # |EE> with the mode empty holds two excitations, so the window
         # reaches n + 2 photons: the truncation boundary at fock_cutoff = n + 2
         config = small_config(photon_number=n, fock_cutoff=n + 2)
-        start = basis_state(z2.two_level_basis(config), [z2.E, z2.E, 0])
-        trace = z2.run_zeno(config, z2.build_two_level_hamiltonian(config), start,
-                            rate=config.half_difference**2 * config.cycle_time,
-                            regime_check=lambda: 0.0)
+        start = basis_state(z2.pair_basis(config), [z2.E, z2.E, 0])
+        trace = z2.run_zeno(config, z2.build_two_level_hamiltonian(config), start)
         expected = so.zeno_cycle(start, config).mode_tail
         assert expected > 1e-3
         assert abs(trace.max_mode_tail - expected) <= 1e-15
@@ -395,6 +393,23 @@ class TestRunProtocol:
         config = z2.config_for_cycle_time(0.005, 0.5)
         trace = z2.run_protocol(config)
         assert trace.max_mode_tail < 1e-8
+
+    def test_analytic_survival_is_the_closed_form_rate(self):
+        config = z2.config_for_cycle_time(0.01, 0.5, half_difference=1.7)
+        trace = z2.run_protocol(config)
+        expected = np.exp(-(1.7**2 * config.cycle_time) * trace.times)
+        assert np.array_equal(trace.analytic_p_s, expected)
+
+    @pytest.mark.parametrize("pe", [0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0])
+    def test_out_of_regime_flag_agrees_with_closed_form(self, pe):
+        config = small_config(half_difference=math.sqrt(pe) / 0.01)
+        try:
+            z2.pe_analytic(config.half_difference, config.free_interval)
+            raises = False
+        except z2.OutOfRegimeError:
+            raises = True
+        assert raises == (pe > 1.0)
+        assert z2.run_protocol(config).out_of_regime == raises
 
     def test_out_of_regime_flag(self):
         config = z2.TwoLevelConfig(free_interval=1.0, measure_interval=0.005,
