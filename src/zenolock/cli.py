@@ -434,7 +434,9 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
     phases = section.get_float_list("clock_phases", minimum=-_MAX_CLOCK_PHASE,
                                     maximum=_MAX_CLOCK_PHASE)
     provenance = _provenance("readout", config_text, args.seed)
-    shift_keys = {"drive_amplitude": config.drive_amplitude, "coupling": config.coupling}
+    # the light shifts grow with the drive and coupling over the level energies
+    shift_keys = {"drive_amplitude": config.drive_amplitude, "coupling": config.coupling,
+                  "detuning": detuning, "transition_1": transition_1}
     with _overflow_names("readout", shift_keys, "the second-order light shifts"):
         try:
             model = readout.emission_model(config)

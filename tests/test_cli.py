@@ -102,6 +102,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="f.cfg:2"):
             Section("a", parsed["a"], {"real": "0"}, "f.cfg")
 
+    def test_defaults_file_matches_builtin_defaults(self):
+        # the shipped file documents the schema; a run falls back to _DEFAULTS
+        parsed = parse_config_text((REPO / "configs" / "defaults.cfg").read_text(
+            encoding="utf-8"))
+        in_file = [(name, [(key, entry.value) for key, entry in entries.items()])
+                   for name, entries in parsed.items()]
+        assert in_file == [(name, list(keys.items())) for name, keys in cli._DEFAULTS.items()]
+
     def test_typed_accessors(self):
         parsed = parse_config_text("[a]\nx = 2.5\nn = 7\nflag = true\nlist = 1, 2\n")
         section = Section("a", parsed["a"],
@@ -391,12 +399,13 @@ class TestExitCodes:
         ("zeno4", "transition_1", "1e308"), ("zeno4", "transition_1", "-1e308"),
         ("zeno4", "transition_2", "1e308"), ("zeno4", "transition_2", "-1e308"),
         ("readout", "transition_2", "1e308"), ("readout", "transition_2", "-1e308"),
-        ("readout", "time_max", "1e308"), ("allan", "carrier", "1e308"),
+        ("readout", "time_max", "1e308"), ("readout", "detuning", "-1e308"),
+        ("readout", "transition_1", "1e308"), ("allan", "carrier", "1e308"),
     ])
     def test_overflow_at_the_float_limit_names_the_key(self, tmp_path, capsys,
                                                        section, key, value):
-        # the pair Hamiltonian, the clock phase or phase table, or the Allan
-        # deviation overflows
+        # the pair Hamiltonian, the light shifts, the clock phase or phase
+        # table, or the Allan deviation overflows
         path = write_config(tmp_path, small_with(section, key, value))
         code = cli.main([section, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_NUMERICAL

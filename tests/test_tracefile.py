@@ -1,9 +1,30 @@
 """Trace records and their CSV round trip."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from zenolock import cli, tracefile
 from zenolock.tracefile import TraceRecord, read_csv, write_csv
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def row_wise_csv(record):
+    """The file text formatted row by row: the reference for write_csv."""
+    lines = [f"# trace: {record.name}"]
+    for key, value in record.provenance.items():
+        lines.append(f"# {key}: {value}")
+    lines.append(",".join(record.columns))
+    lines.extend(",".join(map(repr, row)) for row in record.rows.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def table(*columns, name="table"):
+    labels = tuple(f"c{index}" for index in range(len(columns)))
+    rows = np.column_stack(columns) if columns else np.zeros((3, 0))
+    return TraceRecord(name=name, columns=labels, rows=rows, provenance={"k": "v"})
 
 
 def sample_record():
@@ -64,3 +85,68 @@ class TestRoundTrip:
         write_csv(record, path)
         rows = path.read_text(encoding="utf-8").splitlines()[2:]
         assert rows == [",".join(repr(float(v)) for v in row) for row in record.rows]
+
+
+class TestColumnFormatting:
+    """write_csv against the row-by-row reference, through the column memo."""
+
+    T = np.linspace(0.0, 5.0, 401)
+
+    def assert_sequence(self, tmp_path, records):
+        for index, record in enumerate(records):
+            path = tmp_path / f"{index}.csv"
+            write_csv(record, path)
+            assert path.read_text(encoding="utf-8") == row_wise_csv(record)
+
+    def test_consecutive_records_share_a_column(self, tmp_path):
+        records = [table(self.T, np.sin(self.T + k)) for k in range(3)]
+        write_csv(records[0], tmp_path / "first.csv")
+        shared = tracefile._formatted_columns[0][1]
+        self.assert_sequence(tmp_path, records)
+        # the shared column was formatted once and reused
+        assert tracefile._formatted_columns[0][1] is shared
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_misses(self, tmp_path, first, second):
+        self.assert_sequence(tmp_path, [table(np.array([first, 1.0, 2.0])),
+                                        table(np.array([second, 1.0, 2.0]))])
+
+    def test_one_ulp_misses(self, tmp_path):
+        nudged = self.T.copy()
+        nudged[200] = np.nextafter(nudged[200], np.inf)
+        self.assert_sequence(tmp_path, [table(self.T), table(nudged), table(self.T)])
+
+    def test_same_values_at_another_position(self, tmp_path):
+        u = np.cos(self.T)
+        self.assert_sequence(tmp_path, [table(self.T, u), table(u, self.T),
+                                        table(u, u, self.T)])
+
+    def test_row_and_column_count_changes(self, tmp_path):
+        u = np.cos(self.T)
+        self.assert_sequence(tmp_path, [
+            table(self.T[:10], u[:10]), table(self.T[:11], u[:11]),
+            table(self.T[:10], u[:10], u[:10]), table(self.T[:10]),
+            table(self.T[:0], u[:0]), table(), table(self.T[:3])])
+
+    def test_non_finite_values(self, tmp_path):
+        other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        values = np.array([np.nan, np.inf, -np.inf, 0.0, -np.nan])
+        payload = values.copy()
+        payload[0] = other_nan
+        self.assert_sequence(tmp_path, [table(values, -values), table(payload, values)])
+
+    def test_readout_run_writes_the_reference(self, tmp_path, monkeypatch):
+        # the 16 clock-phase traces of one run share their t_r column
+        records = {}
+
+        def recording(record, path):
+            records[Path(path).name] = record
+            write_csv(record, path)
+
+        monkeypatch.setattr(cli, "write_csv", recording)
+        out = tmp_path / "out"
+        config = REPO / "perfbench" / "clock_chain.cfg"
+        assert cli.main(["readout", "--config", str(config), "--out", str(out)]) == 0
+        assert len(records) == 16
+        for name, record in records.items():
+            assert (out / name).read_text(encoding="utf-8") == row_wise_csv(record)
