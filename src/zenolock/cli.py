@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, dephasing, readout
 from . import zeno_multilevel as zm
 from . import zeno_two_level as z2
-from .configfile import ConfigError, Section, load_config
+from .configfile import ConfigError, Key, Section, load_config
 from .parallel import parallel_map
 from .svgplot import line_plot
 from .tracefile import TraceRecord, write_csv
@@ -32,84 +32,87 @@ EXIT_CONFIG = 2
 EXIT_OUT_OF_REGIME = 3
 EXIT_NUMERICAL = 4
 
-_DEFAULTS = {
-    "dephasing": {
-        "atom_count": "100",
-        "center_frequency": "100.0",
-        "fwhm": "10.0",
-        "replicas": "10000",
-        "seed": "20260808",
-        "time_max": "0.1",
-        "time_points": "201",
-        "histogram_atom_count": "9",
-        "histogram_replicas": "10000",
-        "histogram_bins": "60",
-    },
-    "zeno2": {
-        "half_difference": "2.0",
-        "cycle_times": "0.001, 0.05",
-        "photon_number": "12",
-        "measure_ratio": "200",
-        "survival_floor": "0.1",
-        "final_time": "auto",
-        "cavity_frequency": "100.0",
-        "common_offset": "0.0",
-        "trace_points": "800",
-    },
-    "zeno4": {
-        "delta_1": "2.0",
-        "delta_2": "2.0",
-        "cycle_times": "0.001",
-        "photon_number": "8",
-        "measure_ratio": "200",
-        "survival_floor": "auto",
-        "final_time": "100.0",
-        "transition_1": "120.0",
-        "transition_2": "110.0",
-        "trace_points": "400",
-    },
-    "readout": {
-        "transition_1": "120.0",
-        "transition_2": "110.0",
-        "detuning": "10.0",
-        "drive_amplitude": "1.0",
-        "coupling": "2.0",
-        "clock_phases": "0.0, 3.141592653589793",
-        "time_max": "5.0",
-        "time_points": "4001",
-        "fit_periods": "32",
-        "emission_cutoff": "2",
-        "method": "full",
-    },
-    "allan": {
-        "fwhm": "1.0",
-        "carrier": "1e9",
-        "atom_counts": "1, 4, 100, 10000",
-        "cycle_time": "1.0",
-        "averaging_times": "1, 4, 16, 100",
-    },
-}
-
-
-# Largest size key a run may take (the Zeno photon number n, the readout
-# emission cutoff c), so that its basis dimension d stays capped before
-# anything is allocated.  Every run holds state vectors and sector blocks,
-# which grow linearly with d, and the Zeno cycle-map build propagates one
-# state vector per atom state (4 for zeno2, 16 for zeno4).  The readout
-# emission sectors hold at most 9 states each.  With the default
-# Fock cutoffs (n + 3 for the zeno2 mode, n + 2 for each zeno4 mode) the caps
-# keep d = 4(n + 4) <= 2048 for zeno2, d = 16(n + 3)^2 <= 65,536 for zeno4
-# and d = 16(c + 1) <= 2048 for readout.
-_MAX_SIZE = {"zeno2": 508, "zeno4": 61, "readout": 127}
-# Cap on time_points x 16(c + 1), which bounds the readout phase table
-# exp(-i w t) on the resonant channel's sectors, time_points x 21 entries.
-_MAX_PHASE_TABLE = 1 << 24
+# Largest number of entries an array of a run may hold, checked before anything
+# is allocated (a static maximum below or an entry count in the handler).
+_MAX_ENTRIES = 1 << 24
 # The turn count target // TWO_PI rounds (target - target % TWO_PI) / TWO_PI
 # with a relative error of up to 2^-52; the count stays exact while that error
 # stays below half a turn, that is below 2^51 turns.  Up to this bound the
 # reduction in cmd_readout is exact to about 1e-15 rad; beyond it the error
 # grows with the target (2 rad at 1e300).
 _MAX_CLOCK_PHASE = 2.0**51 * readout.TWO_PI
+
+# Every config key with its default text (as in configs/defaults.cfg), kind and
+# static bounds; bounds that involve two keys are checked in the handlers.
+#
+# The size keys (the Zeno photon number n, the readout emission cutoff c)
+# cap the basis dimension d.  Every run holds state vectors and sector
+# blocks, which grow linearly with d, and the Zeno cycle-map build
+# propagates one state vector per atom state (4 for zeno2, 16 for zeno4).
+# The readout emission sectors hold at most 9 states each.  With the default
+# Fock cutoffs (n + 3 for the zeno2 mode, n + 2 for each zeno4 mode) the caps
+# keep d = 4(n + 4) <= 2048 for zeno2, d = 16(n + 3)^2 <= 65,536 for zeno4
+# and d = 16(c + 1) <= 2048 for readout.
+SCHEMA = {
+    "dephasing": {
+        "atom_count": Key("100", int, minimum=1),
+        "center_frequency": Key("100.0"),
+        "fwhm": Key("10.0", positive=True),
+        "replicas": Key("10000", int, minimum=1),
+        "seed": Key("20260808", int),
+        "time_max": Key("0.1", positive=True),
+        # the e-fold fit needs a curve, and the histogram sigma ratio a sample spread
+        "time_points": Key("201", int, minimum=2),
+        "histogram_atom_count": Key("9", int, minimum=1),
+        "histogram_replicas": Key("10000", int, minimum=2),
+        "histogram_bins": Key("60", int, minimum=1, maximum=_MAX_ENTRIES),
+    },
+    "zeno2": {
+        "half_difference": Key("2.0"),
+        "cycle_times": Key("0.001, 0.05", tuple, positive=True),
+        "photon_number": Key("12", int, minimum=0, maximum=508),
+        "measure_ratio": Key("200", positive=True),
+        "survival_floor": Key("0.1", positive=True, below=1.0, auto=True),
+        "final_time": Key("auto", positive=True, auto=True),
+        "cavity_frequency": Key("100.0"),
+        "common_offset": Key("0.0"),
+        "trace_points": Key("800", int, minimum=1),
+    },
+    "zeno4": {
+        "delta_1": Key("2.0"),
+        "delta_2": Key("2.0"),
+        "cycle_times": Key("0.001", tuple, positive=True),
+        "photon_number": Key("8", int, minimum=0, maximum=61),
+        "measure_ratio": Key("200", positive=True),
+        "survival_floor": Key("auto", positive=True, below=1.0, auto=True),
+        "final_time": Key("100.0", positive=True, auto=True),
+        "transition_1": Key("120.0"),
+        "transition_2": Key("110.0"),
+        "trace_points": Key("400", int, minimum=1),
+    },
+    "readout": {
+        "transition_1": Key("120.0"),
+        "transition_2": Key("110.0"),
+        "detuning": Key("10.0"),
+        "drive_amplitude": Key("1.0"),
+        "coupling": Key("2.0"),
+        "clock_phases": Key("0.0, 3.141592653589793", tuple, minimum=-_MAX_CLOCK_PHASE,
+                            maximum=_MAX_CLOCK_PHASE),
+        "time_max": Key("5.0", positive=True),
+        # extract_phase fits a sine through at least four samples
+        "time_points": Key("4001", int, minimum=4),
+        "fit_periods": Key("32", positive=True),
+        "emission_cutoff": Key("2", int, minimum=1, maximum=127),
+        "method": Key("full", str, choices=("full", "perturbative")),
+    },
+    "allan": {
+        "fwhm": Key("1.0", positive=True),
+        "carrier": Key("1e9", positive=True),
+        "atom_counts": Key("1, 4, 100, 10000", tuple, minimum=1, whole=True),
+        "cycle_time": Key("1.0", positive=True),
+        "averaging_times": Key("1, 4, 16, 100", tuple, positive=True),
+    },
+}
 
 
 def _format_value(value) -> str:
@@ -133,19 +136,11 @@ def _write_manifest(out_dir: Path, subcommand: str, config_path, config_text: st
         f"seed = {seed if seed is not None else 'none'}",
         f"output_directory = {out_dir}",
         f"emit_plots = {str(bool(emit_plots)).lower()}",
-        "",
-        "[resolved]",
     ]
-    for key in sorted(resolved):
-        lines.append(f"{key} = {_format_value(resolved[key])}")
-    lines.append("")
-    lines.append("[results]")
-    for key in sorted(results):
-        lines.append(f"{key} = {_format_value(results[key])}")
-    lines.append("")
-    lines.append("[flags]")
-    for key in sorted(flags):
-        lines.append(f"{key} = {str(bool(flags[key])).lower()}")
+    flags = {key: str(bool(value)).lower() for key, value in flags.items()}
+    for name, values in (("resolved", resolved), ("results", results), ("flags", flags)):
+        lines += ["", f"[{name}]"] + [f"{key} = {_format_value(values[key])}"
+                                      for key in sorted(values)]
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -186,17 +181,25 @@ def _provenance(subcommand: str, config_text: str, seed) -> dict:
 
 
 def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
-    seed = args.seed if args.seed is not None else section.get_int("seed")
-    atom_count = section.get_int("atom_count", minimum=1)
-    f0 = section.get_float("center_frequency")
-    fwhm = section.get_float("fwhm", positive=True)
-    replicas = section.get_int("replicas", minimum=1)
-    # the e-fold fit needs a curve, and the histogram sigma ratio a sample spread
-    points = section.get_int("time_points", minimum=2)
-    histogram_replicas = section.get_int("histogram_replicas", minimum=2)
-    time_max = section.get_float("time_max", positive=True)
-    bins = section.get_int("histogram_bins", minimum=1)
-    histogram_atoms = section.get_int("histogram_atom_count", minimum=1)
+    seed = args.seed if args.seed is not None else section["seed"]
+    atom_count = section["atom_count"]
+    f0 = section["center_frequency"]
+    fwhm = section["fwhm"]
+    replicas = section["replicas"]
+    points = section["time_points"]
+    histogram_replicas = section["histogram_replicas"]
+    time_max = section["time_max"]
+    bins = section["histogram_bins"]
+    histogram_atoms = section["histogram_atom_count"]
+    # the sampled frequencies, the Monte Carlo means, its phasor powers (about
+    # 2 sqrt(time_points) per atom of a replica block) and the histogram samples
+    for keys, entries in (("replicas x atom_count", replicas * atom_count),
+                          ("time_points x replicas", points * replicas),
+                          ("sqrt(time_points) x atom_count", math.isqrt(points) * atom_count),
+                          ("histogram_replicas x histogram_atom_count",
+                           histogram_replicas * histogram_atoms)):
+        if entries > _MAX_ENTRIES:
+            raise ConfigError(f"[dephasing] {keys} must be at most {_MAX_ENTRIES}, got {entries}")
     provenance = _provenance("dephasing", config_text, seed)
 
     config = dephasing.EnsembleConfig(atom_count=atom_count, center_frequency=f0,
@@ -288,21 +291,15 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
     """
     with _overflow_names(command, deltas, "the closed-form decay rate"):
         rate = sum(value**2 for value in deltas.values()) / len(deltas)
-    trace_points = section.get_int("trace_points", minimum=1)
-    ratio = section.get_float("measure_ratio", positive=True)
-    photons = section.get_int("photon_number", minimum=0, maximum=_MAX_SIZE[command])
-    floor = 0.1
-    if section.get_str("survival_floor") != "auto":
-        floor = section.get_float("survival_floor")
-        if not 0.0 < floor < 1.0:
-            raise ConfigError(f"[{command}] survival_floor must be 'auto' or lie "
-                              f"strictly between 0 and 1, got {floor!r}")
-    auto = section.get_str("final_time") == "auto"
-    if not auto:
-        final_time = section.get_float("final_time", positive=True)
+    trace_points = section["trace_points"]
+    ratio = section["measure_ratio"]
+    photons = section["photon_number"]
+    floor = section["survival_floor"] or 0.1  # 'auto' reads as None
+    final_time = section["final_time"]
+    auto = final_time is None
     provenance = _provenance(command, config_text, args.seed)
 
-    cycles = section.get_float_list("cycle_times", positive=True)
+    cycles = section["cycle_times"]
     final_times = {}
     for cycle in cycles:
         if auto:
@@ -350,11 +347,11 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
 
 
 def cmd_zeno2(section: Section, out_dir: Path, args, config_text: str):
-    delta = section.get_float("half_difference")
+    delta = section["half_difference"]
 
     def run(cycle, final_time, photons, ratio, trace_points):
-        frequency = section.get_float("cavity_frequency")
-        offset = section.get_float("common_offset")
+        frequency = section["cavity_frequency"]
+        offset = section["common_offset"]
         config = z2.config_for_cycle_time(
             cycle, final_time, half_difference=delta, photon_number=photons,
             measure_ratio=ratio, cavity_frequency=frequency, common_offset=offset)
@@ -372,12 +369,12 @@ def cmd_zeno2(section: Section, out_dir: Path, args, config_text: str):
 
 
 def cmd_zeno4(section: Section, out_dir: Path, args, config_text: str):
-    delta_1 = section.get_float("delta_1")
-    delta_2 = section.get_float("delta_2")
+    delta_1 = section["delta_1"]
+    delta_2 = section["delta_2"]
 
     def run(cycle, final_time, photons, ratio, trace_points):
-        transitions = {"transition_1": section.get_float("transition_1"),
-                       "transition_2": section.get_float("transition_2")}
+        transitions = {"transition_1": section["transition_1"],
+                       "transition_2": section["transition_2"]}
         config = zm.four_level_config_from_deltas(
             delta_1, delta_2, cycle_time=cycle, final_time=final_time,
             photon_number=photons, measure_ratio=ratio, **transitions)
@@ -399,40 +396,37 @@ def cmd_zeno4(section: Section, out_dir: Path, args, config_text: str):
 
 
 def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
-    # extract_phase fits a sine through at least four samples
-    points = section.get_int("time_points", minimum=4)
-    time_max = section.get_float("time_max", positive=True)
-    fit_periods = section.get_float("fit_periods", positive=True)
-    cutoff = section.get_int("emission_cutoff", minimum=1, maximum=_MAX_SIZE["readout"])
+    points = section["time_points"]
+    time_max = section["time_max"]
+    fit_periods = section["fit_periods"]
+    cutoff = section["emission_cutoff"]
     entries = points * 16 * (cutoff + 1)
-    if entries > _MAX_PHASE_TABLE:
+    if entries > _MAX_ENTRIES:
         raise ConfigError(f"[readout] time_points must keep the phase table at most "
-                          f"{_MAX_PHASE_TABLE} entries, got {points} ({entries} entries)")
-    detuning = section.get_float("detuning")
+                          f"{_MAX_ENTRIES} entries, got {points} ({entries} entries)")
+    detuning = section["detuning"]
     if detuning == 0.0:
         raise ConfigError(f"[readout] detuning must be nonzero, got {detuning!r}")
-    transition_1 = section.get_float("transition_1")
+    transition_1 = section["transition_1"]
     if not transition_1 > detuning:
         # the emitted photon's frequency, transition_1 - detuning, must be positive
         raise ConfigError(f"[readout] transition_1 must exceed [readout] detuning "
                           f"({detuning!r}), got {transition_1!r}")
+    transition_2 = section["transition_2"]
     config = readout.readout_config(
         detuning=detuning,
-        drive_amplitude=section.get_float("drive_amplitude"),
-        coupling=section.get_float("coupling"),
+        drive_amplitude=section["drive_amplitude"],
+        coupling=section["coupling"],
         transition_1=transition_1,
-        transition_2=section.get_float("transition_2"),
+        transition_2=transition_2,
         time_max=time_max,
         time_points=points)
     config = dataclasses.replace(config, emission_mode_cutoff=cutoff, fit_periods=fit_periods)
-    method = section.get_str("method")
-    if method not in ("full", "perturbative"):
-        raise ConfigError(f"[readout] method must be 'full' or 'perturbative', got {method!r}")
+    method = section["method"]
     if config.clock_frequency == 0.0:
         raise ConfigError("[readout] transition_1 equals transition_2, so the clock "
                           "frequency is zero and no clock phase accumulates")
-    phases = section.get_float_list("clock_phases", minimum=-_MAX_CLOCK_PHASE,
-                                    maximum=_MAX_CLOCK_PHASE)
+    phases = section["clock_phases"]
     provenance = _provenance("readout", config_text, args.seed)
     # the light shifts grow with the drive and coupling over the level energies
     shift_keys = {"drive_amplitude": config.drive_amplitude, "coupling": config.coupling,
@@ -452,7 +446,7 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
         return target, elapsed, probability, trace
 
     with _overflow_names("readout", {"transition_1": transition_1,
-                                     "transition_2": section.get_float("transition_2"),
+                                     "transition_2": transition_2,
                                      "time_max": time_max},
                          "the clock phase or the readout phase table"):
         runs = parallel_map(run_one, phases)
@@ -487,15 +481,11 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
 
 
 def cmd_allan(section: Section, out_dir: Path, args, config_text: str):
-    fwhm = section.get_float("fwhm", positive=True)
-    carrier = section.get_float("carrier", positive=True)
-    cycle_time = section.get_float("cycle_time", positive=True)
-    averaging_times = section.get_float_list("averaging_times", positive=True)
-    atom_counts = section.get_float_list("atom_counts")
-    for count in atom_counts:
-        if count < 1.0 or not count.is_integer():
-            raise ConfigError(f"[allan] atom_counts must be whole numbers of at least 1, "
-                              f"got {count!r}")
+    fwhm = section["fwhm"]
+    carrier = section["carrier"]
+    cycle_time = section["cycle_time"]
+    averaging_times = section["averaging_times"]
+    atom_counts = section["atom_counts"]
     provenance = _provenance("allan", config_text, args.seed)
 
     for averaging in averaging_times:
@@ -568,11 +558,10 @@ def main(argv=None) -> int:
         config_path = Path(args.config)
         sections = load_config(config_path)
         config_text = config_path.read_text(encoding="utf-8")
-        defaults = _DEFAULTS[args.command]
-        section = Section(args.command, sections.get(args.command, {}), defaults,
-                          str(config_path))
+        section = Section(args.command, sections.get(args.command, {}),
+                          SCHEMA[args.command], str(config_path))
         for name in sections:
-            if name not in _DEFAULTS:
+            if name not in SCHEMA:
                 raise ConfigError(f"{config_path}: unknown section [{name}]")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,9 +6,11 @@ The format is deliberately trivial to parse from any language:
     [section]
     key = value
 
-Values are plain scalars or comma-separated lists; types are enforced at
-lookup time with line-numbered diagnostics, and so is the range a lookup
-declares, with a diagnostic naming the [section] and key.
+Values are plain scalars or comma-separated lists.  Each key is declared
+once, as a :class:`Key`: its default text, its kind and its static bounds.
+A :class:`Section` converts a value from that declaration when it is looked
+up, with a line-numbered diagnostic for text that does not parse and one
+naming the [section] and key for a value out of bounds.
 """
 
 import math
@@ -60,6 +62,60 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _finite_floats(text: str) -> tuple:
+    values = tuple(_finite_float(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise ValueError(text)
+    return values
+
+
+# kind -> (parser of the value text, what a diagnostic says the text needs)
+_KINDS = {int: (lambda text: int(text, 0), "an integer"),
+          float: (_finite_float, "a finite number"),
+          tuple: (_finite_floats, "a comma-separated list of finite numbers"),
+          str: (str, "a string")}
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its default text, its kind and its static bounds.
+
+    ``kind`` is int, float, tuple (a list of floats, each bounded) or str
+    (one of ``choices`` if any are given).  ``minimum`` and ``maximum`` are
+    inclusive; ``positive`` values lie above 0 and below ``below``; ``whole``
+    values are integral.  With ``auto``, the text 'auto' is also taken, and
+    looked up as None.
+    """
+
+    default: str
+    kind: type = float
+    minimum: float = -math.inf
+    maximum: float = math.inf
+    positive: bool = False
+    below: float = math.inf
+    whole: bool = False
+    choices: tuple = ()
+    auto: bool = False
+
+    def breach(self, value):
+        """What ``value`` must be but is not, as said after 'must be', or None."""
+        if self.kind is str:
+            unlisted = self.choices and value not in self.choices
+            return " or ".join(map(repr, self.choices)) if unlisted else None
+        if self.positive and not 0.0 < value < self.below:
+            if self.below == math.inf:
+                return "positive"
+            between = f"lie strictly between 0 and {self.below:g}"
+            return f"'auto' or {between}" if self.auto else between
+        if self.whole and not (value >= self.minimum and value.is_integer()):
+            return f"whole numbers of at least {self.minimum}"
+        if value < self.minimum:
+            return f"at least {self.minimum}"
+        if value > self.maximum:
+            return f"at most {self.maximum}"
+        return None
+
+
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -70,71 +126,41 @@ def load_config(path) -> dict:
 
 
 class Section:
-    """Typed accessor over one parsed section merged with defaults."""
+    """Typed lookup over one parsed section, by the keys ``schema`` declares."""
 
-    def __init__(self, name: str, entries: dict, defaults: dict, source: str):
+    def __init__(self, name: str, entries: dict, schema: dict, source: str):
         self.name = name
         self.source = source
-        unknown = set(entries) - set(defaults)
+        unknown = set(entries) - set(schema)
         if unknown:
             key = sorted(unknown)[0]
             raise ConfigError(
                 f"{source}:{entries[key].line}: unknown key {key!r} in [{name}]")
-        self._defaults = defaults
+        self._schema = schema
         self._entries = entries
 
     def _raw(self, key: str):
         if key in self._entries:
             entry = self._entries[key]
             return entry.value, f"{self.source}:{entry.line}"
-        return self._defaults[key], f"[{self.name}] default"
+        return self._schema[key].default, f"[{self.name}] default"
 
-    def _convert(self, key: str, converter, kind: str):
+    def __getitem__(self, key: str):
+        """The value of ``key``, converted and bounds-checked by its declaration."""
+        declared = self._schema[key]
         raw, where = self._raw(key)
+        if declared.auto and raw == "auto":
+            return None
+        parse, needs = _KINDS[declared.kind]
         try:
-            return converter(raw)
+            value = parse(raw)
         except (TypeError, ValueError) as error:
-            raise ConfigError(f"{where}: field {key!r} needs {kind}, got {raw!r}") from error
-
-    def _bound(self, key: str, value, minimum=None, maximum=None, positive=False):
-        """``value`` if it keeps the range declared for ``key``, else a ConfigError."""
-        if positive and not value > 0.0:
-            bound = "positive"
-        elif minimum is not None and value < minimum:
-            bound = f"at least {minimum}"
-        elif maximum is not None and value > maximum:
-            bound = f"at most {maximum}"
-        else:
-            return value
-        raise ConfigError(f"[{self.name}] {key} must be {bound}, got {value!r}")
-
-    def get_float(self, key: str, positive: bool = False) -> float:
-        value = self._convert(key, _finite_float, "a finite number")
-        return self._bound(key, value, positive=positive)
-
-    def get_int(self, key: str, minimum=None, maximum=None) -> int:
-        value = self._convert(key, lambda v: int(v, 0), "an integer")
-        return self._bound(key, value, minimum=minimum, maximum=maximum)
-
-    def get_float_list(self, key: str, positive: bool = False, minimum=None,
-                       maximum=None) -> tuple:
-        def parse(v):
-            items = [part.strip() for part in v.split(",") if part.strip()]
-            if not items:
-                raise ValueError(v)
-            return tuple(_finite_float(part) for part in items)
-        values = self._convert(key, parse, "a comma-separated list of finite numbers")
-        for value in values:
-            self._bound(key, value, minimum=minimum, maximum=maximum, positive=positive)
-        return values
-
-    def get_str(self, key: str):
-        raw, _ = self._raw(key)
-        return raw
+            raise ConfigError(f"{where}: field {key!r} needs {needs}, got {raw!r}") from error
+        for item in value if declared.kind is tuple else (value,):
+            breach = declared.breach(item)
+            if breach is not None:
+                raise ConfigError(f"[{self.name}] {key} must be {breach}, got {item!r}")
+        return value
 
     def resolved(self) -> dict:
-        out = {}
-        for key in sorted(self._defaults):
-            raw, _ = self._raw(key)
-            out[key] = raw
-        return out
+        return {key: self._raw(key)[0] for key in sorted(self._schema)}

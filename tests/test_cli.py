@@ -13,7 +13,7 @@ import pytest
 
 from zenolock import cli, dephasing
 from zenolock import hilbert as h
-from zenolock.configfile import ConfigError, Section, parse_config_text
+from zenolock.configfile import ConfigError, Key, Section, parse_config_text
 from zenolock.tracefile import read_csv
 
 
@@ -46,36 +46,55 @@ fit_periods = 16
 [allan]
 """
 
-# Keys read as integers; every other key except method is a number or a
-# list of numbers, or (final_time, survival_floor) also 'auto'.
-INT_KEYS = {"atom_count", "replicas", "time_points", "histogram_atom_count",
-            "histogram_replicas", "histogram_bins", "photon_number", "trace_points",
-            "emission_cutoff"}
-SIZE_KEYS = {"zeno2": "photon_number", "zeno4": "photon_number", "readout": "emission_cutoff"}
+
+def bound_probes(declared):
+    """Texts at and one step past each declared bound of a numeric key.
+
+    For a minimum: the smallest value it admits and the largest it rejects.
+    For a maximum: the smallest value it rejects only, since a size key at
+    its cap would allocate that much.
+    """
+    if declared.kind is int:
+        if declared.minimum > -math.inf:
+            yield str(declared.minimum)
+            yield str(declared.minimum - 1)
+        if declared.maximum < math.inf:
+            yield str(declared.maximum + 1)
+        return
+    if declared.positive:
+        yield repr(math.nextafter(0.0, 1.0))
+        yield "0"
+    if declared.below < math.inf:
+        yield repr(declared.below)
+    if declared.minimum > -math.inf:
+        yield repr(float(declared.minimum))
+        yield repr(math.nextafter(declared.minimum, -math.inf))
+    if declared.maximum < math.inf:
+        yield repr(math.nextafter(declared.maximum, math.inf))
 
 
 def contract_cases():
     """(section, key, value) for every key of every section but the seed."""
-    for section, keys in cli._DEFAULTS.items():
-        for key in keys:
+    for section, keys in cli.SCHEMA.items():
+        for key, declared in keys.items():
             if key == "seed":
                 continue
-            if key == "method":
+            if declared.kind is str:
                 values = ["x"]
-            elif key in INT_KEYS:
+            elif declared.kind is int:
                 values = ["-1", "0", "1", "2", "3"]
-                if SIZE_KEYS.get(section) == key:
-                    values.append(str(cli._MAX_SIZE[section] + 1))
             else:
                 values = ["-1", "0", "1e-300", "1e-9", "0.5", "1e9", "1e300", "nan", "banana"]
+            values += [value for value in dict.fromkeys(bound_probes(declared))
+                       if value not in values]
             for value in values:
                 yield section, key, value
 
 
-def small_with(section, key, value):
-    """The [section] of SMALL with ``key`` set to ``value``."""
+def small_with(section, key, value, **more):
+    """The [section] of SMALL with ``key`` set to ``value``, and each key of ``more``."""
     entries = {name: entry.value for name, entry in parse_config_text(SMALL)[section].items()}
-    entries[key] = value
+    entries.update({key: value, **more})
     return f"[{section}]\n" + "".join(f"{name} = {text}\n" for name, text in entries.items())
 
 
@@ -100,25 +119,43 @@ class TestConfigParsing:
     def test_unknown_key_reported_with_line(self):
         parsed = parse_config_text("[a]\nbogus = 1\n", source="f.cfg")
         with pytest.raises(ConfigError, match="f.cfg:2"):
-            Section("a", parsed["a"], {"real": "0"}, "f.cfg")
+            Section("a", parsed["a"], {"real": Key("0")}, "f.cfg")
 
     def test_defaults_file_matches_builtin_defaults(self):
-        # the shipped file documents the schema; a run falls back to _DEFAULTS
+        # the shipped file documents the schema; a run falls back to its defaults
         parsed = parse_config_text((REPO / "configs" / "defaults.cfg").read_text(
             encoding="utf-8"))
         in_file = [(name, [(key, entry.value) for key, entry in entries.items()])
                    for name, entries in parsed.items()]
-        assert in_file == [(name, list(keys.items())) for name, keys in cli._DEFAULTS.items()]
+        assert in_file == [(name, [(key, declared.default) for key, declared in keys.items()])
+                           for name, keys in cli.SCHEMA.items()]
 
     def test_typed_accessors(self):
         parsed = parse_config_text("[a]\nx = 2.5\nn = 7\nflag = true\nlist = 1, 2\n")
         section = Section("a", parsed["a"],
-                          {"x": "0", "n": "0", "flag": "false", "list": "0"}, "f")
-        assert section.get_float("x") == 2.5
-        assert section.get_int("n") == 7
-        assert section.get_float_list("list") == (1.0, 2.0)
+                          {"x": Key("0"), "n": Key("0", int), "flag": Key("false", str),
+                           "list": Key("0", tuple), "unset": Key("0x10", int)}, "f")
+        assert section["x"] == 2.5
+        assert section["n"] == 7
+        assert section["flag"] == "true"
+        assert section["list"] == (1.0, 2.0)
+        assert section["unset"] == 16
 
-    @pytest.mark.parametrize("getter, bound, message", [
+    def test_auto_and_choices(self):
+        parsed = parse_config_text("[a]\nt = auto\nfloor = 1\nmode = slow\n")
+        section = Section("a", parsed["a"],
+                          {"t": Key("1", positive=True, auto=True),
+                           "floor": Key("0.5", positive=True, below=1.0, auto=True),
+                           "mode": Key("fast", str, choices=("fast", "exact"))}, "f")
+        assert section["t"] is None
+        with pytest.raises(ConfigError, match=r"^\[a\] floor must be 'auto' or lie strictly "
+                                              r"between 0 and 1, got 1.0$"):
+            section["floor"]
+        with pytest.raises(ConfigError, match=r"^\[a\] mode must be 'fast' or 'exact', "
+                                              r"got 'slow'$"):
+            section["mode"]
+
+    @pytest.mark.parametrize("lookup, bound, message", [
         ("get_int", {"minimum": 8}, "[a] n must be at least 8, got 7"),
         ("get_int", {"maximum": 6}, "[a] n must be at most 6, got 7"),
         ("get_float", {"positive": True}, "[a] x must be positive, got -2.5"),
@@ -126,29 +163,32 @@ class TestConfigParsing:
         ("get_float_list", {"minimum": -1, "maximum": 0.5},
          "[a] list must be at most 0.5, got 1.0"),
     ])
-    def test_declared_bounds(self, getter, bound, message):
+    def test_declared_bounds(self, lookup, bound, message):
         parsed = parse_config_text("[a]\nx = -2.5\nn = 7\nlist = 1, 0\n")
-        section = Section("a", parsed["a"], {"x": "0", "n": "0", "list": "0"}, "f")
-        key = {"get_int": "n", "get_float": "x", "get_float_list": "list"}[getter]
+        schema = {"x": Key("0"), "n": Key("0", int), "list": Key("0", tuple)}
+        key, kind = {"get_int": ("n", int), "get_float": ("x", float),
+                     "get_float_list": ("list", tuple)}[lookup]
+        section = Section("a", parsed["a"], {**schema, key: Key("0", kind, **bound)}, "f")
         with pytest.raises(ConfigError) as caught:
-            getattr(section, getter)(key, **bound)
+            section[key]
         assert str(caught.value) == message
-        assert section.get_int("n", minimum=7, maximum=7) == 7
+        exact = Section("a", parsed["a"], {**schema, "n": Key("0", int, minimum=7, maximum=7)}, "f")
+        assert exact["n"] == 7
 
     def test_bad_value_diagnostics(self):
         parsed = parse_config_text("[a]\nx = not_a_number\n", source="f.cfg")
-        section = Section("a", parsed["a"], {"x": "0"}, "f.cfg")
+        section = Section("a", parsed["a"], {"x": Key("0")}, "f.cfg")
         with pytest.raises(ConfigError, match="f.cfg:2"):
-            section.get_float("x")
+            section["x"]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_numbers_rejected(self, value):
         parsed = parse_config_text(f"[a]\nx = {value}\nlist = 1, {value}\n", source="f.cfg")
-        section = Section("a", parsed["a"], {"x": "0", "list": "0"}, "f.cfg")
+        section = Section("a", parsed["a"], {"x": Key("0"), "list": Key("0", tuple)}, "f.cfg")
         with pytest.raises(ConfigError, match="^f.cfg:2: field 'x' needs a finite number"):
-            section.get_float("x")
+            section["x"]
         with pytest.raises(ConfigError, match="^f.cfg:3: field 'list' needs a comma"):
-            section.get_float_list("list")
+            section["list"]
 
 
 class TestExitCodes:
@@ -276,6 +316,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"[dephasing] {key} must be at least 2" in err
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
+    # one step past each dephasing size cap, with the other keys at SMALL's
+    # (400 replicas and histogram replicas, 31 time points) or the defaults
+    # (100 atoms, 9 histogram atoms); never at a cap, which would allocate it
+    @pytest.mark.parametrize("key, value, more, keys", [
+        ("replicas", cli._MAX_ENTRIES // 100 + 1, {}, "replicas x atom_count"),
+        ("atom_count", cli._MAX_ENTRIES // 400 + 1, {}, "replicas x atom_count"),
+        ("time_points", cli._MAX_ENTRIES // 400 + 1, {}, "time_points x replicas"),
+        ("atom_count", cli._MAX_ENTRIES // 2 + 1, {"replicas": 1, "time_points": 4},
+         "sqrt(time_points) x atom_count"),
+        ("histogram_replicas", cli._MAX_ENTRIES // 9 + 1, {},
+         "histogram_replicas x histogram_atom_count"),
+        ("histogram_atom_count", cli._MAX_ENTRIES // 400 + 1, {},
+         "histogram_replicas x histogram_atom_count"),
+        ("histogram_bins", cli._MAX_ENTRIES + 1, {}, "histogram_bins"),
+    ])
+    def test_dephasing_size_cap_is_config_error(self, tmp_path, capsys, key, value, more,
+                                                keys):
+        path = write_config(tmp_path, small_with("dephasing", key, value, **more))
+        code = cli.main(["dephasing", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"zenolock: config error: [dephasing] {keys} must be at most "
+                              f"{cli._MAX_ENTRIES}, got ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
     @pytest.mark.parametrize("section, key, value", [
@@ -626,6 +692,23 @@ photon_number = 2
 
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("command", list(cli.SCHEMA))
+    def test_handler_reads_every_declared_key(self, tmp_path, monkeypatch, command):
+        # a key the handler never reads would be accepted and then ignored
+        read = set()
+        lookup = Section.__getitem__
+
+        def recording(self, key):
+            read.add(key)
+            return lookup(self, key)
+
+        monkeypatch.setattr(Section, "__getitem__", recording)
+        path = write_config(tmp_path, SMALL)
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert read == set(cli.SCHEMA[command])
 
 
 class TestNoDenseOperator:

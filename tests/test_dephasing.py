@@ -11,6 +11,7 @@ import pytest
 
 from zenolock import cli
 from zenolock import dephasing as dp
+from zenolock.configfile import Section
 from zenolock.tracefile import read_csv
 
 
@@ -408,6 +409,7 @@ class TestBandwidthHistogram:
 _PHASOR_DIGEST = """\
 import hashlib, sys
 from zenolock import dephasing as dp
+from zenolock.configfile import Section
 config = dp.EnsembleConfig(atom_count=100, center_frequency=100.0, fwhm=10.0,
                            seed=20260808, time_max=0.1, time_points=201, replicas=300)
 values = dp._phasor_values(dp.sample_all_replicas(config), 0.1 / 200, 201)
@@ -506,13 +508,12 @@ class TestEfoldFitAgainstCurveFit:
     # rounding level; on the defaults they differ by about 1.3e-8
     @pytest.mark.parametrize("locked", [False, True])
     def test_default_curves(self, locked):
-        defaults = cli._DEFAULTS["dephasing"]
-        atoms = int(defaults["atom_count"])
+        defaults = Section("dephasing", {}, cli.SCHEMA["dephasing"], "defaults")
+        atoms = defaults["atom_count"]
         config = dp.EnsembleConfig(
-            atom_count=atoms, center_frequency=float(defaults["center_frequency"]),
-            fwhm=float(defaults["fwhm"]), seed=int(defaults["seed"]),
-            time_max=float(defaults["time_max"]), time_points=int(defaults["time_points"]),
-            replicas=int(defaults["replicas"]))
+            atom_count=atoms, center_frequency=defaults["center_frequency"],
+            fwhm=defaults["fwhm"], seed=defaults["seed"], time_max=defaults["time_max"],
+            time_points=defaults["time_points"], replicas=defaults["replicas"])
         grid = config.time_grid
         if locked:
             grid = grid * np.sqrt(atoms)
