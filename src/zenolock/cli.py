@@ -48,11 +48,12 @@ _MAX_CLOCK_PHASE = 2.0**51 * readout.TWO_PI
 # The size keys (the Zeno photon number n, the readout emission cutoff c)
 # cap the basis dimension d.  Every run holds state vectors and sector
 # blocks, which grow linearly with d, and the Zeno cycle-map build
-# propagates one state vector per atom state (4 for zeno2, 16 for zeno4).
-# The readout emission sectors hold at most 9 states each.  With the default
-# Fock cutoffs (n + 3 for the zeno2 mode, n + 2 for each zeno4 mode) the caps
-# keep d = 4(n + 4) <= 2048 for zeno2, d = 16(n + 3)^2 <= 65,536 for zeno4
-# and d = 16(c + 1) <= 2048 for readout.
+# propagates every atom state with empty modes as one batch, a (d, 4) array
+# for zeno2 and a (d, 16) array for zeno4.  The readout emission sectors hold
+# at most 9 states each.  With the default Fock cutoffs (n + 3 for the zeno2
+# mode, n + 2 for each zeno4 mode) the caps keep d = 4(n + 4) <= 2048 for
+# zeno2, d = 16(n + 3)^2 <= 65,536 for zeno4 and d = 16(c + 1) <= 2048 for
+# readout.
 SCHEMA = {
     "dephasing": {
         "atom_count": Key("100", int, minimum=1),
@@ -145,7 +146,7 @@ def _write_manifest(out_dir: Path, subcommand: str, config_path, config_text: st
 
 
 class _NamedOverflow(OverflowError):
-    """A float overflow whose message already names a config key."""
+    """A float overflow or underflow whose message already names a config key."""
 
 
 @contextlib.contextmanager
@@ -439,21 +440,20 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
                 f"{error}, at [readout] coupling = {config.coupling!r}, drive_amplitude = "
                 f"{config.drive_amplitude!r}, detuning = {config.detuning!r}") from None
 
-    def run_one(target):
-        elapsed = _clock_phase_residue(target) / config.clock_frequency
-        state, probability = readout.readout_chain(config, elapsed)
-        trace = readout.emit_field_trace(state, model, method=method)
-        return target, elapsed, probability, trace
-
     with _overflow_names("readout", {"transition_1": transition_1,
                                      "transition_2": transition_2,
                                      "time_max": time_max},
                          "the clock phase or the readout phase table"):
-        runs = parallel_map(run_one, phases)
+        elapsed_times = [_clock_phase_residue(target) / config.clock_frequency
+                         for target in phases]
+        chains = [readout.readout_chain(config, elapsed) for elapsed in elapsed_times]
+        traces = readout.emit_field_traces([state for state, _ in chains], model,
+                                           method=method)
     results = {}
     flags = {"degenerate_fit": False}
     plot_series = []
-    for index, (target, elapsed, probability, trace) in enumerate(runs):
+    for index, (target, elapsed, (_, probability), trace) in enumerate(
+            zip(phases, elapsed_times, chains, traces)):
         record = TraceRecord(
             name=f"readout_trace_{index}",
             columns=("t_r", "quadrature"),
@@ -492,9 +492,13 @@ def cmd_allan(section: Section, out_dir: Path, args, config_text: str):
         if math.isinf(cycle_time / averaging):
             raise _NamedOverflow(f"[allan] cycle_time / averaging_times = {cycle_time!r} / "
                                  f"{averaging!r} overflows")
+    # sigma_y = fwhm sqrt(cycle_time / averaging_time) / (carrier sqrt(N)); the
+    # key whose factor in it lies farthest from 1 drives an overflow or underflow
+    factors = {"fwhm": (fwhm, 1.0), "carrier": (carrier, 1.0), "cycle_time": (cycle_time, 0.5)}
+    key = max(factors, key=lambda name: abs(factors[name][1] * math.log(factors[name][0])))
+    value = factors[key][0]
     rows = []
-    with _overflow_names("allan", {"carrier": carrier, "fwhm": fwhm, "cycle_time": cycle_time},
-                         "the Allan deviation"):
+    with _overflow_names("allan", {key: value}, "the Allan deviation"):
         for count in atom_counts:
             for averaging in averaging_times:
                 raw = dephasing.allan_deviation(dephasing.AllanParams(
@@ -503,6 +507,9 @@ def cmd_allan(section: Section, out_dir: Path, args, config_text: str):
                 locked = dephasing.allan_deviation(dephasing.AllanParams(
                     fwhm=fwhm / math.sqrt(count), carrier=carrier, atom_count=count,
                     cycle_time=cycle_time, averaging_time=averaging))
+                if locked == 0.0:
+                    raise _NamedOverflow(
+                        f"[allan] {key} = {value!r} underflows the Allan deviation")
                 rows.append((count, averaging, raw, locked, raw / locked))
     record = TraceRecord(
         name="allan_deviation",
@@ -556,8 +563,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config_path = Path(args.config)
-        sections = load_config(config_path)
-        config_text = config_path.read_text(encoding="utf-8")
+        config_text, sections = load_config(config_path)
         section = Section(args.command, sections.get(args.command, {}),
                           SCHEMA[args.command], str(config_path))
         for name in sections:

@@ -116,13 +116,16 @@ class Key:
         return None
 
 
-def load_config(path) -> dict:
+def load_config(path) -> tuple:
+    """The text of a config file, read once, and its parsed sections."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as error:
         raise ConfigError(f"cannot read config file {path}: {error}") from error
-    return parse_config_text(text, source=str(path))
+    except UnicodeDecodeError as error:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {error}") from error
+    return text, parse_config_text(text, source=str(path))
 
 
 class Section:

@@ -326,15 +326,25 @@ def evolve(state: StateVector, hamiltonian: OperatorMatrix, duration: float) -> 
                        _propagate(hamiltonian, state.amplitudes, float(duration)))
 
 
+def _rowwise(factors: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """``factors`` times ``amps``, which is one array of their shape or a batch of columns."""
+    return factors.reshape(factors.shape + (1,) * (amps.ndim - factors.ndim)) * amps
+
+
 def _propagate(hamiltonian: OperatorMatrix, amps: np.ndarray, duration: float) -> np.ndarray:
+    """Dense propagation of one amplitude vector or a (dimension, k) batch of them."""
     w, v = hamiltonian.eigensystem()
-    return v @ (np.exp(-1j * duration * w) * (v.conj().T @ amps))
+    return v @ _rowwise(np.exp(-1j * duration * w), v.conj().T @ amps)
 
 
 def _propagate_diagonal(energies: np.ndarray, amps: np.ndarray,
                         duration: float) -> np.ndarray:
-    """Exact propagation under a diagonal Hamiltonian given by its energies."""
-    return np.exp(-1j * duration * energies) * amps
+    """Exact propagation under a diagonal Hamiltonian given by its energies.
+
+    ``amps`` has the shape of ``energies`` or is a batch of such columns
+    along a trailing axis.
+    """
+    return _rowwise(np.exp(-1j * duration * energies), amps)
 
 
 def occupation_labels(basis: ProductBasis, local_weights: Sequence[Sequence[int]]) -> np.ndarray:
@@ -375,12 +385,17 @@ class BlockEvolver:
         self._blocks = [(idx, *np.linalg.eigh(block)) for idx, block in hamiltonian.sectors]
 
     def propagate(self, amplitudes: np.ndarray, duration: float) -> np.ndarray:
+        """exp(-i H t) on one amplitude vector or a (dimension, k) batch of them.
+
+        A batch costs one product per sector block for all its columns, and
+        a block on which every column vanishes is skipped.
+        """
         out = np.zeros_like(amplitudes)
         for idx, w, v in self._blocks:
             sub = amplitudes[idx]
             if not np.any(sub):
                 continue
-            out[idx] = v @ (np.exp(-1j * duration * w) * (v.conj().T @ sub))
+            out[idx] = v @ _rowwise(np.exp(-1j * duration * w), v.conj().T @ sub)
         return out
 
     def evolve(self, state: StateVector, duration: float) -> StateVector:

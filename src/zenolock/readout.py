@@ -299,6 +299,9 @@ _CHANNEL_ANNIHILATION = np.zeros((4, 4))
 _CHANNEL_ANNIHILATION[0, 3] = _CHANNEL_ANNIHILATION[2, 1] = 1.0
 _CHANNEL_ANNIHILATION.flags.writeable = False
 OVERFLOW_THRESHOLD = 1e-3  # largest weight that may reach two photons
+# Channel amplitudes (times x states x 4) that one phase-table product forms at
+# most, 4 MB; the 16-phase sweep at 4001 samples just fits into one product.
+_BLOCK_AMPLITUDES = 1 << 18
 
 
 class _EmissionModel:
@@ -379,17 +382,22 @@ class _EmissionModel:
             self._phase_table = table
         return self._phase_table
 
-    def _vacuum(self, state: StateVector) -> np.ndarray:
-        """The two-atom state with the emission mode in vacuum, on the whole basis."""
+    def _vacuum(self, pairs: np.ndarray) -> np.ndarray:
+        """Two-atom amplitude columns with the emission mode in vacuum, on the whole basis."""
         mode_dim = self.config.emission_mode_cutoff + 1
-        return np.kron(state.amplitudes, np.eye(mode_dim, dtype=complex)[0])
+        amps = np.zeros((len(pairs), mode_dim, pairs.shape[1]), dtype=complex)
+        amps[:, 0] = pairs
+        return amps.reshape(-1, pairs.shape[1])
 
-    def embed(self, state: StateVector) -> np.ndarray:
-        """The adiabatically dressed start on ``states``, normalized on the whole basis."""
-        amps = self._vacuum(state)
+    def embed(self, pairs: np.ndarray) -> np.ndarray:
+        """The adiabatically dressed starts on ``states``, each normalized on the whole basis.
+
+        ``pairs`` holds one two-atom amplitude vector per column.
+        """
+        amps = self._vacuum(pairs)
         start = amps[self.states]
         amps[self.states] = start + self.dressing @ (self.p_matrix.conj().T @ start)
-        return amps[self.states] / np.linalg.norm(amps)
+        return amps[self.states] / np.linalg.norm(amps, axis=0)
 
 
 def emission_model(config: ReadoutConfig) -> _EmissionModel:
@@ -426,73 +434,111 @@ def emission_model(config: ReadoutConfig) -> _EmissionModel:
     return model
 
 
-def _full_quadrature(state: StateVector, model: _EmissionModel):
-    """Quadrature from exact evolution under the rotating-frame Hamiltonian.
+def _channel_quadratures(table: np.ndarray, coeff: np.ndarray,
+                         readout: np.ndarray) -> np.ndarray:
+    """Radiated quadrature 2 Re <a> of every column of ``coeff``, shape (columns, times).
 
-    The radiated quadrature needs the evolved state only on the 4-column
-    resonant channel P: <a> = c^dag (P^dag a P) c with c = psi P-bar.  L is
-    conserved and two photons need L >= 2, so the start state's L = 2 weight
-    bounds the population above one photon at every time.
+    Column j evolves to the channel amplitudes
+    m[t] = sum_i table[t, i] coeff[i, j] readout[i, :], so one product of
+    ``table`` with the columns coeff[:, j] (x) readout gives every column's,
+    in blocks of columns that keep m within ``_BLOCK_AMPLITUDES`` entries.
+    P^dag a P has two nonzero entries, both 1, so <a> sums conj(m[row]) m[col]
+    over them: conj(m0) m3 + conj(m2) m1.
     """
-    amps = model.embed(state)
+    size, count = coeff.shape
+    block = max(1, _BLOCK_AMPLITUDES // (4 * len(table)))
+    rows, cols = np.nonzero(_CHANNEL_ANNIHILATION)
+    quadratures = np.empty((count, len(table)))
+    for start in range(0, count, block):
+        part = coeff[:, start:start + block]
+        columns = (part[:, :, None] * readout[:, None, :]).reshape(size, -1)
+        m = (table @ columns).reshape(len(table), part.shape[1], 4)
+        mean_a = sum(m[..., row].conj() * m[..., col] for row, col in zip(rows, cols))
+        quadratures[start:start + block] = 2.0 * mean_a.real.T
+    return quadratures
+
+
+def _full_quadrature(pairs: np.ndarray, model: _EmissionModel):
+    """Quadratures from exact evolution under the rotating-frame Hamiltonian.
+
+    ``pairs`` holds one two-atom amplitude vector per column.  The radiated
+    quadrature needs the evolved state only on the 4-column resonant channel
+    P: <a> = c^dag (P^dag a P) c with c = psi P-bar.  L is conserved and two
+    photons need L >= 2, so a start state's L = 2 weight bounds its
+    population above one photon at every time.  Returns the quadratures,
+    shape (columns, times), and those weights.
+    """
+    amps = model.embed(pairs)
     v = model.eigenvectors
-    # row t holds the eigencomponents of the state at time t; the state is rows @ v.T
-    rows = model.phase_table() * (v.conj().T @ amps)
-    measured = rows @ (v.T @ model.p_matrix.conj())
-    mean_a = np.einsum("ti,ij,tj->t", measured.conj(), _CHANNEL_ANNIHILATION, measured)
-    above_one = float(np.sum(np.abs(amps[model.two_quanta]) ** 2))
-    return 2.0 * mean_a.real, above_one, model.beat_frequency()
+    # the state at time t is (phase_table[t] * (v^dag amps)) @ v.T
+    quadratures = _channel_quadratures(model.phase_table(), v.conj().T @ amps,
+                                       v.T @ model.p_matrix.conj())
+    return quadratures, np.sum(np.abs(amps[model.two_quanta]) ** 2, axis=0)
 
 
-def _perturbative_quadrature(state: StateVector, model: _EmissionModel):
+def _perturbative_quadrature(pairs: np.ndarray, model: _EmissionModel):
     """Adiabatic-elimination fast path, full driven evolution as its oracle."""
     w, v = np.linalg.eigh(model.h_eff)
-    coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(state)[model.states])
-    trajectories = (np.exp(-1j * np.outer(model.readout_times, w)) * coeff) @ v.T
-    mean_a = np.einsum("ti,ij,tj->t", trajectories.conj(), _CHANNEL_ANNIHILATION,
-                       trajectories)
-    return 2.0 * mean_a.real, 0.0, model.beat_frequency()
+    coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(pairs)[model.states])
+    table = np.exp(-1j * np.outer(model.readout_times, w))
+    return _channel_quadratures(table, coeff, v.T), np.zeros(pairs.shape[1])
+
+
+def emit_field_traces(states, model: _EmissionModel, method: str = "full",
+                      fit: bool = True) -> list:
+    """Quadrature of the emitted field over the readout grid, one trace per state.
+
+    Each state is a post-selected two-atom state; the emission mode starts
+    in vacuum.  ``model`` is the :func:`emission_model` of the readout
+    configuration; it does not depend on the states, so the whole batch
+    goes through one product with its phase table.  The reported
+    quadrature is the radiated (Raman-transfer) component, on the resonant
+    channel; the virtual cloud dressing the driven atoms is left out.  The
+    full method raises :class:`CutoffOverflowError`, naming the largest,
+    when a dressed start's weight that can reach two photons (its conserved
+    L = 2 weight) exceeds ``OVERFLOW_THRESHOLD`` (the single-photon picture
+    has then broken down).  A trace whose fit is degenerate has no fitted
+    phase.
+    """
+    config = model.config
+    if not config.readout_times:
+        raise ValueError("config.readout_times is empty")
+    basis = pair_basis()
+    if any(state.basis != basis for state in states):
+        raise h.BasisMismatchError("emission expects a bare two-atom state")
+    pairs = np.array([state.amplitudes for state in states],
+                     dtype=complex).reshape(-1, basis.dimension).T
+    if method == "full":
+        quadratures, above_one = _full_quadrature(pairs, model)
+    elif method == "perturbative":
+        quadratures, above_one = _perturbative_quadrature(pairs, model)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    largest = max(above_one, default=0.0)
+    if largest > OVERFLOW_THRESHOLD:
+        raise CutoffOverflowError(
+            f"weight that can reach two photons (L = 2) is {largest:.3e}")
+    times = np.asarray(config.readout_times)
+    frequency = model.beat_frequency()
+    traces = []
+    for quadrature in quadratures:
+        phase = None
+        if fit:
+            try:
+                phase = extract_phase(times, quadrature, frequency, config.fit_periods)
+            except DegenerateFitError:
+                pass
+        traces.append(FieldTrace(times=times, quadrature=quadrature, fitted_phase=phase,
+                                 fitted_frequency=frequency))
+    return traces
 
 
 def emit_field_trace(state: StateVector, config: _EmissionModel,
                      method: str = "full", fit: bool = True) -> FieldTrace:
-    """Quadrature of the emitted field over the readout grid.
-
-    ``state`` is the post-selected two-atom state; the emission mode starts
-    in vacuum.  ``config`` is the :func:`emission_model` of the readout
-    configuration; it does not depend on the state, so one model serves
-    every trace of a run and shares its phase table.  The reported
-    quadrature is the radiated (Raman-transfer) component, on the resonant
-    channel; the virtual cloud dressing the driven atoms is left out.  The
-    full method raises :class:`CutoffOverflowError` when the dressed start's
-    weight that can reach two photons (its conserved L = 2 weight) exceeds
-    ``OVERFLOW_THRESHOLD`` (the single-photon picture has then broken down).
-    """
+    """:func:`emit_field_traces` of the one state ``state``."""
     # The model keeps the argument name ``config``: perfbench/tracer.py binds
     # this argument by name and reads its ``readout_times``.
-    model, config = config, config.config
-    if not config.readout_times:
-        raise ValueError("config.readout_times is empty")
-    if state.basis != pair_basis():
-        raise h.BasisMismatchError("emission expects a bare two-atom state")
-    if method == "full":
-        quadrature, above_one, frequency = _full_quadrature(state, model)
-    elif method == "perturbative":
-        quadrature, above_one, frequency = _perturbative_quadrature(state, model)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if above_one > OVERFLOW_THRESHOLD:
-        raise CutoffOverflowError(
-            f"weight that can reach two photons (L = 2) is {above_one:.3e}")
-    times = np.asarray(config.readout_times)
-    phase = None
-    if fit:
-        try:
-            phase = extract_phase(times, quadrature, frequency, config.fit_periods)
-        except DegenerateFitError:
-            phase = None
-    return FieldTrace(times=times, quadrature=quadrature, fitted_phase=phase,
-                      fitted_frequency=frequency)
+    return emit_field_traces([state], config, method=method, fit=fit)[0]
 
 
 def readout_phase(config: ReadoutConfig, elapsed_time: float,

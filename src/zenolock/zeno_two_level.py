@@ -299,44 +299,41 @@ def _record_cycles(total_cycles: int, max_points: int) -> np.ndarray:
     return recorded
 
 
-def _coupled_window(config, basis: h.ProductBasis, atoms: np.ndarray,
+def coupling_window(config, basis: h.ProductBasis,
                     drift: Callable[[np.ndarray, float], np.ndarray],
                     couple: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
-    """One cycle up to the photon-number projection, from ``atoms`` with every mode empty.
+    """One cycle up to the photon-number projection, for every atom basis state at once.
 
-    The free drift is propagated by ``drift(amplitudes, duration)``, n
-    photons are injected into every mode, and the coupling window is
-    propagated by ``couple(amplitudes, duration)``.  Returns the amplitudes
-    shaped (atom states, photons in mode 1, photons in mode 2, ...).
+    Each atom basis state starts with every mode empty.  Their columns are
+    propagated as one (dimension, atom states) batch: the free drift by
+    ``drift(amplitudes, duration)``, then n photons are injected into every
+    mode, and the coupling window by ``couple(amplitudes, duration)``.
+    Returns the amplitudes shaped (atom states, photons in mode 1, photons
+    in mode 2, ..., starting atom state).  Every step is linear, so the
+    window of any start x with empty modes is ``window @ x``.
     """
+    atom_dim = int(np.prod(basis.dims[:len(basis.atom_indices())]))
     mode_dims = basis.dims[len(basis.atom_indices()):]
     injected = int(np.ravel_multi_index((config.photon_number,) * len(mode_dims), mode_dims))
-    amps = np.zeros(basis.dimension, dtype=complex)
-    amps.reshape(len(atoms), -1)[:, 0] = atoms
+    amps = np.zeros((basis.dimension, atom_dim), dtype=complex)
+    amps.reshape(atom_dim, -1, atom_dim)[:, 0] = np.eye(atom_dim)
     amps = drift(amps, config.free_interval)
-    view = amps.reshape(len(atoms), -1)
+    view = amps.reshape(atom_dim, -1, atom_dim)
     vacuum = view[:, 0].copy()
     view[:] = 0.0
     view[:, injected] = vacuum
-    return couple(amps, config.measure_interval).reshape(len(atoms), *mode_dims)
+    return couple(amps, config.measure_interval).reshape(atom_dim, *mode_dims, atom_dim)
 
 
-def cycle_matrix(config, basis: h.ProductBasis,
-                 drift: Callable[[np.ndarray, float], np.ndarray],
-                 couple: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
+def cycle_matrix(config, window: np.ndarray) -> np.ndarray:
     """Per-cycle success-branch map on the atom sector with every mode empty.
 
-    Column i is one cycle applied to atom basis state i: the
-    :func:`_coupled_window` of that state with its n-photon component of
-    every mode read off.  Every step is linear, so the squared norm of the
-    iterated vector is the cumulative success probability.
+    Column i is one cycle applied to atom basis state i: its
+    :func:`coupling_window` with the n-photon component of every mode read
+    off.  Every step is linear, so the squared norm of the iterated vector
+    is the cumulative success probability.
     """
-    atom_dim = int(np.prod(basis.dims[:len(basis.atom_indices())]))
-    cycle_map = np.zeros((atom_dim, atom_dim), dtype=complex)
-    for i, atoms in enumerate(np.eye(atom_dim, dtype=complex)):
-        window = _coupled_window(config, basis, atoms, drift, couple)
-        cycle_map[:, i] = window[(slice(None),) + (config.photon_number,) * (window.ndim - 1)]
-    return cycle_map
+    return window[(slice(None),) + (config.photon_number,) * (window.ndim - 2)]
 
 
 def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
@@ -347,24 +344,26 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     Hamiltonian by sector: its blocks drive the coupling window through a
     :class:`hilbert.BlockEvolver` and its ``diagonal`` the free drift.  The
     run works on the atom sector with the per-cycle map (see
-    :func:`cycle_matrix`).  Every stride-th cycle and the last are recorded,
-    at most ``max_trace_points`` of them, and the run jumps between them:
-    across a gap of g cycles it applies the cached power ``map**(g-1)`` (one
-    per distinct gap, so at most two) and then one more ``map``, whose
-    success probability is the recorded cycle's own.  Its cost grows with
-    the number of recorded points, not of cycles.  ``p_success`` is the
-    cumulative product of per-cycle success probabilities.
+    :func:`cycle_matrix`), read off one batched :func:`coupling_window`.
+    Every stride-th cycle and the last are recorded, at most
+    ``max_trace_points`` of them, and the run jumps between them: across a
+    gap of g cycles it applies the cached power ``map**(g-1)`` (one per
+    distinct gap, so at most two) and then one more ``map``, whose success
+    probability is the recorded cycle's own.  Its cost grows with the number
+    of recorded points, not of cycles.  ``p_success`` is the cumulative
+    product of per-cycle success probabilities.
 
     The closed forms come from the scheme: with m the mean of
     ``config.delta(k)**2`` over the transitions, ``analytic_p_s`` is
     exp(-rate t) with rate = m * cycle_time, and ``out_of_regime`` is
     m * tau^2 > 1, the per-cycle error leaving the perturbative regime.  A
     trailing partial cycle is a free drift without a measurement.
-    ``max_mode_tail`` is the population above n + 1 photons in any mode at the
-    end of the first coupling window.  A survival of zero at a recorded cycle
-    raises :class:`ProtocolError`, and so does a positive rate whose
-    closed-form per-cycle error ``rate * cycle_time`` falls below
-    :data:`MIN_CYCLE_ERROR` (also when it underflows to zero).
+    ``max_mode_tail`` is the population above n + 1 photons in any mode at
+    the end of the first coupling window, the window times ``initial``.  A
+    survival of zero at a recorded cycle raises :class:`ProtocolError`, and
+    so does a positive rate whose closed-form per-cycle error
+    ``rate * cycle_time`` falls below :data:`MIN_CYCLE_ERROR` (also when it
+    underflows to zero).
     """
     squares = [config.delta(k) ** 2 for k in range(1, len(config.TRANSITIONS) + 1)]
     mean_square = sum(squares) / len(squares)
@@ -381,11 +380,11 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     out_of_regime = mean_square * (config.free_interval * config.free_interval) > 1.0
 
     record = _record_cycles(cycles, max_trace_points)
-    cycle_map = cycle_matrix(config, initial.basis, drift, evolver.propagate)
+    window = coupling_window(config, initial.basis, drift, evolver.propagate)
+    cycle_map = cycle_matrix(config, window)
     atom_dim = cycle_map.shape[0]
     x = initial.amplitudes.reshape(atom_dim, -1)[:, 0].copy()
-    populations = np.abs(_coupled_window(config, initial.basis, x, drift,
-                                         evolver.propagate)) ** 2
+    populations = np.abs(window @ x) ** 2
     max_tail = max(float(np.sum(np.moveaxis(populations, axis, 0)[config.photon_number + 2:]))
                    for axis in range(1, populations.ndim))
 

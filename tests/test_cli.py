@@ -1,5 +1,6 @@
 """Configuration parsing and end-to-end CLI runs."""
 
+import inspect
 import math
 import os
 import subprocess
@@ -11,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zenolock import cli, dephasing
+from zenolock import cli, dephasing, readout
 from zenolock import hilbert as h
+from zenolock import zeno_multilevel as zm
+from zenolock import zeno_two_level as z2
 from zenolock.configfile import ConfigError, Key, Section, parse_config_text
 from zenolock.tracefile import read_csv
 
@@ -208,6 +211,16 @@ class TestExitCodes:
         code = cli.main(["allan", "--config", str(path), "--out",
                          str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"[zeno2]\nhalf_difference = 2.0\xff\n")
+        code = cli.main(["zeno2", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"zenolock: config error: config file {path} is not valid UTF-8: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_nonpositive_parameter(self, tmp_path):
         path = write_config(tmp_path, "[allan]\nfwhm = -1.0\n")
@@ -492,17 +505,30 @@ class TestExitCodes:
             f"{shown} overflows\n")
 
     def test_pool_threads_keep_the_error_state(self, tmp_path, capsys, monkeypatch):
-        # the two default clock phases run on two pool threads, which raise on
-        # the overflowing readout grid like the calling thread does
-        path = write_config(tmp_path, "[readout]\ntime_max = 1e308\n")
+        # the two cycle times run on two pool threads, which raise on the
+        # overflowing pair Hamiltonian like the calling thread does
+        path = write_config(tmp_path, "[zeno2]\ncavity_frequency = 1e308\n"
+                                      "cycle_times = 0.01, 0.02\nfinal_time = 0.5\n")
         outcomes = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ZENOLOCK_THREADS", threads)
-            code = cli.main(["readout", "--config", str(path), "--out",
+            code = cli.main(["zeno2", "--config", str(path), "--out",
                              str(tmp_path / threads)])
             outcomes.append((code, capsys.readouterr().err))
         assert outcomes[0][0] == cli.EXIT_NUMERICAL
         assert outcomes[1] == outcomes[0]
+
+    @pytest.mark.parametrize("key, outcome", [("fwhm", "underflows"),
+                                              ("cycle_time", "underflows"),
+                                              ("carrier", "overflows")])
+    def test_allan_smallest_value_names_the_key(self, tmp_path, capsys, key, outcome):
+        # sigma_y underflows to zero (fwhm, cycle_time) or overflows (carrier)
+        path = write_config(tmp_path, f"[allan]\n{key} = 5e-324\n")
+        code = cli.main(["allan", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"zenolock: numerical validity failure: [allan] {key} = 5e-324 {outcome} "
+            f"the Allan deviation\n")
 
     def test_untuned_emission_mode_exit_code(self, tmp_path, capsys):
         # five tuning builds leave the mode 47.9 off the light-shifted resonance
@@ -709,6 +735,24 @@ class TestSchema:
         path = write_config(tmp_path, SMALL)
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert read == set(cli.SCHEMA[command])
+
+
+    @pytest.mark.parametrize("function, section, renamed, unconfigured", [
+        (readout.readout_config, "readout", {}, ()),
+        (z2.config_for_cycle_time, "zeno2", {}, ()),
+        # the CLI runs the four-level pair with both ground levels at zero
+        (zm.four_level_config_from_deltas, "zeno4", {}, ("ground_1", "ground_2")),
+        (dephasing.bandwidth_histogram, "dephasing", {"bins": "histogram_bins"}, ()),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_library_defaults_match_the_schema(self, function, section, renamed,
+                                               unconfigured):
+        defaults = Section(section, {}, cli.SCHEMA[section], "defaults")
+        pinned = {name: parameter.default
+                  for name, parameter in inspect.signature(function).parameters.items()
+                  if parameter.default is not inspect.Parameter.empty
+                  and name not in unconfigured}
+        assert pinned
+        assert {name: defaults[renamed.get(name, name)] for name in pinned} == pinned
 
 
 class TestNoDenseOperator:

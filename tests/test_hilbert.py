@@ -324,6 +324,30 @@ class TestBlockEvolver:
             np.testing.assert_allclose(blocked.amplitudes, dense.amplitudes, atol=1e-10)
             assert abs(np.vdot(blocked.amplitudes, blocked.amplitudes).real - 1) < 1e-12
 
+    def test_batch_equals_single_columns(self):
+        # the [zeno4] pair at n = 2: 400 states in many sectors, with columns
+        # that leave some blocks empty and share others
+        config = zm.four_level_config_from_deltas(1.0, 0.5, cycle_time=0.02,
+                                                  final_time=0.2, photon_number=2)
+        sectors = zm.build_sector_hamiltonian(config)
+        evolver = h.BlockEvolver(sectors)
+        rng = np.random.default_rng(11)
+        dim = sectors.basis.dimension
+        batch = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
+        batch[:, 0] = 0.0
+        batch[:, 1] = np.eye(dim)[7]
+        batch[dim // 2:, 2] = 0.0
+        for t in (0.01, 0.4):
+            together = evolver.propagate(batch, t)
+            assert together.shape == batch.shape
+            for column, amplitudes in zip(together.T, batch.T):
+                np.testing.assert_allclose(column, evolver.propagate(amplitudes, t),
+                                           rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(
+                h._propagate_diagonal(sectors.diagonal, batch, t),
+                np.column_stack([h._propagate_diagonal(sectors.diagonal, amplitudes, t)
+                                 for amplitudes in batch.T]))
+
     def test_evolution_stays_in_initial_block(self):
         basis = h.build_basis([h.Atom(2), h.Mode(6)])
         H = jaynes_cummings(basis, 5.0, 5.0, 1.3)

@@ -1,6 +1,7 @@
 """Readout chain gates, emission model, and phase extraction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,17 @@ class TestEmission:
         with pytest.raises(rd.CutoffOverflowError):
             rd.emit_field_trace(both_excited, rd.emission_model(config))
 
+    def test_cutoff_overflow_names_the_largest_weight_of_a_batch(self):
+        config = rd.readout_config()
+        model = rd.emission_model(config)
+        partly = chain_state({(E1, E1): 0.6, (E1, G1): 0.8})
+        fully = chain_state({(E1, E1): 1.0})
+        _, weights = full_quadratures([partly, fully], model)
+        assert rd.OVERFLOW_THRESHOLD < weights[0] < weights[1]
+        first, second = sweep_states(config)[:2]
+        with pytest.raises(rd.CutoffOverflowError, match=re.escape(f"is {weights[1]:.3e}") + "$"):
+            rd.emit_field_traces([first, fully, partly, second], model)
+
     def test_mode_population_above_one_photon_is_small(self):
         config = rd.readout_config()
         state, _ = rd.readout_chain(config, 0.0)
@@ -344,19 +356,73 @@ def dense_quadrature(state, model, radiated_only=True):
     return 2.0 * mean_a.real, above_one
 
 
-class TestChannelQuadrature:
-    def test_matches_dense_annihilation_over_phase_sweep(self):
-        # the 16-phase sweep of demos/04_clock_readout.py; a chain state has
-        # no L = 2 weight, so it never reaches two photons
+def sweep_states(config):
+    """Chain states of the 16-phase sweep of demos/04_clock_readout.py."""
+    return [rd.readout_chain(config, phi / config.clock_frequency)[0]
+            for phi in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
+
+
+def full_quadratures(states, model):
+    """``_full_quadrature`` of the states as one batch of amplitude columns."""
+    return rd._full_quadrature(np.column_stack([s.amplitudes for s in states]), model)
+
+
+class TestBatchedEmission:
+    @pytest.mark.parametrize("method", ["full", "perturbative"])
+    def test_sweep_equals_per_state_traces(self, method):
         config = rd.readout_config()
         model = rd.emission_model(config)
-        for phi in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
-            state, _ = rd.readout_chain(config, phi / config.clock_frequency)
-            quadrature, above_one, _ = rd._full_quadrature(state, model)
+        states = sweep_states(config)
+        traces = rd.emit_field_traces(states, model, method=method)
+        assert len(traces) == len(states)
+        for state, trace in zip(states, traces):
+            single = rd.emit_field_trace(state, model, method=method)
+            np.testing.assert_array_equal(trace.times, single.times)
+            np.testing.assert_allclose(trace.quadrature, single.quadrature, rtol=0, atol=1e-15)
+            assert trace.fitted_phase == pytest.approx(single.fitted_phase, abs=1e-12)
+            assert trace.fitted_frequency == single.fitted_frequency
+
+    def test_blocks_of_states_equal_one_product(self, monkeypatch):
+        config = rd.readout_config()
+        model = rd.emission_model(config)
+        states = sweep_states(config)
+        whole = rd.emit_field_traces(states, model)
+        # blocks of 3 states, the last one of 1
+        monkeypatch.setattr(rd, "_BLOCK_AMPLITUDES", 3 * 4 * len(config.readout_times))
+        blocked = rd.emit_field_traces(states, model)
+        for one, other in zip(whole, blocked):
+            np.testing.assert_allclose(one.quadrature, other.quadrature, rtol=0, atol=1e-15)
+            assert one.fitted_phase == pytest.approx(other.fitted_phase, abs=1e-12)
+
+    def test_basis_mismatch_anywhere_in_the_batch(self):
+        config = rd.readout_config()
+        stray = StateVector(rd.emission_basis(config), np.eye(48)[0])
+        with pytest.raises(h.BasisMismatchError):
+            rd.emit_field_traces([*sweep_states(config)[:2], stray], rd.emission_model(config))
+
+    def test_degenerate_fit_is_per_state(self):
+        # both atoms in G2 lie outside the radiating channel, so that trace is zero
+        config = rd.readout_config()
+        first, second = sweep_states(config)[:2]
+        dark = chain_state({(G2, G2): 1.0})
+        traces = rd.emit_field_traces([first, dark, second], rd.emission_model(config))
+        assert [trace.fitted_phase is None for trace in traces] == [False, True, False]
+        assert not np.any(traces[1].quadrature)
+
+
+class TestChannelQuadrature:
+    def test_matches_dense_annihilation_over_phase_sweep(self):
+        # a chain state has no L = 2 weight, so it never reaches two photons
+        config = rd.readout_config()
+        model = rd.emission_model(config)
+        states = sweep_states(config)
+        quadratures, above_one = full_quadratures(states, model)
+        assert quadratures.shape == (16, len(config.readout_times))
+        for state, quadrature, weight in zip(states, quadratures, above_one):
             oracle, oracle_above_one = dense_quadrature(state, model)
             assert np.max(np.abs(oracle)) > 0.2
             assert np.max(np.abs(quadrature - oracle)) <= 1e-14
-            assert above_one == 0.0
+            assert weight == 0.0
             assert oracle_above_one <= 1e-28
 
     def test_overflow_population_matches_dense(self):
@@ -364,7 +430,7 @@ class TestChannelQuadrature:
         config = rd.readout_config()
         model = rd.emission_model(config)
         state = chain_state({(E1, E1): 1.0})
-        quadrature, above_one, _ = rd._full_quadrature(state, model)
+        (quadrature,), (above_one,) = full_quadratures([state], model)
         oracle, oracle_above_one = dense_quadrature(state, model)
         assert oracle_above_one > 1e-3
         assert oracle_above_one <= above_one + 1e-12
@@ -381,7 +447,7 @@ class TestChannelQuadrature:
             state = StateVector(rd.pair_basis(), rng.normal(size=16) + 1j * rng.normal(size=16),
                                 normalize=True)
         model = rd.emission_model(rd.readout_config())
-        quadrature, _, _ = rd._full_quadrature(state, model)
+        (quadrature,), _ = full_quadratures([state], model)
         oracle, _ = dense_quadrature(state, model)
         assert np.max(np.abs(oracle)) > 0.01
         assert np.max(np.abs(quadrature - oracle)) <= 1e-13

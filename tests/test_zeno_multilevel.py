@@ -238,13 +238,13 @@ class TestProtocol:
     def test_sector_cycle_map_matches_dense(self, config, build_sectors, build_dense):
         sectors = build_sectors(config)
         basis = sectors.basis
-        sector_map = z2.cycle_matrix(
+        sector_map = z2.cycle_matrix(config, z2.coupling_window(
             config, basis, functools.partial(h._propagate_diagonal, sectors.diagonal),
-            h.BlockEvolver(sectors).propagate)
-        dense_map = z2.cycle_matrix(
+            h.BlockEvolver(sectors).propagate))
+        dense_map = z2.cycle_matrix(config, z2.coupling_window(
             config, basis,
             functools.partial(h._propagate, build_dense(config, coupled=False)),
-            functools.partial(h._propagate, build_dense(config, coupled=True)))
+            functools.partial(h._propagate, build_dense(config, coupled=True))))
         assert np.max(np.abs(dense_map)) > 0.1
         assert np.max(np.abs(sector_map - dense_map)) <= 1e-12
 
