@@ -36,7 +36,7 @@ print(f"one cycle with tau = {config.free_interval:.4g}: the photon check finds 
       f"amplitude {amp:.3e} (first order predicts Delta*tau = {DELTA * config.free_interval:.3e})")
 
 cycle_config, trace = one_cycle(0.005)
-pe = z2.pe_analytic(DELTA, cycle_config.free_interval)
+pe = z2.pe_analytic(cycle_config.deltas(), cycle_config.free_interval)
 print(f"one full cycle: success probability {trace.p_success[-1]:.8f} "
       f"(closed form 1 - (Delta*tau)^2 = {1 - pe:.8f})")
 print(f"state fidelity with a fresh dark state: "

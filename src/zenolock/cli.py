@@ -50,10 +50,9 @@ _MAX_CLOCK_PHASE = 2.0**51 * readout.TWO_PI
 # blocks, which grow linearly with d, and the Zeno cycle-map build
 # propagates every atom state with empty modes as one batch, a (d, 4) array
 # for zeno2 and a (d, 16) array for zeno4.  The readout emission sectors hold
-# at most 9 states each.  With the default Fock cutoffs (n + 3 for the zeno2
-# mode, n + 2 for each zeno4 mode) the caps keep d = 4(n + 4) <= 2048 for
-# zeno2, d = 16(n + 3)^2 <= 65,536 for zeno4 and d = 16(c + 1) <= 2048 for
-# readout.
+# at most 9 states each.  With the default Fock cutoff of n + 2 for every
+# mode the caps keep d = 4(n + 3) <= 2044 for zeno2, d = 16(n + 3)^2 <= 65,536
+# for zeno4 and d = 16(c + 1) <= 2048 for readout.
 SCHEMA = {
     "dephasing": {
         "atom_count": Key("100", int, minimum=1),
@@ -124,10 +123,9 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _write_manifest(out_dir: Path, subcommand: str, config_path, config_text: str,
+def _write_manifest(out_dir: Path, subcommand: str, config_path, digest: str,
                     seed, emit_plots: bool, resolved: dict, results: dict,
                     flags: dict) -> None:
-    digest = hashlib.sha256(config_text.encode("utf-8")).hexdigest()
     lines = [
         "zenolock run manifest",
         f"version = {__version__}",
@@ -172,16 +170,16 @@ def _clock_phase_residue(target: float) -> float:
     return phase % readout.TWO_PI
 
 
-def _provenance(subcommand: str, config_text: str, seed) -> dict:
+def _provenance(subcommand: str, digest: str, seed) -> dict:
     return {
         "tool": f"zenolock {__version__}",
         "subcommand": subcommand,
-        "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
+        "config_sha256": digest,
         "seed": str(seed if seed is not None else "none"),
     }
 
 
-def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
+def cmd_dephasing(section: Section, out_dir: Path, args, digest: str):
     seed = args.seed if args.seed is not None else section["seed"]
     atom_count = section["atom_count"]
     f0 = section["center_frequency"]
@@ -201,7 +199,7 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
                            histogram_replicas * histogram_atoms)):
         if entries > _MAX_ENTRIES:
             raise ConfigError(f"[dephasing] {keys} must be at most {_MAX_ENTRIES}, got {entries}")
-    provenance = _provenance("dephasing", config_text, seed)
+    provenance = _provenance("dephasing", digest, seed)
 
     config = dephasing.EnsembleConfig(atom_count=atom_count, center_frequency=f0,
                                       fwhm=fwhm, seed=seed, time_max=time_max,
@@ -278,7 +276,7 @@ def cmd_dephasing(section: Section, out_dir: Path, args, config_text: str):
 
 
 def _survival_curves(command: str, section: Section, out_dir: Path, args,
-                     config_text: str, deltas: dict, run, title: str):
+                     digest: str, deltas: dict, run, title: str):
     """Shared body of zeno2 and zeno4: one protocol run per cycle time.
 
     ``run(cycle, final_time, photons, ratio, trace_points)`` returns
@@ -291,14 +289,14 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
     runs as (cycle, config, trace, provenance) with the results and flags.
     """
     with _overflow_names(command, deltas, "the closed-form decay rate"):
-        rate = sum(value**2 for value in deltas.values()) / len(deltas)
+        rate = z2.mean_square_splitting(deltas.values())
     trace_points = section["trace_points"]
     ratio = section["measure_ratio"]
     photons = section["photon_number"]
     floor = section["survival_floor"] or 0.1  # 'auto' reads as None
     final_time = section["final_time"]
     auto = final_time is None
-    provenance = _provenance(command, config_text, args.seed)
+    provenance = _provenance(command, digest, args.seed)
 
     cycles = section["cycle_times"]
     final_times = {}
@@ -347,7 +345,7 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
     return runs, results, flags
 
 
-def cmd_zeno2(section: Section, out_dir: Path, args, config_text: str):
+def cmd_zeno2(section: Section, out_dir: Path, args, digest: str):
     delta = section["half_difference"]
 
     def run(cycle, final_time, photons, ratio, trace_points):
@@ -363,13 +361,13 @@ def cmd_zeno2(section: Section, out_dir: Path, args, config_text: str):
                                "coupling": repr(config.coupling),
                                "measure_interval": repr(config.measure_interval)}
 
-    _, results, flags = _survival_curves("zeno2", section, out_dir, args, config_text,
+    _, results, flags = _survival_curves("zeno2", section, out_dir, args, digest,
                                          {"half_difference": delta}, run,
                                          "Two-level survival probability")
     return results, flags, args.seed
 
 
-def cmd_zeno4(section: Section, out_dir: Path, args, config_text: str):
+def cmd_zeno4(section: Section, out_dir: Path, args, digest: str):
     delta_1 = section["delta_1"]
     delta_2 = section["delta_2"]
 
@@ -386,17 +384,17 @@ def cmd_zeno4(section: Section, out_dir: Path, args, config_text: str):
                                "coupling": repr(config.coupling)}
 
     runs, results, flags = _survival_curves(
-        "zeno4", section, out_dir, args, config_text,
+        "zeno4", section, out_dir, args, digest,
         {"delta_1": delta_1, "delta_2": delta_2}, run, "Four-level survival probability")
     flags["mode_off_resonance"] = False
     for cycle, config, _, _ in runs:
         flags["mode_off_resonance"] |= any(abs(d) > 1e-9 for d in config.mode_detunings())
-        residual = zm.measurement_residual_cosines(config)
-        results[f"manifold2_residual_cosine_{float(cycle)!r}"] = residual[1]
+        results[f"manifold2_residual_cosine_{float(cycle)!r}"] = (
+            zm.measurement_residual_cosine(config))
     return results, flags, args.seed
 
 
-def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
+def cmd_readout(section: Section, out_dir: Path, args, digest: str):
     points = section["time_points"]
     time_max = section["time_max"]
     fit_periods = section["fit_periods"]
@@ -428,7 +426,7 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
         raise ConfigError("[readout] transition_1 equals transition_2, so the clock "
                           "frequency is zero and no clock phase accumulates")
     phases = section["clock_phases"]
-    provenance = _provenance("readout", config_text, args.seed)
+    provenance = _provenance("readout", digest, args.seed)
     # the light shifts grow with the drive and coupling over the level energies
     shift_keys = {"drive_amplitude": config.drive_amplitude, "coupling": config.coupling,
                   "detuning": detuning, "transition_1": transition_1}
@@ -480,13 +478,13 @@ def cmd_readout(section: Section, out_dir: Path, args, config_text: str):
     return results, flags, args.seed
 
 
-def cmd_allan(section: Section, out_dir: Path, args, config_text: str):
+def cmd_allan(section: Section, out_dir: Path, args, digest: str):
     fwhm = section["fwhm"]
     carrier = section["carrier"]
     cycle_time = section["cycle_time"]
     averaging_times = section["averaging_times"]
     atom_counts = section["atom_counts"]
-    provenance = _provenance("allan", config_text, args.seed)
+    provenance = _provenance("allan", digest, args.seed)
 
     for averaging in averaging_times:
         if math.isinf(cycle_time / averaging):
@@ -564,6 +562,7 @@ def main(argv=None) -> int:
     try:
         config_path = Path(args.config)
         config_text, sections = load_config(config_path)
+        digest = hashlib.sha256(config_text.encode("utf-8")).hexdigest()
         section = Section(args.command, sections.get(args.command, {}),
                           SCHEMA[args.command], str(config_path))
         for name in sections:
@@ -574,8 +573,7 @@ def main(argv=None) -> int:
         # Floating-point overflow, division by zero and invalid operations
         # raise here instead of warning, also in parallel_map's pool threads.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            results, flags, seed = _HANDLERS[args.command](section, out_dir, args,
-                                                           config_text)
+            results, flags, seed = _HANDLERS[args.command](section, out_dir, args, digest)
     except ConfigError as error:
         print(f"zenolock: config error: {error}", file=sys.stderr)
         return EXIT_CONFIG
@@ -585,7 +583,7 @@ def main(argv=None) -> int:
         # ValueError here is a numerical failure of a valid configuration
         print(f"zenolock: numerical validity failure: {error}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _write_manifest(out_dir, args.command, config_path, config_text, seed,
+    _write_manifest(out_dir, args.command, config_path, digest, seed,
                     args.plots, section.resolved(), results, flags)
     if args.strict and flags.get("out_of_regime"):
         return EXIT_OUT_OF_REGIME

@@ -7,17 +7,18 @@ transition its own lower level (four levels per atom, two cavity modes)
 removes every absorption channel from the dark states, and the two locked
 manifolds then carry a usable relative phase.
 
-One scheme model serves both pairs, and the two-level pair too: a config
-subclass names its levels per atom and the (upper, lower) transition each
-cavity mode drives, and the basis, Hamiltonian, conserved labels and pair
-states of :mod:`zeno_two_level` follow from that table, as do the initial
-state and leakage here.  Level ordering: three-level atoms are (G, E1, E2);
+One scheme model serves both pairs, and the two-level pair too: each config
+here is a :class:`zeno_two_level.LevelSchemeConfig` that names its levels per
+atom and the (upper, lower) transition each cavity mode drives, and the
+basis, Hamiltonian, conserved labels, pair states and closed forms of
+:mod:`zeno_two_level` follow from that table, as does the leakage here.
+Level ordering: three-level atoms are (G, E1, E2);
 four-level atoms are (G1, G2, E1, E2).  Dimensionless angular units,
 hbar = 1.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,15 +26,14 @@ import numpy as np
 from . import hilbert as h
 from .hilbert import StateVector
 from .zeno_two_level import (
-    OutOfRegimeError,
-    SurvivalClosedForm,
+    LevelSchemeConfig,
     SurvivalTrace,
-    _validate_protocol,
     build_sector_hamiltonian,
     half_flop_time,
     pair_superposition,
     run_zeno,
     split_cycle,
+    subradiant_state,
 )
 # the rest of the scheme model, re-exported for the multilevel pairs' users
 from .zeno_two_level import build_hamiltonian as build_hamiltonian
@@ -63,60 +63,6 @@ class FourLevelEnergies:
     e2: float
 
 
-@dataclass(frozen=True)
-class LevelSchemeConfig:
-    """A pair of identical-scheme atoms coupled to two cavity modes.
-
-    A subclass names its level scheme in two class constants: ``LEVELS``,
-    the levels per atom, and ``TRANSITIONS``, the (upper, lower) level pair
-    that cavity mode k + 1 drives.  Level indices are the field positions of
-    the atoms' energy records.
-    """
-
-    mode_frequencies: tuple
-    atom_a: object
-    atom_b: object
-    coupling: float
-    photon_number: int
-    free_interval: float
-    measure_interval: float
-    final_time: float
-    fock_cutoffs: Optional[tuple] = None
-
-    def __post_init__(self):
-        _validate_protocol(self)
-        if self.fock_cutoffs is None:
-            n = self.photon_number
-            object.__setattr__(self, "fock_cutoffs", (n + 2, n + 2))
-        cutoffs = tuple(int(c) for c in self.fock_cutoffs)
-        object.__setattr__(self, "fock_cutoffs", cutoffs)
-        if any(c < self.photon_number + 2 for c in cutoffs):
-            raise ValueError("fock_cutoffs must be at least photon_number + 2")
-
-    @property
-    def cycle_time(self) -> float:
-        return self.free_interval + self.measure_interval
-
-    @property
-    def atom_levels(self) -> tuple:
-        return (astuple(self.atom_a), astuple(self.atom_b))
-
-    def transition(self, atom, k: int) -> float:
-        upper, lower = self.TRANSITIONS[k - 1]
-        levels = astuple(atom)
-        return levels[upper] - levels[lower]
-
-    def mean_transition(self, k: int) -> float:
-        return 0.5 * (self.transition(self.atom_a, k) + self.transition(self.atom_b, k))
-
-    def delta(self, k: int) -> float:
-        """Half the difference between the two atoms' k-th transition energies."""
-        return 0.5 * (self.transition(self.atom_a, k) - self.transition(self.atom_b, k))
-
-    def mode_detunings(self) -> tuple:
-        return tuple(self.mode_frequencies[k - 1] - self.mean_transition(k) for k in (1, 2))
-
-
 class ThreeLevelConfig(LevelSchemeConfig):
     """Two V-configuration atoms, two cavity modes sharing the ground state."""
 
@@ -129,14 +75,6 @@ class FourLevelConfig(LevelSchemeConfig):
 
     LEVELS = 4
     TRANSITIONS = ((E1, G1), (E2, G2))
-
-    def clock_frequency(self) -> float:
-        """Relative precession rate of the two locked manifolds."""
-        e1 = 0.5 * (self.atom_a.e1 + self.atom_b.e1)
-        g1 = 0.5 * (self.atom_a.g1 + self.atom_b.g1)
-        e2 = 0.5 * (self.atom_a.e2 + self.atom_b.e2)
-        g2 = 0.5 * (self.atom_a.g2 + self.atom_b.g2)
-        return e1 + g1 - e2 - g2
 
 
 def four_level_config_from_deltas(delta_1: float, delta_2: float, cycle_time: float,
@@ -179,11 +117,6 @@ def three_level_config(coupling: float = 2.0, photon_number: int = 8,
                             final_time=2.0 * measure_interval)
 
 
-def initial_state(config: LevelSchemeConfig) -> StateVector:
-    """Equal superposition of the two subradiant pairs, both modes empty."""
-    return pair_superposition(config, config.TRANSITIONS, (0, 0))
-
-
 def leakage(config: LevelSchemeConfig, photon_number: Optional[int] = None,
             measure_interval: Optional[float] = None) -> float:
     """Probability of double-excitation absorption out of a subradiant pair.
@@ -205,41 +138,15 @@ def leakage(config: LevelSchemeConfig, photon_number: Optional[int] = None,
     return sum(float(populations[a, b].sum()) for a in excited for b in excited)
 
 
-def measurement_residual_cosines(config: FourLevelConfig) -> tuple:
-    """Bright-state population cosine left at the end of the window, per manifold.
+def measurement_residual_cosine(config: FourLevelConfig) -> float:
+    """Bright-state population cosine left at the end of the window.
 
     The window is sized by manifold 1; with a shared coupling and photon
-    number manifold 2 sees the same collective Rabi argument, so both
-    residuals vanish together.
+    number manifold 2 sees the same collective Rabi argument, so the residual
+    is the same for both manifolds.
     """
     argument = config.coupling * math.sqrt(config.photon_number + 0.5)
-    value = math.cos(argument * config.measure_interval)
-    return (value, value)
-
-
-def pe_four_level(delta_1: float, delta_2: float, free_interval: float,
-                  weights=(0.5, 0.5)) -> float:
-    """Per-cycle error of the four-level protocol.
-
-    ``weights`` are the populations of the two manifolds; the equal-weight
-    default reproduces the (delta_1^2 + delta_2^2)/2 form of the balanced
-    initial state, and (1, 0) recovers the single-manifold two-level result.
-    """
-    w1, w2 = weights
-    pe = (w1 * delta_1**2 + w2 * delta_2**2) * free_interval**2
-    if pe > 1.0:
-        raise OutOfRegimeError(f"per-cycle error {pe:.3g} exceeds 1")
-    return pe
-
-
-def ps_four_level(delta_1: float, delta_2: float, free_interval: float,
-                  measure_interval: float, final_time: float) -> SurvivalClosedForm:
-    """Survival closed forms: exact product and exponential limit."""
-    pe = pe_four_level(delta_1, delta_2, free_interval)
-    cycle = free_interval + measure_interval
-    rate = 0.5 * (delta_1**2 + delta_2**2) * cycle
-    return SurvivalClosedForm(product_form=(1.0 - pe) ** (final_time / cycle),
-                              exponential_form=math.exp(-rate * final_time))
+    return math.cos(argument * config.measure_interval)
 
 
 # perfbench/tracer.py wraps this name; a def, not an alias, keeps the wrap on it
@@ -258,7 +165,7 @@ def run_four_level_protocol(config: FourLevelConfig,
     The Hamiltonian is held by sector, so no dense operator of the pair basis
     is built.
     """
-    return run_zeno(config, build_four_level_hamiltonian(config), initial_state(config),
+    return run_zeno(config, build_four_level_hamiltonian(config), subradiant_state(config),
                     max_trace_points=max_trace_points)
 
 

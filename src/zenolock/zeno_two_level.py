@@ -9,17 +9,19 @@ state, and projects the photon number back onto n.  Surviving the projection
 collapses the pair back onto the subradiant state, so frequent cycles lock
 the relative phase.
 
-One scheme model serves every pair: the basis, Hamiltonian, conserved labels
-and pair states here follow from a config's ``LEVELS`` and ``TRANSITIONS``
-table, and :func:`run_zeno` drives every pair.  :class:`TwoLevelConfig` is
-the scheme with one transition; :mod:`zeno_multilevel` adds the others.
+One scheme model serves every pair: :class:`LevelSchemeConfig` is the one
+pair config, the basis, Hamiltonian, conserved labels and pair states here
+follow from its ``LEVELS`` and ``TRANSITIONS`` table, the closed forms
+(:func:`pe_analytic`, :func:`ps_analytic`) take the splitting of every
+transition, and :func:`run_zeno` drives every pair.  :class:`TwoLevelConfig`
+is the scheme with one transition; :mod:`zeno_multilevel` adds the others.
 
 All quantities are dimensionless angular frequencies and times (hbar = 1).
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -47,75 +49,88 @@ class ProtocolError(RuntimeError):
     """
 
 
-def _validate_protocol(config) -> None:
-    """Checks shared by every Zeno protocol config (timing, photons, coupling)."""
-    if config.free_interval <= 0.0:
-        raise ValueError("free_interval must be positive")
-    if config.measure_interval < 0.0:
-        raise ValueError("measure_interval must be non-negative")
-    if config.final_time < config.free_interval + config.measure_interval:
-        raise ValueError("final_time must cover at least one cycle")
-    if config.photon_number < 0:
-        raise ValueError("photon_number must be non-negative")
-    if config.photon_number > 0 and config.coupling <= 0.0:
-        raise ValueError("coupling must be positive when photons are injected")
-
-
 @dataclass(frozen=True)
-class TwoLevelConfig:
-    """Parameters of the two-atom protocol: the scheme with one transition.
+class TwoLevelEnergies:
+    """Level energies of one two-level atom."""
 
-    The atomic frequencies are cavity_frequency + common_offset +/-
-    half_difference for atoms A and B; both couple to the mode with the same
-    strength.
+    g: float
+    e: float
+
+
+@dataclass(frozen=True, kw_only=True)
+class LevelSchemeConfig:
+    """A Zeno pair: two identical-scheme atoms and one cavity mode per transition.
+
+    A subclass names its level scheme in two class constants: ``LEVELS``,
+    the levels per atom, and ``TRANSITIONS``, the (upper, lower) level pair
+    that cavity mode k + 1 drives.  Level indices are the field positions of
+    the atoms' energy records.  Every mode's Fock cutoff defaults to
+    n + 2, which holds every excitation sector a run populates.
     """
 
-    LEVELS = 2
-    TRANSITIONS = ((E, G),)
-
-    free_interval: float          # tau
-    measure_interval: float       # tau_m
-    final_time: float             # t_f
-    cavity_frequency: float = 100.0
-    common_offset: float = 0.0
-    half_difference: float = 2.0
-    coupling: float = 2.0
-    photon_number: int = 12
-    fock_cutoff: Optional[int] = None
+    mode_frequencies: tuple
+    atom_a: object
+    atom_b: object
+    coupling: float
+    photon_number: int
+    free_interval: float
+    measure_interval: float
+    final_time: float
+    fock_cutoffs: Optional[tuple] = None
 
     def __post_init__(self):
-        _validate_protocol(self)
-        if self.fock_cutoff is None:
-            object.__setattr__(self, "fock_cutoff", self.photon_number + 3)
-        if self.fock_cutoff < self.photon_number + 2:
-            raise ValueError("fock_cutoff must be at least photon_number + 2")
+        if self.free_interval <= 0.0:
+            raise ValueError("free_interval must be positive")
+        if self.measure_interval < 0.0:
+            raise ValueError("measure_interval must be non-negative")
+        if self.final_time < self.free_interval + self.measure_interval:
+            raise ValueError("final_time must cover at least one cycle")
+        if self.photon_number < 0:
+            raise ValueError("photon_number must be non-negative")
+        if self.photon_number > 0 and self.coupling <= 0.0:
+            raise ValueError("coupling must be positive when photons are injected")
+        n = self.photon_number
+        cutoffs = self.fock_cutoffs
+        if cutoffs is None:
+            cutoffs = (n + 2,) * len(self.TRANSITIONS)
+        object.__setattr__(self, "fock_cutoffs", tuple(int(c) for c in cutoffs))
+        if any(c < n + 2 for c in self.fock_cutoffs):
+            raise ValueError("fock_cutoffs must be at least photon_number + 2")
 
     @property
     def cycle_time(self) -> float:
         return self.free_interval + self.measure_interval
 
     @property
-    def frequency_a(self) -> float:
-        return self.cavity_frequency + self.common_offset + self.half_difference
-
-    @property
-    def frequency_b(self) -> float:
-        return self.cavity_frequency + self.common_offset - self.half_difference
-
-    @property
-    def mode_frequencies(self) -> tuple:
-        return (self.cavity_frequency,)
-
-    @property
-    def fock_cutoffs(self) -> tuple:
-        return (self.fock_cutoff,)
-
-    @property
     def atom_levels(self) -> tuple:
-        return ((0.0, self.frequency_a), (0.0, self.frequency_b))
+        return (astuple(self.atom_a), astuple(self.atom_b))
+
+    def transition(self, atom, k: int) -> float:
+        upper, lower = self.TRANSITIONS[k - 1]
+        levels = astuple(atom)
+        return levels[upper] - levels[lower]
+
+    def mean_transition(self, k: int) -> float:
+        return 0.5 * (self.transition(self.atom_a, k) + self.transition(self.atom_b, k))
 
     def delta(self, k: int) -> float:
-        return self.half_difference
+        """Half the difference between the two atoms' k-th transition energies."""
+        return 0.5 * (self.transition(self.atom_a, k) - self.transition(self.atom_b, k))
+
+    def deltas(self) -> tuple:
+        """``delta(k)`` of every transition, the input of the closed forms."""
+        return tuple(self.delta(k) for k in range(1, len(self.TRANSITIONS) + 1))
+
+    def mode_detunings(self) -> tuple:
+        return tuple(frequency - self.mean_transition(k)
+                     for k, frequency in enumerate(self.mode_frequencies, start=1))
+
+
+class TwoLevelConfig(LevelSchemeConfig):
+    """Two two-level atoms (``TwoLevelEnergies``) and one cavity mode."""
+
+    LEVELS = 2
+    TRANSITIONS = ((E, G),)
 
 
 def config_for_cycle_time(cycle_time: float, final_time: float,
@@ -128,13 +143,17 @@ def config_for_cycle_time(cycle_time: float, final_time: float,
     tau_m = cycle_time / (measure_ratio + 1) and the coupling is scaled so
     that window is exactly half a Rabi flop at the given photon number.  The
     closed-form error rate assumes tau_m << tau; the default ratio keeps the
-    departure from it below a percent.
+    departure from it below a percent.  The mode sits at ``cavity_frequency``
+    and the atoms' excited levels at cavity_frequency + common_offset +/-
+    half_difference, above ground levels at zero.
     """
     tau, tau_m, coupling = split_cycle(cycle_time, photon_number, measure_ratio)
-    return TwoLevelConfig(free_interval=tau, measure_interval=tau_m,
-                          final_time=final_time, cavity_frequency=cavity_frequency,
-                          common_offset=common_offset, half_difference=half_difference,
-                          coupling=coupling, photon_number=photon_number)
+    centre = cavity_frequency + common_offset
+    return TwoLevelConfig(mode_frequencies=(cavity_frequency,),
+                          atom_a=TwoLevelEnergies(g=0.0, e=centre + half_difference),
+                          atom_b=TwoLevelEnergies(g=0.0, e=centre - half_difference),
+                          coupling=coupling, photon_number=photon_number, free_interval=tau,
+                          measure_interval=tau_m, final_time=final_time)
 
 
 def split_cycle(cycle_time: float, photon_number: int, measure_ratio: float) -> tuple:
@@ -209,14 +228,19 @@ def pair_superposition(config, pairs, photons, sign: float = -1.0) -> StateVecto
     return StateVector(basis, amps)
 
 
-def subradiant_state(config: TwoLevelConfig, photons: int = 0) -> StateVector:
-    """(|EG> - |GE>)/sqrt(2) with a definite photon number."""
-    return pair_superposition(config, config.TRANSITIONS, (photons,))
+def subradiant_state(config: LevelSchemeConfig, photons: int = 0) -> StateVector:
+    """Even mix of (|upper lower> - |lower upper>)/sqrt(2) over every transition.
+
+    Every mode holds ``photons`` photons; the two-level pair's is
+    (|EG> - |GE>)/sqrt(2).
+    """
+    return pair_superposition(config, config.TRANSITIONS, (photons,) * len(config.TRANSITIONS))
 
 
-def superradiant_state(config: TwoLevelConfig, photons: int = 0) -> StateVector:
-    """(|EG> + |GE>)/sqrt(2) with a definite photon number."""
-    return pair_superposition(config, config.TRANSITIONS, (photons,), sign=+1.0)
+def superradiant_state(config: LevelSchemeConfig, photons: int = 0) -> StateVector:
+    """:func:`subradiant_state` with the symmetric sign: (|EG> + |GE>)/sqrt(2)."""
+    return pair_superposition(config, config.TRANSITIONS, (photons,) * len(config.TRANSITIONS),
+                              sign=+1.0)
 
 
 def half_flop_time(coupling: float, photon_number: int) -> float:
@@ -238,14 +262,23 @@ def half_flop_time_inverse(measure_interval: float, photon_number: int) -> float
     return math.pi / (2.0 * measure_interval * math.sqrt(photon_number + 0.5))
 
 
-def pe_analytic(half_difference: float, free_interval: float) -> float:
-    """First-order per-cycle error probability (Delta*tau)^2."""
-    pe = (half_difference * free_interval) ** 2
+def mean_square_splitting(deltas) -> float:
+    """mean(Delta_k^2) over the transitions' half splittings ``deltas``."""
+    squares = [delta**2 for delta in deltas]
+    return sum(squares) / len(squares)
+
+
+def pe_analytic(deltas, free_interval: float) -> float:
+    """First-order per-cycle error probability mean(Delta_k^2) * tau^2.
+
+    ``deltas`` holds the half splitting of every transition (see
+    :meth:`LevelSchemeConfig.deltas`); the subradiant start weighs them
+    equally.
+    """
+    pe = mean_square_splitting(deltas) * free_interval**2
     if pe > 1.0:
-        raise OutOfRegimeError(
-            f"per-cycle error {pe:.3g} exceeds 1; Delta*tau = "
-            f"{abs(half_difference * free_interval):.3g} is outside the perturbative regime"
-        )
+        raise OutOfRegimeError(f"per-cycle error {pe:.3g} exceeds 1; the splittings are "
+                               "outside the perturbative regime")
     return pe
 
 
@@ -254,15 +287,14 @@ class SurvivalClosedForm(NamedTuple):
     exponential_form: float
 
 
-def ps_analytic(half_difference: float, free_interval: float, measure_interval: float,
+def ps_analytic(deltas, free_interval: float, measure_interval: float,
                 final_time: float) -> SurvivalClosedForm:
     """Survival probability closed forms: exact product and its exponential limit."""
-    pe = pe_analytic(half_difference, free_interval)
+    pe = pe_analytic(deltas, free_interval)
     cycle = free_interval + measure_interval
-    cycles = final_time / cycle
     return SurvivalClosedForm(
-        product_form=(1.0 - pe) ** cycles,
-        exponential_form=math.exp(-half_difference**2 * cycle * final_time),
+        product_form=(1.0 - pe) ** (final_time / cycle),
+        exponential_form=math.exp(-mean_square_splitting(deltas) * cycle * final_time),
     )
 
 
@@ -353,11 +385,11 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     of recorded points, not of cycles.  ``p_success`` is the cumulative
     product of per-cycle success probabilities.
 
-    The closed forms come from the scheme: with m the mean of
-    ``config.delta(k)**2`` over the transitions, ``analytic_p_s`` is
+    The closed forms come from the scheme: with m the
+    :func:`mean_square_splitting` of ``config.deltas()``, ``analytic_p_s`` is
     exp(-rate t) with rate = m * cycle_time, and ``out_of_regime`` is
-    m * tau^2 > 1, the per-cycle error leaving the perturbative regime.  A
-    trailing partial cycle is a free drift without a measurement.
+    m * tau^2 > 1, the per-cycle error of :func:`pe_analytic` leaving the
+    perturbative regime.  A trailing partial cycle is a free drift without a measurement.
     ``max_mode_tail`` is the population above n + 1 photons in any mode at
     the end of the first coupling window, the window times ``initial``.  A
     survival of zero at a recorded cycle raises :class:`ProtocolError`, and
@@ -365,8 +397,7 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     ``rate * cycle_time`` falls below :data:`MIN_CYCLE_ERROR` (also when it
     underflows to zero).
     """
-    squares = [config.delta(k) ** 2 for k in range(1, len(config.TRANSITIONS) + 1)]
-    mean_square = sum(squares) / len(squares)
+    mean_square = mean_square_splitting(config.deltas())
     rate = mean_square * config.cycle_time
     if rate > 0.0 and rate * config.cycle_time < MIN_CYCLE_ERROR:
         raise ProtocolError(
@@ -429,7 +460,7 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
 def run_protocol(config: TwoLevelConfig, max_trace_points: int = 2000) -> SurvivalTrace:
     """Iterate two-atom Zeno cycles from the subradiant pair until the final time.
 
-    The closed-form rate is Delta^2 * cycle_time; see :func:`run_zeno`.
+    The closed-form rate is delta(1)^2 * cycle_time; see :func:`run_zeno`.
     """
     return run_zeno(config, build_two_level_hamiltonian(config), subradiant_state(config, 0),
                     max_trace_points=max_trace_points)

@@ -15,7 +15,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from zenolock import hilbert as h
-from zenolock import zeno_multilevel as zm
 from zenolock import zeno_two_level as z2
 from zenolock.hilbert import Mode, ProductBasis, StateVector
 
@@ -186,24 +185,29 @@ def zeno_cycle(state: StateVector, config: z2.TwoLevelConfig) -> CycleResult:
                            h.BlockEvolver(hamiltonian))
 
 
-def run_stepwise(config, hamiltonian: h.SectorHamiltonian, initial: StateVector, rate: float,
-                 regime_check: Callable[[], float],
-                 max_trace_points: int = 2000) -> z2.SurvivalTrace:
-    """``zeno_two_level.run_zeno`` with :func:`_stepwise_cycle` applied to every cycle.
+def run_protocol(config, max_trace_points: int = 2000) -> z2.SurvivalTrace:
+    """Any pair's protocol from its subradiant state, run state by state.
 
-    The truncation tail is the largest over all cycles.
+    The oracle of ``zeno_two_level.run_protocol`` and
+    ``zeno_multilevel.run_four_level_protocol``: ``run_zeno`` with
+    :func:`_stepwise_cycle` applied to every cycle.  The rate and the regime
+    check come from the closed forms of ``zeno_two_level``.  The truncation
+    tail is the largest over all cycles.
     """
+    deltas = config.deltas()
+    rate = z2.mean_square_splitting(deltas) * config.cycle_time
     if rate > 0.0 and rate * config.cycle_time < z2.MIN_CYCLE_ERROR:
         raise z2.ProtocolError(
             f"closed-form per-cycle error {rate * config.cycle_time:.3e} is below "
             f"{z2.MIN_CYCLE_ERROR:.3e}, where rounding of the cycle map dominates the survival")
+    hamiltonian = z2.build_sector_hamiltonian(config)
     evolver = h.BlockEvolver(hamiltonian)
     drift = functools.partial(h._propagate_diagonal, hamiltonian.diagonal)
     cycle = config.cycle_time
     cycles = int(math.floor(config.final_time / cycle + 1e-9))
     remainder = max(0.0, config.final_time - cycles * cycle)
     try:
-        regime_check()
+        z2.pe_analytic(deltas, config.free_interval)
         out_of_regime = False
     except z2.OutOfRegimeError:
         out_of_regime = True
@@ -215,7 +219,7 @@ def run_stepwise(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     record_set = set(int(j) for j in record)
     slot = 0
     previous = 1.0
-    final = initial
+    final = z2.subradiant_state(config)
     for j in range(1, cycles + 1):
         final, probability, tail = _stepwise_cycle(final, config, drift, evolver)
         max_tail = max(max_tail, tail)
@@ -245,20 +249,23 @@ def run_stepwise(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
                             max_mode_tail=max_tail)
 
 
-def run_protocol(config: z2.TwoLevelConfig, max_trace_points: int = 2000) -> z2.SurvivalTrace:
-    """``zeno_two_level.run_protocol`` run state by state."""
-    return run_stepwise(
-        config, z2.build_two_level_hamiltonian(config), z2.subradiant_state(config, 0),
-        rate=config.half_difference**2 * config.cycle_time,
-        regime_check=lambda: z2.pe_analytic(config.half_difference, config.free_interval),
-        max_trace_points=max_trace_points)
+def two_level_config(free_interval: float, measure_interval: float, final_time: float,
+                     cavity_frequency: float = 100.0, common_offset: float = 0.0,
+                     half_difference: float = 2.0, coupling: float = 2.0,
+                     photon_number: int = 12, fock_cutoff: Optional[int] = None,
+                     ) -> z2.TwoLevelConfig:
+    """A two-level pair from a cavity mode and the atoms' offset and half splitting.
 
-
-def run_four_level_protocol(config, max_trace_points: int = 2000) -> z2.SurvivalTrace:
-    """``zeno_multilevel.run_four_level_protocol`` run state by state."""
-    delta_1, delta_2 = config.delta(1), config.delta(2)
-    return run_stepwise(
-        config, zm.build_sector_hamiltonian(config), zm.initial_state(config),
-        rate=0.5 * (delta_1**2 + delta_2**2) * config.cycle_time,
-        regime_check=lambda: zm.pe_four_level(delta_1, delta_2, config.free_interval),
-        max_trace_points=max_trace_points)
+    The mode sits at ``cavity_frequency`` and the excited levels at
+    cavity_frequency + common_offset +/- half_difference, as in
+    ``zeno_two_level.config_for_cycle_time``, but every interval, the
+    coupling and the cutoff of the one mode are given directly.
+    """
+    centre = cavity_frequency + common_offset
+    return z2.TwoLevelConfig(
+        mode_frequencies=(cavity_frequency,),
+        atom_a=z2.TwoLevelEnergies(g=0.0, e=centre + half_difference),
+        atom_b=z2.TwoLevelEnergies(g=0.0, e=centre - half_difference),
+        coupling=coupling, photon_number=photon_number, free_interval=free_interval,
+        measure_interval=measure_interval, final_time=final_time,
+        fock_cutoffs=None if fock_cutoff is None else (fock_cutoff,))

@@ -61,8 +61,8 @@ def test_02_bandwidth_narrowing():
 def test_03_first_order_drift():
     checked = []
     for delta, tau in ((1.0, 1e-3), (1.0, 3e-3), (1.0, 1e-2)):
-        config = z2.TwoLevelConfig(free_interval=tau, measure_interval=0.0,
-                                   final_time=tau, half_difference=delta)
+        config = so.two_level_config(free_interval=tau, measure_interval=0.0,
+                                     final_time=tau, half_difference=delta)
         drifted = so.free_drift(z2.subradiant_state(config, 0), config)
         probability = abs(z2.superradiant_state(config, 0).overlap(drifted)) ** 2
         target = (delta * tau) ** 2
@@ -75,7 +75,7 @@ def test_04_measurement_branch_weights():
     delta, tau = 0.02, 0.1
     for n in (4, 8, 12):
         tau_m = 1e-4
-        config = z2.TwoLevelConfig(
+        config = so.two_level_config(
             free_interval=tau, measure_interval=tau_m, final_time=tau + tau_m,
             half_difference=delta, photon_number=n,
             coupling=z2.half_flop_time_inverse(tau_m, n))
@@ -113,7 +113,7 @@ def test_06_four_level_correspondence():
                                               final_time=100.0)
     assert config.delta(1) * config.free_interval <= 0.01
     trace = zm.run_four_level_protocol(config)
-    two_level = z2.ps_analytic(delta, config.free_interval,
+    two_level = z2.ps_analytic([delta], config.free_interval,
                                config.measure_interval, 100.0)
     analytic_curve = np.exp(-delta**2 * cycle * trace.times)
     deviation = np.max(np.abs(trace.p_success[1:] / analytic_curve[1:] - 1.0))
@@ -121,7 +121,7 @@ def test_06_four_level_correspondence():
     assert trace.p_success[-1] == pytest.approx(two_level.exponential_form, rel=0.05)
 
     per_cycle = trace.p_error_per_cycle[1]
-    expected = zm.pe_four_level(delta, delta, config.free_interval)
+    expected = z2.pe_analytic((delta, delta), config.free_interval)
     assert per_cycle == pytest.approx(expected, rel=0.02)
     report(6, f"four-level matches two-level curve (dev {deviation:.4f}), "
               f"per-cycle error ratio {per_cycle / expected:.4f}")

@@ -29,7 +29,6 @@ ALLOWED = {
     "tracefile.read_csv": "perfbench/gate.py",
     "zeno_multilevel.three_level_config": "demos/03_three_vs_four_levels.py",
     "zeno_multilevel.leakage": "demos/03_three_vs_four_levels.py",
-    "zeno_multilevel.ps_four_level": "tests/test_zeno_multilevel.py",
     "zeno_multilevel.cross_manifold_population": "demos/03_three_vs_four_levels.py",
     "zeno_two_level.build_hamiltonian": "tests/test_hilbert.py",
     "zeno_two_level.superradiant_state": "tests/test_acceptance.py",

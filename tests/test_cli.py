@@ -233,7 +233,7 @@ class TestExitCodes:
         # exit-code mapping is exercised
         from zenolock.readout import CutoffOverflowError
 
-        def exploding(section, out_dir, args, config_text):
+        def exploding(section, out_dir, args, digest):
             raise CutoffOverflowError("population reached the truncation boundary")
 
         monkeypatch.setitem(cli._HANDLERS, "readout", exploding)

@@ -396,10 +396,9 @@ def _two_level_case(coupled):
     config = z2.config_for_cycle_time(0.05, 1.0, common_offset=0.3)
     g = 0.5 * config.coupling
     exchange = [(0, 1, 0, 2, g), (1, 1, 0, 2, g)] if coupled else []
-    oracle = kronecker_hamiltonian(
-        z2.pair_basis(config),
-        [(0.0, config.frequency_a), (0.0, config.frequency_b)],
-        [config.cavity_frequency], exchange)
+    levels = [(e.g, e.e) for e in (config.atom_a, config.atom_b)]
+    oracle = kronecker_hamiltonian(z2.pair_basis(config), levels,
+                                   config.mode_frequencies, exchange)
     return z2.build_hamiltonian(config, coupled), oracle
 
 

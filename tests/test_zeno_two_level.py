@@ -1,5 +1,6 @@
 """Two-atom Zeno protocol: drift, measurement, cycles, survival curves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import stepwise_oracle as so
 from kronecker_oracles import basis_state, commutator_norm
 from zenolock import hilbert as h
+from zenolock import zeno_multilevel as zm
 from zenolock import zeno_two_level as z2
 
 
@@ -18,30 +20,49 @@ def small_config(**overrides):
     if defaults["coupling"] is None:
         defaults["coupling"] = z2.half_flop_time_inverse(
             defaults["measure_interval"], defaults["photon_number"])
-    return z2.TwoLevelConfig(**defaults)
+    return so.two_level_config(**defaults)
+
+
+# a config of every scheme; one __post_init__ checks them all
+SCHEMES = {
+    "two": small_config,
+    "three": lambda: zm.three_level_config(photon_number=6),
+    "four": lambda: zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.01,
+                                                     final_time=0.1, photon_number=6),
+}
 
 
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            z2.TwoLevelConfig(free_interval=0.0, measure_interval=0.1, final_time=1.0)
-        with pytest.raises(ValueError):
-            z2.TwoLevelConfig(free_interval=0.1, measure_interval=0.1, final_time=0.05)
-        with pytest.raises(ValueError):
-            z2.TwoLevelConfig(free_interval=0.1, measure_interval=0.1, final_time=1.0,
-                              photon_number=4, fock_cutoff=5)
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(dict(free_interval=0.0), "free_interval must be positive", id="free"),
+        pytest.param(dict(measure_interval=-1e-3), "measure_interval must be non-negative",
+                     id="measure"),
+        pytest.param(dict(final_time=0.005), "final_time must cover at least one cycle",
+                     id="final"),
+        pytest.param(dict(photon_number=-1), "photon_number must be non-negative",
+                     id="photons"),
+        pytest.param(dict(coupling=0.0), "coupling must be positive when photons",
+                     id="coupling"),
+        pytest.param(dict(photon_number=7), "fock_cutoffs must be at least photon_number",
+                     id="cutoff"),
+    ])
+    def test_rejects_invalid_field(self, scheme, change, message):
+        config = SCHEMES[scheme]()
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(config, **change)
 
     def test_default_cutoff(self):
-        config = z2.TwoLevelConfig(free_interval=0.1, measure_interval=0.0,
-                                   final_time=1.0, photon_number=7)
-        assert config.fock_cutoff == 10
+        config = so.two_level_config(free_interval=0.1, measure_interval=0.0,
+                                     final_time=1.0, photon_number=7)
+        assert config.fock_cutoffs == (9,)
 
     def test_atom_frequencies(self):
-        config = z2.TwoLevelConfig(free_interval=0.1, measure_interval=0.0,
-                                   final_time=1.0, cavity_frequency=100.0,
-                                   common_offset=3.0, half_difference=2.0)
-        assert config.frequency_a == 105.0
-        assert config.frequency_b == 101.0
+        config = z2.config_for_cycle_time(0.1, 1.0, cavity_frequency=100.0,
+                                          common_offset=3.0, half_difference=2.0)
+        assert config.atom_levels == ((0.0, 105.0), (0.0, 101.0))
+        assert config.mode_frequencies == (100.0,)
+        assert config.delta(1) == 2.0
 
 
 class TestHamiltonian:
@@ -100,23 +121,23 @@ class TestFreeDrift:
         # oracle: exact uncoupled evolution gives amplitude sin(Delta*tau),
         # within relative (Delta*tau)^2 of the first-order value Delta*tau
         for delta, tau in [(2.0, 1e-3), (2.0, 3e-3), (5.0, 2e-3)]:
-            config = z2.TwoLevelConfig(free_interval=tau, measure_interval=0.0,
-                                       final_time=tau, half_difference=delta)
+            config = so.two_level_config(free_interval=tau, measure_interval=0.0,
+                                         final_time=tau, half_difference=delta)
             drifted = so.free_drift(z2.subradiant_state(config, 0), config)
             amp = abs(z2.superradiant_state(config, 0).overlap(drifted))
             assert abs(amp - delta * tau) <= (delta * tau) ** 2 * (delta * tau)
 
     @pytest.mark.parametrize("tau", [0.01, 0.7, 13.0])
     def test_zero_split_preserves_subradiant(self, tau):
-        config = z2.TwoLevelConfig(free_interval=tau, measure_interval=0.0,
-                                   final_time=tau, half_difference=0.0)
+        config = so.two_level_config(free_interval=tau, measure_interval=0.0,
+                                     final_time=tau, half_difference=0.0)
         sub = z2.subradiant_state(config, 0)
         drifted = so.free_drift(sub, config)
         assert sub.fidelity(drifted) == pytest.approx(1.0, abs=1e-12)
 
     def test_small_split_probability(self):
-        config = z2.TwoLevelConfig(free_interval=0.001, measure_interval=0.0,
-                                   final_time=0.001, half_difference=2.0)
+        config = so.two_level_config(free_interval=0.001, measure_interval=0.0,
+                                     final_time=0.001, half_difference=2.0)
         drifted = so.free_drift(z2.subradiant_state(config, 0), config)
         prob = abs(z2.superradiant_state(config, 0).overlap(drifted)) ** 2
         assert prob == pytest.approx(4e-6, rel=1e-5)
@@ -157,7 +178,7 @@ class TestMeasurementSegment:
         # (n+1)/(2n+1) onto |GG,n+1> and n/(2n+1) onto |EE,n-1>
         delta, tau = 0.02, 0.1
         tau_m = 1e-4
-        config = z2.TwoLevelConfig(
+        config = so.two_level_config(
             free_interval=tau, measure_interval=tau_m, final_time=tau + tau_m,
             half_difference=delta, photon_number=n,
             coupling=z2.half_flop_time_inverse(tau_m, n))
@@ -182,7 +203,7 @@ class TestMeasurementSegment:
         delta, tau, n = 0.02, 0.1, 8
         full = z2.half_flop_time(400.0, n)
         tau_m = 0.37 * full
-        config = z2.TwoLevelConfig(
+        config = so.two_level_config(
             free_interval=tau, measure_interval=tau_m, final_time=tau + tau_m,
             half_difference=delta, photon_number=n, coupling=400.0)
         drifted = so.free_drift(z2.subradiant_state(config, 0), config)
@@ -197,7 +218,7 @@ class TestMeasurementSegment:
         # total leakage out of the n-photon sector tends to (Delta*tau)^2
         delta, tau = 0.1, 0.1
         tau_m = tau / 1000.0
-        config = z2.TwoLevelConfig(
+        config = so.two_level_config(
             free_interval=tau, measure_interval=tau_m, final_time=tau + tau_m,
             half_difference=delta, photon_number=8,
             coupling=z2.half_flop_time_inverse(tau_m, 8))
@@ -216,7 +237,7 @@ class TestZenoCycle:
 
     def test_success_branch_refocuses(self):
         config = small_config(free_interval=0.005, measure_interval=2.5e-5)
-        delta_tau = config.half_difference * config.free_interval
+        delta_tau = config.delta(1) * config.free_interval
         result = so.zeno_cycle(z2.subradiant_state(config, 0), config)
         fidelity = result.state.fidelity(z2.subradiant_state(config, 0))
         assert fidelity >= 1.0 - 10.0 * delta_tau**2
@@ -224,7 +245,7 @@ class TestZenoCycle:
     def test_success_probability_matches_closed_form(self):
         config = small_config(free_interval=0.005, measure_interval=2.5e-5)
         result = so.zeno_cycle(z2.subradiant_state(config, 0), config)
-        pe = z2.pe_analytic(config.half_difference, config.free_interval)
+        pe = z2.pe_analytic(config.deltas(), config.free_interval)
         assert 1.0 - result.success_probability == pytest.approx(pe, rel=0.02)
 
     def test_global_phase_changes_nothing(self):
@@ -238,17 +259,17 @@ class TestZenoCycle:
 
 class TestClosedForms:
     def test_pe_reference(self):
-        assert z2.pe_analytic(2.0, 0.001) == pytest.approx(4e-6, rel=1e-12)
+        assert z2.pe_analytic([2.0], 0.001) == pytest.approx(4e-6, rel=1e-12)
 
     def test_product_and_exponential_agree_when_small(self):
-        forms = z2.ps_analytic(0.5, 0.002, 0.00001, 10.0)
+        forms = z2.ps_analytic([0.5], 0.002, 0.00001, 10.0)
         assert forms.product_form == pytest.approx(forms.exponential_form, rel=1e-3)
 
     def test_out_of_regime_flagged(self):
         with pytest.raises(z2.OutOfRegimeError):
-            z2.pe_analytic(1.5, 1.0)
+            z2.pe_analytic([1.5], 1.0)
         with pytest.raises(z2.OutOfRegimeError):
-            z2.ps_analytic(1.5, 1.0, 0.0, 5.0)
+            z2.ps_analytic([1.5], 1.0, 0.0, 5.0)
 
 
 class TestRunProtocol:
@@ -308,7 +329,7 @@ class TestRunProtocol:
         # (Delta tau)^2 = 4e-18 is below the rounding of the cycle map's norm,
         # which would set the survival instead of the physics
         config = z2.config_for_cycle_time(1e-9, 1e-6)
-        assert 0.0 < config.half_difference**2 * config.cycle_time**2 < z2.MIN_CYCLE_ERROR
+        assert 0.0 < config.delta(1)**2 * config.cycle_time**2 < z2.MIN_CYCLE_ERROR
         with pytest.raises(z2.ProtocolError, match="per-cycle error 4.000e-18 is below"):
             z2.run_protocol(config)
 
@@ -334,11 +355,7 @@ class TestRunProtocol:
         assert np.all(np.diff(trace.p_success) <= 1e-12)
 
     def test_partial_trailing_cycle_is_drift_only(self):
-        config = z2.config_for_cycle_time(0.01, 0.5)
-        config = z2.TwoLevelConfig(
-            free_interval=config.free_interval, measure_interval=config.measure_interval,
-            final_time=0.507, half_difference=config.half_difference,
-            coupling=config.coupling, photon_number=config.photon_number)
+        config = dataclasses.replace(z2.config_for_cycle_time(0.01, 0.5), final_time=0.507)
         trace = z2.run_protocol(config)
         assert trace.times[-1] == pytest.approx(0.507)
         assert trace.p_success[-1] == trace.p_success[-2]
@@ -356,7 +373,7 @@ class TestRunProtocol:
     def test_phase_lock_at_final_time(self):
         config = z2.config_for_cycle_time(0.05, 10.0)
         trace = z2.run_protocol(config)
-        delta_tau = config.half_difference * config.free_interval
+        delta_tau = config.delta(1) * config.free_interval
         fidelity = trace.final_state.fidelity(z2.subradiant_state(config, 0))
         assert fidelity >= 1.0 - 10.0 * delta_tau**2
 
@@ -397,14 +414,14 @@ class TestRunProtocol:
     def test_analytic_survival_is_the_closed_form_rate(self):
         config = z2.config_for_cycle_time(0.01, 0.5, half_difference=1.7)
         trace = z2.run_protocol(config)
-        expected = np.exp(-(1.7**2 * config.cycle_time) * trace.times)
+        expected = np.exp(-(config.delta(1)**2 * config.cycle_time) * trace.times)
         assert np.array_equal(trace.analytic_p_s, expected)
 
     @pytest.mark.parametrize("pe", [0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0])
     def test_out_of_regime_flag_agrees_with_closed_form(self, pe):
         config = small_config(half_difference=math.sqrt(pe) / 0.01)
         try:
-            z2.pe_analytic(config.half_difference, config.free_interval)
+            z2.pe_analytic(config.deltas(), config.free_interval)
             raises = False
         except z2.OutOfRegimeError:
             raises = True
@@ -412,9 +429,9 @@ class TestRunProtocol:
         assert z2.run_protocol(config).out_of_regime == raises
 
     def test_out_of_regime_flag(self):
-        config = z2.TwoLevelConfig(free_interval=1.0, measure_interval=0.005,
-                                   final_time=2.01, half_difference=1.5,
-                                   photon_number=4,
-                                   coupling=z2.half_flop_time_inverse(0.005, 4))
+        config = so.two_level_config(free_interval=1.0, measure_interval=0.005,
+                                     final_time=2.01, half_difference=1.5,
+                                     photon_number=4,
+                                     coupling=z2.half_flop_time_inverse(0.005, 4))
         trace = z2.run_protocol(config)
         assert trace.out_of_regime
