@@ -190,8 +190,10 @@ def cmd_dephasing(section: Section, out_dir: Path, args, digest: str):
     time_max = section["time_max"]
     bins = section["histogram_bins"]
     histogram_atoms = section["histogram_atom_count"]
-    # the sampled frequencies, the Monte Carlo means, its phasor powers (about
-    # 2 sqrt(time_points) per atom of a replica block) and the histogram samples
+    # the sampled frequencies, the Monte Carlo work (its time_points x replicas
+    # values are folded block by block, so this bounds work, not an array),
+    # the phasor powers of one replica (about 2 sqrt(time_points) per atom)
+    # and the histogram samples
     for keys, entries in (("replicas x atom_count", replicas * atom_count),
                           ("time_points x replicas", points * replicas),
                           ("sqrt(time_points) x atom_count", math.isqrt(points) * atom_count),

@@ -17,14 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-# Atom phasors per replica block of _phasor_values: a fixed budget, so the
-# blocking depends on the input shape only and the baby- and giant-step
-# buffers (about sqrt(grid) times this many complex entries each) stay
-# small next to the (grid x replicas) result.  On a 2-core Xeon VM with one
-# BLAS thread the default independent curve took 0.10-0.12 s at 2^10-2^14
-# and 0.13 s at 2^15, the locked one (one atom per replica) 0.010-0.012 s
-# up to 2^12 and 0.017-0.023 s at 2^13-2^15.
-_BLOCK_ENTRIES = 1 << 12
+# Float64 entries of the buffers of one replica block of _phasor_blocks: its
+# baby and giant steps (two per complex phasor, m + giants of them per atom of
+# a replica), its (replicas x giants m) atom sums and the copy of them the
+# Monte Carlo fold reduces.  A fixed budget, so the blocking depends on the
+# input shape only and a block's working set stays near 1 MB whatever the
+# replica count: 21 replicas on the default independent curve, 274 on the
+# locked one (one atom each).  On a 2-core Xeon VM with one BLAS thread the
+# default curves took 0.09-0.15 s and 0.012-0.019 s at 2^17, about the same
+# at 2^18, and 0.20 s and 0.02 s at 2^15-2^16, where a block is a few
+# replicas and the per-block numpy calls dominate.
+_BLOCK_ENTRIES = 1 << 17
 
 
 def fwhm_to_sigma(fwhm: float) -> float:
@@ -68,7 +71,7 @@ class EnsembleConfig:
         return np.linspace(0.0, self.time_max, self.time_points)
 
 
-def _philox_generator(seed: int, replica: int) -> np.random.Generator:
+def _philox_generator(seed: int, replica: int) -> "np.random.Generator":
     # Counter-based stream keyed by (seed, replica); the atom index is the
     # position inside the stream.  Results are independent of execution order.
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(replica)])
@@ -80,7 +83,7 @@ def _philox_generator(seed: int, replica: int) -> np.random.Generator:
 _thread_streams = threading.local()
 
 
-def _replica_rng(seed: int, replica: int) -> np.random.Generator:
+def _replica_rng(seed: int, replica: int) -> "np.random.Generator":
     """The stream of :func:`_philox_generator` (seed, replica), at its start.
 
     A Philox stream is fixed by its key and counter (Salmon et al., SC'11),
@@ -178,8 +181,8 @@ def allan_deviation(params: AllanParams) -> float:
             * np.sqrt(params.cycle_time / params.averaging_time))
 
 
-def _phasor_values(freqs: np.ndarray, step: float, points: int) -> np.ndarray:
-    """Per-replica mean cosine on the grid k step, k < points.
+def _phasor_blocks(freqs: np.ndarray, step: float, points: int):
+    """Per-replica mean cosines on the grid k step, k < points, block by block.
 
     With w = exp(2 pi i f step) and k = a m + b, m = ceil(sqrt(points)),
     each atom's phasor is w^k = w^(a m) w^b.  Each atom gets m baby steps
@@ -188,14 +191,14 @@ def _phasor_values(freqs: np.ndarray, step: float, points: int) -> np.ndarray:
     Re w^k = Re(conj(g) b) = g.re b.re + g.im b.im, a dot product of float
     pairs, so one replica's atom sums are one real matrix product
     (giant steps x 2 atoms) @ (2 atoms x baby steps).  Replicas are
-    processed in fixed blocks, one batched matmul per block; each block
-    writes its own columns of the (points, replicas) result.
+    processed in fixed blocks, one batched matmul per block.  Yields each
+    block's (replicas of the block, points) mean cosines in replica order;
+    they are a view of buffers the next block overwrites.
     """
     replicas, atoms = freqs.shape
     m = math.isqrt(points - 1) + 1
     giants = -(-points // m)
-    rows = max(1, min(replicas, _BLOCK_ENTRIES // atoms))
-    values = np.empty((points, replicas))
+    rows = max(1, min(replicas, _BLOCK_ENTRIES // (2 * ((m + giants) * atoms + giants * m))))
     baby = np.empty((m, rows, atoms), dtype=complex)
     giant = np.empty((giants, rows, atoms), dtype=complex)
     sums = np.empty((rows, giants, m))
@@ -217,8 +220,7 @@ def _phasor_values(freqs: np.ndarray, step: float, points: int) -> np.ndarray:
         np.matmul(g.view(np.float64).transpose(1, 0, 2),
                   b.view(np.float64).transpose(1, 2, 0), out=out)
         out /= atoms
-        values[:, lo:lo + n] = out.reshape(n, giants * m)[:, :points].T
-    return values
+        yield out.reshape(n, giants * m)[:, :points]
 
 
 def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False):
@@ -226,22 +228,45 @@ def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False):
 
     Returns ``(mean, standard_error)`` arrays.  In the locked variant every
     atom of a replica oscillates at that replica's mean frequency, so each
-    replica is a one-atom ensemble.  The grid is evaluated by the baby- and
-    giant-step phasor powers of :func:`_phasor_values`; the per-replica
-    means land in one (grid, replicas) array that is reduced once, in a
-    fixed order.  Each replica's atom sums are one matrix product of a
-    shape fixed by the grid and the atom count, so the result does not
-    depend on the replica blocking; the tests check that it does not
-    depend on the BLAS thread count either.
+    replica is a one-atom ensemble.  The grid is evaluated block by block by
+    the baby- and giant-step phasor powers of :func:`_phasor_blocks`, and
+    each block is folded into running per-point moments as soon as it is
+    made: its sum and its sum of squared deviations M2 join the running
+    count, sum and M2 by the parallel update of Chan, Golub and LeVeque,
+    the running sum Kahan-compensated.  No (grid, replicas) array is
+    formed.  The blocking depends on the input shape only, and each
+    replica's atom sums are one matrix product of a shape fixed by the grid
+    and the atom count, so the result is fixed by the inputs; the tests
+    check that it does not depend on the BLAS thread count either.
     """
     freqs = sample_all_replicas(config)
     if locked:
         freqs = freqs.mean(axis=1, keepdims=True)
-    values = _phasor_values(freqs, config.time_max / (config.time_points - 1), config.time_points)
-    mean = values.mean(axis=1)
-    if config.replicas == 1:
+    points = config.time_points
+    count = 0
+    total = np.zeros(points)  # sum of the values so far, Kahan-compensated by lost
+    lost = np.zeros(points)
+    m2 = np.zeros(points)
+    for block in _phasor_blocks(freqs, config.time_max / (points - 1), points):
+        n = block.shape[0]
+        # replicas along the contiguous axis, so numpy sums them pairwise
+        block_sum = np.ascontiguousarray(block.T).sum(axis=1)
+        block_mean = block_sum / n
+        deviations = block - block_mean
+        deviations *= deviations
+        m2 += deviations.sum(axis=0)
+        if count:
+            delta = block_mean - total / count
+            m2 += delta * delta * (count * n / (count + n))
+        block_sum -= lost
+        new_total = total + block_sum
+        lost = (new_total - total) - block_sum
+        total = new_total
+        count += n
+    mean = total / count
+    if count == 1:
         return mean, np.zeros_like(mean)
-    return mean, values.std(axis=1, ddof=1) / np.sqrt(config.replicas)
+    return mean, np.sqrt(m2 / (count - 1)) / np.sqrt(count)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,13 @@ G, E = 0, 1  # atomic level ordering
 # Smallest per-cycle error a run resolves: rounding of order eps per cycle
 # gives a per-cycle error p a relative error of about eps/p, 0.1% here.
 MIN_CYCLE_ERROR = 1024 * np.finfo(float).eps
+# Largest rounding error, in rad, that a run allows in the free-drift phase
+# E tau of a basis state.  An energy E is known to about eps |E|, so the
+# phase exp(-i E tau) carries an error of about eps max|E| tau; the per-cycle
+# errors the protocol measures come from phases of order Delta tau.  The
+# default zeno2 runs sit at 4e-16 and 2e-14, and a cavity frequency of 1e7
+# with a 0.01 cycle at 4e-10.
+MAX_DRIFT_PHASE_ERROR = 1e-8
 
 
 class OutOfRegimeError(ValueError):
@@ -44,8 +51,8 @@ class ProtocolError(RuntimeError):
     """A protocol run left its numerically valid range.
 
     Raised when population reaches a Fock truncation boundary, when the
-    survival probability underflows to zero, and when the per-cycle error is
-    too small to resolve.
+    survival probability underflows to zero, when the per-cycle error is
+    too small to resolve, and when the free-drift phases are not resolved.
     """
 
 
@@ -395,7 +402,8 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     survival of zero at a recorded cycle raises :class:`ProtocolError`, and
     so does a positive rate whose closed-form per-cycle error
     ``rate * cycle_time`` falls below :data:`MIN_CYCLE_ERROR` (also when it
-    underflows to zero).
+    underflows to zero), and so does a free drift whose largest phase
+    rounding error eps max|E| tau exceeds :data:`MAX_DRIFT_PHASE_ERROR`.
     """
     mean_square = mean_square_splitting(config.deltas())
     rate = mean_square * config.cycle_time
@@ -403,6 +411,13 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
         raise ProtocolError(
             f"closed-form per-cycle error {rate * config.cycle_time:.3e} is below "
             f"{MIN_CYCLE_ERROR:.3e}, where rounding of the cycle map dominates the survival")
+    largest = float(np.max(np.abs(hamiltonian.diagonal)))
+    phase_error = np.finfo(float).eps * largest * config.free_interval
+    if phase_error > MAX_DRIFT_PHASE_ERROR:
+        raise ProtocolError(
+            f"free-drift phase of the largest energy {largest:.3e} over the free interval "
+            f"{config.free_interval:.3e} carries a rounding error of {phase_error:.3e} rad, "
+            f"above {MAX_DRIFT_PHASE_ERROR:.0e} rad")
     evolver = h.BlockEvolver(hamiltonian)
     drift = functools.partial(h._propagate_diagonal, hamiltonian.diagonal)
     cycle = config.cycle_time

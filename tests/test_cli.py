@@ -435,6 +435,25 @@ class TestExitCodes:
         if code == cli.EXIT_CONFIG:
             assert f"[{section}] {key}" in err or f"field {key!r}" in err
 
+    @pytest.mark.parametrize("frequency, code", [("1e17", cli.EXIT_NUMERICAL),
+                                                 ("1e7", cli.EXIT_OK)])
+    def test_unresolved_drift_phase_is_a_numerical_failure(self, tmp_path, capsys,
+                                                           frequency, code):
+        # at 1e17 the diagonal energies near 1.6e18 carry an ulp of 256, so the
+        # drift phases exp(-i E tau) are rounding noise and p_success read 0.955
+        # where the closed form reads 1; at 1e7 they are resolved to 3e-10 rad
+        path = write_config(tmp_path, f"[zeno2]\ncavity_frequency = {frequency}\n"
+                                      "cycle_times = 0.01\nfinal_time = 1.0\n")
+        assert cli.main(["zeno2", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if code == cli.EXIT_NUMERICAL:
+            assert err == ("zenolock: numerical validity failure: free-drift phase of the "
+                           "largest energy 1.650e+18 over the free interval 9.950e-03 carries "
+                           "a rounding error of 3.646e+00 rad, above 1e-08 rad\n")
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("section, key", [("zeno2", "half_difference"),
                                               ("zeno4", "delta_1"), ("zeno4", "delta_2")])
     def test_overflowing_decay_rate_names_the_key(self, tmp_path, capsys, section, key):
@@ -838,6 +857,20 @@ for command in ("dephasing", "zeno2"):
     assert code == 0, (command, code)
 assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
 """
+
+
+class TestStartup:
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # only a dephasing run draws, so the other subcommands do not pay for
+        # loading numpy.random
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, zenolock.cli; assert 'numpy.random' not in sys.modules"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
 
 
 class TestWithoutScipy:

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,11 @@ from zenolock import cli
 from zenolock import dephasing as dp
 from zenolock.configfile import Section
 from zenolock.tracefile import read_csv
+
+
+def phasor_values(freqs, step, points):
+    """Every block of the phasor kernel, copied out and stacked: shape (replicas, points)."""
+    return np.concatenate([block.copy() for block in dp._phasor_blocks(freqs, step, points)])
 
 
 def make_config(**overrides):
@@ -208,13 +214,13 @@ class TestMeanCosPhase:
         assert mean[0] == 1.0 and se[0] == 0.0
 
     def test_single_atom_half_period(self):
-        values = dp._phasor_values(np.array([[100.0]]), 0.005, 2)
-        assert values[1, 0] == pytest.approx(-1.0)
+        values = phasor_values(np.array([[100.0]]), 0.005, 2)
+        assert values[0, 1] == pytest.approx(-1.0)
 
     def test_bounded(self):
         rng = np.random.default_rng(0)
         freqs = rng.normal(100.0, 5.0, size=(1, 50))
-        values = dp._phasor_values(freqs, 1.0 / 22, 23)
+        values = phasor_values(freqs, 1.0 / 22, 23)
         assert np.all(np.abs(values) <= 1.0 + 1e-15)
 
     def test_negative_time_rejected(self):
@@ -286,11 +292,11 @@ def cos_values(freqs: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def _cos_oracle(monkeypatch, config, locked):
-    # monte_carlo_mean_cos with one cosine per atom and point of the config grid
-    # in place of the phasor recurrence
+    # monte_carlo_mean_cos with one cosine per atom and point of the config grid,
+    # in one block, in place of the phasor recurrence
     with monkeypatch.context() as patch:
-        patch.setattr(dp, "_phasor_values",
-                      lambda freqs, step, points: cos_values(freqs, config.time_grid))
+        patch.setattr(dp, "_phasor_blocks",
+                      lambda freqs, step, points: iter([cos_values(freqs, config.time_grid).T]))
         return dp.monte_carlo_mean_cos(config, locked=locked)
 
 
@@ -304,14 +310,14 @@ class TestPhasorPath:
         (0.1, 3, 100, 200),
         (0.1, 997, 10, 20),
         (0.1, 210, 100, 200),
-        (0.1, 201, dp._BLOCK_ENTRIES + 3, 5),
+        (0.1, 201, 4099, 5),
         (0.1, 201, 100, 41),
     ], ids=["linspace", "linspace-sqrt-n", "20001-points", "2-points", "3-points",
             "997-points", "210-points", "one-replica-blocks", "ragged-last-block"])
     def test_matches_cos_oracle(self, monkeypatch, locked, time_max, points, atoms, replicas):
         # also grids whose last giant step is partial or m^2 != points, atoms
-        # beyond one block's budget, and 41 replicas of 100 atoms (blocks of
-        # 40 and 1)
+        # whose phasors alone fill a block's budget (one replica per block),
+        # and 41 replicas of 100 atoms (blocks of 21 and 20)
         config = make_config(atom_count=atoms, replicas=replicas, time_max=time_max,
                              time_points=points)
         mean, se = dp.monte_carlo_mean_cos(config, locked=locked)
@@ -320,6 +326,13 @@ class TestPhasorPath:
         np.testing.assert_allclose(se, oracle_se, rtol=0.0, atol=1e-12)
         assert mean[0] == 1.0
         assert se[0] == 0.0
+
+    @pytest.mark.parametrize("atoms, replicas, sizes", [(4099, 5, [1] * 5),
+                                                         (100, 41, [21, 20])])
+    def test_oracle_cases_block_as_named(self, atoms, replicas, sizes):
+        freqs = dp.sample_all_replicas(make_config(atom_count=atoms, replicas=replicas))
+        blocks = dp._phasor_blocks(freqs, 0.1 / 200, 201)
+        assert [block.shape[0] for block in blocks] == sizes
 
     def test_single_replica_has_zero_spread(self, monkeypatch):
         config = make_config(replicas=1)
@@ -344,13 +357,13 @@ class TestPhasorPath:
     def test_cli_run_takes_phasor_path(self, tmp_path, monkeypatch):
         # each curve is stepped by the spacing of the t column its CSV reports
         calls = []
-        original = dp._phasor_values
+        original = dp._phasor_blocks
 
         def recording(freqs, step, points):
             calls.append((step, points))
             return original(freqs, step, points)
 
-        monkeypatch.setattr(dp, "_phasor_values", recording)
+        monkeypatch.setattr(dp, "_phasor_blocks", recording)
         config = tmp_path / "run.cfg"
         config.write_text("[dephasing]\nreplicas = 300\nhistogram_replicas = 300\n"
                           "time_points = 31\n")
@@ -361,6 +374,60 @@ class TestPhasorPath:
             t = read_csv(out / f"dephasing_{curve}.csv").rows[:, 0]
             assert points == t.size == 31
             assert step == t[-1] / (points - 1)
+
+
+class TestStreamingFold:
+    @pytest.mark.parametrize("locked", [False, True])
+    @pytest.mark.parametrize("entries, blocking", [(1, "one-replica"), (50_000, "ragged"),
+                                                   (1 << 30, "one-block")])
+    def test_fold_equals_two_pass_moments(self, monkeypatch, locked, entries, blocking):
+        # the running count, mean and M2 give numpy's mean and std(ddof=1) over
+        # the replica axis of the (points, replicas) array of every value
+        config = make_config(replicas=500, time_points=201, time_max=1.0 if locked else 0.1)
+        freqs = dp.sample_all_replicas(config)
+        if locked:
+            freqs = freqs.mean(axis=1, keepdims=True)
+        step = config.time_max / (config.time_points - 1)
+        monkeypatch.setattr(dp, "_BLOCK_ENTRIES", entries)
+        sizes = [block.shape[0] for block in dp._phasor_blocks(freqs, step, config.time_points)]
+        if blocking == "one-replica":
+            assert set(sizes) == {1}
+        elif blocking == "ragged":
+            assert len(sizes) > 2 and sizes[-1] < sizes[0]
+        else:
+            assert sizes == [config.replicas]
+        values = np.ascontiguousarray(phasor_values(freqs, step, config.time_points).T)
+        mean, se = dp.monte_carlo_mean_cos(config, locked=locked)
+        np.testing.assert_allclose(mean, values.mean(axis=1), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(se, values.std(axis=1, ddof=1) / np.sqrt(config.replicas),
+                                   rtol=1e-12, atol=0.0)
+        assert se[0] == 0.0
+
+    @staticmethod
+    def _traced_peak(config, locked):
+        # bytes allocated by monte_carlo_mean_cos at its peak, on top of the
+        # memoized draw it reads
+        dp.sample_all_replicas(config)
+        tracemalloc.start()
+        try:
+            dp.monte_carlo_mean_cos(config, locked=locked)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("locked", [False, True])
+    def test_no_grid_by_replicas_array(self, monkeypatch, locked):
+        # the default shape holds 201 x 10,000 values (16 MB); the fold keeps
+        # one block and a few length-201 vectors
+        monkeypatch.setattr(dp, "_last_draw", None)
+        defaults = Section("dephasing", {}, cli.SCHEMA["dephasing"], "defaults")
+        config = make_config(atom_count=defaults["atom_count"], replicas=defaults["replicas"],
+                             time_points=defaults["time_points"],
+                             time_max=defaults["time_max"] * (10.0 if locked else 1.0))
+        assert self._traced_peak(config, locked) < 2 << 20
+        small, large = (self._traced_peak(dataclasses.replace(config, replicas=replicas),
+                                          locked) for replicas in (2_000, 20_000))
+        assert large - small < 1 << 20
 
 
 class TestAllanDeviation:
@@ -412,8 +479,10 @@ from zenolock import dephasing as dp
 from zenolock.configfile import Section
 config = dp.EnsembleConfig(atom_count=100, center_frequency=100.0, fwhm=10.0,
                            seed=20260808, time_max=0.1, time_points=201, replicas=300)
-values = dp._phasor_values(dp.sample_all_replicas(config), 0.1 / 200, 201)
-sys.stdout.write(hashlib.sha256(values.tobytes()).hexdigest())
+digest = hashlib.sha256()
+for block in dp._phasor_blocks(dp.sample_all_replicas(config), 0.1 / 200, 201):
+    digest.update(block.tobytes())
+sys.stdout.write(digest.hexdigest())
 """
 
 
@@ -423,11 +492,11 @@ class TestDeterminism:
         config = make_config(replicas=500, time_points=201)
         freqs = dp.sample_all_replicas(config)
         step = config.time_max / (config.time_points - 1)
-        reference = dp._phasor_values(freqs, step, config.time_points)
-        for entries in (1, config.atom_count - 1, dp._BLOCK_ENTRIES, 1 << 20):
+        reference = phasor_values(freqs, step, config.time_points)
+        for entries in (1, config.atom_count - 1, dp._BLOCK_ENTRIES, 1 << 20, 1 << 30):
             with monkeypatch.context() as patch:
                 patch.setattr(dp, "_BLOCK_ENTRIES", entries)
-                blocked = dp._phasor_values(freqs, step, config.time_points)
+                blocked = phasor_values(freqs, step, config.time_points)
             np.testing.assert_array_equal(blocked, reference)
         src = str(Path(dp.__file__).parents[1])
         digests = []
