@@ -439,6 +439,12 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
             raise readout.ResonanceError(
                 f"{error}, at [readout] coupling = {config.coupling!r}, drive_amplitude = "
                 f"{config.drive_amplitude!r}, detuning = {config.detuning!r}") from None
+    if not model.beat_frequency() > 0.0:
+        # the light shifts have pushed the fitted oscillation through zero
+        raise ValueError(
+            f"the light-shifted beat frequency {model.beat_frequency():.4g} is not positive, "
+            f"at [readout] coupling = {config.coupling!r}, drive_amplitude = "
+            f"{config.drive_amplitude!r}, detuning = {config.detuning!r}")
 
     with _overflow_names("readout", {"transition_1": transition_1,
                                      "transition_2": transition_2,

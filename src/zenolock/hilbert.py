@@ -375,27 +375,41 @@ def combine_labels(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 class BlockEvolver:
     """Exact evolution exploiting a conserved occupation label.
 
-    Takes a :class:`SectorHamiltonian` and eigendecomposes each block once;
-    no operator of the full basis is formed.  Observables agree with the
-    dense :func:`evolve` path to 1e-10, which is asserted in the test suite.
+    Takes a :class:`SectorHamiltonian`, stacks its blocks by size and
+    eigendecomposes each stack with one batched ``eigh``; no operator of the
+    full basis is formed.  Every block gets the eigensystem and the products
+    that a block on its own would, bit for bit, which the test suite asserts
+    together with agreement to 1e-10 with the dense :func:`evolve` path.
     """
 
     def __init__(self, hamiltonian: SectorHamiltonian):
         self.basis = hamiltonian.basis
-        self._blocks = [(idx, *np.linalg.eigh(block)) for idx, block in hamiltonian.sectors]
+        by_size = {}
+        for idx, block in hamiltonian.sectors:
+            by_size.setdefault(len(idx), []).append((idx, block))
+        self._groups = []
+        for members in by_size.values():
+            w, v = np.linalg.eigh(np.stack([block for _, block in members]))
+            self._groups.append((np.stack([idx for idx, _ in members]), w, v))
 
     def propagate(self, amplitudes: np.ndarray, duration: float) -> np.ndarray:
         """exp(-i H t) on one amplitude vector or a (dimension, k) batch of them.
 
-        A batch costs one product per sector block for all its columns, and
-        a block on which every column vanishes is skipped.
+        Each group of equal-size blocks costs one stacked product for all
+        its blocks and columns.  A block on which every column vanishes is
+        left out of its group's product, and stays zero.
         """
         out = np.zeros_like(amplitudes)
-        for idx, w, v in self._blocks:
-            sub = amplitudes[idx]
-            if not np.any(sub):
+        for idx, w, v in self._groups:
+            sub = amplitudes[idx][..., None] if amplitudes.ndim == 1 else amplitudes[idx]
+            live = sub.any(axis=(1, 2))
+            if not live.any():
                 continue
-            out[idx] = v @ _rowwise(np.exp(-1j * duration * w), v.conj().T @ sub)
+            if not live.all():
+                idx, w, v, sub = idx[live], w[live], v[live], sub[live]
+            phase = np.exp(-1j * duration * w)[..., None]
+            moved = v @ (phase * (v.conj().swapaxes(1, 2) @ sub))
+            out[idx] = moved.reshape(idx.shape + amplitudes.shape[1:])
         return out
 
     def evolve(self, state: StateVector, duration: float) -> StateVector:

@@ -41,6 +41,9 @@ MIN_CYCLE_ERROR = 1024 * np.finfo(float).eps
 # default zeno2 runs sit at 4e-16 and 2e-14, and a cavity frequency of 1e7
 # with a 0.01 cycle at 4e-10.
 MAX_DRIFT_PHASE_ERROR = 1e-8
+# Recorded cycles whose states run_zeno buffers before taking their norms; a
+# small buffer keeps the run's peak memory where the state-by-state loop had it
+RECORD_CHUNK = 64
 
 
 class OutOfRegimeError(ValueError):
@@ -375,6 +378,43 @@ def cycle_matrix(config, window: np.ndarray) -> np.ndarray:
     return window[(slice(None),) + (config.photon_number,) * (window.ndim - 2)]
 
 
+def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray) -> tuple:
+    """Squared norms of ``x`` before and after each recorded cycle, and the last state.
+
+    A gap of g cycles costs two matrix-vector products: the cached
+    ``map**(g-1)``, then the map.  The states are buffered
+    :data:`RECORD_CHUNK` recorded cycles at a time and normed by one stacked
+    (1 x d) @ (d x 1) product per real and imaginary part, the bits of
+    ``x.real @ x.real + x.imag @ x.imag``.  The first recorded cycle whose
+    norm is zero raises :class:`ProtocolError`.
+    """
+    # np.dot copies a matrix that is not contiguous on every call
+    cycle_map = np.ascontiguousarray(cycle_map)
+    gaps = np.diff(record, prepend=0)
+    powers = {gap: np.linalg.matrix_power(cycle_map, gap - 1)
+              for gap in set(gaps.tolist()) if gap > 1}
+    survival = np.empty((len(record), 2))
+    states = np.empty((RECORD_CHUNK, 2, len(x)), dtype=complex)
+    befores, afters = list(states[:, 0]), list(states[:, 1])
+    for start in range(0, len(record), RECORD_CHUNK):
+        jumps = [powers.get(gap) for gap in gaps[start:start + RECORD_CHUNK].tolist()]
+        for before, after, jump in zip(befores, afters, jumps):
+            if jump is None:
+                before[:] = x
+            else:
+                np.dot(jump, x, out=before)
+            x = np.dot(cycle_map, before, out=after)
+        chunk = states[:len(jumps)]
+        real, imag = chunk.real, chunk.imag
+        norms = real[..., None, :] @ real[..., None] + imag[..., None, :] @ imag[..., None]
+        survival[start:start + len(chunk)] = norms[..., 0, 0]
+        underflowed = np.flatnonzero(norms[:, 1, 0, 0] == 0.0)
+        if underflowed.size:
+            raise ProtocolError(f"survival underflowed to zero by cycle "
+                                f"{record[start + underflowed[0]]}")
+    return survival, x.copy()
+
+
 def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
              max_trace_points: int = 2000) -> SurvivalTrace:
     """Iterate Zeno cycles of any scheme's pair from ``initial`` until ``config.final_time``.
@@ -389,8 +429,10 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     gap of g cycles it applies the cached power ``map**(g-1)`` (one per
     distinct gap, so at most two) and then one more ``map``, whose success
     probability is the recorded cycle's own.  Its cost grows with the number
-    of recorded points, not of cycles.  ``p_success`` is the cumulative
-    product of per-cycle success probabilities.
+    of recorded points, not of cycles: two matrix-vector products each, with
+    the norms taken a chunk of recorded cycles at a time (see
+    :func:`_recorded_survival`).  ``p_success`` is the cumulative product of
+    per-cycle success probabilities.
 
     The closed forms come from the scheme: with m the
     :func:`mean_square_splitting` of ``config.deltas()``, ``analytic_p_s`` is
@@ -434,23 +476,7 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     max_tail = max(float(np.sum(np.moveaxis(populations, axis, 0)[config.photon_number + 2:]))
                    for axis in range(1, populations.ndim))
 
-    # survival before and after each recorded cycle
-    survival = np.empty((len(record), 2))
-    powers = {}
-    done = 0
-    for slot, j in enumerate(record.tolist()):
-        gap = j - done
-        if gap > 1:
-            if gap not in powers:
-                powers[gap] = np.linalg.matrix_power(cycle_map, gap - 1)
-            x = powers[gap] @ x
-        previous = float(x.real @ x.real + x.imag @ x.imag)
-        x = cycle_map @ x
-        current = float(x.real @ x.real + x.imag @ x.imag)
-        if current == 0.0:
-            raise ProtocolError(f"survival underflowed to zero by cycle {j}")
-        survival[slot] = previous, current
-        done = j
+    survival, x = _recorded_survival(cycle_map, x, record)
     amps = np.zeros(initial.basis.dimension, dtype=complex)
     amps.reshape(atom_dim, -1)[:, 0] = x / np.linalg.norm(x)
     if remainder > 0.0:

@@ -560,6 +560,18 @@ class TestExitCodes:
             "coupling = 20.0, drive_amplitude = 8.0, detuning = 10.0\n")
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
+    def test_nonpositive_beat_frequency_names_the_keys(self, tmp_path, capsys):
+        # the light shifts carry the beat frequency 110.2 (drive 1) through
+        # zero between drives 66 and 67; the phase fit needs it positive
+        path = write_config(tmp_path, "[readout]\ndrive_amplitude = 70\n")
+        code = cli.main(["readout", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "zenolock: numerical validity failure: the light-shifted beat frequency -12.48 "
+            "is not positive, at [readout] coupling = 2.0, drive_amplitude = 70.0, "
+            "detuning = 10.0\n")
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
     @pytest.mark.parametrize("value", ["1e300", "-1e300", "1.4148475504056882e16",
                                        "-1.4148475504056882e16"])
     def test_unresolvable_clock_phase_is_config_error(self, tmp_path, capsys, value):

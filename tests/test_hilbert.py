@@ -348,6 +348,28 @@ class TestBlockEvolver:
                 np.column_stack([h._propagate_diagonal(sectors.diagonal, amplitudes, t)
                                  for amplitudes in batch.T]))
 
+    @pytest.mark.parametrize("case", ["zeno2", "zeno4", "unordered"])
+    def test_stacked_products_match_per_block_oracle(self, case):
+        # the default pairs' blocks come in sizes 1, 3, 4 (zeno2) and ten
+        # sizes up to 16 (zeno4); the sparse columns leave some blocks, and
+        # every block of the largest size, empty on all columns
+        sectors = {"zeno2": default_zeno2_sectors, "zeno4": default_zeno4_sectors,
+                   "unordered": unordered_sectors}[case]()
+        sizes = [len(idx) for idx, _ in sectors.sectors]
+        assert len(set(sizes)) > 1
+        evolver = h.BlockEvolver(sectors)
+        rng = np.random.default_rng(21)
+        dim = sectors.basis.dimension
+        batch = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        sparse = batch.copy()
+        for number, (idx, _) in enumerate(sectors.sectors):
+            if number % 3 == 0 or len(idx) == max(sizes):
+                sparse[idx] = 0.0
+        for t in (0.001, 0.4):
+            for amplitudes in (batch[:, 0], batch, sparse[:, 0], sparse, sparse[:, :1]):
+                np.testing.assert_array_equal(evolver.propagate(amplitudes, t),
+                                              per_block_propagate(sectors, amplitudes, t))
+
     def test_evolution_stays_in_initial_block(self):
         basis = h.build_basis([h.Atom(2), h.Mode(6)])
         H = jaynes_cummings(basis, 5.0, 5.0, 1.3)
@@ -356,6 +378,48 @@ class TestBlockEvolver:
         psi = h.evolve(psi0, H, 2.1)
         outside = labels != labels[basis.index([1, 3])]
         assert np.max(np.abs(psi.amplitudes[outside])) < 1e-12
+
+
+def per_block_propagate(sectors, amplitudes, duration):
+    """The sector product block by block: one ``eigh`` and one product per block.
+
+    The bit-level oracle of :class:`hilbert.BlockEvolver`, which stacks the
+    blocks of each size.  A block on which every column vanishes stays zero.
+    """
+    out = np.zeros_like(amplitudes)
+    for idx, block in sectors.sectors:
+        sub = amplitudes[idx]
+        if np.any(sub):
+            w, v = np.linalg.eigh(block)
+            out[idx] = v @ h._rowwise(np.exp(-1j * duration * w), v.conj().T @ sub)
+    return out
+
+
+def default_zeno2_sectors():
+    """The coupled [zeno2] pair of configs/defaults.cfg at its shorter cycle."""
+    return z2.build_two_level_hamiltonian(z2.config_for_cycle_time(0.001, 1.0))
+
+
+def default_zeno4_sectors():
+    """The coupled [zeno4] pair of configs/defaults.cfg."""
+    return zm.build_sector_hamiltonian(zm.four_level_config_from_deltas(
+        2.0, 2.0, cycle_time=0.001, final_time=100.0, photon_number=8))
+
+
+def unordered_sectors():
+    """Random Hermitian blocks of sizes 3, 1, 3, 2, 1, 2 on scattered basis states."""
+    rng = np.random.default_rng(5)
+    basis = h.build_basis([h.Atom(2), h.Mode(5)])
+    states = rng.permutation(basis.dimension)
+    diagonal = np.empty(basis.dimension)
+    sectors = []
+    for size, start in zip((3, 1, 3, 2, 1, 2), (0, 3, 4, 7, 9, 10)):
+        idx = np.sort(states[start:start + size])
+        block = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        block += block.conj().T
+        diagonal[idx] = block.diagonal().real
+        sectors.append((idx, block))
+    return h.SectorHamiltonian(basis, diagonal, tuple(sectors))
 
 
 def _label_operator(basis, labels):

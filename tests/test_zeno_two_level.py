@@ -1,6 +1,7 @@
 """Two-atom Zeno protocol: drift, measurement, cycles, survival curves."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -435,3 +436,66 @@ class TestRunProtocol:
                                      coupling=z2.half_flop_time_inverse(0.005, 4))
         trace = z2.run_protocol(config)
         assert trace.out_of_regime
+
+
+def pair_cycle_map(config):
+    """The per-cycle map that :func:`zeno_two_level.run_zeno` builds for ``config``."""
+    hamiltonian = z2.build_sector_hamiltonian(config)
+    drift = functools.partial(h._propagate_diagonal, hamiltonian.diagonal)
+    window = z2.coupling_window(config, hamiltonian.basis, drift,
+                                h.BlockEvolver(hamiltonian).propagate)
+    return z2.cycle_matrix(config, window)
+
+
+def survival_state_by_state(cycle_map, x, record):
+    """Squared norms before and after each recorded cycle, one state at a time.
+
+    The bit-level oracle of the chunked norms of ``_recorded_survival``.
+    """
+    survival = []
+    done = 0
+    for j in record.tolist():
+        if j - done > 1:
+            x = np.linalg.matrix_power(cycle_map, j - done - 1) @ x
+        previous = float(x.real @ x.real + x.imag @ x.imag)
+        x = cycle_map @ x
+        survival.append((previous, float(x.real @ x.real + x.imag @ x.imag)))
+        done = j
+    return np.array(survival), x
+
+
+CHUNK_EDGES = [z2.RECORD_CHUNK - 1, z2.RECORD_CHUNK, z2.RECORD_CHUNK + 1, 2 * z2.RECORD_CHUNK + 1]
+
+
+class TestRecordChunks:
+    @pytest.mark.parametrize("records", CHUNK_EDGES)
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("scheme", ["two", "four"])
+    def test_chunk_norms_are_the_per_state_dot(self, records, stride, scheme):
+        # at stride 3 the last gap is a ragged 2, so two powers of the map
+        if scheme == "two":
+            config = z2.config_for_cycle_time(0.01, 1.0)
+        else:
+            config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.01,
+                                                      final_time=1.0, photon_number=2)
+        cycle_map = pair_cycle_map(config)
+        rng = np.random.default_rng(records)
+        x = rng.standard_normal(len(cycle_map)) + 1j * rng.standard_normal(len(cycle_map))
+        record = z2._record_cycles(stride * records - (stride > 1), records)
+        assert len(record) == records
+        survival, last = z2._recorded_survival(cycle_map, x, record)
+        expected, expected_last = survival_state_by_state(cycle_map, x, record)
+        np.testing.assert_array_equal(survival, expected)
+        np.testing.assert_array_equal(last, expected_last)
+
+    @pytest.mark.parametrize("cycles", CHUNK_EDGES[:3])
+    def test_runs_at_chunk_edges_match_stepwise(self, cycles):
+        config = z2.config_for_cycle_time(0.01, 0.01 * cycles)
+        compiled = z2.run_protocol(config)
+        stepwise = so.run_protocol(config)
+        assert len(compiled.times) == cycles + 1
+        np.testing.assert_allclose(compiled.p_success, stepwise.p_success, atol=1e-10)
+        np.testing.assert_allclose(compiled.p_error_per_cycle, stepwise.p_error_per_cycle,
+                                   atol=1e-10)
+        np.testing.assert_allclose(compiled.final_state.amplitudes,
+                                   stepwise.final_state.amplitudes, atol=1e-10)
