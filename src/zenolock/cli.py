@@ -24,7 +24,6 @@ from . import zeno_multilevel as zm
 from . import zeno_two_level as z2
 from .configfile import ConfigError, Key, Section, load_config
 from .parallel import parallel_map
-from .svgplot import line_plot
 from .tracefile import TraceRecord, write_csv
 
 EXIT_OK = 0
@@ -261,6 +260,8 @@ def cmd_dephasing(section: Section, out_dir: Path, args, digest: str):
         "histogram_sigma_ratio_expected": math.sqrt(hist_config.atom_count),
     }
     if args.plots:
+        from .svgplot import line_plot
+
         line_plot(out_dir / "dephasing_independent.svg",
                   [(grid, analytic_ind, "analytic"), (grid, mc_ind, "monte carlo")],
                   title="Mean cosine, independent atoms", xlabel="t [s]",
@@ -342,6 +343,8 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
         plot_series.append((trace.times, trace.p_success, f"numeric {tag}"))
         plot_series.append((trace.times, trace.analytic_p_s, f"analytic {tag}"))
     if args.plots:
+        from .svgplot import line_plot
+
         line_plot(out_dir / f"{command}_survival.svg", plot_series,
                   title=title, xlabel="t", ylabel="P_S")
     return runs, results, flags
@@ -480,6 +483,8 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
         plot_series.append((trace.times, trace.quadrature, f"target {target:.4g}"))
     results["emission_frequency"] = float(model.beat_frequency())
     if args.plots:
+        from .svgplot import line_plot
+
         line_plot(out_dir / "readout_traces.svg", plot_series,
                   title="Emitted field quadrature", xlabel="t_r",
                   ylabel="mean quadrature")

@@ -23,10 +23,11 @@ TWO_PI = 2.0 * np.pi
 # Monte Carlo fold reduces.  A fixed budget, so the blocking depends on the
 # input shape only and a block's working set stays near 1 MB whatever the
 # replica count: 21 replicas on the default independent curve, 274 on the
-# locked one (one atom each).  On a 2-core Xeon VM with one BLAS thread the
-# default curves took 0.09-0.15 s and 0.012-0.019 s at 2^17, about the same
-# at 2^18, and 0.20 s and 0.02 s at 2^15-2^16, where a block is a few
-# replicas and the per-block numpy calls dominate.
+# locked one (one atom each).  On a 2-core Xeon VM with one BLAS thread and
+# the cos/sin seed the default curves took 0.08-0.10 s and 0.006-0.008 s at
+# 2^17, about the same at 2^18, and 0.11-0.18 s and 0.007-0.016 s at
+# 2^15-2^16, where a block is a few replicas and the per-block numpy calls
+# dominate.
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -78,8 +79,8 @@ def _philox_generator(seed: int, replica: int) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# (generator, state dict of a fresh generator) per thread, so that threads
-# drawing at once never re-key each other's stream.
+# (generator, its bit generator, a state dict, the dict's key list) per
+# thread, so that threads drawing at once never re-key each other's stream.
 _thread_streams = threading.local()
 
 
@@ -89,24 +90,24 @@ def _replica_rng(seed: int, replica: int) -> "np.random.Generator":
     A Philox stream is fixed by its key and counter (Salmon et al., SC'11),
     so instead of constructing a generator per replica this re-keys one
     generator per thread through its state setter: key (seed, replica),
-    zero counter, empty buffer.  The draws are bit-identical to a fresh
-    generator's.  The result is valid until the thread's next call.
+    zero counter, empty buffer.  The state dict is a fresh generator's with
+    its arrays turned into lists of Python ints, which the setter reads
+    about three times faster than numpy scalars; only its key changes from
+    call to call.  The draws are bit-identical to a fresh generator's.  The
+    result is valid until the thread's next call.
     """
     streams = getattr(_thread_streams, "value", None)
     if streams is None:
         rng = _philox_generator(seed, replica)
-        streams = _thread_streams.value = (rng, rng.bit_generator.state)
-    rng, state = streams
-    state["state"]["key"][:] = (seed & 0xFFFFFFFFFFFFFFFF, replica)
-    rng.bit_generator.state = state
+        fresh = rng.bit_generator.state
+        state = {**fresh, "buffer": fresh["buffer"].tolist(),
+                 "state": {name: words.tolist() for name, words in fresh["state"].items()}}
+        streams = _thread_streams.value = (rng, rng.bit_generator, state, state["state"]["key"])
+    rng, bit_generator, state, key = streams
+    key[0] = seed & 0xFFFFFFFFFFFFFFFF
+    key[1] = replica
+    bit_generator.state = state
     return rng
-
-
-def sample_frequencies(config: EnsembleConfig, replica: int = 0) -> np.ndarray:
-    """Draw the N atom frequencies of one prepared ensemble."""
-    rng = _replica_rng(config.seed, replica)
-    draws = rng.standard_normal(config.atom_count)
-    return config.center_frequency + config.sigma * draws
 
 
 # The last draw of sample_all_replicas: ((seed, replicas, center, fwhm), frequencies).
@@ -128,9 +129,10 @@ def sample_all_replicas(config: EnsembleConfig) -> np.ndarray:
     draw = _last_draw
     if draw is None or draw[0] != key or draw[1].shape[1] < config.atom_count:
         out = np.empty((config.replicas, config.atom_count))
-        for r in range(config.replicas):
-            _replica_rng(config.seed, r).standard_normal(out=out[r])
-        # in place, the same two roundings per entry as sample_frequencies
+        seed = config.seed
+        for r, row in enumerate(out):
+            _replica_rng(seed, r).standard_normal(out=row)
+        # in place, the same two roundings per entry as center + sigma * draws
         out *= config.sigma
         out += config.center_frequency
         out.flags.writeable = False
@@ -190,8 +192,10 @@ def _phasor_blocks(freqs: np.ndarray, step: float, points: int):
     multiply each, instead of one per grid point.  Then
     Re w^k = Re(conj(g) b) = g.re b.re + g.im b.im, a dot product of float
     pairs, so one replica's atom sums are one real matrix product
-    (giant steps x 2 atoms) @ (2 atoms x baby steps).  Replicas are
-    processed in fixed blocks, one batched matmul per block.  Yields each
+    (giant steps x 2 atoms) @ (2 atoms x baby steps).  The seed w is
+    cos + i sin of its phase, the same bits as exp(1j * phase) without its
+    two complex temporaries.  Replicas are processed in fixed blocks, one
+    batched matmul per block.  Yields each
     block's (replicas of the block, points) mean cosines in replica order;
     they are a view of buffers the next block overwrites.
     """
@@ -208,7 +212,11 @@ def _phasor_blocks(freqs: np.ndarray, step: float, points: int):
         block = freqs[lo:lo + rows]
         n = block.shape[0]
         b, g = baby[:, :n], giant[:, :n]
-        b[1] = np.exp(1j * (TWO_PI * step) * block)
+        # the phase waits in the imaginary half until sin overwrites it
+        phase = b[1].imag
+        np.multiply(block, TWO_PI * step, out=phase)
+        np.cos(phase, out=b[1].real)
+        np.sin(phase, out=phase)
         for k in range(2, m):
             np.multiply(b[k - 1], b[1], out=b[k])
         if giants > 1:
@@ -275,9 +283,6 @@ class HistogramData:
     density: np.ndarray
     sample_sigma: float
 
-    def integral(self) -> float:
-        return float(np.sum(self.density * np.diff(self.bin_edges)))
-
 
 @dataclass(frozen=True)
 class BandwidthHistograms:
@@ -310,10 +315,11 @@ class EnvelopeFitError(RuntimeError):
 
 # Gauss-Newton steps the envelope fit may take.  The default curves take 5
 # (independent) and 9 (locked); noisy curves from a guess 0.2-5 times off,
-# at most 17.
+# at most 17.  A curve whose steps are rounding noise takes all of them.
 _FIT_ITERATIONS = 100
+_EPS = np.finfo(float).eps
 # Stop once a step moves the decay rate by no more than this, relative.
-_FIT_RTOL = 4.0 * np.finfo(float).eps
+_FIT_RTOL = 4.0 * _EPS
 
 
 def fit_efold_time(times, values, center_frequency: float, sigma_guess: float) -> float:
@@ -322,9 +328,16 @@ def fit_efold_time(times, values, center_frequency: float, sigma_guess: float) -
     Fits exp(-a t^2) cos(2 pi f0 t) with the amplitude pinned to 1 (the mean
     cosine is exactly 1 at t = 0 for every replica), by least squares in the
     one parameter a: Gauss-Newton steps, each halved until a stays positive,
-    until a step is at rounding level.  Raises :class:`EnvelopeFitError`
-    when that does not happen within a fixed number of steps, which is how a
-    growing curve ends (a is driven towards zero), and when the starting
+    until a step is at rounding level, at most 4 eps a.  On a weakly
+    decaying curve the steps stay above that: each residual model - value
+    carries an error of about eps (|model| + |value|), which moves the step
+    by up to eps sum |slope| (|model| + |value|) / curvature, far above
+    4 eps a.  So when no step meets the first test, the fit ends at the
+    first iterate that a full (unhalved) step within that rounding bound
+    reached; a curve that meets the first test stops where it would without
+    the second.  Raises :class:`EnvelopeFitError` when neither happens
+    within a fixed number of steps, which is how a growing curve ends (a is
+    driven towards zero and every step is halved), and when the starting
     rate is zero or not finite, the fitted envelope does not decay
     measurably over the grid, or the model loses its dependence on a.
     """
@@ -336,6 +349,8 @@ def fit_efold_time(times, values, center_frequency: float, sigma_guess: float) -
                                f"rate, got {float(a)!r} from sigma_guess {float(sigma_guess)!r}")
     squares = times**2
     carrier = np.cos(TWO_PI * center_frequency * times)
+    magnitudes = np.abs(values)
+    floor = None  # the first iterate a full step within its rounding bound reached
     for _ in range(_FIT_ITERATIONS):
         model = np.exp(-a * squares) * carrier
         slope = squares * model  # -d model / d a
@@ -345,15 +360,24 @@ def fit_efold_time(times, values, center_frequency: float, sigma_guess: float) -
         step = (slope @ (model - values)) / curvature
         if not np.isfinite(step):
             raise EnvelopeFitError(f"envelope fit took a non-finite step at a = {a:.3e}")
+        rounding = _EPS * (np.abs(slope) @ (np.abs(model) + magnitudes))
+        at_floor = abs(step) * curvature <= rounding
         while a + step <= 0.0:
             step *= 0.5
+            at_floor = False
         a += step
         if abs(step) <= _FIT_RTOL * a:
-            if a * squares.max() <= _FIT_RTOL:
-                # exp(-a t^2) rounds to 1 on the whole grid: a is unresolved
-                raise EnvelopeFitError(
-                    f"envelope does not decay measurably over the time grid (a = {a:.3e})")
-            return float(1.0 / np.sqrt(2.0 * a))
-    raise EnvelopeFitError(
-        f"envelope fit did not converge in {_FIT_ITERATIONS} Gauss-Newton steps "
-        f"(a = {a:.3e}); a curve that does not decay drives a towards zero")
+            break
+        if at_floor and floor is None:
+            floor = a
+    else:
+        if floor is None:
+            raise EnvelopeFitError(
+                f"envelope fit did not converge in {_FIT_ITERATIONS} Gauss-Newton steps "
+                f"(a = {a:.3e}); a curve that does not decay drives a towards zero")
+        a = floor
+    if a * squares.max() <= _FIT_RTOL:
+        # exp(-a t^2) rounds to 1 on the whole grid: a is unresolved
+        raise EnvelopeFitError(
+            f"envelope does not decay measurably over the time grid (a = {a:.3e})")
+    return float(1.0 / np.sqrt(2.0 * a))

@@ -549,20 +549,3 @@ def readout_phase(config: ReadoutConfig, elapsed_time: float,
     if trace.fitted_phase is None:
         raise DegenerateFitError("no oscillation to fit")
     return trace.fitted_phase
-
-
-def estimate_oscillation_frequency(times, values) -> float:
-    """Dominant oscillation frequency of a trace (coarse periodogram peak).
-
-    Exposed as a measured output so the emitted frequency can be inspected
-    rather than assumed.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(times) < 8:
-        raise ValueError("need at least eight samples")
-    dt = times[1] - times[0]
-    spectrum = np.abs(np.fft.rfft(values - values.mean()))
-    freqs = np.fft.rfftfreq(len(values), dt)
-    peak = int(np.argmax(spectrum[1:])) + 1
-    return TWO_PI * float(freqs[peak])

@@ -21,11 +21,8 @@ MODULES = sorted((REPO / "src" / "zenolock").glob("*.py"))
 
 # module.name -> the file outside src/ that uses it
 ALLOWED = {
-    "dephasing.sample_frequencies": "tests/test_dephasing.py",
-    "dephasing.HistogramData.integral": "tests/test_dephasing.py",
     "hilbert.StateVector.fidelity": "demos/02_two_atom_zeno_locking.py",
     "readout.readout_phase": "demos/04_clock_readout.py",
-    "readout.estimate_oscillation_frequency": "tests/test_readout.py",
     "tracefile.read_csv": "perfbench/gate.py",
     "zeno_multilevel.three_level_config": "demos/03_three_vs_four_levels.py",
     "zeno_multilevel.leakage": "demos/03_three_vs_four_levels.py",

@@ -264,6 +264,14 @@ class TestExitCodes:
         assert "numerical validity failure: envelope" in err
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
+    def test_weakly_decaying_ensemble_exit_code(self, tmp_path, capsys):
+        # the envelope fit resolves a to about 1e-14 while its steps' rounding
+        # noise stays above the 4 eps a of its first stop test
+        path = write_config(tmp_path, small_with("dephasing", "fwhm", "0.2"))
+        code = cli.main(["dephasing", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
     def test_survival_underflow_exit_code(self, tmp_path, capsys, command):
@@ -872,17 +880,25 @@ assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
 
 
 class TestStartup:
-    def test_cli_import_leaves_numpy_random_unloaded(self):
-        # only a dephasing run draws, so the other subcommands do not pay for
-        # loading numpy.random
+    @staticmethod
+    def _unloaded_after_cli_import(module):
         src = Path(cli.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
         result = subprocess.run(
             [sys.executable, "-c",
-             "import sys, zenolock.cli; assert 'numpy.random' not in sys.modules"],
+             f"import sys, zenolock.cli; assert {module!r} not in sys.modules"],
             env=env, capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # only a dephasing run draws, so the other subcommands do not pay for
+        # loading numpy.random
+        self._unloaded_after_cli_import("numpy.random")
+
+    def test_cli_import_leaves_svgplot_unloaded(self):
+        # no run without --plots pays for loading the plotter
+        self._unloaded_after_cli_import("zenolock.svgplot")
 
 
 class TestWithoutScipy:

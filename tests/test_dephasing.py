@@ -1,6 +1,8 @@
 """Ensemble statistics: sampling, coherence envelopes, Allan deviation."""
 
 import dataclasses
+import functools
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenolock import cli
 from zenolock import dephasing as dp
@@ -19,6 +23,12 @@ from zenolock.tracefile import read_csv
 def phasor_values(freqs, step, points):
     """Every block of the phasor kernel, copied out and stacked: shape (replicas, points)."""
     return np.concatenate([block.copy() for block in dp._phasor_blocks(freqs, step, points)])
+
+
+def sample_frequencies(config, replica=0):
+    """The N atom frequencies of one replica, drawn from its re-keyed stream alone."""
+    draws = dp._replica_rng(config.seed, replica).standard_normal(config.atom_count)
+    return config.center_frequency + config.sigma * draws
 
 
 def make_config(**overrides):
@@ -68,7 +78,7 @@ class TestEnsembleConfig:
 class TestSampling:
     def test_law_of_large_numbers(self):
         config = make_config(atom_count=100_000, replicas=1)
-        freqs = dp.sample_frequencies(config)
+        freqs = sample_frequencies(config)
         sigma = config.sigma
         n = config.atom_count
         assert abs(freqs.mean() - 100.0) < 4.0 * sigma / np.sqrt(n)
@@ -76,25 +86,25 @@ class TestSampling:
 
     def test_deterministic_given_seed(self):
         config = make_config()
-        np.testing.assert_array_equal(dp.sample_frequencies(config, 3),
-                                      dp.sample_frequencies(config, 3))
+        np.testing.assert_array_equal(sample_frequencies(config, 3),
+                                      sample_frequencies(config, 3))
 
     def test_replicas_are_distinct_streams(self):
         config = make_config()
-        assert not np.array_equal(dp.sample_frequencies(config, 0),
-                                  dp.sample_frequencies(config, 1))
+        assert not np.array_equal(sample_frequencies(config, 0),
+                                  sample_frequencies(config, 1))
 
     def test_narrow_width_limit(self):
         config = make_config(fwhm=1e-12)
-        freqs = dp.sample_frequencies(config)
+        freqs = sample_frequencies(config)
         np.testing.assert_allclose(freqs, 100.0, atol=1e-11)
 
     def test_order_independence(self):
         # replica streams do not depend on which replicas were drawn before
         config = make_config()
-        direct = dp.sample_frequencies(config, 7)
-        _ = dp.sample_frequencies(config, 2)
-        again = dp.sample_frequencies(config, 7)
+        direct = sample_frequencies(config, 7)
+        _ = sample_frequencies(config, 2)
+        again = sample_frequencies(config, 7)
         np.testing.assert_array_equal(direct, again)
 
 
@@ -108,7 +118,7 @@ class TestReplicaDraw:
         assert np.shares_memory(narrow, wide)
         for replica in range(40):
             np.testing.assert_array_equal(narrow[replica],
-                                          dp.sample_frequencies(narrow_config, replica))
+                                          sample_frequencies(narrow_config, replica))
 
     def test_returned_draw_is_read_only(self, monkeypatch):
         monkeypatch.setattr(dp, "_last_draw", None)
@@ -124,7 +134,7 @@ class TestReplicaDraw:
         monkeypatch.setattr(dp, "_last_draw", None)
         dp.sample_all_replicas(make_config(atom_count=10, replicas=20))
         config = make_config(**{"atom_count": 10, "replicas": 20, **change})
-        fresh = np.array([dp.sample_frequencies(config, r) for r in range(config.replicas)])
+        fresh = np.array([sample_frequencies(config, r) for r in range(config.replicas)])
         np.testing.assert_array_equal(dp.sample_all_replicas(config), fresh)
 
     def test_each_replica_stream_drawn_once_per_run(self, monkeypatch):
@@ -148,19 +158,21 @@ class TestReplicaDraw:
         assert sorted(calls) == list(range(30))
 
 
-    @pytest.mark.parametrize("seed", [0, 7, 20260808, -1])
+    @pytest.mark.parametrize("seed", [0, 7, 20260808, -1, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("replicas, atoms", [(1, 1), (13, 9), (40, 100)])
     def test_rekeyed_draw_matches_fresh_generators(self, monkeypatch, seed, replicas, atoms):
+        # also key words with the top bit set, and replica indices past 32 bits
         monkeypatch.setattr(dp, "_last_draw", None)
         config = make_config(seed=seed, replicas=replicas, atom_count=atoms)
-        expected = np.array([
-            config.center_frequency
-            + config.sigma * dp._philox_generator(seed, r).standard_normal(atoms)
-            for r in range(replicas)])
-        np.testing.assert_array_equal(dp.sample_all_replicas(config), expected)
-        for replica in (0, replicas - 1):
-            np.testing.assert_array_equal(dp.sample_frequencies(config, replica),
-                                          expected[replica])
+
+        def fresh(replica):
+            draws = dp._philox_generator(seed, replica).standard_normal(atoms)
+            return config.center_frequency + config.sigma * draws
+
+        np.testing.assert_array_equal(dp.sample_all_replicas(config),
+                                      np.array([fresh(r) for r in range(replicas)]))
+        for replica in (0, replicas - 1, 2**32, 2**64 - 1):
+            np.testing.assert_array_equal(sample_frequencies(config, replica), fresh(replica))
 
     def test_prefix_view_matches_fresh_generators(self, monkeypatch):
         monkeypatch.setattr(dp, "_last_draw", None)
@@ -190,7 +202,7 @@ class TestReplicaDraw:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
-                draws = list(pool.map(lambda r: dp.sample_frequencies(config, r), range(400),
+                draws = list(pool.map(lambda r: sample_frequencies(config, r), range(400),
                                       timeout=60))
         finally:
             sys.setswitchinterval(interval)
@@ -298,6 +310,73 @@ def _cos_oracle(monkeypatch, config, locked):
         patch.setattr(dp, "_phasor_blocks",
                       lambda freqs, step, points: iter([cos_values(freqs, config.time_grid).T]))
         return dp.monte_carlo_mean_cos(config, locked=locked)
+
+
+def exp_seeded_phasor_blocks(freqs, step, points):
+    """The phasor kernel with w seeded by exp(1j * phase): the oracle of its cos/sin seed."""
+    replicas, atoms = freqs.shape
+    m = math.isqrt(points - 1) + 1
+    giants = -(-points // m)
+    rows = max(1, min(replicas, dp._BLOCK_ENTRIES // (2 * ((m + giants) * atoms + giants * m))))
+    baby = np.empty((m, rows, atoms), dtype=complex)
+    giant = np.empty((giants, rows, atoms), dtype=complex)
+    sums = np.empty((rows, giants, m))
+    baby[0] = 1.0
+    giant[0] = 1.0
+    for lo in range(0, replicas, rows):
+        block = freqs[lo:lo + rows]
+        n = block.shape[0]
+        b, g = baby[:, :n], giant[:, :n]
+        b[1] = np.exp(1j * (dp.TWO_PI * step) * block)
+        for k in range(2, m):
+            np.multiply(b[k - 1], b[1], out=b[k])
+        if giants > 1:
+            np.multiply(b[m - 1], b[1], out=g[1])
+            np.conjugate(g[1], out=g[1])
+            for a in range(2, giants):
+                np.multiply(g[a - 1], g[1], out=g[a])
+        out = sums[:n]
+        np.matmul(g.view(np.float64).transpose(1, 0, 2),
+                  b.view(np.float64).transpose(1, 2, 0), out=out)
+        out /= atoms
+        yield out.reshape(n, giants * m)[:, :points]
+
+
+def default_config(**overrides):
+    """The ensemble of the dephasing defaults, independent curve."""
+    defaults = Section("dephasing", {}, cli.SCHEMA["dephasing"], "defaults")
+    return make_config(**{"atom_count": defaults["atom_count"], "replicas": defaults["replicas"],
+                          "center_frequency": defaults["center_frequency"],
+                          "fwhm": defaults["fwhm"], "seed": defaults["seed"],
+                          "time_points": defaults["time_points"],
+                          "time_max": defaults["time_max"], **overrides})
+
+
+class TestPhasorSeed:
+    @pytest.mark.parametrize("shape", ["default", "locked-one-atom", "ragged-last-block",
+                                       "negative-frequencies", "float-max-center",
+                                       "float-min-center"])
+    def test_cos_sin_seed_matches_exp_seed(self, shape):
+        # the same bits as the exp-seeded kernel: w = exp(i phase) is cos + i sin
+        top = np.finfo(float).max
+        config = {
+            "default": default_config(),
+            "locked-one-atom": default_config(time_max=1.0),
+            "ragged-last-block": make_config(replicas=41, time_points=201),
+            "negative-frequencies": make_config(center_frequency=-100.0),
+            "float-max-center": make_config(center_frequency=top, replicas=25),
+            "float-min-center": make_config(center_frequency=-top, replicas=25),
+        }[shape]
+        freqs = dp.sample_all_replicas(config)
+        if shape == "locked-one-atom":
+            freqs = freqs.mean(axis=1, keepdims=True)
+        step = config.time_max / (config.time_points - 1)
+        if shape == "ragged-last-block":
+            blocks = dp._phasor_blocks(freqs, step, config.time_points)
+            assert [block.shape[0] for block in blocks] == [21, 20]
+        oracle = np.concatenate([block.copy() for block in
+                                 exp_seeded_phasor_blocks(freqs, step, config.time_points)])
+        assert np.array_equal(phasor_values(freqs, step, config.time_points), oracle)
 
 
 class TestPhasorPath:
@@ -469,8 +548,9 @@ class TestBandwidthHistogram:
     def test_histograms_are_normalized(self):
         config = make_config(atom_count=9, replicas=2000)
         result = dp.bandwidth_histogram(config)
-        assert result.individual.integral() == pytest.approx(1.0, rel=1e-9)
-        assert result.replica_means.integral() == pytest.approx(1.0, rel=1e-9)
+        for histogram in (result.individual, result.replica_means):
+            integral = np.sum(histogram.density * np.diff(histogram.bin_edges))
+            assert integral == pytest.approx(1.0, rel=1e-9)
 
 
 _PHASOR_DIGEST = """\
@@ -560,6 +640,41 @@ class TestEfoldFit:
                               sigma_guess=np.float64(1e-300))
 
 
+@functools.lru_cache(maxsize=None)
+def run_curve(locked, **overrides):
+    """(times, mean cosine, sigma guess) of one curve of a dephasing run with
+    the defaults but ``overrides``, as ``cli.cmd_dephasing`` fits it."""
+    config = default_config(**overrides)
+    times, sigma = config.time_grid, config.sigma
+    if locked:
+        times = times * math.sqrt(config.atom_count)
+        sigma /= math.sqrt(config.atom_count)
+        config = dataclasses.replace(config, time_max=times[-1])
+    values, _ = dp.monte_carlo_mean_cos(config, locked=locked)
+    values.flags.writeable = False
+    return times, values, sigma
+
+
+# a run whose envelope the grid resolves only weakly: a t_max^2 is about 1e-3
+WEAKLY_DECAYING = {"fwhm": 0.2, "replicas": 400, "time_points": 31}
+
+
+class TestEfoldFitNoiseFloor:
+    # below fwhm 0.5 the Gauss-Newton steps of these curves stay at their
+    # rounding noise, 1e-14-1e-13 relative, above the 4 eps a of the first
+    # stop test; at 0.5 and 10 that test stops the curves as drawn
+    @pytest.mark.parametrize("locked", [False, True])
+    @pytest.mark.parametrize("fwhm", [0.05, 0.2, 0.5, 10.0])
+    @settings(max_examples=30, deadline=None)
+    @given(nudges=st.lists(st.integers(-4, 4), min_size=31, max_size=31))
+    def test_ulp_nudges_keep_the_verdict(self, fwhm, locked, nudges):
+        times, values, sigma = run_curve(locked, **{**WEAKLY_DECAYING, "fwhm": fwhm})
+        reference = dp.fit_efold_time(times, values, 100.0, sigma_guess=sigma)
+        nudged = values + np.array(nudges) * np.spacing(values)
+        fitted = dp.fit_efold_time(times, nudged, 100.0, sigma_guess=sigma)
+        assert fitted == pytest.approx(reference, rel=1e-10)
+
+
 def curve_fit_efold_time(times, values, center_frequency, sigma_guess):
     """The envelope fit as curve_fit does it: the Gauss-Newton fit's oracle."""
     optimize = pytest.importorskip("scipy.optimize")
@@ -577,21 +692,17 @@ class TestEfoldFitAgainstCurveFit:
     # rounding level; on the defaults they differ by about 1.3e-8
     @pytest.mark.parametrize("locked", [False, True])
     def test_default_curves(self, locked):
-        defaults = Section("dephasing", {}, cli.SCHEMA["dephasing"], "defaults")
-        atoms = defaults["atom_count"]
-        config = dp.EnsembleConfig(
-            atom_count=atoms, center_frequency=defaults["center_frequency"],
-            fwhm=defaults["fwhm"], seed=defaults["seed"], time_max=defaults["time_max"],
-            time_points=defaults["time_points"], replicas=defaults["replicas"])
-        grid = config.time_grid
-        if locked:
-            grid = grid * np.sqrt(atoms)
-            config = dataclasses.replace(config, time_max=grid[-1])
-        values, _ = dp.monte_carlo_mean_cos(config, locked=locked)
-        sigma = config.sigma / np.sqrt(atoms) if locked else config.sigma
-        fitted = dp.fit_efold_time(grid, values, config.center_frequency, sigma_guess=sigma)
-        assert fitted == pytest.approx(
-            curve_fit_efold_time(grid, values, config.center_frequency, sigma), rel=1e-6)
+        times, values, sigma = run_curve(locked)
+        fitted = dp.fit_efold_time(times, values, 100.0, sigma_guess=sigma)
+        assert fitted == pytest.approx(curve_fit_efold_time(times, values, 100.0, sigma),
+                                       rel=1e-6)
+
+    @pytest.mark.parametrize("locked", [False, True])
+    def test_weakly_decaying_curves(self, locked):
+        times, values, sigma = run_curve(locked, **WEAKLY_DECAYING)
+        fitted = dp.fit_efold_time(times, values, 100.0, sigma_guess=sigma)
+        assert fitted == pytest.approx(curve_fit_efold_time(times, values, 100.0, sigma),
+                                       rel=1e-6)
 
     @pytest.mark.parametrize("guess_factor", [0.5, 1.4, 3.0])
     def test_noisy_synthetic_curve(self, guess_factor):

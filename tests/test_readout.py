@@ -302,9 +302,22 @@ class TestEmission:
         config = rd.readout_config()
         state, _ = rd.readout_chain(config, 0.0)
         trace = rd.emit_field_trace(state, rd.emission_model(config))
-        measured = rd.estimate_oscillation_frequency(trace.times, trace.quadrature)
+        measured = estimate_oscillation_frequency(trace.times, trace.quadrature)
         resolution = 2.0 * math.pi / (trace.times[-1] - trace.times[0])
         assert abs(measured - trace.fitted_frequency) < resolution
+
+
+def estimate_oscillation_frequency(times, values) -> float:
+    """Dominant angular frequency of a trace: the peak of its coarse periodogram."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if len(times) < 8:
+        raise ValueError("need at least eight samples")
+    dt = times[1] - times[0]
+    spectrum = np.abs(np.fft.rfft(values - values.mean()))
+    freqs = np.fft.rfftfreq(len(values), dt)
+    peak = int(np.argmax(spectrum[1:])) + 1
+    return rd.TWO_PI * float(freqs[peak])
 
 
 def dense_emission(model):
