@@ -3,7 +3,9 @@
 Subcommands: dephasing, zeno2, zeno4, readout, allan.  Every run writes a
 manifest (resolved configuration, tool version, seed, result summary)
 beside its outputs, and identical manifests produce byte-identical files
-at any thread count (cap threads with ZENOLOCK_THREADS).
+at any thread count (cap threads with ZENOLOCK_THREADS).  Threads run only
+in a zeno2 or zeno4 sweep of two or more cycle times whose pair basis holds
+at least _POOL_MIN_DIMENSION states; every other run stays on one thread.
 
 Exit codes: 0 success; 2 configuration error; 3 out-of-regime parameters
 under --strict; 4 numerical-validity failure.
@@ -40,6 +42,24 @@ _MAX_ENTRIES = 1 << 24
 # reduction in cmd_readout is exact to about 1e-15 rad; beyond it the error
 # grows with the target (2 rad at 1e300).
 _MAX_CLOCK_PHASE = 2.0**51 * readout.TWO_PI
+
+# Smallest pair basis dimension d at which a survival-curve sweep runs its
+# cycle times on a thread pool; a smaller sweep costs more in thread start-up
+# than the curves overlap.  zeno4 (d = 16(n + 3)^2) with cycle_times = 0.001,
+# 0.05, the median of 30 fresh processes per cell, serial and pooled
+# alternating, OPENBLAS_NUM_THREADS=1, ZENOLOCK_THREADS 1 and 2, 2-core
+# Xeon VM:
+#
+#     n    d      serial    pool     pool faster in
+#     8    1936   47.2 ms   50.9 ms   9 of 30 pairs
+#     9    2304   51.9 ms   57.9 ms   8 of 30
+#    10    2704   56.6 ms   55.5 ms  18 of 30
+#    12    3600   62.9 ms   59.0 ms  18 of 30
+#    14    4624   79.2 ms   70.0 ms  21 of 30
+#    16    5776   91.2 ms   78.4 ms  26 of 30
+#
+# zeno2 (d = 4(n + 3) <= 2044) and the default zeno4 (d = 1936) stay below it.
+_POOL_MIN_DIMENSION = 2704
 
 # Every config key with its default text (as in configs/defaults.cfg), kind and
 # static bounds; bounds that involve two keys are checked in the handlers.
@@ -279,11 +299,12 @@ def cmd_dephasing(section: Section, out_dir: Path, args, digest: str):
 
 
 def _survival_curves(command: str, section: Section, out_dir: Path, args,
-                     digest: str, deltas: dict, run, title: str):
+                     digest: str, deltas: dict, configure, run, title: str):
     """Shared body of zeno2 and zeno4: one protocol run per cycle time.
 
-    ``run(cycle, final_time, photons, ratio, trace_points)`` returns
-    (config, trace, provenance entries of the run).  ``deltas`` maps the
+    ``configure(cycle, final_time, photons, ratio)`` returns the protocol
+    config of one cycle time, and ``run(config, trace_points)`` returns
+    (trace, provenance entries of the run).  ``deltas`` maps the
     splitting keys to their values; the cycle times the mean of their squares
     is the closed-form decay rate that places an "auto" final time.  Reads
     the keys both sections share and rejects out-of-range values before any
@@ -318,10 +339,15 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
                               f"{'auto gives ' if auto else ''}{final_time!r} is shorter "
                               f"than the cycle {cycle!r}")
 
-    def run_one(cycle):
-        return (cycle, *run(cycle, final_times[cycle], photons, ratio, trace_points))
+    configs = [configure(cycle, final_times[cycle], photons, ratio) for cycle in cycles]
+    # every cycle time shares one pair basis; below the threshold one thread is faster
+    small = z2.pair_basis(configs[0]).dimension < _POOL_MIN_DIMENSION
 
-    runs = parallel_map(run_one, cycles)
+    def run_one(item):
+        cycle, config = item
+        return (cycle, config, *run(config, trace_points))
+
+    runs = parallel_map(run_one, zip(cycles, configs), max_workers=1 if small else None)
     results = {}
     flags = {"out_of_regime": False}
     plot_series = []
@@ -353,21 +379,23 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
 def cmd_zeno2(section: Section, out_dir: Path, args, digest: str):
     delta = section["half_difference"]
 
-    def run(cycle, final_time, photons, ratio, trace_points):
-        frequency = section["cavity_frequency"]
-        offset = section["common_offset"]
-        config = z2.config_for_cycle_time(
-            cycle, final_time, half_difference=delta, photon_number=photons,
-            measure_ratio=ratio, cavity_frequency=frequency, common_offset=offset)
-        with _overflow_names("zeno2", {"cavity_frequency": frequency, "common_offset": offset,
-                                       "half_difference": delta}, "the pair Hamiltonian"):
+    def levels():  # read where the first cycle time needs them, after the shared keys
+        return {key: section[key] for key in ("cavity_frequency", "common_offset")}
+
+    def configure(cycle, final_time, photons, ratio):
+        return z2.config_for_cycle_time(cycle, final_time, half_difference=delta,
+                                        photon_number=photons, measure_ratio=ratio, **levels())
+
+    def run(config, trace_points):
+        with _overflow_names("zeno2", {**levels(), "half_difference": delta},
+                             "the pair Hamiltonian"):
             trace = z2.run_protocol(config, max_trace_points=trace_points)
-        return config, trace, {"half_difference": repr(delta),
-                               "coupling": repr(config.coupling),
-                               "measure_interval": repr(config.measure_interval)}
+        return trace, {"half_difference": repr(delta),
+                       "coupling": repr(config.coupling),
+                       "measure_interval": repr(config.measure_interval)}
 
     _, results, flags = _survival_curves("zeno2", section, out_dir, args, digest,
-                                         {"half_difference": delta}, run,
+                                         {"half_difference": delta}, configure, run,
                                          "Two-level survival probability")
     return results, flags, args.seed
 
@@ -376,21 +404,24 @@ def cmd_zeno4(section: Section, out_dir: Path, args, digest: str):
     delta_1 = section["delta_1"]
     delta_2 = section["delta_2"]
 
-    def run(cycle, final_time, photons, ratio, trace_points):
-        transitions = {"transition_1": section["transition_1"],
-                       "transition_2": section["transition_2"]}
-        config = zm.four_level_config_from_deltas(
+    def transitions():  # read where the first cycle time needs them, after the shared keys
+        return {key: section[key] for key in ("transition_1", "transition_2")}
+
+    def configure(cycle, final_time, photons, ratio):
+        return zm.four_level_config_from_deltas(
             delta_1, delta_2, cycle_time=cycle, final_time=final_time,
-            photon_number=photons, measure_ratio=ratio, **transitions)
-        with _overflow_names("zeno4", {**transitions, "delta_1": delta_1, "delta_2": delta_2},
+            photon_number=photons, measure_ratio=ratio, **transitions())
+
+    def run(config, trace_points):
+        with _overflow_names("zeno4", {**transitions(), "delta_1": delta_1, "delta_2": delta_2},
                              "the pair Hamiltonian"):
             trace = zm.run_four_level_protocol(config, max_trace_points=trace_points)
-        return config, trace, {"delta_1": repr(delta_1), "delta_2": repr(delta_2),
-                               "coupling": repr(config.coupling)}
+        return trace, {"delta_1": repr(delta_1), "delta_2": repr(delta_2),
+                       "coupling": repr(config.coupling)}
 
     runs, results, flags = _survival_curves(
-        "zeno4", section, out_dir, args, digest,
-        {"delta_1": delta_1, "delta_2": delta_2}, run, "Four-level survival probability")
+        "zeno4", section, out_dir, args, digest, {"delta_1": delta_1, "delta_2": delta_2},
+        configure, run, "Four-level survival probability")
     flags["mode_off_resonance"] = False
     for cycle, config, _, _ in runs:
         flags["mode_off_resonance"] |= any(abs(d) > 1e-9 for d in config.mode_detunings())

@@ -4,10 +4,15 @@ ZENOLOCK_THREADS caps the worker count for every parallel sweep in the
 package.  Work items are always mapped to results in submission order, so the
 numerical output is bit-identical no matter how many threads run, and every
 item runs under the caller's numpy floating-point error settings.
+
+The one caller, the survival-curve sweep of zeno2 and zeno4, runs on a
+pool only when it has two or more cycle times and a pair basis of at least
+``cli._POOL_MIN_DIMENSION`` states; any other map is a plain loop on the
+calling thread, and ``concurrent.futures`` is imported only when a pool is
+built.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,6 +34,8 @@ def parallel_map(fn, items, max_workers: int | None = None) -> list:
     workers = min(max_workers or thread_limit(), len(items)) if items else 1
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     settings = np.geterr()
 
     def task(item):

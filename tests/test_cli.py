@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +49,31 @@ fit_periods = 16
 
 [allan]
 """
+
+# A zeno4 sweep whose pair basis (d = 16(10 + 3)^2 = 2704) reaches
+# cli._POOL_MIN_DIMENSION, so its two cycle times run on a thread pool.
+POOLED = """
+[zeno4]
+cycle_times = 0.001, 0.05
+final_time = 1.0
+photon_number = 10
+"""
+
+
+def off_main_thread(monkeypatch):
+    """Record, for every task of the CLI's parallel_map, whether a pool thread ran it."""
+    record = []
+    original = cli.parallel_map
+
+    def recording(fn, items, max_workers=None):
+        def task(item):
+            record.append(threading.current_thread() is not threading.main_thread())
+            return fn(item)
+
+        return original(task, items, max_workers)
+
+    monkeypatch.setattr(cli, "parallel_map", recording)
+    return record
 
 
 def bound_probes(declared):
@@ -534,16 +560,19 @@ class TestExitCodes:
     def test_pool_threads_keep_the_error_state(self, tmp_path, capsys, monkeypatch):
         # the two cycle times run on two pool threads, which raise on the
         # overflowing pair Hamiltonian like the calling thread does
-        path = write_config(tmp_path, "[zeno2]\ncavity_frequency = 1e308\n"
-                                      "cycle_times = 0.01, 0.02\nfinal_time = 0.5\n")
+        path = write_config(tmp_path, POOLED + "transition_1 = 1e308\n")
+        off_main = off_main_thread(monkeypatch)
         outcomes = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ZENOLOCK_THREADS", threads)
-            code = cli.main(["zeno2", "--config", str(path), "--out",
+            off_main.clear()
+            code = cli.main(["zeno4", "--config", str(path), "--out",
                              str(tmp_path / threads)])
-            outcomes.append((code, capsys.readouterr().err))
-        assert outcomes[0][0] == cli.EXIT_NUMERICAL
-        assert outcomes[1] == outcomes[0]
+            outcomes.append((code, capsys.readouterr().err, any(off_main)))
+        assert outcomes[0] == (cli.EXIT_NUMERICAL, "zenolock: numerical validity failure: "
+                               "[zeno4] transition_1 = 1e+308 overflows the pair Hamiltonian\n",
+                               False)
+        assert outcomes[1] == (*outcomes[0][:2], True)
 
     @pytest.mark.parametrize("key, outcome", [("fwhm", "underflows"),
                                               ("cycle_time", "underflows"),
@@ -815,18 +844,27 @@ class TestNoDenseOperator:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("command", ["dephasing", "zeno2", "zeno4", "readout"])
-    def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch, command):
-        path = write_config(tmp_path, SMALL)
+    @pytest.mark.parametrize("command, text", [
+        *(pytest.param(command, SMALL, id=command)
+          for command in ("dephasing", "zeno2", "zeno4", "readout")),
+        pytest.param("zeno4", POOLED, id="zeno4-pooled")])
+    def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch, command, text):
+        path = write_config(tmp_path, text)
+        off_main = off_main_thread(monkeypatch)
         outputs = {}
+        pooled = {}
         for label, threads in (("one", "1"), ("many", "8")):
             monkeypatch.setenv("ZENOLOCK_THREADS", threads)
+            off_main.clear()
             out = tmp_path / f"{command}_{label}"
             assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
             outputs[label] = {p.name: p.read_bytes() for p in out.iterdir()
                               if p.suffix == ".csv"}
+            pooled[label] = any(off_main)
         assert outputs["one"]
         assert outputs["one"] == outputs["many"]
+        # SMALL has one cycle time per pair, so only POOLED starts a pool
+        assert pooled == {"one": False, "many": text is POOLED}
 
     def test_identical_manifests_for_identical_runs(self, tmp_path):
         path = write_config(tmp_path, SMALL)
@@ -881,13 +919,15 @@ assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
 
 class TestStartup:
     @staticmethod
-    def _unloaded_after_cli_import(module):
+    def _unloaded_after_cli_import(module, argv=None):
+        """Check in a fresh interpreter, after ``cli.main(argv)`` if ``argv`` is given."""
         src = Path(cli.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        run = "" if argv is None else f"assert zenolock.cli.main({argv!r}) == 0; "
         result = subprocess.run(
             [sys.executable, "-c",
-             f"import sys, zenolock.cli; assert {module!r} not in sys.modules"],
+             f"import sys, zenolock.cli; {run}assert {module!r} not in sys.modules"],
             env=env, capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
 
@@ -899,6 +939,16 @@ class TestStartup:
     def test_cli_import_leaves_svgplot_unloaded(self):
         # no run without --plots pays for loading the plotter
         self._unloaded_after_cli_import("zenolock.svgplot")
+
+    def test_cli_import_leaves_the_thread_pool_unloaded(self):
+        self._unloaded_after_cli_import("concurrent.futures")
+
+    def test_default_zeno2_run_leaves_the_thread_pool_unloaded(self, tmp_path):
+        # the default sweep's two cycle times share a pair basis below
+        # cli._POOL_MIN_DIMENSION, so they run on the calling thread
+        self._unloaded_after_cli_import("concurrent.futures", [
+            "zeno2", "--config", str(REPO / "configs" / "defaults.cfg"),
+            "--out", str(tmp_path / "out")])
 
 
 class TestWithoutScipy:
