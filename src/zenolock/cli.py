@@ -4,8 +4,9 @@ Subcommands: dephasing, zeno2, zeno4, readout, allan.  Every run writes a
 manifest (resolved configuration, tool version, seed, result summary)
 beside its outputs, and identical manifests produce byte-identical files
 at any thread count (cap threads with ZENOLOCK_THREADS).  Threads run only
-in a zeno2 or zeno4 sweep of two or more cycle times whose pair basis holds
-at least _POOL_MIN_DIMENSION states; every other run stays on one thread.
+in a survival-curve sweep of two or more cycle times whose pair basis holds
+at least _POOL_MIN_DIMENSION states (zeno4 from photon_number = 40; no zeno2
+basis is that large); every other run stays on one thread.
 
 Exit codes: 0 success; 2 configuration error; 3 out-of-regime parameters
 under --strict; 4 numerical-validity failure.
@@ -45,21 +46,26 @@ _MAX_CLOCK_PHASE = 2.0**51 * readout.TWO_PI
 
 # Smallest pair basis dimension d at which a survival-curve sweep runs its
 # cycle times on a thread pool; a smaller sweep costs more in thread start-up
-# than the curves overlap.  zeno4 (d = 16(n + 3)^2) with cycle_times = 0.001,
-# 0.05, the median of 30 fresh processes per cell, serial and pooled
-# alternating, OPENBLAS_NUM_THREADS=1, ZENOLOCK_THREADS 1 and 2, 2-core
-# Xeon VM:
+# (and the ~11 ms import of concurrent.futures) than the curves overlap.
+# zeno4 (d = 16(n + 3)^2) with cycle_times = 0.001, 0.05, median cli.main
+# time of 30 fresh processes per cell, serial and pooled alternating,
+# OPENBLAS_NUM_THREADS=1, ZENOLOCK_THREADS 1 and 2, 2-core Xeon VM:
 #
-#     n    d      serial    pool     pool faster in
-#     8    1936   47.2 ms   50.9 ms   9 of 30 pairs
-#     9    2304   51.9 ms   57.9 ms   8 of 30
-#    10    2704   56.6 ms   55.5 ms  18 of 30
-#    12    3600   62.9 ms   59.0 ms  18 of 30
-#    14    4624   79.2 ms   70.0 ms  21 of 30
-#    16    5776   91.2 ms   78.4 ms  26 of 30
+#     n    d       serial     pool      pool faster in
+#    10    2704    21.5 ms    34.4 ms    2 of 30 pairs
+#    16    5776    29.6 ms    41.5 ms    1 of 30
+#    24    11664   64.6 ms    63.3 ms   13 of 30
+#    28    15376   61.8 ms    61.2 ms   19 of 30
+#    32    19600   79.3 ms    77.9 ms   18 of 30
+#    40    29584   86.3 ms    79.9 ms   22 of 30
+#    48    41616  127.0 ms   107.9 ms   28 of 30
+#    61    65536  199.2 ms   161.7 ms   29 of 30
 #
-# zeno2 (d = 4(n + 3) <= 2044) and the default zeno4 (d = 1936) stay below it.
-_POOL_MIN_DIMENSION = 2704
+# The VM scatters these by ±10% from run to run: over three or four such runs
+# the pooled median was slower in one at n = 24 and at n = 32 (n = 28 ran
+# once), and faster in every run from n = 40.  zeno2 (d = 4(n + 3) <= 2044)
+# and the default zeno4 (d = 1936) stay far below it.
+_POOL_MIN_DIMENSION = 29584
 
 # Every config key with its default text (as in configs/defaults.cfg), kind and
 # static bounds; bounds that involve two keys are checked in the handlers.
@@ -268,9 +274,17 @@ def cmd_dephasing(section: Section, out_dir: Path, args, digest: str):
         provenance=provenance)
     write_csv(hist_record, out_dir / "bandwidth_histograms.csv")
 
-    efold_ind = dephasing.fit_efold_time(grid, mc_ind, f0, sigma_guess=sigma)
-    efold_lock = dephasing.fit_efold_time(locked_grid, mc_lock, f0,
-                                          sigma_guess=sigma / math.sqrt(atom_count))
+    def efold_time(curve, times, values, sigma_guess):
+        try:
+            return dephasing.fit_efold_time(times, values, f0, sigma_guess=sigma_guess)
+        except dephasing.EnvelopeFitError as error:
+            # the decay the fit resolves grows with fwhm and the grid's extent
+            raise dephasing.EnvelopeFitError(
+                f"{error}, on the {curve} curve at [dephasing] fwhm = {fwhm!r}, time_max = "
+                f"{time_max!r}, time_points = {points!r}") from None
+
+    efold_ind = efold_time("independent", grid, mc_ind, sigma)
+    efold_lock = efold_time("locked", locked_grid, mc_lock, sigma / math.sqrt(atom_count))
     results = {
         "efold_time_independent": efold_ind,
         "efold_time_locked": efold_lock,
@@ -455,8 +469,9 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
         transition_1=transition_1,
         transition_2=transition_2,
         time_max=time_max,
-        time_points=points)
-    config = dataclasses.replace(config, emission_mode_cutoff=cutoff, fit_periods=fit_periods)
+        time_points=points,
+        emission_cutoff=cutoff,
+        fit_periods=fit_periods)
     method = section["method"]
     if config.clock_frequency == 0.0:
         raise ConfigError("[readout] transition_1 equals transition_2, so the clock "
@@ -579,25 +594,25 @@ _HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: every subcommand takes the same five options."""
     parser = argparse.ArgumentParser(
         prog="zenolock",
-        description="Quantum-Zeno phase-locking simulator for atomic clocks.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("dephasing", "ensemble coherence curves and bandwidth histograms"),
-        ("zeno2", "two-level pair survival curves"),
-        ("zeno4", "four-level pair survival curves"),
-        ("readout", "emitted-field traces and phase fits"),
-        ("allan", "closed-form Allan deviation table"),
-    ):
-        cmd = sub.add_parser(name, help=blurb)
-        cmd.add_argument("--config", required=True, help="run configuration file")
-        cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the configured random seed")
-        cmd.add_argument("--plots", action="store_true", help="also write SVG plots")
-        cmd.add_argument("--strict", action="store_true",
-                         help="exit nonzero when parameters are out of regime")
+        description="Quantum-Zeno phase-locking simulator for atomic clocks.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="commands:\n"
+               "  dephasing  ensemble coherence curves and bandwidth histograms\n"
+               "  zeno2      two-level pair survival curves\n"
+               "  zeno4      four-level pair survival curves\n"
+               "  readout    emitted-field traces and phase fits\n"
+               "  allan      closed-form Allan deviation table")
+    parser.add_argument("command", choices=tuple(_HANDLERS), help="what to run")
+    parser.add_argument("--config", required=True, help="run configuration file")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the configured random seed")
+    parser.add_argument("--plots", action="store_true", help="also write SVG plots")
+    parser.add_argument("--strict", action="store_true",
+                        help="exit nonzero when parameters are out of regime")
     return parser
 
 

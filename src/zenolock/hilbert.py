@@ -375,11 +375,17 @@ def combine_labels(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 class BlockEvolver:
     """Exact evolution exploiting a conserved occupation label.
 
-    Takes a :class:`SectorHamiltonian`, stacks its blocks by size and
-    eigendecomposes each stack with one batched ``eigh``; no operator of the
-    full basis is formed.  Every block gets the eigensystem and the products
-    that a block on its own would, bit for bit, which the test suite asserts
-    together with agreement to 1e-10 with the dense :func:`evolve` path.
+    Takes a :class:`SectorHamiltonian` and groups its blocks by size; no
+    operator of the full basis is formed.  A block is eigendecomposed on the
+    first :meth:`propagate` call that reaches it, with one batched ``eigh``
+    per size group over its newly reached blocks, and its eigensystem is
+    cached on the instance.  A run therefore solves only the sectors it
+    populates: 3 of the 17 blocks of the default zeno2 pair, 6 of the 166 of
+    the default zeno4 pair.  The cache makes an instance unsafe to share
+    between threads; each protocol run builds its own.  Every block gets the
+    eigensystem and the products that a block on its own would, bit for
+    bit, which the test suite asserts together with agreement to 1e-10 with
+    the dense :func:`evolve` path.
     """
 
     def __init__(self, hamiltonian: SectorHamiltonian):
@@ -389,22 +395,30 @@ class BlockEvolver:
             by_size.setdefault(len(idx), []).append((idx, block))
         self._groups = []
         for members in by_size.values():
-            w, v = np.linalg.eigh(np.stack([block for _, block in members]))
-            self._groups.append((np.stack([idx for idx, _ in members]), w, v))
+            count, size = len(members), len(members[0][0])
+            # eigenvalues, eigenvectors and which blocks hold them so far
+            self._groups.append((np.stack([idx for idx, _ in members]),
+                                 [block for _, block in members], np.empty((count, size)),
+                                 np.empty((count, size, size), dtype=complex),
+                                 np.zeros(count, dtype=bool)))
 
     def propagate(self, amplitudes: np.ndarray, duration: float) -> np.ndarray:
         """exp(-i H t) on one amplitude vector or a (dimension, k) batch of them.
 
         Each group of equal-size blocks costs one stacked product for all
         its blocks and columns.  A block on which every column vanishes is
-        left out of its group's product, and stays zero.
+        left out of its group's product, stays zero and is not solved.
         """
         out = np.zeros_like(amplitudes)
-        for idx, w, v in self._groups:
+        for idx, blocks, w, v, solved in self._groups:
             sub = amplitudes[idx][..., None] if amplitudes.ndim == 1 else amplitudes[idx]
             live = sub.any(axis=(1, 2))
             if not live.any():
                 continue
+            fresh = np.flatnonzero(live & ~solved)
+            if fresh.size:
+                w[fresh], v[fresh] = np.linalg.eigh(np.stack([blocks[i] for i in fresh]))
+                solved[fresh] = True
             if not live.all():
                 idx, w, v, sub = idx[live], w[live], v[live], sub[live]
             phase = np.exp(-1j * duration * w)[..., None]

@@ -20,6 +20,7 @@ elimination of the far-detuned intermediates (the fast path, with the full
 evolution as its oracle).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -69,10 +70,10 @@ class ReadoutConfig:
             raise ValueError("emission_mode_cutoff must be >= 1")
         if self.fit_periods <= 0.0:
             raise ValueError("fit_periods must be positive")
-        grid = tuple(float(t) for t in self.readout_times)
-        if grid and any(b <= a for a, b in zip(grid, grid[1:])):
+        grid = np.asarray(self.readout_times, dtype=float)
+        if np.any(grid[1:] <= grid[:-1]):
             raise ValueError("readout_times must be strictly increasing")
-        object.__setattr__(self, "readout_times", grid)
+        object.__setattr__(self, "readout_times", tuple(grid.tolist()))
 
     def mean_level(self, name: str) -> float:
         return 0.5 * (getattr(self.atom_a, name) + getattr(self.atom_b, name))
@@ -97,20 +98,31 @@ class ReadoutConfig:
 def readout_config(detuning: float = 10.0, drive_amplitude: float = 1.0,
                    coupling: float = 2.0, transition_1: float = 120.0,
                    transition_2: float = 110.0, time_max: float = 5.0,
-                   time_points: int = 4001) -> ReadoutConfig:
+                   time_points: int = 4001, emission_cutoff: int = 2,
+                   fit_periods: float = 32.0) -> ReadoutConfig:
     """Readout config with identical atoms and both ground levels at zero."""
     atom = FourLevelEnergies(g1=0.0, g2=0.0, e1=transition_1, e2=transition_2)
-    grid = tuple(np.linspace(0.0, time_max, time_points))
     return ReadoutConfig(atom_a=atom, atom_b=atom, detuning=detuning,
-                         drive_amplitude=drive_amplitude, coupling=coupling, readout_times=grid)
+                         drive_amplitude=drive_amplitude, coupling=coupling,
+                         emission_mode_cutoff=emission_cutoff,
+                         readout_times=np.linspace(0.0, time_max, time_points),
+                         fit_periods=fit_periods)
 
 
+@functools.cache
 def pair_basis() -> h.ProductBasis:
+    """The bare two-atom basis, built once."""
     return h.build_basis([Atom(4), Atom(4)])
 
 
 def emission_basis(config: ReadoutConfig) -> h.ProductBasis:
-    return h.build_basis([Atom(4), Atom(4), Mode(config.emission_mode_cutoff)])
+    """Two atoms and the emission mode, built once per mode cutoff."""
+    return _emission_basis(config.emission_mode_cutoff)
+
+
+@functools.cache
+def _emission_basis(cutoff: int) -> h.ProductBasis:
+    return h.build_basis([Atom(4), Atom(4), Mode(cutoff)])
 
 
 # Beam splitter on the ground levels of one atom: |G1> -> (|G1> + |G2>)/sqrt(2),

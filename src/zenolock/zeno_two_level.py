@@ -177,9 +177,16 @@ def split_cycle(cycle_time: float, photon_number: int, measure_ratio: float) -> 
 
 
 def pair_basis(config) -> h.ProductBasis:
-    """Both atoms (``config.LEVELS`` levels each), then one mode per transition."""
-    modes = [Mode(cutoff) for cutoff in config.fock_cutoffs]
-    return h.build_basis([Atom(config.LEVELS), Atom(config.LEVELS), *modes])
+    """Both atoms (``config.LEVELS`` levels each), then one mode per transition.
+
+    Built once per level count and Fock cutoffs.
+    """
+    return _pair_basis(config.LEVELS, config.fock_cutoffs)
+
+
+@functools.cache
+def _pair_basis(levels: int, cutoffs: tuple) -> h.ProductBasis:
+    return h.build_basis([Atom(levels), Atom(levels), *(Mode(cutoff) for cutoff in cutoffs)])
 
 
 def _hamiltonian_terms(config, coupled: bool):

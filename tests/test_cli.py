@@ -1,6 +1,8 @@
 """Configuration parsing and end-to-end CLI runs."""
 
+import argparse
 import inspect
+import itertools
 import math
 import os
 import subprocess
@@ -50,14 +52,23 @@ fit_periods = 16
 [allan]
 """
 
-# A zeno4 sweep whose pair basis (d = 16(10 + 3)^2 = 2704) reaches
-# cli._POOL_MIN_DIMENSION, so its two cycle times run on a thread pool.
-POOLED = """
+# The smallest photon number whose zeno4 pair basis (d = 16(n + 3)^2) reaches
+# cli._POOL_MIN_DIMENSION; a sweep of two cycle times there runs on a thread pool.
+POOL_PHOTONS = next(n for n in itertools.count() if 16 * (n + 3)**2 >= cli._POOL_MIN_DIMENSION)
+POOLED = f"""
 [zeno4]
 cycle_times = 0.001, 0.05
 final_time = 1.0
-photon_number = 10
+photon_number = {POOL_PHOTONS}
 """
+COMMANDS = ("dephasing", "zeno2", "zeno4", "readout", "allan")
+
+
+def fresh_env(**variables):
+    """Environment of a fresh interpreter that imports this checkout's zenolock."""
+    src = Path(cli.__file__).resolve().parent.parent
+    return {**os.environ, **variables, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
 
 
 def off_main_thread(monkeypatch):
@@ -277,7 +288,23 @@ class TestExitCodes:
         code = cli.main(["dephasing", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert err == "zenolock: numerical validity failure: envelope fit did not converge\n"
+        assert err == ("zenolock: numerical validity failure: envelope fit did not converge, "
+                       "on the independent curve at [dephasing] fwhm = 10.0, time_max = 0.1, "
+                       "time_points = 31\n")
+
+    @pytest.mark.parametrize("key, value, curve, shown", [
+        ("fwhm", "0.005", "locked", "fwhm = 0.005, time_max = 0.1"),
+        ("time_max", "1e-9", "independent", "fwhm = 10.0, time_max = 1e-09")])
+    def test_envelope_fit_failure_names_the_keys(self, tmp_path, capsys, key, value, curve,
+                                                 shown):
+        path = write_config(tmp_path, small_with("dephasing", key, value))
+        code = cli.main(["dephasing", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("zenolock: numerical validity failure: envelope ")
+        assert err.endswith(f", on the {curve} curve at [dephasing] {shown}, "
+                            f"time_points = 31\n")
+        assert err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
     def test_non_decaying_ensemble_exit_code(self, tmp_path, capsys):
@@ -788,6 +815,55 @@ photon_number = 2
 REPO = Path(__file__).resolve().parents[1]
 
 
+def subparser_oracle() -> argparse.ArgumentParser:
+    """The command line as five subparsers with the same five options, as it was built before."""
+    parser = argparse.ArgumentParser(prog="zenolock")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        cmd = sub.add_parser(name)
+        cmd.add_argument("--config", required=True)
+        cmd.add_argument("--out", required=True)
+        cmd.add_argument("--seed", type=int, default=None)
+        cmd.add_argument("--plots", action="store_true")
+        cmd.add_argument("--strict", action="store_true")
+    return parser
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [["--help"], *([command, "--help"] for command in COMMANDS)],
+                             ids=["top", *COMMANDS])
+    def test_help_lists_the_commands(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in COMMANDS)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus", "--config", "run.cfg", "--out", "out"],
+        ["zeno2", "--out", "out"],
+        ["zeno2", "--config", "run.cfg"],
+        ["zeno2", "--config", "run.cfg", "--out", "out", "--seed", "1.5"],
+        ["zeno2", "--config", "run.cfg", "--out", "out", "--seed", "x"],
+        ["zeno2", "--config", "run.cfg", "--out", "out", "--threads", "2"],
+    ], ids=["no-command", "unknown-command", "no-config", "no-out", "float-seed", "text-seed",
+            "unknown-option"])
+    def test_usage_error_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("usage: zenolock")
+
+    @pytest.mark.parametrize("options", [
+        [], ["--seed", "7"], ["--plots", "--strict"], ["--strict", "--seed", "-3", "--plots"]])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_same_namespace_as_subparsers(self, command, options):
+        argv = [command, "--config", "run.cfg", "--out", "out", *options]
+        assert (vars(cli.build_parser().parse_args(argv))
+                == vars(subparser_oracle().parse_args(argv)))
+
+
 class TestSchema:
     @pytest.mark.parametrize("command", list(cli.SCHEMA))
     def test_handler_reads_every_declared_key(self, tmp_path, monkeypatch, command):
@@ -866,6 +942,26 @@ class TestDeterminism:
         # SMALL has one cycle time per pair, so only POOLED starts a pool
         assert pooled == {"one": False, "many": text is POOLED}
 
+    def test_pooled_sweep_in_fresh_processes(self, tmp_path):
+        # the smallest sweep on the pooled side of the threshold: at two
+        # workers it loads the thread pool and writes the CSVs of one worker
+        path = write_config(tmp_path, POOLED)
+        run = ("import sys, zenolock.cli; code = zenolock.cli.main(sys.argv[1:]); "
+               "print('concurrent.futures' in sys.modules); sys.exit(code)")
+        outputs, loaded = {}, {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            result = subprocess.run(
+                [sys.executable, "-c", run, "zeno4", "--config", str(path), "--out", str(out)],
+                env=fresh_env(ZENOLOCK_THREADS=threads), capture_output=True, text=True,
+                timeout=300)
+            assert result.returncode == 0, result.stderr
+            loaded[threads] = result.stdout.strip()
+            outputs[threads] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        assert loaded == {"1": "False", "2": "True"}
+        assert len(outputs["1"]) == 2
+        assert outputs["1"] == outputs["2"]
+
     def test_identical_manifests_for_identical_runs(self, tmp_path):
         path = write_config(tmp_path, SMALL)
         out = tmp_path / "same"
@@ -921,14 +1017,11 @@ class TestStartup:
     @staticmethod
     def _unloaded_after_cli_import(module, argv=None):
         """Check in a fresh interpreter, after ``cli.main(argv)`` if ``argv`` is given."""
-        src = Path(cli.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
         run = "" if argv is None else f"assert zenolock.cli.main({argv!r}) == 0; "
         result = subprocess.run(
             [sys.executable, "-c",
              f"import sys, zenolock.cli; {run}assert {module!r} not in sys.modules"],
-            env=env, capture_output=True, text=True, timeout=300)
+            env=fresh_env(), capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
 
     def test_cli_import_leaves_numpy_random_unloaded(self):
@@ -954,12 +1047,9 @@ class TestStartup:
 class TestWithoutScipy:
     def test_cli_imports_and_runs_without_scipy(self, tmp_path):
         path = write_config(tmp_path, SMALL)
-        src = Path(cli.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
         result = subprocess.run(
             [sys.executable, "-c", WITHOUT_SCIPY, str(path), str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=300)
+            env=fresh_env(), capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "out" / "dephasing" / "manifest.txt").exists()
         assert (tmp_path / "out" / "zeno2" / "manifest.txt").exists()

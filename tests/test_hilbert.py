@@ -370,6 +370,64 @@ class TestBlockEvolver:
                 np.testing.assert_array_equal(evolver.propagate(amplitudes, t),
                                               per_block_propagate(sectors, amplitudes, t))
 
+    @pytest.mark.parametrize("case", ["zeno2", "zeno4", "unordered"])
+    def test_lazily_solved_blocks_match_per_block_oracle(self, case):
+        # one evolver sees columns that reach a few blocks, then more, then
+        # all: each call solves its newly reached blocks next to cached ones
+        sectors = {"zeno2": default_zeno2_sectors, "zeno4": default_zeno4_sectors,
+                   "unordered": unordered_sectors}[case]()
+        evolver = h.BlockEvolver(sectors)
+        rng = np.random.default_rng(8)
+        dim = sectors.basis.dimension
+        batch = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        few, more = batch.copy(), batch.copy()
+        for number, (idx, _) in enumerate(sectors.sectors):
+            if number % 4:
+                few[idx] = 0.0
+            if number % 2:
+                more[idx] = 0.0
+        for amplitudes in (few[:, 0], few, more[:, 1], more, batch[:, 2], batch):
+            for t in (0.001, 0.4):
+                assert np.array_equal(evolver.propagate(amplitudes, t),
+                                      per_block_propagate(sectors, amplitudes, t))
+
+    @pytest.mark.parametrize("case, blocks, solved", [("zeno2", 17, 3), ("zeno4", 166, 6)])
+    def test_default_run_solves_only_reached_blocks(self, monkeypatch, case, blocks, solved):
+        # the cycle starts from the atom states with n photons in every mode,
+        # which lie in a few excitation sectors
+        config = {"zeno2": default_zeno2_config, "zeno4": default_zeno4_config}[case]()
+        assert len(z2.build_sector_hamiltonian(config).sectors) == blocks
+        stacks = eigh_spy(monkeypatch)
+        {"zeno2": z2.run_protocol, "zeno4": zm.run_four_level_protocol}[case](config)
+        assert sum(len(stack) for stack in stacks) == solved
+
+    def test_later_propagate_solves_only_new_blocks(self, monkeypatch):
+        sectors = default_zeno4_sectors()
+        evolver = h.BlockEvolver(sectors)
+        stacks = eigh_spy(monkeypatch)
+        numbers = range(len(sectors.sectors))
+        old = [number for number in numbers if number % 5 == 0]
+        new = [number for number in numbers if number % 3 == 0 and number % 5]
+        batch = np.zeros((sectors.basis.dimension, 2), dtype=complex)
+        for column, reached in enumerate((old, new)):
+            for number in reached:
+                batch[sectors.sectors[number][0], column] = 1.0
+        evolver.propagate(batch[:, 0], 0.1)
+        assert sum(len(stack) for stack in stacks) == len(old)
+        stacks.clear()
+        evolver.propagate(batch, 0.2)
+        # one stack per block size, of the new blocks in sector order
+        expected = {}
+        for number in new:
+            block = sectors.sectors[number][1]
+            expected.setdefault(len(block), []).append(block)
+        assert len(stacks) == len(expected)
+        for stack in stacks:
+            assert np.array_equal(stack, np.stack(expected[stack.shape[1]]))
+        stacks.clear()
+        evolver.propagate(batch, 0.3)
+        assert stacks == []
+
     def test_evolution_stays_in_initial_block(self):
         basis = h.build_basis([h.Atom(2), h.Mode(6)])
         H = jaynes_cummings(basis, 5.0, 5.0, 1.3)
@@ -395,15 +453,38 @@ def per_block_propagate(sectors, amplitudes, duration):
     return out
 
 
+def default_zeno2_config():
+    """The [zeno2] pair of configs/defaults.cfg at its shorter cycle, run to t = 1."""
+    return z2.config_for_cycle_time(0.001, 1.0)
+
+
+def default_zeno4_config():
+    """The [zeno4] pair of configs/defaults.cfg."""
+    return zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.001, final_time=100.0,
+                                            photon_number=8)
+
+
 def default_zeno2_sectors():
-    """The coupled [zeno2] pair of configs/defaults.cfg at its shorter cycle."""
-    return z2.build_two_level_hamiltonian(z2.config_for_cycle_time(0.001, 1.0))
+    """The coupled default [zeno2] pair."""
+    return z2.build_two_level_hamiltonian(default_zeno2_config())
 
 
 def default_zeno4_sectors():
-    """The coupled [zeno4] pair of configs/defaults.cfg."""
-    return zm.build_sector_hamiltonian(zm.four_level_config_from_deltas(
-        2.0, 2.0, cycle_time=0.001, final_time=100.0, photon_number=8))
+    """The coupled default [zeno4] pair."""
+    return zm.build_sector_hamiltonian(default_zeno4_config())
+
+
+def eigh_spy(monkeypatch):
+    """Record the matrices of every ``np.linalg.eigh`` call, each call as one stack."""
+    stacks = []
+    original = np.linalg.eigh
+
+    def recording(matrices):
+        stacks.append(np.reshape(matrices, (-1, *np.shape(matrices)[-2:])).copy())
+        return original(matrices)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return stacks
 
 
 def unordered_sectors():
