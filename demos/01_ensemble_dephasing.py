@@ -33,8 +33,12 @@ print(f"coherence e-fold time, locked ensemble:   "
 
 config = dp.EnsembleConfig(ATOMS, F0, FWHM, SEED, time_max=0.1, time_points=201,
                            replicas=REPLICAS)
+# the histogram below reads 9 atoms of 10,000 replicas of the same draw; the
+# Monte Carlo pass keeps those of its 4000 replicas, so every stream is drawn once
+hist_config = dp.EnsembleConfig(9, F0, FWHM, SEED, time_max=1.0, time_points=2,
+                                replicas=10_000)
 grid = config.time_grid
-mc_ind, se_ind = dp.monte_carlo_mean_cos(config)
+mc_ind, se_ind = dp.monte_carlo_mean_cos(config, histogram=hist_config)
 analytic_ind = dp.envelope_independent(grid, sigma, F0)
 
 # the same 201 points stretched by sqrt(N)
@@ -56,8 +60,6 @@ line_plot(OUT / "dephasing_locked.svg",
           title="Mean cosine, locked ensemble", xlabel="t [s]", ylabel="mean cos")
 
 # sqrt(N) narrowing of the frequency distribution itself
-hist_config = dp.EnsembleConfig(9, F0, FWHM, SEED, time_max=1.0, time_points=2,
-                                replicas=10_000)
 histograms = dp.bandwidth_histogram(hist_config)
 print(f"\nN = 9 replica-mean distribution is {histograms.sigma_ratio:.2f}x narrower "
       f"than the single-atom one (expect {math.sqrt(9):.0f}x)")

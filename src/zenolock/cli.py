@@ -215,8 +215,9 @@ def cmd_dephasing(section: Section, out_dir: Path, args, digest: str):
     time_max = section["time_max"]
     bins = section["histogram_bins"]
     histogram_atoms = section["histogram_atom_count"]
-    # the sampled frequencies, the Monte Carlo work (its time_points x replicas
-    # values are folded block by block, so this bounds work, not an array),
+    # the draw work (replicas are drawn a few kernel blocks at a time, so
+    # this bounds work, not an array), the Monte Carlo work (its time_points
+    # x replicas values are folded block by block, so this too bounds work),
     # the phasor powers of one replica (about 2 sqrt(time_points) per atom)
     # and the histogram samples
     for keys, entries in (("replicas x atom_count", replicas * atom_count),
@@ -241,7 +242,8 @@ def cmd_dephasing(section: Section, out_dir: Path, args, digest: str):
         grid = config.time_grid
         locked_grid = grid * math.sqrt(atom_count)
         locked_config = dataclasses.replace(config, time_max=locked_grid[-1])
-        mc_ind, se_ind = dephasing.monte_carlo_mean_cos(config, locked=False)
+        mc_ind, se_ind = dephasing.monte_carlo_mean_cos(config, locked=False,
+                                                         histogram=hist_config)
         mc_lock, se_lock = dephasing.monte_carlo_mean_cos(locked_config, locked=True)
         with _overflow_names("dephasing", {"fwhm": fwhm, "time_max": time_max},
                              "the envelope exponent (2 pi sigma t)^2 / 2"):

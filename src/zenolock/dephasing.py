@@ -13,6 +13,7 @@ This is the only module that works in plain Hz and seconds.
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,10 @@ TWO_PI = 2.0 * np.pi
 # 2^15-2^16, where a block is a few replicas and the per-block numpy calls
 # dominate.
 _BLOCK_ENTRIES = 1 << 17
+# Float64 entries of the buffer the Monte Carlo draws replica frequencies
+# into, a whole number of _phasor_blocks blocks at a time (at least one):
+# 31 blocks of 21 replicas, 0.5 MB, on the default independent curve.
+_DRAW_ENTRIES = 1 << 16
 
 
 def fwhm_to_sigma(fwhm: float) -> float:
@@ -110,9 +115,48 @@ def _replica_rng(seed: int, replica: int) -> "np.random.Generator":
     return rng
 
 
-# The last draw of sample_all_replicas: ((seed, replicas, center, fwhm), frequencies).
-# Two threads that miss at once both draw the same deterministic array, so
-# the memo needs no lock.
+def _draw(config: EnsembleConfig, out: np.ndarray, first: int) -> np.ndarray:
+    """Fill the rows of ``out`` with the frequencies of replicas first, first + 1, ..."""
+    seed = config.seed
+    for r, row in enumerate(out, first):
+        _replica_rng(seed, r).standard_normal(out=row)
+    # in place, the same two roundings per entry as center + sigma * draws
+    out *= config.sigma
+    out += config.center_frequency
+    return out
+
+
+def _draw_chunks(config: EnsembleConfig, rows: int):
+    """(first replica, frequencies) of every replica, in chunks of whole
+    ``rows``-replica blocks drawn one after another into one reused buffer.
+
+    A chunk holds as many blocks as _DRAW_ENTRIES floats allow, at least
+    one; the last chunk holds the rest.  Each chunk is a view the next one
+    overwrites.
+    """
+    replicas = config.replicas
+    size = min(replicas, rows * max(1, _DRAW_ENTRIES // (rows * config.atom_count)))
+    buffer = np.empty((size, config.atom_count))
+    for lo in range(0, replicas, size):
+        yield lo, _draw(config, buffer[:min(size, replicas - lo)], lo)
+
+
+def _draw_key(config: EnsembleConfig) -> tuple:
+    # every draw with these inputs is the same, whatever its shape
+    return config.seed, config.center_frequency, config.fwhm
+
+
+class _KeptDraw(NamedTuple):
+    """What an independent Monte Carlo pass keeps of its draw."""
+
+    key: tuple                 # the draw's _draw_key
+    atom_count: int
+    means: np.ndarray          # each replica's mean frequency
+    leading: np.ndarray | None  # the leading replicas x atoms a histogram reads
+
+
+# The _KeptDraw of the last independent pass.  Two threads that miss at once
+# both draw the same deterministic values, so the memo needs no lock.
 _last_draw = None
 
 
@@ -120,24 +164,62 @@ def sample_all_replicas(config: EnsembleConfig) -> np.ndarray:
     """Frequencies of every replica, shape (replicas, atom_count), read-only.
 
     The first n normals of a replica stream are the prefix of its first
-    m > n, so the last draw is kept: a later call with the same seed,
-    replica count, center frequency and width and at most as many atoms
-    returns a column-prefix view of it, equal bit for bit to a fresh draw.
+    m > n, so the leading replicas and atoms that the last independent pass
+    of :func:`monte_carlo_mean_cos` kept serve any config with the same
+    seed, center frequency and width and at most as many atoms, equal bit
+    for bit to a fresh draw: a view of them when they hold every replica,
+    else a copy, with only the other replicas drawn.
+    """
+    kept = np.empty((0, config.atom_count))
+    draw = _last_draw
+    if (draw is not None and draw.leading is not None and draw.key == _draw_key(config)
+            and draw.leading.shape[1] >= config.atom_count):
+        kept = draw.leading[:config.replicas, :config.atom_count]
+        if kept.shape[0] == config.replicas:
+            return kept
+    out = np.empty((config.replicas, config.atom_count))
+    out[:kept.shape[0]] = kept
+    _draw(config, out[kept.shape[0]:], kept.shape[0])
+    out.flags.writeable = False
+    return out
+
+
+def _replica_means(config: EnsembleConfig) -> np.ndarray:
+    """Mean frequency of each replica's atoms, from the last independent
+    pass over the same draw, or else from a draw streamed in chunks."""
+    draw = _last_draw
+    if (draw is not None and draw.key == _draw_key(config)
+            and draw.atom_count == config.atom_count and draw.means.size >= config.replicas):
+        return draw.means[:config.replicas]
+    means = np.empty(config.replicas)
+    for lo, chunk in _draw_chunks(config, 1):
+        chunk.mean(axis=1, out=means[lo:lo + chunk.shape[0]])
+    return means
+
+
+def _independent_draw(config: EnsembleConfig, rows: int, histogram):
+    """The chunks of :func:`_draw_chunks`, keeping each replica's mean and the
+    part of the draw ``histogram`` (an EnsembleConfig, or None) reads.
+
+    After the last chunk they become the memo that the locked curve and
+    :func:`sample_all_replicas` read.
     """
     global _last_draw
-    key = (config.seed, config.replicas, config.center_frequency, config.fwhm)
-    draw = _last_draw
-    if draw is None or draw[0] != key or draw[1].shape[1] < config.atom_count:
-        out = np.empty((config.replicas, config.atom_count))
-        seed = config.seed
-        for r, row in enumerate(out):
-            _replica_rng(seed, r).standard_normal(out=row)
-        # in place, the same two roundings per entry as center + sigma * draws
-        out *= config.sigma
-        out += config.center_frequency
-        out.flags.writeable = False
-        draw = _last_draw = (key, out)
-    return draw[1][:, :config.atom_count]
+    key = _draw_key(config)
+    means = np.empty(config.replicas)
+    leading = None
+    if (histogram is not None and _draw_key(histogram) == key
+            and histogram.atom_count <= config.atom_count):
+        leading = np.empty((min(histogram.replicas, config.replicas), histogram.atom_count))
+    for lo, chunk in _draw_chunks(config, rows):
+        hi = lo + chunk.shape[0]
+        chunk.mean(axis=1, out=means[lo:hi])
+        if leading is not None and lo < leading.shape[0]:
+            leading[lo:hi] = chunk[:leading.shape[0] - lo, :leading.shape[1]]
+        yield chunk
+    if leading is not None:
+        leading.flags.writeable = False
+    _last_draw = _KeptDraw(key, config.atom_count, means, leading)
 
 
 def envelope_independent(t, sigma: float, center_frequency: float):
@@ -183,7 +265,15 @@ def allan_deviation(params: AllanParams) -> float:
             * np.sqrt(params.cycle_time / params.averaging_time))
 
 
-def _phasor_blocks(freqs: np.ndarray, step: float, points: int):
+def _block_rows(replicas: int, atoms: int, points: int) -> int:
+    """Replicas per block of :func:`_phasor_blocks`: as many as _BLOCK_ENTRIES
+    floats of its buffers hold, at least one and at most all of them."""
+    m = math.isqrt(points - 1) + 1
+    giants = -(-points // m)
+    return max(1, min(replicas, _BLOCK_ENTRIES // (2 * ((m + giants) * atoms + giants * m))))
+
+
+def _phasor_blocks(chunks, rows: int, step: float, points: int):
     """Per-replica mean cosines on the grid k step, k < points, block by block.
 
     With w = exp(2 pi i f step) and k = a m + b, m = ceil(sqrt(points)),
@@ -194,68 +284,59 @@ def _phasor_blocks(freqs: np.ndarray, step: float, points: int):
     pairs, so one replica's atom sums are one real matrix product
     (giant steps x 2 atoms) @ (2 atoms x baby steps).  The seed w is
     cos + i sin of its phase, the same bits as exp(1j * phase) without its
-    two complex temporaries.  Replicas are processed in fixed blocks, one
-    batched matmul per block.  Yields each
-    block's (replicas of the block, points) mean cosines in replica order;
-    they are a view of buffers the next block overwrites.
+    two complex temporaries.  ``chunks`` are (replicas, atoms) frequency
+    arrays in replica order; each is cut into blocks of ``rows`` replicas
+    (see :func:`_block_rows`), one batched matmul per block, so a chunk
+    other than the last should hold whole blocks.  Yields each block's
+    (replicas of the block, points) mean cosines in replica order; they are
+    a view of buffers the next block overwrites.
     """
-    replicas, atoms = freqs.shape
     m = math.isqrt(points - 1) + 1
     giants = -(-points // m)
-    rows = max(1, min(replicas, _BLOCK_ENTRIES // (2 * ((m + giants) * atoms + giants * m))))
-    baby = np.empty((m, rows, atoms), dtype=complex)
-    giant = np.empty((giants, rows, atoms), dtype=complex)
-    sums = np.empty((rows, giants, m))
-    baby[0] = 1.0
-    giant[0] = 1.0
-    for lo in range(0, replicas, rows):
-        block = freqs[lo:lo + rows]
-        n = block.shape[0]
-        b, g = baby[:, :n], giant[:, :n]
-        # the phase waits in the imaginary half until sin overwrites it
-        phase = b[1].imag
-        np.multiply(block, TWO_PI * step, out=phase)
-        np.cos(phase, out=b[1].real)
-        np.sin(phase, out=phase)
-        for k in range(2, m):
-            np.multiply(b[k - 1], b[1], out=b[k])
-        if giants > 1:
-            np.multiply(b[m - 1], b[1], out=g[1])
-            np.conjugate(g[1], out=g[1])
-            for a in range(2, giants):
-                np.multiply(g[a - 1], g[1], out=g[a])
-        out = sums[:n]
-        np.matmul(g.view(np.float64).transpose(1, 0, 2),
-                  b.view(np.float64).transpose(1, 2, 0), out=out)
-        out /= atoms
-        yield out.reshape(n, giants * m)[:, :points]
+    baby = None
+    for chunk in chunks:
+        atoms = chunk.shape[1]
+        if baby is None:
+            baby = np.empty((m, rows, atoms), dtype=complex)
+            giant = np.empty((giants, rows, atoms), dtype=complex)
+            sums = np.empty((rows, giants, m))
+            baby[0] = 1.0
+            giant[0] = 1.0
+        for lo in range(0, chunk.shape[0], rows):
+            block = chunk[lo:lo + rows]
+            n = block.shape[0]
+            b, g = baby[:, :n], giant[:, :n]
+            # the phase waits in the imaginary half until sin overwrites it
+            phase = b[1].imag
+            np.multiply(block, TWO_PI * step, out=phase)
+            np.cos(phase, out=b[1].real)
+            np.sin(phase, out=phase)
+            for k in range(2, m):
+                np.multiply(b[k - 1], b[1], out=b[k])
+            if giants > 1:
+                np.multiply(b[m - 1], b[1], out=g[1])
+                np.conjugate(g[1], out=g[1])
+                for a in range(2, giants):
+                    np.multiply(g[a - 1], g[1], out=g[a])
+            out = sums[:n]
+            np.matmul(g.view(np.float64).transpose(1, 0, 2),
+                      b.view(np.float64).transpose(1, 2, 0), out=out)
+            out /= atoms
+            yield out.reshape(n, giants * m)[:, :points]
 
 
-def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False):
-    """Replica-averaged mean cosine on the config time grid.
+def _fold(blocks, points: int):
+    """(mean, standard error) over replicas of the (replicas, points) blocks.
 
-    Returns ``(mean, standard_error)`` arrays.  In the locked variant every
-    atom of a replica oscillates at that replica's mean frequency, so each
-    replica is a one-atom ensemble.  The grid is evaluated block by block by
-    the baby- and giant-step phasor powers of :func:`_phasor_blocks`, and
-    each block is folded into running per-point moments as soon as it is
-    made: its sum and its sum of squared deviations M2 join the running
-    count, sum and M2 by the parallel update of Chan, Golub and LeVeque,
-    the running sum Kahan-compensated.  No (grid, replicas) array is
-    formed.  The blocking depends on the input shape only, and each
-    replica's atom sums are one matrix product of a shape fixed by the grid
-    and the atom count, so the result is fixed by the inputs; the tests
-    check that it does not depend on the BLAS thread count either.
+    Each block's sum and its sum of squared deviations M2 join the running
+    count, sum and M2 by the parallel update of Chan, Golub and LeVeque, the
+    running sum Kahan-compensated, so no (points, replicas) array is formed.
     """
-    freqs = sample_all_replicas(config)
-    if locked:
-        freqs = freqs.mean(axis=1, keepdims=True)
-    points = config.time_points
     count = 0
     total = np.zeros(points)  # sum of the values so far, Kahan-compensated by lost
     lost = np.zeros(points)
     m2 = np.zeros(points)
-    for block in _phasor_blocks(freqs, config.time_max / (points - 1), points):
+    for block in blocks:
         n = block.shape[0]
         # replicas along the contiguous axis, so numpy sums them pairwise
         block_sum = np.ascontiguousarray(block.T).sum(axis=1)
@@ -275,6 +356,38 @@ def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False):
     if count == 1:
         return mean, np.zeros_like(mean)
     return mean, np.sqrt(m2 / (count - 1)) / np.sqrt(count)
+
+
+def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False, histogram=None):
+    """Replica-averaged mean cosine on the config time grid.
+
+    Returns ``(mean, standard_error)`` arrays.  In the locked variant every
+    atom of a replica oscillates at that replica's mean frequency, so each
+    replica is a one-atom ensemble.  The independent pass draws the replicas
+    a whole number of kernel blocks at a time into one reused buffer of
+    about _DRAW_ENTRIES floats, and feeds each chunk straight into the
+    baby- and giant-step phasor powers of :func:`_phasor_blocks`, whose
+    blocks :func:`_fold` folds into running per-point moments as soon as
+    they are made.  No (replicas, atom_count) or (grid, replicas) array is
+    formed.  The pass keeps each replica's mean, which a later locked call
+    on the same draw reads (a locked call without one streams the draw for
+    them), and the leading replicas and atoms that ``histogram``, the
+    EnsembleConfig of a later :func:`bandwidth_histogram` call, reads.  The
+    blocking depends on the input shape only, whatever the draw's chunks,
+    and each replica's atom sums are one matrix product of a shape fixed by
+    the grid and the atom count, so the result is fixed by the inputs.  On
+    the shapes CI compares, the CSVs of a run are byte-identical at 1 and 2
+    BLAS threads; larger per-replica products can differ in the last bits.
+    """
+    points = config.time_points
+    step = config.time_max / (points - 1)
+    if locked:
+        rows = _block_rows(config.replicas, 1, points)
+        chunks = [_replica_means(config)[:, None]]
+    else:
+        rows = _block_rows(config.replicas, config.atom_count, points)
+        chunks = _independent_draw(config, rows, histogram)
+    return _fold(_phasor_blocks(chunks, rows, step, points), points)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,14 @@ from zenolock.configfile import Section
 from zenolock.tracefile import read_csv
 
 
+def phasor_blocks(freqs, step, points):
+    """The phasor kernel's blocks over a whole (replicas, atoms) draw, as a run blocks it."""
+    return dp._phasor_blocks([freqs], dp._block_rows(*freqs.shape, points), step, points)
+
+
 def phasor_values(freqs, step, points):
     """Every block of the phasor kernel, copied out and stacked: shape (replicas, points)."""
-    return np.concatenate([block.copy() for block in dp._phasor_blocks(freqs, step, points)])
+    return np.concatenate([block.copy() for block in phasor_blocks(freqs, step, points)])
 
 
 def sample_frequencies(config, replica=0):
@@ -110,20 +115,25 @@ class TestSampling:
 
 class TestReplicaDraw:
     def test_prefix_of_larger_draw_is_bit_identical(self, monkeypatch):
+        # the histogram reads the leading atoms the Monte Carlo pass kept
         monkeypatch.setattr(dp, "_last_draw", None)
-        wide = dp.sample_all_replicas(make_config(atom_count=100, replicas=40))
         narrow_config = make_config(atom_count=9, replicas=40)
+        dp.monte_carlo_mean_cos(make_config(atom_count=100, replicas=40),
+                                histogram=narrow_config)
         narrow = dp.sample_all_replicas(narrow_config)
         assert narrow.shape == (40, 9)
-        assert np.shares_memory(narrow, wide)
+        assert np.shares_memory(narrow, dp._last_draw.leading)
         for replica in range(40):
             np.testing.assert_array_equal(narrow[replica],
                                           sample_frequencies(narrow_config, replica))
 
     def test_returned_draw_is_read_only(self, monkeypatch):
+        # a fresh draw, a view of a pass's kept draw, and a copy of one topped up
         monkeypatch.setattr(dp, "_last_draw", None)
-        for atoms in (100, 9):
-            freqs = dp.sample_all_replicas(make_config(atom_count=atoms, replicas=20))
+        dp.monte_carlo_mean_cos(make_config(atom_count=100, replicas=20),
+                                histogram=make_config(atom_count=9, replicas=20))
+        for atoms, replicas in ((100, 20), (9, 20), (9, 30)):
+            freqs = dp.sample_all_replicas(make_config(atom_count=atoms, replicas=replicas))
             assert not freqs.flags.writeable
             with pytest.raises(ValueError):
                 freqs[0, 0] = 0.0
@@ -131,16 +141,18 @@ class TestReplicaDraw:
     @pytest.mark.parametrize("change", [dict(seed=1), dict(replicas=21), dict(fwhm=3.0),
                                         dict(center_frequency=50.0), dict(atom_count=12)])
     def test_changed_inputs_draw_afresh(self, monkeypatch, change):
+        # also one replica more than the pass kept, which is drawn on top
         monkeypatch.setattr(dp, "_last_draw", None)
-        dp.sample_all_replicas(make_config(atom_count=10, replicas=20))
+        kept = make_config(atom_count=10, replicas=20)
+        dp.monte_carlo_mean_cos(kept, histogram=kept)
         config = make_config(**{"atom_count": 10, "replicas": 20, **change})
         fresh = np.array([sample_frequencies(config, r) for r in range(config.replicas)])
         np.testing.assert_array_equal(dp.sample_all_replicas(config), fresh)
 
-    def test_each_replica_stream_drawn_once_per_run(self, monkeypatch):
-        # the three draws of the dephasing subcommand: independent curve,
-        # locked curve (other grid), histogram (fewer atoms)
-        monkeypatch.setattr(dp, "_last_draw", None)
+    def test_each_replica_stream_drawn_once_per_run(self, monkeypatch, tmp_path):
+        # the three readers of the draw in the dephasing subcommand: the
+        # independent curve, the locked curve (other grid) and the histogram
+        # (fewer atoms, and fewer or more replicas)
         calls = []
         original = dp._replica_rng
 
@@ -149,13 +161,16 @@ class TestReplicaDraw:
             return original(seed, replica)
 
         monkeypatch.setattr(dp, "_replica_rng", counting)
-        config = make_config(atom_count=16, replicas=30, time_max=0.1, time_points=11)
-        locked = dataclasses.replace(config, time_max=0.4)
-        dp.monte_carlo_mean_cos(config)
-        dp.monte_carlo_mean_cos(locked, locked=True)
-        dp.bandwidth_histogram(make_config(atom_count=9, replicas=30, time_max=1.0,
-                                           time_points=2))
-        assert sorted(calls) == list(range(30))
+        for histogram_replicas in (20, 30, 45):
+            monkeypatch.setattr(dp, "_last_draw", None)
+            calls.clear()
+            config = tmp_path / f"run-{histogram_replicas}.cfg"
+            config.write_text(f"[dephasing]\natom_count = 16\nreplicas = 30\ntime_points = 11\n"
+                              f"histogram_replicas = {histogram_replicas}\n")
+            argv = ["dephasing", "--config", str(config),
+                    "--out", str(tmp_path / f"out-{histogram_replicas}")]
+            assert cli.main(argv) == cli.EXIT_OK
+            assert sorted(calls) == list(range(max(30, histogram_replicas)))
 
 
     @pytest.mark.parametrize("seed", [0, 7, 20260808, -1, 2**63, 2**64 - 1])
@@ -176,10 +191,10 @@ class TestReplicaDraw:
 
     def test_prefix_view_matches_fresh_generators(self, monkeypatch):
         monkeypatch.setattr(dp, "_last_draw", None)
-        wide = dp.sample_all_replicas(make_config(atom_count=100, replicas=30))
         config = make_config(atom_count=9, replicas=30)
+        dp.monte_carlo_mean_cos(make_config(atom_count=100, replicas=30), histogram=config)
         narrow = dp.sample_all_replicas(config)
-        assert np.shares_memory(narrow, wide)
+        assert np.shares_memory(narrow, dp._last_draw.leading)
         for replica in range(30):
             fresh = dp._philox_generator(config.seed, replica).standard_normal(9)
             np.testing.assert_array_equal(
@@ -307,8 +322,8 @@ def _cos_oracle(monkeypatch, config, locked):
     # monte_carlo_mean_cos with one cosine per atom and point of the config grid,
     # in one block, in place of the phasor recurrence
     with monkeypatch.context() as patch:
-        patch.setattr(dp, "_phasor_blocks",
-                      lambda freqs, step, points: iter([cos_values(freqs, config.time_grid).T]))
+        patch.setattr(dp, "_phasor_blocks", lambda chunks, rows, step, points: iter(
+            [cos_values(np.concatenate([chunk.copy() for chunk in chunks]), config.time_grid).T]))
         return dp.monte_carlo_mean_cos(config, locked=locked)
 
 
@@ -317,7 +332,7 @@ def exp_seeded_phasor_blocks(freqs, step, points):
     replicas, atoms = freqs.shape
     m = math.isqrt(points - 1) + 1
     giants = -(-points // m)
-    rows = max(1, min(replicas, dp._BLOCK_ENTRIES // (2 * ((m + giants) * atoms + giants * m))))
+    rows = dp._block_rows(replicas, atoms, points)
     baby = np.empty((m, rows, atoms), dtype=complex)
     giant = np.empty((giants, rows, atoms), dtype=complex)
     sums = np.empty((rows, giants, m))
@@ -372,7 +387,7 @@ class TestPhasorSeed:
             freqs = freqs.mean(axis=1, keepdims=True)
         step = config.time_max / (config.time_points - 1)
         if shape == "ragged-last-block":
-            blocks = dp._phasor_blocks(freqs, step, config.time_points)
+            blocks = phasor_blocks(freqs, step, config.time_points)
             assert [block.shape[0] for block in blocks] == [21, 20]
         oracle = np.concatenate([block.copy() for block in
                                  exp_seeded_phasor_blocks(freqs, step, config.time_points)])
@@ -410,7 +425,7 @@ class TestPhasorPath:
                                                          (100, 41, [21, 20])])
     def test_oracle_cases_block_as_named(self, atoms, replicas, sizes):
         freqs = dp.sample_all_replicas(make_config(atom_count=atoms, replicas=replicas))
-        blocks = dp._phasor_blocks(freqs, 0.1 / 200, 201)
+        blocks = phasor_blocks(freqs, 0.1 / 200, 201)
         assert [block.shape[0] for block in blocks] == sizes
 
     def test_single_replica_has_zero_spread(self, monkeypatch):
@@ -438,9 +453,9 @@ class TestPhasorPath:
         calls = []
         original = dp._phasor_blocks
 
-        def recording(freqs, step, points):
+        def recording(chunks, rows, step, points):
             calls.append((step, points))
-            return original(freqs, step, points)
+            return original(chunks, rows, step, points)
 
         monkeypatch.setattr(dp, "_phasor_blocks", recording)
         config = tmp_path / "run.cfg"
@@ -468,7 +483,7 @@ class TestStreamingFold:
             freqs = freqs.mean(axis=1, keepdims=True)
         step = config.time_max / (config.time_points - 1)
         monkeypatch.setattr(dp, "_BLOCK_ENTRIES", entries)
-        sizes = [block.shape[0] for block in dp._phasor_blocks(freqs, step, config.time_points)]
+        sizes = [block.shape[0] for block in phasor_blocks(freqs, step, config.time_points)]
         if blocking == "one-replica":
             assert set(sizes) == {1}
         elif blocking == "ragged":
@@ -484,9 +499,9 @@ class TestStreamingFold:
 
     @staticmethod
     def _traced_peak(config, locked):
-        # bytes allocated by monte_carlo_mean_cos at its peak, on top of the
-        # memoized draw it reads
-        dp.sample_all_replicas(config)
+        # bytes allocated by monte_carlo_mean_cos at its peak, its draw
+        # included (the locked call streams the draw for the replica means)
+        dp._last_draw = None
         tracemalloc.start()
         try:
             dp.monte_carlo_mean_cos(config, locked=locked)
@@ -496,8 +511,9 @@ class TestStreamingFold:
 
     @pytest.mark.parametrize("locked", [False, True])
     def test_no_grid_by_replicas_array(self, monkeypatch, locked):
-        # the default shape holds 201 x 10,000 values (16 MB); the fold keeps
-        # one block and a few length-201 vectors
+        # the default shape holds 201 x 10,000 values (16 MB) and a draw of
+        # 10,000 x 100 frequencies (8 MB); the pass keeps one draw chunk, one
+        # block, a few length-201 vectors and one mean per replica
         monkeypatch.setattr(dp, "_last_draw", None)
         defaults = Section("dephasing", {}, cli.SCHEMA["dephasing"], "defaults")
         config = make_config(atom_count=defaults["atom_count"], replicas=defaults["replicas"],
@@ -507,6 +523,92 @@ class TestStreamingFold:
         small, large = (self._traced_peak(dataclasses.replace(config, replicas=replicas),
                                           locked) for replicas in (2_000, 20_000))
         assert large - small < 1 << 20
+
+
+def full_draw_run(config, locked_config, hist_config):
+    """Both curves and the histogram of a dephasing run from the whole
+    (replicas, atom_count) draw at once: the streamed pass's oracle."""
+    freqs = dp.sample_all_replicas(config)
+    points = config.time_points
+
+    def curve(freqs, curve_config):
+        step = curve_config.time_max / (points - 1)
+        return dp._fold(phasor_blocks(freqs, step, points), points)
+
+    return (curve(freqs, config), curve(freqs.mean(axis=1, keepdims=True), locked_config),
+            dp.bandwidth_histogram(hist_config))
+
+
+class TestStreamedDraw:
+    @pytest.mark.parametrize("atoms, replicas, hist_replicas, entries, chunks", [
+        (100, 100, 60, 2 * 21 * 100, [42, 42, 16]),
+        (100, 100, 150, 1 << 30, [100]),
+        (4099, 5, 5, 1, [1] * 5),
+    ], ids=["ragged-last-chunk", "one-chunk", "one-replica-chunks"])
+    def test_streamed_pass_equals_full_draw(self, monkeypatch, atoms, replicas, hist_replicas,
+                                            entries, chunks):
+        # the histogram reads fewer replicas than the pass draws, more (the
+        # rest drawn on top), or as many
+        config = make_config(atom_count=atoms, replicas=replicas, time_points=201)
+        locked_config = dataclasses.replace(config, time_max=1.0)
+        hist_config = make_config(atom_count=9, replicas=hist_replicas, time_max=1.0,
+                                  time_points=2)
+        monkeypatch.setattr(dp, "_last_draw", None)
+        oracle = full_draw_run(config, locked_config, hist_config)
+        monkeypatch.setattr(dp, "_DRAW_ENTRIES", entries)
+        rows = dp._block_rows(replicas, atoms, config.time_points)
+        assert [chunk.shape[0] for _, chunk in dp._draw_chunks(config, rows)] == chunks
+        streamed = (dp.monte_carlo_mean_cos(config, histogram=hist_config),
+                    dp.monte_carlo_mean_cos(locked_config, locked=True),
+                    dp.bandwidth_histogram(hist_config))
+        monkeypatch.setattr(dp, "_last_draw", None)
+        locked_alone = dp.monte_carlo_mean_cos(locked_config, locked=True)
+        for (mean, se), (oracle_mean, oracle_se) in zip(
+                (streamed[0], streamed[1], locked_alone), (oracle[0], oracle[1], oracle[1])):
+            assert np.array_equal(mean, oracle_mean)
+            assert np.array_equal(se, oracle_se)
+        for part in ("individual", "replica_means"):
+            histogram, oracle_histogram = (getattr(h, part) for h in (streamed[2], oracle[2]))
+            assert np.array_equal(histogram.density, oracle_histogram.density)
+            assert np.array_equal(histogram.bin_edges, oracle_histogram.bin_edges)
+            assert histogram.sample_sigma == oracle_histogram.sample_sigma
+
+    @pytest.mark.parametrize("change", [dict(seed=1), dict(fwhm=3.0), dict(atom_count=12),
+                                        dict(center_frequency=50.0), dict(replicas=25),
+                                        dict(replicas=15)])
+    def test_locked_call_reads_only_the_same_draws_means(self, monkeypatch, change):
+        monkeypatch.setattr(dp, "_last_draw", None)
+        dp.monte_carlo_mean_cos(make_config(atom_count=10, replicas=20))
+        config = make_config(**{"atom_count": 10, "replicas": 20, "time_max": 1.0, **change})
+        after_pass = dp.monte_carlo_mean_cos(config, locked=True)
+        monkeypatch.setattr(dp, "_last_draw", None)
+        alone = dp.monte_carlo_mean_cos(config, locked=True)
+        assert np.array_equal(after_pass[0], alone[0])
+        assert np.array_equal(after_pass[1], alone[1])
+
+    @staticmethod
+    def _peak_rss_mb(tmp_path, atoms):
+        config = tmp_path / f"cap-{atoms}.cfg"
+        config.write_text(f"[dephasing]\nreplicas = 4096\natom_count = {atoms}\n"
+                          "time_points = 5\nhistogram_replicas = 4096\n"
+                          "histogram_atom_count = 9\n")
+        src = str(Path(dp.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.Popen([sys.executable, "-m", "zenolock.cli", "dephasing", "--config",
+                                  str(config), "--out", str(tmp_path / f"out-{atoms}")],
+                                 env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == cli.EXIT_OK
+        return usage.ru_maxrss / 1024  # kilobytes on Linux
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is in kilobytes on Linux only")
+    def test_cap_shape_holds_no_replicas_by_atoms_array(self, tmp_path):
+        # replicas x atom_count at the schema cap, 2^24 frequencies (128 MiB
+        # as one array), against the same run at 64 atoms
+        assert self._peak_rss_mb(tmp_path, 4096) - self._peak_rss_mb(tmp_path, 64) < 16
 
 
 class TestAllanDeviation:
@@ -560,7 +662,8 @@ from zenolock.configfile import Section
 config = dp.EnsembleConfig(atom_count=100, center_frequency=100.0, fwhm=10.0,
                            seed=20260808, time_max=0.1, time_points=201, replicas=300)
 digest = hashlib.sha256()
-for block in dp._phasor_blocks(dp.sample_all_replicas(config), 0.1 / 200, 201):
+freqs = dp.sample_all_replicas(config)
+for block in dp._phasor_blocks([freqs], dp._block_rows(300, 100, 201), 0.1 / 200, 201):
     digest.update(block.tobytes())
 sys.stdout.write(digest.hexdigest())
 """
