@@ -7,7 +7,6 @@ cosine of the accumulated phases shows the coherence washing out on the
 stretches that by sqrt(N).
 """
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -43,7 +42,7 @@ analytic_ind = dp.envelope_independent(grid, sigma, F0)
 
 # the same 201 points stretched by sqrt(N)
 locked_grid = grid * math.sqrt(ATOMS)
-locked_config = dataclasses.replace(config, time_max=locked_grid[-1])
+locked_config = config.replace(time_max=locked_grid[-1])
 mc_lock, se_lock = dp.monte_carlo_mean_cos(locked_config, locked=True)
 analytic_lock = dp.envelope_locked(locked_grid, sigma, F0, ATOMS)
 

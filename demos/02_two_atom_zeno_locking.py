@@ -8,7 +8,6 @@ the photon number freezes the rotation.  More frequent cycles lock better,
 with survival following exp(-Delta^2 * cycle * t).
 """
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -26,7 +25,7 @@ DELTA = 2.0
 def one_cycle(cycle):
     """The protocol over exactly one cycle of the given length."""
     config = z2.config_for_cycle_time(cycle, cycle, half_difference=DELTA)
-    return config, z2.run_protocol(dataclasses.replace(config, final_time=config.cycle_time))
+    return config, z2.run_protocol(config.replace(final_time=config.cycle_time))
 
 
 # the photon check fails on the bright component the free drift built up

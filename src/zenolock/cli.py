@@ -14,7 +14,6 @@ under --strict; 4 numerical-validity failure.
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import math
 import sys
@@ -241,7 +240,7 @@ def cmd_dephasing(section: Section, out_dir: Path, args, digest: str):
                          "the sampled frequencies or the Monte Carlo phases"):
         grid = config.time_grid
         locked_grid = grid * math.sqrt(atom_count)
-        locked_config = dataclasses.replace(config, time_max=locked_grid[-1])
+        locked_config = config.replace(time_max=locked_grid[-1])
         mc_ind, se_ind = dephasing.monte_carlo_mean_cos(config, locked=False,
                                                          histogram=hist_config)
         mc_lock, se_lock = dephasing.monte_carlo_mean_cos(locked_config, locked=True)

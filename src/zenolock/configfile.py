@@ -14,15 +14,14 @@ naming the [section] and key for a value out of bounds.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
     """Malformed configuration; the message carries file/line context."""
 
 
-@dataclass(frozen=True)
-class ConfigEntry:
+class ConfigEntry(NamedTuple):
     value: str
     line: int
 
@@ -76,8 +75,7 @@ _KINDS = {int: (lambda text: int(text, 0), "an integer"),
           str: (str, "a string")}
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(NamedTuple):
     """One config key: its default text, its kind and its static bounds.
 
     ``kind`` is int, float, tuple (a list of floats, each bounded) or str

@@ -12,10 +12,11 @@ This is the only module that works in plain Hz and seconds.
 
 import math
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .records import Record
 
 TWO_PI = 2.0 * np.pi
 # Float64 entries of the buffers of one replica block of _phasor_blocks: its
@@ -43,29 +44,29 @@ def fwhm_to_sigma(fwhm: float) -> float:
     return fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Statistical description of N atom frequencies over M prepared replicas."""
+class EnsembleConfig(Record):
+    """Statistical description of N atom frequencies over M prepared replicas.
 
-    atom_count: int
-    center_frequency: float  # Hz
-    fwhm: float              # Hz
-    seed: int
-    time_max: float          # seconds, the last of
-    time_points: int         # evenly spaced sample times from t = 0
-    replicas: int = 1
+    ``center_frequency`` and ``fwhm`` are in Hz; ``time_max`` is in seconds,
+    the last of ``time_points`` evenly spaced sample times from t = 0.
+    """
 
-    def __post_init__(self):
-        if self.atom_count < 1:
+    __slots__ = ("atom_count", "center_frequency", "fwhm", "seed", "time_max",
+                 "time_points", "replicas")
+
+    def __init__(self, atom_count: int, center_frequency: float, fwhm: float, seed: int,
+                 time_max: float, time_points: int, replicas: int = 1):
+        if atom_count < 1:
             raise ValueError("atom_count must be >= 1")
-        if self.replicas < 1:
+        if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if not self.fwhm > 0.0:
+        if not fwhm > 0.0:
             raise ValueError("fwhm must be positive")
-        if not self.time_max > 0.0:
+        if not time_max > 0.0:
             raise ValueError("time_max must be positive")
-        if self.time_points < 2:
+        if time_points < 2:
             raise ValueError("time_points must be >= 2")
+        self._set(locals())
 
     @property
     def sigma(self) -> float:
@@ -241,21 +242,23 @@ def envelope_locked(t, sigma: float, center_frequency: float, atom_count: int):
     return envelope_independent(t, sigma / np.sqrt(atom_count), center_frequency)
 
 
-@dataclass(frozen=True)
-class AllanParams:
-    """Inputs of the closed-form Allan deviation of an atom-disciplined clock."""
+class AllanParams(Record):
+    """Inputs of the closed-form Allan deviation of an atom-disciplined clock.
 
-    fwhm: float            # Hz
-    carrier: float         # Hz
-    atom_count: int
-    cycle_time: float      # seconds per interrogation cycle
-    averaging_time: float  # seconds (distinct from the Zeno free interval)
+    ``fwhm`` and ``carrier`` are in Hz; ``cycle_time`` is in seconds per
+    interrogation cycle and ``averaging_time`` in seconds (distinct from the
+    Zeno free interval).
+    """
 
-    def __post_init__(self):
+    __slots__ = ("fwhm", "carrier", "atom_count", "cycle_time", "averaging_time")
+
+    def __init__(self, fwhm: float, carrier: float, atom_count: int, cycle_time: float,
+                 averaging_time: float):
+        self._set(locals())
         for name in ("fwhm", "carrier", "cycle_time", "averaging_time"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.atom_count < 1:
+        if atom_count < 1:
             raise ValueError("atom_count must be >= 1")
 
 
@@ -390,15 +393,13 @@ def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False, histogram
     return _fold(_phasor_blocks(chunks, rows, step, points), points)
 
 
-@dataclass(frozen=True)
-class HistogramData:
+class HistogramData(NamedTuple):
     bin_edges: np.ndarray
     density: np.ndarray
     sample_sigma: float
 
 
-@dataclass(frozen=True)
-class BandwidthHistograms:
+class BandwidthHistograms(NamedTuple):
     """Before/after picture of the sqrt(N) bandwidth narrowing."""
 
     individual: HistogramData

@@ -17,10 +17,11 @@ read-only) and every operation returns a new value, so states and operators
 can be shared freely between threads.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
+
+from .records import Record
 
 HERMITIAN_TOL = 1e-12
 ZERO_PROBABILITY = 1e-30
@@ -30,30 +31,30 @@ class BasisMismatchError(ValueError):
     """A state and an operator live on different product bases."""
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     """An atom with a fixed number of internal levels (2, 3 or 4)."""
 
-    levels: int
+    __slots__ = ("levels",)
 
-    def __post_init__(self):
-        if self.levels not in (2, 3, 4):
-            raise ValueError(f"atom must have 2, 3 or 4 levels, got {self.levels}")
+    def __init__(self, levels: int):
+        if levels not in (2, 3, 4):
+            raise ValueError(f"atom must have 2, 3 or 4 levels, got {levels}")
+        self._set(locals())
 
     @property
     def dim(self) -> int:
         return self.levels
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(Record):
     """A bosonic mode truncated at a highest representable occupancy."""
 
-    cutoff: int
+    __slots__ = ("cutoff",)
 
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError(f"mode cutoff must be >= 1, got {self.cutoff}")
+    def __init__(self, cutoff: int):
+        if cutoff < 1:
+            raise ValueError(f"mode cutoff must be >= 1, got {cutoff}")
+        self._set(locals())
 
     @property
     def dim(self) -> int:

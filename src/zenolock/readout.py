@@ -22,13 +22,13 @@ evolution as its oracle).
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import hilbert as h
 from .hilbert import Atom, Mode, StateVector
+from .records import Record
 from .zeno_multilevel import E1, E2, G1, G2, FourLevelEnergies
 
 TWO_PI = 2.0 * math.pi
@@ -50,30 +50,32 @@ class CutoffOverflowError(RuntimeError):
     """Emission-mode population reached the truncation boundary."""
 
 
-@dataclass(frozen=True)
-class ReadoutConfig:
-    """Parameters of the readout chain and the field-emission model."""
+class ReadoutConfig(Record):
+    """Parameters of the readout chain and the field-emission model.
 
-    atom_a: FourLevelEnergies
-    atom_b: FourLevelEnergies
-    detuning: float                # drive offset from the |E2><->|G1| transition
-    drive_amplitude: float         # classical coupling-laser strength
-    coupling: float                # quantized-mode coupling on |E1><->|G1|
-    emission_mode_cutoff: int = 2
-    readout_times: tuple = ()
-    fit_periods: float = 32.0
+    ``detuning`` is the drive's offset from the |E2> <-> |G1> transition,
+    ``drive_amplitude`` the classical coupling-laser strength and
+    ``coupling`` that of the quantized mode on |E1> <-> |G1>.
+    """
 
-    def __post_init__(self):
-        if self.detuning == 0.0:
+    __slots__ = ("atom_a", "atom_b", "detuning", "drive_amplitude", "coupling",
+                 "emission_mode_cutoff", "readout_times", "fit_periods")
+
+    def __init__(self, atom_a: FourLevelEnergies, atom_b: FourLevelEnergies,
+                 detuning: float, drive_amplitude: float, coupling: float,
+                 emission_mode_cutoff: int = 2, readout_times: tuple = (),
+                 fit_periods: float = 32.0):
+        if detuning == 0.0:
             raise ValueError("the drive detuning must be nonzero")
-        if self.emission_mode_cutoff < 1:
+        if emission_mode_cutoff < 1:
             raise ValueError("emission_mode_cutoff must be >= 1")
-        if self.fit_periods <= 0.0:
+        if fit_periods <= 0.0:
             raise ValueError("fit_periods must be positive")
-        grid = np.asarray(self.readout_times, dtype=float)
+        grid = np.asarray(readout_times, dtype=float)
         if np.any(grid[1:] <= grid[:-1]):
             raise ValueError("readout_times must be strictly increasing")
-        object.__setattr__(self, "readout_times", tuple(grid.tolist()))
+        readout_times = tuple(grid.tolist())
+        self._set(locals())
 
     def mean_level(self, name: str) -> float:
         return 0.5 * (getattr(self.atom_a, name) + getattr(self.atom_b, name))
@@ -240,21 +242,19 @@ def _rotating_frame_hamiltonian(config: ReadoutConfig,
                               h.combine_labels(quanta, in_g2))
 
 
-@dataclass(frozen=True)
-class FieldTrace:
+class FieldTrace(Record):
     """Quadrature of the emission mode on the readout time grid."""
 
-    times: np.ndarray
-    quadrature: np.ndarray
-    fitted_phase: Optional[float]
-    fitted_frequency: float
+    __slots__ = ("times", "quadrature", "fitted_phase", "fitted_frequency")
 
-    def __post_init__(self):
-        if self.fitted_phase is not None:
-            if not (-math.pi < self.fitted_phase <= math.pi + 1e-15):
+    def __init__(self, times: np.ndarray, quadrature: np.ndarray,
+                 fitted_phase: Optional[float], fitted_frequency: float):
+        if fitted_phase is not None:
+            if not (-math.pi < fitted_phase <= math.pi + 1e-15):
                 raise ValueError("fitted phase must lie in (-pi, pi]")
-        self.times.flags.writeable = False
-        self.quadrature.flags.writeable = False
+        times.flags.writeable = False
+        quadrature.flags.writeable = False
+        self._set(locals())
 
 
 def extract_phase(times, values, known_frequency: float,

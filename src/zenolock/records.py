@@ -1,0 +1,44 @@
+"""Base of the package's immutable records that validate their fields.
+
+A record names its fields in ``__slots__``, in positional order.  Its
+``__init__`` takes them, validates them and sets each one once through
+:meth:`Record._set`.  No code is generated when such a class is defined,
+so a record costs next to nothing to build at import.
+"""
+
+
+class Record:
+    """Immutable fields, equality and hash by class and field values, a repr
+    naming both, and :meth:`replace`, which validates as ``__init__`` does."""
+
+    __slots__ = ()
+
+    def _set(self, values: dict) -> None:
+        """Set every field from ``values``, the ``locals()`` of ``__init__``."""
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self).__name__, *self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self, **changes):
+        """A new record with this one's fields but ``changes``."""
+        return type(self)(**{**dict(zip(self.__slots__, self._values())), **changes})

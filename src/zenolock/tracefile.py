@@ -12,27 +12,23 @@ bytes, the reuse is exact: -0.0 and 0.0 compare equal but print apart,
 and they miss.  The bytes written are those of formatting every row.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
+
+from .records import Record
 
 _TIME_COLUMNS = {"t", "time", "t_r", "t_f", "tau"}
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(Record):
     """Rectangular numeric table: name, column labels, rows, provenance."""
 
-    name: str
-    columns: tuple
-    rows: np.ndarray
-    provenance: dict = field(default_factory=dict)
+    __slots__ = ("name", "columns", "rows", "provenance")
 
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+    def __init__(self, name: str, columns: tuple, rows: np.ndarray, provenance=None):
+        rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-d array")
-        columns = tuple(str(c) for c in self.columns)
+        columns = tuple(str(c) for c in columns)
         if rows.shape[1] != len(columns):
             raise ValueError(
                 f"{rows.shape[1]} row entries for {len(columns)} column labels")
@@ -42,13 +38,12 @@ class TraceRecord:
         if columns and columns[0] in _TIME_COLUMNS and rows.shape[0] > 1:
             if np.any(np.diff(rows[:, 0]) < 0.0):
                 raise ValueError("time column must be non-decreasing")
-        for key, value in self.provenance.items():
+        provenance = dict(provenance or {})
+        for key, value in provenance.items():
             if any("\n" in str(part) for part in (key, value)):
                 raise ValueError("provenance entries must be single-line")
         rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "provenance", dict(self.provenance))
+        self._set(locals())
 
     def __eq__(self, other):
         if not isinstance(other, TraceRecord):

@@ -18,8 +18,7 @@ hbar = 1.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,8 +43,7 @@ G3, E1_3, E2_3 = 0, 1, 2          # three-level ordering
 G1, G2, E1, E2 = 0, 1, 2, 3       # four-level ordering
 
 
-@dataclass(frozen=True)
-class ThreeLevelEnergies:
+class ThreeLevelEnergies(NamedTuple):
     """Level energies of one V-configuration atom."""
 
     g: float
@@ -53,8 +51,7 @@ class ThreeLevelEnergies:
     e2: float
 
 
-@dataclass(frozen=True)
-class FourLevelEnergies:
+class FourLevelEnergies(NamedTuple):
     """Level energies of one four-level atom (two closed transitions)."""
 
     g1: float

@@ -21,13 +21,13 @@ All quantities are dimensionless angular frequencies and times (hbar = 1).
 
 import functools
 import math
-from dataclasses import astuple, dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import hilbert as h
 from .hilbert import Atom, Mode, OperatorMatrix, StateVector
+from .records import Record
 
 G, E = 0, 1  # atomic level ordering
 
@@ -59,53 +59,46 @@ class ProtocolError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class TwoLevelEnergies:
+class TwoLevelEnergies(NamedTuple):
     """Level energies of one two-level atom."""
 
     g: float
     e: float
 
 
-@dataclass(frozen=True, kw_only=True)
-class LevelSchemeConfig:
+class LevelSchemeConfig(Record):
     """A Zeno pair: two identical-scheme atoms and one cavity mode per transition.
 
     A subclass names its level scheme in two class constants: ``LEVELS``,
     the levels per atom, and ``TRANSITIONS``, the (upper, lower) level pair
     that cavity mode k + 1 drives.  Level indices are the field positions of
-    the atoms' energy records.  Every mode's Fock cutoff defaults to
-    n + 2, which holds every excitation sector a run populates.
+    the atoms' energy records, which are tuples.  Every mode's Fock cutoff
+    defaults to n + 2, which holds every excitation sector a run populates.
     """
 
-    mode_frequencies: tuple
-    atom_a: object
-    atom_b: object
-    coupling: float
-    photon_number: int
-    free_interval: float
-    measure_interval: float
-    final_time: float
-    fock_cutoffs: Optional[tuple] = None
+    __slots__ = ("mode_frequencies", "atom_a", "atom_b", "coupling", "photon_number",
+                 "free_interval", "measure_interval", "final_time", "fock_cutoffs")
 
-    def __post_init__(self):
-        if self.free_interval <= 0.0:
+    def __init__(self, *, mode_frequencies: tuple, atom_a: tuple, atom_b: tuple,
+                 coupling: float, photon_number: int, free_interval: float,
+                 measure_interval: float, final_time: float,
+                 fock_cutoffs: Optional[tuple] = None):
+        if free_interval <= 0.0:
             raise ValueError("free_interval must be positive")
-        if self.measure_interval < 0.0:
+        if measure_interval < 0.0:
             raise ValueError("measure_interval must be non-negative")
-        if self.final_time < self.free_interval + self.measure_interval:
+        if final_time < free_interval + measure_interval:
             raise ValueError("final_time must cover at least one cycle")
-        if self.photon_number < 0:
+        if photon_number < 0:
             raise ValueError("photon_number must be non-negative")
-        if self.photon_number > 0 and self.coupling <= 0.0:
+        if photon_number > 0 and coupling <= 0.0:
             raise ValueError("coupling must be positive when photons are injected")
-        n = self.photon_number
-        cutoffs = self.fock_cutoffs
-        if cutoffs is None:
-            cutoffs = (n + 2,) * len(self.TRANSITIONS)
-        object.__setattr__(self, "fock_cutoffs", tuple(int(c) for c in cutoffs))
-        if any(c < n + 2 for c in self.fock_cutoffs):
+        if fock_cutoffs is None:
+            fock_cutoffs = (photon_number + 2,) * len(self.TRANSITIONS)
+        fock_cutoffs = tuple(int(c) for c in fock_cutoffs)
+        if any(c < photon_number + 2 for c in fock_cutoffs):
             raise ValueError("fock_cutoffs must be at least photon_number + 2")
+        self._set(locals())
 
     @property
     def cycle_time(self) -> float:
@@ -113,12 +106,11 @@ class LevelSchemeConfig:
 
     @property
     def atom_levels(self) -> tuple:
-        return (astuple(self.atom_a), astuple(self.atom_b))
+        return (self.atom_a, self.atom_b)
 
     def transition(self, atom, k: int) -> float:
         upper, lower = self.TRANSITIONS[k - 1]
-        levels = astuple(atom)
-        return levels[upper] - levels[lower]
+        return atom[upper] - atom[lower]
 
     def mean_transition(self, k: int) -> float:
         return 0.5 * (self.transition(self.atom_a, k) + self.transition(self.atom_b, k))
@@ -315,26 +307,22 @@ def ps_analytic(deltas, free_interval: float, measure_interval: float,
     )
 
 
-@dataclass(frozen=True)
-class SurvivalTrace:
+class SurvivalTrace(Record):
     """Survival probability of the success branch over a protocol run."""
 
-    times: np.ndarray
-    p_success: np.ndarray
-    p_error_per_cycle: np.ndarray
-    analytic_p_s: np.ndarray
-    final_state: StateVector
-    out_of_regime: bool
-    max_mode_tail: float
+    __slots__ = ("times", "p_success", "p_error_per_cycle", "analytic_p_s", "final_state",
+                 "out_of_regime", "max_mode_tail")
 
-    def __post_init__(self):
-        p = self.p_success
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-9):
+    def __init__(self, times: np.ndarray, p_success: np.ndarray,
+                 p_error_per_cycle: np.ndarray, analytic_p_s: np.ndarray,
+                 final_state: StateVector, out_of_regime: bool, max_mode_tail: float):
+        if np.any(p_success < -1e-12) or np.any(p_success > 1.0 + 1e-9):
             raise ValueError("success probabilities outside [0, 1]")
-        if np.any(np.diff(p) > 1e-12):
+        if np.any(np.diff(p_success) > 1e-12):
             raise ValueError("success probability must be non-increasing")
-        for name in ("times", "p_success", "p_error_per_cycle", "analytic_p_s"):
-            getattr(self, name).flags.writeable = False
+        for array in (times, p_success, p_error_per_cycle, analytic_p_s):
+            array.flags.writeable = False
+        self._set(locals())
 
 
 def _record_cycles(total_cycles: int, max_points: int) -> np.ndarray:

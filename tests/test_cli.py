@@ -1043,6 +1043,14 @@ class TestStartup:
             "zeno2", "--config", str(REPO / "configs" / "defaults.cfg"),
             "--out", str(tmp_path / "out")])
 
+    def test_cli_import_leaves_dataclasses_unloaded(self, tmp_path):
+        # the records of src/ are plain classes: a frozen dataclass took about
+        # 1.1 ms per class per process to generate, and dataclasses imports inspect
+        self._unloaded_after_cli_import("dataclasses")
+        self._unloaded_after_cli_import("dataclasses", [
+            "zeno2", "--config", str(REPO / "configs" / "defaults.cfg"),
+            "--out", str(tmp_path / "out")])
+
 
 class TestWithoutScipy:
     def test_cli_imports_and_runs_without_scipy(self, tmp_path):

@@ -1,6 +1,5 @@
 """Ensemble statistics: sampling, coherence envelopes, Allan deviation."""
 
-import dataclasses
 import functools
 import math
 import os
@@ -520,7 +519,7 @@ class TestStreamingFold:
                              time_points=defaults["time_points"],
                              time_max=defaults["time_max"] * (10.0 if locked else 1.0))
         assert self._traced_peak(config, locked) < 2 << 20
-        small, large = (self._traced_peak(dataclasses.replace(config, replicas=replicas),
+        small, large = (self._traced_peak(config.replace(replicas=replicas),
                                           locked) for replicas in (2_000, 20_000))
         assert large - small < 1 << 20
 
@@ -550,7 +549,7 @@ class TestStreamedDraw:
         # the histogram reads fewer replicas than the pass draws, more (the
         # rest drawn on top), or as many
         config = make_config(atom_count=atoms, replicas=replicas, time_points=201)
-        locked_config = dataclasses.replace(config, time_max=1.0)
+        locked_config = config.replace(time_max=1.0)
         hist_config = make_config(atom_count=9, replicas=hist_replicas, time_max=1.0,
                                   time_points=2)
         monkeypatch.setattr(dp, "_last_draw", None)
@@ -752,7 +751,7 @@ def run_curve(locked, **overrides):
     if locked:
         times = times * math.sqrt(config.atom_count)
         sigma /= math.sqrt(config.atom_count)
-        config = dataclasses.replace(config, time_max=times[-1])
+        config = config.replace(time_max=times[-1])
     values, _ = dp.monte_carlo_mean_cos(config, locked=locked)
     values.flags.writeable = False
     return times, values, sigma

@@ -1,7 +1,5 @@
 """State machinery: bases, operators, exact evolution, measurement."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -648,8 +646,7 @@ class TestAssembleSectors:
     @pytest.mark.parametrize("cutoff", [1, 2, 3])
     def test_emission_sectors_match_dense_assembly(self, cutoff):
         # conserved: L (atoms in E1 plus photons) and the atoms in G2
-        config = dataclasses.replace(rd.readout_config(transition_1=121.5),
-                                     emission_mode_cutoff=cutoff)
+        config = rd.readout_config(transition_1=121.5).replace(emission_mode_cutoff=cutoff)
         frequency = config.emission_frequency + 0.3
         sectors = rd._rotating_frame_hamiltonian(config, frequency)
         assert_sectors_match_dense(

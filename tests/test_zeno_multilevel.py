@@ -1,6 +1,5 @@
 """Three-level leakage defect and the four-level protocol."""
 
-import dataclasses
 import functools
 import math
 import tracemalloc
@@ -67,9 +66,9 @@ class TestSchemeModel:
     @pytest.mark.parametrize("cutoffs", [(3, 4), (4, 3), (1, 1)])
     def test_cutoff_below_photon_number_plus_two_raises(self, scheme, cutoffs):
         config = SCHEMES[scheme](2)
-        assert dataclasses.replace(config, fock_cutoffs=(4, 5)).fock_cutoffs == (4, 5)
+        assert config.replace(fock_cutoffs=(4, 5)).fock_cutoffs == (4, 5)
         with pytest.raises(ValueError, match="fock_cutoffs must be at least photon_number"):
-            dataclasses.replace(config, fock_cutoffs=cutoffs)
+            config.replace(fock_cutoffs=cutoffs)
 
 
 class TestHamiltonians:

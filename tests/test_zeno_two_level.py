@@ -1,6 +1,5 @@
 """Two-atom Zeno protocol: drift, measurement, cycles, survival curves."""
 
-import dataclasses
 import functools
 import math
 
@@ -51,7 +50,7 @@ class TestConfig:
     def test_rejects_invalid_field(self, scheme, change, message):
         config = SCHEMES[scheme]()
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(config, **change)
+            config.replace(**change)
 
     def test_default_cutoff(self):
         config = so.two_level_config(free_interval=0.1, measure_interval=0.0,
@@ -356,7 +355,7 @@ class TestRunProtocol:
         assert np.all(np.diff(trace.p_success) <= 1e-12)
 
     def test_partial_trailing_cycle_is_drift_only(self):
-        config = dataclasses.replace(z2.config_for_cycle_time(0.01, 0.5), final_time=0.507)
+        config = z2.config_for_cycle_time(0.01, 0.5).replace(final_time=0.507)
         trace = z2.run_protocol(config)
         assert trace.times[-1] == pytest.approx(0.507)
         assert trace.p_success[-1] == trace.p_success[-2]
