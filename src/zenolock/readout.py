@@ -311,9 +311,9 @@ _CHANNEL_ANNIHILATION = np.zeros((4, 4))
 _CHANNEL_ANNIHILATION[0, 3] = _CHANNEL_ANNIHILATION[2, 1] = 1.0
 _CHANNEL_ANNIHILATION.flags.writeable = False
 OVERFLOW_THRESHOLD = 1e-3  # largest weight that may reach two photons
-# Channel amplitudes (times x states x 4) that one phase-table product forms at
-# most, 4 MB; the 16-phase sweep at 4001 samples just fits into one product.
-_BLOCK_AMPLITUDES = 1 << 18
+# Channel amplitudes (times x states x 4) that one phase-table product forms,
+# 256 kB: the 16-phase sweep at 4001 samples takes 16 products of 250-251 rows.
+_BLOCK_AMPLITUDES = 1 << 14
 
 
 class _EmissionModel:
@@ -389,7 +389,8 @@ class _EmissionModel:
         neither depends on the state, so every trace shares it.
         """
         if self._phase_table is None:
-            table = np.exp(-1j * np.outer(np.asarray(self.readout_times), self.eigenvalues))
+            table = -1j * np.outer(np.asarray(self.readout_times), self.eigenvalues)
+            np.exp(table, out=table)
             table.flags.writeable = False
             self._phase_table = table
         return self._phase_table
@@ -451,22 +452,25 @@ def _channel_quadratures(table: np.ndarray, coeff: np.ndarray,
     """Radiated quadrature 2 Re <a> of every column of ``coeff``, shape (columns, times).
 
     Column j evolves to the channel amplitudes
-    m[t] = sum_i table[t, i] coeff[i, j] readout[i, :], so one product of
-    ``table`` with the columns coeff[:, j] (x) readout gives every column's,
-    in blocks of columns that keep m within ``_BLOCK_AMPLITUDES`` entries.
+    m[t] = sum_i table[t, i] coeff[i, j] readout[i, :], so products of ``table`` rows
+    with the columns coeff[:, j] (x) readout give every column's, each m within about
+    ``_BLOCK_AMPLITUDES`` entries and of two rows or more (numpy rounds one row as gemv).
     P^dag a P has two nonzero entries, both 1, so <a> sums conj(m[row]) m[col]
     over them: conj(m0) m3 + conj(m2) m1.
     """
     size, count = coeff.shape
-    block = max(1, _BLOCK_AMPLITUDES // (4 * len(table)))
+    width = max(1, min(count, _BLOCK_AMPLITUDES // (4 * size)))
+    slabs = max(1, min(len(table) // 2, -(-4 * width * len(table) // _BLOCK_AMPLITUDES)))
     rows, cols = np.nonzero(_CHANNEL_ANNIHILATION)
     quadratures = np.empty((count, len(table)))
-    for start in range(0, count, block):
-        part = coeff[:, start:start + block]
+    for start in range(0, count, width):
+        part = coeff[:, start:start + width]
         columns = (part[:, :, None] * readout[:, None, :]).reshape(size, -1)
-        m = (table @ columns).reshape(len(table), part.shape[1], 4)
-        mean_a = sum(m[..., row].conj() * m[..., col] for row, col in zip(rows, cols))
-        quadratures[start:start + block] = 2.0 * mean_a.real.T
+        for times, out in zip(np.array_split(table, slabs),
+                              np.array_split(quadratures[start:start + width], slabs, axis=1)):
+            m = (times @ columns).reshape(len(times), part.shape[1], 4)
+            mean_a = sum(m[..., row].conj() * m[..., col] for row, col in zip(rows, cols))
+            out[...] = 2.0 * mean_a.real.T
     return quadratures
 
 

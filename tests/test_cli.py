@@ -1,6 +1,7 @@
 """Configuration parsing and end-to-end CLI runs."""
 
 import argparse
+import hashlib
 import inspect
 import itertools
 import math
@@ -1050,6 +1051,50 @@ class TestStartup:
         self._unloaded_after_cli_import("dataclasses", [
             "zeno2", "--config", str(REPO / "configs" / "defaults.cfg"),
             "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("command", [None, "zeno2", "zeno4", "readout"])
+    def test_openssl_stays_unloaded(self, tmp_path, command):
+        # the config digest is CPython's builtin sha256: hashlib loads OpenSSL's
+        # _hashlib, 3.6 MB of RSS and about 4 ms a process (a dephasing run
+        # still loads it, through numpy.random)
+        argv = None if command is None else [
+            command, "--config", str(REPO / "configs" / "defaults.cfg"),
+            "--out", str(tmp_path / "out")]
+        self._unloaded_after_cli_import("_hashlib", argv)
+
+
+# A zenolock run with CPython's builtin sha256 modules blocked, so that the
+# config digest falls back to hashlib (OpenSSL).
+HASHLIB_FALLBACK = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import zenolock.cli
+assert zenolock.cli.main(sys.argv[1:]) == 0
+assert "_hashlib" in sys.modules
+"""
+
+
+class TestConfigDigest:
+    @staticmethod
+    def _manifest(out):
+        return [line for line in (out / "manifest.txt").read_text().splitlines()
+                if not line.startswith("output_directory = ")]
+
+    def test_manifest_holds_the_sha256_of_the_config(self, tmp_path):
+        path = write_config(tmp_path, SMALL)
+        assert cli.main(["zeno2", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        expected = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert f"config_sha256 = {expected}" in self._manifest(tmp_path / "out")
+
+    def test_hashlib_fallback_writes_the_same_manifest(self, tmp_path):
+        path = write_config(tmp_path, SMALL)
+        argv = ["zeno2", "--config", str(path)]
+        assert cli.main([*argv, "--out", str(tmp_path / "builtin")]) == 0
+        result = subprocess.run(
+            [sys.executable, "-c", HASHLIB_FALLBACK, *argv, "--out", str(tmp_path / "fallback")],
+            env=fresh_env(), capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert self._manifest(tmp_path / "fallback") == self._manifest(tmp_path / "builtin")
 
 
 class TestWithoutScipy:

@@ -653,6 +653,30 @@ class TestBandwidthHistogram:
             integral = np.sum(histogram.density * np.diff(histogram.bin_edges))
             assert integral == pytest.approx(1.0, rel=1e-9)
 
+    # samples drawn around numpy's 65,536-sample histogram block (and the
+    # chunks' 8192), all equal (edges at +-0.5), or on integers that are edges
+    @settings(max_examples=40, deadline=None)
+    @given(samples=st.integers(65_536 - 20, 65_536 + 20) | st.integers(2, 20_000),
+           atoms=st.sampled_from([1, 2, 9]), bins=st.integers(1, 100),
+           kind=st.sampled_from(["normal", "equal", "edges"]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy_bit_for_bit(self, samples, atoms, bins, kind, seed):
+        rng = np.random.default_rng(seed)
+        shape = (max(2, samples // atoms), atoms)
+        freqs = {"normal": lambda: rng.normal(100.0, 10.0, shape),
+                 "equal": lambda: np.full(shape, 100.0),
+                 "edges": lambda: rng.integers(0, bins + 1, shape).astype(float)}[kind]()
+        if kind == "edges":
+            freqs.flat[:2] = 0.0, bins  # edges 0, 1, ..., bins
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dp, "sample_all_replicas", lambda config: freqs)
+            result = dp.bandwidth_histogram(make_config(), bins=bins)
+        for histogram, values in ((result.individual, freqs.ravel()),
+                                  (result.replica_means, freqs.mean(axis=1))):
+            density, edges = np.histogram(values, bins=bins, density=True)
+            assert histogram.bin_edges.tobytes() == edges.tobytes()
+            assert histogram.density.tobytes() == density.tobytes()
+            assert histogram.sample_sigma == float(np.std(values, ddof=1))
+
 
 _PHASOR_DIGEST = """\
 import hashlib, sys

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,17 +396,45 @@ class TestBatchedEmission:
             assert trace.fitted_phase == pytest.approx(single.fitted_phase, abs=1e-12)
             assert trace.fitted_frequency == single.fitted_frequency
 
-    def test_blocks_of_states_equal_one_product(self, monkeypatch):
+    @staticmethod
+    def _whole_and_blocked(monkeypatch, columns):
         config = rd.readout_config()
         model = rd.emission_model(config)
         states = sweep_states(config)
+        monkeypatch.setattr(rd, "_BLOCK_AMPLITUDES", 1 << 30)
         whole = rd.emit_field_traces(states, model)
-        # blocks of 3 states, the last one of 1
-        monkeypatch.setattr(rd, "_BLOCK_AMPLITUDES", 3 * 4 * len(config.readout_times))
-        blocked = rd.emit_field_traces(states, model)
+        monkeypatch.setattr(rd, "_BLOCK_AMPLITUDES", max(1, 4 * columns * len(model.states)))
+        return whole, rd.emit_field_traces(states, model)
+
+    def test_blocks_of_states_equal_one_product(self, monkeypatch):
+        # blocks of 3 states, the last one of 1, each in 191 blocks of 20 or
+        # 21 of the 4001 times
+        whole, blocked = self._whole_and_blocked(monkeypatch, 3)
         for one, other in zip(whole, blocked):
             np.testing.assert_allclose(one.quadrature, other.quadrature, rtol=0, atol=1e-15)
             assert one.fitted_phase == pytest.approx(other.fitted_phase, abs=1e-12)
+
+    def test_blocks_of_two_times_equal_one_product(self, monkeypatch):
+        # the smallest block: one state and 2 or 3 times, never one (numpy
+        # hands a one-row product to gemv)
+        whole, blocked = self._whole_and_blocked(monkeypatch, 0)
+        for one, other in zip(whole, blocked):
+            np.testing.assert_allclose(one.quadrature, other.quadrature, rtol=0, atol=1e-15)
+
+    def test_sweep_working_set_is_bounded(self):
+        # 16 x 4001 x 4 channel amplitudes in one product (4 MB) and their
+        # products took 8.0 MB; the phase table (1.3 MB) and the 16 traces
+        # (0.5 MB) should set the peak
+        config = rd.readout_config()
+        model = rd.emission_model(config)
+        states = sweep_states(config)
+        tracemalloc.start()
+        try:
+            rd.emit_field_traces(states, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_basis_mismatch_anywhere_in_the_batch(self):
         config = rd.readout_config()
