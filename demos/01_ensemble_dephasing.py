@@ -32,18 +32,15 @@ print(f"coherence e-fold time, locked ensemble:   "
 
 config = dp.EnsembleConfig(ATOMS, F0, FWHM, SEED, time_max=0.1, time_points=201,
                            replicas=REPLICAS)
-# the histogram below reads 9 atoms of 10,000 replicas of the same draw; the
-# Monte Carlo pass keeps those of its 4000 replicas, so every stream is drawn once
-hist_config = dp.EnsembleConfig(9, F0, FWHM, SEED, time_max=1.0, time_points=2,
-                                replicas=10_000)
 grid = config.time_grid
-mc_ind, se_ind = dp.monte_carlo_mean_cos(config, histogram=hist_config)
-analytic_ind = dp.envelope_independent(grid, sigma, F0)
-
-# the same 201 points stretched by sqrt(N)
+# the locked curve: the same 201 points stretched by sqrt(N)
 locked_grid = grid * math.sqrt(ATOMS)
-locked_config = config.replace(time_max=locked_grid[-1])
-mc_lock, se_lock = dp.monte_carlo_mean_cos(locked_config, locked=True)
+# one pass over the draw gives both curves, and the histogram below reads 9
+# atoms of 10,000 replicas of it: those of the 4000 the curves drew, and 6000
+# replicas drawn on top
+(mc_ind, se_ind), (mc_lock, se_lock), histogram_sample = dp.ensemble_pass(
+    config, locked_grid[-1], histogram_replicas=10_000, histogram_atoms=9)
+analytic_ind = dp.envelope_independent(grid, sigma, F0)
 analytic_lock = dp.envelope_locked(locked_grid, sigma, F0, ATOMS)
 
 worst_ind = np.max(np.abs(mc_ind - analytic_ind) / np.maximum(se_ind, 1e-15))
@@ -59,7 +56,7 @@ line_plot(OUT / "dephasing_locked.svg",
           title="Mean cosine, locked ensemble", xlabel="t [s]", ylabel="mean cos")
 
 # sqrt(N) narrowing of the frequency distribution itself
-histograms = dp.bandwidth_histogram(hist_config)
+histograms = dp.bandwidth_histogram(histogram_sample())
 print(f"\nN = 9 replica-mean distribution is {histograms.sigma_ratio:.2f}x narrower "
       f"than the single-atom one (expect {math.sqrt(9):.0f}x)")
 

@@ -238,24 +238,21 @@ def cmd_dephasing(section: Section, out_dir: Path, args, digest: str):
     config = dephasing.EnsembleConfig(atom_count=atom_count, center_frequency=f0,
                                       fwhm=fwhm, seed=seed, time_max=time_max,
                                       time_points=points, replicas=replicas)
-    hist_config = dephasing.EnsembleConfig(
-        atom_count=histogram_atoms, center_frequency=f0, fwhm=fwhm, seed=seed,
-        time_max=1.0, time_points=2, replicas=histogram_replicas)
     sigma = config.sigma
     with _overflow_names("dephasing", {"center_frequency": f0, "fwhm": fwhm,
                                        "time_max": time_max},
                          "the sampled frequencies or the Monte Carlo phases"):
         grid = config.time_grid
         locked_grid = grid * math.sqrt(atom_count)
-        locked_config = config.replace(time_max=locked_grid[-1])
-        mc_ind, se_ind = dephasing.monte_carlo_mean_cos(config, locked=False,
-                                                         histogram=hist_config)
-        mc_lock, se_lock = dephasing.monte_carlo_mean_cos(locked_config, locked=True)
+        (mc_ind, se_ind), (mc_lock, se_lock), histogram_sample = dephasing.ensemble_pass(
+            config, locked_grid[-1], histogram_replicas, histogram_atoms)
         with _overflow_names("dephasing", {"fwhm": fwhm, "time_max": time_max},
                              "the envelope exponent (2 pi sigma t)^2 / 2"):
             analytic_ind = dephasing.envelope_independent(grid, sigma, f0)
             analytic_lock = dephasing.envelope_locked(locked_grid, sigma, f0, atom_count)
-        histograms = dephasing.bandwidth_histogram(hist_config, bins=bins)
+        # an overflow is named by the first step it hits: both curves, the
+        # envelopes, then the histogram's own draw and spread
+        histograms = dephasing.bandwidth_histogram(histogram_sample(), bins=bins)
 
     independent = TraceRecord(
         name="dephasing_independent",
@@ -299,7 +296,7 @@ def cmd_dephasing(section: Section, out_dir: Path, args, digest: str):
         "efold_ratio": efold_lock / efold_ind,
         "efold_ratio_expected": math.sqrt(atom_count),
         "histogram_sigma_ratio": histograms.sigma_ratio,
-        "histogram_sigma_ratio_expected": math.sqrt(hist_config.atom_count),
+        "histogram_sigma_ratio_expected": math.sqrt(histogram_atoms),
     }
     if args.plots:
         from .svgplot import line_plot

@@ -12,6 +12,7 @@ This is the only module that works in plain Hz and seconds.
 
 import math
 import threading
+from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -127,100 +128,40 @@ def _draw(config: EnsembleConfig, out: np.ndarray, first: int) -> np.ndarray:
     return out
 
 
-def _draw_chunks(config: EnsembleConfig, rows: int):
-    """(first replica, frequencies) of every replica, in chunks of whole
-    ``rows``-replica blocks drawn one after another into one reused buffer.
+def _draw_chunks(config: EnsembleConfig, rows: int, means=None, leading=None):
+    """The frequencies of every replica, in chunks of whole ``rows``-replica
+    blocks drawn one after another into one reused buffer.
 
     A chunk holds as many blocks as _DRAW_ENTRIES floats allow, at least
     one; the last chunk holds the rest.  Each chunk is a view the next one
-    overwrites.
+    overwrites.  Each replica's mean frequency goes into ``means``, and the
+    leading replicas and atoms of the draw into ``leading``, when given.
     """
     replicas = config.replicas
     size = min(replicas, rows * max(1, _DRAW_ENTRIES // (rows * config.atom_count)))
     buffer = np.empty((size, config.atom_count))
     for lo in range(0, replicas, size):
-        yield lo, _draw(config, buffer[:min(size, replicas - lo)], lo)
-
-
-def _draw_key(config: EnsembleConfig) -> tuple:
-    # every draw with these inputs is the same, whatever its shape
-    return config.seed, config.center_frequency, config.fwhm
-
-
-class _KeptDraw(NamedTuple):
-    """What an independent Monte Carlo pass keeps of its draw."""
-
-    key: tuple                 # the draw's _draw_key
-    atom_count: int
-    means: np.ndarray          # each replica's mean frequency
-    leading: np.ndarray | None  # the leading replicas x atoms a histogram reads
-
-
-# The _KeptDraw of the last independent pass.  Two threads that miss at once
-# both draw the same deterministic values, so the memo needs no lock.
-_last_draw = None
-
-
-def sample_all_replicas(config: EnsembleConfig) -> np.ndarray:
-    """Frequencies of every replica, shape (replicas, atom_count), read-only.
-
-    The first n normals of a replica stream are the prefix of its first
-    m > n, so the leading replicas and atoms that the last independent pass
-    of :func:`monte_carlo_mean_cos` kept serve any config with the same
-    seed, center frequency and width and at most as many atoms, equal bit
-    for bit to a fresh draw: a view of them when they hold every replica,
-    else a copy, with only the other replicas drawn.
-    """
-    kept = np.empty((0, config.atom_count))
-    draw = _last_draw
-    if (draw is not None and draw.leading is not None and draw.key == _draw_key(config)
-            and draw.leading.shape[1] >= config.atom_count):
-        kept = draw.leading[:config.replicas, :config.atom_count]
-        if kept.shape[0] == config.replicas:
-            return kept
-    out = np.empty((config.replicas, config.atom_count))
-    out[:kept.shape[0]] = kept
-    _draw(config, out[kept.shape[0]:], kept.shape[0])
-    out.flags.writeable = False
-    return out
-
-
-def _replica_means(config: EnsembleConfig) -> np.ndarray:
-    """Mean frequency of each replica's atoms, from the last independent
-    pass over the same draw, or else from a draw streamed in chunks."""
-    draw = _last_draw
-    if (draw is not None and draw.key == _draw_key(config)
-            and draw.atom_count == config.atom_count and draw.means.size >= config.replicas):
-        return draw.means[:config.replicas]
-    means = np.empty(config.replicas)
-    for lo, chunk in _draw_chunks(config, 1):
-        chunk.mean(axis=1, out=means[lo:lo + chunk.shape[0]])
-    return means
-
-
-def _independent_draw(config: EnsembleConfig, rows: int, histogram):
-    """The chunks of :func:`_draw_chunks`, keeping each replica's mean and the
-    part of the draw ``histogram`` (an EnsembleConfig, or None) reads.
-
-    After the last chunk they become the memo that the locked curve and
-    :func:`sample_all_replicas` read.
-    """
-    global _last_draw
-    key = _draw_key(config)
-    means = np.empty(config.replicas)
-    leading = None
-    if (histogram is not None and _draw_key(histogram) == key
-            and histogram.atom_count <= config.atom_count):
-        leading = np.empty((min(histogram.replicas, config.replicas), histogram.atom_count))
-    for lo, chunk in _draw_chunks(config, rows):
+        chunk = _draw(config, buffer[:min(size, replicas - lo)], lo)
         hi = lo + chunk.shape[0]
-        chunk.mean(axis=1, out=means[lo:hi])
+        if means is not None:
+            chunk.mean(axis=1, out=means[lo:hi])
         if leading is not None and lo < leading.shape[0]:
             leading[lo:hi] = chunk[:leading.shape[0] - lo, :leading.shape[1]]
         yield chunk
-    if leading is not None:
-        leading.flags.writeable = False
-    _last_draw = _KeptDraw(key, config.atom_count, means, leading)
+
+
+def sample_all_replicas(config: EnsembleConfig, out=None, first: int = 0) -> np.ndarray:
+    """Frequencies of every replica, shape (replicas, atom_count), read-only.
+
+    They are drawn into ``out`` when given, else into a new array.  The rows
+    of ``out`` before ``first`` are left as they are, for a caller that
+    holds the leading replicas of the draw already.
+    """
+    if out is None:
+        out = np.empty((config.replicas, config.atom_count))
+    _draw(config, out[first:], first)
+    out.flags.writeable = False
+    return out
 
 
 def envelope_independent(t, sigma: float, center_frequency: float):
@@ -361,7 +302,8 @@ def _fold(blocks, points: int):
     return mean, np.sqrt(m2 / (count - 1)) / np.sqrt(count)
 
 
-def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False, histogram=None):
+def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False, means=None,
+                         leading=None):
     """Replica-averaged mean cosine on the config time grid.
 
     Returns ``(mean, standard_error)`` arrays.  In the locked variant every
@@ -372,25 +314,52 @@ def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False, histogram
     baby- and giant-step phasor powers of :func:`_phasor_blocks`, whose
     blocks :func:`_fold` folds into running per-point moments as soon as
     they are made.  No (replicas, atom_count) or (grid, replicas) array is
-    formed.  The pass keeps each replica's mean, which a later locked call
-    on the same draw reads (a locked call without one streams the draw for
-    them), and the leading replicas and atoms that ``histogram``, the
-    EnsembleConfig of a later :func:`bandwidth_histogram` call, reads.  The
-    blocking depends on the input shape only, whatever the draw's chunks,
-    and each replica's atom sums are one matrix product of a shape fixed by
-    the grid and the atom count, so the result is fixed by the inputs.  On
-    the shapes CI compares, the CSVs of a run are byte-identical at 1 and 2
-    BLAS threads; larger per-replica products can differ in the last bits.
+    formed.  The independent pass writes each replica's mean frequency into
+    ``means`` and the leading replicas and atoms of its draw into
+    ``leading``, when given; the locked call reads the ``means`` of that
+    draw, or streams the draw for them when given none.
+    The blocking depends on the input shape only, whatever the draw's
+    chunks, and each replica's atom sums are one matrix product of a shape
+    fixed by the grid and the atom count, so the result is fixed by the
+    inputs.  On the shapes CI compares, the CSVs of a run are byte-identical
+    at 1 and 2 BLAS threads; larger per-replica products can differ in the
+    last bits.
     """
     points = config.time_points
     step = config.time_max / (points - 1)
     if locked:
+        if means is None:
+            means = np.empty(config.replicas)
+            deque(_draw_chunks(config, 1, means), maxlen=0)  # keeps no view of the draw buffer
         rows = _block_rows(config.replicas, 1, points)
-        chunks = [_replica_means(config)[:, None]]
+        chunks = [means[:, None]]
     else:
         rows = _block_rows(config.replicas, config.atom_count, points)
-        chunks = _independent_draw(config, rows, histogram)
+        chunks = _draw_chunks(config, rows, means, leading)
     return _fold(_phasor_blocks(chunks, rows, step, points), points)
+
+
+def ensemble_pass(config: EnsembleConfig, locked_time_max: float, histogram_replicas: int,
+                  histogram_atoms: int):
+    """Both Monte Carlo curves and the histogram sample of one draw.
+
+    Returns the ``(mean, standard_error)`` of :func:`monte_carlo_mean_cos`
+    on the independent curve of ``config`` and on the locked curve over as
+    many points up to ``locked_time_max``, and a function returning the
+    leading ``histogram_replicas`` x ``histogram_atoms`` of the same draw,
+    read-only, for :func:`bandwidth_histogram`.  The independent curve
+    writes each replica's mean, which the locked curve reads, and the part
+    of that sample it draws; the function draws only the rest (all of it
+    when the histogram has more atoms than the curve).
+    """
+    histogram = config.replace(replicas=histogram_replicas, atom_count=histogram_atoms)
+    freqs = np.empty((histogram_replicas, histogram_atoms))
+    kept = min(histogram_replicas, config.replicas) if histogram_atoms <= config.atom_count else 0
+    means = np.empty(config.replicas)
+    independent = monte_carlo_mean_cos(config, means=means, leading=freqs[:kept])
+    locked = monte_carlo_mean_cos(config.replace(time_max=locked_time_max), locked=True,
+                                  means=means)
+    return independent, locked, lambda: sample_all_replicas(histogram, freqs, kept)
 
 
 class HistogramData(NamedTuple):
@@ -410,9 +379,9 @@ class BandwidthHistograms(NamedTuple):
         return self.individual.sample_sigma / self.replica_means.sample_sigma
 
 
-def bandwidth_histogram(config: EnsembleConfig, bins: int = 60) -> BandwidthHistograms:
-    """Normalized histograms of individual frequencies and of replica means."""
-    freqs = sample_all_replicas(config)
+def bandwidth_histogram(freqs: np.ndarray, bins: int = 60) -> BandwidthHistograms:
+    """Normalized histograms of the individual frequencies of a (replicas,
+    atom_count) draw and of its replica means."""
     singles = freqs.ravel()
     means = freqs.mean(axis=1)
 

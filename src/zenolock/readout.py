@@ -400,7 +400,7 @@ class _EmissionModel:
         mode_dim = self.config.emission_mode_cutoff + 1
         amps = np.zeros((len(pairs), mode_dim, pairs.shape[1]), dtype=complex)
         amps[:, 0] = pairs
-        return amps.reshape(-1, pairs.shape[1])
+        return amps.reshape(len(pairs) * mode_dim, pairs.shape[1])
 
     def embed(self, pairs: np.ndarray) -> np.ndarray:
         """The adiabatically dressed starts on ``states``, each normalized on the whole basis.

@@ -52,7 +52,7 @@ def test_01_dephasing_envelopes():
 def test_02_bandwidth_narrowing():
     config = dp.EnsembleConfig(atom_count=9, center_frequency=100.0, fwhm=10.0,
                                seed=20260808, time_max=1.0, time_points=2, replicas=10_000)
-    histograms = dp.bandwidth_histogram(config)
+    histograms = dp.bandwidth_histogram(dp.sample_all_replicas(config))
     fitted = histograms.replica_means.sample_sigma
     assert fitted == pytest.approx(config.sigma / 3.0, rel=0.10)
     report(2, f"replica-mean spread {fitted:.4f} vs sigma/3 = {config.sigma / 3.0:.4f}")

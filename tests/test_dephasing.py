@@ -1,11 +1,13 @@
 """Ensemble statistics: sampling, coherence envelopes, Allan deviation."""
 
 import functools
+import itertools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -112,71 +114,76 @@ class TestSampling:
         np.testing.assert_array_equal(direct, again)
 
 
+def counting_rekeys(monkeypatch):
+    """The replica indices of every re-keyed stream, appended as they are drawn."""
+    calls = []
+    original = dp._replica_rng
+
+    def counting(seed, replica):
+        calls.append(replica)
+        return original(seed, replica)
+
+    monkeypatch.setattr(dp, "_replica_rng", counting)
+    return calls
+
+
 class TestReplicaDraw:
     def test_prefix_of_larger_draw_is_bit_identical(self, monkeypatch):
-        # the histogram reads the leading atoms the Monte Carlo pass kept
-        monkeypatch.setattr(dp, "_last_draw", None)
+        # the histogram reads the leading atoms the independent curve kept
         narrow_config = make_config(atom_count=9, replicas=40)
-        dp.monte_carlo_mean_cos(make_config(atom_count=100, replicas=40),
-                                histogram=narrow_config)
-        narrow = dp.sample_all_replicas(narrow_config)
+        sample = dp.ensemble_pass(make_config(atom_count=100, replicas=40), 1.0, 40, 9)[2]
+        calls = counting_rekeys(monkeypatch)
+        narrow = sample()
+        assert calls == []
         assert narrow.shape == (40, 9)
-        assert np.shares_memory(narrow, dp._last_draw.leading)
         for replica in range(40):
             np.testing.assert_array_equal(narrow[replica],
                                           sample_frequencies(narrow_config, replica))
 
-    def test_returned_draw_is_read_only(self, monkeypatch):
-        # a fresh draw, a view of a pass's kept draw, and a copy of one topped up
-        monkeypatch.setattr(dp, "_last_draw", None)
-        dp.monte_carlo_mean_cos(make_config(atom_count=100, replicas=20),
-                                histogram=make_config(atom_count=9, replicas=20))
-        for atoms, replicas in ((100, 20), (9, 20), (9, 30)):
-            freqs = dp.sample_all_replicas(make_config(atom_count=atoms, replicas=replicas))
+    def test_returned_draw_is_read_only(self):
+        # a fresh draw, a histogram sample the pass kept whole, and one topped up
+        config = make_config(atom_count=100, replicas=20)
+        draws = [dp.sample_all_replicas(config),
+                 *(dp.ensemble_pass(config, 1.0, replicas, 9)[2]() for replicas in (20, 30))]
+        for freqs in draws:
             assert not freqs.flags.writeable
             with pytest.raises(ValueError):
                 freqs[0, 0] = 0.0
 
     @pytest.mark.parametrize("change", [dict(seed=1), dict(replicas=21), dict(fwhm=3.0),
                                         dict(center_frequency=50.0), dict(atom_count=12)])
-    def test_changed_inputs_draw_afresh(self, monkeypatch, change):
-        # also one replica more than the pass kept, which is drawn on top
-        monkeypatch.setattr(dp, "_last_draw", None)
-        kept = make_config(atom_count=10, replicas=20)
-        dp.monte_carlo_mean_cos(kept, histogram=kept)
+    def test_changed_inputs_draw_afresh(self, change):
+        # the histogram sample is the draw of its own inputs: one replica more
+        # than the curves (drawn on top) or more atoms (drawn whole) included
         config = make_config(**{"atom_count": 10, "replicas": 20, **change})
+        curves = config.replace(atom_count=10, replicas=20)
         fresh = np.array([sample_frequencies(config, r) for r in range(config.replicas)])
-        np.testing.assert_array_equal(dp.sample_all_replicas(config), fresh)
+        sample = dp.ensemble_pass(curves, 1.0, config.replicas, config.atom_count)[2]
+        np.testing.assert_array_equal(sample(), fresh)
 
     def test_each_replica_stream_drawn_once_per_run(self, monkeypatch, tmp_path):
         # the three readers of the draw in the dephasing subcommand: the
         # independent curve, the locked curve (other grid) and the histogram
-        # (fewer atoms, and fewer or more replicas)
-        calls = []
-        original = dp._replica_rng
-
-        def counting(seed, replica):
-            calls.append(replica)
-            return original(seed, replica)
-
-        monkeypatch.setattr(dp, "_replica_rng", counting)
-        for histogram_replicas in (20, 30, 45):
-            monkeypatch.setattr(dp, "_last_draw", None)
+        # (fewer or more replicas; fewer atoms, or more, which it draws again)
+        calls = counting_rekeys(monkeypatch)
+        for histogram_atoms, histogram_replicas in itertools.product((9, 20), (20, 30, 45)):
             calls.clear()
-            config = tmp_path / f"run-{histogram_replicas}.cfg"
+            name = f"run-{histogram_atoms}-{histogram_replicas}"
+            config = tmp_path / f"{name}.cfg"
             config.write_text(f"[dephasing]\natom_count = 16\nreplicas = 30\ntime_points = 11\n"
-                              f"histogram_replicas = {histogram_replicas}\n")
-            argv = ["dephasing", "--config", str(config),
-                    "--out", str(tmp_path / f"out-{histogram_replicas}")]
+                              f"histogram_replicas = {histogram_replicas}\n"
+                              f"histogram_atom_count = {histogram_atoms}\n")
+            argv = ["dephasing", "--config", str(config), "--out", str(tmp_path / name)]
             assert cli.main(argv) == cli.EXIT_OK
-            assert sorted(calls) == list(range(max(30, histogram_replicas)))
-
+            if histogram_atoms <= 16:
+                assert sorted(calls) == list(range(max(30, histogram_replicas)))
+            else:
+                assert sorted(calls) == sorted([*range(30), *range(histogram_replicas)])
 
     @pytest.mark.parametrize("seed", [0, 7, 20260808, -1, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("replicas, atoms", [(1, 1), (13, 9), (40, 100)])
-    def test_rekeyed_draw_matches_fresh_generators(self, monkeypatch, seed, replicas, atoms):
+    def test_rekeyed_draw_matches_fresh_generators(self, seed, replicas, atoms):
         # also key words with the top bit set, and replica indices past 32 bits
-        monkeypatch.setattr(dp, "_last_draw", None)
         config = make_config(seed=seed, replicas=replicas, atom_count=atoms)
 
         def fresh(replica):
@@ -189,11 +196,11 @@ class TestReplicaDraw:
             np.testing.assert_array_equal(sample_frequencies(config, replica), fresh(replica))
 
     def test_prefix_view_matches_fresh_generators(self, monkeypatch):
-        monkeypatch.setattr(dp, "_last_draw", None)
         config = make_config(atom_count=9, replicas=30)
-        dp.monte_carlo_mean_cos(make_config(atom_count=100, replicas=30), histogram=config)
-        narrow = dp.sample_all_replicas(config)
-        assert np.shares_memory(narrow, dp._last_draw.leading)
+        sample = dp.ensemble_pass(make_config(atom_count=100, replicas=30), 1.0, 30, 9)[2]
+        calls = counting_rekeys(monkeypatch)
+        narrow = sample()
+        assert calls == []
         for replica in range(30):
             fresh = dp._philox_generator(config.seed, replica).standard_normal(9)
             np.testing.assert_array_equal(
@@ -223,6 +230,20 @@ class TestReplicaDraw:
         for replica, freqs in enumerate(draws):
             fresh = dp._philox_generator(config.seed, replica).standard_normal(7)
             np.testing.assert_array_equal(freqs, config.center_frequency + config.sigma * fresh)
+
+
+def test_run_leaves_no_state_in_the_module(tmp_path):
+    # each reader of the draw gets what it reads as an argument; only the
+    # per-thread generator outlives a call
+    config = tmp_path / "run.cfg"
+    config.write_text("[dephasing]\natom_count = 16\nreplicas = 30\ntime_points = 11\n"
+                      "histogram_replicas = 45\n")
+    assert cli.main(["dephasing", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    held = {name: type(value).__name__ for name, value in vars(dp).items()
+            if not name.startswith("__") and name != "_thread_streams"
+            and not isinstance(value, (type, types.FunctionType, types.ModuleType,
+                                       int, float, str))}
+    assert held == {}
 
 
 class TestMeanFrequency:
@@ -497,31 +518,46 @@ class TestStreamingFold:
         assert se[0] == 0.0
 
     @staticmethod
-    def _traced_peak(config, locked):
-        # bytes allocated by monte_carlo_mean_cos at its peak, its draw
-        # included (the locked call streams the draw for the replica means)
-        dp._last_draw = None
+    def _traced_peak(run, *args, **kwargs):
+        # bytes allocated by run(*args, **kwargs) at its peak, its draw included
         tracemalloc.start()
         try:
-            dp.monte_carlo_mean_cos(config, locked=locked)
+            run(*args, **kwargs)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def _default_config(locked):
+        defaults = Section("dephasing", {}, cli.SCHEMA["dephasing"], "defaults")
+        return make_config(atom_count=defaults["atom_count"], replicas=defaults["replicas"],
+                           time_points=defaults["time_points"],
+                           time_max=defaults["time_max"] * (10.0 if locked else 1.0))
+
     @pytest.mark.parametrize("locked", [False, True])
-    def test_no_grid_by_replicas_array(self, monkeypatch, locked):
+    def test_no_grid_by_replicas_array(self, locked):
         # the default shape holds 201 x 10,000 values (16 MB) and a draw of
         # 10,000 x 100 frequencies (8 MB); the pass keeps one draw chunk, one
-        # block, a few length-201 vectors and one mean per replica
-        monkeypatch.setattr(dp, "_last_draw", None)
-        defaults = Section("dephasing", {}, cli.SCHEMA["dephasing"], "defaults")
-        config = make_config(atom_count=defaults["atom_count"], replicas=defaults["replicas"],
-                             time_points=defaults["time_points"],
-                             time_max=defaults["time_max"] * (10.0 if locked else 1.0))
-        assert self._traced_peak(config, locked) < 2 << 20
-        small, large = (self._traced_peak(config.replace(replicas=replicas),
-                                          locked) for replicas in (2_000, 20_000))
+        # block, a few length-201 vectors and one mean per replica (the
+        # locked call without them streams the draw for them)
+        config = self._default_config(locked)
+        peak = functools.partial(self._traced_peak, dp.monte_carlo_mean_cos, locked=locked)
+        assert peak(config) < 2 << 20
+        small, large = (peak(config.replace(replicas=replicas)) for replicas in (2_000, 20_000))
         assert large - small < 1 << 20
+
+    def test_ensemble_pass_holds_only_the_histogram_sample(self):
+        # both curves of the default shape, and the default 10,000 x 9
+        # histogram sample (0.7 MB) the pass fills as it goes
+        config = self._default_config(False)
+        sample_bytes = 10_000 * 9 * 8
+
+        def peak(replicas):
+            return self._traced_peak(dp.ensemble_pass, config.replace(replicas=replicas), 1.0,
+                                     10_000, 9)
+
+        assert peak(config.replicas) < (2 << 20) + sample_bytes
+        assert peak(20_000) - peak(2_000) < 1 << 20
 
 
 def full_draw_run(config, locked_config, hist_config):
@@ -535,39 +571,37 @@ def full_draw_run(config, locked_config, hist_config):
         return dp._fold(phasor_blocks(freqs, step, points), points)
 
     return (curve(freqs, config), curve(freqs.mean(axis=1, keepdims=True), locked_config),
-            dp.bandwidth_histogram(hist_config))
+            dp.bandwidth_histogram(dp.sample_all_replicas(hist_config)))
 
 
 class TestStreamedDraw:
-    @pytest.mark.parametrize("atoms, replicas, hist_replicas, entries, chunks", [
-        (100, 100, 60, 2 * 21 * 100, [42, 42, 16]),
-        (100, 100, 150, 1 << 30, [100]),
-        (4099, 5, 5, 1, [1] * 5),
-    ], ids=["ragged-last-chunk", "one-chunk", "one-replica-chunks"])
-    def test_streamed_pass_equals_full_draw(self, monkeypatch, atoms, replicas, hist_replicas,
-                                            entries, chunks):
+    @pytest.mark.parametrize("atoms, replicas, hist_atoms, hist_replicas, entries, chunks", [
+        (100, 100, 9, 60, 2 * 21 * 100, [42, 42, 16]),
+        (100, 100, 9, 150, 1 << 30, [100]),
+        (4099, 5, 9, 5, 1, [1] * 5),
+        (100, 100, 120, 60, 2 * 21 * 100, [42, 42, 16]),
+    ], ids=["ragged-last-chunk", "one-chunk", "one-replica-chunks", "more-histogram-atoms"])
+    def test_streamed_pass_equals_full_draw(self, monkeypatch, atoms, replicas, hist_atoms,
+                                            hist_replicas, entries, chunks):
         # the histogram reads fewer replicas than the pass draws, more (the
-        # rest drawn on top), or as many
+        # rest drawn on top), as many, or more atoms (all of them drawn again)
         config = make_config(atom_count=atoms, replicas=replicas, time_points=201)
         locked_config = config.replace(time_max=1.0)
-        hist_config = make_config(atom_count=9, replicas=hist_replicas, time_max=1.0,
+        hist_config = make_config(atom_count=hist_atoms, replicas=hist_replicas, time_max=1.0,
                                   time_points=2)
-        monkeypatch.setattr(dp, "_last_draw", None)
         oracle = full_draw_run(config, locked_config, hist_config)
         monkeypatch.setattr(dp, "_DRAW_ENTRIES", entries)
         rows = dp._block_rows(replicas, atoms, config.time_points)
-        assert [chunk.shape[0] for _, chunk in dp._draw_chunks(config, rows)] == chunks
-        streamed = (dp.monte_carlo_mean_cos(config, histogram=hist_config),
-                    dp.monte_carlo_mean_cos(locked_config, locked=True),
-                    dp.bandwidth_histogram(hist_config))
-        monkeypatch.setattr(dp, "_last_draw", None)
+        assert [chunk.shape[0] for chunk in dp._draw_chunks(config, rows)] == chunks
+        independent, locked, sample = dp.ensemble_pass(config, 1.0, hist_replicas, hist_atoms)
+        histograms = dp.bandwidth_histogram(sample())
         locked_alone = dp.monte_carlo_mean_cos(locked_config, locked=True)
         for (mean, se), (oracle_mean, oracle_se) in zip(
-                (streamed[0], streamed[1], locked_alone), (oracle[0], oracle[1], oracle[1])):
+                (independent, locked, locked_alone), (oracle[0], oracle[1], oracle[1])):
             assert np.array_equal(mean, oracle_mean)
             assert np.array_equal(se, oracle_se)
         for part in ("individual", "replica_means"):
-            histogram, oracle_histogram = (getattr(h, part) for h in (streamed[2], oracle[2]))
+            histogram, oracle_histogram = (getattr(h, part) for h in (histograms, oracle[2]))
             assert np.array_equal(histogram.density, oracle_histogram.density)
             assert np.array_equal(histogram.bin_edges, oracle_histogram.bin_edges)
             assert histogram.sample_sigma == oracle_histogram.sample_sigma
@@ -575,15 +609,18 @@ class TestStreamedDraw:
     @pytest.mark.parametrize("change", [dict(seed=1), dict(fwhm=3.0), dict(atom_count=12),
                                         dict(center_frequency=50.0), dict(replicas=25),
                                         dict(replicas=15)])
-    def test_locked_call_reads_only_the_same_draws_means(self, monkeypatch, change):
-        monkeypatch.setattr(dp, "_last_draw", None)
-        dp.monte_carlo_mean_cos(make_config(atom_count=10, replicas=20))
-        config = make_config(**{"atom_count": 10, "replicas": 20, "time_max": 1.0, **change})
-        after_pass = dp.monte_carlo_mean_cos(config, locked=True)
-        monkeypatch.setattr(dp, "_last_draw", None)
-        alone = dp.monte_carlo_mean_cos(config, locked=True)
+    def test_locked_call_reads_only_the_same_draws_means(self, change):
+        # the means an independent pass writes are those the locked call
+        # streams the draw for when it is given none
+        config = make_config(**{"atom_count": 10, "replicas": 20, **change})
+        means = np.full(config.replicas, np.nan)
+        dp.monte_carlo_mean_cos(config, means=means)
+        locked_config = config.replace(time_max=1.0)
+        after_pass = dp.monte_carlo_mean_cos(locked_config, locked=True, means=means)
+        alone = dp.monte_carlo_mean_cos(locked_config, locked=True)
         assert np.array_equal(after_pass[0], alone[0])
         assert np.array_equal(after_pass[1], alone[1])
+        np.testing.assert_array_equal(means, dp.sample_all_replicas(config).mean(axis=1))
 
     @staticmethod
     def _peak_rss_mb(tmp_path, atoms):
@@ -638,17 +675,17 @@ class TestAllanDeviation:
 class TestBandwidthHistogram:
     def test_sqrt_n_narrowing(self):
         config = make_config(atom_count=9, replicas=10_000)
-        result = dp.bandwidth_histogram(config)
+        result = dp.bandwidth_histogram(dp.sample_all_replicas(config))
         assert result.sigma_ratio == pytest.approx(3.0, rel=0.10)
 
     def test_single_atom_ratio_is_one(self):
         config = make_config(atom_count=1, replicas=4000)
-        result = dp.bandwidth_histogram(config)
+        result = dp.bandwidth_histogram(dp.sample_all_replicas(config))
         assert result.sigma_ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_histograms_are_normalized(self):
         config = make_config(atom_count=9, replicas=2000)
-        result = dp.bandwidth_histogram(config)
+        result = dp.bandwidth_histogram(dp.sample_all_replicas(config))
         for histogram in (result.individual, result.replica_means):
             integral = np.sum(histogram.density * np.diff(histogram.bin_edges))
             assert integral == pytest.approx(1.0, rel=1e-9)
@@ -667,9 +704,7 @@ class TestBandwidthHistogram:
                  "edges": lambda: rng.integers(0, bins + 1, shape).astype(float)}[kind]()
         if kind == "edges":
             freqs.flat[:2] = 0.0, bins  # edges 0, 1, ..., bins
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dp, "sample_all_replicas", lambda config: freqs)
-            result = dp.bandwidth_histogram(make_config(), bins=bins)
+        result = dp.bandwidth_histogram(freqs, bins=bins)
         for histogram, values in ((result.individual, freqs.ravel()),
                                   (result.replica_means, freqs.mean(axis=1))):
             density, edges = np.histogram(values, bins=bins, density=True)

@@ -396,6 +396,11 @@ class TestBatchedEmission:
             assert trace.fitted_phase == pytest.approx(single.fitted_phase, abs=1e-12)
             assert trace.fitted_frequency == single.fitted_frequency
 
+    @pytest.mark.parametrize("method", ["full", "perturbative"])
+    def test_no_states_give_no_traces(self, method):
+        model = rd.emission_model(rd.readout_config(time_points=5))
+        assert rd.emit_field_traces([], model, method=method) == []
+
     @staticmethod
     def _whole_and_blocked(monkeypatch, columns):
         config = rd.readout_config()
