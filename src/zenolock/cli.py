@@ -252,7 +252,12 @@ def cmd_dephasing(section: Section, out_dir: Path, args, digest: str):
             analytic_lock = dephasing.envelope_locked(locked_grid, sigma, f0, atom_count)
         # an overflow is named by the first step it hits: both curves, the
         # envelopes, then the histogram's own draw and spread
-        histograms = dephasing.bandwidth_histogram(histogram_sample(), bins=bins)
+        try:
+            histograms = dephasing.bandwidth_histogram(histogram_sample(), bins=bins)
+        except ValueError:  # np.histogram found no distinct float edges to split
+            raise ValueError(f"[dephasing] center_frequency = {f0!r}, fwhm = {fwhm!r}: "
+                             "sampled spread is below float resolution for histogram_bins = "
+                             f"{bins!r}") from None
 
     independent = TraceRecord(
         name="dephasing_independent",

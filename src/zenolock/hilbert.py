@@ -4,17 +4,16 @@ States are dense complex vectors over an ordered tensor product, atoms first
 and then modes.  Every Hamiltonian in this package is piecewise constant, so
 time evolution is exact through eigendecompositions computed once.  A
 Hamiltonian that conserves an occupation label, as both Zeno protocols' and
-the readout emission model's do, is assembled straight into its label
-sectors and evolved block by block, with no dense operator of the full
-basis.  The dense operator, whose eigensystem is cached on it, is the test
-oracle of the sector path.  The Zeno protocols inject, project and remove
-photons on the atom-sector amplitudes of their cycle map, so there are no
-state-level mode operations here.  hbar = 1 throughout; all frequencies
-are angular unless a module says otherwise.
+the readout emission model's do, is assembled into its label sectors, and
+only the sectors its start states reach are evolved, with no dense operator
+of the full basis.  The dense operator, whose eigensystem is cached on it,
+is the test oracle of the sector path.  The Zeno protocols inject, project
+and remove photons on the atom-sector amplitudes of their cycle map, so
+there are no state-level mode operations here.  hbar = 1 throughout; all
+frequencies are angular unless a module says otherwise.
 
-All values are immutable after construction (backing arrays are marked
-read-only) and every operation returns a new value, so states and operators
-can be shared freely between threads.
+All values are immutable after construction and every operation returns a
+new value, so states, operators and evolvers can be shared between threads.
 """
 
 from typing import NamedTuple, Sequence, Union
@@ -317,6 +316,16 @@ def assemble_sectors(basis: ProductBasis, diagonal_weights, exchange_terms,
     return SectorHamiltonian(basis, diagonal, sectors)
 
 
+def reached(hamiltonian: SectorHamiltonian, start: np.ndarray) -> SectorHamiltonian:
+    """The sectors of ``hamiltonian`` on which ``start`` is nonzero.
+
+    ``start`` is one amplitude vector or a (dimension, k) batch of them; the
+    sector labels are conserved, so evolution from it never leaves these.
+    """
+    hit = start.reshape(len(start), -1).any(axis=1)
+    return hamiltonian._replace(sectors=tuple(s for s in hamiltonian.sectors if hit[s[0]].any()))
+
+
 def evolve(state: StateVector, hamiltonian: OperatorMatrix, duration: float) -> StateVector:
     """Exact propagation exp(-i H t)|state> via the cached eigensystem of H."""
     if hamiltonian.basis != state.basis:
@@ -376,17 +385,12 @@ def combine_labels(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 class BlockEvolver:
     """Exact evolution exploiting a conserved occupation label.
 
-    Takes a :class:`SectorHamiltonian` and groups its blocks by size; no
-    operator of the full basis is formed.  A block is eigendecomposed on the
-    first :meth:`propagate` call that reaches it, with one batched ``eigh``
-    per size group over its newly reached blocks, and its eigensystem is
-    cached on the instance.  A run therefore solves only the sectors it
-    populates: 3 of the 17 blocks of the default zeno2 pair, 6 of the 166 of
-    the default zeno4 pair.  The cache makes an instance unsafe to share
-    between threads; each protocol run builds its own.  Every block gets the
-    eigensystem and the products that a block on its own would, bit for
-    bit, which the test suite asserts together with agreement to 1e-10 with
-    the dense :func:`evolve` path.
+    Eigendecomposes every block of a :class:`SectorHamiltonian` at
+    construction, one stacked ``eigh`` per group of equal-size blocks; no
+    operator of the full basis is formed.  Protocols pass only the sectors
+    their start states reach (see :func:`reached`).  Each block gets the
+    eigensystem and products that a block on its own would, bit for bit,
+    which the tests assert with agreement to 1e-10 with the dense path.
     """
 
     def __init__(self, hamiltonian: SectorHamiltonian):
@@ -394,40 +398,30 @@ class BlockEvolver:
         by_size = {}
         for idx, block in hamiltonian.sectors:
             by_size.setdefault(len(idx), []).append((idx, block))
-        self._groups = []
-        for members in by_size.values():
-            count, size = len(members), len(members[0][0])
-            # eigenvalues, eigenvectors and which blocks hold them so far
-            self._groups.append((np.stack([idx for idx, _ in members]),
-                                 [block for _, block in members], np.empty((count, size)),
-                                 np.empty((count, size, size), dtype=complex),
-                                 np.zeros(count, dtype=bool)))
+        self._groups = tuple((np.stack([idx for idx, _ in members]),
+                              *np.linalg.eigh(np.stack([block for _, block in members])))
+                             for members in by_size.values())
 
     def propagate(self, amplitudes: np.ndarray, duration: float) -> np.ndarray:
         """exp(-i H t) on one amplitude vector or a (dimension, k) batch of them.
 
         Each group of equal-size blocks costs one stacked product for all
-        its blocks and columns.  A block on which every column vanishes is
-        left out of its group's product, stays zero and is not solved.
+        its blocks and columns.  Amplitudes outside the held sectors are
+        dropped unchecked; :meth:`evolve` checks them.
         """
         out = np.zeros_like(amplitudes)
-        for idx, blocks, w, v, solved in self._groups:
+        for idx, w, v in self._groups:
             sub = amplitudes[idx][..., None] if amplitudes.ndim == 1 else amplitudes[idx]
-            live = sub.any(axis=(1, 2))
-            if not live.any():
-                continue
-            fresh = np.flatnonzero(live & ~solved)
-            if fresh.size:
-                w[fresh], v[fresh] = np.linalg.eigh(np.stack([blocks[i] for i in fresh]))
-                solved[fresh] = True
-            if not live.all():
-                idx, w, v, sub = idx[live], w[live], v[live], sub[live]
             phase = np.exp(-1j * duration * w)[..., None]
             moved = v @ (phase * (v.conj().swapaxes(1, 2) @ sub))
             out[idx] = moved.reshape(idx.shape + amplitudes.shape[1:])
         return out
 
     def evolve(self, state: StateVector, duration: float) -> StateVector:
+        """:meth:`propagate` on a state; ValueError if it has weight outside the held sectors."""
         if state.basis != self.basis:
             raise BasisMismatchError("state lives on a different basis")
+        held = sum(np.count_nonzero(state.amplitudes[idx]) for idx, _, _ in self._groups)
+        if held != np.count_nonzero(state.amplitudes):
+            raise ValueError("state has weight outside the sectors the evolver holds")
         return _bare_state(state.basis, self.propagate(state.amplitudes, float(duration)))

@@ -333,9 +333,7 @@ class _EmissionModel:
         self.mode_frequency = mode_frequency
         self._phase_table = None
         subspace = _resonant_subspace(config)
-        sectors = [(idx, block) for idx, block in
-                   _rotating_frame_hamiltonian(config, mode_frequency).sectors
-                   if subspace[idx].any()]
+        sectors = h.reached(_rotating_frame_hamiltonian(config, mode_frequency), subspace).sectors
         self.states = np.concatenate([idx for idx, _ in sectors])
         self.p_matrix = subspace[self.states]
         atom_a, atom_b, photons = np.unravel_index(self.states, emission_basis(config).dims)

@@ -128,9 +128,9 @@ def leakage(config: LevelSchemeConfig, photon_number: Optional[int] = None,
     n = config.photon_number if photon_number is None else photon_number
     tau_m = config.measure_interval if measure_interval is None else measure_interval
     state = pair_superposition(config, config.TRANSITIONS[:1], (n, n))
-    evolved = h.BlockEvolver(build_sector_hamiltonian(config)).evolve(state, tau_m)
-    levels = config.LEVELS
-    populations = np.abs(evolved.amplitudes.reshape(levels, levels, -1)) ** 2
+    sectors = h.reached(build_sector_hamiltonian(config), state.amplitudes)
+    evolved = h.BlockEvolver(sectors).evolve(state, tau_m)
+    populations = np.abs(evolved.amplitudes.reshape(config.LEVELS, config.LEVELS, -1)) ** 2
     excited = [upper for upper, _ in config.TRANSITIONS]
     return sum(float(populations[a, b].sum()) for a in excited for b in excited)
 

@@ -415,17 +415,17 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     """Iterate Zeno cycles of any scheme's pair from ``initial`` until ``config.final_time``.
 
     ``initial`` must have every mode empty.  ``hamiltonian`` is the coupled
-    Hamiltonian by sector: its blocks drive the coupling window through a
-    :class:`hilbert.BlockEvolver` and its ``diagonal`` the free drift.  The
-    run works on the atom sector with the per-cycle map (see
-    :func:`cycle_matrix`), read off one batched :func:`coupling_window`.
-    Every stride-th cycle and the last are recorded, at most
-    ``max_trace_points`` of them, and the run jumps between them: across a
-    gap of g cycles it applies the cached power ``map**(g-1)`` (one per
-    distinct gap, so at most two) and then one more ``map``, whose success
-    probability is the recorded cycle's own.  Its cost grows with the number
-    of recorded points, not of cycles: two matrix-vector products each, with
-    the norms taken a chunk of recorded cycles at a time (see
+    Hamiltonian by sector: the blocks that the injected batch reaches drive
+    the coupling window through a :class:`hilbert.BlockEvolver`, and its
+    ``diagonal`` the free drift.  The run works on the atom sector with the
+    per-cycle map (see :func:`cycle_matrix`), read off one batched
+    :func:`coupling_window`.  Every stride-th cycle and the last are
+    recorded, at most ``max_trace_points`` of them, and the run jumps between
+    them: across a gap of g cycles it applies the cached power ``map**(g-1)``
+    (one per distinct gap, so at most two) and then one more ``map``, whose
+    success probability is the recorded cycle's own.  Its cost grows with the
+    number of recorded points, not of cycles: two matrix-vector products
+    each, with the norms taken a chunk of recorded cycles at a time (see
     :func:`_recorded_survival`).  ``p_success`` is the cumulative product of
     per-cycle success probabilities.
 
@@ -455,7 +455,6 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
             f"free-drift phase of the largest energy {largest:.3e} over the free interval "
             f"{config.free_interval:.3e} carries a rounding error of {phase_error:.3e} rad, "
             f"above {MAX_DRIFT_PHASE_ERROR:.0e} rad")
-    evolver = h.BlockEvolver(hamiltonian)
     drift = functools.partial(h._propagate_diagonal, hamiltonian.diagonal)
     cycle = config.cycle_time
     cycles = int(math.floor(config.final_time / cycle + 1e-9))
@@ -463,7 +462,11 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     out_of_regime = mean_square * (config.free_interval * config.free_interval) > 1.0
 
     record = _record_cycles(cycles, max_trace_points)
-    window = coupling_window(config, initial.basis, drift, evolver.propagate)
+
+    def couple(amplitudes, duration):
+        return h.BlockEvolver(h.reached(hamiltonian, amplitudes)).propagate(amplitudes, duration)
+
+    window = coupling_window(config, initial.basis, drift, couple)
     cycle_map = cycle_matrix(config, window)
     atom_dim = cycle_map.shape[0]
     x = initial.amplitudes.reshape(atom_dim, -1)[:, 0].copy()

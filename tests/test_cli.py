@@ -20,8 +20,10 @@ from zenolock import cli, dephasing, readout
 from zenolock import hilbert as h
 from zenolock import zeno_multilevel as zm
 from zenolock import zeno_two_level as z2
-from zenolock.configfile import ConfigError, Key, Section, parse_config_text
+from zenolock.configfile import ConfigError, Key, Section, load_config, parse_config_text
 from zenolock.tracefile import read_csv
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -171,6 +173,21 @@ class TestConfigParsing:
         assert in_file == [(name, [(key, declared.default) for key, declared in keys.items()])
                            for name, keys in cli.SCHEMA.items()]
 
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("**/*.cfg")),
+                             ids=lambda path: path.relative_to(REPO).as_posix())
+    def test_checked_in_config_resolves_through_the_schema(self, path):
+        # a key the schema renamed or tightened fails here, not in a CI step;
+        # the workflow runs every config under configs/ci
+        _, sections = load_config(path)
+        assert sections
+        for name, entries in sections.items():
+            section = Section(name, entries, cli.SCHEMA[name], str(path))
+            for key in entries:
+                section[key]
+        if path.parent.name == "ci":
+            workflow = (REPO / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+            assert path.relative_to(REPO).as_posix() in workflow
+
     def test_typed_accessors(self):
         parsed = parse_config_text("[a]\nx = 2.5\nn = 7\nflag = true\nlist = 1, 2\n")
         section = Section("a", parsed["a"],
@@ -306,6 +323,17 @@ class TestExitCodes:
         assert err.endswith(f", on the {curve} curve at [dephasing] {shown}, "
                             f"time_points = 31\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("center", ["1e300", "1e18"])
+    def test_unresolvable_histogram_names_the_keys(self, tmp_path, capsys, center):
+        # every sampled frequency rounds to a few floats, too few for 60 bins
+        path = write_config(tmp_path, small_with("dephasing", "center_frequency", center))
+        code = cli.main(["dephasing", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"zenolock: numerical validity failure: [dephasing] center_frequency = "
+            f"{float(center)!r}, fwhm = 10.0: sampled spread is below float resolution for "
+            f"histogram_bins = 60\n")
 
     @pytest.mark.filterwarnings("error")
     def test_non_decaying_ensemble_exit_code(self, tmp_path, capsys):
@@ -811,9 +839,6 @@ photon_number = 2
                          "--plots"]) == 0
         svg = (out / "zeno2_survival.svg").read_text()
         assert svg.startswith("<svg")
-
-
-REPO = Path(__file__).resolve().parents[1]
 
 
 def subparser_oracle() -> argparse.ArgumentParser:

@@ -1,5 +1,7 @@
 """State machinery: bases, operators, exact evolution, measurement."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -368,27 +370,6 @@ class TestBlockEvolver:
                 np.testing.assert_array_equal(evolver.propagate(amplitudes, t),
                                               per_block_propagate(sectors, amplitudes, t))
 
-    @pytest.mark.parametrize("case", ["zeno2", "zeno4", "unordered"])
-    def test_lazily_solved_blocks_match_per_block_oracle(self, case):
-        # one evolver sees columns that reach a few blocks, then more, then
-        # all: each call solves its newly reached blocks next to cached ones
-        sectors = {"zeno2": default_zeno2_sectors, "zeno4": default_zeno4_sectors,
-                   "unordered": unordered_sectors}[case]()
-        evolver = h.BlockEvolver(sectors)
-        rng = np.random.default_rng(8)
-        dim = sectors.basis.dimension
-        batch = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
-        few, more = batch.copy(), batch.copy()
-        for number, (idx, _) in enumerate(sectors.sectors):
-            if number % 4:
-                few[idx] = 0.0
-            if number % 2:
-                more[idx] = 0.0
-        for amplitudes in (few[:, 0], few, more[:, 1], more, batch[:, 2], batch):
-            for t in (0.001, 0.4):
-                assert np.array_equal(evolver.propagate(amplitudes, t),
-                                      per_block_propagate(sectors, amplitudes, t))
-
     @pytest.mark.parametrize("case, blocks, solved", [("zeno2", 17, 3), ("zeno4", 166, 6)])
     def test_default_run_solves_only_reached_blocks(self, monkeypatch, case, blocks, solved):
         # the cycle starts from the atom states with n photons in every mode,
@@ -399,32 +380,43 @@ class TestBlockEvolver:
         {"zeno2": z2.run_protocol, "zeno4": zm.run_four_level_protocol}[case](config)
         assert sum(len(stack) for stack in stacks) == solved
 
-    def test_later_propagate_solves_only_new_blocks(self, monkeypatch):
-        sectors = default_zeno4_sectors()
-        evolver = h.BlockEvolver(sectors)
+    @pytest.mark.parametrize("case", ["zeno2", "zeno4", "unordered"])
+    def test_construction_solves_each_size_group_once(self, monkeypatch, case):
+        # one eigh per block size, over that size's blocks in sector order;
+        # propagating and evolving solve nothing more
+        sectors = {"zeno2": default_zeno2_sectors, "zeno4": default_zeno4_sectors,
+                   "unordered": unordered_sectors}[case]()
         stacks = eigh_spy(monkeypatch)
-        numbers = range(len(sectors.sectors))
-        old = [number for number in numbers if number % 5 == 0]
-        new = [number for number in numbers if number % 3 == 0 and number % 5]
-        batch = np.zeros((sectors.basis.dimension, 2), dtype=complex)
-        for column, reached in enumerate((old, new)):
-            for number in reached:
-                batch[sectors.sectors[number][0], column] = 1.0
-        evolver.propagate(batch[:, 0], 0.1)
-        assert sum(len(stack) for stack in stacks) == len(old)
-        stacks.clear()
-        evolver.propagate(batch, 0.2)
-        # one stack per block size, of the new blocks in sector order
+        evolver = h.BlockEvolver(sectors)
         expected = {}
-        for number in new:
-            block = sectors.sectors[number][1]
-            expected.setdefault(len(block), []).append(block)
-        assert len(stacks) == len(expected)
+        for idx, block in sectors.sectors:
+            expected.setdefault(len(idx), []).append(block)
+        assert [stack.shape[1] for stack in stacks] == list(expected)
         for stack in stacks:
             assert np.array_equal(stack, np.stack(expected[stack.shape[1]]))
         stacks.clear()
-        evolver.propagate(batch, 0.3)
+        rng = np.random.default_rng(3)
+        psi = random_state(sectors.basis, rng)
+        evolver.propagate(np.column_stack([psi.amplitudes] * 2), 0.1)
+        evolver.evolve(psi, 0.2)
         assert stacks == []
+
+    def test_evolve_rejects_weight_outside_held_sectors(self):
+        sectors = default_zeno4_sectors()
+        (first, _), (second, _) = sectors.sectors[:2]
+        inside = np.zeros(sectors.basis.dimension, dtype=complex)
+        inside[first] = 1.0
+        evolver = h.BlockEvolver(h.reached(sectors, inside))
+        state = h.StateVector(sectors.basis, inside, normalize=True)
+        assert np.array_equal(evolver.evolve(state, 0.3).amplitudes,
+                              h.BlockEvolver(sectors).evolve(state, 0.3).amplitudes)
+        outside = inside.copy()
+        outside[second[0]] = 1e-300
+        with pytest.raises(ValueError, match="outside the sectors"):
+            evolver.evolve(h.StateVector(sectors.basis, outside), 0.3)
+        with pytest.raises(h.BasisMismatchError):
+            evolver.evolve(random_state(h.build_basis([h.Atom(2)]), rng=np.random.default_rng(0)),
+                           0.3)
 
     def test_evolution_stays_in_initial_block(self):
         basis = h.build_basis([h.Atom(2), h.Mode(6)])
@@ -434,6 +426,62 @@ class TestBlockEvolver:
         psi = h.evolve(psi0, H, 2.1)
         outside = labels != labels[basis.index([1, 3])]
         assert np.max(np.abs(psi.amplitudes[outside])) < 1e-12
+
+
+class TestReached:
+    @pytest.mark.parametrize("case, blocks, kept", [("zeno2", 17, 3), ("zeno4", 166, 6)])
+    def test_injected_batch_reaches_few_sectors(self, case, blocks, kept):
+        # the coupling window starts from the atom states with n photons in
+        # every mode, which lie in a few excitation sectors
+        config = {"zeno2": default_zeno2_config, "zeno4": default_zeno4_config}[case]()
+        sectors = z2.build_sector_hamiltonian(config)
+        batches = []
+
+        def couple(amplitudes, duration):
+            batches.append(amplitudes.copy())
+            return amplitudes
+
+        drift = functools.partial(h._propagate_diagonal, sectors.diagonal)
+        z2.coupling_window(config, sectors.basis, drift, couple)
+        (batch,) = batches
+        held = h.reached(sectors, batch)
+        assert len(sectors.sectors) == blocks
+        assert len(held.sectors) == kept
+        assert held.basis == sectors.basis and held.diagonal is sectors.diagonal
+        # the kept sectors, in sector order, are those the batch touches
+        assert [idx.tolist() for idx, _ in held.sectors] == [
+            idx.tolist() for idx, _ in sectors.sectors if np.any(batch[idx])]
+        assert np.array_equal(h.reached(sectors, batch[:, 0]).sectors[0][0],
+                              next(idx for idx, _ in sectors.sectors if np.any(batch[idx, 0])))
+
+    def test_readout_channel_reaches_three_sectors(self):
+        config = rd.readout_config()
+        model = rd.emission_model(config)
+        held = h.reached(rd._rotating_frame_hamiltonian(config, model.mode_frequency),
+                         rd._resonant_subspace(config))
+        assert len(held.sectors) == 3
+        assert sum(len(idx) for idx, _ in held.sectors) == len(model.states) == 21
+        assert np.array_equal(np.concatenate([idx for idx, _ in held.sectors]), model.states)
+
+    def test_nothing_reached_holds_no_sector(self):
+        sectors = default_zeno2_sectors()
+        held = h.reached(sectors, np.zeros((sectors.basis.dimension, 2), dtype=complex))
+        assert held.sectors == ()
+        batch = np.ones((sectors.basis.dimension, 2), dtype=complex)
+        assert np.array_equal(h.BlockEvolver(held).propagate(batch, 0.1), np.zeros_like(batch))
+
+    @pytest.mark.parametrize("photons", [3, 10])
+    def test_leakage_at_other_photon_number_equals_full_sector_evolution(self, photons):
+        # the V pair at n = 8 (Fock cutoff 10) started from other photon numbers
+        config = zm.three_level_config(photon_number=8)
+        state = zm.pair_superposition(config, config.TRANSITIONS[:1], (photons, photons))
+        full = h.BlockEvolver(zm.build_sector_hamiltonian(config))
+        evolved = full.evolve(state, config.measure_interval).amplitudes
+        populations = np.abs(evolved.reshape(3, 3, -1)) ** 2
+        excited = [upper for upper, _ in config.TRANSITIONS]
+        expected = sum(float(populations[a, b].sum()) for a in excited for b in excited)
+        assert zm.leakage(config, photon_number=photons) == expected
+        assert expected > 0.0
 
 
 def per_block_propagate(sectors, amplitudes, duration):
