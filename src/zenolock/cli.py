@@ -8,15 +8,15 @@ in a survival-curve sweep of two or more cycle times whose pair basis holds
 at least _POOL_MIN_DIMENSION states (zeno4 from photon_number = 40; no zeno2
 basis is that large); every other run stays on one thread.
 
-Exit codes: 0 success; 2 configuration error; 3 out-of-regime parameters
-under --strict; 4 numerical-validity failure.
+Exit codes: 0 success or -h/--help; 2 usage (see parse_args) or configuration
+error; 3 out-of-regime parameters under --strict; 4 numerical-validity failure.
 """
 
-import argparse
 import contextlib
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -603,31 +603,63 @@ _HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One parser: every subcommand takes the same five options."""
-    parser = argparse.ArgumentParser(
-        prog="zenolock",
-        description="Quantum-Zeno phase-locking simulator for atomic clocks.",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="commands:\n"
-               "  dephasing  ensemble coherence curves and bandwidth histograms\n"
-               "  zeno2      two-level pair survival curves\n"
-               "  zeno4      four-level pair survival curves\n"
-               "  readout    emitted-field traces and phase fits\n"
-               "  allan      closed-form Allan deviation table")
-    parser.add_argument("command", choices=tuple(_HANDLERS), help="what to run")
-    parser.add_argument("--config", required=True, help="run configuration file")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the configured random seed")
-    parser.add_argument("--plots", action="store_true", help="also write SVG plots")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit nonzero when parameters are out of regime")
-    return parser
+_USAGE = "usage: zenolock [-h] COMMAND --config PATH --out DIR [--seed N] [--plots] [--strict]"
+_HELP = f"""{_USAGE}
+
+Quantum-Zeno phase-locking simulator for atomic clocks.  COMMAND is one of
+  dephasing  ensemble coherence curves and bandwidth histograms
+  zeno2      two-level pair survival curves
+  zeno4      four-level pair survival curves
+  readout    emitted-field traces and phase fits
+  allan      closed-form Allan deviation table"""
+
+
+def _is_option(token: str) -> bool:  # as argparse reads it: "-", -3, -1.5 and -.5 are values
+    number = token[1:].replace(".", "", 1).isdecimal() and not token.endswith(".")
+    return token[:1] == "-" and token != "-" and not number
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """Read the command line of _USAGE in ``argv`` (``sys.argv[1:]`` if None) as argparse
+    does, left to right, except that abbreviated option names and ``--`` are usage errors."""
+    def fail(message):
+        print(f"{_USAGE}\nzenolock: error: {message}", file=sys.stderr)
+        sys.exit(EXIT_CONFIG)
+    args = SimpleNamespace(command=None, config=None, out=None, seed=None, plots=False,
+                           strict=False)
+    extras, tokens = [], iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        name, equals, value = token.partition("=")
+        if name in ("--config", "--out", "--seed"):
+            if not equals and _is_option(value := next(tokens, "--")):
+                fail(f"option {name} expects a value")
+            try:
+                setattr(args, name[2:], int(value) if name == "--seed" else value)
+            except ValueError:
+                fail(f"option --seed expects an integer, not {value!r}")
+        elif name in ("-h", "--help", "--plots", "--strict") and equals:
+            fail(f"option {name} takes no value: {token!r}")
+        elif token in ("-h", "--help"):
+            print(_HELP)
+            sys.exit(EXIT_OK)
+        elif token in ("--plots", "--strict"):
+            setattr(args, token[2:], True)
+        elif args.command is None and not _is_option(token):
+            if token not in _HANDLERS:
+                fail(f"invalid command {token!r} (choose from {', '.join(_HANDLERS)})")
+            args.command = token
+        else:  # an unknown option, "--" or a second command, reported after -h/--help
+            extras.append(token)
+    missing = [name for name, value in (("COMMAND", args.command), ("--config", args.config),
+                                        ("--out", args.out)) if value is None]
+    if extras or missing:
+        fail(f"unrecognized arguments: {' '.join(extras)}" if extras
+             else f"missing {', '.join(missing)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         config_path = Path(args.config)
         config_text, sections = load_config(config_path)

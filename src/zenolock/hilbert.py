@@ -322,8 +322,10 @@ def reached(hamiltonian: SectorHamiltonian, start: np.ndarray) -> SectorHamilton
     ``start`` is one amplitude vector or a (dimension, k) batch of them; the
     sector labels are conserved, so evolution from it never leaves these.
     """
-    hit = start.reshape(len(start), -1).any(axis=1)
-    return hamiltonian._replace(sectors=tuple(s for s in hamiltonian.sectors if hit[s[0]].any()))
+    indices = [idx for idx, _ in hamiltonian.sectors]
+    hit = start.reshape(len(start), -1).any(axis=1)[np.concatenate(indices)]
+    keep = np.flatnonzero(np.logical_or.reduceat(hit, np.cumsum([0, *map(len, indices[:-1])])))
+    return hamiltonian._replace(sectors=tuple(hamiltonian.sectors[i] for i in keep))
 
 
 def evolve(state: StateVector, hamiltonian: OperatorMatrix, duration: float) -> StateVector:

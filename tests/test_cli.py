@@ -1,20 +1,25 @@
 """Configuration parsing and end-to-end CLI runs."""
 
 import argparse
+import contextlib
 import hashlib
 import inspect
+import io
 import itertools
 import math
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from zenolock import cli, dephasing, readout
 from zenolock import hilbert as h
@@ -132,6 +137,43 @@ def contract_cases():
                        if value not in values]
             for value in values:
                 yield section, key, value
+
+
+# Magnitudes of either sign that every float key is also tried at: the float
+# limits, the extremes of the bounds in cli.SCHEMA and ordinary values.
+FUZZ_MAGNITUDES = [0.0, 5e-324, 1e-300, 1e-9, 0.01, 0.5, 1.0, 2.0, 3.0, 100.0, 1e9, 1e17, 1e300,
+                   1.7976931348623157e308]
+
+
+def fuzz_values(declared):
+    """Texts of ``declared``'s kind near its bounds and at every scale.
+
+    Integers stay within 13 of the lower bound (or of 0), or step one past
+    a bound, so that every size key stays small.
+    """
+    if declared.kind is str:
+        return st.sampled_from([*declared.choices, "x"])
+    probes = list(bound_probes(declared))
+    if declared.kind is int:
+        low = int(declared.minimum) if declared.minimum > -math.inf else 0
+        return st.one_of(st.integers(low - 1, low + 12).map(str), st.sampled_from(probes or ["0"]))
+    numbers = st.one_of(st.sampled_from(FUZZ_MAGNITUDES + [-m for m in FUZZ_MAGNITUDES]),
+                        st.floats(allow_nan=False, allow_infinity=False)).map(repr)
+    single = st.one_of(numbers, st.sampled_from(probes)) if probes else numbers
+    if declared.kind is tuple:
+        return st.lists(single, min_size=1, max_size=3).map(", ".join)
+    return single
+
+
+@st.composite
+def multi_key_configs(draw):
+    """(section, the SMALL config of that section with 1-5 of its keys set at once)."""
+    section = draw(st.sampled_from(list(cli.SCHEMA)))
+    keys = draw(st.lists(st.sampled_from(list(cli.SCHEMA[section])), min_size=1, max_size=5,
+                         unique=True))
+    values = {key: draw(fuzz_values(cli.SCHEMA[section][key])) for key in keys}
+    key = keys[0]
+    return section, small_with(section, key, values.pop(key), **values)
 
 
 def small_with(section, key, value, **more):
@@ -525,6 +567,30 @@ class TestExitCodes:
         if code == cli.EXIT_CONFIG:
             assert f"[{section}] {key}" in err or f"field {key!r}" in err
 
+    @seed(20261020)
+    @settings(max_examples=250, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(multi_key_configs())
+    def test_several_keys_end_in_a_contract_exit(self, tmp_path, capsys, case):
+        section, text = case
+        path = write_config(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([section, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_OUT_OF_REGIME,
+                        cli.EXIT_NUMERICAL), err
+        assert "Traceback" not in err
+        if code != cli.EXIT_OK:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+        if code == cli.EXIT_CONFIG:
+            assert f"[{section}]" in err, err
+        if code == cli.EXIT_NUMERICAL:
+            assert err.startswith("zenolock: numerical validity failure: "), err
+            # an overflow names its key, not numpy's or Python's own wording
+            assert not any(raw in err for raw in ("encountered in", "(34, '", "math range error",
+                                                  "np.float64(")), err
+
     @pytest.mark.parametrize("frequency, code", [("1e17", cli.EXIT_NUMERICAL),
                                                  ("1e7", cli.EXIT_OK)])
     def test_unresolved_drift_phase_is_a_numerical_failure(self, tmp_path, capsys,
@@ -855,6 +921,75 @@ def subparser_oracle() -> argparse.ArgumentParser:
     return parser
 
 
+# The argparse parser that cli.parse_args replaced, unchanged: the oracle it is held to.
+def build_parser() -> argparse.ArgumentParser:
+    """One parser: every subcommand takes the same five options."""
+    parser = argparse.ArgumentParser(
+        prog="zenolock",
+        description="Quantum-Zeno phase-locking simulator for atomic clocks.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="commands:\n"
+               "  dephasing  ensemble coherence curves and bandwidth histograms\n"
+               "  zeno2      two-level pair survival curves\n"
+               "  zeno4      four-level pair survival curves\n"
+               "  readout    emitted-field traces and phase fits\n"
+               "  allan      closed-form Allan deviation table")
+    parser.add_argument("command", choices=tuple(cli._HANDLERS), help="what to run")
+    parser.add_argument("--config", required=True, help="run configuration file")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the configured random seed")
+    parser.add_argument("--plots", action="store_true", help="also write SVG plots")
+    parser.add_argument("--strict", action="store_true",
+                        help="exit nonzero when parameters are out of regime")
+    return parser
+
+
+def parse_outcome(parse, argv):
+    """``vars`` of the namespace ``parse(argv)`` returns, or the code it exits with.
+
+    A usage error (exit 2) must print the usage first on stderr.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
+    except SystemExit as exit_info:
+        if exit_info.code == cli.EXIT_CONFIG:
+            assert err.getvalue().startswith("usage: zenolock"), err.getvalue()
+        return exit_info.code
+
+
+# Command lines over the CLI's grammar: the commands and an unknown one, every
+# option bare, followed by a value and in --x=v form, -h, an unknown option and
+# stray values, in any order and repeated.  Each line holds a command, --config
+# and --out nine times in ten, so that many lines parse.
+ARGV_VALUES = st.sampled_from(["run.cfg", "out", "7", "-3", "1.5", "x", "-x", ""])
+
+
+def option_forms(option, bare=True):
+    forms = [st.tuples(st.just(option), ARGV_VALUES),
+             ARGV_VALUES.map(lambda value: (f"{option}={value}",))]
+    return st.one_of(st.just((option,)), *forms) if bare else st.one_of(*forms)
+
+
+ARGV_CHUNKS = st.one_of(
+    st.sampled_from([(command,) for command in (*COMMANDS, "bogus", "-h")]),
+    ARGV_VALUES.map(lambda value: (value,)),
+    *(option_forms(option)
+      for option in ("--config", "--out", "--seed", "--plots", "--strict", "--help", "--threads")))
+
+
+@st.composite
+def command_lines(draw):
+    chunks = draw(st.lists(ARGV_CHUNKS, max_size=4))
+    for required in (st.sampled_from([(command,) for command in COMMANDS]),
+                     option_forms("--config", bare=False), option_forms("--out", bare=False)):
+        if draw(st.integers(0, 9)):
+            chunks.append(draw(required))
+    return [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", [["--help"], *([command, "--help"] for command in COMMANDS)],
                              ids=["top", *COMMANDS])
@@ -886,8 +1021,34 @@ class TestParser:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_same_namespace_as_subparsers(self, command, options):
         argv = [command, "--config", "run.cfg", "--out", "out", *options]
-        assert (vars(cli.build_parser().parse_args(argv))
-                == vars(subparser_oracle().parse_args(argv)))
+        assert vars(cli.parse_args(argv)) == vars(subparser_oracle().parse_args(argv))
+
+    @seed(20261020)
+    @settings(max_examples=800, deadline=None, database=None)
+    @given(command_lines())
+    def test_same_outcome_as_argparse(self, argv):
+        assert parse_outcome(cli.parse_args, argv) == parse_outcome(
+            lambda argv: build_parser().parse_args(argv), argv)
+
+    @pytest.mark.parametrize("value", ["-3", "-1.5", "-.5", "-5.", "-", "-x", "-3x", "--5"])
+    @pytest.mark.parametrize("option", ["--config", "--seed"])
+    def test_number_like_values_as_argparse_reads_them(self, option, value):
+        # "-" and negative numbers (-3, -1.5, -.5, not -5.) are values, not options
+        for argv in ([option, value, "zeno2", "--out", "out"], ["zeno2", "--out", "out", value],
+                     [value, option, "7", "--out", "out"]):
+            if option == "--seed":
+                argv = [*argv, "--config", "run.cfg"]
+            assert parse_outcome(cli.parse_args, argv) == parse_outcome(
+                lambda argv: build_parser().parse_args(argv), argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["zeno2", "--conf", "run.cfg", "--out", "out"],
+        ["--config", "run.cfg", "--out", "out", "--", "zeno2"],
+    ], ids=["abbreviated", "separator"])
+    def test_documented_differences_from_argparse(self, argv):
+        # argparse reads each of these as a complete command line
+        assert isinstance(parse_outcome(lambda argv: build_parser().parse_args(argv), argv), dict)
+        assert parse_outcome(cli.parse_args, argv) == cli.EXIT_CONFIG
 
 
 class TestSchema:
@@ -1086,6 +1247,28 @@ class TestStartup:
             command, "--config", str(REPO / "configs" / "defaults.cfg"),
             "--out", str(tmp_path / "out")]
         self._unloaded_after_cli_import("_hashlib", argv)
+
+
+    @pytest.mark.parametrize("module", ["argparse", "gettext", "locale"])
+    def test_argparse_stays_unloaded(self, tmp_path, module):
+        # the command line is read without argparse: importing it cost 1.8-3.4 ms
+        # a process, and its first message lookup imports gettext's locale
+        self._unloaded_after_cli_import(module)
+        self._unloaded_after_cli_import(module, [
+            "zeno2", "--config", str(REPO / "configs" / "defaults.cfg"),
+            "--out", str(tmp_path / "out")])
+
+    def test_module_entry_point_reads_sys_argv(self):
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "zenolock.cli", *argv], cwd=REPO,
+                                  env=fresh_env(), capture_output=True, text=True, timeout=300)
+
+        shown = run("--help")
+        assert shown.returncode == cli.EXIT_OK, shown.stderr
+        assert all(f"\n  {command} " in shown.stdout for command in COMMANDS)
+        refused = run("zeno2", "--config", "configs/defaults.cfg")
+        assert refused.returncode == cli.EXIT_CONFIG
+        assert refused.stderr.startswith("usage: zenolock") and "--out" in refused.stderr
 
 
 # A zenolock run with CPython's builtin sha256 modules blocked, so that the

@@ -463,6 +463,22 @@ class TestReached:
         assert sum(len(idx) for idx, _ in held.sectors) == len(model.states) == 21
         assert np.array_equal(np.concatenate([idx for idx, _ in held.sectors]), model.states)
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(["zeno2", "zeno4"]), columns=st.integers(1, 3), data=st.data())
+    def test_same_sectors_as_the_per_sector_rule(self, case, columns, data):
+        sectors = {"zeno2": default_zeno2_sectors, "zeno4": default_zeno4_sectors}[case]()
+        dimension = sectors.basis.dimension
+        batch = np.zeros((dimension, columns), dtype=complex)
+        for row, column in data.draw(st.lists(st.tuples(st.integers(0, dimension - 1),
+                                                        st.integers(0, columns - 1)), max_size=8)):
+            batch[row, column] = data.draw(st.sampled_from([1.0, -1e-300, 1e-300j]))
+        for start in (batch, batch[:, 0]):
+            hit = start.reshape(dimension, -1).any(axis=1)
+            expected = [sector for sector in sectors.sectors if hit[sector[0]].any()]
+            held = h.reached(sectors, start).sectors
+            assert len(held) == len(expected)
+            assert all(a is b for pair in zip(held, expected) for a, b in zip(*pair))
+
     def test_nothing_reached_holds_no_sector(self):
         sectors = default_zeno2_sectors()
         held = h.reached(sectors, np.zeros((sectors.basis.dimension, 2), dtype=complex))

@@ -5,6 +5,8 @@ import io
 import re
 from pathlib import Path
 
+from zenolock import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -17,3 +19,10 @@ def test_library_quickstart_runs():
         exec(compile(block, "README.md quickstart", "exec"), {})
     # p_success and the fidelity, one per print
     assert len(printed.getvalue().splitlines()) == 2
+
+
+def test_usage_block_is_the_cli_usage():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command-line runs", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    assert block == cli._USAGE + "\n"
