@@ -354,9 +354,10 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
             final_time = math.log(1.0 / floor) / decay if decay > 0.0 else 1000.0 * cycle
         final_times[cycle] = final_time
         tau_m = cycle / (ratio + 1.0)  # the protocol config holds the cycle as tau + tau_m
-        if not cycle - tau_m > 0.0:
-            raise ConfigError(f"[{command}] measure_ratio must leave a free interval in "
-                              f"the cycle {cycle!r}, got {ratio!r}")
+        if not (tau_m > 0.0 and cycle - tau_m > 0.0):
+            raise ConfigError(f"[{command}] measure_ratio must leave a free and a measurement "
+                              f"interval in [{command}] cycle_times, got {ratio!r} for the "
+                              f"cycle {cycle!r}")
         if final_time < (cycle - tau_m) + tau_m:
             raise ConfigError(f"[{command}] final_time must cover at least one cycle, and "
                               f"[{command}] cycle_times must fit into it: final_time = "
@@ -461,8 +462,16 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
     cutoff = section["emission_cutoff"]
     entries = points * 16 * (cutoff + 1)
     if entries > _MAX_ENTRIES:
-        raise ConfigError(f"[readout] time_points must keep the phase table at most "
-                          f"{_MAX_ENTRIES} entries, got {points} ({entries} entries)")
+        raise ConfigError(f"[readout] time_points must keep the readout grid over the "
+                          f"{16 * (cutoff + 1)} emission-basis states at most {_MAX_ENTRIES} "
+                          f"entries, got {points} ({entries} entries)")
+    phases = section["clock_phases"]
+    if len(phases) * points > _MAX_ENTRIES:  # the quadratures of the sweep
+        raise ConfigError(f"[readout] clock_phases x time_points must be at most {_MAX_ENTRIES}, "
+                          f"got {len(phases)} x {points}")
+    if not np.all(np.diff(np.linspace(0.0, time_max, points)) > 0.0):
+        raise ConfigError(f"[readout] time_max and [readout] time_points must give a strictly "
+                          f"increasing readout grid, got {time_max!r} over {points} points")
     detuning = section["detuning"]
     if detuning == 0.0:
         raise ConfigError(f"[readout] detuning must be nonzero, got {detuning!r}")
@@ -486,7 +495,6 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
     if config.clock_frequency == 0.0:
         raise ConfigError("[readout] transition_1 equals transition_2, so the clock "
                           "frequency is zero and no clock phase accumulates")
-    phases = section["clock_phases"]
     provenance = _provenance("readout", digest, args.seed)
     # the light shifts grow with the drive and coupling over the level energies
     shift_keys = {"drive_amplitude": config.drive_amplitude, "coupling": config.coupling,
@@ -508,7 +516,7 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
     with _overflow_names("readout", {"transition_1": transition_1,
                                      "transition_2": transition_2,
                                      "time_max": time_max},
-                         "the clock phase or the readout phase table"):
+                         "the clock phase or the readout phase factors"):
         elapsed_times = [_clock_phase_residue(target) / config.clock_frequency
                          for target in phases]
         chains = [readout.readout_chain(config, elapsed) for elapsed in elapsed_times]

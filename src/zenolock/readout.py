@@ -311,8 +311,8 @@ _CHANNEL_ANNIHILATION = np.zeros((4, 4))
 _CHANNEL_ANNIHILATION[0, 3] = _CHANNEL_ANNIHILATION[2, 1] = 1.0
 _CHANNEL_ANNIHILATION.flags.writeable = False
 OVERFLOW_THRESHOLD = 1e-3  # largest weight that may reach two photons
-# Channel amplitudes (times x states x 4) that one phase-table product forms,
-# 256 kB: the 16-phase sweep at 4001 samples takes 16 products of 250-251 rows.
+# Channel amplitudes (times x states x 4) that one slab product forms, 256 kB:
+# the 16-phase sweep at 4001 samples takes 16 slabs of 250-251 times.
 _BLOCK_AMPLITUDES = 1 << 14
 
 
@@ -331,7 +331,6 @@ class _EmissionModel:
     def __init__(self, config: ReadoutConfig, mode_frequency: float):
         self.config = config
         self.mode_frequency = mode_frequency
-        self._phase_table = None
         subspace = _resonant_subspace(config)
         sectors = h.reached(_rotating_frame_hamiltonian(config, mode_frequency), subspace).sectors
         self.states = np.concatenate([idx for idx, _ in sectors])
@@ -379,19 +378,6 @@ class _EmissionModel:
 
     def effective_coupling(self) -> float:
         return float(abs(self.h_eff[0, 1]))
-
-    def phase_table(self) -> np.ndarray:
-        """Read-only exp(-i w t), shape (times, eigenvalues), built once.
-
-        t runs over the readout grid and w over the model's eigenvalues;
-        neither depends on the state, so every trace shares it.
-        """
-        if self._phase_table is None:
-            table = -1j * np.outer(np.asarray(self.readout_times), self.eigenvalues)
-            np.exp(table, out=table)
-            table.flags.writeable = False
-            self._phase_table = table
-        return self._phase_table
 
     def _vacuum(self, pairs: np.ndarray) -> np.ndarray:
         """Two-atom amplitude columns with the emission mode in vacuum, on the whole basis."""
@@ -445,30 +431,34 @@ def emission_model(config: ReadoutConfig) -> _EmissionModel:
     return model
 
 
-def _channel_quadratures(table: np.ndarray, coeff: np.ndarray,
+def _channel_quadratures(times: np.ndarray, eigenvalues: np.ndarray, coeff: np.ndarray,
                          readout: np.ndarray) -> np.ndarray:
     """Radiated quadrature 2 Re <a> of every column of ``coeff``, shape (columns, times).
 
     Column j evolves to the channel amplitudes
-    m[t] = sum_i table[t, i] coeff[i, j] readout[i, :], so products of ``table`` rows
-    with the columns coeff[:, j] (x) readout give every column's, each m within about
-    ``_BLOCK_AMPLITUDES`` entries and of two rows or more (numpy rounds one row as gemv).
-    P^dag a P has two nonzero entries, both 1, so <a> sums conj(m[row]) m[col]
-    over them: conj(m0) m3 + conj(m2) m1.
+    m[t] = sum_i exp(-i w[i] t) coeff[i, j] readout[i, :] over the ``eigenvalues`` w.
+    The factors exp(-i w t) are formed for one slab of ``times`` at a time, and the
+    slab's products with the columns coeff[:, j] (x) readout give every column's m,
+    each m within about ``_BLOCK_AMPLITUDES`` entries and of two rows or more (numpy
+    rounds one row as gemv).  P^dag a P has two nonzero entries, both 1, so <a> sums
+    conj(m[row]) m[col] over them: conj(m0) m3 + conj(m2) m1.
     """
     size, count = coeff.shape
     width = max(1, min(count, _BLOCK_AMPLITUDES // (4 * size)))
-    slabs = max(1, min(len(table) // 2, -(-4 * width * len(table) // _BLOCK_AMPLITUDES)))
+    slabs = max(1, min(len(times) // 2, -(-4 * width * len(times) // _BLOCK_AMPLITUDES)))
     rows, cols = np.nonzero(_CHANNEL_ANNIHILATION)
-    quadratures = np.empty((count, len(table)))
-    for start in range(0, count, width):
-        part = coeff[:, start:start + width]
-        columns = (part[:, :, None] * readout[:, None, :]).reshape(size, -1)
-        for times, out in zip(np.array_split(table, slabs),
-                              np.array_split(quadratures[start:start + width], slabs, axis=1)):
-            m = (times @ columns).reshape(len(times), part.shape[1], 4)
+    quadratures = np.empty((count, len(times)))
+    for slab, out in zip(np.array_split(times, slabs),
+                         np.array_split(quadratures, slabs, axis=1)):
+        factors = -1j * np.outer(slab, eigenvalues)
+        np.exp(factors, out=factors)
+        for start in range(0, count, width):
+            # formed again per slab: nothing but the quadratures grows with the states
+            part = coeff[:, start:start + width]
+            columns = (part[:, :, None] * readout[:, None, :]).reshape(size, -1)
+            m = (factors @ columns).reshape(len(slab), part.shape[1], 4)
             mean_a = sum(m[..., row].conj() * m[..., col] for row, col in zip(rows, cols))
-            out[...] = 2.0 * mean_a.real.T
+            out[start:start + width] = 2.0 * mean_a.real.T
     return quadratures
 
 
@@ -477,16 +467,16 @@ def _full_quadrature(pairs: np.ndarray, model: _EmissionModel):
 
     ``pairs`` holds one two-atom amplitude vector per column.  The radiated
     quadrature needs the evolved state only on the 4-column resonant channel
-    P: <a> = c^dag (P^dag a P) c with c = psi P-bar.  L is conserved and two
-    photons need L >= 2, so a start state's L = 2 weight bounds its
-    population above one photon at every time.  Returns the quadratures,
-    shape (columns, times), and those weights.
+    P: <a> = c^dag (P^dag a P) c with c = psi P-bar, and the state at time t
+    is (exp(-i w t) * (v^dag amps)) @ v.T on the eigensystem (w, v).  L is
+    conserved and two photons need L >= 2, so a start state's L = 2 weight
+    bounds its population above one photon at every time.  Returns the
+    quadratures, shape (columns, times), and those weights.
     """
     amps = model.embed(pairs)
     v = model.eigenvectors
-    # the state at time t is (phase_table[t] * (v^dag amps)) @ v.T
-    quadratures = _channel_quadratures(model.phase_table(), v.conj().T @ amps,
-                                       v.T @ model.p_matrix.conj())
+    quadratures = _channel_quadratures(np.asarray(model.readout_times), model.eigenvalues,
+                                       v.conj().T @ amps, v.T @ model.p_matrix.conj())
     return quadratures, np.sum(np.abs(amps[model.two_quanta]) ** 2, axis=0)
 
 
@@ -494,8 +484,8 @@ def _perturbative_quadrature(pairs: np.ndarray, model: _EmissionModel):
     """Adiabatic-elimination fast path, full driven evolution as its oracle."""
     w, v = np.linalg.eigh(model.h_eff)
     coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(pairs)[model.states])
-    table = np.exp(-1j * np.outer(model.readout_times, w))
-    return _channel_quadratures(table, coeff, v.T), np.zeros(pairs.shape[1])
+    return (_channel_quadratures(np.asarray(model.readout_times), w, coeff, v.T),
+            np.zeros(pairs.shape[1]))
 
 
 def emit_field_traces(states, model: _EmissionModel, method: str = "full",
@@ -505,7 +495,9 @@ def emit_field_traces(states, model: _EmissionModel, method: str = "full",
     Each state is a post-selected two-atom state; the emission mode starts
     in vacuum.  ``model`` is the :func:`emission_model` of the readout
     configuration; it does not depend on the states, so the whole batch
-    goes through one product with its phase table.  The reported
+    shares each slab of phase factors exp(-i w t), which is formed once
+    per call and dropped after its products: besides the quadratures
+    (states x readout times) the stage holds one slab.  The reported
     quadrature is the radiated (Raman-transfer) component, on the resonant
     channel; the virtual cloud dressing the driven atoms is left out.  The
     full method raises :class:`CutoffOverflowError`, naming the largest,

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -495,7 +496,7 @@ class TestExitCodes:
         ("readout", "time_points", "3"), ("readout", "time_points", "1"),
         ("readout", "time_points", "0"), ("readout", "fit_periods", "0"),
         ("readout", "fit_periods", "-2"), ("readout", "time_max", "0"),
-        # far above the basis-dimension and phase-table caps: rejected before
+        # far above the basis-dimension and readout-grid caps: rejected before
         # anything is allocated
         ("readout", "emission_cutoff", "1000000"), ("readout", "time_points", "1000000000"),
         ("allan", "atom_counts", "2.5"), ("allan", "atom_counts", "0"),
@@ -514,6 +515,48 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"[{section}] {key} must" in err
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
+    # one step past each readout size cap: the grid over the 48 emission-basis
+    # states, and the quadratures of the sweep (100 phases x 167,773 points,
+    # 134 MB), which no other check bounds
+    @pytest.mark.parametrize("text, message", [
+        ("time_points = 349526\n",
+         "time_points must keep the readout grid over the 48 emission-basis states at most "
+         "16777216 entries, got 349526 (16777248 entries)"),
+        ("clock_phases = " + ", ".join(["0.5"] * 100) + "\ntime_points = 167773\n",
+         "clock_phases x time_points must be at most 16777216, got 100 x 167773"),
+    ], ids=["grid", "quadratures"])
+    def test_readout_size_cap_is_config_error(self, tmp_path, capsys, text, message):
+        path = write_config(tmp_path, "[readout]\n" + text)
+        tracemalloc.start()
+        try:
+            code = cli.main(["readout", "--config", str(path), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"zenolock: config error: [readout] {message}\n"
+        # rejected before the readout grid (1.3 MB at 167,773 points) is built
+        assert peak < 1_000_000
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
+    # admitted values whose derived quantities underflow: the measurement
+    # interval cycle / (measure_ratio + 1) rounds to 0, or the readout grid
+    # collapses into repeated samples
+    @pytest.mark.parametrize("section, text, keys", [
+        ("zeno2", "cycle_times = 5e-324", ("cycle_times", "measure_ratio")),
+        ("zeno4", "cycle_times = 5e-324", ("cycle_times", "measure_ratio")),
+        ("readout", "time_max = 5e-324", ("time_max", "time_points")),
+        ("readout", "time_max = 1e-320", ("time_max", "time_points")),
+    ])
+    def test_underflowing_value_is_config_error(self, tmp_path, capsys, section, text, keys):
+        path = write_config(tmp_path, f"[{section}]\n{text}\n")
+        code = cli.main([section, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert all(f"[{section}] {key}" in err for key in keys), err
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
     @pytest.mark.parametrize("section, key, value", [
@@ -658,8 +701,8 @@ class TestExitCodes:
     ])
     def test_overflow_at_the_float_limit_names_the_key(self, tmp_path, capsys,
                                                        section, key, value):
-        # the pair Hamiltonian, the light shifts, the clock phase or phase
-        # table, or the Allan deviation overflows
+        # the pair Hamiltonian, the light shifts, the clock phase or the
+        # readout phase factors, or the Allan deviation overflows
         path = write_config(tmp_path, small_with(section, key, value))
         code = cli.main([section, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_NUMERICAL

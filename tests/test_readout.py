@@ -426,20 +426,29 @@ class TestBatchedEmission:
         for one, other in zip(whole, blocked):
             np.testing.assert_allclose(one.quadrature, other.quadrature, rtol=0, atol=1e-15)
 
-    def test_sweep_working_set_is_bounded(self):
-        # 16 x 4001 x 4 channel amplitudes in one product (4 MB) and their
-        # products took 8.0 MB; the phase table (1.3 MB) and the 16 traces
-        # (0.5 MB) should set the peak
-        config = rd.readout_config()
+    @staticmethod
+    def _traced_peak(points):
+        config = rd.readout_config(time_points=points)
         model = rd.emission_model(config)
         states = sweep_states(config)
         tracemalloc.start()
         try:
             rd.emit_field_traces(states, model)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3_000_000
+
+    def test_sweep_working_set_is_bounded(self):
+        # 16 x 4001 x 4 channel amplitudes in one product (4 MB) and their
+        # products took 8.0 MB, and a whole phase table (1.3 MB) 2.5 MB; the
+        # 16 traces (0.5 MB) and one slab's products take 1.3 MB
+        assert self._traced_peak(4001) < 1_750_000
+
+    def test_long_grid_working_set_is_the_quadratures(self):
+        # at 40,001 samples the whole phase table took the peak to 20 MB; the
+        # 16 traces (5.1 MB) and a constant, one slab's products and the
+        # grid and fit-window copies of about 1.1 MB, set it now
+        assert self._traced_peak(40001) < 16 * 40001 * 8 + 1_500_000
 
     def test_basis_mismatch_anywhere_in_the_batch(self):
         config = rd.readout_config()
@@ -499,6 +508,14 @@ class TestChannelQuadrature:
         assert np.max(np.abs(oracle)) > 0.01
         assert np.max(np.abs(quadrature - oracle)) <= 1e-13
 
+    def test_eigenvalues_match_the_dense_hamiltonian(self):
+        # the eigenvalues are those of the dense Hamiltonian on the model's states
+        model = rd.emission_model(rd.readout_config())
+        matrix, _ = dense_emission(model)
+        np.testing.assert_allclose(
+            np.sort(model.eigenvalues),
+            np.linalg.eigvalsh(matrix[np.ix_(model.states, model.states)]), rtol=0, atol=1e-12)
+
     def test_channel_annihilation_is_dense_a_on_the_channel(self):
         model = rd.emission_model(rd.readout_config())
         p = rd._resonant_subspace(model.config)
@@ -508,19 +525,75 @@ class TestChannelQuadrature:
                                    rtol=0, atol=3e-16)
 
 
-class TestPhaseTable:
-    def test_built_once_per_model(self):
-        model = rd.emission_model(rd.readout_config())
-        table = model.phase_table()
-        assert model.phase_table() is table
-        assert not table.flags.writeable
-        np.testing.assert_array_equal(
-            table, np.exp(-1j * np.outer(np.asarray(model.readout_times), model.eigenvalues)))
-        # the eigenvalues are those of the dense Hamiltonian on the model's states
-        matrix, _ = dense_emission(model)
-        np.testing.assert_allclose(
-            np.sort(model.eigenvalues),
-            np.linalg.eigvalsh(matrix[np.ix_(model.states, model.states)]), rtol=0, atol=1e-12)
+def whole_table_quadratures(pairs, model, method):
+    """The quadratures through one whole phase table exp(-i w t), shape (states, times).
+
+    The reference for the slab path: the table spans the model's whole
+    readout grid, and its rows enter the products in the same blocks of
+    states and slabs of times.
+    """
+    if method == "full":
+        v = model.eigenvectors
+        w, coeff, readout = (model.eigenvalues, v.conj().T @ model.embed(pairs),
+                             v.T @ model.p_matrix.conj())
+    else:
+        w, v = np.linalg.eigh(model.h_eff)
+        coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(pairs)[model.states])
+        readout = v.T
+    table = -1j * np.outer(np.asarray(model.readout_times), w)
+    np.exp(table, out=table)
+    size, count = coeff.shape
+    width = max(1, min(count, rd._BLOCK_AMPLITUDES // (4 * size)))
+    slabs = max(1, min(len(table) // 2, -(-4 * width * len(table) // rd._BLOCK_AMPLITUDES)))
+    rows, cols = np.nonzero(rd._CHANNEL_ANNIHILATION)
+    quadratures = np.empty((count, len(table)))
+    for start in range(0, count, width):
+        part = coeff[:, start:start + width]
+        columns = (part[:, :, None] * readout[:, None, :]).reshape(size, -1)
+        for times, out in zip(np.array_split(table, slabs),
+                              np.array_split(quadratures[start:start + width], slabs, axis=1)):
+            m = (times @ columns).reshape(len(times), part.shape[1], 4)
+            mean_a = sum(m[..., row].conj() * m[..., col] for row, col in zip(rows, cols))
+            out[...] = 2.0 * mean_a.real.T
+    return quadratures
+
+
+class TestSlabbedPhaseFactors:
+    QUADRATURES = {"full": rd._full_quadrature, "perturbative": rd._perturbative_quadrature}
+
+    @staticmethod
+    def _pairs(config, count):
+        phases = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False) + 0.3
+        states = [rd.readout_chain(config, phi / config.clock_frequency)[0] for phi in phases]
+        return np.column_stack([state.amplitudes for state in states])
+
+    # the 16-phase clock-chain sweep (16 slabs of 250-251 times), the
+    # 37-phase sweep of configs/ci/blas-ragged.cfg at 6007 samples (55 slabs,
+    # the first 12 one time longer), one state (one slab of all 4001), and the
+    # 16 phases in blocks of 3 states, the last one of 1, in each of 191 slabs
+    # of 20-21 times
+    @pytest.mark.parametrize("method", ["full", "perturbative"])
+    @pytest.mark.parametrize("points, count, block", [(4001, 16, None), (6007, 37, None),
+                                                      (4001, 1, None), (4001, 16, 3)])
+    def test_bit_identical_to_the_whole_table(self, monkeypatch, method, points, count, block):
+        config = rd.readout_config(time_points=points)
+        model = rd.emission_model(config)
+        pairs = self._pairs(config, count)
+        if block is not None:
+            monkeypatch.setattr(rd, "_BLOCK_AMPLITUDES", 4 * block * len(model.states))
+        quadratures, _ = self.QUADRATURES[method](pairs, model)
+        np.testing.assert_array_equal(quadratures, whole_table_quadratures(pairs, model, method))
+
+    def test_model_holds_nothing_that_grows_with_the_grid(self):
+        # after a sweep, the model holds no phase factors for its grid
+        def array_bytes(points):
+            config = rd.readout_config(time_points=points)
+            model = rd.emission_model(config)
+            rd.emit_field_traces(sweep_states(config)[:1], model)
+            return sum(value.nbytes for value in vars(model).values()
+                       if isinstance(value, np.ndarray))
+
+        assert array_bytes(40001) == array_bytes(5)
 
 
 class TestPhaseExtraction:
