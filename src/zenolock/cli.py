@@ -5,7 +5,7 @@ manifest (resolved configuration, tool version, seed, result summary)
 beside its outputs, and identical manifests produce byte-identical files
 at any thread count (cap threads with ZENOLOCK_THREADS).  Threads run only
 in a survival-curve sweep of two or more cycle times whose pair basis holds
-at least _POOL_MIN_DIMENSION states (zeno4 from photon_number = 40; no zeno2
+at least _POOL_MIN_DIMENSION states (zeno4 from photon_number = 48; no zeno2
 basis is that large); every other run stays on one thread.
 
 Exit codes: 0 success or -h/--help; 2 usage (see parse_args) or configuration
@@ -50,28 +50,25 @@ _MAX_ENTRIES = 1 << 24
 # grows with the target (2 rad at 1e300).
 _MAX_CLOCK_PHASE = 2.0**51 * readout.TWO_PI
 
-# Smallest pair basis dimension d at which a survival-curve sweep runs its
-# cycle times on a thread pool; a smaller sweep costs more in thread start-up
-# (and the ~11 ms import of concurrent.futures) than the curves overlap.
-# zeno4 (d = 16(n + 3)^2) with cycle_times = 0.001, 0.05, median cli.main
-# time of 30 fresh processes per cell, serial and pooled alternating,
-# OPENBLAS_NUM_THREADS=1, ZENOLOCK_THREADS 1 and 2, 2-core Xeon VM:
+# Smallest pair basis dimension d at which a survival-curve sweep runs its cycle
+# times on a thread pool.  zeno4 (d = 16(n + 3)^2), cycle_times = 0.001, 0.05,
+# every shape on the pool path: median cli.main time of 30 fresh processes per
+# cell, ZENOLOCK_THREADS 1 and 2 alternating, OPENBLAS_NUM_THREADS=1, 2-core VM:
 #
-#     n    d       serial     pool      pool faster in
-#    10    2704    21.5 ms    34.4 ms    2 of 30 pairs
-#    16    5776    29.6 ms    41.5 ms    1 of 30
-#    24    11664   64.6 ms    63.3 ms   13 of 30
-#    28    15376   61.8 ms    61.2 ms   19 of 30
-#    32    19600   79.3 ms    77.9 ms   18 of 30
-#    40    29584   86.3 ms    79.9 ms   22 of 30
-#    48    41616  127.0 ms   107.9 ms   28 of 30
-#    61    65536  199.2 ms   161.7 ms   29 of 30
+#     n    d       serial    pool     pool faster in
+#    10    2704    14.4 ms   22.7 ms   0 of 30 pairs
+#    16    5776    17.5 ms   26.3 ms   0 of 30
+#    24    11664   27.5 ms   34.3 ms   1 of 30
+#    28    15376   34.8 ms   46.9 ms   1 of 30
+#    32    19600   36.6 ms   52.0 ms   1 of 30
+#    40    29584   49.2 ms   67.7 ms   1 of 30
+#    48    41616   63.7 ms   79.7 ms   1 of 30
+#    61    65536   71.5 ms   86.1 ms   1 of 30
 #
-# The VM scatters these by ±10% from run to run: over three or four such runs
-# the pooled median was slower in one at n = 24 and at n = 32 (n = 28 ran
-# once), and faster in every run from n = 40.  zeno2 (d = 4(n + 3) <= 2044)
-# and the default zeno4 (d = 1936) stay far below it.
-_POOL_MIN_DIMENSION = 29584
+# Since a curve assembles only the sectors it reaches, the pool wins at no n.
+# The threshold is the basis of configs/ci/pool-sweep.cfg (n = 48), which keeps
+# one tested pooled shape; zeno2 (d <= 2044) and the default zeno4 stay serial.
+_POOL_MIN_DIMENSION = 41616
 
 # Every config key with its default text (as in configs/defaults.cfg), kind and
 # static bounds; bounds that involve two keys are checked in the handlers.
@@ -370,7 +367,10 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
 
     def run_one(item):
         cycle, config = item
-        return (cycle, config, *run(config, trace_points))
+        try:
+            return (cycle, config, *run(config, trace_points))
+        except z2.ProtocolError as error:
+            raise z2.ProtocolError(f"{error}, at [{command}] cycle_times = {cycle!r}") from None
 
     runs = parallel_map(run_one, zip(cycles, configs), max_workers=1 if small else None)
     results = {}
@@ -387,8 +387,8 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
         write_csv(record, out_dir / f"{command}_cycle_{tag}.csv")
         flags["out_of_regime"] |= trace.out_of_regime
         if trace.max_mode_tail > 1e-8:
-            raise z2.ProtocolError(
-                f"mode truncation boundary populated ({trace.max_mode_tail:.3e})")
+            raise z2.ProtocolError(f"mode truncation boundary populated ({trace.max_mode_tail:.3e})"
+                                   f", at [{command}] cycle_times = {cycle!r}")
         results[f"final_p_success_{tag}"] = float(trace.p_success[-1])
         results[f"final_analytic_p_s_{tag}"] = float(trace.analytic_p_s[-1])
         plot_series.append((trace.times, trace.p_success, f"numeric {tag}"))

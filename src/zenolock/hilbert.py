@@ -4,13 +4,12 @@ States are dense complex vectors over an ordered tensor product, atoms first
 and then modes.  Every Hamiltonian in this package is piecewise constant, so
 time evolution is exact through eigendecompositions computed once.  A
 Hamiltonian that conserves an occupation label, as both Zeno protocols' and
-the readout emission model's do, is assembled into its label sectors, and
-only the sectors its start states reach are evolved, with no dense operator
-of the full basis.  The dense operator, whose eigensystem is cached on it,
-is the test oracle of the sector path.  The Zeno protocols inject, project
-and remove photons on the atom-sector amplitudes of their cycle map, so
-there are no state-level mode operations here.  hbar = 1 throughout; all
-frequencies are angular unless a module says otherwise.
+the readout emission model's do, is assembled and evolved only on the label
+sectors its start states reach, with no dense operator of the full basis;
+the dense assembler is the tests' oracle.  The Zeno protocols inject,
+project and remove photons on the atom-sector amplitudes of their cycle
+map, so there are no state-level mode operations here.  hbar = 1
+throughout; all frequencies are angular unless a module says otherwise.
 
 All values are immutable after construction and every operation returns a
 new value, so states, operators and evolvers can be shared between threads.
@@ -214,8 +213,12 @@ class OperatorMatrix:
 def _hamiltonian_entries(basis: ProductBasis, diagonal_weights, exchange_terms):
     """Diagonal energies and, per exchange term, its (rows, cols, values) entries.
 
-    The entries lie on one side of the diagonal; the Hamiltonian adds each
-    one and its mirror image.  See :func:`assemble_hamiltonian`.
+    ``diagonal_weights`` is one weight vector per subsystem (summed over
+    occupations); each exchange term (atom_axis, upper, lower, mode_axis,
+    strength) adds strength*(|upper><lower| a + h.c.) with sqrt(k) ladder
+    factors, or strength*(|upper><lower| + h.c.) when ``mode_axis`` is None.
+    The entries lie on one side of the diagonal, to be added with their
+    mirror images; index arithmetic keeps them O(nonzeros).
     """
     dims = basis.dims
     dim = basis.dimension
@@ -238,35 +241,12 @@ def _hamiltonian_entries(basis: ProductBasis, diagonal_weights, exchange_terms):
     return diagonal, entries
 
 
-def assemble_hamiltonian(basis: ProductBasis, diagonal_weights,
-                         exchange_terms) -> OperatorMatrix:
-    """Dense Hamiltonian from per-level diagonal weights and exchange couplings.
-
-    ``diagonal_weights`` is one weight vector per subsystem (summed over
-    occupations); each exchange term (atom_axis, upper, lower, mode_axis,
-    strength) adds strength*(|upper><lower| a + h.c.) with the usual
-    ladder-operator sqrt(k) factors, or strength*(|upper><lower| + h.c.)
-    for an atom-only drive when ``mode_axis`` is None.  Index arithmetic
-    keeps the assembly O(nonzeros) instead of chained Kronecker products,
-    and photon energies come out exact (k + 1/2, not a^dag a rounded).
-    """
-    diagonal, entries = _hamiltonian_entries(basis, diagonal_weights, exchange_terms)
-    dim = basis.dimension
-    m = np.zeros((dim, dim), dtype=complex)
-    m[np.arange(dim), np.arange(dim)] = diagonal
-    for rows, cols, values in entries:
-        np.add.at(m, (rows, cols), values)
-        np.add.at(m, (cols, rows), values)
-    return OperatorMatrix(basis, m, hermitian=True)
-
-
 class SectorHamiltonian(NamedTuple):
-    """A Hermitian Hamiltonian stored as its conserved-label sector blocks.
+    """A Hermitian Hamiltonian stored as the conserved-label sector blocks a start reaches.
 
-    ``diagonal`` holds the energy of every basis state, i.e. the Hamiltonian
-    without its exchange terms; ``sectors`` pairs the basis indices of each
-    label value (ascending, label values ascending) with the Hermitian block
-    on them.  Entries between sectors are zero by construction.
+    ``diagonal`` holds the energy of every basis state (the Hamiltonian without
+    its exchange terms); ``sectors`` pairs the basis indices of each reached
+    label (ascending, labels ascending) with its Hermitian block.
     """
 
     basis: ProductBasis
@@ -274,58 +254,50 @@ class SectorHamiltonian(NamedTuple):
     sectors: tuple
 
 
-def assemble_sectors(basis: ProductBasis, diagonal_weights, exchange_terms,
-                     labels) -> SectorHamiltonian:
-    """:func:`assemble_hamiltonian` emitted directly as its label sectors.
+def assemble_sectors(basis: ProductBasis, diagonal_weights, exchange_terms, labels,
+                     start: np.ndarray) -> SectorHamiltonian:
+    """The Hamiltonian of :func:`_hamiltonian_entries` on the label sectors ``start`` reaches.
 
-    Every block entry is the one the dense assembler writes, so the blocks
-    equal the dense matrix restricted to each sector, and no dense matrix is
-    formed.  Raises ValueError when an exchange term couples two basis
-    states with different labels.
+    ``start`` is one amplitude vector or a (dimension, k) batch of them; the
+    labels are conserved, so evolution from it stays in the sectors of the
+    labels on its nonzero rows, and only those are assembled, each block
+    the dense Hamiltonian on its sector bit for bit.  Raises ValueError when
+    an exchange term couples different labels anywhere in the basis.
     """
     diagonal, entries = _hamiltonian_entries(basis, diagonal_weights, exchange_terms)
-    _, sector_of, sizes = np.unique(np.asarray(labels), return_inverse=True,
-                                    return_counts=True)
-    if sector_of.shape != (basis.dimension,):
+    labels = np.asarray(labels)
+    if labels.shape != (basis.dimension,):
         raise ValueError("labels must assign one integer per basis state")
-    order = np.argsort(sector_of, kind="stable")
+    # with counts, np.unique skips its numpy.ma check (an import of 10 ms, 0.5 MB)
+    held = np.unique(labels[start.reshape(len(start), -1).any(axis=1)], return_counts=True)[0]
+    sector = np.searchsorted(held, labels)  # read on the reached states only
+    hit = np.searchsorted(held, labels, side="right") > sector
+    sizes = np.bincount(sector[hit], minlength=len(held))
+    order = np.flatnonzero(hit)[np.argsort(sector[hit], kind="stable")]
     first = np.cumsum(sizes) - sizes
-    local = np.empty(basis.dimension, dtype=np.int64)
-    local[order] = np.arange(basis.dimension) - np.repeat(first, sizes)
+    local = np.zeros(basis.dimension, dtype=np.int64)
+    local[order] = np.arange(len(order)) - np.repeat(first, sizes)
     offsets = np.cumsum(sizes**2) - sizes**2
 
     def flat(rows, cols):
         # position of entry (rows, cols) in the concatenated row-major blocks
-        sector = sector_of[rows]
-        return offsets[sector] + local[rows] * sizes[sector] + local[cols]
+        return offsets[sector[rows]] + local[rows] * sizes[sector[rows]] + local[cols]
 
     blocks = np.zeros(int(np.sum(sizes**2)), dtype=complex)
-    states = np.arange(basis.dimension)
-    blocks[flat(states, states)] = diagonal
+    blocks[flat(order, order)] = diagonal[order]
     for rows, cols, values in entries:
-        crossing = sector_of[rows] != sector_of[cols]
+        crossing = labels[rows] != labels[cols]
         if crossing.any():
             raise ValueError(f"an exchange term couples different label sectors "
                              f"(basis states {rows[crossing][0]} and {cols[crossing][0]})")
-        np.add.at(blocks, flat(rows, cols), values)
-        np.add.at(blocks, flat(cols, rows), values)
+        keep = hit[rows]
+        np.add.at(blocks, flat(rows[keep], cols[keep]), values[keep])
+        np.add.at(blocks, flat(cols[keep], rows[keep]), values[keep])
     blocks.flags.writeable = False
     diagonal.flags.writeable = False
     sectors = tuple((idx, blocks[offset:offset + n * n].reshape(n, n))
                     for idx, offset, n in zip(np.split(order, first[1:]), offsets, sizes))
     return SectorHamiltonian(basis, diagonal, sectors)
-
-
-def reached(hamiltonian: SectorHamiltonian, start: np.ndarray) -> SectorHamiltonian:
-    """The sectors of ``hamiltonian`` on which ``start`` is nonzero.
-
-    ``start`` is one amplitude vector or a (dimension, k) batch of them; the
-    sector labels are conserved, so evolution from it never leaves these.
-    """
-    indices = [idx for idx, _ in hamiltonian.sectors]
-    hit = start.reshape(len(start), -1).any(axis=1)[np.concatenate(indices)]
-    keep = np.flatnonzero(np.logical_or.reduceat(hit, np.cumsum([0, *map(len, indices[:-1])])))
-    return hamiltonian._replace(sectors=tuple(hamiltonian.sectors[i] for i in keep))
 
 
 def evolve(state: StateVector, hamiltonian: OperatorMatrix, duration: float) -> StateVector:
@@ -389,10 +361,11 @@ class BlockEvolver:
 
     Eigendecomposes every block of a :class:`SectorHamiltonian` at
     construction, one stacked ``eigh`` per group of equal-size blocks; no
-    operator of the full basis is formed.  Protocols pass only the sectors
-    their start states reach (see :func:`reached`).  Each block gets the
-    eigensystem and products that a block on its own would, bit for bit,
-    which the tests assert with agreement to 1e-10 with the dense path.
+    operator of the full basis is formed, and no other code solves a block.
+    It holds the sectors that :func:`assemble_sectors` built for a start.
+    Each block gets the eigensystem and products that a block on its own
+    would, bit for bit, which the tests assert with agreement to 1e-10 with
+    the dense path.
     """
 
     def __init__(self, hamiltonian: SectorHamiltonian):
@@ -400,8 +373,8 @@ class BlockEvolver:
         by_size = {}
         for idx, block in hamiltonian.sectors:
             by_size.setdefault(len(idx), []).append((idx, block))
-        self._groups = tuple((np.stack([idx for idx, _ in members]),
-                              *np.linalg.eigh(np.stack([block for _, block in members])))
+        self._groups = tuple((np.array([idx for idx, _ in members]),
+                              *np.linalg.eigh(np.array([block for _, block in members])))
                              for members in by_size.values())
 
     def propagate(self, amplitudes: np.ndarray, duration: float) -> np.ndarray:
@@ -418,6 +391,19 @@ class BlockEvolver:
             moved = v @ (phase * (v.conj().swapaxes(1, 2) @ sub))
             out[idx] = moved.reshape(idx.shape + amplitudes.shape[1:])
         return out
+
+    def eigensystem(self, states: np.ndarray) -> tuple:
+        """Eigenvalues and block-diagonal eigenvectors on ``states``, every held state once.
+
+        Row i belongs to states[i]; each block's eigenpairs, ascending, take its states' places.
+        """
+        where = np.zeros(self.basis.dimension, dtype=np.int64)
+        where[states] = np.arange(len(states))
+        values, vectors = np.empty(len(states)), np.zeros((len(states),) * 2, dtype=complex)
+        for idx, w, v in self._groups:
+            values[where[idx]] = w
+            vectors[where[idx][:, :, None], where[idx][:, None, :]] = v
+        return values, vectors
 
     def evolve(self, state: StateVector, duration: float) -> StateVector:
         """:meth:`propagate` on a state; ValueError if it has weight outside the held sectors."""

@@ -8,7 +8,7 @@ item runs under the caller's numpy floating-point error settings.
 The one caller, the survival-curve sweep of zeno2 and zeno4, runs on a
 pool only when it has two or more cycle times and a pair basis of at least
 ``cli._POOL_MIN_DIMENSION`` states, which only a zeno4 sweep from
-photon_number = 40 reaches; any other map is a plain loop on the calling
+photon_number = 48 reaches; any other map is a plain loop on the calling
 thread, and ``concurrent.futures`` is imported only when a pool is built.
 """
 

@@ -227,9 +227,9 @@ def _rotating_frame_terms(config: ReadoutConfig, mode_frequency: float):
     return emission_basis(config), [levels, levels, photons], exchange
 
 
-def _rotating_frame_hamiltonian(config: ReadoutConfig,
-                                mode_frequency: float) -> h.SectorHamiltonian:
-    """The emission Hamiltonian by sector of its two conserved numbers.
+def _rotating_frame_hamiltonian(config: ReadoutConfig, mode_frequency: float,
+                                start: np.ndarray) -> h.SectorHamiltonian:
+    """The emission Hamiltonian on the sectors of its two conserved numbers ``start`` reaches.
 
     The mode trades an |E1> atom for a photon and the drive moves
     |G1> <-> |E2>, so L (photons plus atoms in |E1>) and the number of atoms
@@ -239,7 +239,7 @@ def _rotating_frame_hamiltonian(config: ReadoutConfig,
     quanta = h.occupation_labels(basis, [[0, 0, 1, 0], [0, 0, 1, 0], photons])
     in_g2 = h.occupation_labels(basis, [[0, 1, 0, 0], [0, 1, 0, 0], 0 * photons])
     return h.assemble_sectors(*_rotating_frame_terms(config, mode_frequency),
-                              h.combine_labels(quanta, in_g2))
+                              h.combine_labels(quanta, in_g2), start)
 
 
 class FieldTrace(Record):
@@ -321,32 +321,28 @@ class _EmissionModel:
 
     Works on ``states``, the basis states of the conserved sectors that the
     resonant channel spans (21 of 48 at the default cutoff); no other state
-    couples to them.  Holds the rotating-frame Hamiltonian and its per-sector
-    eigensystem on them, the resonant-channel basis, the second-order
-    effective Hamiltonian, and the first-order dressing map used to start the
-    evolution in the adiabatically prepared state (drive ramp fast compared
-    with the Raman transfer, slow compared with the detuning).
+    couples to them.  Holds the rotating-frame eigensystem on them, which a
+    :class:`hilbert.BlockEvolver` solves by sector, the resonant-channel basis,
+    the second-order effective Hamiltonian, and the first-order dressing map
+    that starts the evolution in the adiabatically prepared state (drive ramp
+    fast compared with the Raman transfer, slow compared with the detuning).
     """
 
     def __init__(self, config: ReadoutConfig, mode_frequency: float):
         self.config = config
         self.mode_frequency = mode_frequency
         subspace = _resonant_subspace(config)
-        sectors = h.reached(_rotating_frame_hamiltonian(config, mode_frequency), subspace).sectors
-        self.states = np.concatenate([idx for idx, _ in sectors])
+        hamiltonian = _rotating_frame_hamiltonian(config, mode_frequency, subspace)
+        self.states = np.concatenate([idx for idx, _ in hamiltonian.sectors])
         self.p_matrix = subspace[self.states]
         atom_a, atom_b, photons = np.unravel_index(self.states, emission_basis(config).dims)
         self.two_quanta = photons + (atom_a == E1) + (atom_b == E1) >= 2  # L >= 2
-        size = len(self.states)
-        self.hamiltonian = matrix = np.zeros((size, size), dtype=complex)
-        self.eigenvalues = np.empty(size)
-        self.eigenvectors = np.zeros((size, size), dtype=complex)
+        matrix = np.zeros((len(self.states),) * 2, dtype=complex)
         start = 0
-        for idx, block in sectors:
-            span = slice(start, start + len(idx))
-            matrix[span, span] = block
-            self.eigenvalues[span], self.eigenvectors[span, span] = np.linalg.eigh(block)
-            start = span.stop
+        for idx, block in hamiltonian.sectors:
+            matrix[start:start + len(idx), start:start + len(idx)] = block
+            start += len(idx)
+        self.eigenvalues, self.eigenvectors = h.BlockEvolver(hamiltonian).eigensystem(self.states)
         bare_energies = matrix.diagonal().real
         couplings = (matrix - np.diag(bare_energies.astype(complex))) @ self.p_matrix
         couplings -= self.p_matrix @ (self.p_matrix.conj().T @ couplings)

@@ -35,7 +35,6 @@ from .zeno_two_level import (
     subradiant_state,
 )
 # the rest of the scheme model, re-exported for the multilevel pairs' users
-from .zeno_two_level import build_hamiltonian as build_hamiltonian
 from .zeno_two_level import conserved_labels as conserved_labels
 from .zeno_two_level import pair_basis as pair_basis
 
@@ -114,8 +113,7 @@ def three_level_config(coupling: float = 2.0, photon_number: int = 8,
                             final_time=2.0 * measure_interval)
 
 
-def leakage(config: LevelSchemeConfig, photon_number: Optional[int] = None,
-            measure_interval: Optional[float] = None) -> float:
+def leakage(config: LevelSchemeConfig) -> float:
     """Probability of double-excitation absorption out of a subradiant pair.
 
     Prepares (|upper_1 lower_1> - |lower_1 upper_1>)/sqrt(2) with n photons
@@ -125,11 +123,9 @@ def leakage(config: LevelSchemeConfig, photon_number: Optional[int] = None,
     four-level scheme, where it is zero because the subradiant pair is dark
     to its own mode and the other mode touches neither level.
     """
-    n = config.photon_number if photon_number is None else photon_number
-    tau_m = config.measure_interval if measure_interval is None else measure_interval
-    state = pair_superposition(config, config.TRANSITIONS[:1], (n, n))
-    sectors = h.reached(build_sector_hamiltonian(config), state.amplitudes)
-    evolved = h.BlockEvolver(sectors).evolve(state, tau_m)
+    state = pair_superposition(config, config.TRANSITIONS[:1], (config.photon_number,) * 2)
+    evolver = h.BlockEvolver(build_sector_hamiltonian(config))
+    evolved = evolver.evolve(state, config.measure_interval)
     populations = np.abs(evolved.amplitudes.reshape(config.LEVELS, config.LEVELS, -1)) ** 2
     excited = [upper for upper, _ in config.TRANSITIONS]
     return sum(float(populations[a, b].sum()) for a in excited for b in excited)

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import hilbert as h
-from .hilbert import Atom, Mode, OperatorMatrix, StateVector
+from .hilbert import Atom, Mode, StateVector
 from .records import Record
 
 G, E = 0, 1  # atomic level ordering
@@ -195,18 +195,17 @@ def _hamiltonian_terms(config, coupled: bool):
     return pair_basis(config), [*config.atom_levels, *mode_weights], exchange
 
 
-def build_hamiltonian(config, coupled: bool = True) -> OperatorMatrix:
-    """Dense pair Hamiltonian; the oracle of :func:`build_sector_hamiltonian`."""
-    return h.assemble_hamiltonian(*_hamiltonian_terms(config, coupled))
-
-
 def build_sector_hamiltonian(config) -> h.SectorHamiltonian:
-    """Coupled pair Hamiltonian by :func:`conserved_labels` sector.
+    """Coupled pair Hamiltonian on the :func:`conserved_labels` sectors a window reaches.
 
-    Its ``diagonal`` is the uncoupled Hamiltonian of the free drift.  No
-    operator of the full pair basis is formed.
+    Those hold every atom state with n photons in every mode, where
+    :func:`coupling_window` starts.  Its ``diagonal`` is the uncoupled
+    Hamiltonian of the free drift on the whole basis.
     """
-    return h.assemble_sectors(*_hamiltonian_terms(config, True), conserved_labels(config))
+    basis, weights, exchange = _hamiltonian_terms(config, True)
+    atom_dim, _, injected = _injected_modes(config, basis)
+    start = np.arange(basis.dimension) % (basis.dimension // atom_dim) == injected
+    return h.assemble_sectors(basis, weights, exchange, conserved_labels(config), start)
 
 
 # perfbench/tracer.py wraps this name; a def, not an alias, keeps the wrap on it
@@ -336,6 +335,14 @@ def _record_cycles(total_cycles: int, max_points: int) -> np.ndarray:
     return recorded
 
 
+def _injected_modes(config, basis: h.ProductBasis) -> tuple:
+    """Atom-sector dimension, mode dimensions and the flat mode index of n photons in each."""
+    atoms = len(basis.atom_indices())
+    mode_dims = basis.dims[atoms:]
+    return (int(np.prod(basis.dims[:atoms])), mode_dims,
+            int(np.ravel_multi_index((config.photon_number,) * len(mode_dims), mode_dims)))
+
+
 def coupling_window(config, basis: h.ProductBasis,
                     drift: Callable[[np.ndarray, float], np.ndarray],
                     couple: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
@@ -349,9 +356,7 @@ def coupling_window(config, basis: h.ProductBasis,
     in mode 2, ..., starting atom state).  Every step is linear, so the
     window of any start x with empty modes is ``window @ x``.
     """
-    atom_dim = int(np.prod(basis.dims[:len(basis.atom_indices())]))
-    mode_dims = basis.dims[len(basis.atom_indices()):]
-    injected = int(np.ravel_multi_index((config.photon_number,) * len(mode_dims), mode_dims))
+    atom_dim, mode_dims, injected = _injected_modes(config, basis)
     amps = np.zeros((basis.dimension, atom_dim), dtype=complex)
     amps.reshape(atom_dim, -1, atom_dim)[:, 0] = np.eye(atom_dim)
     amps = drift(amps, config.free_interval)
@@ -415,17 +420,19 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     """Iterate Zeno cycles of any scheme's pair from ``initial`` until ``config.final_time``.
 
     ``initial`` must have every mode empty.  ``hamiltonian`` is the coupled
-    Hamiltonian by sector: the blocks that the injected batch reaches drive
-    the coupling window through a :class:`hilbert.BlockEvolver`, and its
-    ``diagonal`` the free drift.  The run works on the atom sector with the
-    per-cycle map (see :func:`cycle_matrix`), read off one batched
-    :func:`coupling_window`.  Every stride-th cycle and the last are
-    recorded, at most ``max_trace_points`` of them, and the run jumps between
-    them: across a gap of g cycles it applies the cached power ``map**(g-1)``
-    (one per distinct gap, so at most two) and then one more ``map``, whose
-    success probability is the recorded cycle's own.  Its cost grows with the
-    number of recorded points, not of cycles: two matrix-vector products
-    each, with the norms taken a chunk of recorded cycles at a time (see
+    Hamiltonian by sector, and must hold the sectors of every atom state with
+    n photons in every mode, as :func:`build_sector_hamiltonian` does: a
+    :class:`hilbert.BlockEvolver` of its blocks drives the coupling window and
+    drops amplitude outside them, and its ``diagonal`` drives the free drift.
+    The run works on the atom sector with the per-cycle map (see
+    :func:`cycle_matrix`), read off one batched :func:`coupling_window`.
+    Every stride-th cycle and the last are recorded, at most
+    ``max_trace_points`` of them, and the run jumps between them: across a gap
+    of g cycles it applies the cached power ``map**(g-1)`` (one per distinct
+    gap, so at most two) and then one more ``map``, whose success probability
+    is the recorded cycle's own.  Its cost grows with the number of recorded
+    points, not of cycles: two matrix-vector products each, with the norms
+    taken a chunk of recorded cycles at a time (see
     :func:`_recorded_survival`).  ``p_success`` is the cumulative product of
     per-cycle success probabilities.
 
@@ -462,11 +469,7 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     out_of_regime = mean_square * (config.free_interval * config.free_interval) > 1.0
 
     record = _record_cycles(cycles, max_trace_points)
-
-    def couple(amplitudes, duration):
-        return h.BlockEvolver(h.reached(hamiltonian, amplitudes)).propagate(amplitudes, duration)
-
-    window = coupling_window(config, initial.basis, drift, couple)
+    window = coupling_window(config, initial.basis, drift, h.BlockEvolver(hamiltonian).propagate)
     cycle_map = cycle_matrix(config, window)
     atom_dim = cycle_map.shape[0]
     x = initial.amplitudes.reshape(atom_dim, -1)[:, 0].copy()

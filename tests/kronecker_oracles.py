@@ -2,7 +2,10 @@
 
 The package builds its Hamiltonians by index arithmetic and evolves them by
 sector; these dense constructions from chained Kronecker products are the
-independent references the tests compare against.
+independent references the tests compare against.  The dense assembler,
+:func:`assemble_hamiltonian`, and the dense pair Hamiltonian,
+:func:`build_hamiltonian`, fill the whole matrix from the package's own entry
+lists: they are the oracles of its sector assembly.
 """
 
 from typing import Sequence
@@ -11,6 +14,7 @@ import numpy as np
 
 from stepwise_oracle import _require_mode
 from zenolock import hilbert as h
+from zenolock import zeno_two_level as z2
 
 
 def basis_state(basis: h.ProductBasis, occupations: Sequence[int]) -> h.StateVector:
@@ -80,3 +84,30 @@ def expectation(state: h.StateVector, op: h.OperatorMatrix) -> complex:
 
 def commutator_norm(a: h.OperatorMatrix, b: h.OperatorMatrix) -> float:
     return float(np.max(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix)))
+
+
+def assemble_hamiltonian(basis: h.ProductBasis, diagonal_weights,
+                         exchange_terms) -> h.OperatorMatrix:
+    """Dense Hamiltonian from per-level diagonal weights and exchange couplings.
+
+    ``diagonal_weights`` is one weight vector per subsystem (summed over
+    occupations); each exchange term (atom_axis, upper, lower, mode_axis,
+    strength) adds strength*(|upper><lower| a + h.c.) with the usual
+    ladder-operator sqrt(k) factors, or strength*(|upper><lower| + h.c.)
+    for an atom-only drive when ``mode_axis`` is None.  Index arithmetic
+    keeps the assembly O(nonzeros) instead of chained Kronecker products,
+    and photon energies come out exact (k + 1/2, not a^dag a rounded).
+    """
+    diagonal, entries = h._hamiltonian_entries(basis, diagonal_weights, exchange_terms)
+    dim = basis.dimension
+    m = np.zeros((dim, dim), dtype=complex)
+    m[np.arange(dim), np.arange(dim)] = diagonal
+    for rows, cols, values in entries:
+        np.add.at(m, (rows, cols), values)
+        np.add.at(m, (cols, rows), values)
+    return h.OperatorMatrix(basis, m, hermitian=True)
+
+
+def build_hamiltonian(config, coupled: bool = True) -> h.OperatorMatrix:
+    """Dense pair Hamiltonian; the oracle of ``zeno_two_level.build_sector_hamiltonian``."""
+    return assemble_hamiltonian(*z2._hamiltonian_terms(config, coupled))

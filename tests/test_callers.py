@@ -27,7 +27,6 @@ ALLOWED = {
     "zeno_multilevel.three_level_config": "demos/03_three_vs_four_levels.py",
     "zeno_multilevel.leakage": "demos/03_three_vs_four_levels.py",
     "zeno_multilevel.cross_manifold_population": "demos/03_three_vs_four_levels.py",
-    "zeno_two_level.build_hamiltonian": "tests/test_hilbert.py",
     "zeno_two_level.superradiant_state": "tests/test_acceptance.py",
     "zeno_two_level.ps_analytic": "tests/test_acceptance.py",
 }

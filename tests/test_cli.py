@@ -410,15 +410,33 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
     def test_unresolvable_cycle_error_exit_code(self, tmp_path, capsys, command):
         # a per-cycle error of 4e-18 sits below the cycle map's rounding, and
-        # one that underflows to zero is no zero split
-        for cycle, error in (("1e-9", "4.000e-18"), ("1e-300", "0.000e+00")):
+        # one that underflows to zero is no zero split; the message names the
+        # cycle time
+        for cycle, error in (("1e-9", "4.000e-18"), ("1e-300", "0.000e+00"),
+                             ("1e-320", "0.000e+00")):
             path = write_config(tmp_path, f"[{command}]\ncycle_times = {cycle}\n")
             code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
             assert code == cli.EXIT_NUMERICAL
             err = capsys.readouterr().err
             assert err.count("\n") == 1
             assert f"numerical validity failure: closed-form per-cycle error {error}" in err
+            assert err.endswith(f", at [{command}] cycle_times = {float(cycle)!r}\n")
             assert not (tmp_path / "out" / "manifest.txt").exists()
+
+    def test_truncation_boundary_names_the_cycle_time(self, tmp_path, capsys, monkeypatch):
+        original = z2.run_protocol
+
+        def truncated(config, max_trace_points):
+            trace = original(config, max_trace_points=max_trace_points)
+            return trace.replace(max_mode_tail=2e-8) if config.cycle_time == 0.05 else trace
+
+        monkeypatch.setattr(z2, "run_protocol", truncated)
+        path = write_config(tmp_path, "[zeno2]\nfinal_time = 1.0\n")
+        code = cli.main(["zeno2", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "zenolock: numerical validity failure: mode truncation boundary populated "
+            "(2.000e-08), at [zeno2] cycle_times = 0.05\n")
 
     @pytest.mark.parametrize("points", [0, -3])
     @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
@@ -649,7 +667,8 @@ class TestExitCodes:
         if code == cli.EXIT_NUMERICAL:
             assert err == ("zenolock: numerical validity failure: free-drift phase of the "
                            "largest energy 1.650e+18 over the free interval 9.950e-03 carries "
-                           "a rounding error of 3.646e+00 rad, above 1e-08 rad\n")
+                           "a rounding error of 3.646e+00 rad, above 1e-08 rad, "
+                           "at [zeno2] cycle_times = 0.01\n")
         else:
             assert err == ""
 
@@ -1291,6 +1310,13 @@ class TestStartup:
             "--out", str(tmp_path / "out")]
         self._unloaded_after_cli_import("_hashlib", argv)
 
+    @pytest.mark.parametrize("command", ["zeno2", "zeno4", "readout"])
+    def test_sector_assembly_leaves_numpy_ma_unloaded(self, tmp_path, command):
+        # np.unique without counts checks np.ma.is_masked on numpy 2, and that
+        # import cost a zeno2 run about 10 ms and 0.5 MB of RSS
+        self._unloaded_after_cli_import("numpy.ma", [
+            command, "--config", str(REPO / "configs" / "defaults.cfg"),
+            "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("module", ["argparse", "gettext", "locale"])
     def test_argparse_stays_unloaded(self, tmp_path, module):

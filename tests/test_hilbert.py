@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepwise_oracle as so
-from kronecker_oracles import (annihilation, atomic_projector, basis_state, commutator_norm,
-                               creation, expectation, number_operator)
+from kronecker_oracles import (annihilation, assemble_hamiltonian, atomic_projector,
+                               basis_state, build_hamiltonian, commutator_norm, creation,
+                               expectation, number_operator)
 from zenolock import hilbert as h
 from zenolock import readout as rd
 from zenolock import zeno_multilevel as zm
@@ -315,7 +316,7 @@ class TestBlockEvolver:
         assert commutator_norm(H, _label_operator(basis, labels)) < 1e-12
         evolver = h.BlockEvolver(h.assemble_sectors(
             basis, [(0.0, omega), omega * (np.arange(7) + 0.5)],
-            [(0, 1, 0, 1, 0.5 * coupling)], labels))
+            [(0, 1, 0, 1, 0.5 * coupling)], labels, np.ones(basis.dimension)))
         rng = np.random.default_rng(4)
         psi = random_state(basis, rng)
         for t in [0.2, 1.7, 6.4]:
@@ -329,7 +330,7 @@ class TestBlockEvolver:
         # that leave some blocks empty and share others
         config = zm.four_level_config_from_deltas(1.0, 0.5, cycle_time=0.02,
                                                   final_time=0.2, photon_number=2)
-        sectors = zm.build_sector_hamiltonian(config)
+        sectors = every_sector(config)
         evolver = h.BlockEvolver(sectors)
         rng = np.random.default_rng(11)
         dim = sectors.basis.dimension
@@ -375,7 +376,8 @@ class TestBlockEvolver:
         # the cycle starts from the atom states with n photons in every mode,
         # which lie in a few excitation sectors
         config = {"zeno2": default_zeno2_config, "zeno4": default_zeno4_config}[case]()
-        assert len(z2.build_sector_hamiltonian(config).sectors) == blocks
+        assert len(every_sector(config).sectors) == blocks
+        assert len(z2.build_sector_hamiltonian(config).sectors) == solved
         stacks = eigh_spy(monkeypatch)
         {"zeno2": z2.run_protocol, "zeno4": zm.run_four_level_protocol}[case](config)
         assert sum(len(stack) for stack in stacks) == solved
@@ -406,7 +408,7 @@ class TestBlockEvolver:
         (first, _), (second, _) = sectors.sectors[:2]
         inside = np.zeros(sectors.basis.dimension, dtype=complex)
         inside[first] = 1.0
-        evolver = h.BlockEvolver(h.reached(sectors, inside))
+        evolver = h.BlockEvolver(per_sector_rule(sectors, inside))
         state = h.StateVector(sectors.basis, inside, normalize=True)
         assert np.array_equal(evolver.evolve(state, 0.3).amplitudes,
                               h.BlockEvolver(sectors).evolve(state, 0.3).amplitudes)
@@ -434,6 +436,7 @@ class TestReached:
         # the coupling window starts from the atom states with n photons in
         # every mode, which lie in a few excitation sectors
         config = {"zeno2": default_zeno2_config, "zeno4": default_zeno4_config}[case]()
+        every = every_sector(config)
         sectors = z2.build_sector_hamiltonian(config)
         batches = []
 
@@ -444,59 +447,83 @@ class TestReached:
         drift = functools.partial(h._propagate_diagonal, sectors.diagonal)
         z2.coupling_window(config, sectors.basis, drift, couple)
         (batch,) = batches
-        held = h.reached(sectors, batch)
-        assert len(sectors.sectors) == blocks
-        assert len(held.sectors) == kept
-        assert held.basis == sectors.basis and held.diagonal is sectors.diagonal
-        # the kept sectors, in sector order, are those the batch touches
-        assert [idx.tolist() for idx, _ in held.sectors] == [
-            idx.tolist() for idx, _ in sectors.sectors if np.any(batch[idx])]
-        assert np.array_equal(h.reached(sectors, batch[:, 0]).sectors[0][0],
-                              next(idx for idx, _ in sectors.sectors if np.any(batch[idx, 0])))
+        assert len(every.sectors) == blocks
+        assert len(sectors.sectors) == kept
+        np.testing.assert_array_equal(sectors.diagonal, every.diagonal)
+        # the held sectors, in sector order, are those the batch touches
+        assert_same_sectors(sectors, per_sector_rule(every, batch))
 
     def test_readout_channel_reaches_three_sectors(self):
         config = rd.readout_config()
         model = rd.emission_model(config)
-        held = h.reached(rd._rotating_frame_hamiltonian(config, model.mode_frequency),
-                         rd._resonant_subspace(config))
+        subspace = rd._resonant_subspace(config)
+        held = rd._rotating_frame_hamiltonian(config, model.mode_frequency, subspace)
         assert len(held.sectors) == 3
         assert sum(len(idx) for idx, _ in held.sectors) == len(model.states) == 21
         assert np.array_equal(np.concatenate([idx for idx, _ in held.sectors]), model.states)
+        every = rd._rotating_frame_hamiltonian(config, model.mode_frequency,
+                                               np.ones(rd.emission_basis(config).dimension))
+        assert_same_sectors(held, per_sector_rule(every, subspace))
 
     @settings(max_examples=60, deadline=None)
     @given(case=st.sampled_from(["zeno2", "zeno4"]), columns=st.integers(1, 3), data=st.data())
     def test_same_sectors_as_the_per_sector_rule(self, case, columns, data):
-        sectors = {"zeno2": default_zeno2_sectors, "zeno4": default_zeno4_sectors}[case]()
-        dimension = sectors.basis.dimension
-        batch = np.zeros((dimension, columns), dtype=complex)
-        for row, column in data.draw(st.lists(st.tuples(st.integers(0, dimension - 1),
+        config = {"zeno2": default_zeno2_config, "zeno4": default_zeno4_config}[case]()
+        basis, weights, exchange = z2._hamiltonian_terms(config, True)
+        labels = z2.conserved_labels(config)
+        every = every_sector(config)
+        batch = np.zeros((basis.dimension, columns), dtype=complex)
+        for row, column in data.draw(st.lists(st.tuples(st.integers(0, basis.dimension - 1),
                                                         st.integers(0, columns - 1)), max_size=8)):
             batch[row, column] = data.draw(st.sampled_from([1.0, -1e-300, 1e-300j]))
         for start in (batch, batch[:, 0]):
-            hit = start.reshape(dimension, -1).any(axis=1)
-            expected = [sector for sector in sectors.sectors if hit[sector[0]].any()]
-            held = h.reached(sectors, start).sectors
-            assert len(held) == len(expected)
-            assert all(a is b for pair in zip(held, expected) for a, b in zip(*pair))
+            held = h.assemble_sectors(basis, weights, exchange, labels, start)
+            np.testing.assert_array_equal(held.diagonal, every.diagonal)
+            assert_same_sectors(held, per_sector_rule(every, start))
 
     def test_nothing_reached_holds_no_sector(self):
-        sectors = default_zeno2_sectors()
-        held = h.reached(sectors, np.zeros((sectors.basis.dimension, 2), dtype=complex))
+        config = default_zeno2_config()
+        basis, weights, exchange = z2._hamiltonian_terms(config, True)
+        held = h.assemble_sectors(basis, weights, exchange, z2.conserved_labels(config),
+                                  np.zeros((basis.dimension, 2), dtype=complex))
         assert held.sectors == ()
-        batch = np.ones((sectors.basis.dimension, 2), dtype=complex)
+        batch = np.ones((basis.dimension, 2), dtype=complex)
         assert np.array_equal(h.BlockEvolver(held).propagate(batch, 0.1), np.zeros_like(batch))
+
+    def test_largest_four_level_pair_holds_six_sectors(self):
+        # [zeno4] photon_number = 61, the largest the schema admits: 65,536
+        # basis states, of which the injected batch reaches 96
+        config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.001,
+                                                  final_time=100.0, photon_number=61)
+        sectors = zm.build_four_level_hamiltonian(config)
+        assert sectors.basis.dimension == 65536 and len(sectors.diagonal) == 65536
+        assert len(sectors.sectors) == 6
+        assert sum(len(idx) for idx, _ in sectors.sectors) == 96
+
+    @pytest.mark.parametrize("photons", [8, 40])
+    def test_four_level_run_equals_the_every_sector_run(self, photons):
+        config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.01, final_time=1.0,
+                                                  photon_number=photons)
+        reached = zm.run_four_level_protocol(config)
+        every = z2.run_zeno(config, every_sector(config), zm.subradiant_state(config))
+        for name in ("times", "p_success", "p_error_per_cycle", "analytic_p_s"):
+            np.testing.assert_array_equal(getattr(reached, name), getattr(every, name))
+        np.testing.assert_array_equal(reached.final_state.amplitudes,
+                                      every.final_state.amplitudes)
+        assert reached.max_mode_tail == every.max_mode_tail
 
     @pytest.mark.parametrize("photons", [3, 10])
     def test_leakage_at_other_photon_number_equals_full_sector_evolution(self, photons):
-        # the V pair at n = 8 (Fock cutoff 10) started from other photon numbers
-        config = zm.three_level_config(photon_number=8)
+        # the V pair with Fock cutoffs 12 and its window sized for n = 8
+        config = zm.three_level_config(photon_number=8).replace(fock_cutoffs=(12, 12),
+                                                                photon_number=photons)
         state = zm.pair_superposition(config, config.TRANSITIONS[:1], (photons, photons))
-        full = h.BlockEvolver(zm.build_sector_hamiltonian(config))
+        full = h.BlockEvolver(every_sector(config))
         evolved = full.evolve(state, config.measure_interval).amplitudes
         populations = np.abs(evolved.reshape(3, 3, -1)) ** 2
         excited = [upper for upper, _ in config.TRANSITIONS]
         expected = sum(float(populations[a, b].sum()) for a in excited for b in excited)
-        assert zm.leakage(config, photon_number=photons) == expected
+        assert zm.leakage(config) == expected
         assert expected > 0.0
 
 
@@ -526,14 +553,40 @@ def default_zeno4_config():
                                             photon_number=8)
 
 
+def every_sector(config):
+    """The coupled pair Hamiltonian on every conserved-label sector: an all-ones start."""
+    basis, weights, exchange = z2._hamiltonian_terms(config, True)
+    return h.assemble_sectors(basis, weights, exchange, z2.conserved_labels(config),
+                              np.ones(basis.dimension))
+
+
+def per_sector_rule(sectors, start):
+    """The sectors of ``sectors`` on which ``start`` is nonzero, tested one sector at a time.
+
+    ``start`` is one amplitude vector or a (dimension, k) batch of them.
+    """
+    hit = start.reshape(len(start), -1).any(axis=1)
+    return sectors._replace(sectors=tuple(sector for sector in sectors.sectors
+                                          if hit[sector[0]].any()))
+
+
+def assert_same_sectors(held, expected):
+    """Equal bases, and equal sector indices and blocks in the same order."""
+    assert held.basis == expected.basis
+    assert len(held.sectors) == len(expected.sectors)
+    for (idx, block), (expected_idx, expected_block) in zip(held.sectors, expected.sectors):
+        np.testing.assert_array_equal(idx, expected_idx)
+        np.testing.assert_array_equal(block, expected_block)
+
+
 def default_zeno2_sectors():
-    """The coupled default [zeno2] pair."""
-    return z2.build_two_level_hamiltonian(default_zeno2_config())
+    """The coupled default [zeno2] pair on every sector."""
+    return every_sector(default_zeno2_config())
 
 
 def default_zeno4_sectors():
-    """The coupled default [zeno4] pair."""
-    return zm.build_sector_hamiltonian(default_zeno4_config())
+    """The coupled default [zeno4] pair on every sector."""
+    return every_sector(default_zeno4_config())
 
 
 def eigh_spy(monkeypatch):
@@ -606,7 +659,7 @@ def _two_level_case(coupled):
     levels = [(e.g, e.e) for e in (config.atom_a, config.atom_b)]
     oracle = kronecker_hamiltonian(z2.pair_basis(config), levels,
                                    config.mode_frequencies, exchange)
-    return z2.build_hamiltonian(config, coupled), oracle
+    return build_hamiltonian(config, coupled), oracle
 
 
 def _three_level_case(coupled):
@@ -619,7 +672,7 @@ def _three_level_case(coupled):
     levels = [(e.g, e.e1, e.e2) for e in (config.atom_a, config.atom_b)]
     oracle = kronecker_hamiltonian(zm.pair_basis(config), levels,
                                    config.mode_frequencies, exchange)
-    return zm.build_hamiltonian(config, coupled), oracle
+    return build_hamiltonian(config, coupled), oracle
 
 
 def _four_level_case(coupled):
@@ -633,7 +686,7 @@ def _four_level_case(coupled):
     levels = [(e.g1, e.g2, e.e1, e.e2) for e in (config.atom_a, config.atom_b)]
     oracle = kronecker_hamiltonian(zm.pair_basis(config), levels,
                                    config.mode_frequencies, exchange)
-    return zm.build_hamiltonian(config, coupled), oracle
+    return build_hamiltonian(config, coupled), oracle
 
 
 def _readout_case(coupled):
@@ -648,7 +701,7 @@ def _readout_case(coupled):
     oracle = kronecker_hamiltonian(rd.emission_basis(config), [levels, levels],
                                    [mode_frequency], exchange)
     terms = rd._rotating_frame_terms(config, mode_frequency)
-    return h.assemble_hamiltonian(*terms), oracle
+    return assemble_hamiltonian(*terms), oracle
 
 
 class TestAssembleHamiltonian:
@@ -665,7 +718,7 @@ class TestAssembleHamiltonian:
 
     def test_photon_energies_are_exact(self):
         basis = h.build_basis([h.Atom(2), h.Mode(15)])
-        ham = h.assemble_hamiltonian(basis, [(0.0, 0.0), 100.0 * (np.arange(16) + 0.5)], [])
+        ham = assemble_hamiltonian(basis, [(0.0, 0.0), 100.0 * (np.arange(16) + 0.5)], [])
         photons = np.array([basis.occupations(i)[1] for i in range(basis.dimension)])
         assert np.array_equal(ham.matrix.diagonal().real, 100.0 * (photons + 0.5))
 
@@ -695,26 +748,25 @@ def dense_sectors(dense, labels):
 class TestAssembleSectors:
     @pytest.mark.parametrize("scheme", ["two", "three", "four"])
     def test_pair_sectors_match_dense_assembly(self, scheme):
-        build_sectors, build_dense = zm.build_sector_hamiltonian, zm.build_hamiltonian
         if scheme == "two":
             config = z2.config_for_cycle_time(0.05, 1.0, photon_number=2, common_offset=0.3)
-            build_sectors, build_dense = z2.build_two_level_hamiltonian, z2.build_hamiltonian
         elif scheme == "three":
             config = zm.three_level_config(photon_number=2, ground=0.25)
         else:
             config = zm.four_level_config_from_deltas(1.0, 0.5, cycle_time=0.02,
                                                       final_time=0.2, photon_number=2,
                                                       ground_2=0.75)
-        assert_sectors_match_dense(build_sectors(config), build_dense(config))
+        assert_sectors_match_dense(every_sector(config), build_hamiltonian(config))
 
     @pytest.mark.parametrize("cutoff", [1, 2, 3])
     def test_emission_sectors_match_dense_assembly(self, cutoff):
         # conserved: L (atoms in E1 plus photons) and the atoms in G2
         config = rd.readout_config(transition_1=121.5).replace(emission_mode_cutoff=cutoff)
         frequency = config.emission_frequency + 0.3
-        sectors = rd._rotating_frame_hamiltonian(config, frequency)
+        sectors = rd._rotating_frame_hamiltonian(
+            config, frequency, np.ones(rd.emission_basis(config).dimension))
         assert_sectors_match_dense(
-            sectors, h.assemble_hamiltonian(*rd._rotating_frame_terms(config, frequency)))
+            sectors, assemble_hamiltonian(*rd._rotating_frame_terms(config, frequency)))
         assert max(len(idx) for idx, _ in sectors.sectors) == (8 if cutoff == 1 else 9)
 
     def test_atom_only_drive(self):
@@ -728,14 +780,15 @@ class TestAssembleSectors:
         for atom in (0, 1):
             exchange += [(atom, rd.E1, rd.G1, 2, 0.7), (atom, rd.E2, rd.G1, None, 0.3)]
         labels = h.occupation_labels(basis, [[0, 0, 1, 0], [0, 0, 1, 0], [0, 1, 2]])
-        assert_sectors_match_dense(h.assemble_sectors(basis, weights, exchange, labels),
-                                   h.assemble_hamiltonian(basis, weights, exchange))
+        assert_sectors_match_dense(
+            h.assemble_sectors(basis, weights, exchange, labels, np.ones(basis.dimension)),
+            assemble_hamiltonian(basis, weights, exchange))
 
     def test_block_evolver_from_sectors_matches_dense(self):
         config = zm.four_level_config_from_deltas(1.0, 0.5, cycle_time=0.02,
                                                   final_time=0.2, photon_number=2)
-        dense = zm.build_hamiltonian(config)
-        sectors = h.BlockEvolver(zm.build_sector_hamiltonian(config))
+        dense = build_hamiltonian(config)
+        sectors = h.BlockEvolver(every_sector(config))
         oracle = h.BlockEvolver(dense_sectors(dense, zm.conserved_labels(config)))
         psi = random_state(dense.basis, np.random.default_rng(8))
         for t in (0.01, 0.4):
@@ -749,4 +802,20 @@ class TestAssembleSectors:
         photons = h.occupation_labels(basis, [[0, 0], [0, 1, 2]])
         with pytest.raises(ValueError, match="couples different label sectors"):
             h.assemble_sectors(basis, [[0.0, 1.0], [0.5, 1.5, 2.5]],
-                               [(0, 1, 0, 1, 0.5)], photons)
+                               [(0, 1, 0, 1, 0.5)], photons, np.ones(basis.dimension))
+
+    def test_rejects_term_crossing_sectors_outside_the_start(self):
+        # a Jaynes-Cummings term conserves atom plus photons; one relabelled
+        # state breaks that only in the label-2 sector, and the start lies in
+        # the label-0 sector, which no entry touches
+        basis = h.build_basis([h.Atom(2), h.Mode(2)])
+        labels = h.occupation_labels(basis, [[0, 1], [0, 1, 2]])
+        labels[basis.index([1, 1])] += 100
+        start = np.zeros(basis.dimension)
+        start[basis.index([0, 0])] = 1.0
+        weights, exchange = [[0.0, 1.0], [0.5, 1.5, 2.5]], [(0, 1, 0, 1, 0.5)]
+        with pytest.raises(ValueError, match="couples different label sectors"):
+            h.assemble_sectors(basis, weights, exchange, labels, start)
+        labels[basis.index([1, 1])] -= 100
+        held = h.assemble_sectors(basis, weights, exchange, labels, start)
+        assert [idx.tolist() for idx, _ in held.sectors] == [[basis.index([0, 0])]]

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kronecker_oracles import annihilation
+from kronecker_oracles import annihilation, assemble_hamiltonian
 from zenolock import hilbert as h
 from zenolock import readout as rd
 from zenolock.hilbert import StateVector
@@ -324,7 +324,29 @@ def estimate_oscillation_frequency(times, values) -> float:
 def dense_emission(model):
     """The dense 48x48 emission Hamiltonian of a model and its 48x4 channel basis."""
     terms = rd._rotating_frame_terms(model.config, model.mode_frequency)
-    return h.assemble_hamiltonian(*terms).matrix, rd._resonant_subspace(model.config)
+    return assemble_hamiltonian(*terms).matrix, rd._resonant_subspace(model.config)
+
+
+def per_block_eigensystem(model):
+    """The model's eigensystem one sector at a time: one ``eigh`` per block.
+
+    The bit-level oracle of the eigensystem that ``BlockEvolver`` lays out on
+    the model's states, each block's eigenpairs on its span of them.
+    """
+    config = model.config
+    hamiltonian = rd._rotating_frame_hamiltonian(config, model.mode_frequency,
+                                                 rd._resonant_subspace(config))
+    assert np.array_equal(np.concatenate([idx for idx, _ in hamiltonian.sectors]),
+                          model.states)
+    size = len(model.states)
+    values = np.empty(size)
+    vectors = np.zeros((size, size), dtype=complex)
+    start = 0
+    for idx, block in hamiltonian.sectors:
+        span = slice(start, start + len(idx))
+        values[span], vectors[span, span] = np.linalg.eigh(block)
+        start = span.stop
+    return values, vectors
 
 
 def dense_quadrature(state, model, radiated_only=True):
@@ -515,6 +537,29 @@ class TestChannelQuadrature:
         np.testing.assert_allclose(
             np.sort(model.eigenvalues),
             np.linalg.eigvalsh(matrix[np.ix_(model.states, model.states)]), rtol=0, atol=1e-12)
+
+    def test_model_build_solves_stacked_blocks_only(self, monkeypatch):
+        # each build solves its sectors through BlockEvolver: one stacked eigh
+        # per block size (L = 0, 1, 2 with no atom in G2), and no eigh of its own
+        shapes = []
+        original = np.linalg.eigh
+
+        def recording(matrices):
+            shapes.append(np.shape(matrices))
+            return original(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        rd.emission_model(rd.readout_config())
+        builds = len(shapes) // 3
+        assert builds >= 1 and shapes == [(1, 4, 4), (1, 8, 8), (1, 9, 9)] * builds
+
+    @pytest.mark.parametrize("cutoff, drive", [(1, 1.0), (2, 1.0), (5, 1.0), (2, 4.0)])
+    def test_eigensystem_equals_the_per_block_oracle(self, cutoff, drive):
+        config = rd.readout_config(emission_cutoff=cutoff, drive_amplitude=drive, time_points=5)
+        model = rd.emission_model(config)
+        values, vectors = per_block_eigensystem(model)
+        np.testing.assert_array_equal(model.eigenvalues, values)
+        np.testing.assert_array_equal(model.eigenvectors, vectors)
 
     def test_channel_annihilation_is_dense_a_on_the_channel(self):
         model = rd.emission_model(rd.readout_config())

