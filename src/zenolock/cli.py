@@ -525,6 +525,7 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
     results = {}
     flags = {"degenerate_fit": False}
     plot_series = []
+    formatted = {}  # the traces share their t_r column, formatted once
     for index, (target, elapsed, (_, probability), trace) in enumerate(
             zip(phases, elapsed_times, chains, traces)):
         record = TraceRecord(
@@ -536,7 +537,7 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
                         "elapsed_time": repr(float(elapsed)),
                         "postselect_probability": repr(float(probability)),
                         "method": method})
-        write_csv(record, out_dir / f"readout_trace_{index}.csv")
+        write_csv(record, out_dir / f"readout_trace_{index}.csv", formatted)
         results[f"clock_phase_target_{index}"] = float(target)
         if trace.fitted_phase is None:
             flags["degenerate_fit"] = True

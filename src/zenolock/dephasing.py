@@ -11,7 +11,6 @@ This is the only module that works in plain Hz and seconds.
 """
 
 import math
-import threading
 from collections import deque
 from typing import NamedTuple
 
@@ -86,42 +85,45 @@ def _philox_generator(seed: int, replica: int) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# (generator, its bit generator, a state dict, the dict's key list) per
-# thread, so that threads drawing at once never re-key each other's stream.
-_thread_streams = threading.local()
+def _stream() -> tuple:
+    """A re-keyable Philox stream for :func:`_replica_rng`.
+
+    That is a generator, its bit generator, a state dict and the dict's key
+    list.  The state dict is a fresh generator's with its arrays turned into
+    lists of Python ints, which the state setter reads about three times
+    faster than numpy scalars.  One draw makes one stream and re-keys it
+    once per replica.
+    """
+    rng = _philox_generator(0, 0)
+    fresh = rng.bit_generator.state
+    state = {**fresh, "buffer": fresh["buffer"].tolist(),
+             "state": {name: words.tolist() for name, words in fresh["state"].items()}}
+    return rng, rng.bit_generator, state, state["state"]["key"]
 
 
-def _replica_rng(seed: int, replica: int) -> "np.random.Generator":
+def _replica_rng(stream: tuple, seed: int, replica: int) -> "np.random.Generator":
     """The stream of :func:`_philox_generator` (seed, replica), at its start.
 
     A Philox stream is fixed by its key and counter (Salmon et al., SC'11),
-    so instead of constructing a generator per replica this re-keys one
-    generator per thread through its state setter: key (seed, replica),
-    zero counter, empty buffer.  The state dict is a fresh generator's with
-    its arrays turned into lists of Python ints, which the setter reads
-    about three times faster than numpy scalars; only its key changes from
-    call to call.  The draws are bit-identical to a fresh generator's.  The
-    result is valid until the thread's next call.
+    so instead of constructing a generator per replica this re-keys the
+    generator of ``stream`` (see :func:`_stream`) through its state setter:
+    key (seed, replica), zero counter, empty buffer.  Only the key changes
+    from call to call.  The draws are bit-identical to a fresh generator's.
+    The result is valid until the stream's next re-key.
     """
-    streams = getattr(_thread_streams, "value", None)
-    if streams is None:
-        rng = _philox_generator(seed, replica)
-        fresh = rng.bit_generator.state
-        state = {**fresh, "buffer": fresh["buffer"].tolist(),
-                 "state": {name: words.tolist() for name, words in fresh["state"].items()}}
-        streams = _thread_streams.value = (rng, rng.bit_generator, state, state["state"]["key"])
-    rng, bit_generator, state, key = streams
+    rng, bit_generator, state, key = stream
     key[0] = seed & 0xFFFFFFFFFFFFFFFF
     key[1] = replica
     bit_generator.state = state
     return rng
 
 
-def _draw(config: EnsembleConfig, out: np.ndarray, first: int) -> np.ndarray:
-    """Fill the rows of ``out`` with the frequencies of replicas first, first + 1, ..."""
+def _draw(config: EnsembleConfig, out: np.ndarray, first: int, stream: tuple) -> np.ndarray:
+    """Fill the rows of ``out`` with the frequencies of replicas first, first + 1, ...,
+    each drawn from ``stream`` re-keyed."""
     seed = config.seed
     for r, row in enumerate(out, first):
-        _replica_rng(seed, r).standard_normal(out=row)
+        _replica_rng(stream, seed, r).standard_normal(out=row)
     # in place, the same two roundings per entry as center + sigma * draws
     out *= config.sigma
     out += config.center_frequency
@@ -140,8 +142,9 @@ def _draw_chunks(config: EnsembleConfig, rows: int, means=None, leading=None):
     replicas = config.replicas
     size = min(replicas, rows * max(1, _DRAW_ENTRIES // (rows * config.atom_count)))
     buffer = np.empty((size, config.atom_count))
+    stream = _stream()
     for lo in range(0, replicas, size):
-        chunk = _draw(config, buffer[:min(size, replicas - lo)], lo)
+        chunk = _draw(config, buffer[:min(size, replicas - lo)], lo, stream)
         hi = lo + chunk.shape[0]
         if means is not None:
             chunk.mean(axis=1, out=means[lo:hi])
@@ -159,7 +162,7 @@ def sample_all_replicas(config: EnsembleConfig, out=None, first: int = 0) -> np.
     """
     if out is None:
         out = np.empty((config.replicas, config.atom_count))
-    _draw(config, out[first:], first)
+    _draw(config, out[first:], first, _stream())
     out.flags.writeable = False
     return out
 

@@ -13,6 +13,9 @@ throughout; all frequencies are angular unless a module says otherwise.
 
 All values are immutable after construction and every operation returns a
 new value, so states, operators and evolvers can be shared between threads.
+The one exception is :class:`OperatorMatrix`, the dense operator that the
+tests use as an oracle: it solves its eigensystem on first use and keeps it
+in ``_eig``.
 """
 
 from typing import NamedTuple, Sequence, Union

@@ -20,7 +20,6 @@ elimination of the far-detuned intermediates (the fast path, with the full
 evolution as its oracle).
 """
 
-import functools
 import math
 from typing import Optional
 
@@ -111,20 +110,13 @@ def readout_config(detuning: float = 10.0, drive_amplitude: float = 1.0,
                          fit_periods=fit_periods)
 
 
-@functools.cache
-def pair_basis() -> h.ProductBasis:
-    """The bare two-atom basis, built once."""
-    return h.build_basis([Atom(4), Atom(4)])
+# The bare two-atom basis that the readout chain acts on.
+PAIR_BASIS = h.build_basis([Atom(4), Atom(4)])
 
 
 def emission_basis(config: ReadoutConfig) -> h.ProductBasis:
-    """Two atoms and the emission mode, built once per mode cutoff."""
-    return _emission_basis(config.emission_mode_cutoff)
-
-
-@functools.cache
-def _emission_basis(cutoff: int) -> h.ProductBasis:
-    return h.build_basis([Atom(4), Atom(4), Mode(cutoff)])
+    """Two atoms and the emission mode."""
+    return h.build_basis([Atom(4), Atom(4), Mode(config.emission_mode_cutoff)])
 
 
 # Beam splitter on the ground levels of one atom: |G1> -> (|G1> + |G2>)/sqrt(2),
@@ -137,7 +129,7 @@ _MIXER.flags.writeable = False
 
 def _grid(state: StateVector) -> np.ndarray:
     """Pair amplitudes as a (level of A, level of B) grid, a copy."""
-    if state.basis != pair_basis():
+    if state.basis != PAIR_BASIS:
         raise h.BasisMismatchError("the readout chain acts on the bare two-atom basis")
     return state.amplitudes.reshape(4, 4).copy()
 
@@ -147,7 +139,7 @@ def locked_pair_state() -> StateVector:
     grid = np.zeros((4, 4), dtype=complex)
     grid[E1, G1] = grid[E2, G2] = 0.5
     grid[G1, E1] = grid[G2, E2] = -0.5
-    return StateVector(pair_basis(), grid.ravel())
+    return StateVector(PAIR_BASIS, grid.ravel())
 
 
 def accumulate_clock_phase(state: StateVector, elapsed_time: float,
@@ -163,7 +155,7 @@ def accumulate_clock_phase(state: StateVector, elapsed_time: float,
     anchor = grid[E1, G1]
     if abs(anchor) < 1e-12:
         anchor = grid.flat[int(np.argmax(np.abs(grid)))]
-    return StateVector(pair_basis(), (grid * (anchor / abs(anchor)).conjugate()).ravel())
+    return StateVector(PAIR_BASIS, (grid * (anchor / abs(anchor)).conjugate()).ravel())
 
 
 def flip_sign_atom_b(state: StateVector, level: int) -> StateVector:
@@ -176,12 +168,12 @@ def flip_sign_atom_b(state: StateVector, level: int) -> StateVector:
         raise ValueError(f"level {level} out of range")
     grid = _grid(state)
     grid[:, level] *= -1.0
-    return StateVector(pair_basis(), grid.ravel())
+    return StateVector(PAIR_BASIS, grid.ravel())
 
 
 def mix_ground_levels(state: StateVector) -> StateVector:
     """The ground-level beam splitter on both atoms."""
-    return StateVector(pair_basis(), (_MIXER @ _grid(state) @ _MIXER.T).ravel())
+    return StateVector(PAIR_BASIS, (_MIXER @ _grid(state) @ _MIXER.T).ravel())
 
 
 def postselect_not_g2(state: StateVector):
@@ -195,7 +187,7 @@ def postselect_not_g2(state: StateVector):
     probability = float(np.sum(np.abs(grid) ** 2))
     if probability <= h.ZERO_PROBABILITY:
         raise ZeroProbabilityError("no amplitude survives the post-selection")
-    return StateVector(pair_basis(), grid.ravel() / math.sqrt(probability)), probability
+    return StateVector(PAIR_BASIS, grid.ravel() / math.sqrt(probability)), probability
 
 
 def readout_chain(config: ReadoutConfig, elapsed_time: float):
@@ -235,11 +227,11 @@ def _rotating_frame_hamiltonian(config: ReadoutConfig, mode_frequency: float,
     |G1> <-> |E2>, so L (photons plus atoms in |E1>) and the number of atoms
     in |G2> are conserved.  A pair state with the mode in vacuum has L <= 2.
     """
-    basis, photons = emission_basis(config), np.arange(config.emission_mode_cutoff + 1)
+    basis, weights, exchange = _rotating_frame_terms(config, mode_frequency)
+    photons = np.arange(config.emission_mode_cutoff + 1)
     quanta = h.occupation_labels(basis, [[0, 0, 1, 0], [0, 0, 1, 0], photons])
     in_g2 = h.occupation_labels(basis, [[0, 1, 0, 0], [0, 1, 0, 0], 0 * photons])
-    return h.assemble_sectors(*_rotating_frame_terms(config, mode_frequency),
-                              h.combine_labels(quanta, in_g2), start)
+    return h.assemble_sectors(basis, weights, exchange, h.combine_labels(quanta, in_g2), start)
 
 
 class FieldTrace(Record):
@@ -335,7 +327,7 @@ class _EmissionModel:
         hamiltonian = _rotating_frame_hamiltonian(config, mode_frequency, subspace)
         self.states = np.concatenate([idx for idx, _ in hamiltonian.sectors])
         self.p_matrix = subspace[self.states]
-        atom_a, atom_b, photons = np.unravel_index(self.states, emission_basis(config).dims)
+        atom_a, atom_b, photons = np.unravel_index(self.states, hamiltonian.basis.dims)
         self.two_quanta = photons + (atom_a == E1) + (atom_b == E1) >= 2  # L >= 2
         matrix = np.zeros((len(self.states),) * 2, dtype=complex)
         start = 0
@@ -505,11 +497,10 @@ def emit_field_traces(states, model: _EmissionModel, method: str = "full",
     config = model.config
     if not config.readout_times:
         raise ValueError("config.readout_times is empty")
-    basis = pair_basis()
-    if any(state.basis != basis for state in states):
+    if any(state.basis != PAIR_BASIS for state in states):
         raise h.BasisMismatchError("emission expects a bare two-atom state")
     pairs = np.array([state.amplitudes for state in states],
-                     dtype=complex).reshape(-1, basis.dimension).T
+                     dtype=complex).reshape(-1, PAIR_BASIS.dimension).T
     if method == "full":
         quadratures, above_one = _full_quadrature(pairs, model)
     elif method == "perturbative":

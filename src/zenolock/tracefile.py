@@ -4,12 +4,8 @@ Floats are written with the shortest decimal representation that
 round-trips a 64-bit value (Python's repr), so re-parsing a file
 reproduces the in-memory record bit for bit on any platform.
 
-A file is formatted column by column.  The strings of the last column
-written at each position are kept, keyed on that column's bytes, and a
-bit-identical column at the same position reuses them, so a run whose
-files share a time column (the readout traces) formats it once.  Keyed on
-bytes, the reuse is exact: -0.0 and 0.0 compare equal but print apart,
-and they miss.  The bytes written are those of formatting every row.
+A file is formatted column by column, and the bytes written are those of
+formatting every row.
 """
 
 import numpy as np
@@ -54,29 +50,28 @@ class TraceRecord(Record):
                 and bool(np.all(self.rows == other.rows)))
 
 
-# column position -> (bytes, repr strings) of the last column written there.
-# An entry is replaced by one assignment, so a thread that reads it sees a
-# matching pair; a race costs a reformat, never a wrong string.
-_formatted_columns: dict = {}
+def write_csv(record: TraceRecord, path, formatted=None) -> None:
+    """Write ``record`` to ``path``.
 
-
-def _format_column(position: int, column: np.ndarray) -> list:
-    key = column.tobytes()
-    entry = _formatted_columns.get(position)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    strings = list(map(repr, column.tolist()))
-    _formatted_columns[position] = (key, strings)
-    return strings
-
-
-def write_csv(record: TraceRecord, path) -> None:
+    A caller whose files share a column (the readout traces share their time
+    column) passes the same dict as ``formatted`` to each call.  It maps a
+    column position to the bytes and strings of the last column written
+    there, and a bit-identical column at that position reuses the strings.
+    Keyed on bytes, the reuse is exact: -0.0 and 0.0 compare equal but print
+    apart, and they miss.  A call without it keeps nothing.
+    """
+    formatted = {} if formatted is None else formatted
     lines = [f"# trace: {record.name}"]
     for key, value in record.provenance.items():
         lines.append(f"# {key}: {value}")
     lines.append(",".join(record.columns))
-    columns = [_format_column(position, column)
-               for position, column in enumerate(record.rows.T)]
+    columns = []
+    for position, column in enumerate(record.rows.T):
+        data = column.tobytes()
+        entry = formatted.get(position)
+        if entry is None or entry[0] != data:
+            entry = formatted[position] = (data, list(map(repr, column.tolist())))
+        columns.append(entry[1])
     # a record without columns still writes one empty line per row
     lines.extend(map(",".join, zip(*columns)) if columns else [""] * len(record.rows))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:

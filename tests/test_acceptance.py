@@ -149,7 +149,7 @@ def test_08_readout_chain():
     for phi in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
         t_f = phi / config.clock_frequency
         e = np.exp(1j * phi)
-        basis = rd.pair_basis()
+        basis = rd.PAIR_BASIS
 
         def expect(entries):
             amps = np.zeros(basis.dimension, dtype=complex)

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import types
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,8 @@ def phasor_values(freqs, step, points):
 
 def sample_frequencies(config, replica=0):
     """The N atom frequencies of one replica, drawn from its re-keyed stream alone."""
-    draws = dp._replica_rng(config.seed, replica).standard_normal(config.atom_count)
+    draws = dp._replica_rng(dp._stream(), config.seed, replica).standard_normal(
+        config.atom_count)
     return config.center_frequency + config.sigma * draws
 
 
@@ -119,9 +119,9 @@ def counting_rekeys(monkeypatch):
     calls = []
     original = dp._replica_rng
 
-    def counting(seed, replica):
+    def counting(stream, seed, replica):
         calls.append(replica)
-        return original(seed, replica)
+        return original(stream, seed, replica)
 
     monkeypatch.setattr(dp, "_replica_rng", counting)
     return calls
@@ -207,43 +207,30 @@ class TestReplicaDraw:
                 narrow[replica], config.center_frequency + config.sigma * fresh)
 
     def test_rekey_discards_a_partly_used_stream(self):
-        used = dp._replica_rng(5, 1)
+        stream = dp._stream()
+        used = dp._replica_rng(stream, 5, 1)
         used.random(3, dtype=np.float32)  # leaves half of a 64-bit word buffered
         used.standard_normal(5)
-        np.testing.assert_array_equal(dp._replica_rng(5, 2).random(4, dtype=np.float32),
+        np.testing.assert_array_equal(dp._replica_rng(stream, 5, 2).random(4, dtype=np.float32),
                                       dp._philox_generator(5, 2).random(4, dtype=np.float32))
 
     def test_concurrent_draws_match_fresh_generators(self):
-        # each thread re-keys its own generator; a shared one would hand a
-        # thread a stream another thread re-keyed in between
+        # each draw re-keys a stream of its own; one shared between calls
+        # would hand a drawer a stream another drawer re-keyed in between
         from concurrent.futures import ThreadPoolExecutor
 
-        config = make_config(atom_count=7)
+        configs = [make_config(atom_count=7, replicas=10, seed=seed) for seed in range(40)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
-                draws = list(pool.map(lambda r: sample_frequencies(config, r), range(400),
-                                      timeout=60))
+                draws = list(pool.map(dp.sample_all_replicas, configs, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        for replica, freqs in enumerate(draws):
-            fresh = dp._philox_generator(config.seed, replica).standard_normal(7)
-            np.testing.assert_array_equal(freqs, config.center_frequency + config.sigma * fresh)
-
-
-def test_run_leaves_no_state_in_the_module(tmp_path):
-    # each reader of the draw gets what it reads as an argument; only the
-    # per-thread generator outlives a call
-    config = tmp_path / "run.cfg"
-    config.write_text("[dephasing]\natom_count = 16\nreplicas = 30\ntime_points = 11\n"
-                      "histogram_replicas = 45\n")
-    assert cli.main(["dephasing", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    held = {name: type(value).__name__ for name, value in vars(dp).items()
-            if not name.startswith("__") and name != "_thread_streams"
-            and not isinstance(value, (type, types.FunctionType, types.ModuleType,
-                                       int, float, str))}
-    assert held == {}
+        for config, freqs in zip(configs, draws):
+            for replica, row in enumerate(freqs):
+                fresh = dp._philox_generator(config.seed, replica).standard_normal(7)
+                np.testing.assert_array_equal(row, config.center_frequency + config.sigma * fresh)
 
 
 class TestMeanFrequency:

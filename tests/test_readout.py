@@ -15,7 +15,7 @@ from zenolock.zeno_multilevel import E1, E2, G1, G2
 
 
 def chain_state(entries):
-    basis = rd.pair_basis()
+    basis = rd.PAIR_BASIS
     amps = np.zeros(basis.dimension, dtype=complex)
     for (a, b), value in entries.items():
         amps[basis.index([a, b])] = value
@@ -100,7 +100,7 @@ class TestGates:
 
     def test_mixer_is_unitary(self):
         rng = np.random.default_rng(5)
-        first, second = (StateVector(rd.pair_basis(), rng.normal(size=16) + 1j * rng.normal(size=16),
+        first, second = (StateVector(rd.PAIR_BASIS, rng.normal(size=16) + 1j * rng.normal(size=16),
                                      normalize=True) for _ in range(2))
         mixed_first, mixed_second = rd.mix_ground_levels(first), rd.mix_ground_levels(second)
         assert mixed_first.norm() == pytest.approx(1.0, abs=1e-15)
@@ -522,7 +522,7 @@ class TestChannelQuadrature:
             state = expected_mixed(1.1)
         else:
             rng = np.random.default_rng(seed)
-            state = StateVector(rd.pair_basis(), rng.normal(size=16) + 1j * rng.normal(size=16),
+            state = StateVector(rd.PAIR_BASIS, rng.normal(size=16) + 1j * rng.normal(size=16),
                                 normalize=True)
         model = rd.emission_model(rd.readout_config())
         (quadrature,), _ = full_quadratures([state], model)

@@ -138,7 +138,7 @@ def _built_bases():
                zm.four_level_config_from_deltas(1.0, 0.5, cycle_time=0.02, final_time=0.2,
                                                 photon_number=2)]
     return ([z2.pair_basis(config) for config in configs]
-            + [readout.pair_basis(), readout.emission_basis(readout.readout_config())]
+            + [readout.PAIR_BASIS, readout.emission_basis(readout.readout_config())]
             + [h.build_basis([h.Atom(2)]), h.build_basis([h.Mode(1)])])
 
 

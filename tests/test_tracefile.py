@@ -87,24 +87,43 @@ class TestRoundTrip:
         assert rows == [",".join(repr(float(v)) for v in row) for row in record.rows]
 
 
+@pytest.fixture
+def formatted_values(monkeypatch):
+    """A one-item list counting the values write_csv formats, as it formats them."""
+    count = [0]
+
+    def counting(value):
+        count[0] += 1
+        return repr(value)
+
+    monkeypatch.setattr(tracefile, "repr", counting, raising=False)
+    return count
+
+
 class TestColumnFormatting:
-    """write_csv against the row-by-row reference, through the column memo."""
+    """write_csv against the row-by-row reference, the columns of a sweep shared."""
 
     T = np.linspace(0.0, 5.0, 401)
 
     def assert_sequence(self, tmp_path, records):
+        formatted = {}
         for index, record in enumerate(records):
             path = tmp_path / f"{index}.csv"
-            write_csv(record, path)
+            write_csv(record, path, formatted)
             assert path.read_text(encoding="utf-8") == row_wise_csv(record)
 
-    def test_consecutive_records_share_a_column(self, tmp_path):
+    def test_consecutive_records_share_a_column(self, tmp_path, formatted_values):
         records = [table(self.T, np.sin(self.T + k)) for k in range(3)]
-        write_csv(records[0], tmp_path / "first.csv")
-        shared = tracefile._formatted_columns[0][1]
         self.assert_sequence(tmp_path, records)
-        # the shared column was formatted once and reused
-        assert tracefile._formatted_columns[0][1] is shared
+        # the shared column was formatted once, the other three once each
+        assert formatted_values[0] == 4 * len(self.T)
+
+    def test_a_call_without_the_dict_keeps_nothing(self, tmp_path, formatted_values):
+        record = table(self.T, np.sin(self.T))
+        for name in ("first.csv", "second.csv"):
+            write_csv(record, tmp_path / name)
+            assert (tmp_path / name).read_text(encoding="utf-8") == row_wise_csv(record)
+        assert formatted_values[0] == 2 * 2 * len(self.T)
 
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
     def test_signed_zero_misses(self, tmp_path, first, second):
@@ -135,13 +154,13 @@ class TestColumnFormatting:
         payload[0] = other_nan
         self.assert_sequence(tmp_path, [table(values, -values), table(payload, values)])
 
-    def test_readout_run_writes_the_reference(self, tmp_path, monkeypatch):
+    def test_readout_run_writes_the_reference(self, tmp_path, monkeypatch, formatted_values):
         # the 16 clock-phase traces of one run share their t_r column
         records = {}
 
-        def recording(record, path):
+        def recording(record, path, formatted=None):
             records[Path(path).name] = record
-            write_csv(record, path)
+            write_csv(record, path, formatted)
 
         monkeypatch.setattr(cli, "write_csv", recording)
         out = tmp_path / "out"
@@ -150,3 +169,5 @@ class TestColumnFormatting:
         assert len(records) == 16
         for name, record in records.items():
             assert (out / name).read_text(encoding="utf-8") == row_wise_csv(record)
+        # t_r formatted once for the sweep, not once per trace: 17 columns of 4001
+        assert formatted_values[0] == 17 * 4001
