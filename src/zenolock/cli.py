@@ -198,6 +198,13 @@ def _clock_phase_residue(target: float) -> float:
     return phase % readout.TWO_PI
 
 
+def _phase_error(extracted: float, target: float) -> float:
+    """``extracted`` less the clock phase ``target``, wrapped to (-pi, pi]."""
+    error = math.remainder(extracted - _clock_phase_residue(target), readout.TWO_PI)
+    # remainder lands in [-pi, pi]; -pi is the same phase as pi
+    return math.pi if error <= -math.pi else error
+
+
 def _provenance(subcommand: str, digest: str, seed) -> dict:
     return {
         "tool": f"zenolock {__version__}",
@@ -469,9 +476,6 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
     if len(phases) * points > _MAX_ENTRIES:  # the quadratures of the sweep
         raise ConfigError(f"[readout] clock_phases x time_points must be at most {_MAX_ENTRIES}, "
                           f"got {len(phases)} x {points}")
-    if not np.all(np.diff(np.linspace(0.0, time_max, points)) > 0.0):
-        raise ConfigError(f"[readout] time_max and [readout] time_points must give a strictly "
-                          f"increasing readout grid, got {time_max!r} over {points} points")
     detuning = section["detuning"]
     if detuning == 0.0:
         raise ConfigError(f"[readout] detuning must be nonzero, got {detuning!r}")
@@ -481,16 +485,24 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
         raise ConfigError(f"[readout] transition_1 must exceed [readout] detuning "
                           f"({detuning!r}), got {transition_1!r}")
     transition_2 = section["transition_2"]
-    config = readout.readout_config(
-        detuning=detuning,
-        drive_amplitude=section["drive_amplitude"],
-        coupling=section["coupling"],
-        transition_1=transition_1,
-        transition_2=transition_2,
-        time_max=time_max,
-        time_points=points,
-        emission_cutoff=cutoff,
-        fit_periods=fit_periods)
+    drive_amplitude = section["drive_amplitude"]
+    coupling = section["coupling"]
+    try:
+        config = readout.readout_config(
+            detuning=detuning,
+            drive_amplitude=drive_amplitude,
+            coupling=coupling,
+            transition_1=transition_1,
+            transition_2=transition_2,
+            time_max=time_max,
+            time_points=points,
+            emission_cutoff=cutoff,
+            fit_periods=fit_periods)
+    except ValueError as error:
+        # after the checks above and the schema, only the readout grid can fail
+        raise ConfigError(f"[readout] time_max and [readout] time_points must give a strictly "
+                          f"increasing readout grid, got {time_max!r} over {points} "
+                          f"points") from error
     method = section["method"]
     if config.clock_frequency == 0.0:
         raise ConfigError("[readout] transition_1 equals transition_2, so the clock "
@@ -526,6 +538,7 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
     flags = {"degenerate_fit": False}
     plot_series = []
     formatted = {}  # the traces share their t_r column, formatted once
+    errors = []  # |phase_error| of each trace with a fitted phase
     for index, (target, elapsed, (_, probability), trace) in enumerate(
             zip(phases, elapsed_times, chains, traces)):
         record = TraceRecord(
@@ -542,11 +555,17 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
         if trace.fitted_phase is None:
             flags["degenerate_fit"] = True
             results[f"extracted_phase_{index}"] = "degenerate"
+            results[f"phase_error_{index}"] = "degenerate"
         else:
             results[f"extracted_phase_{index}"] = float(trace.fitted_phase)
+            error = _phase_error(trace.fitted_phase, target)
+            results[f"phase_error_{index}"] = error
+            errors.append(abs(error))
         results[f"postselect_probability_{index}"] = float(probability)
         plot_series.append((trace.times, trace.quadrature, f"target {target:.4g}"))
     results["emission_frequency"] = float(model.beat_frequency())
+    # a degenerate fit leaves the largest error unknown
+    results["max_phase_error"] = "degenerate" if flags["degenerate_fit"] else max(errors)
     if args.plots:
         from .svgplot import line_plot
 

@@ -234,16 +234,21 @@ def _phasor_blocks(chunks, rows: int, step: float, points: int):
     two complex temporaries.  ``chunks`` are (replicas, atoms) frequency
     arrays in replica order; each is cut into blocks of ``rows`` replicas
     (see :func:`_block_rows`), one batched matmul per block, so a chunk
-    other than the last should hold whole blocks.  Yields each block's
-    (replicas of the block, points) mean cosines in replica order; they are
-    a view of buffers the next block overwrites.
+    other than the last should hold whole blocks.  Every view a block is
+    computed through (each power, the seed's halves, the matmul operands
+    and the result) is made when the block's replica count changes, which
+    is at a ragged block only, so a block costs its ufunc calls alone.
+    Yields each block's (replicas of the block, points) mean cosines in
+    replica order; they are a view of buffers the next block overwrites.
     """
     m = math.isqrt(points - 1) + 1
     giants = -(-points // m)
+    scale = TWO_PI * step
     baby = None
+    n = 0
     for chunk in chunks:
-        atoms = chunk.shape[1]
         if baby is None:
+            atoms = chunk.shape[1]
             baby = np.empty((m, rows, atoms), dtype=complex)
             giant = np.empty((giants, rows, atoms), dtype=complex)
             sums = np.empty((rows, giants, m))
@@ -251,25 +256,33 @@ def _phasor_blocks(chunks, rows: int, step: float, points: int):
             giant[0] = 1.0
         for lo in range(0, chunk.shape[0], rows):
             block = chunk[lo:lo + rows]
-            n = block.shape[0]
-            b, g = baby[:, :n], giant[:, :n]
-            # the phase waits in the imaginary half until sin overwrites it
-            phase = b[1].imag
-            np.multiply(block, TWO_PI * step, out=phase)
-            np.cos(phase, out=b[1].real)
-            np.sin(phase, out=phase)
-            for k in range(2, m):
-                np.multiply(b[k - 1], b[1], out=b[k])
+            if block.shape[0] != n:
+                n = block.shape[0]
+                b, g = baby[:, :n], giant[:, :n]
+                powers, steps = list(b), list(g)
+                w = powers[1]
+                # the phase waits in the imaginary half until sin overwrites it
+                phase, cosine = w.imag, w.real
+                # (b[k - 1], b[k]) for 2 <= k < m, and (g[a - 1], g[a]) for 2 <= a < giants
+                baby_steps = list(zip(powers[1:-1], powers[2:]))
+                giant_steps = list(zip(steps[1:-1], steps[2:]))
+                lhs = g.view(np.float64).transpose(1, 0, 2)
+                rhs = b.view(np.float64).transpose(1, 2, 0)
+                out = sums[:n]
+                means = out.reshape(n, giants * m)[:, :points]
+            np.multiply(block, scale, phase)
+            np.cos(phase, cosine)
+            np.sin(phase, phase)
+            for previous, power in baby_steps:
+                np.multiply(previous, w, power)
             if giants > 1:
-                np.multiply(b[m - 1], b[1], out=g[1])
-                np.conjugate(g[1], out=g[1])
-                for a in range(2, giants):
-                    np.multiply(g[a - 1], g[1], out=g[a])
-            out = sums[:n]
-            np.matmul(g.view(np.float64).transpose(1, 0, 2),
-                      b.view(np.float64).transpose(1, 2, 0), out=out)
+                np.multiply(powers[-1], w, steps[1])
+                np.conjugate(steps[1], steps[1])
+                for previous, power in giant_steps:
+                    np.multiply(previous, steps[1], power)
+            np.matmul(lhs, rhs, out)
             out /= atoms
-            yield out.reshape(n, giants * m)[:, :points]
+            yield means
 
 
 def _fold(blocks, points: int):

@@ -55,6 +55,8 @@ class ReadoutConfig(Record):
     ``detuning`` is the drive's offset from the |E2> <-> |G1> transition,
     ``drive_amplitude`` the classical coupling-laser strength and
     ``coupling`` that of the quantized mode on |E1> <-> |G1>.
+    ``readout_times`` is held as a read-only float64 copy of the grid
+    passed in.
     """
 
     __slots__ = ("atom_a", "atom_b", "detuning", "drive_amplitude", "coupling",
@@ -62,7 +64,7 @@ class ReadoutConfig(Record):
 
     def __init__(self, atom_a: FourLevelEnergies, atom_b: FourLevelEnergies,
                  detuning: float, drive_amplitude: float, coupling: float,
-                 emission_mode_cutoff: int = 2, readout_times: tuple = (),
+                 emission_mode_cutoff: int = 2, readout_times=(),
                  fit_periods: float = 32.0):
         if detuning == 0.0:
             raise ValueError("the drive detuning must be nonzero")
@@ -70,10 +72,10 @@ class ReadoutConfig(Record):
             raise ValueError("emission_mode_cutoff must be >= 1")
         if fit_periods <= 0.0:
             raise ValueError("fit_periods must be positive")
-        grid = np.asarray(readout_times, dtype=float)
-        if np.any(grid[1:] <= grid[:-1]):
+        readout_times = np.array(readout_times, dtype=float)
+        if np.any(readout_times[1:] <= readout_times[:-1]):
             raise ValueError("readout_times must be strictly increasing")
-        readout_times = tuple(grid.tolist())
+        readout_times.flags.writeable = False
         self._set(locals())
 
     def mean_level(self, name: str) -> float:
@@ -352,7 +354,7 @@ class _EmissionModel:
         self.h_eff = channel + 0.5 * (second_order + second_order.conj().T)
 
     @property
-    def readout_times(self) -> tuple:
+    def readout_times(self) -> np.ndarray:
         """Readout grid of the configuration the model was built for."""
         return self.config.readout_times
 
@@ -463,7 +465,7 @@ def _full_quadrature(pairs: np.ndarray, model: _EmissionModel):
     """
     amps = model.embed(pairs)
     v = model.eigenvectors
-    quadratures = _channel_quadratures(np.asarray(model.readout_times), model.eigenvalues,
+    quadratures = _channel_quadratures(model.readout_times, model.eigenvalues,
                                        v.conj().T @ amps, v.T @ model.p_matrix.conj())
     return quadratures, np.sum(np.abs(amps[model.two_quanta]) ** 2, axis=0)
 
@@ -472,7 +474,7 @@ def _perturbative_quadrature(pairs: np.ndarray, model: _EmissionModel):
     """Adiabatic-elimination fast path, full driven evolution as its oracle."""
     w, v = np.linalg.eigh(model.h_eff)
     coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(pairs)[model.states])
-    return (_channel_quadratures(np.asarray(model.readout_times), w, coeff, v.T),
+    return (_channel_quadratures(model.readout_times, w, coeff, v.T),
             np.zeros(pairs.shape[1]))
 
 
@@ -495,7 +497,8 @@ def emit_field_traces(states, model: _EmissionModel, method: str = "full",
     phase.
     """
     config = model.config
-    if not config.readout_times:
+    times = config.readout_times
+    if not times.size:
         raise ValueError("config.readout_times is empty")
     if any(state.basis != PAIR_BASIS for state in states):
         raise h.BasisMismatchError("emission expects a bare two-atom state")
@@ -511,7 +514,6 @@ def emit_field_traces(states, model: _EmissionModel, method: str = "full",
     if largest > OVERFLOW_THRESHOLD:
         raise CutoffOverflowError(
             f"weight that can reach two photons (L = 2) is {largest:.3e}")
-    times = np.asarray(config.readout_times)
     frequency = model.beat_frequency()
     traces = []
     for quadrature in quadratures:

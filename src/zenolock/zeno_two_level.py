@@ -381,7 +381,8 @@ def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray)
     ``x.real @ x.real + x.imag @ x.imag``.  The first recorded cycle whose
     norm is zero raises :class:`ProtocolError`.
     """
-    # np.dot copies a matrix that is not contiguous on every call
+    # ndarray.dot (np.dot without its dispatch) copies a matrix that is not
+    # contiguous on every call
     cycle_map = np.ascontiguousarray(cycle_map)
     gaps = np.diff(record, prepend=0)
     powers = {gap: np.linalg.matrix_power(cycle_map, gap - 1)
@@ -395,8 +396,8 @@ def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray)
             if jump is None:
                 before[:] = x
             else:
-                np.dot(jump, x, out=before)
-            x = np.dot(cycle_map, before, out=after)
+                jump.dot(x, out=before)
+            x = cycle_map.dot(before, out=after)
         chunk = states[:len(jumps)]
         real, imag = chunk.real, chunk.imag
         norms = real[..., None, :] @ real[..., None] + imag[..., None, :] @ imag[..., None]

@@ -903,6 +903,54 @@ photon_number = 2
             np.testing.assert_array_equal(read_csv(out / f"readout_trace_{index}.csv").rows,
                                           read_csv(out / f"readout_trace_{index + 1}.csv").rows)
 
+    @pytest.mark.parametrize("settings, count, low, high", [
+        ("", 2, 0.0, 0.01),  # the default config
+        ("drive_amplitude = 20", 2, 1.0, math.pi),  # adiabatic elimination fails
+        ("clock_phases = 0.0, 1.0, 2.0, 3.141592653589793, 4.5, -1e15", 6, 0.0, 0.01),
+    ], ids=["defaults", "strong-drive", "five-phases-and-a-large-one"])
+    def test_readout_reports_each_phase_error(self, tmp_path, settings, count, low, high):
+        path = write_config(tmp_path, f"[readout]\n{settings}\n")
+        out = tmp_path / "out"
+        assert cli.main(["readout", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        results = dict(line.split(" = ") for line in
+                       (out / "manifest.txt").read_text().splitlines() if " = " in line)
+        errors = []
+        for index in range(count):
+            target = Fraction(results[f"clock_phase_target_{index}"])
+            extracted = Fraction(results[f"extracted_phase_{index}"])
+            error = float(results[f"phase_error_{index}"])
+            assert -math.pi < error <= math.pi
+            # extracted - target - error is a whole number of turns of the exact 2 pi
+            turns = float((extracted - target - Fraction(error)) / (2 * Fraction(math.pi)))
+            assert abs(turns - round(turns)) < 1e-12
+            errors.append(abs(error))
+        assert float(results["max_phase_error"]) == max(errors)
+        assert low < max(errors) < high
+
+    def test_degenerate_fit_has_no_phase_error(self, tmp_path):
+        path = write_config(tmp_path, "[readout]\ndrive_amplitude = 0\n")
+        out = tmp_path / "out"
+        assert cli.main(["readout", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        for key in ("phase_error_0", "phase_error_1", "max_phase_error"):
+            assert f"{key} = degenerate" in manifest
+        assert "degenerate_fit = true" in manifest
+
+    @pytest.mark.parametrize("extracted, target, error", [
+        (0.5, 0.25, 0.25),
+        (math.pi, 0.0, math.pi),  # the upper end stays
+        (-3.0, 3.5, 2 * math.pi - 6.5),  # one turn added
+        (-3.0, 2 * math.pi - 0.25, -2.75),  # the residue is close to 2 pi
+        (-0.1, 4 * math.pi, -0.1),
+        # FieldTrace admits a fitted phase up to pi + 1e-15: one turn taken off
+        (math.pi + 1e-15, 0.0, math.pi + 1e-15 - 2 * math.pi),
+        (-math.pi + 1e-15, math.pi / 2, math.pi / 2 + 1e-15),
+    ])
+    def test_phase_error_wraps_into_half_open_turn(self, extracted, target, error):
+        wrapped = cli._phase_error(extracted, target)
+        assert -math.pi < wrapped <= math.pi
+        assert wrapped == pytest.approx(error, abs=1e-12)
+
     def test_clock_phase_residue_up_to_the_bound(self):
         # against the residue modulo the exact 2 pi from a 64-digit pi
         pi = Fraction(Decimal("3.141592653589793238462643383279502884197169399375105820974944592"))

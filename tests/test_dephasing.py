@@ -477,6 +477,23 @@ class TestPhasorPath:
             assert step == t[-1] / (points - 1)
 
 
+class TestPhasorViewReuse:
+    @pytest.mark.parametrize("points", [201, 2, 3], ids=["201-points", "one-giant-step",
+                                                         "two-giant-steps"])
+    def test_ragged_blocks_mid_stream_match_one_chunk(self, points):
+        # chunks of 5, 695 and 300 replicas are not whole 21-replica blocks, so
+        # the block shape changes mid-stream (5, 21, ..., 2, 21, ..., 6) and
+        # the kernel's views are made again at every change
+        config = make_config(replicas=1000, time_points=points)
+        freqs = dp.sample_all_replicas(config)
+        step = config.time_max / (points - 1)
+        whole = [block.copy() for block in dp._phasor_blocks([freqs], 21, step, points)]
+        chunks = [freqs[:5], freqs[5:700], freqs[700:]]
+        pieces = [block.copy() for block in dp._phasor_blocks(chunks, 21, step, points)]
+        assert [piece.shape[0] for piece in pieces] == [5] + [21] * 33 + [2] + [21] * 14 + [6]
+        assert np.concatenate(pieces).tobytes() == np.concatenate(whole).tobytes()
+
+
 class TestStreamingFold:
     @pytest.mark.parametrize("locked", [False, True])
     @pytest.mark.parametrize("entries, blocking", [(1, "one-replica"), (50_000, "ragged"),

@@ -59,6 +59,34 @@ class TestConfig:
         with pytest.raises(ValueError):
             rd.readout_config(detuning=0.0)
 
+    def test_readout_grid_is_one_read_only_array(self):
+        # 8 bytes a sample, shared as is by the model and every trace
+        config = rd.readout_config(time_points=11)
+        times = config.readout_times
+        assert isinstance(times, np.ndarray) and times.dtype == np.float64
+        assert not times.flags.writeable
+        np.testing.assert_array_equal(times, np.linspace(0.0, 5.0, 11))
+        model = rd.emission_model(config)
+        assert model.readout_times is times
+        state, _ = rd.readout_chain(config, 0.05)
+        assert rd.emit_field_traces([state], model)[0].times is times
+
+    def test_readout_grid_is_a_copy(self):
+        # the caller's array, and a view of it, stay the caller's to change
+        base = np.linspace(0.0, 5.0, 11)
+        config = rd.readout_config(time_points=11).replace(readout_times=base[:])
+        assert base.flags.writeable
+        base[3] = 9.0
+        np.testing.assert_array_equal(config.readout_times, np.linspace(0.0, 5.0, 11))
+
+    def test_empty_readout_grid_rejected_at_emission(self):
+        config = rd.readout_config().replace(readout_times=())
+        empty = rd.emission_model(config)
+        assert empty.readout_times.shape == (0,)
+        state, _ = rd.readout_chain(config, 0.05)
+        with pytest.raises(ValueError, match="config.readout_times is empty"):
+            rd.emit_field_traces([state], empty)
+
 
 class TestAccumulate:
     def test_zero_time_is_identity(self):

@@ -124,6 +124,29 @@ def test_replace_keeps_the_class_and_every_field(name):
     assert repr(replaced) == repr(record)
 
 
+@pytest.mark.parametrize("name", sorted(name for name, (make, _) in RECORDS.items()
+                                        if not isinstance(make(), tuple)))
+def test_replaced_record_is_equal_and_hashes_alike(name):
+    record = RECORDS[name][0]()
+    replaced = record.replace()
+    assert replaced == record and not replaced != record
+    if type(record).__hash__ is not None:
+        assert hash(replaced) == hash(record)
+
+
+def test_readout_config_compares_its_grid_by_value():
+    config = readout.readout_config(time_points=5)
+    same = readout.readout_config(time_points=5)
+    assert config.readout_times is not same.readout_times
+    assert config == same and hash(config) == hash(same)
+    assert config != readout.readout_config(time_points=6)
+    assert config != readout.readout_config(time_points=5, time_max=4.0)
+    # every sample of a long grid prints, as the floats it holds
+    text = repr(readout.readout_config())
+    assert "..." not in text
+    assert repr(readout.readout_config().readout_times.tolist()) in text
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_atom_and_mode_of_one_size_differ(n):
     assert h.Atom(n) == h.Atom(n) and hash(h.Atom(n)) == hash(h.Atom(n))
