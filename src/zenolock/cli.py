@@ -2,11 +2,9 @@
 
 Subcommands: dephasing, zeno2, zeno4, readout, allan.  Every run writes a
 manifest (resolved configuration, tool version, seed, result summary)
-beside its outputs, and identical manifests produce byte-identical files
-at any thread count (cap threads with ZENOLOCK_THREADS).  Threads run only
-in a survival-curve sweep of two or more cycle times whose pair basis holds
-at least _POOL_MIN_DIMENSION states (zeno4 from photon_number = 48; no zeno2
-basis is that large); every other run stays on one thread.
+beside its outputs, and identical manifests produce byte-identical files.
+Every run, a survival-curve sweep's cycle times included, runs on the
+calling thread.
 
 Exit codes: 0 success or -h/--help; 2 usage (see parse_args) or configuration
 error; 3 out-of-regime parameters under --strict; 4 numerical-validity failure.
@@ -49,26 +47,18 @@ _MAX_ENTRIES = 1 << 24
 # reduction in cmd_readout is exact to about 1e-15 rad; beyond it the error
 # grows with the target (2 rad at 1e300).
 _MAX_CLOCK_PHASE = 2.0**51 * readout.TWO_PI
+# A readout whose largest phase error exceeds this (rad) is out of regime.  The
+# defaults read 0.0078 rad, a systematic of the emission chain that grows to
+# 0.024 rad over phases across a turn at fit_periods = 8; the bound is 6x the
+# former and above the latter, and perfbench's clock-chain gate uses it too.  At
+# detuning 10, drive_amplitude 6 reads 0.035 rad and 7 reads 0.069 rad, where
+# adiabatic elimination of the excited levels begins to fail.
+_MAX_PHASE_ERROR = 0.05
 
-# Smallest pair basis dimension d at which a survival-curve sweep runs its cycle
-# times on a thread pool.  zeno4 (d = 16(n + 3)^2), cycle_times = 0.001, 0.05,
-# every shape on the pool path: median cli.main time of 30 fresh processes per
-# cell, ZENOLOCK_THREADS 1 and 2 alternating, OPENBLAS_NUM_THREADS=1, 2-core VM:
-#
-#     n    d       serial    pool     pool faster in
-#    10    2704    14.4 ms   22.7 ms   0 of 30 pairs
-#    16    5776    17.5 ms   26.3 ms   0 of 30
-#    24    11664   27.5 ms   34.3 ms   1 of 30
-#    28    15376   34.8 ms   46.9 ms   1 of 30
-#    32    19600   36.6 ms   52.0 ms   1 of 30
-#    40    29584   49.2 ms   67.7 ms   1 of 30
-#    48    41616   63.7 ms   79.7 ms   1 of 30
-#    61    65536   71.5 ms   86.1 ms   1 of 30
-#
-# Since a curve assembles only the sectors it reaches, the pool wins at no n.
-# The threshold is the basis of configs/ci/pool-sweep.cfg (n = 48), which keeps
-# one tested pooled shape; zeno2 (d <= 2044) and the default zeno4 stay serial.
-_POOL_MIN_DIMENSION = 41616
+# A survival CSV holds the recorded points (at most trace_points), t = 0 and a
+# trailing partial cycle's point, 4 columns each: (trace_points + 2) * 4 entries
+# stay within _MAX_ENTRIES up to this trace_points.
+_MAX_TRACE_POINTS = _MAX_ENTRIES // 4 - 2
 
 # Every config key with its default text (as in configs/defaults.cfg), kind and
 # static bounds; bounds that involve two keys are checked in the handlers.
@@ -104,7 +94,7 @@ SCHEMA = {
         "final_time": Key("auto", positive=True, auto=True),
         "cavity_frequency": Key("100.0"),
         "common_offset": Key("0.0"),
-        "trace_points": Key("800", int, minimum=1),
+        "trace_points": Key("800", int, minimum=1, maximum=_MAX_TRACE_POINTS),
     },
     "zeno4": {
         "delta_1": Key("2.0"),
@@ -116,7 +106,7 @@ SCHEMA = {
         "final_time": Key("100.0", positive=True, auto=True),
         "transition_1": Key("120.0"),
         "transition_2": Key("110.0"),
-        "trace_points": Key("400", int, minimum=1),
+        "trace_points": Key("400", int, minimum=1, maximum=_MAX_TRACE_POINTS),
     },
     "readout": {
         "transition_1": Key("120.0"),
@@ -369,8 +359,6 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
                               f"than the cycle {cycle!r}")
 
     configs = [configure(cycle, final_times[cycle], photons, ratio) for cycle in cycles]
-    # every cycle time shares one pair basis; below the threshold one thread is faster
-    small = z2.pair_basis(configs[0]).dimension < _POOL_MIN_DIMENSION
 
     def run_one(item):
         cycle, config = item
@@ -379,7 +367,7 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
         except z2.ProtocolError as error:
             raise z2.ProtocolError(f"{error}, at [{command}] cycle_times = {cycle!r}") from None
 
-    runs = parallel_map(run_one, zip(cycles, configs), max_workers=1 if small else None)
+    runs = parallel_map(run_one, zip(cycles, configs))  # an ordered loop; see parallel.py
     results = {}
     flags = {"out_of_regime": False}
     plot_series = []
@@ -566,6 +554,7 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
     results["emission_frequency"] = float(model.beat_frequency())
     # a degenerate fit leaves the largest error unknown
     results["max_phase_error"] = "degenerate" if flags["degenerate_fit"] else max(errors)
+    flags["out_of_regime"] = any(error > _MAX_PHASE_ERROR for error in errors)
     if args.plots:
         from .svgplot import line_plot
 
@@ -700,7 +689,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         # Floating-point overflow, division by zero and invalid operations
-        # raise here instead of warning, also in parallel_map's pool threads.
+        # raise here instead of warning.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             results, flags, seed = _HANDLERS[args.command](section, out_dir, args, digest)
     except ConfigError as error:

@@ -12,7 +12,8 @@ map, so there are no state-level mode operations here.  hbar = 1
 throughout; all frequencies are angular unless a module says otherwise.
 
 All values are immutable after construction and every operation returns a
-new value, so states, operators and evolvers can be shared between threads.
+new value, so a library caller can share states, operators and evolvers
+between threads; the command-line runs use one thread.
 The one exception is :class:`OperatorMatrix`, the dense operator that the
 tests use as an oracle: it solves its eigensystem on first use and keeps it
 in ``_eig``.

@@ -34,9 +34,6 @@ from .zeno_two_level import (
     split_cycle,
     subradiant_state,
 )
-# the rest of the scheme model, re-exported for the multilevel pairs' users
-from .zeno_two_level import conserved_labels as conserved_labels
-from .zeno_two_level import pair_basis as pair_basis
 
 G3, E1_3, E2_3 = 0, 1, 2          # three-level ordering
 G1, G2, E1, E2 = 0, 1, 2, 3       # four-level ordering

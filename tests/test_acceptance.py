@@ -5,7 +5,11 @@ red.  Tolerances are pinned here and nowhere else.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,7 +236,7 @@ def test_10_allan_arithmetic():
     report(10, "grid exact to 64-bit rounding; sqrt scaling ratios exact")
 
 
-def test_11_determinism(tmp_path, monkeypatch):
+def test_11_determinism(tmp_path):
     config_path = tmp_path / "run.cfg"
     config_path.write_text("""
 [dephasing]
@@ -249,18 +253,23 @@ time_points = 1501
 time_max = 2.5
 fit_periods = 16
 """)
+    # fresh processes, since OpenBLAS reads its thread count once, when it loads
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     outputs = {}
-    for label, threads in (("single", "1"), ("many", "16")):
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
         collected = {}
         for command in ("dephasing", "zeno2", "readout"):
-            monkeypatch.setenv("ZENOLOCK_THREADS", threads)
-            out = tmp_path / f"{command}_{label}"
-            assert cli.main([command, "--config", str(config_path),
-                             "--out", str(out)]) == 0
-            for path in sorted(out.iterdir()):
-                if path.suffix == ".csv":
-                    collected[f"{command}/{path.name}"] = path.read_bytes()
-        outputs[label] = collected
-    assert outputs["single"]
-    assert outputs["single"] == outputs["many"]
-    report(11, f"{len(outputs['single'])} CSVs byte-identical at 1 and 16 threads")
+            out = tmp_path / f"{command}_{threads}"
+            result = subprocess.run(
+                [sys.executable, "-m", "zenolock.cli", command, "--config", str(config_path),
+                 "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            for csv in sorted(out.glob("*.csv")):
+                collected[f"{command}/{csv.name}"] = csv.read_bytes()
+        outputs[threads] = collected
+    assert outputs["1"]
+    assert outputs["1"] == outputs["2"]
+    report(11, f"{len(outputs['1'])} CSVs byte-identical at OPENBLAS_NUM_THREADS 1 and 2, "
+               "in fresh processes")

@@ -22,6 +22,7 @@ MODULES = sorted((REPO / "src" / "zenolock").glob("*.py"))
 # module.name -> the file outside src/ that uses it
 ALLOWED = {
     "hilbert.StateVector.fidelity": "demos/02_two_atom_zeno_locking.py",
+    "parallel.thread_limit": "perfbench/tracer.py",
     "readout.readout_phase": "demos/04_clock_readout.py",
     "tracefile.read_csv": "perfbench/gate.py",
     "zeno_multilevel.three_level_config": "demos/03_three_vs_four_levels.py",

@@ -5,7 +5,6 @@ import contextlib
 import hashlib
 import inspect
 import io
-import itertools
 import math
 import os
 import subprocess
@@ -61,14 +60,13 @@ fit_periods = 16
 [allan]
 """
 
-# The smallest photon number whose zeno4 pair basis (d = 16(n + 3)^2) reaches
-# cli._POOL_MIN_DIMENSION; a sweep of two cycle times there runs on a thread pool.
-POOL_PHOTONS = next(n for n in itertools.count() if 16 * (n + 3)**2 >= cli._POOL_MIN_DIMENSION)
-POOLED = f"""
+# A zeno4 sweep of two cycle times over a pair basis of 16 * 51^2 = 41,616
+# states, a shape large enough that a sweep might be handed to threads.
+LARGE_SWEEP = """
 [zeno4]
 cycle_times = 0.001, 0.05
 final_time = 1.0
-photon_number = {POOL_PHOTONS}
+photon_number = 48
 """
 COMMANDS = ("dephasing", "zeno2", "zeno4", "readout", "allan")
 
@@ -81,7 +79,7 @@ def fresh_env(**variables):
 
 
 def off_main_thread(monkeypatch):
-    """Record, for every task of the CLI's parallel_map, whether a pool thread ran it."""
+    """Record, for every task of the CLI's parallel_map, whether it ran off the main thread."""
     record = []
     original = cli.parallel_map
 
@@ -741,23 +739,6 @@ class TestExitCodes:
             f"zenolock: numerical validity failure: [allan] cycle_time / averaging_times = "
             f"{shown} overflows\n")
 
-    def test_pool_threads_keep_the_error_state(self, tmp_path, capsys, monkeypatch):
-        # the two cycle times run on two pool threads, which raise on the
-        # overflowing pair Hamiltonian like the calling thread does
-        path = write_config(tmp_path, POOLED + "transition_1 = 1e308\n")
-        off_main = off_main_thread(monkeypatch)
-        outcomes = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("ZENOLOCK_THREADS", threads)
-            off_main.clear()
-            code = cli.main(["zeno4", "--config", str(path), "--out",
-                             str(tmp_path / threads)])
-            outcomes.append((code, capsys.readouterr().err, any(off_main)))
-        assert outcomes[0] == (cli.EXIT_NUMERICAL, "zenolock: numerical validity failure: "
-                               "[zeno4] transition_1 = 1e+308 overflows the pair Hamiltonian\n",
-                               False)
-        assert outcomes[1] == (*outcomes[0][:2], True)
-
     @pytest.mark.parametrize("key, outcome", [("fwhm", "underflows"),
                                               ("cycle_time", "underflows"),
                                               ("carrier", "overflows")])
@@ -815,6 +796,43 @@ class TestExitCodes:
         assert strict == cli.EXIT_OUT_OF_REGIME
         manifest = (tmp_path / "out2" / "manifest.txt").read_text()
         assert "out_of_regime = true" in manifest
+
+    def test_readout_phase_error_flag_band_is_contiguous(self, tmp_path):
+        # at detuning 10 the largest phase error grows from 0.0078 rad at drive 1
+        # through the bound between drives 6 (0.035 rad) and 7 (0.069 rad); past
+        # drive 66 the light-shifted beat frequency is negative (exit 4)
+        drives = (0.25, 0.5, 1, 2, 4, 5, 6, 7, 8, 10, 15, 20, 30, 40, 50, 60, 66)
+        flagged = []
+        for drive in drives:
+            path = write_config(tmp_path, f"[readout]\ndrive_amplitude = {drive}\n")
+            out = tmp_path / str(drive)
+            code = cli.main(["readout", "--config", str(path), "--out", str(out), "--strict"])
+            lines = (out / "manifest.txt").read_text().splitlines()
+            error = float(next(line for line in lines if line.startswith("max_phase_error = "))
+                          .split(" = ")[1])
+            out_of_regime = error > cli._MAX_PHASE_ERROR
+            assert code == (cli.EXIT_OUT_OF_REGIME if out_of_regime else cli.EXIT_OK)
+            assert f"out_of_regime = {str(out_of_regime).lower()}" in lines
+            flagged.append(out_of_regime)
+        first = flagged.index(True)
+        assert flagged == [False] * first + [True] * (len(drives) - first)
+        assert drives[first] == 7
+
+    @pytest.mark.parametrize("config", ["configs/defaults.cfg", "configs/ci/blas-ragged.cfg",
+                                        "configs/ci/readout-perturbative.cfg",
+                                        "perfbench/clock_chain.cfg", "demo-04"])
+    def test_readout_configs_stay_in_regime(self, tmp_path, config):
+        if config == "demo-04":
+            # the clock phases of the elapsed-time sweep in demos/04_clock_readout.py
+            frequency = readout.readout_config().clock_frequency
+            phases = ", ".join(repr(float(frequency * t)) for t in np.linspace(0.0, 0.28, 8))
+            path = write_config(tmp_path, f"[readout]\nclock_phases = {phases}\n")
+        else:
+            path = REPO / config
+        out = tmp_path / "out"
+        assert cli.main(["readout", "--config", str(path), "--out", str(out),
+                         "--strict"]) == cli.EXIT_OK
+        assert "out_of_regime = false" in (out / "manifest.txt").read_text().splitlines()
 
 
 class TestRuns:
@@ -1220,12 +1238,14 @@ class TestDeterminism:
     @pytest.mark.parametrize("command, text", [
         *(pytest.param(command, SMALL, id=command)
           for command in ("dephasing", "zeno2", "zeno4", "readout")),
-        pytest.param("zeno4", POOLED, id="zeno4-pooled")])
+        pytest.param("zeno4", LARGE_SWEEP, id="zeno4-large-sweep")])
     def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch, command, text):
+        # ZENOLOCK_THREADS, which once sized a thread pool, is left set to show
+        # that it changes nothing
         path = write_config(tmp_path, text)
         off_main = off_main_thread(monkeypatch)
         outputs = {}
-        pooled = {}
+        threaded = {}
         for label, threads in (("one", "1"), ("many", "8")):
             monkeypatch.setenv("ZENOLOCK_THREADS", threads)
             off_main.clear()
@@ -1233,16 +1253,16 @@ class TestDeterminism:
             assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
             outputs[label] = {p.name: p.read_bytes() for p in out.iterdir()
                               if p.suffix == ".csv"}
-            pooled[label] = any(off_main)
+            threaded[label] = any(off_main)
         assert outputs["one"]
         assert outputs["one"] == outputs["many"]
-        # SMALL has one cycle time per pair, so only POOLED starts a pool
-        assert pooled == {"one": False, "many": text is POOLED}
+        # every task of a sweep runs on the calling thread
+        assert threaded == {"one": False, "many": False}
 
-    def test_pooled_sweep_in_fresh_processes(self, tmp_path):
-        # the smallest sweep on the pooled side of the threshold: at two
-        # workers it loads the thread pool and writes the CSVs of one worker
-        path = write_config(tmp_path, POOLED)
+    def test_large_sweep_in_fresh_processes_loads_no_pool(self, tmp_path):
+        # a fresh process loads no thread pool, and writes the same CSVs
+        # whatever ZENOLOCK_THREADS says
+        path = write_config(tmp_path, LARGE_SWEEP)
         run = ("import sys, zenolock.cli; code = zenolock.cli.main(sys.argv[1:]); "
                "print('concurrent.futures' in sys.modules); sys.exit(code)")
         outputs, loaded = {}, {}
@@ -1255,7 +1275,7 @@ class TestDeterminism:
             assert result.returncode == 0, result.stderr
             loaded[threads] = result.stdout.strip()
             outputs[threads] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
-        assert loaded == {"1": "False", "2": "True"}
+        assert loaded == {"1": "False", "2": "False"}
         assert len(outputs["1"]) == 2
         assert outputs["1"] == outputs["2"]
 
@@ -1334,8 +1354,7 @@ class TestStartup:
         self._unloaded_after_cli_import("concurrent.futures")
 
     def test_default_zeno2_run_leaves_the_thread_pool_unloaded(self, tmp_path):
-        # the default sweep's two cycle times share a pair basis below
-        # cli._POOL_MIN_DIMENSION, so they run on the calling thread
+        # the default sweep's two cycle times run on the calling thread
         self._unloaded_after_cli_import("concurrent.futures", [
             "zeno2", "--config", str(REPO / "configs" / "defaults.cfg"),
             "--out", str(tmp_path / "out")])

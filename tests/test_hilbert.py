@@ -670,7 +670,7 @@ def _three_level_case(coupled):
         for atom in (0, 1):
             exchange += [(atom, zm.E1_3, zm.G3, 2, g), (atom, zm.E2_3, zm.G3, 3, g)]
     levels = [(e.g, e.e1, e.e2) for e in (config.atom_a, config.atom_b)]
-    oracle = kronecker_hamiltonian(zm.pair_basis(config), levels,
+    oracle = kronecker_hamiltonian(z2.pair_basis(config), levels,
                                    config.mode_frequencies, exchange)
     return build_hamiltonian(config, coupled), oracle
 
@@ -684,7 +684,7 @@ def _four_level_case(coupled):
         for atom in (0, 1):
             exchange += [(atom, zm.E1, zm.G1, 2, g), (atom, zm.E2, zm.G2, 3, g)]
     levels = [(e.g1, e.g2, e.e1, e.e2) for e in (config.atom_a, config.atom_b)]
-    oracle = kronecker_hamiltonian(zm.pair_basis(config), levels,
+    oracle = kronecker_hamiltonian(z2.pair_basis(config), levels,
                                    config.mode_frequencies, exchange)
     return build_hamiltonian(config, coupled), oracle
 
@@ -789,7 +789,7 @@ class TestAssembleSectors:
                                                   final_time=0.2, photon_number=2)
         dense = build_hamiltonian(config)
         sectors = h.BlockEvolver(every_sector(config))
-        oracle = h.BlockEvolver(dense_sectors(dense, zm.conserved_labels(config)))
+        oracle = h.BlockEvolver(dense_sectors(dense, z2.conserved_labels(config)))
         psi = random_state(dense.basis, np.random.default_rng(8))
         for t in (0.01, 0.4):
             np.testing.assert_allclose(sectors.evolve(psi, t).amplitudes,

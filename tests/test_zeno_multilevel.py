@@ -45,14 +45,14 @@ class TestSchemeModel:
     @pytest.mark.parametrize("scheme", sorted(PAIRS))
     def test_conserved_labels_match_hand_written_tables(self, scheme):
         config = PAIRS[scheme](2)
-        basis = zm.pair_basis(config)
+        basis = z2.pair_basis(config)
         if scheme == "two":
             # excited atoms plus photons
             expected = h.occupation_labels(basis, [[0, 1], [0, 1],
                                                    list(range(config.fock_cutoffs[0] + 1))])
         else:
             expected = h.combine_labels(*hand_written_numbers(config, basis))
-        assert np.array_equal(zm.conserved_labels(config), expected)
+        assert np.array_equal(z2.conserved_labels(config), expected)
 
     @pytest.mark.parametrize("scheme", sorted(PAIRS))
     @pytest.mark.parametrize("n", [0, 3])
@@ -60,7 +60,7 @@ class TestSchemeModel:
         config = PAIRS[scheme](n)
         modes = len(config.TRANSITIONS)
         assert config.fock_cutoffs == (n + 2,) * modes
-        assert zm.pair_basis(config).dims == (config.LEVELS, config.LEVELS) + (n + 3,) * modes
+        assert z2.pair_basis(config).dims == (config.LEVELS, config.LEVELS) + (n + 3,) * modes
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     @pytest.mark.parametrize("cutoffs", [(3, 4), (4, 3), (1, 1)])
@@ -246,7 +246,7 @@ class TestProtocol:
         # the [zeno4] defaults of the CLI; 1936 basis states
         config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.001,
                                                   final_time=100.0)
-        assert zm.pair_basis(config).dimension == 1936
+        assert z2.pair_basis(config).dimension == 1936
         dimensions = []
         original = h.OperatorMatrix.__init__
 
