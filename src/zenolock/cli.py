@@ -369,7 +369,7 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
 
     runs = parallel_map(run_one, zip(cycles, configs))  # an ordered loop; see parallel.py
     results = {}
-    flags = {"out_of_regime": False}
+    flags = {"out_of_regime": False, "survival_underflow": False}
     plot_series = []
     for cycle, config, trace, described in runs:
         tag = repr(float(cycle))
@@ -381,6 +381,7 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
             provenance={**provenance, "cycle_time": tag, **described})
         write_csv(record, out_dir / f"{command}_cycle_{tag}.csv")
         flags["out_of_regime"] |= trace.out_of_regime
+        flags["survival_underflow"] |= trace.p_success[-1] < np.finfo(float).tiny
         if trace.max_mode_tail > 1e-8:
             raise z2.ProtocolError(f"mode truncation boundary populated ({trace.max_mode_tail:.3e})"
                                    f", at [{command}] cycle_times = {cycle!r}")

@@ -2,14 +2,15 @@
 
 States are dense complex vectors over an ordered tensor product, atoms first
 and then modes.  Every Hamiltonian in this package is piecewise constant, so
-time evolution is exact through eigendecompositions computed once.  A
-Hamiltonian that conserves an occupation label, as both Zeno protocols' and
-the readout emission model's do, is assembled and evolved only on the label
-sectors its start states reach, with no dense operator of the full basis;
-the dense assembler is the tests' oracle.  The Zeno protocols inject,
-project and remove photons on the atom-sector amplitudes of their cycle
-map, so there are no state-level mode operations here.  hbar = 1
-throughout; all frequencies are angular unless a module says otherwise.
+time evolution is exact through eigendecompositions computed once.  Each
+exchange term moves one atom between one pair of levels, so evolution from a
+start touches only the states that chains of its entries link to it; a
+Hamiltonian is assembled and evolved on those alone, by connected sector,
+with no dense operator of the full basis (the dense assembler is the tests'
+oracle).  The Zeno protocols inject, project and remove photons on the
+atom-sector amplitudes of their cycle map, so there are no state-level mode
+operations here.  hbar = 1 throughout; all frequencies are angular unless a
+module says otherwise.
 
 All values are immutable after construction and every operation returns a
 new value, so a library caller can share states, operators and evolvers
@@ -19,6 +20,7 @@ tests use as an oracle: it solves its eigensystem on first use and keeps it
 in ``_eig``.
 """
 
+import math
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -71,10 +73,11 @@ class ProductBasis:
 
     The basis index runs row-major over the local occupation numbers, i.e.
     the first subsystem is the most significant digit, matching the ordering
-    produced by chained ``numpy.kron``.
+    produced by chained ``numpy.kron``; ``strides`` holds the index step of
+    one occupation on each subsystem.
     """
 
-    __slots__ = ("subsystems", "dims", "dimension")
+    __slots__ = ("subsystems", "dims", "strides", "dimension")
 
     def __init__(self, subsystems: Sequence[SubsystemSpec]):
         subsystems = tuple(subsystems)
@@ -85,7 +88,8 @@ class ProductBasis:
                 raise TypeError(f"not an Atom or Mode subsystem: {sub!r}")
         self.subsystems = subsystems
         self.dims = tuple(sub.dim for sub in subsystems)
-        self.dimension = int(np.prod(self.dims))
+        self.strides = tuple(math.prod(self.dims[axis + 1:]) for axis in range(len(self.dims)))
+        self.dimension = math.prod(self.dims)
 
     def __eq__(self, other):
         return isinstance(other, ProductBasis) and self.subsystems == other.subsystems
@@ -101,10 +105,6 @@ class ProductBasis:
         """Flat index of the product state with the given local occupations."""
         return int(np.ravel_multi_index(tuple(occupations), self.dims))
 
-    def occupations(self, index: int) -> tuple:
-        """Local occupations of a flat basis index (inverse of :meth:`index`)."""
-        return tuple(int(k) for k in np.unravel_index(index, self.dims))
-
     def atom_indices(self) -> tuple:
         return tuple(i for i, s in enumerate(self.subsystems) if isinstance(s, Atom))
 
@@ -114,15 +114,7 @@ def build_basis(specs: Sequence[SubsystemSpec]) -> ProductBasis:
 
     Atoms come first, then modes, each group keeping its declaration order.
     """
-    specs = list(specs)
-    if not specs:
-        raise ValueError("cannot build a basis from an empty subsystem list")
-    atoms = [s for s in specs if isinstance(s, Atom)]
-    modes = [s for s in specs if isinstance(s, Mode)]
-    if len(atoms) + len(modes) != len(specs):
-        bad = next(s for s in specs if not isinstance(s, (Atom, Mode)))
-        raise TypeError(f"not an Atom or Mode subsystem: {bad!r}")
-    return ProductBasis(atoms + modes)
+    return ProductBasis(sorted(specs, key=lambda sub: isinstance(sub, Mode)))
 
 
 class StateVector:
@@ -158,9 +150,6 @@ class StateVector:
         """|<self|other>|, insensitive to global phase."""
         return abs(self.overlap(other))
 
-    def probability(self, occupations: Sequence[int]) -> float:
-        return float(abs(self.amplitudes[self.basis.index(occupations)]) ** 2)
-
     def __repr__(self):
         return f"StateVector(dimension={self.basis.dimension}, norm={self.norm():.6f})"
 
@@ -178,7 +167,7 @@ class OperatorMatrix:
     """Dense operator tagged with the basis it acts on.
 
     The ``hermitian`` flag is verified at construction when set.  The
-    eigendecomposition used by :func:`evolve` is computed lazily and
+    eigendecomposition used by :func:`_propagate` is computed lazily and
     cached, which makes repeated evolution under the same piecewise-constant
     Hamiltonian cheap.
     """
@@ -214,43 +203,76 @@ class OperatorMatrix:
                 f"hermitian={self.hermitian})")
 
 
-def _hamiltonian_entries(basis: ProductBasis, diagonal_weights, exchange_terms):
-    """Diagonal energies and, per exchange term, its (rows, cols, values) entries.
-
-    ``diagonal_weights`` is one weight vector per subsystem (summed over
-    occupations); each exchange term (atom_axis, upper, lower, mode_axis,
-    strength) adds strength*(|upper><lower| a + h.c.) with sqrt(k) ladder
-    factors, or strength*(|upper><lower| + h.c.) when ``mode_axis`` is None.
-    The entries lie on one side of the diagonal, to be added with their
-    mirror images; index arithmetic keeps them O(nonzeros).
-    """
-    dims = basis.dims
-    dim = basis.dimension
-    multi = np.unravel_index(np.arange(dim), dims)
-    strides = np.ones(len(dims), dtype=np.int64)
-    for axis in range(len(dims) - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * dims[axis + 1]
-    diagonal = np.zeros(dim)
-    for weights, occ in zip(diagonal_weights, multi):
+def _diagonal(basis: ProductBasis, diagonal_weights) -> np.ndarray:
+    """Energy of every basis state: one weight vector per subsystem, summed over occupations."""
+    diagonal = np.zeros(basis.dimension)
+    for weights, occ in zip(diagonal_weights,
+                            np.unravel_index(np.arange(basis.dimension), basis.dims)):
         diagonal += np.asarray(weights, dtype=float)[occ]
-    entries = []
+    return diagonal
+
+
+def _exchange_entries(basis: ProductBasis, exchange_terms, states: np.ndarray) -> tuple:
+    """The (rows, cols, values) entries of the exchange terms whose column is in ``states``.
+
+    Each term (atom_axis, upper, lower, mode_axis, strength) adds
+    strength*(|upper><lower| a + h.c.) with sqrt(k) ladder factors, or
+    strength*(|upper><lower| + h.c.) when ``mode_axis`` is None.  The entries
+    lie on one side of the diagonal, to be added with their mirror images;
+    one exists wherever its ladder factor is nonzero, whatever the strength.
+    """
+    occupations = np.unravel_index(states, basis.dims)
+    rows, cols, values = [states[:0]], [states[:0]], [np.zeros(0)]
     for atom_axis, upper, lower, mode_axis, strength in exchange_terms:
-        if mode_axis is None:
-            ladder, shift = np.ones(dim), 0
-        else:
-            ladder, shift = np.sqrt(multi[mode_axis].astype(float)), strides[mode_axis]
-        cols = np.flatnonzero((multi[atom_axis] == lower) & (ladder > 0.0))
-        rows = cols + (upper - lower) * strides[atom_axis] - shift
-        entries.append((rows, cols, strength * ladder[cols]))
-    return diagonal, entries
+        ladder, shift = np.ones(len(states)), 0
+        if mode_axis is not None:
+            ladder, shift = np.sqrt(occupations[mode_axis]), basis.strides[mode_axis]
+        keep = (occupations[atom_axis] == lower) & (ladder > 0.0)
+        cols.append(states[keep])
+        rows.append(cols[-1] + (upper - lower) * basis.strides[atom_axis] - shift)
+        values.append(strength * ladder[keep])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def _reach(basis: ProductBasis, exchange_terms, states: np.ndarray) -> np.ndarray:
+    """The basis states that chains of exchange entries link to ``states``, ascending."""
+    held = np.zeros(basis.dimension, dtype=bool)
+    held[states] = True
+    while states.size:  # the states reached last
+        occupations = np.unravel_index(states, basis.dims)
+        linked = [states[:0]]
+        for atom_axis, upper, lower, mode_axis, _ in exchange_terms:
+            step, absorbs, emits = (upper - lower) * basis.strides[atom_axis], True, True
+            if mode_axis is not None:  # a photon to absorb, room for one to emit
+                step -= basis.strides[mode_axis]
+                absorbs = occupations[mode_axis] > 0
+                emits = occupations[mode_axis] < basis.dims[mode_axis] - 1
+            linked += [states[(occupations[atom_axis] == lower) & absorbs] + step,
+                       states[(occupations[atom_axis] == upper) & emits] - step]
+        states = np.concatenate(linked)
+        states = states[~held[states]]
+        held[states] = True
+    return np.flatnonzero(held)
+
+
+def _components(count: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per position, the smallest position that chains of (rows, cols) links reach."""
+    root = np.arange(count)
+    while np.any(root[rows] != root[cols]):
+        low = np.minimum(root[rows], root[cols])
+        np.minimum.at(root, rows, low)
+        np.minimum.at(root, cols, low)
+        root = root[root]
+    return root
 
 
 class SectorHamiltonian(NamedTuple):
-    """A Hermitian Hamiltonian stored as the conserved-label sector blocks a start reaches.
+    """A Hermitian Hamiltonian stored as the sector blocks a start reaches.
 
     ``diagonal`` holds the energy of every basis state (the Hamiltonian without
     its exchange terms); ``sectors`` pairs the basis indices of each reached
-    label (ascending, labels ascending) with its Hermitian block.
+    sector (ascending, sectors in the order of their smallest states) with its
+    Hermitian block.
     """
 
     basis: ProductBasis
@@ -258,60 +280,44 @@ class SectorHamiltonian(NamedTuple):
     sectors: tuple
 
 
-def assemble_sectors(basis: ProductBasis, diagonal_weights, exchange_terms, labels,
+def assemble_sectors(basis: ProductBasis, diagonal_weights, exchange_terms,
                      start: np.ndarray) -> SectorHamiltonian:
-    """The Hamiltonian of :func:`_hamiltonian_entries` on the label sectors ``start`` reaches.
+    """The Hamiltonian of :func:`_exchange_entries` on the sectors ``start`` reaches.
 
-    ``start`` is one amplitude vector or a (dimension, k) batch of them; the
-    labels are conserved, so evolution from it stays in the sectors of the
-    labels on its nonzero rows, and only those are assembled, each block
-    the dense Hamiltonian on its sector bit for bit.  Raises ValueError when
-    an exchange term couples different labels anywhere in the basis.
+    ``start`` is one amplitude vector or a (dimension, k) batch of them.
+    Evolution from it stays in the states that chains of exchange entries
+    link to its nonzero rows, and only those are assembled: the sectors are
+    the connected components of their entries, and each block is the dense
+    Hamiltonian on its sector bit for bit.  ``diagonal_weights`` gives the
+    ``diagonal`` of every basis state, as in :func:`_diagonal`.
     """
-    diagonal, entries = _hamiltonian_entries(basis, diagonal_weights, exchange_terms)
-    labels = np.asarray(labels)
-    if labels.shape != (basis.dimension,):
-        raise ValueError("labels must assign one integer per basis state")
-    # with counts, np.unique skips its numpy.ma check (an import of 10 ms, 0.5 MB)
-    held = np.unique(labels[start.reshape(len(start), -1).any(axis=1)], return_counts=True)[0]
-    sector = np.searchsorted(held, labels)  # read on the reached states only
-    hit = np.searchsorted(held, labels, side="right") > sector
-    sizes = np.bincount(sector[hit], minlength=len(held))
-    order = np.flatnonzero(hit)[np.argsort(sector[hit], kind="stable")]
+    states = _reach(basis, exchange_terms,
+                    np.flatnonzero(start.reshape(len(start), -1).any(axis=1)))
+    rows, cols, values = _exchange_entries(basis, exchange_terms, states)
+    rows, cols = np.searchsorted(states, rows), np.searchsorted(states, cols)
+    root = _components(len(states), rows, cols)
+    sector = np.cumsum(root == np.arange(len(states)))[root] - 1
+    sizes = np.bincount(sector)
+    order = np.argsort(sector, kind="stable")
     first = np.cumsum(sizes) - sizes
-    local = np.zeros(basis.dimension, dtype=np.int64)
-    local[order] = np.arange(len(order)) - np.repeat(first, sizes)
+    local = np.empty(len(states), dtype=np.int64)
+    local[order] = np.arange(len(states)) - np.repeat(first, sizes)
     offsets = np.cumsum(sizes**2) - sizes**2
 
     def flat(rows, cols):
         # position of entry (rows, cols) in the concatenated row-major blocks
         return offsets[sector[rows]] + local[rows] * sizes[sector[rows]] + local[cols]
 
+    diagonal = _diagonal(basis, diagonal_weights)
     blocks = np.zeros(int(np.sum(sizes**2)), dtype=complex)
-    blocks[flat(order, order)] = diagonal[order]
-    for rows, cols, values in entries:
-        crossing = labels[rows] != labels[cols]
-        if crossing.any():
-            raise ValueError(f"an exchange term couples different label sectors "
-                             f"(basis states {rows[crossing][0]} and {cols[crossing][0]})")
-        keep = hit[rows]
-        np.add.at(blocks, flat(rows[keep], cols[keep]), values[keep])
-        np.add.at(blocks, flat(cols[keep], rows[keep]), values[keep])
+    blocks[flat(order, order)] = diagonal[states[order]]
+    np.add.at(blocks, flat(rows, cols), values)
+    np.add.at(blocks, flat(cols, rows), values)
     blocks.flags.writeable = False
     diagonal.flags.writeable = False
-    sectors = tuple((idx, blocks[offset:offset + n * n].reshape(n, n))
+    sectors = tuple((states[idx], blocks[offset:offset + n * n].reshape(n, n))
                     for idx, offset, n in zip(np.split(order, first[1:]), offsets, sizes))
     return SectorHamiltonian(basis, diagonal, sectors)
-
-
-def evolve(state: StateVector, hamiltonian: OperatorMatrix, duration: float) -> StateVector:
-    """Exact propagation exp(-i H t)|state> via the cached eigensystem of H."""
-    if hamiltonian.basis != state.basis:
-        raise BasisMismatchError("state and Hamiltonian live on different bases")
-    if not hamiltonian.hermitian:
-        raise ValueError("evolution requires a Hamiltonian with the hermitian flag set")
-    return _bare_state(state.basis,
-                       _propagate(hamiltonian, state.amplitudes, float(duration)))
 
 
 def _rowwise(factors: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -319,6 +325,7 @@ def _rowwise(factors: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return factors.reshape(factors.shape + (1,) * (amps.ndim - factors.ndim)) * amps
 
 
+# perfbench/tracer.py wraps this name; the tests' dense evolution calls it
 def _propagate(hamiltonian: OperatorMatrix, amps: np.ndarray, duration: float) -> np.ndarray:
     """Dense propagation of one amplitude vector or a (dimension, k) batch of them."""
     w, v = hamiltonian.eigensystem()
@@ -335,33 +342,8 @@ def _propagate_diagonal(energies: np.ndarray, amps: np.ndarray,
     return _rowwise(np.exp(-1j * duration * energies), amps)
 
 
-def occupation_labels(basis: ProductBasis, local_weights: Sequence[Sequence[int]]) -> np.ndarray:
-    """Integer label per basis state: sum of per-subsystem level weights.
-
-    With atom weights selecting excited levels and mode weights equal to the
-    occupancy, the label is a conserved excitation number for every
-    rotating-wave Hamiltonian in this package.
-    """
-    if len(local_weights) != len(basis.dims):
-        raise ValueError("need one weight vector per subsystem")
-    for w, d in zip(local_weights, basis.dims):
-        if len(w) != d:
-            raise ValueError("weight vector length must match subsystem dimension")
-    multi = np.unravel_index(np.arange(basis.dimension), basis.dims)
-    labels = np.zeros(basis.dimension, dtype=np.int64)
-    for w, idx in zip(local_weights, multi):
-        labels += np.asarray(w, dtype=np.int64)[idx]
-    return labels
-
-
-def combine_labels(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Pack two label arrays into one (for doubly conserved numbers)."""
-    stride = int(second.max()) + 1
-    return first * stride + second
-
-
 class BlockEvolver:
-    """Exact evolution exploiting a conserved occupation label.
+    """Exact evolution sector by sector.
 
     Eigendecomposes every block of a :class:`SectorHamiltonian` at
     construction, one stacked ``eigh`` per group of equal-size blocks; no

@@ -14,8 +14,8 @@ implemented here converts that phase into something measurable:
    field phase equal to the accumulated clock phase.
 
 The emitted quadrature is computed either by full evolution of the driven
-two-atom-plus-mode system, on the conserved sectors that the radiating
-channel spans, or by a second-order effective model obtained by adiabatic
+two-atom-plus-mode system, on the sectors that the radiating channel
+reaches, or by a second-order effective model obtained by adiabatic
 elimination of the far-detuned intermediates (the fast path, with the full
 evolution as its oracle).
 """
@@ -210,7 +210,9 @@ def _rotating_frame_terms(config: ReadoutConfig, mode_frequency: float):
 
     The two atoms plus the mode in the drive rotating frame, which shifts |E2>
     down to mean(g1) + detuning and makes both couplings static; the
-    quadrature of the unrotated mode is unchanged by it.
+    quadrature of the unrotated mode is unchanged by it.  The mode trades an
+    |E1> atom for a photon and the drive moves |G1> <-> |E2>, so L (photons
+    plus atoms in |E1>) and the number of atoms in |G2> never change.
     """
     levels = [config.mean_level("g1"), config.mean_level("g2"), config.mean_level("e1"),
               config.mean_level("g1") + config.detuning]
@@ -219,21 +221,6 @@ def _rotating_frame_terms(config: ReadoutConfig, mode_frequency: float):
     exchange = [term for atom in (0, 1)
                 for term in ((atom, E1, G1, 2, coupling), (atom, E2, G1, None, drive))]
     return emission_basis(config), [levels, levels, photons], exchange
-
-
-def _rotating_frame_hamiltonian(config: ReadoutConfig, mode_frequency: float,
-                                start: np.ndarray) -> h.SectorHamiltonian:
-    """The emission Hamiltonian on the sectors of its two conserved numbers ``start`` reaches.
-
-    The mode trades an |E1> atom for a photon and the drive moves
-    |G1> <-> |E2>, so L (photons plus atoms in |E1>) and the number of atoms
-    in |G2> are conserved.  A pair state with the mode in vacuum has L <= 2.
-    """
-    basis, weights, exchange = _rotating_frame_terms(config, mode_frequency)
-    photons = np.arange(config.emission_mode_cutoff + 1)
-    quanta = h.occupation_labels(basis, [[0, 0, 1, 0], [0, 0, 1, 0], photons])
-    in_g2 = h.occupation_labels(basis, [[0, 1, 0, 0], [0, 1, 0, 0], 0 * photons])
-    return h.assemble_sectors(basis, weights, exchange, h.combine_labels(quanta, in_g2), start)
 
 
 class FieldTrace(Record):
@@ -313,9 +300,9 @@ _BLOCK_AMPLITUDES = 1 << 14
 class _EmissionModel:
     """Shared machinery of the emission stage at a fixed mode frequency.
 
-    Works on ``states``, the basis states of the conserved sectors that the
-    resonant channel spans (21 of 48 at the default cutoff); no other state
-    couples to them.  Holds the rotating-frame eigensystem on them, which a
+    Works on ``states``, the basis states of the sectors that the resonant
+    channel reaches (21 of 48 at the default cutoff); no other state couples
+    to them.  Holds the rotating-frame eigensystem on them, which a
     :class:`hilbert.BlockEvolver` solves by sector, the resonant-channel basis,
     the second-order effective Hamiltonian, and the first-order dressing map
     that starts the evolution in the adiabatically prepared state (drive ramp
@@ -326,7 +313,8 @@ class _EmissionModel:
         self.config = config
         self.mode_frequency = mode_frequency
         subspace = _resonant_subspace(config)
-        hamiltonian = _rotating_frame_hamiltonian(config, mode_frequency, subspace)
+        hamiltonian = h.assemble_sectors(*_rotating_frame_terms(config, mode_frequency),
+                                         subspace)
         self.states = np.concatenate([idx for idx, _ in hamiltonian.sectors])
         self.p_matrix = subspace[self.states]
         atom_a, atom_b, photons = np.unravel_index(self.states, hamiltonian.basis.dims)

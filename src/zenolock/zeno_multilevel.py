@@ -10,8 +10,8 @@ manifolds then carry a usable relative phase.
 One scheme model serves both pairs, and the two-level pair too: each config
 here is a :class:`zeno_two_level.LevelSchemeConfig` that names its levels per
 atom and the (upper, lower) transition each cavity mode drives, and the
-basis, Hamiltonian, conserved labels, pair states and closed forms of
-:mod:`zeno_two_level` follow from that table, as does the leakage here.
+basis, Hamiltonian, pair states and closed forms of :mod:`zeno_two_level`
+follow from that table, as does the leakage here.
 Level ordering: three-level atoms are (G, E1, E2);
 four-level atoms are (G1, G2, E1, E2).  Dimensionless angular units,
 hbar = 1.

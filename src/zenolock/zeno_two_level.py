@@ -10,8 +10,8 @@ collapses the pair back onto the subradiant state, so frequent cycles lock
 the relative phase.
 
 One scheme model serves every pair: :class:`LevelSchemeConfig` is the one
-pair config, the basis, Hamiltonian, conserved labels and pair states here
-follow from its ``LEVELS`` and ``TRANSITIONS`` table, the closed forms
+pair config, the basis, Hamiltonian and pair states here follow from its
+``LEVELS`` and ``TRANSITIONS`` table, the closed forms
 (:func:`pe_analytic`, :func:`ps_analytic`) take the splitting of every
 transition, and :func:`run_zeno` drives every pair.  :class:`TwoLevelConfig`
 is the scheme with one transition; :mod:`zeno_multilevel` adds the others.
@@ -44,6 +44,9 @@ MAX_DRIFT_PHASE_ERROR = 1e-8
 # Recorded cycles whose states run_zeno buffers before taking their norms; a
 # small buffer keeps the run's peak memory where the state-by-state loop had it
 RECORD_CHUNK = 64
+# Squared norm below which a run scales its state up by a power of two, far
+# above the smallest normal float, 2**-1022
+RESCALE_BELOW = 2.0**-600
 
 
 class OutOfRegimeError(ValueError):
@@ -54,8 +57,8 @@ class ProtocolError(RuntimeError):
     """A protocol run left its numerically valid range.
 
     Raised when population reaches a Fock truncation boundary, when the
-    survival probability underflows to zero, when the per-cycle error is
-    too small to resolve, and when the free-drift phases are not resolved.
+    surviving state is exactly zero, when the per-cycle error is too small
+    to resolve, and when the free-drift phases are not resolved.
     """
 
 
@@ -189,33 +192,23 @@ def _hamiltonian_terms(config, coupled: bool):
 
 
 def build_sector_hamiltonian(config) -> h.SectorHamiltonian:
-    """Coupled pair Hamiltonian on the :func:`conserved_labels` sectors a window reaches.
+    """Coupled pair Hamiltonian on the sectors a coupling window reaches.
 
-    Those hold every atom state with n photons in every mode, where
-    :func:`coupling_window` starts.  Its ``diagonal`` is the uncoupled
-    Hamiltonian of the free drift on the whole basis.
+    The window starts from every atom state with n photons in every mode (see
+    :func:`coupling_window`), and each photon exchange moves one atom between
+    the levels of one transition, so its sectors hold a few states each.  Its
+    ``diagonal`` is the uncoupled Hamiltonian of the free drift on the whole
+    basis.
     """
     basis, weights, exchange = _hamiltonian_terms(config, True)
     atom_dim, _, injected = _injected_modes(config, basis)
     start = np.arange(basis.dimension) % (basis.dimension // atom_dim) == injected
-    return h.assemble_sectors(basis, weights, exchange, conserved_labels(config), start)
+    return h.assemble_sectors(basis, weights, exchange, start)
 
 
 # perfbench/tracer.py wraps this name; a def, not an alias, keeps the wrap on it
 def build_two_level_hamiltonian(config: TwoLevelConfig) -> h.SectorHamiltonian:
     return build_sector_hamiltonian(config)
-
-
-def conserved_labels(config) -> np.ndarray:
-    """Every excitation number, packed: atoms in upper_k plus photons in mode k."""
-    basis = pair_basis(config)
-    numbers = []
-    for k, (upper, _) in enumerate(config.TRANSITIONS):
-        atom = [int(level == upper) for level in range(config.LEVELS)]
-        modes = [list(range(c + 1)) if j == k else [0] * (c + 1)
-                 for j, c in enumerate(config.fock_cutoffs)]
-        numbers.append(h.occupation_labels(basis, [atom, atom, *modes]))
-    return functools.reduce(h.combine_labels, numbers)
 
 
 def pair_superposition(config, pairs, photons, sign: float = -1.0) -> StateVector:
@@ -372,14 +365,18 @@ def cycle_matrix(config, window: np.ndarray) -> np.ndarray:
 
 
 def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray) -> tuple:
-    """Squared norms of ``x`` before and after each recorded cycle, and the last state.
+    """Squared norms of ``x`` before and after each recorded cycle, their exponents, last state.
 
     A gap of g cycles costs two matrix-vector products: the cached
     ``map**(g-1)``, then the map.  The states are buffered
     :data:`RECORD_CHUNK` recorded cycles at a time and normed by one stacked
     (1 x d) @ (d x 1) product per real and imaginary part, the bits of
-    ``x.real @ x.real + x.imag @ x.imag``.  The first recorded cycle whose
-    norm is zero raises :class:`ProtocolError`.
+    ``x.real @ x.real + x.imag @ x.imag``.  The squared norms of recorded
+    cycle i are ``survival[i] * 2**exponents[i]``: at the first recorded
+    cycle whose squared norm falls below :data:`RESCALE_BELOW`, the state is
+    scaled by the power of two that brings its largest entry into [0.5, 1),
+    which is exact, and the cycles after it are run again from there.  A
+    state of exactly zero raises :class:`ProtocolError`.
     """
     # ndarray.dot (np.dot without its dispatch) copies a matrix that is not
     # contiguous on every call
@@ -388,9 +385,11 @@ def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray)
     powers = {gap: np.linalg.matrix_power(cycle_map, gap - 1)
               for gap in set(gaps.tolist()) if gap > 1}
     survival = np.empty((len(record), 2))
+    exponents = np.zeros(len(record), dtype=int)
     states = np.empty((RECORD_CHUNK, 2, len(x)), dtype=complex)
     befores, afters = list(states[:, 0]), list(states[:, 1])
-    for start in range(0, len(record), RECORD_CHUNK):
+    start = exponent = 0
+    while start < len(record):
         jumps = [powers.get(gap) for gap in gaps[start:start + RECORD_CHUNK].tolist()]
         for before, after, jump in zip(befores, afters, jumps):
             if jump is None:
@@ -401,12 +400,20 @@ def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray)
         chunk = states[:len(jumps)]
         real, imag = chunk.real, chunk.imag
         norms = real[..., None, :] @ real[..., None] + imag[..., None, :] @ imag[..., None]
-        survival[start:start + len(chunk)] = norms[..., 0, 0]
-        underflowed = np.flatnonzero(norms[:, 1, 0, 0] == 0.0)
-        if underflowed.size:
-            raise ProtocolError(f"survival underflowed to zero by cycle "
-                                f"{record[start + underflowed[0]]}")
-    return survival, x.copy()
+        kept = len(jumps)
+        if norms[-1, 1, 0, 0] < RESCALE_BELOW:  # the survival never rises
+            kept = np.flatnonzero(norms[:, 1, 0, 0] < RESCALE_BELOW)[0] + 1
+        survival[start:start + kept] = norms[:kept, :, 0, 0]
+        exponents[start:start + kept] = exponent
+        start += kept
+        x = states[kept - 1, 1]
+        if norms[kept - 1, 1, 0, 0] < RESCALE_BELOW:
+            if not x.any():
+                raise ProtocolError(f"survival is exactly zero by cycle {record[start - 1]}")
+            shift = -np.frexp(np.max(np.abs(x)))[1]
+            x = np.ldexp(x.view(float), shift).view(complex)
+            exponent -= 2 * shift
+    return survival, exponents, x.copy()
 
 
 def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
@@ -437,8 +444,9 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     perturbative regime.  A trailing partial cycle is a free drift without a measurement.
     ``max_mode_tail`` is the population above n + 1 photons in any mode at
     the end of the first coupling window, the window times ``initial``.  A
-    survival of zero at a recorded cycle raises :class:`ProtocolError`, and
-    so does a positive rate whose closed-form per-cycle error
+    survival below the float range is written as it rounds, down to 0.0.  A
+    state of exactly zero at a recorded cycle raises :class:`ProtocolError`,
+    and so does a positive rate whose closed-form per-cycle error
     ``rate * cycle_time`` falls below :data:`MIN_CYCLE_ERROR` (also when it
     underflows to zero), and so does a free drift whose largest phase
     rounding error eps max|E| tau exceeds :data:`MAX_DRIFT_PHASE_ERROR`.
@@ -471,15 +479,16 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     max_tail = max(float(np.sum(np.moveaxis(populations, axis, 0)[config.photon_number + 2:]))
                    for axis in range(1, populations.ndim))
 
-    survival, x = _recorded_survival(cycle_map, x, record)
+    survival, exponents, x = _recorded_survival(cycle_map, x, record)
     amps = np.zeros(initial.basis.dimension, dtype=complex)
     amps.reshape(atom_dim, -1)[:, 0] = x / np.linalg.norm(x)
     if remainder > 0.0:
         amps = drift(amps, remainder)
     final = StateVector(initial.basis, amps)
 
-    before, cumulative = survival.T
-    per_cycle_error = 1.0 - cumulative / before
+    before, after = survival.T
+    per_cycle_error = 1.0 - after / before
+    cumulative = np.ldexp(after, exponents)
     times = np.concatenate([[0.0], record * cycle])
     if remainder > 0.0:
         times = np.append(times, config.final_time)

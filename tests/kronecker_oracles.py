@@ -5,15 +5,21 @@ sector; these dense constructions from chained Kronecker products are the
 independent references the tests compare against.  The dense assembler,
 :func:`assemble_hamiltonian`, and the dense pair Hamiltonian,
 :func:`build_hamiltonian`, fill the whole matrix from the package's own entry
-lists: they are the oracles of its sector assembly.
+lists: they are the oracles of its sector assembly, and :func:`evolve` is
+the dense evolution under them.  The conserved excitation numbers,
+:func:`conserved_labels` of a pair and :func:`emission_labels` of the
+readout, are the oracles of the sectors that the package derives from the
+exchange terms' reach.
 """
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from stepwise_oracle import _require_mode
 from zenolock import hilbert as h
+from zenolock import readout as rd
 from zenolock import zeno_two_level as z2
 
 
@@ -98,16 +104,68 @@ def assemble_hamiltonian(basis: h.ProductBasis, diagonal_weights,
     keeps the assembly O(nonzeros) instead of chained Kronecker products,
     and photon energies come out exact (k + 1/2, not a^dag a rounded).
     """
-    diagonal, entries = h._hamiltonian_entries(basis, diagonal_weights, exchange_terms)
     dim = basis.dimension
     m = np.zeros((dim, dim), dtype=complex)
-    m[np.arange(dim), np.arange(dim)] = diagonal
-    for rows, cols, values in entries:
-        np.add.at(m, (rows, cols), values)
-        np.add.at(m, (cols, rows), values)
+    m[np.arange(dim), np.arange(dim)] = h._diagonal(basis, diagonal_weights)
+    rows, cols, values = h._exchange_entries(basis, exchange_terms, np.arange(dim))
+    np.add.at(m, (rows, cols), values)
+    np.add.at(m, (cols, rows), values)
     return h.OperatorMatrix(basis, m, hermitian=True)
 
 
 def build_hamiltonian(config, coupled: bool = True) -> h.OperatorMatrix:
     """Dense pair Hamiltonian; the oracle of ``zeno_two_level.build_sector_hamiltonian``."""
     return assemble_hamiltonian(*z2._hamiltonian_terms(config, coupled))
+
+
+def evolve(state: h.StateVector, hamiltonian: h.OperatorMatrix,
+           duration: float) -> h.StateVector:
+    """Exact propagation exp(-i H t)|state> via the cached eigensystem of H."""
+    if hamiltonian.basis != state.basis:
+        raise h.BasisMismatchError("state and Hamiltonian live on different bases")
+    if not hamiltonian.hermitian:
+        raise ValueError("evolution requires a Hamiltonian with the hermitian flag set")
+    return h.StateVector(state.basis,
+                         h._propagate(hamiltonian, state.amplitudes, float(duration)))
+
+
+def occupation_labels(basis: h.ProductBasis,
+                      local_weights: Sequence[Sequence[int]]) -> np.ndarray:
+    """Integer label per basis state: sum of per-subsystem level weights.
+
+    With atom weights selecting excited levels and mode weights equal to the
+    occupancy, the label is a conserved excitation number for every
+    rotating-wave Hamiltonian of the package.
+    """
+    if len(local_weights) != len(basis.dims):
+        raise ValueError("need one weight vector per subsystem")
+    labels = np.zeros(basis.dimension, dtype=np.int64)
+    for w, idx in zip(local_weights, np.unravel_index(np.arange(basis.dimension), basis.dims)):
+        labels += np.asarray(w, dtype=np.int64)[idx]
+    return labels
+
+
+def combine_labels(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Pack two label arrays into one (for doubly conserved numbers)."""
+    return first * (int(second.max()) + 1) + second
+
+
+def conserved_labels(config) -> np.ndarray:
+    """Every excitation number of a pair, packed: atoms in upper_k plus photons in mode k."""
+    basis = z2.pair_basis(config)
+    numbers = []
+    for k, (upper, _) in enumerate(config.TRANSITIONS):
+        atom = [int(level == upper) for level in range(config.LEVELS)]
+        modes = [list(range(c + 1)) if j == k else [0] * (c + 1)
+                 for j, c in enumerate(config.fock_cutoffs)]
+        numbers.append(occupation_labels(basis, [atom, atom, *modes]))
+    return functools.reduce(combine_labels, numbers)
+
+
+def emission_labels(config) -> np.ndarray:
+    """The readout's two conserved numbers, packed: L (photons plus atoms in E1), atoms in G2."""
+    basis = rd.emission_basis(config)
+    photons = np.arange(config.emission_mode_cutoff + 1)
+    quanta = occupation_labels(basis, [[0, 0, 1, 0], [0, 0, 1, 0], photons])
+    in_g2 = occupation_labels(basis, [[0, 1, 0, 0], [0, 1, 0, 0], 0 * photons])
+    return combine_labels(quanta, in_g2)

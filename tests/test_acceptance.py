@@ -86,8 +86,9 @@ def test_04_measurement_branch_weights():
         drifted = so.free_drift(z2.subradiant_state(config, 0), config)
         measured = so.measurement_segment(drifted, config)
         scale = (tau * delta) ** 2
-        p_gg = measured.probability([z2.G, z2.G, n + 1])
-        p_ee = measured.probability([z2.E, z2.E, n - 1])
+        index = measured.basis.index
+        p_gg = abs(measured.amplitudes[index([z2.G, z2.G, n + 1])]) ** 2
+        p_ee = abs(measured.amplitudes[index([z2.E, z2.E, n - 1])]) ** 2
         assert p_gg == pytest.approx(scale * (n + 1) / (2 * n + 1), rel=0.02)
         assert p_ee == pytest.approx(scale * n / (2 * n + 1), rel=0.02)
     report(4, "branch weights (n+1)/(2n+1) and n/(2n+1) at half flop, n in {4, 8, 12}")

@@ -362,8 +362,8 @@ def per_block_eigensystem(model):
     the model's states, each block's eigenpairs on its span of them.
     """
     config = model.config
-    hamiltonian = rd._rotating_frame_hamiltonian(config, model.mode_frequency,
-                                                 rd._resonant_subspace(config))
+    hamiltonian = h.assemble_sectors(*rd._rotating_frame_terms(config, model.mode_frequency),
+                                     rd._resonant_subspace(config))
     assert np.array_equal(np.concatenate([idx for idx, _ in hamiltonian.sectors]),
                           model.states)
     size = len(model.states)
@@ -401,7 +401,7 @@ def dense_quadrature(state, model, radiated_only=True):
     amps = amps + dressing @ (p.conj().T @ amps)
     amps /= np.linalg.norm(amps)
     basis = rd.emission_basis(config)
-    occupations = np.array([basis.occupations(i) for i in range(basis.dimension)])
+    occupations = np.column_stack(np.unravel_index(np.arange(basis.dimension), basis.dims))
     conserved = np.column_stack([(occupations[:, :2] == E1).sum(axis=1) + occupations[:, 2],
                                  (occupations[:, :2] == G2).sum(axis=1)])
     w = np.empty(basis.dimension)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import stepwise_oracle as so
-from kronecker_oracles import build_hamiltonian, commutator_norm
+from kronecker_oracles import (build_hamiltonian, combine_labels, commutator_norm,
+                               conserved_labels, evolve, occupation_labels)
+from test_zeno_two_level import assert_survival_past_underflow
 from zenolock import hilbert as h
 from zenolock import zeno_multilevel as zm
 from zenolock import zeno_two_level as z2
@@ -26,10 +28,8 @@ def hand_written_numbers(config, basis):
         upper_1, upper_2 = [0, 1, 0], [0, 0, 1]
     else:
         upper_1, upper_2 = [0, 0, 1, 0], [0, 0, 0, 1]
-    n1 = h.occupation_labels(basis, [upper_1, upper_1,
-                                     list(range(c1 + 1)), [0] * (c2 + 1)])
-    n2 = h.occupation_labels(basis, [upper_2, upper_2,
-                                     [0] * (c1 + 1), list(range(c2 + 1))])
+    n1 = occupation_labels(basis, [upper_1, upper_1, list(range(c1 + 1)), [0] * (c2 + 1)])
+    n2 = occupation_labels(basis, [upper_2, upper_2, [0] * (c1 + 1), list(range(c2 + 1))])
     return n1, n2
 
 
@@ -48,11 +48,11 @@ class TestSchemeModel:
         basis = z2.pair_basis(config)
         if scheme == "two":
             # excited atoms plus photons
-            expected = h.occupation_labels(basis, [[0, 1], [0, 1],
-                                                   list(range(config.fock_cutoffs[0] + 1))])
+            expected = occupation_labels(basis, [[0, 1], [0, 1],
+                                                 list(range(config.fock_cutoffs[0] + 1))])
         else:
-            expected = h.combine_labels(*hand_written_numbers(config, basis))
-        assert np.array_equal(z2.conserved_labels(config), expected)
+            expected = combine_labels(*hand_written_numbers(config, basis))
+        assert np.array_equal(conserved_labels(config), expected)
 
     @pytest.mark.parametrize("scheme", sorted(PAIRS))
     @pytest.mark.parametrize("n", [0, 3])
@@ -88,7 +88,7 @@ class TestHamiltonians:
         config = zm.three_level_config(photon_number=2)
         ham = build_hamiltonian(config, coupled=False)
         state = zm.subradiant_state(config)
-        evolved = h.evolve(state, ham, 0.37)
+        evolved = evolve(state, ham, 0.37)
         # identical atoms: both subradiant halves pick up pure phases
         populations = np.abs(evolved.amplitudes) ** 2
         np.testing.assert_allclose(populations, np.abs(state.amplitudes) ** 2,
@@ -126,7 +126,7 @@ class TestHamiltonians:
         state = zm.subradiant_state(config)
         injected = so.replace_mode_state(so.replace_mode_state(state, 2, 2), 3, 2)
         for t in (0.01, 0.4):
-            dense = h.evolve(injected, ham, t)
+            dense = evolve(injected, ham, t)
             blocked = evolver.evolve(injected, t)
             np.testing.assert_allclose(blocked.amplitudes, dense.amplitudes, atol=1e-10)
 
@@ -148,7 +148,7 @@ class TestInitialStates:
         basis = state.basis
         swapped = np.zeros_like(state.amplitudes)
         for i, amp in enumerate(state.amplitudes):
-            a, b, m1, m2 = basis.occupations(i)
+            a, b, m1, m2 = np.unravel_index(i, basis.dims)
             swapped[basis.index([b, a, m1, m2])] = amp
         np.testing.assert_allclose(swapped, -state.amplitudes, atol=1e-15)
 
@@ -279,13 +279,15 @@ class TestProtocol:
                                    stepwise.final_state.amplitudes, atol=1e-10)
 
     @pytest.mark.filterwarnings("error")
-    def test_survival_underflow_raises(self):
-        # the CLI's [zeno4] cycle_times = 0.05, final_time = 5000
-        config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.05,
-                                                  final_time=5000.0)
-        with pytest.raises(z2.ProtocolError,
-                           match="^survival underflowed to zero by cycle 74250$"):
-            zm.run_four_level_protocol(config, max_trace_points=400)
+    def test_survival_past_underflow_reaches_zero(self):
+        # the CLI's [zeno4] cycle_times = 0.05, final_time = 5000, which once
+        # raised "survival underflowed to zero by cycle 74250"
+        def run(final_time, points):
+            config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.05,
+                                                      final_time=final_time)
+            return zm.run_four_level_protocol(config, max_trace_points=points)
+
+        assert_survival_past_underflow(run, 400)
 
     def test_matches_exponential_form(self):
         config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.002,
@@ -332,7 +334,7 @@ class TestProtocol:
         config = four_level_small()
         drift = build_hamiltonian(config, coupled=False)
         evolver = h.BlockEvolver(zm.build_sector_hamiltonian(config))
-        state = h.evolve(zm.subradiant_state(config), drift, config.free_interval)
+        state = evolve(zm.subradiant_state(config), drift, config.free_interval)
         state = so.replace_mode_state(state, 2, config.photon_number)
         state = so.replace_mode_state(state, 3, config.photon_number)
         state = evolver.evolve(state, config.measure_interval)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import stepwise_oracle as so
-from kronecker_oracles import basis_state, build_hamiltonian, commutator_norm
+from kronecker_oracles import basis_state, build_hamiltonian, commutator_norm, conserved_labels
 from zenolock import hilbert as h
 from zenolock import zeno_multilevel as zm
 from zenolock import zeno_two_level as z2
@@ -75,7 +75,7 @@ class TestHamiltonian:
     def test_conserves_total_excitation(self):
         config = small_config()
         ham = build_hamiltonian(config, coupled=True)
-        labels = z2.conserved_labels(config)
+        labels = conserved_labels(config)
         number = h.OperatorMatrix(ham.basis, np.diag(labels.astype(complex)),
                                   hermitian=True)
         assert commutator_norm(ham, number) < 1e-12
@@ -105,7 +105,7 @@ class TestPairStates:
         basis = sub.basis
         swapped = np.zeros_like(sub.amplitudes)
         for i, amp in enumerate(sub.amplitudes):
-            a, b, m = basis.occupations(i)
+            a, b, m = np.unravel_index(i, basis.dims)
             swapped[basis.index([b, a, m])] = amp
         np.testing.assert_allclose(swapped, -sub.amplitudes, atol=1e-15)
 
@@ -185,8 +185,8 @@ class TestMeasurementSegment:
         drifted = so.free_drift(z2.subradiant_state(config, 0), config)
         measured = so.measurement_segment(drifted, config)
         basis = measured.basis
-        p_gg = measured.probability([z2.G, z2.G, n + 1])
-        p_ee = measured.probability([z2.E, z2.E, n - 1])
+        p_gg = abs(measured.amplitudes[basis.index([z2.G, z2.G, n + 1])]) ** 2
+        p_ee = abs(measured.amplitudes[basis.index([z2.E, z2.E, n - 1])]) ** 2
         scale = (tau * delta) ** 2
         assert p_gg == pytest.approx(scale * (n + 1) / (2 * n + 1), rel=0.02)
         assert p_ee == pytest.approx(scale * n / (2 * n + 1), rel=0.02)
@@ -318,12 +318,29 @@ class TestRunProtocol:
         assert np.linalg.norm(trace.final_state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    def test_survival_underflow_raises(self):
-        # the CLI's [zeno2] cycle_times = 0.05, final_time = 5000
-        config = z2.config_for_cycle_time(0.05, 5000.0)
-        with pytest.raises(z2.ProtocolError,
-                           match="^survival underflowed to zero by cycle 74125$"):
-            z2.run_protocol(config, max_trace_points=800)
+    def test_survival_past_underflow_reaches_zero(self):
+        # the CLI's [zeno2] cycle_times = 0.05, final_time = 5000, which once
+        # raised "survival underflowed to zero by cycle 74125"
+        assert_survival_past_underflow(
+            lambda final_time, points: z2.run_protocol(z2.config_for_cycle_time(0.05, final_time),
+                                                       max_trace_points=points), 800)
+
+    def test_exactly_zero_survival_raises(self):
+        # a nilpotent map empties the state at the second cycle; a state that
+        # only shrinks is scaled by powers of two, and its norms are exact
+        record = np.arange(1, 5)
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(z2.ProtocolError, match="^survival is exactly zero by cycle 2$"):
+            z2._recorded_survival(nilpotent, np.array([0.0, 1.0], dtype=complex), record)
+        record = np.arange(1, 9)
+        shrinking = np.diag([2.0**-100, 2.0**-101]).astype(complex)
+        survival, exponents, x = z2._recorded_survival(
+            shrinking, np.array([1.0, 0.0], dtype=complex), record)
+        assert np.array_equal(np.log2(survival[:, 1]) + exponents, -200.0 * record)
+        assert np.array_equal(np.log2(survival[:, 0]) + exponents, -200.0 * (record - 1))
+        # rescaled to 0.5 after cycles 4 and 7, below 2**-600
+        assert exponents.tolist() == [0] * 4 + [-798] * 3 + [-1398]
+        assert np.abs(x).max() == 2.0**-101
 
     def test_unresolvable_cycle_error_raises(self):
         # (Delta tau)^2 = 4e-18 is below the rounding of the cycle map's norm,
@@ -482,8 +499,9 @@ class TestRecordChunks:
         x = rng.standard_normal(len(cycle_map)) + 1j * rng.standard_normal(len(cycle_map))
         record = z2._record_cycles(stride * records - (stride > 1), records)
         assert len(record) == records
-        survival, last = z2._recorded_survival(cycle_map, x, record)
+        survival, exponents, last = z2._recorded_survival(cycle_map, x, record)
         expected, expected_last = survival_state_by_state(cycle_map, x, record)
+        assert not exponents.any()
         np.testing.assert_array_equal(survival, expected)
         np.testing.assert_array_equal(last, expected_last)
 
@@ -498,3 +516,28 @@ class TestRecordChunks:
                                    atol=1e-10)
         np.testing.assert_allclose(compiled.final_state.amplitudes,
                                    stepwise.final_state.amplitudes, atol=1e-10)
+
+
+def assert_survival_past_underflow(run, points):
+    """A run at cycle 0.05 to t = 5000 against its own first 2000 time units.
+
+    ``run(final_time, max_trace_points)`` runs the pair.  Its survival falls
+    below 2**-600 near t = 2080, below the smallest normal float near t = 3540
+    and to 0.0 near t = 3700.  Up to t = 2000 the run is bit for bit the
+    shorter run with the same recorded cycles; past it the survival keeps the
+    closed form's exponent until it rounds to 0.0, and every value stays
+    finite.
+    """
+    trace = run(5000.0, points)
+    short = run(2000.0, points * 2 // 5)
+    for name in ("times", "p_success", "p_error_per_cycle", "analytic_p_s"):
+        np.testing.assert_array_equal(getattr(trace, name)[:len(short.times)],
+                                      getattr(short, name))
+        assert np.all(np.isfinite(getattr(trace, name)))
+    assert trace.p_success[-1] == 0.0
+    normal = trace.p_success > np.finfo(float).tiny
+    assert trace.times[normal][-1] > 3500.0
+    np.testing.assert_allclose(np.log(trace.p_success[normal]),
+                               np.log(trace.analytic_p_s[normal]), rtol=0.01, atol=0.01)
+    np.testing.assert_allclose(trace.p_error_per_cycle[1:], trace.p_error_per_cycle[-1],
+                               rtol=1e-9)
