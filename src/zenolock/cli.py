@@ -64,13 +64,13 @@ _MAX_TRACE_POINTS = _MAX_ENTRIES // 4 - 2
 # static bounds; bounds that involve two keys are checked in the handlers.
 #
 # The size keys (the Zeno photon number n, the readout emission cutoff c)
-# cap the basis dimension d.  Every run holds state vectors and sector
-# blocks, which grow linearly with d, and the Zeno cycle-map build
-# propagates every atom state with empty modes as one batch, a (d, 4) array
-# for zeno2 and a (d, 16) array for zeno4.  The readout emission sectors hold
-# at most 9 states each.  With the default Fock cutoff of n + 2 for every
-# mode the caps keep d = 4(n + 3) <= 2044 for zeno2, d = 16(n + 3)^2 <= 65,536
-# for zeno4 and d = 16(c + 1) <= 2048 for readout.
+# cap the basis dimension d.  A Zeno run evolves only the at most 12 (zeno2)
+# or 56 (zeno4) states its start reaches; what still grows with d is its
+# initial and final state vectors and the reach's mask of held states.  The
+# readout emission sectors hold at most 9 states each.  With the default
+# Fock cutoff of n + 2 for every mode the caps keep d = 4(n + 3) <= 2044 for
+# zeno2, d = 16(n + 3)^2 <= 65,536 for zeno4 and d = 16(c + 1) <= 2048 for
+# readout.
 SCHEMA = {
     "dephasing": {
         "atom_count": Key("100", int, minimum=1),

@@ -5,9 +5,9 @@ and then modes.  Every Hamiltonian in this package is piecewise constant, so
 time evolution is exact through eigendecompositions computed once.  Each
 exchange term moves one atom between one pair of levels, so evolution from a
 start touches only the states that chains of its entries link to it; a
-Hamiltonian is assembled and evolved on those alone, by connected sector,
-with no dense operator of the full basis (the dense assembler is the tests'
-oracle).  The Zeno protocols inject, project and remove photons on the
+Hamiltonian is assembled and evolved on those alone, by connected sector and
+in the coordinates of the held states, with no dense operator or energy
+vector of the full basis (the dense assembler is the tests' oracle).  The Zeno protocols inject, project and remove photons on the
 atom-sector amplitudes of their cycle map, so there are no state-level mode
 operations here.  hbar = 1 throughout; all frequencies are angular unless a
 module says otherwise.
@@ -105,9 +105,6 @@ class ProductBasis:
         """Flat index of the product state with the given local occupations."""
         return int(np.ravel_multi_index(tuple(occupations), self.dims))
 
-    def atom_indices(self) -> tuple:
-        return tuple(i for i, s in enumerate(self.subsystems) if isinstance(s, Atom))
-
 
 def build_basis(specs: Sequence[SubsystemSpec]) -> ProductBasis:
     """Build a product basis, reordering subsystems atoms-first.
@@ -203,13 +200,24 @@ class OperatorMatrix:
                 f"hermitian={self.hermitian})")
 
 
-def _diagonal(basis: ProductBasis, diagonal_weights) -> np.ndarray:
-    """Energy of every basis state: one weight vector per subsystem, summed over occupations."""
-    diagonal = np.zeros(basis.dimension)
-    for weights, occ in zip(diagonal_weights,
-                            np.unravel_index(np.arange(basis.dimension), basis.dims)):
+def _diagonal(basis: ProductBasis, diagonal_weights, states: np.ndarray) -> np.ndarray:
+    """Energy of each of ``states``: one weight vector per subsystem, summed over occupations."""
+    diagonal = np.zeros(len(states))
+    for weights, occ in zip(diagonal_weights, np.unravel_index(states, basis.dims)):
         diagonal += np.asarray(weights, dtype=float)[occ]
     return diagonal
+
+
+def _largest_energy(diagonal_weights) -> float:
+    """max |:func:`_diagonal`| over the whole basis, bit for bit, from the weights alone.
+
+    Rounding is monotone, so the largest and smallest sums are the sums, in
+    subsystem order, of each subsystem's largest and smallest weights.
+    """
+    high = low = 0.0
+    for weights in diagonal_weights:
+        high, low = high + np.max(weights), low + np.min(weights)
+    return float(max(abs(high), abs(low)))
 
 
 def _exchange_entries(basis: ProductBasis, exchange_terms, states: np.ndarray) -> tuple:
@@ -269,30 +277,27 @@ def _components(count: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 class SectorHamiltonian(NamedTuple):
     """A Hermitian Hamiltonian stored as the sector blocks a start reaches.
 
-    ``diagonal`` holds the energy of every basis state (the Hamiltonian without
-    its exchange terms); ``sectors`` pairs the basis indices of each reached
-    sector (ascending, sectors in the order of their smallest states) with its
-    Hermitian block.
+    ``diagonal_weights`` gives the energy of every basis state (the
+    Hamiltonian without its exchange terms), as in :func:`_diagonal`;
+    ``sectors`` pairs the basis indices of each reached sector (ascending,
+    sectors in the order of their smallest states) with its Hermitian block.
     """
 
     basis: ProductBasis
-    diagonal: np.ndarray
+    diagonal_weights: tuple
     sectors: tuple
 
 
 def assemble_sectors(basis: ProductBasis, diagonal_weights, exchange_terms,
-                     start: np.ndarray) -> SectorHamiltonian:
+                     start) -> SectorHamiltonian:
     """The Hamiltonian of :func:`_exchange_entries` on the sectors ``start`` reaches.
 
-    ``start`` is one amplitude vector or a (dimension, k) batch of them.
-    Evolution from it stays in the states that chains of exchange entries
-    link to its nonzero rows, and only those are assembled: the sectors are
-    the connected components of their entries, and each block is the dense
-    Hamiltonian on its sector bit for bit.  ``diagonal_weights`` gives the
-    ``diagonal`` of every basis state, as in :func:`_diagonal`.
+    ``start`` holds basis indices.  Evolution from them stays in the states
+    that chains of exchange entries link to them, and only those are
+    assembled: the sectors are the connected components of their entries,
+    and each block is the dense Hamiltonian on its sector bit for bit.
     """
-    states = _reach(basis, exchange_terms,
-                    np.flatnonzero(start.reshape(len(start), -1).any(axis=1)))
+    states = _reach(basis, exchange_terms, np.asarray(start, dtype=np.intp))
     rows, cols, values = _exchange_entries(basis, exchange_terms, states)
     rows, cols = np.searchsorted(states, rows), np.searchsorted(states, cols)
     root = _components(len(states), rows, cols)
@@ -308,94 +313,86 @@ def assemble_sectors(basis: ProductBasis, diagonal_weights, exchange_terms,
         # position of entry (rows, cols) in the concatenated row-major blocks
         return offsets[sector[rows]] + local[rows] * sizes[sector[rows]] + local[cols]
 
-    diagonal = _diagonal(basis, diagonal_weights)
     blocks = np.zeros(int(np.sum(sizes**2)), dtype=complex)
-    blocks[flat(order, order)] = diagonal[states[order]]
+    blocks[flat(order, order)] = _diagonal(basis, diagonal_weights, states[order])
     np.add.at(blocks, flat(rows, cols), values)
     np.add.at(blocks, flat(cols, rows), values)
     blocks.flags.writeable = False
-    diagonal.flags.writeable = False
     sectors = tuple((states[idx], blocks[offset:offset + n * n].reshape(n, n))
                     for idx, offset, n in zip(np.split(order, first[1:]), offsets, sizes))
-    return SectorHamiltonian(basis, diagonal, sectors)
-
-
-def _rowwise(factors: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """``factors`` times ``amps``, which is one array of their shape or a batch of columns."""
-    return factors.reshape(factors.shape + (1,) * (amps.ndim - factors.ndim)) * amps
+    return SectorHamiltonian(basis, tuple(diagonal_weights), sectors)
 
 
 # perfbench/tracer.py wraps this name; the tests' dense evolution calls it
 def _propagate(hamiltonian: OperatorMatrix, amps: np.ndarray, duration: float) -> np.ndarray:
     """Dense propagation of one amplitude vector or a (dimension, k) batch of them."""
     w, v = hamiltonian.eigensystem()
-    return v @ _rowwise(np.exp(-1j * duration * w), v.conj().T @ amps)
+    phases = np.exp(-1j * duration * w)
+    return v @ (phases.reshape(phases.shape + (1,) * (amps.ndim - 1)) * (v.conj().T @ amps))
 
 
 def _propagate_diagonal(energies: np.ndarray, amps: np.ndarray,
                         duration: float) -> np.ndarray:
-    """Exact propagation under a diagonal Hamiltonian given by its energies.
-
-    ``amps`` has the shape of ``energies`` or is a batch of such columns
-    along a trailing axis.
-    """
-    return _rowwise(np.exp(-1j * duration * energies), amps)
+    """Exact propagation of ``amps`` under the diagonal Hamiltonian of ``energies``, same shape."""
+    return np.exp(-1j * duration * energies) * amps
 
 
 class BlockEvolver:
-    """Exact evolution sector by sector.
+    """Exact evolution sector by sector, on the states the sectors hold.
 
     Eigendecomposes every block of a :class:`SectorHamiltonian` at
     construction, one stacked ``eigh`` per group of equal-size blocks; no
     operator of the full basis is formed, and no other code solves a block.
-    It holds the sectors that :func:`assemble_sectors` built for a start.
-    Each block gets the eigensystem and products that a block on its own
-    would, bit for bit, which the tests assert with agreement to 1e-10 with
-    the dense path.
+    ``states`` lists the held basis states, the sectors' in sector order, and
+    :meth:`propagate` and :meth:`eigensystem` work on positions in it.  Each
+    block gets the eigensystem and products that a block on its own would,
+    bit for bit, which the tests assert with agreement to 1e-10 with the
+    dense path.
     """
 
     def __init__(self, hamiltonian: SectorHamiltonian):
         self.basis = hamiltonian.basis
-        by_size = {}
+        self.states = np.concatenate([np.zeros(0, dtype=np.intp)]
+                                     + [idx for idx, _ in hamiltonian.sectors])
+        by_size, start = {}, 0
         for idx, block in hamiltonian.sectors:
-            by_size.setdefault(len(idx), []).append((idx, block))
-        self._groups = tuple((np.array([idx for idx, _ in members]),
+            by_size.setdefault(len(idx), []).append((np.arange(start, start + len(idx)), block))
+            start += len(idx)
+        self._groups = tuple((np.array([span for span, _ in members]),
                               *np.linalg.eigh(np.array([block for _, block in members])))
                              for members in by_size.values())
 
     def propagate(self, amplitudes: np.ndarray, duration: float) -> np.ndarray:
-        """exp(-i H t) on one amplitude vector or a (dimension, k) batch of them.
+        """exp(-i H t) on a (held states, k) batch of amplitude columns, row i on states[i].
 
         Each group of equal-size blocks costs one stacked product for all
-        its blocks and columns.  Amplitudes outside the held sectors are
-        dropped unchecked; :meth:`evolve` checks them.
+        its blocks and columns.
         """
-        out = np.zeros_like(amplitudes)
-        for idx, w, v in self._groups:
-            sub = amplitudes[idx][..., None] if amplitudes.ndim == 1 else amplitudes[idx]
+        out = np.empty_like(amplitudes)
+        for span, w, v in self._groups:
             phase = np.exp(-1j * duration * w)[..., None]
-            moved = v @ (phase * (v.conj().swapaxes(1, 2) @ sub))
-            out[idx] = moved.reshape(idx.shape + amplitudes.shape[1:])
+            out[span] = v @ (phase * (v.conj().swapaxes(1, 2) @ amplitudes[span]))
         return out
 
-    def eigensystem(self, states: np.ndarray) -> tuple:
-        """Eigenvalues and block-diagonal eigenvectors on ``states``, every held state once.
+    def eigensystem(self) -> tuple:
+        """Eigenvalues and block-diagonal eigenvectors on ``states``.
 
         Row i belongs to states[i]; each block's eigenpairs, ascending, take its states' places.
         """
-        where = np.zeros(self.basis.dimension, dtype=np.int64)
-        where[states] = np.arange(len(states))
-        values, vectors = np.empty(len(states)), np.zeros((len(states),) * 2, dtype=complex)
-        for idx, w, v in self._groups:
-            values[where[idx]] = w
-            vectors[where[idx][:, :, None], where[idx][:, None, :]] = v
+        values = np.empty(len(self.states))
+        vectors = np.zeros((len(self.states),) * 2, dtype=complex)
+        for span, w, v in self._groups:
+            values[span] = w
+            vectors[span[:, :, None], span[:, None, :]] = v
         return values, vectors
 
     def evolve(self, state: StateVector, duration: float) -> StateVector:
         """:meth:`propagate` on a state; ValueError if it has weight outside the held sectors."""
         if state.basis != self.basis:
             raise BasisMismatchError("state lives on a different basis")
-        held = sum(np.count_nonzero(state.amplitudes[idx]) for idx, _, _ in self._groups)
-        if held != np.count_nonzero(state.amplitudes):
+        held = state.amplitudes[self.states]
+        if np.count_nonzero(held) != np.count_nonzero(state.amplitudes):
             raise ValueError("state has weight outside the sectors the evolver holds")
-        return _bare_state(state.basis, self.propagate(state.amplitudes, float(duration)))
+        amps = np.zeros_like(state.amplitudes)
+        amps[self.states] = self.propagate(held[:, None], float(duration))[:, 0]
+        return _bare_state(state.basis, amps)

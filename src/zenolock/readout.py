@@ -314,8 +314,9 @@ class _EmissionModel:
         self.mode_frequency = mode_frequency
         subspace = _resonant_subspace(config)
         hamiltonian = h.assemble_sectors(*_rotating_frame_terms(config, mode_frequency),
-                                         subspace)
-        self.states = np.concatenate([idx for idx, _ in hamiltonian.sectors])
+                                         np.flatnonzero(subspace.any(axis=1)))
+        evolver = h.BlockEvolver(hamiltonian)
+        self.states = evolver.states
         self.p_matrix = subspace[self.states]
         atom_a, atom_b, photons = np.unravel_index(self.states, hamiltonian.basis.dims)
         self.two_quanta = photons + (atom_a == E1) + (atom_b == E1) >= 2  # L >= 2
@@ -324,7 +325,7 @@ class _EmissionModel:
         for idx, block in hamiltonian.sectors:
             matrix[start:start + len(idx), start:start + len(idx)] = block
             start += len(idx)
-        self.eigenvalues, self.eigenvectors = h.BlockEvolver(hamiltonian).eigensystem(self.states)
+        self.eigenvalues, self.eigenvectors = evolver.eigensystem()
         bare_energies = matrix.diagonal().real
         couplings = (matrix - np.diag(bare_energies.astype(complex))) @ self.p_matrix
         couplings -= self.p_matrix @ (self.p_matrix.conj().T @ couplings)

@@ -19,9 +19,8 @@ is the scheme with one transition; :mod:`zeno_multilevel` adds the others.
 All quantities are dimensionless angular frequencies and times (hbar = 1).
 """
 
-import functools
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -196,14 +195,11 @@ def build_sector_hamiltonian(config) -> h.SectorHamiltonian:
 
     The window starts from every atom state with n photons in every mode (see
     :func:`coupling_window`), and each photon exchange moves one atom between
-    the levels of one transition, so its sectors hold a few states each.  Its
-    ``diagonal`` is the uncoupled Hamiltonian of the free drift on the whole
-    basis.
+    the levels of one transition, so its sectors hold a few states each.
     """
     basis, weights, exchange = _hamiltonian_terms(config, True)
-    atom_dim, _, injected = _injected_modes(config, basis)
-    start = np.arange(basis.dimension) % (basis.dimension // atom_dim) == injected
-    return h.assemble_sectors(basis, weights, exchange, start)
+    return h.assemble_sectors(basis, weights, exchange,
+                              _atom_states(basis, config.photon_number))
 
 
 # perfbench/tracer.py wraps this name; a def, not an alias, keeps the wrap on it
@@ -321,47 +317,43 @@ def _record_cycles(total_cycles: int, max_points: int) -> np.ndarray:
     return recorded
 
 
-def _injected_modes(config, basis: h.ProductBasis) -> tuple:
-    """Atom-sector dimension, mode dimensions and the flat mode index of n photons in each."""
-    atoms = len(basis.atom_indices())
-    mode_dims = basis.dims[atoms:]
-    return (int(np.prod(basis.dims[:atoms])), mode_dims,
-            int(np.ravel_multi_index((config.photon_number,) * len(mode_dims), mode_dims)))
+def _atom_states(basis: h.ProductBasis, photons: int) -> np.ndarray:
+    """Basis index of every atom state, in order, with ``photons`` photons in every mode."""
+    modes = len(basis.dims) - 2
+    return (np.arange(basis.dims[0] * basis.dims[1]) * basis.strides[1]
+            + basis.index([0, 0] + [photons] * modes))
 
 
-def coupling_window(config, basis: h.ProductBasis,
-                    drift: Callable[[np.ndarray, float], np.ndarray],
-                    couple: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
+def _injected(config, evolver: h.BlockEvolver) -> np.ndarray:
+    """Positions in ``evolver.states`` of the atom states with n photons in every mode."""
+    injected = _atom_states(evolver.basis, config.photon_number)
+    return np.nonzero(evolver.states == injected[:, None])[1]
+
+
+def coupling_window(config, evolver: h.BlockEvolver, drift: np.ndarray) -> np.ndarray:
     """One cycle up to the photon-number projection, for every atom basis state at once.
 
-    Each atom basis state starts with every mode empty.  Their columns are
-    propagated as one (dimension, atom states) batch: the free drift by
-    ``drift(amplitudes, duration)``, then n photons are injected into every
-    mode, and the coupling window by ``couple(amplitudes, duration)``.
-    Returns the amplitudes shaped (atom states, photons in mode 1, photons
-    in mode 2, ..., starting atom state).  Every step is linear, so the
-    window of any start x with empty modes is ``window @ x``.
+    Column i starts from atom basis state i with every mode empty.  Its free
+    drift is the phase ``drift[i]``; injecting n photons into every mode puts
+    that phase on the held state of atom state i with n photons in every
+    mode, and ``evolver`` propagates the (held states, atom states) batch
+    over the coupling window.  Every step is linear, so the window of any
+    start x with empty modes is ``window @ x``, row i on ``evolver.states[i]``.
     """
-    atom_dim, mode_dims, injected = _injected_modes(config, basis)
-    amps = np.zeros((basis.dimension, atom_dim), dtype=complex)
-    amps.reshape(atom_dim, -1, atom_dim)[:, 0] = np.eye(atom_dim)
-    amps = drift(amps, config.free_interval)
-    view = amps.reshape(atom_dim, -1, atom_dim)
-    vacuum = view[:, 0].copy()
-    view[:] = 0.0
-    view[:, injected] = vacuum
-    return couple(amps, config.measure_interval).reshape(atom_dim, *mode_dims, atom_dim)
+    amps = np.zeros((len(evolver.states), len(drift)), dtype=complex)
+    amps[_injected(config, evolver), np.arange(len(drift))] = drift
+    return evolver.propagate(amps, config.measure_interval)
 
 
-def cycle_matrix(config, window: np.ndarray) -> np.ndarray:
+def cycle_matrix(config, evolver: h.BlockEvolver, window: np.ndarray) -> np.ndarray:
     """Per-cycle success-branch map on the atom sector with every mode empty.
 
     Column i is one cycle applied to atom basis state i: its
-    :func:`coupling_window` with the n-photon component of every mode read
-    off.  Every step is linear, so the squared norm of the iterated vector
-    is the cumulative success probability.
+    :func:`coupling_window` read off at the atom states with n photons in
+    every mode.  Every step is linear, so the squared norm of the iterated
+    vector is the cumulative success probability.
     """
-    return window[(slice(None),) + (config.photon_number,) * (window.ndim - 2)]
+    return window[_injected(config, evolver)]
 
 
 def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray) -> tuple:
@@ -420,11 +412,12 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
              max_trace_points: int = 2000) -> SurvivalTrace:
     """Iterate Zeno cycles of any scheme's pair from ``initial`` until ``config.final_time``.
 
-    ``initial`` must have every mode empty.  ``hamiltonian`` is the coupled
-    Hamiltonian by sector, and must hold the sectors of every atom state with
-    n photons in every mode, as :func:`build_sector_hamiltonian` does: a
-    :class:`hilbert.BlockEvolver` of its blocks drives the coupling window and
-    drops amplitude outside them, and its ``diagonal`` drives the free drift.
+    ``initial`` must have every mode empty (ValueError otherwise).
+    ``hamiltonian`` is the coupled Hamiltonian by sector, and must hold the
+    sectors of every atom state with n photons in every mode, as
+    :func:`build_sector_hamiltonian` does: a :class:`hilbert.BlockEvolver` of
+    its blocks drives the coupling window, and its ``diagonal_weights`` give
+    the energies of the empty-mode states, which drive the free drift.
     The run works on the atom sector with the per-cycle map (see
     :func:`cycle_matrix`), read off one batched :func:`coupling_window`.
     Every stride-th cycle and the last are recorded, at most
@@ -449,42 +442,48 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     and so does a positive rate whose closed-form per-cycle error
     ``rate * cycle_time`` falls below :data:`MIN_CYCLE_ERROR` (also when it
     underflows to zero), and so does a free drift whose largest phase
-    rounding error eps max|E| tau exceeds :data:`MAX_DRIFT_PHASE_ERROR`.
+    rounding error eps max|E| tau, over every basis state, exceeds
+    :data:`MAX_DRIFT_PHASE_ERROR`.
     """
+    basis = hamiltonian.basis
+    empty = _atom_states(basis, 0)
+    x = initial.amplitudes[empty]
+    if np.count_nonzero(x) != np.count_nonzero(initial.amplitudes):
+        raise ValueError("initial state has weight on a state with photons")
     mean_square = mean_square_splitting(config.deltas())
     rate = mean_square * config.cycle_time
     if rate > 0.0 and rate * config.cycle_time < MIN_CYCLE_ERROR:
         raise ProtocolError(
             f"closed-form per-cycle error {rate * config.cycle_time:.3e} is below "
             f"{MIN_CYCLE_ERROR:.3e}, where rounding of the cycle map dominates the survival")
-    largest = float(np.max(np.abs(hamiltonian.diagonal)))
+    largest = h._largest_energy(hamiltonian.diagonal_weights)
     phase_error = np.finfo(float).eps * largest * config.free_interval
     if phase_error > MAX_DRIFT_PHASE_ERROR:
         raise ProtocolError(
             f"free-drift phase of the largest energy {largest:.3e} over the free interval "
             f"{config.free_interval:.3e} carries a rounding error of {phase_error:.3e} rad, "
             f"above {MAX_DRIFT_PHASE_ERROR:.0e} rad")
-    drift = functools.partial(h._propagate_diagonal, hamiltonian.diagonal)
+    energies = h._diagonal(basis, hamiltonian.diagonal_weights, empty)
     cycle = config.cycle_time
     cycles = int(math.floor(config.final_time / cycle + 1e-9))
     remainder = max(0.0, config.final_time - cycles * cycle)
     out_of_regime = mean_square * (config.free_interval * config.free_interval) > 1.0
 
     record = _record_cycles(cycles, max_trace_points)
-    window = coupling_window(config, initial.basis, drift, h.BlockEvolver(hamiltonian).propagate)
-    cycle_map = cycle_matrix(config, window)
-    atom_dim = cycle_map.shape[0]
-    x = initial.amplitudes.reshape(atom_dim, -1)[:, 0].copy()
+    evolver = h.BlockEvolver(hamiltonian)
+    window = coupling_window(config, evolver, np.exp(-1j * config.free_interval * energies))
+    cycle_map = cycle_matrix(config, evolver, window)
     populations = np.abs(window @ x) ** 2
-    max_tail = max(float(np.sum(np.moveaxis(populations, axis, 0)[config.photon_number + 2:]))
-                   for axis in range(1, populations.ndim))
+    max_tail = max(float(np.sum(populations[photons > config.photon_number + 1]))
+                   for photons in np.unravel_index(evolver.states, basis.dims)[2:])
 
     survival, exponents, x = _recorded_survival(cycle_map, x, record)
-    amps = np.zeros(initial.basis.dimension, dtype=complex)
-    amps.reshape(atom_dim, -1)[:, 0] = x / np.linalg.norm(x)
+    x = x / np.linalg.norm(x)
     if remainder > 0.0:
-        amps = drift(amps, remainder)
-    final = StateVector(initial.basis, amps)
+        x = h._propagate_diagonal(energies, x, remainder)
+    amps = np.zeros(basis.dimension, dtype=complex)
+    amps[empty] = x
+    final = h._bare_state(basis, amps)
 
     before, after = survival.T
     per_cycle_error = 1.0 - after / before

@@ -106,7 +106,7 @@ def assemble_hamiltonian(basis: h.ProductBasis, diagonal_weights,
     """
     dim = basis.dimension
     m = np.zeros((dim, dim), dtype=complex)
-    m[np.arange(dim), np.arange(dim)] = h._diagonal(basis, diagonal_weights)
+    m[np.arange(dim), np.arange(dim)] = h._diagonal(basis, diagonal_weights, np.arange(dim))
     rows, cols, values = h._exchange_entries(basis, exchange_terms, np.arange(dim))
     np.add.at(m, (rows, cols), values)
     np.add.at(m, (cols, rows), values)

@@ -1,14 +1,16 @@
-"""The Zeno cycle state by state, which the tests use as an oracle.
+"""The Zeno cycle state by state and on the whole basis, which the tests use as an oracle.
 
 The package runs both Zeno protocols as one linear success-branch map on the
-atom sector (``zeno_two_level.cycle_matrix``).  This module keeps the
+atom sector (``zeno_two_level.cycle_matrix``), built from a coupling window
+on the states that the sector Hamiltonian holds.  This module keeps the
 explicit cycle it replaced: free drift, photon injection by swapping the
 mode factor, the coupling window, projective photon-number measurement of
-every mode, and photon removal, each on the full state vector.  The tests
-hold the cycle map and the protocol runs to it.
+every mode, and photon removal, each on the full state vector.  It also keeps
+the window on the whole basis, a (dimension, atom states) batch, and the map
+read off its reshaped photon axes.  The tests hold the cycle map, its window
+and the protocol runs to them.
 """
 
-import functools
 import math
 from typing import Callable, NamedTuple, Optional
 
@@ -120,12 +122,37 @@ def _require_mode_vacuum(state: StateVector, mode_index: int = 2):
         )
 
 
+def diagonal_drift(hamiltonian: h.SectorHamiltonian) -> Callable[[np.ndarray, float], np.ndarray]:
+    """Free drift of one full-basis amplitude vector or a (dimension, k) batch of them.
+
+    The energy of every basis state comes from the Hamiltonian's diagonal
+    weights; the drift multiplies each row by its phase.
+    """
+    basis = hamiltonian.basis
+    energies = h._diagonal(basis, hamiltonian.diagonal_weights, np.arange(basis.dimension))
+
+    def drift(amps: np.ndarray, duration: float) -> np.ndarray:
+        phases = np.exp(-1j * duration * energies)
+        return phases.reshape(phases.shape + (1,) * (amps.ndim - 1)) * amps
+
+    return drift
+
+
+def held_propagate(evolver: h.BlockEvolver) -> Callable[[np.ndarray, float], np.ndarray]:
+    """``evolver.propagate`` on a (dimension, k) batch; rows it does not hold come out zero."""
+    def couple(amps: np.ndarray, duration: float) -> np.ndarray:
+        out = np.zeros_like(amps)
+        out[evolver.states] = evolver.propagate(amps[evolver.states], duration)
+        return out
+
+    return couple
+
+
 def free_drift(state: StateVector, config: z2.TwoLevelConfig) -> StateVector:
     """Exact uncoupled evolution over the free interval (photons removed)."""
     _require_mode_vacuum(state)
-    energies = z2.build_two_level_hamiltonian(config).diagonal
-    return StateVector(state.basis,
-                       h._propagate_diagonal(energies, state.amplitudes, config.free_interval))
+    drift = diagonal_drift(z2.build_two_level_hamiltonian(config))
+    return StateVector(state.basis, drift(state.amplitudes, config.free_interval))
 
 
 def measurement_segment(state: StateVector, config: z2.TwoLevelConfig) -> StateVector:
@@ -156,7 +183,7 @@ def _stepwise_cycle(state: StateVector, config, drift: Callable[[np.ndarray, flo
     probability is the Born weight of the all-n outcome.
     """
     basis = state.basis
-    modes = range(len(basis.atom_indices()), len(basis.dims))
+    modes = range(2, len(basis.dims))  # two atoms, then the modes
     n = config.photon_number
     state = StateVector(basis, drift(state.amplitudes, config.free_interval))
     for mode in modes:
@@ -180,8 +207,7 @@ def zeno_cycle(state: StateVector, config: z2.TwoLevelConfig) -> CycleResult:
     """One full two-atom protocol cycle from an empty cavity; see :func:`_stepwise_cycle`."""
     _require_mode_vacuum(state)
     hamiltonian = z2.build_two_level_hamiltonian(config)
-    return _stepwise_cycle(state, config,
-                           functools.partial(h._propagate_diagonal, hamiltonian.diagonal),
+    return _stepwise_cycle(state, config, diagonal_drift(hamiltonian),
                            h.BlockEvolver(hamiltonian))
 
 
@@ -202,7 +228,7 @@ def run_protocol(config, max_trace_points: int = 2000) -> z2.SurvivalTrace:
             f"{z2.MIN_CYCLE_ERROR:.3e}, where rounding of the cycle map dominates the survival")
     hamiltonian = z2.build_sector_hamiltonian(config)
     evolver = h.BlockEvolver(hamiltonian)
-    drift = functools.partial(h._propagate_diagonal, hamiltonian.diagonal)
+    drift = diagonal_drift(hamiltonian)
     cycle = config.cycle_time
     cycles = int(math.floor(config.final_time / cycle + 1e-9))
     remainder = max(0.0, config.final_time - cycles * cycle)
@@ -247,6 +273,49 @@ def run_protocol(config, max_trace_points: int = 2000) -> z2.SurvivalTrace:
                             p_error_per_cycle=p_error, analytic_p_s=np.exp(-rate * times),
                             final_state=final, out_of_regime=out_of_regime,
                             max_mode_tail=max_tail)
+
+
+def coupling_window(config, basis: ProductBasis,
+                    drift: Callable[[np.ndarray, float], np.ndarray],
+                    couple: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
+    """One cycle up to the photon-number projection, for every atom basis state at once.
+
+    Each atom basis state starts with every mode empty.  Their columns are
+    propagated as one (dimension, atom states) batch on the whole basis: the
+    free drift by ``drift(amplitudes, duration)``, then n photons are
+    injected into every mode, and the coupling window by
+    ``couple(amplitudes, duration)``.  Returns the amplitudes shaped (atom
+    states, photons in mode 1, photons in mode 2, ..., starting atom state).
+    """
+    atom_dim = basis.dims[0] * basis.dims[1]
+    mode_dims = basis.dims[2:]
+    injected = int(np.ravel_multi_index((config.photon_number,) * len(mode_dims), mode_dims))
+    amps = np.zeros((basis.dimension, atom_dim), dtype=complex)
+    amps.reshape(atom_dim, -1, atom_dim)[:, 0] = np.eye(atom_dim)
+    amps = drift(amps, config.free_interval)
+    view = amps.reshape(atom_dim, -1, atom_dim)
+    vacuum = view[:, 0].copy()
+    view[:] = 0.0
+    view[:, injected] = vacuum
+    return couple(amps, config.measure_interval).reshape(atom_dim, *mode_dims, atom_dim)
+
+
+def cycle_matrix(config, window: np.ndarray) -> np.ndarray:
+    """The success-branch map: the :func:`coupling_window` at n photons in every mode."""
+    return window[(slice(None),) + (config.photon_number,) * (window.ndim - 2)]
+
+
+def sector_window(config, hamiltonian: h.SectorHamiltonian) -> np.ndarray:
+    """:func:`coupling_window` through ``hamiltonian``'s diagonal and its held sectors."""
+    return coupling_window(config, hamiltonian.basis, diagonal_drift(hamiltonian),
+                           held_propagate(h.BlockEvolver(hamiltonian)))
+
+
+def window_tail(config, window: np.ndarray, x: np.ndarray) -> float:
+    """Population above n + 1 photons in any mode of the window applied to ``x``."""
+    populations = np.abs(window @ x) ** 2
+    return max(float(np.sum(np.moveaxis(populations, axis, 0)[config.photon_number + 2:]))
+               for axis in range(1, populations.ndim))
 
 
 def two_level_config(free_interval: float, measure_interval: float, final_time: float,

@@ -1,7 +1,5 @@
 """State machinery: bases, operators, exact evolution, measurement."""
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,7 +315,7 @@ class TestBlockEvolver:
         assert commutator_norm(H, _label_operator(basis, labels)) < 1e-12
         evolver = h.BlockEvolver(h.assemble_sectors(
             basis, [(0.0, omega), omega * (np.arange(7) + 0.5)],
-            [(0, 1, 0, 1, 0.5 * coupling)], np.ones(basis.dimension)))
+            [(0, 1, 0, 1, 0.5 * coupling)], np.arange(basis.dimension)))
         rng = np.random.default_rng(4)
         psi = random_state(basis, rng)
         for t in [0.2, 1.7, 6.4]:
@@ -331,24 +329,19 @@ class TestBlockEvolver:
         # that leave some blocks empty and share others
         config = zm.four_level_config_from_deltas(1.0, 0.5, cycle_time=0.02,
                                                   final_time=0.2, photon_number=2)
-        sectors = every_sector(config)
-        evolver = h.BlockEvolver(sectors)
+        evolver = h.BlockEvolver(every_sector(config))
         rng = np.random.default_rng(11)
-        dim = sectors.basis.dimension
-        batch = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
+        held = len(evolver.states)
+        batch = rng.standard_normal((held, 5)) + 1j * rng.standard_normal((held, 5))
         batch[:, 0] = 0.0
-        batch[:, 1] = np.eye(dim)[7]
-        batch[dim // 2:, 2] = 0.0
+        batch[:, 1] = np.eye(held)[7]
+        batch[held // 2:, 2] = 0.0
         for t in (0.01, 0.4):
             together = evolver.propagate(batch, t)
             assert together.shape == batch.shape
             for column, amplitudes in zip(together.T, batch.T):
-                np.testing.assert_allclose(column, evolver.propagate(amplitudes, t),
+                np.testing.assert_allclose(column, evolver.propagate(amplitudes[:, None], t)[:, 0],
                                            rtol=0, atol=1e-15)
-            np.testing.assert_array_equal(
-                h._propagate_diagonal(sectors.diagonal, batch, t),
-                np.column_stack([h._propagate_diagonal(sectors.diagonal, amplitudes, t)
-                                 for amplitudes in batch.T]))
 
     @pytest.mark.parametrize("case", ["zeno2", "zeno4", "unordered"])
     def test_stacked_products_match_per_block_oracle(self, case):
@@ -361,14 +354,14 @@ class TestBlockEvolver:
         assert len(set(sizes)) > 1
         evolver = h.BlockEvolver(sectors)
         rng = np.random.default_rng(21)
-        dim = sectors.basis.dimension
-        batch = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        held = len(evolver.states)
+        batch = rng.standard_normal((held, 3)) + 1j * rng.standard_normal((held, 3))
         sparse = batch.copy()
-        for number, (idx, _) in enumerate(sectors.sectors):
-            if number % 3 == 0 or len(idx) == max(sizes):
-                sparse[idx] = 0.0
+        for number, (span, size) in enumerate(zip(sector_spans(sectors), sizes)):
+            if number % 3 == 0 or size == max(sizes):
+                sparse[span] = 0.0
         for t in (0.001, 0.4):
-            for amplitudes in (batch[:, 0], batch, sparse[:, 0], sparse, sparse[:, :1]):
+            for amplitudes in (batch[:, :1], batch, sparse, sparse[:, :1]):
                 np.testing.assert_array_equal(evolver.propagate(amplitudes, t),
                                               per_block_propagate(sectors, amplitudes, t))
 
@@ -400,7 +393,7 @@ class TestBlockEvolver:
         stacks.clear()
         rng = np.random.default_rng(3)
         psi = random_state(sectors.basis, rng)
-        evolver.propagate(np.column_stack([psi.amplitudes] * 2), 0.1)
+        evolver.propagate(np.column_stack([psi.amplitudes[evolver.states]] * 2), 0.1)
         evolver.evolve(psi, 0.2)
         assert stacks == []
 
@@ -409,7 +402,7 @@ class TestBlockEvolver:
         (first, _), (second, _) = sectors.sectors[:2]
         inside = np.zeros(sectors.basis.dimension, dtype=complex)
         inside[first] = 1.0
-        evolver = h.BlockEvolver(per_sector_rule(sectors, inside))
+        evolver = h.BlockEvolver(per_sector_rule(sectors, first))
         state = h.StateVector(sectors.basis, inside, normalize=True)
         assert np.array_equal(evolver.evolve(state, 0.3).amplitudes,
                               h.BlockEvolver(sectors).evolve(state, 0.3).amplitudes)
@@ -445,50 +438,49 @@ class TestReached:
             batches.append(amplitudes.copy())
             return amplitudes
 
-        drift = functools.partial(h._propagate_diagonal, sectors.diagonal)
-        z2.coupling_window(config, sectors.basis, drift, couple)
+        so.coupling_window(config, sectors.basis, so.diagonal_drift(sectors), couple)
         (batch,) = batches
         assert len(every.sectors) == blocks
         assert len(sectors.sectors) == kept
-        np.testing.assert_array_equal(sectors.diagonal, every.diagonal)
-        # the held sectors, in sector order, are those the batch touches
-        assert_same_sectors(sectors, per_sector_rule(every, batch))
+        np.testing.assert_array_equal(whole_diagonal(sectors), whole_diagonal(every))
+        # the held sectors, in sector order, are those the whole-basis batch touches
+        assert_same_sectors(sectors, per_sector_rule(every, np.flatnonzero(batch.any(axis=1))))
 
     def test_readout_channel_reaches_three_sectors(self):
         config = rd.readout_config()
         model = rd.emission_model(config)
-        subspace = rd._resonant_subspace(config)
-        held = emission_sectors(config, model.mode_frequency, subspace)
+        held = emission_sectors(config, model.mode_frequency, channel_states(config))
         assert len(held.sectors) == 3
         assert sum(len(idx) for idx, _ in held.sectors) == len(model.states) == 21
         assert np.array_equal(np.concatenate([idx for idx, _ in held.sectors]), model.states)
         every = emission_sectors(config, model.mode_frequency,
-                                 np.ones(rd.emission_basis(config).dimension))
-        assert_same_sectors(held, per_sector_rule(every, subspace))
+                                 np.arange(rd.emission_basis(config).dimension))
+        assert_same_sectors(held, per_sector_rule(every, channel_states(config)))
 
     @settings(max_examples=60, deadline=None)
-    @given(case=st.sampled_from(["zeno2", "zeno4"]), columns=st.integers(1, 3), data=st.data())
-    def test_same_sectors_as_the_per_sector_rule(self, case, columns, data):
+    @given(case=st.sampled_from(["zeno2", "zeno4"]), data=st.data())
+    def test_same_sectors_as_the_per_sector_rule(self, case, data):
+        # any start indices, repeated or not, in any order
         config = {"zeno2": default_zeno2_config, "zeno4": default_zeno4_config}[case]()
         basis, weights, exchange = z2._hamiltonian_terms(config, True)
         every = every_sector(config)
-        batch = np.zeros((basis.dimension, columns), dtype=complex)
-        for row, column in data.draw(st.lists(st.tuples(st.integers(0, basis.dimension - 1),
-                                                        st.integers(0, columns - 1)), max_size=8)):
-            batch[row, column] = data.draw(st.sampled_from([1.0, -1e-300, 1e-300j]))
-        for start in (batch, batch[:, 0]):
-            held = h.assemble_sectors(basis, weights, exchange, start)
-            np.testing.assert_array_equal(held.diagonal, every.diagonal)
-            assert_same_sectors(held, per_sector_rule(every, start))
+        start = np.array(data.draw(st.lists(st.integers(0, basis.dimension - 1), max_size=8)),
+                         dtype=np.intp)
+        held = h.assemble_sectors(basis, weights, exchange, start)
+        np.testing.assert_array_equal(whole_diagonal(held), whole_diagonal(every))
+        assert_same_sectors(held, per_sector_rule(every, start))
 
     def test_nothing_reached_holds_no_sector(self):
         config = default_zeno2_config()
         basis, weights, exchange = z2._hamiltonian_terms(config, True)
-        held = h.assemble_sectors(basis, weights, exchange,
-                                  np.zeros((basis.dimension, 2), dtype=complex))
+        held = h.assemble_sectors(basis, weights, exchange, np.zeros(0, dtype=np.intp))
         assert held.sectors == ()
-        batch = np.ones((basis.dimension, 2), dtype=complex)
-        assert np.array_equal(h.BlockEvolver(held).propagate(batch, 0.1), np.zeros_like(batch))
+        evolver = h.BlockEvolver(held)
+        assert evolver.states.shape == (0,)
+        batch = np.ones((0, 2), dtype=complex)
+        assert evolver.propagate(batch, 0.1).shape == (0, 2)
+        with pytest.raises(ValueError, match="outside the sectors"):
+            evolver.evolve(z2.subradiant_state(config), 0.1)
 
     def test_largest_four_level_pair_holds_fourteen_sectors(self):
         # [zeno4] photon_number = 61, the largest the schema admits: 65,536
@@ -496,9 +488,10 @@ class TestReached:
         config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.001,
                                                   final_time=100.0, photon_number=61)
         sectors = zm.build_four_level_hamiltonian(config)
-        assert sectors.basis.dimension == 65536 and len(sectors.diagonal) == 65536
+        assert sectors.basis.dimension == 65536
         assert len(sectors.sectors) == 14
         assert sum(len(idx) for idx, _ in sectors.sectors) == 56
+        assert len(h.BlockEvolver(sectors).states) == 56
 
     @pytest.mark.parametrize("photons", [8, 40])
     def test_four_level_run_equals_the_every_sector_run(self, photons):
@@ -531,15 +524,34 @@ def per_block_propagate(sectors, amplitudes, duration):
     """The sector product block by block: one ``eigh`` and one product per block.
 
     The bit-level oracle of :class:`hilbert.BlockEvolver`, which stacks the
-    blocks of each size.  A block on which every column vanishes stays zero.
+    blocks of each size.  ``amplitudes`` is a (held states, k) batch, its
+    rows on the sectors' states in sector order.  A block on which every
+    column vanishes stays zero.
     """
     out = np.zeros_like(amplitudes)
-    for idx, block in sectors.sectors:
-        sub = amplitudes[idx]
+    for span, (_, block) in zip(sector_spans(sectors), sectors.sectors):
+        sub = amplitudes[span]
         if np.any(sub):
             w, v = np.linalg.eigh(block)
-            out[idx] = v @ h._rowwise(np.exp(-1j * duration * w), v.conj().T @ sub)
+            out[span] = v @ (np.exp(-1j * duration * w)[:, None] * (v.conj().T @ sub))
     return out
+
+
+def sector_spans(sectors):
+    """Per sector, the slice of held-state positions its states take, in sector order."""
+    ends = np.cumsum([len(idx) for idx, _ in sectors.sectors])
+    return [slice(end - len(idx), end) for end, (idx, _) in zip(ends, sectors.sectors)]
+
+
+def whole_diagonal(sectors):
+    """The energy of every basis state from a Hamiltonian's diagonal weights."""
+    basis = sectors.basis
+    return h._diagonal(basis, sectors.diagonal_weights, np.arange(basis.dimension))
+
+
+def channel_states(config):
+    """The basis indices of the readout's resonant channel."""
+    return np.flatnonzero(rd._resonant_subspace(config).any(axis=1))
 
 
 def default_zeno2_config():
@@ -554,19 +566,15 @@ def default_zeno4_config():
 
 
 def every_sector(config):
-    """The coupled pair Hamiltonian on every sector: an all-ones start."""
+    """The coupled pair Hamiltonian on every sector: every basis state a start."""
     basis, weights, exchange = z2._hamiltonian_terms(config, True)
-    return h.assemble_sectors(basis, weights, exchange, np.ones(basis.dimension))
+    return h.assemble_sectors(basis, weights, exchange, np.arange(basis.dimension))
 
 
 def per_sector_rule(sectors, start):
-    """The sectors of ``sectors`` on which ``start`` is nonzero, tested one sector at a time.
-
-    ``start`` is one amplitude vector or a (dimension, k) batch of them.
-    """
-    hit = start.reshape(len(start), -1).any(axis=1)
+    """The sectors of ``sectors`` that hold one of the basis indices ``start``, one at a time."""
     return sectors._replace(sectors=tuple(sector for sector in sectors.sectors
-                                          if hit[sector[0]].any()))
+                                          if np.isin(sector[0], start).any()))
 
 
 def assert_same_sectors(held, expected):
@@ -606,15 +614,13 @@ def unordered_sectors():
     rng = np.random.default_rng(5)
     basis = h.build_basis([h.Atom(2), h.Mode(5)])
     states = rng.permutation(basis.dimension)
-    diagonal = np.empty(basis.dimension)
     sectors = []
     for size, start in zip((3, 1, 3, 2, 1, 2), (0, 3, 4, 7, 9, 10)):
         idx = np.sort(states[start:start + size])
         block = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         block += block.conj().T
-        diagonal[idx] = block.diagonal().real
         sectors.append((idx, block))
-    return h.SectorHamiltonian(basis, diagonal, tuple(sectors))
+    return h.SectorHamiltonian(basis, (), tuple(sectors))  # blocks only, no diagonal weights
 
 
 def _label_operator(basis, labels):
@@ -732,7 +738,7 @@ def assert_sectors_match_dense(sectors, dense):
         assert np.max(np.abs(block - dense.matrix[np.ix_(idx, idx)])) <= 1e-12
         inside[np.ix_(idx, idx)] = True
     assert not np.any(dense.matrix[~inside])
-    assert np.max(np.abs(sectors.diagonal - dense.matrix.diagonal())) <= 1e-12
+    assert np.max(np.abs(whole_diagonal(sectors) - dense.matrix.diagonal())) <= 1e-12
 
 
 def dense_sectors(dense, sectors):
@@ -760,7 +766,7 @@ class TestAssembleSectors:
         config = rd.readout_config(transition_1=121.5).replace(emission_mode_cutoff=cutoff)
         frequency = config.emission_frequency + 0.3
         sectors = emission_sectors(
-            config, frequency, np.ones(rd.emission_basis(config).dimension))
+            config, frequency, np.arange(rd.emission_basis(config).dimension))
         assert_sectors_match_dense(
             sectors, assemble_hamiltonian(*rd._rotating_frame_terms(config, frequency)))
         assert max(len(idx) for idx, _ in sectors.sectors) == (8 if cutoff == 1 else 9)
@@ -776,7 +782,7 @@ class TestAssembleSectors:
         for atom in (0, 1):
             exchange += [(atom, rd.E1, rd.G1, 2, 0.7), (atom, rd.E2, rd.G1, None, 0.3)]
         assert_sectors_match_dense(
-            h.assemble_sectors(basis, weights, exchange, np.ones(basis.dimension)),
+            h.assemble_sectors(basis, weights, exchange, np.arange(basis.dimension)),
             assemble_hamiltonian(basis, weights, exchange))
 
     def test_block_evolver_from_sectors_matches_dense(self):
@@ -820,7 +826,7 @@ class TestAssembleSectors:
     def test_blocks_are_the_dense_matrix_cut_to_the_sector(self, case):
         held, every, dense, _ = reach_case(case)
         for sectors in (held, every):
-            np.testing.assert_array_equal(sectors.diagonal, dense.matrix.diagonal().real)
+            np.testing.assert_array_equal(whole_diagonal(sectors), dense.matrix.diagonal().real)
             for idx, block in sectors.sectors:
                 assert block.tobytes() == dense.matrix[np.ix_(idx, idx)].tobytes()
 
@@ -836,8 +842,7 @@ class TestAssembleSectors:
         # Jaynes-Cummings: |E, k> <-> |G, k + 1>; the start |G, 0> and |E, 1>
         # reaches |G, 2> too, and |E, 2> (no room for a photon) stays alone
         basis = h.build_basis([h.Atom(2), h.Mode(2)])
-        start = np.zeros(basis.dimension)
-        start[[basis.index([0, 0]), basis.index([1, 1]), basis.index([1, 2])]] = 1.0
+        start = [basis.index([0, 0]), basis.index([1, 1]), basis.index([1, 2])]
         held = h.assemble_sectors(basis, [[0.0, 1.0], [0.5, 1.5, 2.5]],
                                   [(0, 1, 0, 1, 0.5)], start)
         assert [idx.tolist() for idx, _ in held.sectors] == [
@@ -861,8 +866,9 @@ def reach_case(case):
         if case == "readout-undriven":
             config = config.replace(drive_amplitude=0.0, coupling=0.0)
         frequency = config.emission_frequency + 0.3
-        held = emission_sectors(config, frequency, rd._resonant_subspace(config))
-        every = emission_sectors(config, frequency, np.ones(rd.emission_basis(config).dimension))
+        held = emission_sectors(config, frequency, channel_states(config))
+        every = emission_sectors(config, frequency,
+                                 np.arange(rd.emission_basis(config).dimension))
         dense = assemble_hamiltonian(*rd._rotating_frame_terms(config, frequency))
         return held, every, dense, emission_labels(config)
     if case == "two":

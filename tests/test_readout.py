@@ -362,8 +362,9 @@ def per_block_eigensystem(model):
     the model's states, each block's eigenpairs on its span of them.
     """
     config = model.config
+    channel = np.flatnonzero(rd._resonant_subspace(config).any(axis=1))
     hamiltonian = h.assemble_sectors(*rd._rotating_frame_terms(config, model.mode_frequency),
-                                     rd._resonant_subspace(config))
+                                     channel)
     assert np.array_equal(np.concatenate([idx for idx, _ in hamiltonian.sectors]),
                           model.states)
     size = len(model.states)

@@ -10,7 +10,7 @@ import pytest
 import stepwise_oracle as so
 from kronecker_oracles import (build_hamiltonian, combine_labels, commutator_norm,
                                conserved_labels, evolve, occupation_labels)
-from test_zeno_two_level import assert_survival_past_underflow
+from test_zeno_two_level import assert_survival_past_underflow, reduced_cycle_map
 from zenolock import hilbert as h
 from zenolock import zeno_multilevel as zm
 from zenolock import zeno_two_level as z2
@@ -231,12 +231,9 @@ class TestProtocol:
     ])
     def test_sector_cycle_map_matches_dense(self, config, build_sectors, build_dense):
         sectors = build_sectors(config)
-        basis = sectors.basis
-        sector_map = z2.cycle_matrix(config, z2.coupling_window(
-            config, basis, functools.partial(h._propagate_diagonal, sectors.diagonal),
-            h.BlockEvolver(sectors).propagate))
-        dense_map = z2.cycle_matrix(config, z2.coupling_window(
-            config, basis,
+        sector_map = reduced_cycle_map(config, sectors)
+        dense_map = so.cycle_matrix(config, so.coupling_window(
+            config, sectors.basis,
             functools.partial(h._propagate, build_dense(config, coupled=False)),
             functools.partial(h._propagate, build_dense(config, coupled=True))))
         assert np.max(np.abs(dense_map)) > 0.1

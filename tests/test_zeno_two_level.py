@@ -1,10 +1,11 @@
 """Two-atom Zeno protocol: drift, measurement, cycles, survival curves."""
 
-import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import stepwise_oracle as so
 from kronecker_oracles import basis_state, build_hamiltonian, commutator_norm, conserved_labels
@@ -454,13 +455,90 @@ class TestRunProtocol:
         assert trace.out_of_regime
 
 
+def reduced_cycle_map(config, hamiltonian):
+    """The per-cycle map that :func:`zeno_two_level.run_zeno` reads off its held-state window."""
+    evolver = h.BlockEvolver(hamiltonian)
+    empty = z2._atom_states(hamiltonian.basis, 0)
+    energies = h._diagonal(hamiltonian.basis, hamiltonian.diagonal_weights, empty)
+    drift = np.exp(-1j * config.free_interval * energies)
+    return z2.cycle_matrix(config, evolver, z2.coupling_window(config, evolver, drift))
+
+
 def pair_cycle_map(config):
     """The per-cycle map that :func:`zeno_two_level.run_zeno` builds for ``config``."""
-    hamiltonian = z2.build_sector_hamiltonian(config)
-    drift = functools.partial(h._propagate_diagonal, hamiltonian.diagonal)
-    window = z2.coupling_window(config, hamiltonian.basis, drift,
-                                h.BlockEvolver(hamiltonian).propagate)
-    return z2.cycle_matrix(config, window)
+    return reduced_cycle_map(config, z2.build_sector_hamiltonian(config))
+
+
+def pair_config(scheme, photons):
+    """The default pair of a scheme (zeno2's at its shorter cycle) with ``photons`` injected."""
+    if scheme == "two":
+        return z2.config_for_cycle_time(0.001, 0.1, photon_number=photons)
+    if scheme == "three":
+        return zm.three_level_config(photon_number=photons)
+    return zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.001, final_time=0.1,
+                                            photon_number=photons)
+
+
+class TestHeldWindow:
+    @pytest.mark.parametrize("scheme, photons", [
+        ("two", 0), ("two", 1), ("two", 12), ("two", 508), ("three", 0), ("three", 8),
+        ("four", 0), ("four", 2), ("four", 8), ("four", 61)])
+    def test_cycle_map_is_the_whole_basis_oracle(self, scheme, photons):
+        # the held-state window and the (dimension, atom states) window of the
+        # same drift phases and sector products give the same map bit for bit
+        config = pair_config(scheme, photons)
+        hamiltonian = z2.build_sector_hamiltonian(config)
+        oracle = so.cycle_matrix(config, so.sector_window(config, hamiltonian))
+        reduced = reduced_cycle_map(config, hamiltonian)
+        assert np.max(np.abs(oracle)) > 0.1
+        assert np.array_equal(reduced, oracle)
+
+    @pytest.mark.parametrize("scheme, photons", [
+        ("two", 0), ("two", 12), ("three", 8), ("four", 0), ("four", 8), ("four", 61)])
+    @pytest.mark.parametrize("start", ["subradiant", "upper"])
+    def test_mode_tail_is_the_whole_basis_oracle(self, scheme, photons, start):
+        # |upper upper> with the modes empty holds two excitations of mode 1,
+        # so its window reaches the Fock cutoff n + 2
+        config = pair_config(scheme, photons)
+        hamiltonian = z2.build_sector_hamiltonian(config)
+        basis = hamiltonian.basis
+        if start == "subradiant":
+            initial = z2.subradiant_state(config)
+        else:
+            upper = config.TRANSITIONS[0][0]
+            initial = basis_state(basis, [upper, upper] + [0] * (len(basis.dims) - 2))
+        trace = z2.run_zeno(config, hamiltonian, initial)
+        x = initial.amplitudes[z2._atom_states(basis, 0)]
+        expected = so.window_tail(config, so.sector_window(config, hamiltonian), x)
+        assert (expected > 1e-3) == (start == "upper")
+        assert abs(trace.max_mode_tail - expected) <= 1e-15
+
+    @pytest.mark.parametrize("scheme", ["two", "four"])
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_start_with_photons_rejected(self, scheme, mix):
+        # one photon in every mode, alone or as an even mix with the empty modes
+        config = pair_config(scheme, 12 if scheme == "two" else 8)
+        hamiltonian = z2.build_sector_hamiltonian(config)
+        amplitudes = z2.subradiant_state(config, 1).amplitudes
+        if mix:
+            amplitudes = amplitudes + z2.subradiant_state(config, 0).amplitudes
+        start = h.StateVector(hamiltonian.basis, amplitudes, normalize=True)
+        with pytest.raises(ValueError, match="weight on a state with photons"):
+            z2.run_zeno(config, hamiltonian, start)
+
+    @settings(max_examples=300, deadline=None)
+    @given(levels=st.lists(st.integers(2, 4), max_size=2),
+           cutoffs=st.lists(st.integers(1, 4), max_size=2), data=st.data())
+    def test_largest_energy_is_the_whole_basis_maximum(self, levels, cutoffs, data):
+        # the drift-phase check reads max|E| over the basis from the weights
+        assume(levels or cutoffs)
+        basis = h.build_basis([h.Atom(n) for n in levels] + [h.Mode(c) for c in cutoffs])
+        weight = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e17, 1e17),
+                           st.floats(-1e307, 1e307))
+        weights = [data.draw(st.lists(weight, min_size=dim, max_size=dim))
+                   for dim in basis.dims]
+        energies = h._diagonal(basis, weights, np.arange(basis.dimension))
+        assert h._largest_energy(weights) == np.max(np.abs(energies))
 
 
 def survival_state_by_state(cycle_map, x, record):
