@@ -39,7 +39,7 @@ pe = z2.pe_analytic(cycle_config.deltas(), cycle_config.free_interval)
 print(f"one full cycle: success probability {trace.p_success[-1]:.8f} "
       f"(closed form 1 - (Delta*tau)^2 = {1 - pe:.8f})")
 print(f"state fidelity with a fresh dark state: "
-      f"{trace.final_state.fidelity(z2.subradiant_state(cycle_config, 0)):.10f}")
+      f"{abs(np.vdot(trace.final_state, z2.subradiant_state(cycle_config))):.10f}")
 
 series = []
 print("\nsurvival curves (both run to the analytic 10% point):")

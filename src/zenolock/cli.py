@@ -65,8 +65,8 @@ _MAX_TRACE_POINTS = _MAX_ENTRIES // 4 - 2
 #
 # The size keys (the Zeno photon number n, the readout emission cutoff c)
 # cap the basis dimension d.  A Zeno run evolves only the at most 12 (zeno2)
-# or 56 (zeno4) states its start reaches; what still grows with d is its
-# initial and final state vectors and the reach's mask of held states.  The
+# or 56 (zeno4) states its start reaches and carries the pair state as its
+# atom amplitudes; only the reach's mask of held states grows with d.  The
 # readout emission sectors hold at most 9 states each.  With the default
 # Fock cutoff of n + 2 for every mode the caps keep d = 4(n + 3) <= 2044 for
 # zeno2, d = 16(n + 3)^2 <= 65,536 for zeno4 and d = 16(c + 1) <= 2048 for
@@ -444,10 +444,12 @@ def cmd_zeno4(section: Section, out_dir: Path, args, digest: str):
         "zeno4", section, out_dir, args, digest, {"delta_1": delta_1, "delta_2": delta_2},
         configure, run, "Four-level survival probability")
     flags["mode_off_resonance"] = False
-    for cycle, config, _, _ in runs:
+    for cycle, config, trace, _ in runs:
         flags["mode_off_resonance"] |= any(abs(d) > 1e-9 for d in config.mode_detunings())
         results[f"manifold2_residual_cosine_{float(cycle)!r}"] = (
             zm.measurement_residual_cosine(config))
+        results[f"cross_manifold_population_{float(cycle)!r}"] = (
+            zm.cross_manifold_population(trace.final_state))
     return results, flags, args.seed
 
 

@@ -1,19 +1,18 @@
 """Tensor-product Hilbert spaces of multi-level atoms and truncated bosonic modes.
 
-States are dense complex vectors over an ordered tensor product, atoms first
-and then modes.  Every Hamiltonian in this package is piecewise constant, so
-time evolution is exact through eigendecompositions computed once.  Each
-exchange term moves one atom between one pair of levels, so evolution from a
-start touches only the states that chains of its entries link to it; a
-Hamiltonian is assembled and evolved on those alone, by connected sector and
-in the coordinates of the held states, with no dense operator or energy
-vector of the full basis (the dense assembler is the tests' oracle).  The Zeno protocols inject, project and remove photons on the
-atom-sector amplitudes of their cycle map, so there are no state-level mode
-operations here.  hbar = 1 throughout; all frequencies are angular unless a
-module says otherwise.
+Amplitudes are dense complex vectors over an ordered tensor product, atoms
+first and then modes.  Every Hamiltonian in this package is piecewise
+constant, so time evolution is exact through eigendecompositions computed
+once.  Each exchange term moves one atom between one pair of levels, so
+evolution from a start touches only the states that chains of its entries
+link to it; a Hamiltonian is assembled and evolved on those alone, by
+connected sector and in the coordinates of the held states, with no dense
+operator, energy vector or state of the full basis (the dense assembler and
+the full-basis states are the tests' oracles).  hbar = 1 throughout; all
+frequencies are angular unless a module says otherwise.
 
 All values are immutable after construction and every operation returns a
-new value, so a library caller can share states, operators and evolvers
+new value, so a library caller can share bases, operators and evolvers
 between threads; the command-line runs use one thread.
 The one exception is :class:`OperatorMatrix`, the dense operator that the
 tests use as an oracle: it solves its eigensystem on first use and keeps it
@@ -29,10 +28,6 @@ from .records import Record
 
 HERMITIAN_TOL = 1e-12
 ZERO_PROBABILITY = 1e-30
-
-
-class BasisMismatchError(ValueError):
-    """A state and an operator live on different product bases."""
 
 
 class Atom(Record):
@@ -112,52 +107,6 @@ def build_basis(specs: Sequence[SubsystemSpec]) -> ProductBasis:
     Atoms come first, then modes, each group keeping its declaration order.
     """
     return ProductBasis(sorted(specs, key=lambda sub: isinstance(sub, Mode)))
-
-
-class StateVector:
-    """Pure state over a :class:`ProductBasis`."""
-
-    __slots__ = ("basis", "amplitudes")
-
-    def __init__(self, basis: ProductBasis, amplitudes, normalize: bool = False):
-        amps = np.array(amplitudes, dtype=complex)
-        if amps.shape != (basis.dimension,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, basis dimension is {basis.dimension}"
-            )
-        if normalize:
-            norm = np.linalg.norm(amps)
-            if norm <= 0.0:
-                raise ValueError("cannot normalize a zero state vector")
-            amps /= norm
-        amps.flags.writeable = False
-        self.basis = basis
-        self.amplitudes = amps
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product <self|other>."""
-        if self.basis != other.basis:
-            raise BasisMismatchError("states live on different bases")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "StateVector") -> float:
-        """|<self|other>|, insensitive to global phase."""
-        return abs(self.overlap(other))
-
-    def __repr__(self):
-        return f"StateVector(dimension={self.basis.dimension}, norm={self.norm():.6f})"
-
-
-def _bare_state(basis: ProductBasis, amps: np.ndarray) -> StateVector:
-    # Internal constructor that trusts shape/dtype and skips the copy.
-    state = object.__new__(StateVector)
-    amps.flags.writeable = False
-    state.basis = basis
-    state.amplitudes = amps
-    return state
 
 
 class OperatorMatrix:
@@ -385,14 +334,3 @@ class BlockEvolver:
             values[span] = w
             vectors[span[:, :, None], span[:, None, :]] = v
         return values, vectors
-
-    def evolve(self, state: StateVector, duration: float) -> StateVector:
-        """:meth:`propagate` on a state; ValueError if it has weight outside the held sectors."""
-        if state.basis != self.basis:
-            raise BasisMismatchError("state lives on a different basis")
-        held = state.amplitudes[self.states]
-        if np.count_nonzero(held) != np.count_nonzero(state.amplitudes):
-            raise ValueError("state has weight outside the sectors the evolver holds")
-        amps = np.zeros_like(state.amplitudes)
-        amps[self.states] = self.propagate(held[:, None], float(duration))[:, 0]
-        return _bare_state(state.basis, amps)

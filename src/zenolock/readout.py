@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import hilbert as h
-from .hilbert import Atom, Mode, StateVector
+from .hilbert import Atom, Mode
 from .records import Record
 from .zeno_multilevel import E1, E2, G1, G2, FourLevelEnergies
 
@@ -112,10 +112,6 @@ def readout_config(detuning: float = 10.0, drive_amplitude: float = 1.0,
                          fit_periods=fit_periods)
 
 
-# The bare two-atom basis that the readout chain acts on.
-PAIR_BASIS = h.build_basis([Atom(4), Atom(4)])
-
-
 def emission_basis(config: ReadoutConfig) -> h.ProductBasis:
     """Two atoms and the emission mode."""
     return h.build_basis([Atom(4), Atom(4), Mode(config.emission_mode_cutoff)])
@@ -129,23 +125,24 @@ _MIXER[G1, G2] = -1.0 / math.sqrt(2.0)
 _MIXER.flags.writeable = False
 
 
-def _grid(state: StateVector) -> np.ndarray:
-    """Pair amplitudes as a (level of A, level of B) grid, a copy."""
-    if state.basis != PAIR_BASIS:
-        raise h.BasisMismatchError("the readout chain acts on the bare two-atom basis")
-    return state.amplitudes.reshape(4, 4).copy()
+def _grid(state) -> np.ndarray:
+    """A copy of a pair state, its (level of A, level of B) grid; ValueError unless 4 x 4."""
+    grid = np.array(state, dtype=complex)
+    if grid.shape != (4, 4):
+        raise ValueError(f"a four-level pair state is 4 x 4, got shape {grid.shape}")
+    return grid
 
 
-def locked_pair_state() -> StateVector:
+def locked_pair_state() -> np.ndarray:
     """Equal superposition of the two subradiant manifolds (modes removed)."""
     grid = np.zeros((4, 4), dtype=complex)
     grid[E1, G1] = grid[E2, G2] = 0.5
     grid[G1, E1] = grid[G2, E2] = -0.5
-    return StateVector(PAIR_BASIS, grid.ravel())
+    return grid
 
 
-def accumulate_clock_phase(state: StateVector, elapsed_time: float,
-                           config: ReadoutConfig) -> StateVector:
+def accumulate_clock_phase(state: np.ndarray, elapsed_time: float,
+                           config: ReadoutConfig) -> np.ndarray:
     """Free precession under the averaged level energies.
 
     The global phase is normalized so the first-manifold term is real and
@@ -157,10 +154,10 @@ def accumulate_clock_phase(state: StateVector, elapsed_time: float,
     anchor = grid[E1, G1]
     if abs(anchor) < 1e-12:
         anchor = grid.flat[int(np.argmax(np.abs(grid)))]
-    return StateVector(PAIR_BASIS, (grid * (anchor / abs(anchor)).conjugate()).ravel())
+    return grid * (anchor / abs(anchor)).conjugate()
 
 
-def flip_sign_atom_b(state: StateVector, level: int) -> StateVector:
+def flip_sign_atom_b(state: np.ndarray, level: int) -> np.ndarray:
     """Diagonal gate: -1 on the given level of atom B, +1 elsewhere.
 
     Applying it for both excited levels converts the subradiant superposition
@@ -170,15 +167,15 @@ def flip_sign_atom_b(state: StateVector, level: int) -> StateVector:
         raise ValueError(f"level {level} out of range")
     grid = _grid(state)
     grid[:, level] *= -1.0
-    return StateVector(PAIR_BASIS, grid.ravel())
+    return grid
 
 
-def mix_ground_levels(state: StateVector) -> StateVector:
+def mix_ground_levels(state: np.ndarray) -> np.ndarray:
     """The ground-level beam splitter on both atoms."""
-    return StateVector(PAIR_BASIS, (_MIXER @ _grid(state) @ _MIXER.T).ravel())
+    return _MIXER @ _grid(state) @ _MIXER.T
 
 
-def postselect_not_g2(state: StateVector):
+def postselect_not_g2(state: np.ndarray):
     """Project out any component with either atom in |G2> and renormalize.
 
     Returns (state, probability).
@@ -189,7 +186,7 @@ def postselect_not_g2(state: StateVector):
     probability = float(np.sum(np.abs(grid) ** 2))
     if probability <= h.ZERO_PROBABILITY:
         raise ZeroProbabilityError("no amplitude survives the post-selection")
-    return StateVector(PAIR_BASIS, grid.ravel() / math.sqrt(probability)), probability
+    return grid / math.sqrt(probability), probability
 
 
 def readout_chain(config: ReadoutConfig, elapsed_time: float):
@@ -471,28 +468,25 @@ def emit_field_traces(states, model: _EmissionModel, method: str = "full",
                       fit: bool = True) -> list:
     """Quadrature of the emitted field over the readout grid, one trace per state.
 
-    Each state is a post-selected two-atom state; the emission mode starts
-    in vacuum.  ``model`` is the :func:`emission_model` of the readout
-    configuration; it does not depend on the states, so the whole batch
-    shares each slab of phase factors exp(-i w t), which is formed once
-    per call and dropped after its products: besides the quadratures
-    (states x readout times) the stage holds one slab.  The reported
-    quadrature is the radiated (Raman-transfer) component, on the resonant
-    channel; the virtual cloud dressing the driven atoms is left out.  The
-    full method raises :class:`CutoffOverflowError`, naming the largest,
-    when a dressed start's weight that can reach two photons (its conserved
-    L = 2 weight) exceeds ``OVERFLOW_THRESHOLD`` (the single-photon picture
-    has then broken down).  A trace whose fit is degenerate has no fitted
-    phase.
+    Each state is a post-selected pair's 4 x 4 grid (ValueError on another
+    shape); the emission mode starts in vacuum.  ``model`` is the
+    :func:`emission_model` of the readout configuration; it does not depend
+    on the states, so the whole batch shares each slab of phase factors
+    exp(-i w t), which is formed once per call and dropped after its
+    products: besides the quadratures (states x readout times) the stage
+    holds one slab.  The reported quadrature is the radiated (Raman-transfer)
+    component, on the resonant channel; the virtual cloud dressing the
+    driven atoms is left out.  The full method raises
+    :class:`CutoffOverflowError`, naming the largest, when a dressed start's
+    weight that can reach two photons (its conserved L = 2 weight) exceeds
+    ``OVERFLOW_THRESHOLD`` (the single-photon picture has then broken down).
+    A trace whose fit is degenerate has no fitted phase.
     """
     config = model.config
     times = config.readout_times
     if not times.size:
         raise ValueError("config.readout_times is empty")
-    if any(state.basis != PAIR_BASIS for state in states):
-        raise h.BasisMismatchError("emission expects a bare two-atom state")
-    pairs = np.array([state.amplitudes for state in states],
-                     dtype=complex).reshape(-1, PAIR_BASIS.dimension).T
+    pairs = np.array([_grid(state) for state in states], dtype=complex).reshape(-1, 16).T
     if method == "full":
         quadratures, above_one = _full_quadrature(pairs, model)
     elif method == "perturbative":
@@ -517,7 +511,7 @@ def emit_field_traces(states, model: _EmissionModel, method: str = "full",
     return traces
 
 
-def emit_field_trace(state: StateVector, config: _EmissionModel,
+def emit_field_trace(state: np.ndarray, config: _EmissionModel,
                      method: str = "full", fit: bool = True) -> FieldTrace:
     """:func:`emit_field_traces` of the one state ``state``."""
     # The model keeps the argument name ``config``: perfbench/tracer.py binds

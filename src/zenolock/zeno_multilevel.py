@@ -23,10 +23,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import hilbert as h
-from .hilbert import StateVector
 from .zeno_two_level import (
     LevelSchemeConfig,
     SurvivalTrace,
+    _injected,
     build_sector_hamiltonian,
     half_flop_time,
     pair_superposition,
@@ -120,12 +120,17 @@ def leakage(config: LevelSchemeConfig) -> float:
     four-level scheme, where it is zero because the subradiant pair is dark
     to its own mode and the other mode touches neither level.
     """
-    state = pair_superposition(config, config.TRANSITIONS[:1], (config.photon_number,) * 2)
+    start = pair_superposition(config, config.TRANSITIONS[:1])
     evolver = h.BlockEvolver(build_sector_hamiltonian(config))
-    evolved = evolver.evolve(state, config.measure_interval)
-    populations = np.abs(evolved.amplitudes.reshape(config.LEVELS, config.LEVELS, -1)) ** 2
+    amps = np.zeros((len(evolver.states), 1), dtype=complex)
+    amps[_injected(config, evolver), 0] = start.ravel()
+    evolved = evolver.propagate(amps, config.measure_interval)[:, 0]
+    # one photon configuration per atom configuration in the start's sector, so
+    # each atom configuration's population is one term
+    populations = np.bincount(evolver.states // evolver.basis.strides[1],
+                              np.abs(evolved) ** 2, minlength=start.size).reshape(start.shape)
     excited = [upper for upper, _ in config.TRANSITIONS]
-    return sum(float(populations[a, b].sum()) for a in excited for b in excited)
+    return sum(float(populations[a, b]) for a in excited for b in excited)
 
 
 def measurement_residual_cosine(config: FourLevelConfig) -> float:
@@ -159,21 +164,14 @@ def run_four_level_protocol(config: FourLevelConfig,
                     max_trace_points=max_trace_points)
 
 
-def cross_manifold_population(state: StateVector) -> float:
+def cross_manifold_population(state: np.ndarray) -> float:
     """Population of atomic configurations mixing the two manifolds.
 
     Generated states keep each atom pair inside one manifold; any weight on
     a mixed configuration (one atom in {G1, E1}, the other in {G2, E2})
     signals a cross coupling that should not exist.
     """
-    basis = state.basis
-    dims = basis.dims
-    mode_dim = int(np.prod(dims[2:]))
-    view = np.abs(state.amplitudes.reshape(4, 4, mode_dim)) ** 2
+    populations = np.abs(np.reshape(state, (4, 4))) ** 2
     manifold = {G1: 1, E1: 1, G2: 2, E2: 2}
-    total = 0.0
-    for a in range(4):
-        for b in range(4):
-            if manifold[a] != manifold[b]:
-                total += float(view[a, b].sum())
-    return total
+    return sum(float(populations[a, b]) for a in range(4) for b in range(4)
+               if manifold[a] != manifold[b])

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import hilbert as h
-from .hilbert import Atom, Mode, StateVector
+from .hilbert import Atom, Mode
 from .records import Record
 
 G, E = 0, 1  # atomic level ordering
@@ -207,30 +207,31 @@ def build_two_level_hamiltonian(config: TwoLevelConfig) -> h.SectorHamiltonian:
     return build_sector_hamiltonian(config)
 
 
-def pair_superposition(config, pairs, photons, sign: float = -1.0) -> StateVector:
-    """Even mix over ``pairs`` of (|upper lower> + sign |lower upper>)/sqrt(2)."""
-    basis = pair_basis(config)
-    amps = np.zeros(basis.dimension, dtype=complex)
+def pair_superposition(config, pairs, sign: float = -1.0) -> np.ndarray:
+    """Even mix over ``pairs`` of (|upper lower> + sign |lower upper>)/sqrt(2).
+
+    A pair state is its (level of atom A, level of atom B) grid of amplitudes,
+    ``config.LEVELS`` square; the modes hold no part of it.
+    """
+    grid = np.zeros((config.LEVELS, config.LEVELS), dtype=complex)
     weight = 1.0 / (math.sqrt(2.0) * math.sqrt(len(pairs)))
     for upper, lower in pairs:
-        amps[basis.index([upper, lower, *photons])] += weight
-        amps[basis.index([lower, upper, *photons])] += sign * weight
-    return StateVector(basis, amps)
+        grid[upper, lower] += weight
+        grid[lower, upper] += sign * weight
+    return grid
 
 
-def subradiant_state(config: LevelSchemeConfig, photons: int = 0) -> StateVector:
+def subradiant_state(config: LevelSchemeConfig) -> np.ndarray:
     """Even mix of (|upper lower> - |lower upper>)/sqrt(2) over every transition.
 
-    Every mode holds ``photons`` photons; the two-level pair's is
-    (|EG> - |GE>)/sqrt(2).
+    The two-level pair's is (|EG> - |GE>)/sqrt(2).
     """
-    return pair_superposition(config, config.TRANSITIONS, (photons,) * len(config.TRANSITIONS))
+    return pair_superposition(config, config.TRANSITIONS)
 
 
-def superradiant_state(config: LevelSchemeConfig, photons: int = 0) -> StateVector:
+def superradiant_state(config: LevelSchemeConfig) -> np.ndarray:
     """:func:`subradiant_state` with the symmetric sign: (|EG> + |GE>)/sqrt(2)."""
-    return pair_superposition(config, config.TRANSITIONS, (photons,) * len(config.TRANSITIONS),
-                              sign=+1.0)
+    return pair_superposition(config, config.TRANSITIONS, sign=+1.0)
 
 
 def half_flop_time(coupling: float, photon_number: int) -> float:
@@ -296,7 +297,7 @@ class SurvivalTrace(Record):
 
     def __init__(self, times: np.ndarray, p_success: np.ndarray,
                  p_error_per_cycle: np.ndarray, analytic_p_s: np.ndarray,
-                 final_state: StateVector, out_of_regime: bool, max_mode_tail: float):
+                 final_state: np.ndarray, out_of_regime: bool, max_mode_tail: float):
         if np.any(p_success < -1e-12) or np.any(p_success > 1.0 + 1e-9):
             raise ValueError("success probabilities outside [0, 1]")
         if np.any(np.diff(p_success) > 1e-12):
@@ -408,11 +409,12 @@ def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray)
     return survival, exponents, x.copy()
 
 
-def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
+def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: np.ndarray,
              max_trace_points: int = 2000) -> SurvivalTrace:
     """Iterate Zeno cycles of any scheme's pair from ``initial`` until ``config.final_time``.
 
-    ``initial`` must have every mode empty (ValueError otherwise).
+    ``initial`` is the pair's (LEVELS, LEVELS) grid of atom amplitudes with
+    every mode empty (ValueError on another shape), as is ``final_state``.
     ``hamiltonian`` is the coupled Hamiltonian by sector, and must hold the
     sectors of every atom state with n photons in every mode, as
     :func:`build_sector_hamiltonian` does: a :class:`hilbert.BlockEvolver` of
@@ -445,11 +447,11 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     rounding error eps max|E| tau, over every basis state, exceeds
     :data:`MAX_DRIFT_PHASE_ERROR`.
     """
+    levels = (config.LEVELS, config.LEVELS)
+    if np.shape(initial) != levels:
+        raise ValueError(f"initial state has shape {np.shape(initial)}, expected {levels}")
+    x = np.ravel(initial).astype(complex)
     basis = hamiltonian.basis
-    empty = _atom_states(basis, 0)
-    x = initial.amplitudes[empty]
-    if np.count_nonzero(x) != np.count_nonzero(initial.amplitudes):
-        raise ValueError("initial state has weight on a state with photons")
     mean_square = mean_square_splitting(config.deltas())
     rate = mean_square * config.cycle_time
     if rate > 0.0 and rate * config.cycle_time < MIN_CYCLE_ERROR:
@@ -463,7 +465,7 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
             f"free-drift phase of the largest energy {largest:.3e} over the free interval "
             f"{config.free_interval:.3e} carries a rounding error of {phase_error:.3e} rad, "
             f"above {MAX_DRIFT_PHASE_ERROR:.0e} rad")
-    energies = h._diagonal(basis, hamiltonian.diagonal_weights, empty)
+    energies = h._diagonal(basis, hamiltonian.diagonal_weights, _atom_states(basis, 0))
     cycle = config.cycle_time
     cycles = int(math.floor(config.final_time / cycle + 1e-9))
     remainder = max(0.0, config.final_time - cycles * cycle)
@@ -481,9 +483,6 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     x = x / np.linalg.norm(x)
     if remainder > 0.0:
         x = h._propagate_diagonal(energies, x, remainder)
-    amps = np.zeros(basis.dimension, dtype=complex)
-    amps[empty] = x
-    final = h._bare_state(basis, amps)
 
     before, after = survival.T
     per_cycle_error = 1.0 - after / before
@@ -497,7 +496,7 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: StateVector,
     p_error = np.concatenate([[0.0], per_cycle_error])
     return SurvivalTrace(times=times, p_success=np.clip(p_success, 0.0, 1.0),
                          p_error_per_cycle=p_error, analytic_p_s=np.exp(-rate * times),
-                         final_state=final, out_of_regime=out_of_regime,
+                         final_state=x.reshape(levels), out_of_regime=out_of_regime,
                          max_mode_tail=max_tail)
 
 
@@ -506,5 +505,5 @@ def run_protocol(config: TwoLevelConfig, max_trace_points: int = 2000) -> Surviv
 
     The closed-form rate is delta(1)^2 * cycle_time; see :func:`run_zeno`.
     """
-    return run_zeno(config, build_two_level_hamiltonian(config), subradiant_state(config, 0),
+    return run_zeno(config, build_two_level_hamiltonian(config), subradiant_state(config),
                     max_trace_points=max_trace_points)

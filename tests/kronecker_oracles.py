@@ -17,17 +17,17 @@ from typing import Sequence
 
 import numpy as np
 
-from stepwise_oracle import _require_mode
+from stepwise_oracle import BasisMismatchError, StateVector, _require_mode
 from zenolock import hilbert as h
 from zenolock import readout as rd
 from zenolock import zeno_two_level as z2
 
 
-def basis_state(basis: h.ProductBasis, occupations: Sequence[int]) -> h.StateVector:
+def basis_state(basis: h.ProductBasis, occupations: Sequence[int]) -> StateVector:
     """Product basis state |occupations>."""
     amps = np.zeros(basis.dimension, dtype=complex)
     amps[basis.index(occupations)] = 1.0
-    return h.StateVector(basis, amps)
+    return StateVector(basis, amps)
 
 
 def embed(basis: h.ProductBasis, subsystem_index: int, local: np.ndarray) -> np.ndarray:
@@ -81,10 +81,10 @@ def atomic_projector(basis: h.ProductBasis, atom_index: int, i: int,
     return h.OperatorMatrix(basis, embed(basis, atom_index, local), hermitian=(i == j))
 
 
-def expectation(state: h.StateVector, op: h.OperatorMatrix) -> complex:
+def expectation(state: StateVector, op: h.OperatorMatrix) -> complex:
     """<state|Op|state>.  Real up to 1e-12 for Hermitian operators."""
     if op.basis != state.basis:
-        raise h.BasisMismatchError("state and operator live on different bases")
+        raise BasisMismatchError("state and operator live on different bases")
     return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
 
 
@@ -118,14 +118,14 @@ def build_hamiltonian(config, coupled: bool = True) -> h.OperatorMatrix:
     return assemble_hamiltonian(*z2._hamiltonian_terms(config, coupled))
 
 
-def evolve(state: h.StateVector, hamiltonian: h.OperatorMatrix,
-           duration: float) -> h.StateVector:
+def evolve(state: StateVector, hamiltonian: h.OperatorMatrix,
+           duration: float) -> StateVector:
     """Exact propagation exp(-i H t)|state> via the cached eigensystem of H."""
     if hamiltonian.basis != state.basis:
-        raise h.BasisMismatchError("state and Hamiltonian live on different bases")
+        raise BasisMismatchError("state and Hamiltonian live on different bases")
     if not hamiltonian.hermitian:
         raise ValueError("evolution requires a Hamiltonian with the hermitian flag set")
-    return h.StateVector(state.basis,
+    return StateVector(state.basis,
                          h._propagate(hamiltonian, state.amplitudes, float(duration)))
 
 

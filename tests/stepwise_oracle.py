@@ -2,8 +2,10 @@
 
 The package runs both Zeno protocols as one linear success-branch map on the
 atom sector (``zeno_two_level.cycle_matrix``), built from a coupling window
-on the states that the sector Hamiltonian holds.  This module keeps the
-explicit cycle it replaced: free drift, photon injection by swapping the
+on the states that the sector Hamiltonian holds, and carries a pair state as
+its (level of A, level of B) grid of atom amplitudes.  This module keeps the
+full-basis state layer it replaced, :class:`StateVector` and :func:`evolve`,
+and the explicit cycle on it: free drift, photon injection by swapping the
 mode factor, the coupling window, projective photon-number measurement of
 every mode, and photon removal, each on the full state vector.  It also keeps
 the window on the whole basis, a (dimension, atom states) batch, and the map
@@ -18,9 +20,98 @@ import numpy as np
 
 from zenolock import hilbert as h
 from zenolock import zeno_two_level as z2
-from zenolock.hilbert import Mode, ProductBasis, StateVector
+from zenolock.hilbert import Mode, ProductBasis
 
 MODE_PURITY_TOL = 1e-10
+
+
+class BasisMismatchError(ValueError):
+    """A state and an operator live on different product bases."""
+
+
+class StateVector:
+    """Pure state over a :class:`ProductBasis`."""
+
+    __slots__ = ("basis", "amplitudes")
+
+    def __init__(self, basis: ProductBasis, amplitudes, normalize: bool = False):
+        amps = np.array(amplitudes, dtype=complex)
+        if amps.shape != (basis.dimension,):
+            raise ValueError(
+                f"amplitude vector has shape {amps.shape}, basis dimension is {basis.dimension}"
+            )
+        if normalize:
+            norm = np.linalg.norm(amps)
+            if norm <= 0.0:
+                raise ValueError("cannot normalize a zero state vector")
+            amps /= norm
+        amps.flags.writeable = False
+        self.basis = basis
+        self.amplitudes = amps
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+    def overlap(self, other: "StateVector") -> complex:
+        """Inner product <self|other>."""
+        if self.basis != other.basis:
+            raise BasisMismatchError("states live on different bases")
+        return complex(np.vdot(self.amplitudes, other.amplitudes))
+
+    def fidelity(self, other: "StateVector") -> float:
+        """|<self|other>|, insensitive to global phase."""
+        return abs(self.overlap(other))
+
+    def __repr__(self):
+        return f"StateVector(dimension={self.basis.dimension}, norm={self.norm():.6f})"
+
+
+def _bare_state(basis: ProductBasis, amps: np.ndarray) -> StateVector:
+    # Internal constructor that trusts shape/dtype and skips the copy.
+    state = object.__new__(StateVector)
+    amps.flags.writeable = False
+    state.basis = basis
+    state.amplitudes = amps
+    return state
+
+
+def evolve(evolver: h.BlockEvolver, state: StateVector, duration: float) -> StateVector:
+    """``evolver.propagate`` on a state; ValueError if it has weight outside the held sectors."""
+    if state.basis != evolver.basis:
+        raise BasisMismatchError("state lives on a different basis")
+    held = state.amplitudes[evolver.states]
+    if np.count_nonzero(held) != np.count_nonzero(state.amplitudes):
+        raise ValueError("state has weight outside the sectors the evolver holds")
+    amps = np.zeros_like(state.amplitudes)
+    amps[evolver.states] = evolver.propagate(held[:, None], float(duration))[:, 0]
+    return _bare_state(state.basis, amps)
+
+
+def pair_state(config, grid, photons: int = 0) -> StateVector:
+    """A pair's (level of A, level of B) grid on the whole basis, ``photons`` in every mode."""
+    basis = z2.pair_basis(config)
+    amps = np.zeros(basis.dimension, dtype=complex)
+    amps[z2._atom_states(basis, photons)] = np.ravel(grid)
+    return StateVector(basis, amps)
+
+
+def subradiant_state(config, photons: int = 0) -> StateVector:
+    """``zeno_two_level.subradiant_state`` on the whole basis."""
+    return pair_state(config, z2.subradiant_state(config), photons)
+
+
+def superradiant_state(config, photons: int = 0) -> StateVector:
+    """``zeno_two_level.superradiant_state`` on the whole basis."""
+    return pair_state(config, z2.superradiant_state(config), photons)
+
+
+def pair_grid(state: StateVector) -> np.ndarray:
+    """The grid of atom amplitudes of a state with every mode empty, which it checks."""
+    levels = state.basis.dims[0]
+    grid = state.amplitudes[z2._atom_states(state.basis, 0)]
+    if np.count_nonzero(grid) != np.count_nonzero(state.amplitudes):
+        raise ValueError("state has weight on a state with photons")
+    return grid.reshape(levels, levels)
 
 
 class EntangledModeError(ValueError):
@@ -69,7 +160,7 @@ def project_photon_number(state: StateVector, mode_index: int, k: int) -> Projec
         return ProjectionResult(None, probability)
     out = np.zeros_like(view)
     out[:, k, :] = branch / np.sqrt(probability)
-    return ProjectionResult(h._bare_state(state.basis, out.reshape(-1)), probability)
+    return ProjectionResult(_bare_state(state.basis, out.reshape(-1)), probability)
 
 
 def photon_number_distribution(state: StateVector, mode_index: int) -> np.ndarray:
@@ -110,7 +201,7 @@ def replace_mode_state(state: StateVector, mode_index: int, k: int) -> StateVect
     out = np.zeros_like(m)
     out[:, k] = rest
     out = np.moveaxis(out.reshape(view.shape[0], view.shape[2], view.shape[1]), 2, 1)
-    return h._bare_state(state.basis, np.ascontiguousarray(out).reshape(-1))
+    return _bare_state(state.basis, np.ascontiguousarray(out).reshape(-1))
 
 
 def _require_mode_vacuum(state: StateVector, mode_index: int = 2):
@@ -163,7 +254,7 @@ def measurement_segment(state: StateVector, config: z2.TwoLevelConfig) -> StateV
     """
     injected = replace_mode_state(state, 2, config.photon_number)
     evolver = h.BlockEvolver(z2.build_two_level_hamiltonian(config))
-    return evolver.evolve(injected, config.measure_interval)
+    return evolve(evolver, injected, config.measure_interval)
 
 
 class CycleResult(NamedTuple):
@@ -188,7 +279,7 @@ def _stepwise_cycle(state: StateVector, config, drift: Callable[[np.ndarray, flo
     state = StateVector(basis, drift(state.amplitudes, config.free_interval))
     for mode in modes:
         state = replace_mode_state(state, mode, n)
-    state = evolver.evolve(state, config.measure_interval)
+    state = evolve(evolver, state, config.measure_interval)
     tail = max(float(np.sum(photon_number_distribution(state, mode)[n + 2:]))
                for mode in modes)
     probability = 1.0
@@ -245,7 +336,7 @@ def run_protocol(config, max_trace_points: int = 2000) -> z2.SurvivalTrace:
     record_set = set(int(j) for j in record)
     slot = 0
     previous = 1.0
-    final = z2.subradiant_state(config)
+    final = subradiant_state(config)
     for j in range(1, cycles + 1):
         final, probability, tail = _stepwise_cycle(final, config, drift, evolver)
         max_tail = max(max_tail, tail)
@@ -271,7 +362,7 @@ def run_protocol(config, max_trace_points: int = 2000) -> z2.SurvivalTrace:
     p_error = np.concatenate([[0.0], per_cycle_error])
     return z2.SurvivalTrace(times=times, p_success=np.clip(p_success, 0.0, 1.0),
                             p_error_per_cycle=p_error, analytic_p_s=np.exp(-rate * times),
-                            final_state=final, out_of_regime=out_of_regime,
+                            final_state=pair_grid(final), out_of_regime=out_of_regime,
                             max_mode_tail=max_tail)
 
 

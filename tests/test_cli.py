@@ -887,6 +887,9 @@ photon_number = 2
         # equal splittings: identical closed-form columns on the shared grid
         t2 = np.interp(four.rows[:, 0], two.rows[:, 0], two.rows[:, 3])
         np.testing.assert_allclose(four.rows[:, 3], t2, rtol=1e-6)
+        # the final pair has no weight on a configuration mixing the two manifolds
+        manifest = (out4 / "manifest.txt").read_text().splitlines()
+        assert "cross_manifold_population_0.01 = 0.0" in manifest
 
     def test_dephasing_outputs(self, tmp_path):
         path = write_config(tmp_path, SMALL)

@@ -10,16 +10,22 @@ import pytest
 from kronecker_oracles import annihilation, assemble_hamiltonian
 from zenolock import hilbert as h
 from zenolock import readout as rd
-from zenolock.hilbert import StateVector
+from zenolock import zeno_multilevel as zm
 from zenolock.zeno_multilevel import E1, E2, G1, G2
 
 
 def chain_state(entries):
-    basis = rd.PAIR_BASIS
-    amps = np.zeros(basis.dimension, dtype=complex)
+    """The pair's grid with the given (level of A, level of B) amplitudes."""
+    grid = np.zeros((4, 4), dtype=complex)
     for (a, b), value in entries.items():
-        amps[basis.index([a, b])] = value
-    return StateVector(basis, amps)
+        grid[a, b] = value
+    return grid
+
+
+def random_pair(rng):
+    """A normalized pair grid of standard normal real and imaginary parts."""
+    grid = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return grid / np.linalg.norm(grid)
 
 
 def expected_accumulated(phi):
@@ -88,19 +94,26 @@ class TestConfig:
             rd.emit_field_traces([state], empty)
 
 
+class TestLockedPair:
+    def test_is_the_state_zeno4_locks(self):
+        # the subradiant pair weighs each term 1/(sqrt(2) sqrt(2)), which
+        # rounds to 0.4999999999999999, one ulp of 0.5 below the readout's
+        config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.001, final_time=100.0)
+        np.testing.assert_allclose(rd.locked_pair_state(), zm.subradiant_state(config),
+                                   rtol=0, atol=2e-16)
+
+
 class TestAccumulate:
     def test_zero_time_is_identity(self):
         config = rd.readout_config()
         state = rd.accumulate_clock_phase(rd.locked_pair_state(), 0.0, config)
-        np.testing.assert_allclose(state.amplitudes,
-                                   rd.locked_pair_state().amplitudes, atol=1e-12)
+        np.testing.assert_allclose(state, rd.locked_pair_state(), atol=1e-12)
 
     def test_pi_phase_flips_relative_sign(self):
         config = rd.readout_config()
         t_f = math.pi / config.clock_frequency
         state = rd.accumulate_clock_phase(rd.locked_pair_state(), t_f, config)
-        np.testing.assert_allclose(state.amplitudes,
-                                   expected_accumulated(math.pi).amplitudes, atol=1e-12)
+        np.testing.assert_allclose(state, expected_accumulated(math.pi), atol=1e-12)
 
     def test_two_pi_periodicity(self):
         config = rd.readout_config()
@@ -108,14 +121,14 @@ class TestAccumulate:
         for t_f in (0.13, 0.57):
             a = rd.accumulate_clock_phase(rd.locked_pair_state(), t_f, config)
             b = rd.accumulate_clock_phase(rd.locked_pair_state(), t_f + period, config)
-            np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-10)
+            np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 class TestGates:
     def test_flip_is_involution(self):
         state = rd.locked_pair_state()
         twice = rd.flip_sign_atom_b(rd.flip_sign_atom_b(state, E1), E1)
-        np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(twice, state, atol=1e-15)
 
     def test_flips_map_subradiant_to_superradiant(self):
         config = rd.readout_config()
@@ -123,30 +136,26 @@ class TestGates:
             state = rd.accumulate_clock_phase(
                 rd.locked_pair_state(), phi / config.clock_frequency, config)
             flipped = rd.flip_sign_atom_b(rd.flip_sign_atom_b(state, E1), E2)
-            np.testing.assert_allclose(flipped.amplitudes,
-                                       expected_superradiant(phi).amplitudes, atol=1e-12)
+            np.testing.assert_allclose(flipped, expected_superradiant(phi), atol=1e-12)
 
     def test_mixer_is_unitary(self):
         rng = np.random.default_rng(5)
-        first, second = (StateVector(rd.PAIR_BASIS, rng.normal(size=16) + 1j * rng.normal(size=16),
-                                     normalize=True) for _ in range(2))
+        first, second = random_pair(rng), random_pair(rng)
         mixed_first, mixed_second = rd.mix_ground_levels(first), rd.mix_ground_levels(second)
-        assert mixed_first.norm() == pytest.approx(1.0, abs=1e-15)
-        assert mixed_first.overlap(mixed_second) == pytest.approx(first.overlap(second),
-                                                                  abs=1e-15)
+        assert np.linalg.norm(mixed_first) == pytest.approx(1.0, abs=1e-15)
+        assert np.vdot(mixed_first, mixed_second) == pytest.approx(np.vdot(first, second),
+                                                                   abs=1e-15)
 
     def test_mixer_splits_first_ground_level(self):
         state = chain_state({(G1, E1): 1.0})
         mixed = rd.mix_ground_levels(state)
-        population_g2 = sum(abs(mixed.amplitudes[mixed.basis.index([G2, level])]) ** 2
-                            for level in range(4))
+        population_g2 = sum(abs(mixed[G2, level]) ** 2 for level in range(4))
         assert population_g2 == pytest.approx(0.5, abs=1e-12)
 
     def test_mixer_reproduces_expected_superposition(self):
         for phi in (0.0, 2.2, math.pi):
             mixed = rd.mix_ground_levels(expected_superradiant(phi))
-            np.testing.assert_allclose(mixed.amplitudes,
-                                       expected_mixed(phi).amplitudes, atol=1e-12)
+            np.testing.assert_allclose(mixed, expected_mixed(phi), atol=1e-12)
 
 
 class TestPostselect:
@@ -157,14 +166,13 @@ class TestPostselect:
         for phi in (0.0, 0.8, math.pi):
             state, probability = rd.postselect_not_g2(expected_mixed(phi))
             assert probability == pytest.approx(0.5, abs=1e-12)
-            np.testing.assert_allclose(state.amplitudes,
-                                       expected_postselected(phi).amplitudes, atol=1e-12)
+            np.testing.assert_allclose(state, expected_postselected(phi), atol=1e-12)
 
     def test_no_support_is_identity(self):
         state = chain_state({(E1, G1): 1.0})
         out, probability = rd.postselect_not_g2(state)
         assert probability == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(out, state, atol=1e-15)
 
     def test_pure_g2_pair_rejected(self):
         state = chain_state({(G2, G2): 1.0})
@@ -197,18 +205,14 @@ class TestChain:
         config = rd.readout_config()
         t_f = phi / config.clock_frequency
         accumulated = rd.accumulate_clock_phase(rd.locked_pair_state(), t_f, config)
-        np.testing.assert_allclose(accumulated.amplitudes,
-                                   expected_accumulated(phi).amplitudes, atol=1e-12)
+        np.testing.assert_allclose(accumulated, expected_accumulated(phi), atol=1e-12)
         flipped = rd.flip_sign_atom_b(rd.flip_sign_atom_b(accumulated, E1), E2)
-        np.testing.assert_allclose(flipped.amplitudes,
-                                   expected_superradiant(phi).amplitudes, atol=1e-12)
+        np.testing.assert_allclose(flipped, expected_superradiant(phi), atol=1e-12)
         mixed = rd.mix_ground_levels(flipped)
-        np.testing.assert_allclose(mixed.amplitudes,
-                                   expected_mixed(phi).amplitudes, atol=1e-12)
+        np.testing.assert_allclose(mixed, expected_mixed(phi), atol=1e-12)
         final, probability = rd.postselect_not_g2(mixed)
         assert probability == pytest.approx(0.5, abs=1e-10)
-        np.testing.assert_allclose(final.amplitudes,
-                                   expected_postselected(phi).amplitudes, atol=1e-12)
+        np.testing.assert_allclose(final, expected_postselected(phi), atol=1e-12)
 
 
 class TestEmission:
@@ -398,7 +402,7 @@ def dense_quadrature(state, model, radiated_only=True):
     denominators = (p.conj().T @ matrix @ p).diagonal().real[None, :] - bare[:, None]
     dressing = np.zeros_like(couplings)
     np.divide(couplings, denominators, out=dressing, where=np.abs(couplings) > 1e-13)
-    amps = np.kron(state.amplitudes, np.eye(mode_dim)[0])
+    amps = np.kron(state.ravel(), np.eye(mode_dim)[0])
     amps = amps + dressing @ (p.conj().T @ amps)
     amps /= np.linalg.norm(amps)
     basis = rd.emission_basis(config)
@@ -429,7 +433,7 @@ def sweep_states(config):
 
 def full_quadratures(states, model):
     """``_full_quadrature`` of the states as one batch of amplitude columns."""
-    return rd._full_quadrature(np.column_stack([s.amplitudes for s in states]), model)
+    return rd._full_quadrature(np.column_stack([s.ravel() for s in states]), model)
 
 
 class TestBatchedEmission:
@@ -501,11 +505,22 @@ class TestBatchedEmission:
         # grid and fit-window copies of about 1.1 MB, set it now
         assert self._traced_peak(40001) < 16 * 40001 * 8 + 1_500_000
 
-    def test_basis_mismatch_anywhere_in_the_batch(self):
+    def test_wrong_shape_anywhere_in_the_batch(self):
+        # a pair state is its 4 x 4 grid: a state on the emission basis, a
+        # flat grid and a two-level pair's grid are rejected by the chain's
+        # steps and anywhere in an emission batch
         config = rd.readout_config()
-        stray = StateVector(rd.emission_basis(config), np.eye(48)[0])
-        with pytest.raises(h.BasisMismatchError):
-            rd.emit_field_traces([*sweep_states(config)[:2], stray], rd.emission_model(config))
+        model = rd.emission_model(config)
+        states = sweep_states(config)[:2]
+        steps = [lambda state: rd.accumulate_clock_phase(state, 0.1, config),
+                 lambda state: rd.flip_sign_atom_b(state, E1), rd.mix_ground_levels,
+                 rd.postselect_not_g2, lambda state: rd.emit_field_trace(state, model)]
+        for stray in (np.eye(48)[0], states[0].ravel(), np.eye(2, dtype=complex)):
+            for step in steps:
+                with pytest.raises(ValueError, match="4 x 4"):
+                    step(stray)
+            with pytest.raises(ValueError, match="4 x 4"):
+                rd.emit_field_traces([*states, stray], model)
 
     def test_degenerate_fit_is_per_state(self):
         # both atoms in G2 lie outside the radiating channel, so that trace is zero
@@ -551,8 +566,7 @@ class TestChannelQuadrature:
             state = expected_mixed(1.1)
         else:
             rng = np.random.default_rng(seed)
-            state = StateVector(rd.PAIR_BASIS, rng.normal(size=16) + 1j * rng.normal(size=16),
-                                normalize=True)
+            state = random_pair(rng)
         model = rd.emission_model(rd.readout_config())
         (quadrature,), _ = full_quadratures([state], model)
         oracle, _ = dense_quadrature(state, model)
@@ -639,7 +653,7 @@ class TestSlabbedPhaseFactors:
     def _pairs(config, count):
         phases = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False) + 0.3
         states = [rd.readout_chain(config, phi / config.clock_frequency)[0] for phi in phases]
-        return np.column_stack([state.amplitudes for state in states])
+        return np.column_stack([state.ravel() for state in states])
 
     # the 16-phase clock-chain sweep (16 slabs of 250-251 times), the
     # 37-phase sweep of configs/ci/blas-ragged.cfg at 6007 samples (55 slabs,

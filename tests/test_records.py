@@ -155,14 +155,15 @@ def test_atom_and_mode_of_one_size_differ(n):
 
 
 def _built_bases():
-    """The product bases the protocols and the readout chain build."""
+    """The product bases the protocols and the readout emission build, and three bare ones."""
     configs = [z2.config_for_cycle_time(0.01, 0.5, photon_number=2),
                zm.three_level_config(photon_number=2),
                zm.four_level_config_from_deltas(1.0, 0.5, cycle_time=0.02, final_time=0.2,
                                                 photon_number=2)]
     return ([z2.pair_basis(config) for config in configs]
-            + [readout.PAIR_BASIS, readout.emission_basis(readout.readout_config())]
-            + [h.build_basis([h.Atom(2)]), h.build_basis([h.Mode(1)])])
+            + [readout.emission_basis(readout.readout_config())]
+            + [h.build_basis([h.Atom(4), h.Atom(4)]), h.build_basis([h.Atom(2)]),
+               h.build_basis([h.Mode(1)])])
 
 
 def test_product_basis_equality_and_hash():
