@@ -4,8 +4,9 @@ Floats are written with the shortest decimal representation that
 round-trips a 64-bit value (Python's repr), so re-parsing a file
 reproduces the in-memory record bit for bit on any platform.
 
-A file is formatted column by column, and the bytes written are those of
-formatting every row.
+A file is written in blocks of rows, each formatted column by column, so
+no more than one block of strings exists at a time; the bytes written are
+those of formatting every row.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ import numpy as np
 from .records import Record
 
 _TIME_COLUMNS = {"t", "time", "t_r", "t_f", "tau"}
+
+_BLOCK_ROWS = 512  # rows formatted and written at a time
 
 
 class TraceRecord(Record):
@@ -41,41 +44,41 @@ class TraceRecord(Record):
         rows.flags.writeable = False
         self._set(locals())
 
-    def __eq__(self, other):
-        if not isinstance(other, TraceRecord):
-            return NotImplemented
-        return (self.name == other.name and self.columns == other.columns
-                and self.provenance == other.provenance
-                and self.rows.shape == other.rows.shape
-                and bool(np.all(self.rows == other.rows)))
+    # equality by bytes, from Record; unhashable, as the provenance is a dict
+    __hash__ = None
 
 
 def write_csv(record: TraceRecord, path, formatted=None) -> None:
-    """Write ``record`` to ``path``.
+    """Write ``record`` to ``path``, ``_BLOCK_ROWS`` rows at a time.
 
-    A caller whose files share a column (the readout traces share their time
-    column) passes the same dict as ``formatted`` to each call.  It maps a
-    column position to the bytes and strings of the last column written
-    there, and a bit-identical column at that position reuses the strings.
-    Keyed on bytes, the reuse is exact: -0.0 and 0.0 compare equal but print
-    apart, and they miss.  A call without it keeps nothing.
+    A caller whose files share their first column (the readout traces share
+    their time column) passes the same dict as ``formatted`` to each call.
+    Its one entry, at position 0, holds the bytes and strings of the last
+    first column written, and a bit-identical first column reuses the
+    strings.  Keyed on bytes, the reuse is exact: -0.0 and 0.0 compare equal
+    but print apart, and they miss.  Every other column, and the first one
+    of a call without the dict, is formatted a block at a time and dropped.
     """
-    formatted = {} if formatted is None else formatted
-    lines = [f"# trace: {record.name}"]
-    for key, value in record.provenance.items():
-        lines.append(f"# {key}: {value}")
-    lines.append(",".join(record.columns))
-    columns = []
-    for position, column in enumerate(record.rows.T):
-        data = column.tobytes()
-        entry = formatted.get(position)
+    rows = record.rows
+    first = None
+    if formatted is not None and rows.shape[1]:
+        data = rows[:, 0].tobytes()
+        entry = formatted.get(0)
         if entry is None or entry[0] != data:
-            entry = formatted[position] = (data, list(map(repr, column.tolist())))
-        columns.append(entry[1])
-    # a record without columns still writes one empty line per row
-    lines.extend(map(",".join, zip(*columns)) if columns else [""] * len(record.rows))
+            entry = formatted[0] = (data, list(map(repr, rows[:, 0].tolist())))
+        first = entry[1]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(f"# trace: {record.name}\n")
+        for key, value in record.provenance.items():
+            handle.write(f"# {key}: {value}\n")
+        handle.write(",".join(record.columns) + "\n")
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            columns = [] if first is None else [first[start:start + _BLOCK_ROWS]]
+            columns += [list(map(repr, column)) for column in block[:, len(columns):].T.tolist()]
+            # a record without columns still writes one empty line per row
+            lines = map(",".join, zip(*columns)) if columns else [""] * len(block)
+            handle.write("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> TraceRecord:

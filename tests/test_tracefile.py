@@ -1,5 +1,7 @@
 """Trace records and their CSV round trip."""
 
+import tracemalloc
+from collections.abc import Hashable
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from zenolock import cli, tracefile
 from zenolock.tracefile import TraceRecord, read_csv, write_csv
 
 REPO = Path(__file__).resolve().parents[1]
+BLOCK = tracefile._BLOCK_ROWS
 
 
 def row_wise_csv(record):
@@ -50,6 +53,30 @@ class TestTraceRecord:
     def test_separator_in_label_rejected(self):
         with pytest.raises(ValueError):
             TraceRecord(name="bad", columns=("a,b",), rows=np.zeros((1, 1)))
+
+    def test_record_holding_nan_equals_itself(self):
+        record = table(np.array([0.0, np.nan, 1.0]))
+        assert record == record and not record != record
+        assert record == table(np.array([0.0, np.nan, 1.0]))
+
+    def test_record_holding_nan_equals_its_round_trip(self, tmp_path):
+        record = table(np.array([np.nan, np.inf]), np.array([1.0, np.nan]))
+        write_csv(record, tmp_path / "nan.csv")
+        assert read_csv(tmp_path / "nan.csv") == record
+
+    def test_signed_zeros_differ(self, tmp_path):
+        # equal as floats, but their files read 0.0 and -0.0
+        positive, negative = table(np.array([0.0, 1.0])), table(np.array([-0.0, 1.0]))
+        assert positive != negative and not positive == negative
+        write_csv(positive, tmp_path / "positive.csv")
+        write_csv(negative, tmp_path / "negative.csv")
+        assert (tmp_path / "positive.csv").read_bytes() != (tmp_path / "negative.csv").read_bytes()
+
+    def test_unhashable(self):
+        # Record.__hash__ would fail on the provenance dict; None says so up front
+        assert not isinstance(sample_record(), Hashable)
+        with pytest.raises(TypeError):
+            hash(sample_record())
 
 
 class TestRoundTrip:
@@ -171,3 +198,72 @@ class TestColumnFormatting:
             assert (out / name).read_text(encoding="utf-8") == row_wise_csv(record)
         # t_r formatted once for the sweep, not once per trace: 17 columns of 4001
         assert formatted_values[0] == 17 * 4001
+
+
+class TestRowBlocks:
+    """write_csv against the row-by-row reference where its row blocks meet."""
+
+    @staticmethod
+    def assert_reference(path, record):
+        # line by line: a failure names the first differing line at once, where
+        # a diff of two long texts takes minutes
+        assert path.read_text(encoding="utf-8").split("\n") == row_wise_csv(record).split("\n")
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_row_counts_at_block_edges(self, tmp_path, rows, shared):
+        t = np.linspace(0.0, 1.0, rows)
+        record = table(t, np.sin(7 * t), np.cos(3 * t))
+        formatted = {} if shared else None
+        for name in ("first.csv", "second.csv"):  # a miss, then a hit of the dict
+            write_csv(record, tmp_path / name, formatted)
+            self.assert_reference(tmp_path / name, record)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_no_columns_over_several_blocks(self, tmp_path, shared):
+        record = TraceRecord(name="empty", columns=(), rows=np.zeros((2 * BLOCK + 1, 0)))
+        write_csv(record, tmp_path / "empty.csv", {} if shared else None)
+        self.assert_reference(tmp_path / "empty.csv", record)
+        text = (tmp_path / "empty.csv").read_text(encoding="utf-8")
+        assert text.endswith("\n" * (2 * BLOCK + 2))  # the empty header, then a line per row
+
+    def test_signed_zeros_and_nan_payloads_at_a_block_edge(self, tmp_path):
+        other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        t = np.linspace(0.0, 1.0, 2 * BLOCK + 1)
+        before, after = t.copy(), t.copy()
+        before[BLOCK - 1:BLOCK + 1] = [-0.0, other_nan]
+        after[BLOCK - 1:BLOCK + 1] = [0.0, -np.nan]
+        records = [table(before, after), table(after, before), table(before, before),
+                   table(after, after)]
+        formatted = {}
+        for index, record in enumerate(records):
+            path = tmp_path / f"{index}.csv"
+            write_csv(record, path, formatted)
+            self.assert_reference(path, record)
+
+    def test_transient_memory_is_one_block(self, tmp_path):
+        rng = np.random.default_rng(5)
+        record = table(np.arange(100_000) * 1e-3, *rng.standard_normal((3, 100_000)))
+        tracemalloc.start()
+        try:
+            write_csv(record, tmp_path / "large.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # formatting the whole file at once peaks near 58 MB
+        assert peak < 1_000_000
+
+    def test_readout_sweep_keeps_the_time_column_only(self, tmp_path, monkeypatch):
+        dicts = []
+        times = []
+
+        def recording(record, path, formatted=None):
+            dicts.append(formatted)
+            times.append(record.rows[:, 0].tobytes())
+            write_csv(record, path, formatted)
+
+        monkeypatch.setattr(cli, "write_csv", recording)
+        config = REPO / "perfbench" / "clock_chain.cfg"
+        assert cli.main(["readout", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert len(dicts) == 16 and all(d is dicts[0] for d in dicts)
+        assert list(dicts[0]) == [0] and dicts[0][0][0] == times[-1]
