@@ -55,6 +55,14 @@ _MAX_CLOCK_PHASE = 2.0**51 * readout.TWO_PI
 # adiabatic elimination of the excited levels begins to fail.
 _MAX_PHASE_ERROR = 0.05
 
+# Each readout clock phase holds about 2.3 kB besides the grid (its trace, chain
+# state, manifest results and CSV write): a run peaks at 187 MB at 4 time points.
+_MAX_CLOCK_PHASES = 1 << 16
+# Bounds the readout grid, a trace's rows and the t_r strings the CSV files share
+# (118 MB peak at one phase); the edge of a former bound on a grid over the whole
+# emission basis (at emission_cutoff = 1), so no config it admitted is rejected.
+_MAX_READOUT_POINTS = 1 << 19
+
 # A survival CSV holds the recorded points (at most trace_points), t = 0 and a
 # trailing partial cycle's point, 4 columns each: (trace_points + 2) * 4 entries
 # stay within _MAX_ENTRIES up to this trace_points.
@@ -67,10 +75,10 @@ _MAX_TRACE_POINTS = _MAX_ENTRIES // 4 - 2
 # cap the basis dimension d.  A Zeno run evolves only the at most 12 (zeno2)
 # or 56 (zeno4) states its start reaches and carries the pair state as its
 # atom amplitudes; only the reach's mask of held states grows with d.  The
-# readout emission sectors hold at most 9 states each.  With the default
-# Fock cutoff of n + 2 for every mode the caps keep d = 4(n + 3) <= 2044 for
-# zeno2, d = 16(n + 3)^2 <= 65,536 for zeno4 and d = 16(c + 1) <= 2048 for
-# readout.
+# readout holds the 21 states its channel reaches (c >= 2), so c sizes only basis
+# indices and that mask.  With the default Fock cutoff of n + 2 for every mode
+# the caps keep d = 4(n + 3) <= 2044 for zeno2, d = 16(n + 3)^2 <= 65,536 for
+# zeno4 and d = 16(c + 1) <= 2048 for readout.
 SCHEMA = {
     "dephasing": {
         "atom_count": Key("100", int, minimum=1),
@@ -118,7 +126,7 @@ SCHEMA = {
                             maximum=_MAX_CLOCK_PHASE),
         "time_max": Key("5.0", positive=True),
         # extract_phase fits a sine through at least four samples
-        "time_points": Key("4001", int, minimum=4),
+        "time_points": Key("4001", int, minimum=4, maximum=_MAX_READOUT_POINTS),
         "fit_periods": Key("32", positive=True),
         "emission_cutoff": Key("2", int, minimum=1, maximum=127),
         "method": Key("full", str, choices=("full", "perturbative")),
@@ -458,12 +466,10 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
     time_max = section["time_max"]
     fit_periods = section["fit_periods"]
     cutoff = section["emission_cutoff"]
-    entries = points * 16 * (cutoff + 1)
-    if entries > _MAX_ENTRIES:
-        raise ConfigError(f"[readout] time_points must keep the readout grid over the "
-                          f"{16 * (cutoff + 1)} emission-basis states at most {_MAX_ENTRIES} "
-                          f"entries, got {points} ({entries} entries)")
     phases = section["clock_phases"]
+    if len(phases) > _MAX_CLOCK_PHASES:
+        raise ConfigError(f"[readout] clock_phases must hold at most {_MAX_CLOCK_PHASES} "
+                          f"phases, got {len(phases)}")
     if len(phases) * points > _MAX_ENTRIES:  # the quadratures of the sweep
         raise ConfigError(f"[readout] clock_phases x time_points must be at most {_MAX_ENTRIES}, "
                           f"got {len(phases)} x {points}")

@@ -262,26 +262,12 @@ def extract_phase(times, values, known_frequency: float,
     return phase
 
 
-def _resonant_subspace(config: ReadoutConfig) -> np.ndarray:
-    """Orthonormal basis (as columns) of the resonant radiating channel.
-
-    Symmetric pair states with zero or one emitted photon.  The quadrature
-    evaluated on this subspace is the radiated component; the bare
-    intracavity quadrature additionally carries a constant-amplitude
-    interference term from the virtual cloud dressing the driven atoms,
-    which never propagates and which the emission picture excludes.
-    """
-    basis = emission_basis(config)
-
-    def sym(upper, lower, photons):
-        amps = np.zeros(basis.dimension, dtype=complex)
-        amps[basis.index([upper, lower, photons])] = 1.0 / math.sqrt(2.0)
-        amps[basis.index([lower, upper, photons])] = 1.0 / math.sqrt(2.0)
-        return amps
-
-    # disjoint supports, so the columns are orthonormal as they stand
-    return np.column_stack([sym(E1, G1, 0), sym(E2, G1, 1), sym(E2, G1, 0), sym(E1, G1, 1)])
-
+# The resonant radiating channel, the orthonormal columns of P: symmetric pair
+# states (|upper lower> + |lower upper>)/sqrt(2) with 0 or 1 emitted photons, as
+# (upper, lower, photons).  The quadrature on the channel is the radiated
+# component; the bare intracavity quadrature also carries a constant-amplitude
+# term from the virtual cloud dressing the driven atoms, which never propagates.
+_CHANNEL = ((E1, G1, 0), (E2, G1, 1), (E2, G1, 0), (E1, G1, 1))
 
 # P^dag a P on the channel columns: a takes |E1 G1> with one photon (column 3)
 # to |E1 G1> (column 0), and |E2 G1> with one photon (column 1) to column 2.
@@ -298,24 +284,29 @@ class _EmissionModel:
     """Shared machinery of the emission stage at a fixed mode frequency.
 
     Works on ``states``, the basis states of the sectors that the resonant
-    channel reaches (21 of 48 at the default cutoff); no other state couples
-    to them.  Holds the rotating-frame eigensystem on them, which a
-    :class:`hilbert.BlockEvolver` solves by sector, the resonant-channel basis,
-    the second-order effective Hamiltonian, and the first-order dressing map
-    that starts the evolution in the adiabatically prepared state (drive ramp
-    fast compared with the Raman transfer, slow compared with the detuning).
+    channel reaches (21 at every cutoff from 2 up, 17 at cutoff 1); no other
+    state couples to them, and no array of the stage spans the whole basis.
+    Holds the rotating-frame eigensystem on them, which a
+    :class:`hilbert.BlockEvolver` solves by sector, the channel columns P on
+    them (``p_matrix``), the second-order effective Hamiltonian, and the
+    first-order dressing map that starts the evolution in the adiabatically
+    prepared state (drive ramp fast compared with the Raman transfer, slow
+    compared with the detuning).
     """
 
     def __init__(self, config: ReadoutConfig, mode_frequency: float):
         self.config = config
         self.mode_frequency = mode_frequency
-        subspace = _resonant_subspace(config)
-        hamiltonian = h.assemble_sectors(*_rotating_frame_terms(config, mode_frequency),
-                                         np.flatnonzero(subspace.any(axis=1)))
+        basis, weights, exchange = _rotating_frame_terms(config, mode_frequency)
+        channel = np.array([(basis.index([upper, lower, photons]),
+                             basis.index([lower, upper, photons]))
+                            for upper, lower, photons in _CHANNEL])
+        hamiltonian = h.assemble_sectors(basis, weights, exchange, channel.ravel())
         evolver = h.BlockEvolver(hamiltonian)
         self.states = evolver.states
-        self.p_matrix = subspace[self.states]
-        atom_a, atom_b, photons = np.unravel_index(self.states, hamiltonian.basis.dims)
+        self.p_matrix = np.zeros((len(self.states), len(channel)), dtype=complex)
+        self.p_matrix[(self.states[:, None, None] == channel).any(axis=2)] = 1.0 / math.sqrt(2.0)
+        atom_a, atom_b, photons = np.unravel_index(self.states, basis.dims)
         self.two_quanta = photons + (atom_a == E1) + (atom_b == E1) >= 2  # L >= 2
         matrix = np.zeros((len(self.states),) * 2, dtype=complex)
         start = 0
@@ -356,21 +347,27 @@ class _EmissionModel:
         return float(abs(self.h_eff[0, 1]))
 
     def _vacuum(self, pairs: np.ndarray) -> np.ndarray:
-        """Two-atom amplitude columns with the emission mode in vacuum, on the whole basis."""
-        mode_dim = self.config.emission_mode_cutoff + 1
-        amps = np.zeros((len(pairs), mode_dim, pairs.shape[1]), dtype=complex)
-        amps[:, 0] = pairs
-        return amps.reshape(len(pairs) * mode_dim, pairs.shape[1])
+        """Two-atom amplitude columns with the emission mode in vacuum, on ``states``."""
+        pair, photons = divmod(self.states, self.config.emission_mode_cutoff + 1)
+        amps = np.zeros((len(self.states), pairs.shape[1]), dtype=complex)
+        amps[photons == 0] = pairs[pair[photons == 0]]
+        return amps
 
     def embed(self, pairs: np.ndarray) -> np.ndarray:
         """The adiabatically dressed starts on ``states``, each normalized on the whole basis.
 
-        ``pairs`` holds one two-atom amplitude vector per column.
+        ``pairs`` holds one two-atom amplitude vector per column.  The norm
+        sums the squares of the held states and of the pairs off the reach (an
+        atom in |G2>) in ascending basis order, as one over the whole basis would.
         """
-        amps = self._vacuum(pairs)
-        start = amps[self.states]
-        amps[self.states] = start + self.dressing @ (self.p_matrix.conj().T @ start)
-        return amps[self.states] / np.linalg.norm(amps, axis=0)
+        start = self._vacuum(pairs)
+        start = start + self.dressing @ (self.p_matrix.conj().T @ start)
+        mode_dim = self.config.emission_mode_cutoff + 1
+        off = np.ones(len(pairs), dtype=bool)  # the pairs off the reach
+        off[self.states[self.states % mode_dim == 0] // mode_dim] = False
+        keys = np.concatenate([self.states, np.flatnonzero(off) * mode_dim])
+        rows = np.concatenate([start, pairs[off]])[np.argsort(keys, kind="stable")]
+        return start / np.linalg.norm(rows, axis=0)
 
 
 def emission_model(config: ReadoutConfig) -> _EmissionModel:
@@ -459,13 +456,12 @@ def _full_quadrature(pairs: np.ndarray, model: _EmissionModel):
 def _perturbative_quadrature(pairs: np.ndarray, model: _EmissionModel):
     """Adiabatic-elimination fast path, full driven evolution as its oracle."""
     w, v = np.linalg.eigh(model.h_eff)
-    coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(pairs)[model.states])
+    coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(pairs))
     return (_channel_quadratures(model.readout_times, w, coeff, v.T),
             np.zeros(pairs.shape[1]))
 
 
-def emit_field_traces(states, model: _EmissionModel, method: str = "full",
-                      fit: bool = True) -> list:
+def emit_field_traces(states, model: _EmissionModel, method: str = "full") -> list:
     """Quadrature of the emitted field over the readout grid, one trace per state.
 
     Each state is a post-selected pair's 4 x 4 grid (ValueError on another
@@ -500,23 +496,21 @@ def emit_field_traces(states, model: _EmissionModel, method: str = "full",
     frequency = model.beat_frequency()
     traces = []
     for quadrature in quadratures:
-        phase = None
-        if fit:
-            try:
-                phase = extract_phase(times, quadrature, frequency, config.fit_periods)
-            except DegenerateFitError:
-                pass
+        try:
+            phase = extract_phase(times, quadrature, frequency, config.fit_periods)
+        except DegenerateFitError:
+            phase = None
         traces.append(FieldTrace(times=times, quadrature=quadrature, fitted_phase=phase,
                                  fitted_frequency=frequency))
     return traces
 
 
 def emit_field_trace(state: np.ndarray, config: _EmissionModel,
-                     method: str = "full", fit: bool = True) -> FieldTrace:
+                     method: str = "full") -> FieldTrace:
     """:func:`emit_field_traces` of the one state ``state``."""
     # The model keeps the argument name ``config``: perfbench/tracer.py binds
     # this argument by name and reads its ``readout_times``.
-    return emit_field_traces([state], config, method=method, fit=fit)[0]
+    return emit_field_traces([state], config, method=method)[0]
 
 
 def readout_phase(config: ReadoutConfig, elapsed_time: float,

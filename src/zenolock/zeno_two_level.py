@@ -176,17 +176,16 @@ def pair_basis(config) -> h.ProductBasis:
     return h.build_basis([atom, atom, *(Mode(cutoff) for cutoff in config.fock_cutoffs)])
 
 
-def _hamiltonian_terms(config, coupled: bool):
+def _hamiltonian_terms(config):
     """Basis, diagonal weights and exchange terms of the pair Hamiltonian.
 
     |upper_k> <-> |lower_k> exchanges a photon with mode k, on both atoms
-    (rotating-wave).  Without ``coupled`` the exchange terms are dropped,
-    which models the free-drift segments where the photons have been removed.
+    (rotating-wave).
     """
     mode_weights = [frequency * (np.arange(cutoff + 1) + 0.5)
                     for frequency, cutoff in zip(config.mode_frequencies, config.fock_cutoffs)]
     exchange = [(atom, upper, lower, mode, 0.5 * config.coupling) for atom in (0, 1)
-                for mode, (upper, lower) in enumerate(config.TRANSITIONS, start=2) if coupled]
+                for mode, (upper, lower) in enumerate(config.TRANSITIONS, start=2)]
     return pair_basis(config), [*config.atom_levels, *mode_weights], exchange
 
 
@@ -197,7 +196,7 @@ def build_sector_hamiltonian(config) -> h.SectorHamiltonian:
     :func:`coupling_window`), and each photon exchange moves one atom between
     the levels of one transition, so its sectors hold a few states each.
     """
-    basis, weights, exchange = _hamiltonian_terms(config, True)
+    basis, weights, exchange = _hamiltonian_terms(config)
     return h.assemble_sectors(basis, weights, exchange,
                               _atom_states(basis, config.photon_number))
 

@@ -6,13 +6,15 @@ independent references the tests compare against.  The dense assembler,
 :func:`assemble_hamiltonian`, and the dense pair Hamiltonian,
 :func:`build_hamiltonian`, fill the whole matrix from the package's own entry
 lists: they are the oracles of its sector assembly, and :func:`evolve` is
-the dense evolution under them.  The conserved excitation numbers,
+the dense evolution under them.  :func:`resonant_subspace` is the readout
+channel over the whole emission basis.  The conserved excitation numbers,
 :func:`conserved_labels` of a pair and :func:`emission_labels` of the
 readout, are the oracles of the sectors that the package derives from the
 exchange terms' reach.
 """
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -114,8 +116,32 @@ def assemble_hamiltonian(basis: h.ProductBasis, diagonal_weights,
 
 
 def build_hamiltonian(config, coupled: bool = True) -> h.OperatorMatrix:
-    """Dense pair Hamiltonian; the oracle of ``zeno_two_level.build_sector_hamiltonian``."""
-    return assemble_hamiltonian(*z2._hamiltonian_terms(config, coupled))
+    """Dense pair Hamiltonian; the oracle of ``zeno_two_level.build_sector_hamiltonian``.
+
+    Without ``coupled`` the exchange terms are dropped, which models the
+    free-drift segments where the photons have been removed.
+    """
+    basis, weights, exchange = z2._hamiltonian_terms(config)
+    return assemble_hamiltonian(basis, weights, exchange if coupled else [])
+
+
+def resonant_subspace(config) -> np.ndarray:
+    """Orthonormal basis (as columns) of the readout's resonant radiating channel.
+
+    Symmetric pair states with zero or one emitted photon, each column over
+    the whole emission basis: the oracle of ``_EmissionModel.p_matrix``.
+    """
+    basis = rd.emission_basis(config)
+
+    def sym(upper, lower, photons):
+        amps = np.zeros(basis.dimension, dtype=complex)
+        amps[basis.index([upper, lower, photons])] = 1.0 / math.sqrt(2.0)
+        amps[basis.index([lower, upper, photons])] = 1.0 / math.sqrt(2.0)
+        return amps
+
+    # disjoint supports, so the columns are orthonormal as they stand
+    return np.column_stack([sym(rd.E1, rd.G1, 0), sym(rd.E2, rd.G1, 1),
+                            sym(rd.E2, rd.G1, 0), sym(rd.E1, rd.G1, 1)])
 
 
 def evolve(state: StateVector, hamiltonian: h.OperatorMatrix,

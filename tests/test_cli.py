@@ -538,13 +538,11 @@ class TestExitCodes:
         assert f"[{section}] {key} must" in err
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
-    # one step past each readout size cap: the grid over the 48 emission-basis
-    # states, and the quadratures of the sweep (100 phases x 167,773 points,
+    # one step past each readout size cap: the readout grid (the schema's
+    # maximum), and the quadratures of the sweep (100 phases x 167,773 points,
     # 134 MB), which no other check bounds
     @pytest.mark.parametrize("text, message", [
-        ("time_points = 349526\n",
-         "time_points must keep the readout grid over the 48 emission-basis states at most "
-         "16777216 entries, got 349526 (16777248 entries)"),
+        ("time_points = 524289\n", "time_points must be at most 524288, got 524289"),
         ("clock_phases = " + ", ".join(["0.5"] * 100) + "\ntime_points = 167773\n",
          "clock_phases x time_points must be at most 16777216, got 100 x 167773"),
     ], ids=["grid", "quadratures"])
@@ -561,6 +559,29 @@ class TestExitCodes:
         # rejected before the readout grid (1.3 MB at 167,773 points) is built
         assert peak < 1_000_000
         assert not (tmp_path / "out" / "manifest.txt").exists()
+
+    def test_readout_phase_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # one phase past the cap, rejected before the readout grid or any chain state
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built past the clock_phases cap")
+
+        monkeypatch.setattr(cli.readout, "readout_config", unreachable)
+        monkeypatch.setattr(cli.readout, "readout_chain", unreachable)
+        path = write_config(tmp_path, "[readout]\nclock_phases = "
+                            + ", ".join(["0.5"] * 65537) + "\ntime_points = 4\n")
+        code = cli.main(["readout", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == ("zenolock: config error: [readout] clock_phases must "
+                                           "hold at most 65536 phases, got 65537\n")
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
+    def test_readout_grid_does_not_grow_with_the_cutoff(self, tmp_path):
+        # 10,000 points at the largest cutoff: a former bound on a grid over the
+        # whole emission basis (2048 states) rejected anything above 8192
+        path = write_config(tmp_path, "[readout]\nemission_cutoff = 127\ntime_points = 10000\n")
+        code = cli.main(["readout", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_OK
+        assert len((tmp_path / "out" / "readout_trace_1.csv").read_text().splitlines()) > 10000
 
     # admitted values whose derived quantities underflow: the measurement
     # interval cycle / (measure_ratio + 1) rounds to 0, or the readout grid
@@ -1386,10 +1407,11 @@ class TestStartup:
             "--out", str(tmp_path / "out")]
         self._unloaded_after_cli_import("_hashlib", argv)
 
-    @pytest.mark.parametrize("command", ["zeno2", "zeno4", "readout"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_sector_assembly_leaves_numpy_ma_unloaded(self, tmp_path, command):
-        # np.unique without counts checks np.ma.is_masked on numpy 2, and that
-        # import cost a zeno2 run about 10 ms and 0.5 MB of RSS
+        # np.unique without counts checks np.ma.is_masked on numpy 2, as do
+        # np.setdiff1d and np.union1d, and that import cost a zeno2 run about
+        # 10 ms and 0.5 MB of RSS
         self._unloaded_after_cli_import("numpy.ma", [
             command, "--config", str(REPO / "configs" / "defaults.cfg"),
             "--out", str(tmp_path / "out")])

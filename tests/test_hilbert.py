@@ -9,7 +9,8 @@ import stepwise_oracle as so
 from kronecker_oracles import (annihilation, assemble_hamiltonian, atomic_projector,
                                basis_state, build_hamiltonian, commutator_norm,
                                conserved_labels, creation, emission_labels, evolve,
-                               expectation, number_operator, occupation_labels)
+                               expectation, number_operator, occupation_labels,
+                               resonant_subspace)
 from zenolock import hilbert as h
 from zenolock import readout as rd
 from zenolock import zeno_multilevel as zm
@@ -462,7 +463,7 @@ class TestReached:
     def test_same_sectors_as_the_per_sector_rule(self, case, data):
         # any start indices, repeated or not, in any order
         config = {"zeno2": default_zeno2_config, "zeno4": default_zeno4_config}[case]()
-        basis, weights, exchange = z2._hamiltonian_terms(config, True)
+        basis, weights, exchange = z2._hamiltonian_terms(config)
         every = every_sector(config)
         start = np.array(data.draw(st.lists(st.integers(0, basis.dimension - 1), max_size=8)),
                          dtype=np.intp)
@@ -472,7 +473,7 @@ class TestReached:
 
     def test_nothing_reached_holds_no_sector(self):
         config = default_zeno2_config()
-        basis, weights, exchange = z2._hamiltonian_terms(config, True)
+        basis, weights, exchange = z2._hamiltonian_terms(config)
         held = h.assemble_sectors(basis, weights, exchange, np.zeros(0, dtype=np.intp))
         assert held.sectors == ()
         evolver = h.BlockEvolver(held)
@@ -551,7 +552,7 @@ def whole_diagonal(sectors):
 
 def channel_states(config):
     """The basis indices of the readout's resonant channel."""
-    return np.flatnonzero(rd._resonant_subspace(config).any(axis=1))
+    return np.flatnonzero(resonant_subspace(config).any(axis=1))
 
 
 def default_zeno2_config():
@@ -567,7 +568,7 @@ def default_zeno4_config():
 
 def every_sector(config):
     """The coupled pair Hamiltonian on every sector: every basis state a start."""
-    basis, weights, exchange = z2._hamiltonian_terms(config, True)
+    basis, weights, exchange = z2._hamiltonian_terms(config)
     return h.assemble_sectors(basis, weights, exchange, np.arange(basis.dimension))
 
 

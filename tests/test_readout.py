@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kronecker_oracles import annihilation, assemble_hamiltonian
+from kronecker_oracles import annihilation, assemble_hamiltonian, resonant_subspace
 from zenolock import hilbert as h
 from zenolock import readout as rd
 from zenolock import zeno_multilevel as zm
@@ -233,8 +233,8 @@ class TestEmission:
         state0, _ = rd.readout_chain(config, 0.0)
         state_pi, _ = rd.readout_chain(config, math.pi / config.clock_frequency)
         model = rd.emission_model(config)
-        trace0 = rd.emit_field_trace(state0, model, fit=False)
-        trace_pi = rd.emit_field_trace(state_pi, model, fit=False)
+        trace0 = rd.emit_field_trace(state0, model)
+        trace_pi = rd.emit_field_trace(state_pi, model)
         amplitude = np.max(np.abs(trace0.quadrature))
         assert np.max(np.abs(trace0.quadrature + trace_pi.quadrature)) < 0.01 * amplitude
 
@@ -250,8 +250,8 @@ class TestEmission:
         config = rd.readout_config(drive_amplitude=amplitude)
         state, _ = rd.readout_chain(config, 0.0)
         model = rd.emission_model(config)
-        full = rd.emit_field_trace(state, model, method="full", fit=False)
-        fast = rd.emit_field_trace(state, model, method="perturbative", fit=False)
+        full = rd.emit_field_trace(state, model, method="full")
+        fast = rd.emit_field_trace(state, model, method="perturbative")
         scale = np.max(np.abs(full.quadrature))
         assert np.max(np.abs(full.quadrature - fast.quadrature)) <= 0.05 * scale
 
@@ -302,7 +302,7 @@ class TestEmission:
         config = rd.readout_config()
         state, _ = rd.readout_chain(config, 0.0)
         model = rd.emission_model(config)
-        radiated = rd.emit_field_trace(state, model, fit=False)
+        radiated = rd.emit_field_trace(state, model)
         bare, _ = dense_quadrature(state, model, radiated_only=False)
         scale = np.max(np.abs(radiated.quadrature))
         assert np.max(np.abs(bare - radiated.quadrature)) > 0.01 * scale
@@ -356,7 +356,7 @@ def estimate_oscillation_frequency(times, values) -> float:
 def dense_emission(model):
     """The dense 48x48 emission Hamiltonian of a model and its 48x4 channel basis."""
     terms = rd._rotating_frame_terms(model.config, model.mode_frequency)
-    return assemble_hamiltonian(*terms).matrix, rd._resonant_subspace(model.config)
+    return assemble_hamiltonian(*terms).matrix, resonant_subspace(model.config)
 
 
 def per_block_eigensystem(model):
@@ -366,7 +366,7 @@ def per_block_eigensystem(model):
     the model's states, each block's eigenpairs on its span of them.
     """
     config = model.config
-    channel = np.flatnonzero(rd._resonant_subspace(config).any(axis=1))
+    channel = np.flatnonzero(resonant_subspace(config).any(axis=1))
     hamiltonian = h.assemble_sectors(*rd._rotating_frame_terms(config, model.mode_frequency),
                                      channel)
     assert np.array_equal(np.concatenate([idx for idx, _ in hamiltonian.sectors]),
@@ -604,9 +604,41 @@ class TestChannelQuadrature:
         np.testing.assert_array_equal(model.eigenvalues, values)
         np.testing.assert_array_equal(model.eigenvectors, vectors)
 
+    @pytest.mark.parametrize("cutoff", [1, 2, 5, 127])
+    def test_channel_equals_the_dense_columns_on_the_states(self, cutoff):
+        model = rd.emission_model(rd.readout_config(emission_cutoff=cutoff, time_points=5))
+        assert np.array_equal(model.p_matrix, resonant_subspace(model.config)[model.states])
+
+    def test_embedding_holds_no_emission_basis_array(self):
+        # 2,000 starts at the largest cutoff (2048 basis states): a (2048 x
+        # 2000) vacuum start array and its norm took 132 MB; the 21 held
+        # states and the 7 pairs off the reach take 2.5 MB
+        config = rd.readout_config(emission_cutoff=127, time_points=5)
+        model = rd.emission_model(config)
+        states = sweep_states(config)
+        pairs = np.column_stack([states[k % 16].ravel() for k in range(2000)])
+        tracemalloc.start()
+        try:
+            model.embed(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+    def test_sweep_is_bit_identical_at_every_cutoff_from_two(self):
+        # L is conserved and a chain state has no L = 2 weight, so a larger
+        # cutoff only renames basis indices
+        def quadratures(cutoff):
+            config = rd.readout_config(emission_cutoff=cutoff, time_points=401)
+            return full_quadratures(sweep_states(config), rd.emission_model(config))[0]
+
+        reference = quadratures(2)
+        for cutoff in (5, 127):
+            np.testing.assert_array_equal(quadratures(cutoff), reference)
+
     def test_channel_annihilation_is_dense_a_on_the_channel(self):
         model = rd.emission_model(rd.readout_config())
-        p = rd._resonant_subspace(model.config)
+        p = resonant_subspace(model.config)
         a = annihilation(rd.emission_basis(model.config), 2).matrix
         # 1/sqrt(2)^2 * 2 rounds to 1 + 2.2e-16
         np.testing.assert_allclose(p.conj().T @ a @ p, rd._CHANNEL_ANNIHILATION,
@@ -626,7 +658,7 @@ def whole_table_quadratures(pairs, model, method):
                              v.T @ model.p_matrix.conj())
     else:
         w, v = np.linalg.eigh(model.h_eff)
-        coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(pairs)[model.states])
+        coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(pairs))
         readout = v.T
     table = -1j * np.outer(np.asarray(model.readout_times), w)
     np.exp(table, out=table)
