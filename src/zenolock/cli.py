@@ -65,7 +65,8 @@ _MAX_READOUT_POINTS = 1 << 19
 
 # A survival CSV holds the recorded points (at most trace_points), t = 0 and a
 # trailing partial cycle's point, 4 columns each: (trace_points + 2) * 4 entries
-# stay within _MAX_ENTRIES up to this trace_points.
+# stay within _MAX_ENTRIES up to this trace_points.  A run holds that table and
+# the recorded cycles and their gaps: 187 MB peak RSS at the cap (zeno2).
 _MAX_TRACE_POINTS = _MAX_ENTRIES // 4 - 2
 
 # Every config key with its default text (as in configs/defaults.cfg), kind and
@@ -223,16 +224,16 @@ def cmd_dephasing(section: Section, out_dir: Path, args, digest: str):
     time_max = section["time_max"]
     bins = section["histogram_bins"]
     histogram_atoms = section["histogram_atom_count"]
-    # the draw work (replicas are drawn a few kernel blocks at a time, so
-    # this bounds work, not an array), the Monte Carlo work (its time_points
-    # x replicas values are folded block by block, so this too bounds work),
-    # the phasor powers of one replica (about 2 sqrt(time_points) per atom)
-    # and the histogram samples
-    for keys, entries in (("replicas x atom_count", replicas * atom_count),
-                          ("time_points x replicas", points * replicas),
-                          ("sqrt(time_points) x atom_count", math.isqrt(points) * atom_count),
-                          ("histogram_replicas x histogram_atom_count",
-                           histogram_replicas * histogram_atoms)):
+    for keys, entries in (
+            # the frequencies drawn (work), and the replica means (an array)
+            ("replicas x atom_count", replicas * atom_count),
+            # the mean cosines, folded a block of replicas at a time (work)
+            ("time_points x replicas", points * replicas),
+            # one replica's phasors, 2 sqrt(time_points) per atom (an array)
+            ("sqrt(time_points) x atom_count", math.isqrt(points) * atom_count),
+            # the histogram sample (an array)
+            ("histogram_replicas x histogram_atom_count",
+             histogram_replicas * histogram_atoms)):
         if entries > _MAX_ENTRIES:
             raise ConfigError(f"[dephasing] {keys} must be at most {_MAX_ENTRIES}, got {entries}")
     provenance = _provenance("dephasing", digest, seed)
@@ -381,12 +382,8 @@ def _survival_curves(command: str, section: Section, out_dir: Path, args,
     plot_series = []
     for cycle, config, trace, described in runs:
         tag = repr(float(cycle))
-        record = TraceRecord(
-            name=f"{command}_cycle_{tag}",
-            columns=("t", "p_success", "p_error_per_cycle", "analytic_p_s"),
-            rows=np.column_stack([trace.times, trace.p_success,
-                                  trace.p_error_per_cycle, trace.analytic_p_s]),
-            provenance={**provenance, "cycle_time": tag, **described})
+        record = TraceRecord(f"{command}_cycle_{tag}", z2.SurvivalTrace.COLUMNS, trace.table,
+                             {**provenance, "cycle_time": tag, **described})
         write_csv(record, out_dir / f"{command}_cycle_{tag}.csv")
         flags["out_of_regime"] |= trace.out_of_regime
         flags["survival_underflow"] |= trace.p_success[-1] < np.finfo(float).tiny

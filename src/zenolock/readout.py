@@ -52,6 +52,7 @@ class CutoffOverflowError(RuntimeError):
 class ReadoutConfig(Record):
     """Parameters of the readout chain and the field-emission model.
 
+    ``atom`` holds the level energies of both atoms, which are identical.
     ``detuning`` is the drive's offset from the |E2> <-> |G1> transition,
     ``drive_amplitude`` the classical coupling-laser strength and
     ``coupling`` that of the quantized mode on |E1> <-> |G1>.
@@ -59,12 +60,11 @@ class ReadoutConfig(Record):
     passed in.
     """
 
-    __slots__ = ("atom_a", "atom_b", "detuning", "drive_amplitude", "coupling",
+    __slots__ = ("atom", "detuning", "drive_amplitude", "coupling",
                  "emission_mode_cutoff", "readout_times", "fit_periods")
 
-    def __init__(self, atom_a: FourLevelEnergies, atom_b: FourLevelEnergies,
-                 detuning: float, drive_amplitude: float, coupling: float,
-                 emission_mode_cutoff: int = 2, readout_times=(),
+    def __init__(self, atom: FourLevelEnergies, detuning: float, drive_amplitude: float,
+                 coupling: float, emission_mode_cutoff: int = 2, readout_times=(),
                  fit_periods: float = 32.0):
         if detuning == 0.0:
             raise ValueError("the drive detuning must be nonzero")
@@ -78,14 +78,10 @@ class ReadoutConfig(Record):
         readout_times.flags.writeable = False
         self._set(locals())
 
-    def mean_level(self, name: str) -> float:
-        return 0.5 * (getattr(self.atom_a, name) + getattr(self.atom_b, name))
-
     @property
     def clock_frequency(self) -> float:
         """Relative precession rate of the two locked manifolds."""
-        return (self.mean_level("e1") + self.mean_level("g1")
-                - self.mean_level("e2") - self.mean_level("g2"))
+        return self.atom.e1 + self.atom.g1 - self.atom.e2 - self.atom.g2
 
     @property
     def emission_frequency(self) -> float:
@@ -95,7 +91,7 @@ class ReadoutConfig(Record):
         the |G1> -> |E2> leg, so the photon carries the clock frequency plus
         the drive frequency.
         """
-        return self.mean_level("e1") - self.mean_level("g1") - self.detuning
+        return self.atom.e1 - self.atom.g1 - self.detuning
 
 
 def readout_config(detuning: float = 10.0, drive_amplitude: float = 1.0,
@@ -105,9 +101,8 @@ def readout_config(detuning: float = 10.0, drive_amplitude: float = 1.0,
                    fit_periods: float = 32.0) -> ReadoutConfig:
     """Readout config with identical atoms and both ground levels at zero."""
     atom = FourLevelEnergies(g1=0.0, g2=0.0, e1=transition_1, e2=transition_2)
-    return ReadoutConfig(atom_a=atom, atom_b=atom, detuning=detuning,
-                         drive_amplitude=drive_amplitude, coupling=coupling,
-                         emission_mode_cutoff=emission_cutoff,
+    return ReadoutConfig(atom=atom, detuning=detuning, drive_amplitude=drive_amplitude,
+                         coupling=coupling, emission_mode_cutoff=emission_cutoff,
                          readout_times=np.linspace(0.0, time_max, time_points),
                          fit_periods=fit_periods)
 
@@ -148,8 +143,7 @@ def accumulate_clock_phase(state: np.ndarray, elapsed_time: float,
     The global phase is normalized so the first-manifold term is real and
     positive, leaving exp(i * clock_frequency * t_f) on the second manifold.
     """
-    levels = [config.mean_level(name) for name in ("g1", "g2", "e1", "e2")]
-    grid = h._propagate_diagonal(np.add.outer(levels, levels), _grid(state),
+    grid = h._propagate_diagonal(np.add.outer(config.atom, config.atom), _grid(state),
                                  float(elapsed_time))
     anchor = grid[E1, G1]
     if abs(anchor) < 1e-12:
@@ -211,8 +205,7 @@ def _rotating_frame_terms(config: ReadoutConfig, mode_frequency: float):
     |E1> atom for a photon and the drive moves |G1> <-> |E2>, so L (photons
     plus atoms in |E1>) and the number of atoms in |G2> never change.
     """
-    levels = [config.mean_level("g1"), config.mean_level("g2"), config.mean_level("e1"),
-              config.mean_level("g1") + config.detuning]
+    levels = [config.atom.g1, config.atom.g2, config.atom.e1, config.atom.g1 + config.detuning]
     photons = mode_frequency * (np.arange(config.emission_mode_cutoff + 1) + 0.5)
     coupling, drive = 0.5 * config.coupling, 0.5 * config.drive_amplitude
     exchange = [term for atom in (0, 1)

@@ -35,7 +35,7 @@ class TraceRecord(Record):
             if "," in label or "\n" in label:
                 raise ValueError(f"column label {label!r} contains a separator")
         if columns and columns[0] in _TIME_COLUMNS and rows.shape[0] > 1:
-            if np.any(np.diff(rows[:, 0]) < 0.0):
+            if np.any(rows[1:, 0] < rows[:-1, 0]):  # np.diff's verdicts, NaN and -0.0 too
                 raise ValueError("time column must be non-decreasing")
         provenance = dict(provenance or {})
         for key, value in provenance.items():

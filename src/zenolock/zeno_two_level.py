@@ -289,21 +289,26 @@ def ps_analytic(deltas, free_interval: float, measure_interval: float,
 
 
 class SurvivalTrace(Record):
-    """Survival probability of the success branch over a protocol run."""
+    """Survival probability of the success branch over a protocol run.
 
-    __slots__ = ("times", "p_success", "p_error_per_cycle", "analytic_p_s", "final_state",
-                 "out_of_regime", "max_mode_tail")
+    ``table`` has a read-only row per time point and the columns :attr:`COLUMNS`.
+    """
 
-    def __init__(self, times: np.ndarray, p_success: np.ndarray,
-                 p_error_per_cycle: np.ndarray, analytic_p_s: np.ndarray,
-                 final_state: np.ndarray, out_of_regime: bool, max_mode_tail: float):
+    COLUMNS = ("t", "p_success", "p_error_per_cycle", "analytic_p_s")
+    __slots__ = ("table", "final_state", "out_of_regime", "max_mode_tail")
+
+    def __init__(self, table: np.ndarray, final_state: np.ndarray, out_of_regime: bool,
+                 max_mode_tail: float):
+        p_success = table[:, 1]
         if np.any(p_success < -1e-12) or np.any(p_success > 1.0 + 1e-9):
             raise ValueError("success probabilities outside [0, 1]")
         if np.any(np.diff(p_success) > 1e-12):
             raise ValueError("success probability must be non-increasing")
-        for array in (times, p_success, p_error_per_cycle, analytic_p_s):
-            array.flags.writeable = False
+        table.flags.writeable = False
         self._set(locals())
+
+    times, p_success, p_error_per_cycle, analytic_p_s = (
+        property(lambda self, i=i: self.table[:, i]) for i in range(len(COLUMNS)))
 
 
 def _record_cycles(total_cycles: int, max_points: int) -> np.ndarray:
@@ -356,19 +361,22 @@ def cycle_matrix(config, evolver: h.BlockEvolver, window: np.ndarray) -> np.ndar
     return window[_injected(config, evolver)]
 
 
-def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray) -> tuple:
-    """Squared norms of ``x`` before and after each recorded cycle, their exponents, last state.
+def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray,
+                       p_success: np.ndarray, p_error: np.ndarray) -> np.ndarray:
+    """Write the survival at each recorded cycle; return the last state.
 
-    A gap of g cycles costs two matrix-vector products: the cached
-    ``map**(g-1)``, then the map.  The states are buffered
-    :data:`RECORD_CHUNK` recorded cycles at a time and normed by one stacked
-    (1 x d) @ (d x 1) product per real and imaginary part, the bits of
-    ``x.real @ x.real + x.imag @ x.imag``.  The squared norms of recorded
-    cycle i are ``survival[i] * 2**exponents[i]``: at the first recorded
-    cycle whose squared norm falls below :data:`RESCALE_BELOW`, the state is
-    scaled by the power of two that brings its largest entry into [0.5, 1),
-    which is exact, and the cycles after it are run again from there.  A
-    state of exactly zero raises :class:`ProtocolError`.
+    With a and b the squared norms of ``x`` after and before recorded cycle
+    i, ``p_success[i]`` is a and ``p_error[i]`` is 1 - a / b.  A gap of g
+    cycles costs two matrix-vector products: the cached ``map**(g-1)``, then
+    the map.  The states are buffered :data:`RECORD_CHUNK` recorded cycles
+    at a time and normed by one stacked (1 x d) @ (d x 1) product per real
+    and imaginary part, the bits of ``x.real @ x.real + x.imag @ x.imag``.
+    At the first recorded cycle whose squared norm falls below
+    :data:`RESCALE_BELOW`, the state is scaled by the power of two that
+    brings its largest entry into [0.5, 1), which is exact, the cycles after
+    it are run again from there, and their a is written through ``np.ldexp``
+    with the scalings' exponent.  A state of exactly zero raises
+    :class:`ProtocolError`.
     """
     # ndarray.dot (np.dot without its dispatch) copies a matrix that is not
     # contiguous on every call
@@ -376,8 +384,6 @@ def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray)
     gaps = np.diff(record, prepend=0)
     powers = {gap: np.linalg.matrix_power(cycle_map, gap - 1)
               for gap in set(gaps.tolist()) if gap > 1}
-    survival = np.empty((len(record), 2))
-    exponents = np.zeros(len(record), dtype=int)
     states = np.empty((RECORD_CHUNK, 2, len(x)), dtype=complex)
     befores, afters = list(states[:, 0]), list(states[:, 1])
     start = exponent = 0
@@ -395,17 +401,18 @@ def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray)
         kept = len(jumps)
         if norms[-1, 1, 0, 0] < RESCALE_BELOW:  # the survival never rises
             kept = np.flatnonzero(norms[:, 1, 0, 0] < RESCALE_BELOW)[0] + 1
-        survival[start:start + kept] = norms[:kept, :, 0, 0]
-        exponents[start:start + kept] = exponent
-        start += kept
         x = states[kept - 1, 1]
-        if norms[kept - 1, 1, 0, 0] < RESCALE_BELOW:
-            if not x.any():
-                raise ProtocolError(f"survival is exactly zero by cycle {record[start - 1]}")
+        if not x.any():
+            raise ProtocolError(f"survival is exactly zero by cycle {record[start + kept - 1]}")
+        previous, current = norms[:kept, 0, 0, 0], norms[:kept, 1, 0, 0]
+        p_error[start:start + kept] = 1.0 - current / previous
+        p_success[start:start + kept] = np.ldexp(current, exponent)
+        start += kept
+        if current[-1] < RESCALE_BELOW:
             shift = -np.frexp(np.max(np.abs(x)))[1]
             x = np.ldexp(x.view(float), shift).view(complex)
             exponent -= 2 * shift
-    return survival, exponents, x.copy()
+    return x.copy()
 
 
 def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: np.ndarray,
@@ -425,11 +432,11 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: np.ndarray,
     ``max_trace_points`` of them, and the run jumps between them: across a gap
     of g cycles it applies the cached power ``map**(g-1)`` (one per distinct
     gap, so at most two) and then one more ``map``, whose success probability
-    is the recorded cycle's own.  Its cost grows with the number of recorded
-    points, not of cycles: two matrix-vector products each, with the norms
-    taken a chunk of recorded cycles at a time (see
-    :func:`_recorded_survival`).  ``p_success`` is the cumulative product of
-    per-cycle success probabilities.
+    is the recorded cycle's own, so the cost follows the recorded points, not
+    the cycles (see :func:`_recorded_survival`).  ``p_success`` is the
+    cumulative product of per-cycle success probabilities.  The loop writes
+    it and the per-cycle error into the trace's table, where the other
+    columns are then made in place.
 
     The closed forms come from the scheme: with m the
     :func:`mean_square_splitting` of ``config.deltas()``, ``analytic_p_s`` is
@@ -478,24 +485,19 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: np.ndarray,
     max_tail = max(float(np.sum(populations[photons > config.photon_number + 1]))
                    for photons in np.unravel_index(evolver.states, basis.dims)[2:])
 
-    survival, exponents, x = _recorded_survival(cycle_map, x, record)
+    # column-major: a contiguous column takes the ufunc loops of a separate array
+    table = np.empty((len(record) + 1 + (remainder > 0.0), 4), order="F")
+    t, p_success, p_error, analytic = table.T
+    x = _recorded_survival(cycle_map, x, record, p_success[1:], p_error[1:])
     x = x / np.linalg.norm(x)
     if remainder > 0.0:
         x = h._propagate_diagonal(energies, x, remainder)
-
-    before, after = survival.T
-    per_cycle_error = 1.0 - after / before
-    cumulative = np.ldexp(after, exponents)
-    times = np.concatenate([[0.0], record * cycle])
-    if remainder > 0.0:
-        times = np.append(times, config.final_time)
-        cumulative = np.append(cumulative, cumulative[-1])
-        per_cycle_error = np.append(per_cycle_error, 0.0)
-    p_success = np.concatenate([[1.0], cumulative])
-    p_error = np.concatenate([[0.0], per_cycle_error])
-    return SurvivalTrace(times=times, p_success=np.clip(p_success, 0.0, 1.0),
-                         p_error_per_cycle=p_error, analytic_p_s=np.exp(-rate * times),
-                         final_state=x.reshape(levels), out_of_regime=out_of_regime,
+        table[-1, :3] = config.final_time, p_success[-2], 0.0
+    table[0, :3] = 0.0, 1.0, 0.0
+    np.multiply(record, cycle, out=t[1:len(record) + 1])
+    np.clip(p_success, 0.0, 1.0, out=p_success)
+    np.exp(np.multiply(-rate, t, out=analytic), out=analytic)
+    return SurvivalTrace(table, final_state=x.reshape(levels), out_of_regime=out_of_regime,
                          max_mode_tail=max_tail)
 
 

@@ -360,9 +360,9 @@ def run_protocol(config, max_trace_points: int = 2000) -> z2.SurvivalTrace:
         per_cycle_error = np.append(per_cycle_error, 0.0)
     p_success = np.concatenate([[1.0], cumulative])
     p_error = np.concatenate([[0.0], per_cycle_error])
-    return z2.SurvivalTrace(times=times, p_success=np.clip(p_success, 0.0, 1.0),
-                            p_error_per_cycle=p_error, analytic_p_s=np.exp(-rate * times),
-                            final_state=pair_grid(final), out_of_regime=out_of_regime,
+    table = np.column_stack([times, np.clip(p_success, 0.0, 1.0), p_error,
+                             np.exp(-rate * times)])
+    return z2.SurvivalTrace(table, final_state=pair_grid(final), out_of_regime=out_of_regime,
                             max_mode_tail=max_tail)
 
 

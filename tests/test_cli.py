@@ -411,6 +411,19 @@ class TestExitCodes:
         assert "survival_underflow = true" in manifest
 
     @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
+    def test_survival_of_exactly_zero_exit_code(self, tmp_path, capsys, command):
+        # the cycle count overflows int64 and the first recorded gap's power
+        # of the map is exactly zero; no survival column is written before
+        # the state is checked
+        path = write_config(tmp_path, f"[{command}]\nfinal_time = 1e300\n")
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("zenolock: numerical validity failure: survival is exactly zero "
+                              "by cycle ")
+        assert err.endswith(f", at [{command}] cycle_times = 0.001\n")
+
+    @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
     def test_unresolvable_cycle_error_exit_code(self, tmp_path, capsys, command):
         # a per-cycle error of 4e-18 sits below the cycle map's rounding, and
         # one that underflows to zero is no zero split; the message names the
@@ -886,6 +899,27 @@ class TestRuns:
         rewritten = tmp_path / "rewritten.csv"
         write_csv(read_csv(emitted), rewritten)
         assert rewritten.read_bytes() == emitted.read_bytes()
+
+    def test_zeno2_csv_rows_are_the_trace_table(self, tmp_path, monkeypatch):
+        # both cycle times end in a trailing partial cycle; 0.01 records a
+        # ragged last gap
+        traces = []
+        original = z2.run_protocol
+
+        def recording(config, max_trace_points):
+            traces.append(original(config, max_trace_points=max_trace_points))
+            return traces[-1]
+
+        monkeypatch.setattr(z2, "run_protocol", recording)
+        path = write_config(tmp_path, "[zeno2]\ncycle_times = 0.01, 0.05\n"
+                                      "final_time = 0.507\ntrace_points = 7\n")
+        out = tmp_path / "out"
+        assert cli.main(["zeno2", "--config", str(path), "--out", str(out)]) == 0
+        assert len(traces) == 2
+        for tag, trace in zip(("0.01", "0.05"), traces):
+            rows = read_csv(out / f"zeno2_cycle_{tag}.csv").rows
+            assert rows.shape == trace.table.shape
+            assert rows.tobytes() == trace.table.tobytes()
 
     def test_zeno4_matches_zeno2_closed_form(self, tmp_path):
         text = """

@@ -698,8 +698,7 @@ def _four_level_case(coupled):
 def _readout_case(coupled):
     config = rd.readout_config(transition_1=121.5)
     mode_frequency = config.emission_frequency
-    levels = (config.mean_level("g1"), config.mean_level("g2"), config.mean_level("e1"),
-              config.mean_level("g1") + config.detuning)
+    levels = (config.atom.g1, config.atom.g2, config.atom.e1, config.atom.g1 + config.detuning)
     exchange = []
     for atom in (0, 1):
         exchange += [(atom, rd.E1, rd.G1, 2, 0.5 * config.coupling),
@@ -777,7 +776,7 @@ class TestAssembleSectors:
         # drive moves G1 <-> E2, the mode E1 <-> G1 with one photon
         config = rd.readout_config(transition_1=121.5)
         basis = rd.emission_basis(config)
-        levels = [config.mean_level(name) for name in ("g1", "g2", "e1", "e2")]
+        levels = list(config.atom)
         weights = [levels, levels, 110.0 * (np.arange(3) + 0.5)]
         exchange = []
         for atom in (0, 1):

@@ -17,8 +17,14 @@ from zenolock import zeno_two_level as z2
 
 
 def _survival_trace():
-    return z2.SurvivalTrace(np.arange(2.0), np.array([1.0, 0.5]), np.zeros(1),
-                            np.array([1.0, 0.5]), None, False, 0.0)
+    return z2.SurvivalTrace(_survival_table(0.5), None, False, 0.0)
+
+
+def _survival_table(*p_success):
+    """Rows at t = 0, 1, ... with ``p_success`` after the starting 1.0."""
+    p_success = np.array([1.0, *p_success])
+    times = np.arange(float(len(p_success)))
+    return np.column_stack([times, p_success, np.zeros_like(times), np.exp(-times)])
 
 
 _LEVEL_SCHEME_INVALID = [
@@ -78,8 +84,8 @@ RECORDS = {
     "FourLevelConfig": (lambda: zm.four_level_config_from_deltas(
         1.0, 0.5, cycle_time=0.02, final_time=0.2, photon_number=2), _LEVEL_SCHEME_INVALID),
     "SurvivalTrace": (_survival_trace, [
-        (dict(p_success=np.array([1.0, 1.5])), r"success probabilities outside \[0, 1\]"),
-        (dict(p_success=np.array([0.5, 1.0])), "success probability must be non-increasing"),
+        (dict(table=_survival_table(1.5)), r"success probabilities outside \[0, 1\]"),
+        (dict(table=_survival_table(0.5, 0.75)), "success probability must be non-increasing"),
     ]),
 }
 
@@ -113,6 +119,15 @@ def test_invalid_fields_raise_on_construction_and_replace(name, change, message)
         type(record)(**{**_fields(record), **change})
     with pytest.raises(ValueError, match=message):
         record.replace(**change)
+
+
+def test_survival_columns_are_read_only_views_of_the_table():
+    trace = _survival_trace()
+    assert not trace.table.flags.writeable
+    for index, name in enumerate(("times", "p_success", "p_error_per_cycle", "analytic_p_s")):
+        column = getattr(trace, name)
+        assert column.base is trace.table and not column.flags.writeable
+        np.testing.assert_array_equal(column, trace.table[:, index])
 
 
 @pytest.mark.parametrize("name", sorted(name for name, (make, _) in RECORDS.items()

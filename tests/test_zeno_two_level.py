@@ -1,6 +1,7 @@
 """Two-atom Zeno protocol: drift, measurement, cycles, survival curves."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,6 +316,22 @@ class TestRunProtocol:
         assert trace.max_mode_tail < 1e-8
         assert np.linalg.norm(trace.final_state) == pytest.approx(1.0, abs=1e-12)
 
+    def test_warm_run_holds_one_table(self):
+        # 300,000 recorded cycles: the trace's table takes 32 bytes a point
+        # and the recorded cycles and their gaps 8 each.  Building each column
+        # as its own array, and a survival and an exponent array besides,
+        # held 97 bytes a point.
+        config = z2.config_for_cycle_time(0.001, 300.0)
+        z2.run_protocol(config, max_trace_points=300_000)
+        tracemalloc.start()
+        try:
+            trace = z2.run_protocol(config, max_trace_points=300_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.times) == 300_001
+        assert peak < 64 * 300_000
+
     @pytest.mark.filterwarnings("error")
     def test_survival_past_underflow_reaches_zero(self):
         # the CLI's [zeno2] cycle_times = 0.05, final_time = 5000, which once
@@ -329,16 +346,18 @@ class TestRunProtocol:
         record = np.arange(1, 5)
         nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(z2.ProtocolError, match="^survival is exactly zero by cycle 2$"):
-            z2._recorded_survival(nilpotent, np.array([0.0, 1.0], dtype=complex), record)
-        record = np.arange(1, 9)
-        shrinking = np.diag([2.0**-100, 2.0**-101]).astype(complex)
-        survival, exponents, x = z2._recorded_survival(
-            shrinking, np.array([1.0, 0.0], dtype=complex), record)
-        assert np.array_equal(np.log2(survival[:, 1]) + exponents, -200.0 * record)
-        assert np.array_equal(np.log2(survival[:, 0]) + exponents, -200.0 * (record - 1))
-        # rescaled to 0.5 after cycles 4 and 7, below 2**-600
-        assert exponents.tolist() == [0] * 4 + [-798] * 3 + [-1398]
-        assert np.abs(x).max() == 2.0**-101
+            z2._recorded_survival(nilpotent, np.array([0.0, 1.0], dtype=complex), record,
+                                  *np.empty((2, len(record))))
+        record = np.arange(1, 15)
+        shrinking = np.diag([2.0**-50, 2.0**-51]).astype(complex)
+        p_success, p_error = np.full((2, len(record)), np.nan)
+        x = z2._recorded_survival(shrinking, np.array([1.0, 0.0], dtype=complex), record,
+                                  p_success, p_error)
+        # the state is rescaled to 0.5 after cycles 7 and 13, below 2**-600,
+        # so the ratios stay exact; the survival rounds to 0.0 past 2**-1074
+        assert np.array_equal(p_success, np.ldexp(1.0, -100 * record))
+        assert np.array_equal(p_error, np.full(len(record), 1.0 - 2.0**-100))
+        assert np.abs(x).max() == 2.0**-51
 
     def test_unresolvable_cycle_error_raises(self):
         # (Delta tau)^2 = 4e-18 is below the rounding of the cycle map's norm,
@@ -374,6 +393,8 @@ class TestRunProtocol:
         trace = z2.run_protocol(config)
         assert trace.times[-1] == pytest.approx(0.507)
         assert trace.p_success[-1] == trace.p_success[-2]
+        assert trace.p_error_per_cycle[-1] == 0.0
+        assert trace.table[0].tolist() == [0.0, 1.0, 0.0, 1.0]
 
     def test_zeno_limit_scaling(self):
         # 1 - P_S shrinks linearly with the cycle time at fixed final time
@@ -543,7 +564,7 @@ class TestHeldWindow:
 
 
 def survival_state_by_state(cycle_map, x, record):
-    """Squared norms before and after each recorded cycle, one state at a time.
+    """Squared norms before and after each recorded cycle, one state at a time, as two rows.
 
     The bit-level oracle of the chunked norms of ``_recorded_survival``.
     """
@@ -556,10 +577,28 @@ def survival_state_by_state(cycle_map, x, record):
         x = cycle_map @ x
         survival.append((previous, float(x.real @ x.real + x.imag @ x.imag)))
         done = j
-    return np.array(survival), x
+    return np.array(survival).T, x
 
 
 CHUNK_EDGES = [z2.RECORD_CHUNK - 1, z2.RECORD_CHUNK, z2.RECORD_CHUNK + 1, 2 * z2.RECORD_CHUNK + 1]
+
+
+def chunk_case(records, stride, scheme):
+    """(cycle map, random start, recorded cycles) of ``records`` records at ``stride``.
+
+    At stride 3 the last gap is a ragged 2, so the run takes two powers of the map.
+    """
+    if scheme == "two":
+        config = z2.config_for_cycle_time(0.01, 1.0)
+    else:
+        config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.01,
+                                                  final_time=1.0, photon_number=2)
+    cycle_map = pair_cycle_map(config)
+    rng = np.random.default_rng(records)
+    x = rng.standard_normal(len(cycle_map)) + 1j * rng.standard_normal(len(cycle_map))
+    record = z2._record_cycles(stride * records - (stride > 1), records)
+    assert len(record) == records
+    return cycle_map, x, record
 
 
 class TestRecordChunks:
@@ -567,22 +606,27 @@ class TestRecordChunks:
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("scheme", ["two", "four"])
     def test_chunk_norms_are_the_per_state_dot(self, records, stride, scheme):
-        # at stride 3 the last gap is a ragged 2, so two powers of the map
-        if scheme == "two":
-            config = z2.config_for_cycle_time(0.01, 1.0)
-        else:
-            config = zm.four_level_config_from_deltas(2.0, 2.0, cycle_time=0.01,
-                                                      final_time=1.0, photon_number=2)
-        cycle_map = pair_cycle_map(config)
-        rng = np.random.default_rng(records)
-        x = rng.standard_normal(len(cycle_map)) + 1j * rng.standard_normal(len(cycle_map))
-        record = z2._record_cycles(stride * records - (stride > 1), records)
-        assert len(record) == records
-        survival, exponents, last = z2._recorded_survival(cycle_map, x, record)
-        expected, expected_last = survival_state_by_state(cycle_map, x, record)
-        assert not exponents.any()
-        np.testing.assert_array_equal(survival, expected)
+        cycle_map, x, record = chunk_case(records, stride, scheme)
+        p_success, p_error = np.full((2, records), np.nan)
+        last = z2._recorded_survival(cycle_map, x, record, p_success, p_error)
+        (before, after), expected_last = survival_state_by_state(cycle_map, x, record)
+        np.testing.assert_array_equal(p_success, after)
+        np.testing.assert_array_equal(p_error, 1.0 - after / before)
         np.testing.assert_array_equal(last, expected_last)
+
+    @pytest.mark.parametrize("records", CHUNK_EDGES)
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("scheme", ["two", "four"])
+    def test_rescaled_chunks_are_the_per_state_dot(self, records, stride, scheme):
+        # the map scaled by 2**-20 takes 2**-40 off the squared norm a cycle,
+        # so the state is rescaled every 15 cycles, inside chunks and across
+        # their edges; every scaling is by a power of two, which is exact
+        cycle_map, x, record = chunk_case(records, stride, scheme)
+        p_success, p_error = np.full((2, records), np.nan)
+        z2._recorded_survival(cycle_map * 2.0**-20, x, record, p_success, p_error)
+        (before, after), _ = survival_state_by_state(cycle_map, x, record)
+        np.testing.assert_array_equal(p_success, np.ldexp(after, -40 * record))
+        np.testing.assert_array_equal(p_error, 1.0 - np.ldexp(after / before, -40))
 
     @pytest.mark.parametrize("cycles", CHUNK_EDGES[:3])
     def test_runs_at_chunk_edges_match_stepwise(self, cycles):
