@@ -58,9 +58,8 @@ _MAX_PHASE_ERROR = 0.05
 # Each readout clock phase holds about 2.3 kB besides the grid (its trace, chain
 # state, manifest results and CSV write): a run peaks at 187 MB at 4 time points.
 _MAX_CLOCK_PHASES = 1 << 16
-# Bounds the readout grid, a trace's rows and the t_r strings the CSV files share
-# (118 MB peak at one phase); the edge of a former bound on a grid over the whole
-# emission basis (at emission_cutoff = 1), so no config it admitted is rejected.
+# Bounds the readout grid, and with it each trace's quadratures and CSV rows and
+# the t_r strings the CSV files share: 118 MB peak at one phase.
 _MAX_READOUT_POINTS = 1 << 19
 
 # A survival CSV holds the recorded points (at most trace_points), t = 0 and a
@@ -72,14 +71,13 @@ _MAX_TRACE_POINTS = _MAX_ENTRIES // 4 - 2
 # Every config key with its default text (as in configs/defaults.cfg), kind and
 # static bounds; bounds that involve two keys are checked in the handlers.
 #
-# The size keys (the Zeno photon number n, the readout emission cutoff c)
-# cap the basis dimension d.  A Zeno run evolves only the at most 12 (zeno2)
-# or 56 (zeno4) states its start reaches and carries the pair state as its
-# atom amplitudes; only the reach's mask of held states grows with d.  The
-# readout holds the 21 states its channel reaches (c >= 2), so c sizes only basis
-# indices and that mask.  With the default Fock cutoff of n + 2 for every mode
-# the caps keep d = 4(n + 3) <= 2044 for zeno2, d = 16(n + 3)^2 <= 65,536 for
-# zeno4 and d = 16(c + 1) <= 2048 for readout.
+# The size key, the Zeno photon number n, caps the basis dimension d.  A Zeno
+# run evolves only the at most 12 (zeno2) or 56 (zeno4) states its start reaches
+# and carries the pair state as its atom amplitudes; only the reach's mask of
+# held states grows with d.  With the Fock cutoff of n + 2 for every mode the
+# caps keep d = 4(n + 3) <= 2044 for zeno2 and d = 16(n + 3)^2 <= 65,536 for
+# zeno4.  The readout's emission basis is fixed at 48 states, of which the
+# emission stage holds 21: emission_cutoff and method admit one value each.
 SCHEMA = {
     "dephasing": {
         "atom_count": Key("100", int, minimum=1),
@@ -129,8 +127,8 @@ SCHEMA = {
         # extract_phase fits a sine through at least four samples
         "time_points": Key("4001", int, minimum=4, maximum=_MAX_READOUT_POINTS),
         "fit_periods": Key("32", positive=True),
-        "emission_cutoff": Key("2", int, minimum=1, maximum=127),
-        "method": Key("full", str, choices=("full", "perturbative")),
+        "emission_cutoff": Key("2", int, minimum=2, maximum=2),
+        "method": Key("full", str, choices=("full",)),
     },
     "allan": {
         "fwhm": Key("1.0", positive=True),
@@ -462,7 +460,7 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
     points = section["time_points"]
     time_max = section["time_max"]
     fit_periods = section["fit_periods"]
-    cutoff = section["emission_cutoff"]
+    section["emission_cutoff"]  # the lookup rejects any value but 2
     phases = section["clock_phases"]
     if len(phases) > _MAX_CLOCK_PHASES:
         raise ConfigError(f"[readout] clock_phases must hold at most {_MAX_CLOCK_PHASES} "
@@ -490,7 +488,6 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
             transition_2=transition_2,
             time_max=time_max,
             time_points=points,
-            emission_cutoff=cutoff,
             fit_periods=fit_periods)
     except ValueError as error:
         # after the checks above and the schema, only the readout grid can fail
@@ -526,8 +523,7 @@ def cmd_readout(section: Section, out_dir: Path, args, digest: str):
         elapsed_times = [_clock_phase_residue(target) / config.clock_frequency
                          for target in phases]
         chains = [readout.readout_chain(config, elapsed) for elapsed in elapsed_times]
-        traces = readout.emit_field_traces([state for state, _ in chains], model,
-                                           method=method)
+        traces = readout.emit_field_traces([state for state, _ in chains], model)
     results = {}
     flags = {"degenerate_fit": False}
     plot_series = []

@@ -13,11 +13,11 @@ implemented here converts that phase into something measurable:
    photon into a quantized mode in a Raman transition, with the initial
    field phase equal to the accumulated clock phase.
 
-The emitted quadrature is computed either by full evolution of the driven
-two-atom-plus-mode system, on the sectors that the radiating channel
-reaches, or by a second-order effective model obtained by adiabatic
-elimination of the far-detuned intermediates (the fast path, with the full
-evolution as its oracle).
+The emitted quadrature is computed by exact evolution of the driven
+two-atom-plus-mode system on the sectors that the radiating channel reaches,
+with the mode cut at two photons (L, photons plus atoms in |E1>, is conserved
+and a start's L = 2 weight is checked).  A second-order effective model from
+adiabatic elimination tunes the mode and gives the beat frequency of the fit.
 """
 
 import math
@@ -60,16 +60,13 @@ class ReadoutConfig(Record):
     passed in.
     """
 
-    __slots__ = ("atom", "detuning", "drive_amplitude", "coupling",
-                 "emission_mode_cutoff", "readout_times", "fit_periods")
+    __slots__ = ("atom", "detuning", "drive_amplitude", "coupling", "readout_times",
+                 "fit_periods")
 
     def __init__(self, atom: FourLevelEnergies, detuning: float, drive_amplitude: float,
-                 coupling: float, emission_mode_cutoff: int = 2, readout_times=(),
-                 fit_periods: float = 32.0):
+                 coupling: float, readout_times=(), fit_periods: float = 32.0):
         if detuning == 0.0:
             raise ValueError("the drive detuning must be nonzero")
-        if emission_mode_cutoff < 1:
-            raise ValueError("emission_mode_cutoff must be >= 1")
         if fit_periods <= 0.0:
             raise ValueError("fit_periods must be positive")
         readout_times = np.array(readout_times, dtype=float)
@@ -97,19 +94,16 @@ class ReadoutConfig(Record):
 def readout_config(detuning: float = 10.0, drive_amplitude: float = 1.0,
                    coupling: float = 2.0, transition_1: float = 120.0,
                    transition_2: float = 110.0, time_max: float = 5.0,
-                   time_points: int = 4001, emission_cutoff: int = 2,
-                   fit_periods: float = 32.0) -> ReadoutConfig:
+                   time_points: int = 4001, fit_periods: float = 32.0) -> ReadoutConfig:
     """Readout config with identical atoms and both ground levels at zero."""
     atom = FourLevelEnergies(g1=0.0, g2=0.0, e1=transition_1, e2=transition_2)
     return ReadoutConfig(atom=atom, detuning=detuning, drive_amplitude=drive_amplitude,
-                         coupling=coupling, emission_mode_cutoff=emission_cutoff,
-                         readout_times=np.linspace(0.0, time_max, time_points),
+                         coupling=coupling, readout_times=np.linspace(0.0, time_max, time_points),
                          fit_periods=fit_periods)
 
 
-def emission_basis(config: ReadoutConfig) -> h.ProductBasis:
-    """Two atoms and the emission mode."""
-    return h.build_basis([Atom(4), Atom(4), Mode(config.emission_mode_cutoff)])
+# Two atoms and the emission mode, which holds up to two photons.
+EMISSION_BASIS = h.build_basis([Atom(4), Atom(4), Mode(2)])
 
 
 # Beam splitter on the ground levels of one atom: |G1> -> (|G1> + |G2>)/sqrt(2),
@@ -206,11 +200,11 @@ def _rotating_frame_terms(config: ReadoutConfig, mode_frequency: float):
     plus atoms in |E1>) and the number of atoms in |G2> never change.
     """
     levels = [config.atom.g1, config.atom.g2, config.atom.e1, config.atom.g1 + config.detuning]
-    photons = mode_frequency * (np.arange(config.emission_mode_cutoff + 1) + 0.5)
+    photons = mode_frequency * (np.arange(EMISSION_BASIS.dims[2]) + 0.5)
     coupling, drive = 0.5 * config.coupling, 0.5 * config.drive_amplitude
     exchange = [term for atom in (0, 1)
                 for term in ((atom, E1, G1, 2, coupling), (atom, E2, G1, None, drive))]
-    return emission_basis(config), [levels, levels, photons], exchange
+    return EMISSION_BASIS, [levels, levels, photons], exchange
 
 
 class FieldTrace(Record):
@@ -277,8 +271,8 @@ class _EmissionModel:
     """Shared machinery of the emission stage at a fixed mode frequency.
 
     Works on ``states``, the basis states of the sectors that the resonant
-    channel reaches (21 at every cutoff from 2 up, 17 at cutoff 1); no other
-    state couples to them, and no array of the stage spans the whole basis.
+    channel reaches (21); no other state couples to them, and no array of the
+    stage spans the whole basis.
     Holds the rotating-frame eigensystem on them, which a
     :class:`hilbert.BlockEvolver` solves by sector, the channel columns P on
     them (``p_matrix``), the second-order effective Hamiltonian, and the
@@ -341,7 +335,7 @@ class _EmissionModel:
 
     def _vacuum(self, pairs: np.ndarray) -> np.ndarray:
         """Two-atom amplitude columns with the emission mode in vacuum, on ``states``."""
-        pair, photons = divmod(self.states, self.config.emission_mode_cutoff + 1)
+        pair, photons = divmod(self.states, EMISSION_BASIS.dims[2])
         amps = np.zeros((len(self.states), pairs.shape[1]), dtype=complex)
         amps[photons == 0] = pairs[pair[photons == 0]]
         return amps
@@ -355,7 +349,7 @@ class _EmissionModel:
         """
         start = self._vacuum(pairs)
         start = start + self.dressing @ (self.p_matrix.conj().T @ start)
-        mode_dim = self.config.emission_mode_cutoff + 1
+        mode_dim = EMISSION_BASIS.dims[2]
         off = np.ones(len(pairs), dtype=bool)  # the pairs off the reach
         off[self.states[self.states % mode_dim == 0] // mode_dim] = False
         keys = np.concatenate([self.states, np.flatnonzero(off) * mode_dim])
@@ -446,15 +440,7 @@ def _full_quadrature(pairs: np.ndarray, model: _EmissionModel):
     return quadratures, np.sum(np.abs(amps[model.two_quanta]) ** 2, axis=0)
 
 
-def _perturbative_quadrature(pairs: np.ndarray, model: _EmissionModel):
-    """Adiabatic-elimination fast path, full driven evolution as its oracle."""
-    w, v = np.linalg.eigh(model.h_eff)
-    coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(pairs))
-    return (_channel_quadratures(model.readout_times, w, coeff, v.T),
-            np.zeros(pairs.shape[1]))
-
-
-def emit_field_traces(states, model: _EmissionModel, method: str = "full") -> list:
+def emit_field_traces(states, model: _EmissionModel) -> list:
     """Quadrature of the emitted field over the readout grid, one trace per state.
 
     Each state is a post-selected pair's 4 x 4 grid (ValueError on another
@@ -465,10 +451,10 @@ def emit_field_traces(states, model: _EmissionModel, method: str = "full") -> li
     products: besides the quadratures (states x readout times) the stage
     holds one slab.  The reported quadrature is the radiated (Raman-transfer)
     component, on the resonant channel; the virtual cloud dressing the
-    driven atoms is left out.  The full method raises
-    :class:`CutoffOverflowError`, naming the largest, when a dressed start's
-    weight that can reach two photons (its conserved L = 2 weight) exceeds
-    ``OVERFLOW_THRESHOLD`` (the single-photon picture has then broken down).
+    driven atoms is left out.  Raises :class:`CutoffOverflowError`, naming
+    the largest, when a dressed start's weight that can reach two photons
+    (its conserved L = 2 weight) exceeds ``OVERFLOW_THRESHOLD`` (the
+    single-photon picture has then broken down).
     A trace whose fit is degenerate has no fitted phase.
     """
     config = model.config
@@ -476,12 +462,7 @@ def emit_field_traces(states, model: _EmissionModel, method: str = "full") -> li
     if not times.size:
         raise ValueError("config.readout_times is empty")
     pairs = np.array([_grid(state) for state in states], dtype=complex).reshape(-1, 16).T
-    if method == "full":
-        quadratures, above_one = _full_quadrature(pairs, model)
-    elif method == "perturbative":
-        quadratures, above_one = _perturbative_quadrature(pairs, model)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    quadratures, above_one = _full_quadrature(pairs, model)
     largest = max(above_one, default=0.0)
     if largest > OVERFLOW_THRESHOLD:
         raise CutoffOverflowError(
@@ -498,19 +479,17 @@ def emit_field_traces(states, model: _EmissionModel, method: str = "full") -> li
     return traces
 
 
-def emit_field_trace(state: np.ndarray, config: _EmissionModel,
-                     method: str = "full") -> FieldTrace:
+def emit_field_trace(state: np.ndarray, config: _EmissionModel) -> FieldTrace:
     """:func:`emit_field_traces` of the one state ``state``."""
     # The model keeps the argument name ``config``: perfbench/tracer.py binds
     # this argument by name and reads its ``readout_times``.
-    return emit_field_traces([state], config, method=method)[0]
+    return emit_field_traces([state], config)[0]
 
 
-def readout_phase(config: ReadoutConfig, elapsed_time: float,
-                  method: str = "full") -> float:
+def readout_phase(config: ReadoutConfig, elapsed_time: float) -> float:
     """Extracted field phase for a full chain run at the given elapsed time."""
     state, _ = readout_chain(config, elapsed_time)
-    trace = emit_field_trace(state, emission_model(config), method=method)
+    trace = emit_field_trace(state, emission_model(config))
     if trace.fitted_phase is None:
         raise DegenerateFitError("no oscillation to fit")
     return trace.fitted_phase

@@ -20,7 +20,7 @@ All quantities are dimensionless angular frequencies and times (hbar = 1).
 """
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,17 +74,15 @@ class LevelSchemeConfig(Record):
     A subclass names its level scheme in two class constants: ``LEVELS``,
     the levels per atom, and ``TRANSITIONS``, the (upper, lower) level pair
     that cavity mode k + 1 drives.  Level indices are the field positions of
-    the atoms' energy records, which are tuples.  Every mode's Fock cutoff
-    defaults to n + 2, which holds every excitation sector a run populates.
+    the atoms' energy records, which are tuples.
     """
 
     __slots__ = ("mode_frequencies", "atom_a", "atom_b", "coupling", "photon_number",
-                 "free_interval", "measure_interval", "final_time", "fock_cutoffs")
+                 "free_interval", "measure_interval", "final_time")
 
     def __init__(self, *, mode_frequencies: tuple, atom_a: tuple, atom_b: tuple,
                  coupling: float, photon_number: int, free_interval: float,
-                 measure_interval: float, final_time: float,
-                 fock_cutoffs: Optional[tuple] = None):
+                 measure_interval: float, final_time: float):
         if free_interval <= 0.0:
             raise ValueError("free_interval must be positive")
         if measure_interval < 0.0:
@@ -95,12 +93,12 @@ class LevelSchemeConfig(Record):
             raise ValueError("photon_number must be non-negative")
         if photon_number > 0 and coupling <= 0.0:
             raise ValueError("coupling must be positive when photons are injected")
-        if fock_cutoffs is None:
-            fock_cutoffs = (photon_number + 2,) * len(self.TRANSITIONS)
-        fock_cutoffs = tuple(int(c) for c in fock_cutoffs)
-        if any(c < photon_number + 2 for c in fock_cutoffs):
-            raise ValueError("fock_cutoffs must be at least photon_number + 2")
         self._set(locals())
+
+    @property
+    def fock_cutoffs(self) -> tuple:
+        """n + 2 for every mode, where each excitation sector a run populates is complete."""
+        return (self.photon_number + 2,) * len(self.TRANSITIONS)
 
     @property
     def cycle_time(self) -> float:
@@ -312,11 +310,15 @@ class SurvivalTrace(Record):
 
 
 def _record_cycles(total_cycles: int, max_points: int) -> np.ndarray:
-    """At most ``max_points`` cycle indices, every stride-th one plus the last."""
+    """At most ``max_points`` cycle indices, every stride-th one plus the last.
+
+    Python ints from 2^63 - 1 cycles on, where numpy's int64 arange turns float64.
+    """
     if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
     stride = max(1, -(-total_cycles // max_points))
-    recorded = np.arange(stride, total_cycles + 1, stride)
+    exact = np.int64 if total_cycles < np.iinfo(np.int64).max else object
+    recorded = np.arange(stride, total_cycles + 1, stride, dtype=exact)
     if recorded.size == 0 or recorded[-1] != total_cycles:
         recorded = np.append(recorded, total_cycles)
     return recorded
@@ -494,7 +496,8 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: np.ndarray,
         x = h._propagate_diagonal(energies, x, remainder)
         table[-1, :3] = config.final_time, p_success[-2], 0.0
     table[0, :3] = 0.0, 1.0, 0.0
-    np.multiply(record, cycle, out=t[1:len(record) + 1])
+    # unsafe: an object record of Python ints multiplies into Python floats
+    np.multiply(record, cycle, out=t[1:len(record) + 1], casting="unsafe")
     np.clip(p_success, 0.0, 1.0, out=p_success)
     np.exp(np.multiply(-rate, t, out=analytic), out=analytic)
     return SurvivalTrace(table, final_state=x.reshape(levels), out_of_regime=out_of_regime,

@@ -7,10 +7,12 @@ independent references the tests compare against.  The dense assembler,
 :func:`build_hamiltonian`, fill the whole matrix from the package's own entry
 lists: they are the oracles of its sector assembly, and :func:`evolve` is
 the dense evolution under them.  :func:`resonant_subspace` is the readout
-channel over the whole emission basis.  The conserved excitation numbers,
-:func:`conserved_labels` of a pair and :func:`emission_labels` of the
-readout, are the oracles of the sectors that the package derives from the
-exchange terms' reach.
+channel over the whole emission basis, and :func:`perturbative_quadrature`
+the second-order picture of the emission, which the exact path is held to.
+The conserved excitation numbers, :func:`conserved_labels` of a pair and
+:func:`emission_labels` of the readout, are the oracles of the sectors that
+the package derives from the exchange terms' reach.  The readout's mode is
+cut at two photons; :func:`at_emission_cutoff` rebuilds it at another cutoff.
 """
 
 import functools
@@ -125,13 +127,23 @@ def build_hamiltonian(config, coupled: bool = True) -> h.OperatorMatrix:
     return assemble_hamiltonian(basis, weights, exchange if coupled else [])
 
 
-def resonant_subspace(config) -> np.ndarray:
+def at_emission_cutoff(monkeypatch, cutoff: int) -> None:
+    """Let the readout build its emission stage on a mode of ``cutoff`` photons.
+
+    The readout reads the mode's size from ``readout.EMISSION_BASIS`` alone,
+    so replacing it moves every array of the stage to the other cutoff.
+    """
+    monkeypatch.setattr(rd, "EMISSION_BASIS",
+                        h.build_basis([h.Atom(4), h.Atom(4), h.Mode(cutoff)]))
+
+
+def resonant_subspace() -> np.ndarray:
     """Orthonormal basis (as columns) of the readout's resonant radiating channel.
 
     Symmetric pair states with zero or one emitted photon, each column over
     the whole emission basis: the oracle of ``_EmissionModel.p_matrix``.
     """
-    basis = rd.emission_basis(config)
+    basis = rd.EMISSION_BASIS
 
     def sym(upper, lower, photons):
         amps = np.zeros(basis.dimension, dtype=complex)
@@ -188,10 +200,23 @@ def conserved_labels(config) -> np.ndarray:
     return functools.reduce(combine_labels, numbers)
 
 
-def emission_labels(config) -> np.ndarray:
+def emission_labels() -> np.ndarray:
     """The readout's two conserved numbers, packed: L (photons plus atoms in E1), atoms in G2."""
-    basis = rd.emission_basis(config)
-    photons = np.arange(config.emission_mode_cutoff + 1)
+    basis = rd.EMISSION_BASIS
+    photons = np.arange(basis.dims[2])
     quanta = occupation_labels(basis, [[0, 0, 1, 0], [0, 0, 1, 0], photons])
     in_g2 = occupation_labels(basis, [[0, 1, 0, 0], [0, 1, 0, 0], 0 * photons])
     return combine_labels(quanta, in_g2)
+
+
+def perturbative_quadrature(pairs: np.ndarray, model) -> np.ndarray:
+    """Radiated quadratures of the second-order effective model, shape (columns, times).
+
+    Adiabatic elimination of the far-detuned intermediates leaves the 4 x 4
+    ``model.h_eff`` on the resonant channel.  Each column of ``pairs``, a
+    two-atom amplitude vector with the mode in vacuum, enters the channel
+    undressed and evolves under it, through the readout's slab products.
+    """
+    w, v = np.linalg.eigh(model.h_eff)
+    coeff = v.conj().T @ (model.p_matrix.conj().T @ model._vacuum(pairs))
+    return rd._channel_quadratures(model.readout_times, w, coeff, v.T)

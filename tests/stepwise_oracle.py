@@ -412,14 +412,13 @@ def window_tail(config, window: np.ndarray, x: np.ndarray) -> float:
 def two_level_config(free_interval: float, measure_interval: float, final_time: float,
                      cavity_frequency: float = 100.0, common_offset: float = 0.0,
                      half_difference: float = 2.0, coupling: float = 2.0,
-                     photon_number: int = 12, fock_cutoff: Optional[int] = None,
-                     ) -> z2.TwoLevelConfig:
+                     photon_number: int = 12) -> z2.TwoLevelConfig:
     """A two-level pair from a cavity mode and the atoms' offset and half splitting.
 
     The mode sits at ``cavity_frequency`` and the excited levels at
     cavity_frequency + common_offset +/- half_difference, as in
-    ``zeno_two_level.config_for_cycle_time``, but every interval, the
-    coupling and the cutoff of the one mode are given directly.
+    ``zeno_two_level.config_for_cycle_time``, but every interval and the
+    coupling are given directly.
     """
     centre = cavity_frequency + common_offset
     return z2.TwoLevelConfig(
@@ -427,5 +426,4 @@ def two_level_config(free_interval: float, measure_interval: float, final_time: 
         atom_a=z2.TwoLevelEnergies(g=0.0, e=centre + half_difference),
         atom_b=z2.TwoLevelEnergies(g=0.0, e=centre - half_difference),
         coupling=coupling, photon_number=photon_number, free_interval=free_interval,
-        measure_interval=measure_interval, final_time=final_time,
-        fock_cutoffs=None if fock_cutoff is None else (fock_cutoff,))
+        measure_interval=measure_interval, final_time=final_time)

@@ -423,6 +423,20 @@ class TestExitCodes:
                               "by cycle ")
         assert err.endswith(f", at [{command}] cycle_times = 0.001\n")
 
+    def test_cycle_count_past_int64_runs(self, tmp_path, capsys):
+        # 1e19 cycles, past int64 and below 2^64, where the recorded cycles were
+        # float64 and their gaps ended the run in a traceback
+        path = write_config(tmp_path, "[zeno2]\ncycle_times = 0.001\nhalf_difference = 0.001\n"
+                                      "final_time = 1e16\ntrace_points = 100000\n")
+        code = cli.main(["zeno2", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = read_csv(tmp_path / "out" / "zeno2_cycle_0.001.csv").rows
+        assert len(rows) == 100_001 and rows[-1, 0] == 1e16
+        assert np.all(np.diff(rows[:, 0]) > 0.0) and rows[1, 1] > 0.0 == rows[-1, 1]
+        manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        assert "survival_underflow = true" in manifest
+
     @pytest.mark.parametrize("command", ["zeno2", "zeno4"])
     def test_unresolvable_cycle_error_exit_code(self, tmp_path, capsys, command):
         # a per-cycle error of 4e-18 sits below the cycle map's rounding, and
@@ -530,8 +544,8 @@ class TestExitCodes:
         ("readout", "time_points", "3"), ("readout", "time_points", "1"),
         ("readout", "time_points", "0"), ("readout", "fit_periods", "0"),
         ("readout", "fit_periods", "-2"), ("readout", "time_max", "0"),
-        # far above the basis-dimension and readout-grid caps: rejected before
-        # anything is allocated
+        # far above the emission cutoff's one value and the readout-grid cap:
+        # rejected before anything is allocated
         ("readout", "emission_cutoff", "1000000"), ("readout", "time_points", "1000000000"),
         ("allan", "atom_counts", "2.5"), ("allan", "atom_counts", "0"),
         ("allan", "fwhm", "0"), ("allan", "carrier", "0"), ("allan", "cycle_time", "-1"),
@@ -588,13 +602,20 @@ class TestExitCodes:
                                            "hold at most 65536 phases, got 65537\n")
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
-    def test_readout_grid_does_not_grow_with_the_cutoff(self, tmp_path):
-        # 10,000 points at the largest cutoff: a former bound on a grid over the
-        # whole emission basis (2048 states) rejected anything above 8192
-        path = write_config(tmp_path, "[readout]\nemission_cutoff = 127\ntime_points = 10000\n")
+    # the readout has one emission path, with the mode cut at two photons:
+    # the values of the former perturbative path and cutoffs are rejected
+    @pytest.mark.parametrize("text, message", [
+        ("method = perturbative", "method must be 'full', got 'perturbative'"),
+        ("emission_cutoff = 1", "emission_cutoff must be at least 2, got 1"),
+        ("emission_cutoff = 3", "emission_cutoff must be at most 2, got 3"),
+        ("emission_cutoff = 127", "emission_cutoff must be at most 2, got 127"),
+    ])
+    def test_retired_emission_values_are_config_errors(self, tmp_path, capsys, text, message):
+        path = write_config(tmp_path, f"[readout]\n{text}\n")
         code = cli.main(["readout", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == cli.EXIT_OK
-        assert len((tmp_path / "out" / "readout_trace_1.csv").read_text().splitlines()) > 10000
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"zenolock: config error: [readout] {message}\n"
+        assert not (tmp_path / "out" / "manifest.txt").exists()
 
     # admitted values whose derived quantities underflow: the measurement
     # interval cycle / (measure_ratio + 1) rounds to 0, or the readout grid
@@ -859,7 +880,6 @@ class TestExitCodes:
         assert drives[first] == 7
 
     @pytest.mark.parametrize("config", ["configs/defaults.cfg", "configs/ci/blas-ragged.cfg",
-                                        "configs/ci/readout-perturbative.cfg",
                                         "perfbench/clock_chain.cfg", "demo-04"])
     def test_readout_configs_stay_in_regime(self, tmp_path, config):
         if config == "demo-04":

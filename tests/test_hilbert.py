@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepwise_oracle as so
-from kronecker_oracles import (annihilation, assemble_hamiltonian, atomic_projector,
-                               basis_state, build_hamiltonian, commutator_norm,
+from kronecker_oracles import (annihilation, assemble_hamiltonian, at_emission_cutoff,
+                               atomic_projector, basis_state, build_hamiltonian, commutator_norm,
                                conserved_labels, creation, emission_labels, evolve,
                                expectation, number_operator, occupation_labels,
                                resonant_subspace)
@@ -450,13 +450,13 @@ class TestReached:
     def test_readout_channel_reaches_three_sectors(self):
         config = rd.readout_config()
         model = rd.emission_model(config)
-        held = emission_sectors(config, model.mode_frequency, channel_states(config))
+        held = emission_sectors(config, model.mode_frequency, channel_states())
         assert len(held.sectors) == 3
         assert sum(len(idx) for idx, _ in held.sectors) == len(model.states) == 21
         assert np.array_equal(np.concatenate([idx for idx, _ in held.sectors]), model.states)
         every = emission_sectors(config, model.mode_frequency,
-                                 np.arange(rd.emission_basis(config).dimension))
-        assert_same_sectors(held, per_sector_rule(every, channel_states(config)))
+                                 np.arange(rd.EMISSION_BASIS.dimension))
+        assert_same_sectors(held, per_sector_rule(every, channel_states()))
 
     @settings(max_examples=60, deadline=None)
     @given(case=st.sampled_from(["zeno2", "zeno4"]), data=st.data())
@@ -507,9 +507,8 @@ class TestReached:
 
     @pytest.mark.parametrize("photons", [3, 10])
     def test_leakage_at_other_photon_number_equals_full_sector_evolution(self, photons):
-        # the V pair with Fock cutoffs 12 and its window sized for n = 8
-        config = zm.three_level_config(photon_number=8).replace(fock_cutoffs=(12, 12),
-                                                                photon_number=photons)
+        # the V pair with its window sized for n = 8
+        config = zm.three_level_config(photon_number=8).replace(photon_number=photons)
         state = so.pair_state(config, zm.pair_superposition(config, config.TRANSITIONS[:1]),
                               photons)
         full = h.BlockEvolver(every_sector(config))
@@ -550,9 +549,9 @@ def whole_diagonal(sectors):
     return h._diagonal(basis, sectors.diagonal_weights, np.arange(basis.dimension))
 
 
-def channel_states(config):
+def channel_states():
     """The basis indices of the readout's resonant channel."""
-    return np.flatnonzero(resonant_subspace(config).any(axis=1))
+    return np.flatnonzero(resonant_subspace().any(axis=1))
 
 
 def default_zeno2_config():
@@ -703,7 +702,7 @@ def _readout_case(coupled):
     for atom in (0, 1):
         exchange += [(atom, rd.E1, rd.G1, 2, 0.5 * config.coupling),
                      (atom, rd.E2, rd.G1, None, 0.5 * config.drive_amplitude)]
-    oracle = kronecker_hamiltonian(rd.emission_basis(config), [levels, levels],
+    oracle = kronecker_hamiltonian(rd.EMISSION_BASIS, [levels, levels],
                                    [mode_frequency], exchange)
     terms = rd._rotating_frame_terms(config, mode_frequency)
     return assemble_hamiltonian(*terms), oracle
@@ -761,12 +760,13 @@ class TestAssembleSectors:
         assert_sectors_match_dense(every_sector(config), build_hamiltonian(config))
 
     @pytest.mark.parametrize("cutoff", [1, 2, 3])
-    def test_emission_sectors_match_dense_assembly(self, cutoff):
+    def test_emission_sectors_match_dense_assembly(self, monkeypatch, cutoff):
         # conserved: L (atoms in E1 plus photons) and the atoms in G2
-        config = rd.readout_config(transition_1=121.5).replace(emission_mode_cutoff=cutoff)
+        at_emission_cutoff(monkeypatch, cutoff)
+        config = rd.readout_config(transition_1=121.5)
         frequency = config.emission_frequency + 0.3
         sectors = emission_sectors(
-            config, frequency, np.arange(rd.emission_basis(config).dimension))
+            config, frequency, np.arange(rd.EMISSION_BASIS.dimension))
         assert_sectors_match_dense(
             sectors, assemble_hamiltonian(*rd._rotating_frame_terms(config, frequency)))
         assert max(len(idx) for idx, _ in sectors.sectors) == (8 if cutoff == 1 else 9)
@@ -775,7 +775,7 @@ class TestAssembleSectors:
         # the readout Hamiltonian conserves atoms in E1 plus photons: the
         # drive moves G1 <-> E2, the mode E1 <-> G1 with one photon
         config = rd.readout_config(transition_1=121.5)
-        basis = rd.emission_basis(config)
+        basis = rd.EMISSION_BASIS
         levels = list(config.atom)
         weights = [levels, levels, 110.0 * (np.arange(3) + 0.5)]
         exchange = []
@@ -866,11 +866,11 @@ def reach_case(case):
         if case == "readout-undriven":
             config = config.replace(drive_amplitude=0.0, coupling=0.0)
         frequency = config.emission_frequency + 0.3
-        held = emission_sectors(config, frequency, channel_states(config))
+        held = emission_sectors(config, frequency, channel_states())
         every = emission_sectors(config, frequency,
-                                 np.arange(rd.emission_basis(config).dimension))
+                                 np.arange(rd.EMISSION_BASIS.dimension))
         dense = assemble_hamiltonian(*rd._rotating_frame_terms(config, frequency))
-        return held, every, dense, emission_labels(config)
+        return held, every, dense, emission_labels()
     if case == "two":
         config = z2.config_for_cycle_time(0.05, 1.0, photon_number=2, common_offset=0.3)
     elif case == "three":

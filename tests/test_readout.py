@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kronecker_oracles import annihilation, assemble_hamiltonian, resonant_subspace
+from kronecker_oracles import (annihilation, assemble_hamiltonian, at_emission_cutoff,
+                               perturbative_quadrature, resonant_subspace)
 from zenolock import hilbert as h
 from zenolock import readout as rd
 from zenolock import zeno_multilevel as zm
@@ -196,8 +197,7 @@ class TestChain:
         state, probability = rd.readout_chain(config, 0.3)
         assert probability == pytest.approx(0.5, abs=1e-12)
         model = rd.emission_model(config)
-        for method in ("full", "perturbative"):
-            assert rd.emit_field_trace(state, model, method=method).fitted_phase is not None
+        assert rd.emit_field_trace(state, model).fitted_phase is not None
         assert dimensions == []
 
     @pytest.mark.parametrize("phi", np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
@@ -250,10 +250,10 @@ class TestEmission:
         config = rd.readout_config(drive_amplitude=amplitude)
         state, _ = rd.readout_chain(config, 0.0)
         model = rd.emission_model(config)
-        full = rd.emit_field_trace(state, model, method="full")
-        fast = rd.emit_field_trace(state, model, method="perturbative")
-        scale = np.max(np.abs(full.quadrature))
-        assert np.max(np.abs(full.quadrature - fast.quadrature)) <= 0.05 * scale
+        full = rd.emit_field_trace(state, model).quadrature
+        (fast,) = perturbative_quadrature(state.reshape(16, 1), model)
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(full - fast)) <= 0.05 * scale
 
     def test_effective_hamiltonian_matches_second_order_sum(self):
         # H_eff[i, j] = (P^dag H P)[i, j] + sum over intermediates q of
@@ -356,7 +356,7 @@ def estimate_oscillation_frequency(times, values) -> float:
 def dense_emission(model):
     """The dense 48x48 emission Hamiltonian of a model and its 48x4 channel basis."""
     terms = rd._rotating_frame_terms(model.config, model.mode_frequency)
-    return assemble_hamiltonian(*terms).matrix, resonant_subspace(model.config)
+    return assemble_hamiltonian(*terms).matrix, resonant_subspace()
 
 
 def per_block_eigensystem(model):
@@ -366,7 +366,7 @@ def per_block_eigensystem(model):
     the model's states, each block's eigenpairs on its span of them.
     """
     config = model.config
-    channel = np.flatnonzero(resonant_subspace(config).any(axis=1))
+    channel = np.flatnonzero(resonant_subspace().any(axis=1))
     hamiltonian = h.assemble_sectors(*rd._rotating_frame_terms(config, model.mode_frequency),
                                      channel)
     assert np.array_equal(np.concatenate([idx for idx, _ in hamiltonian.sectors]),
@@ -393,8 +393,7 @@ def dense_quadrature(state, model, radiated_only=True):
     intracavity one, virtual cloud included, when ``radiated_only`` is
     false) and the population above one photon.
     """
-    config = model.config
-    mode_dim = config.emission_mode_cutoff + 1
+    mode_dim = rd.EMISSION_BASIS.dims[2]
     matrix, p = dense_emission(model)
     bare = matrix.diagonal().real
     couplings = (matrix - np.diag(bare)) @ p
@@ -405,7 +404,7 @@ def dense_quadrature(state, model, radiated_only=True):
     amps = np.kron(state.ravel(), np.eye(mode_dim)[0])
     amps = amps + dressing @ (p.conj().T @ amps)
     amps /= np.linalg.norm(amps)
-    basis = rd.emission_basis(config)
+    basis = rd.EMISSION_BASIS
     occupations = np.column_stack(np.unravel_index(np.arange(basis.dimension), basis.dims))
     conserved = np.column_stack([(occupations[:, :2] == E1).sum(axis=1) + occupations[:, 2],
                                  (occupations[:, :2] == G2).sum(axis=1)])
@@ -437,24 +436,22 @@ def full_quadratures(states, model):
 
 
 class TestBatchedEmission:
-    @pytest.mark.parametrize("method", ["full", "perturbative"])
-    def test_sweep_equals_per_state_traces(self, method):
+    def test_sweep_equals_per_state_traces(self):
         config = rd.readout_config()
         model = rd.emission_model(config)
         states = sweep_states(config)
-        traces = rd.emit_field_traces(states, model, method=method)
+        traces = rd.emit_field_traces(states, model)
         assert len(traces) == len(states)
         for state, trace in zip(states, traces):
-            single = rd.emit_field_trace(state, model, method=method)
+            single = rd.emit_field_trace(state, model)
             np.testing.assert_array_equal(trace.times, single.times)
             np.testing.assert_allclose(trace.quadrature, single.quadrature, rtol=0, atol=1e-15)
             assert trace.fitted_phase == pytest.approx(single.fitted_phase, abs=1e-12)
             assert trace.fitted_frequency == single.fitted_frequency
 
-    @pytest.mark.parametrize("method", ["full", "perturbative"])
-    def test_no_states_give_no_traces(self, method):
+    def test_no_states_give_no_traces(self):
         model = rd.emission_model(rd.readout_config(time_points=5))
-        assert rd.emit_field_traces([], model, method=method) == []
+        assert rd.emit_field_traces([], model) == []
 
     @staticmethod
     def _whole_and_blocked(monkeypatch, columns):
@@ -597,23 +594,26 @@ class TestChannelQuadrature:
         assert builds >= 1 and shapes == [(1, 4, 4), (1, 8, 8), (1, 9, 9)] * builds
 
     @pytest.mark.parametrize("cutoff, drive", [(1, 1.0), (2, 1.0), (5, 1.0), (2, 4.0)])
-    def test_eigensystem_equals_the_per_block_oracle(self, cutoff, drive):
-        config = rd.readout_config(emission_cutoff=cutoff, drive_amplitude=drive, time_points=5)
+    def test_eigensystem_equals_the_per_block_oracle(self, monkeypatch, cutoff, drive):
+        at_emission_cutoff(monkeypatch, cutoff)
+        config = rd.readout_config(drive_amplitude=drive, time_points=5)
         model = rd.emission_model(config)
         values, vectors = per_block_eigensystem(model)
         np.testing.assert_array_equal(model.eigenvalues, values)
         np.testing.assert_array_equal(model.eigenvectors, vectors)
 
     @pytest.mark.parametrize("cutoff", [1, 2, 5, 127])
-    def test_channel_equals_the_dense_columns_on_the_states(self, cutoff):
-        model = rd.emission_model(rd.readout_config(emission_cutoff=cutoff, time_points=5))
-        assert np.array_equal(model.p_matrix, resonant_subspace(model.config)[model.states])
+    def test_channel_equals_the_dense_columns_on_the_states(self, monkeypatch, cutoff):
+        at_emission_cutoff(monkeypatch, cutoff)
+        model = rd.emission_model(rd.readout_config(time_points=5))
+        assert np.array_equal(model.p_matrix, resonant_subspace()[model.states])
 
-    def test_embedding_holds_no_emission_basis_array(self):
-        # 2,000 starts at the largest cutoff (2048 basis states): a (2048 x
-        # 2000) vacuum start array and its norm took 132 MB; the 21 held
-        # states and the 7 pairs off the reach take 2.5 MB
-        config = rd.readout_config(emission_cutoff=127, time_points=5)
+    def test_embedding_holds_no_emission_basis_array(self, monkeypatch):
+        # 2,000 starts on a mode cut at 127 photons (2048 basis states): a
+        # (2048 x 2000) vacuum start array and its norm took 132 MB; the 21
+        # held states and the 7 pairs off the reach take 2.5 MB
+        at_emission_cutoff(monkeypatch, 127)
+        config = rd.readout_config(time_points=5)
         model = rd.emission_model(config)
         states = sweep_states(config)
         pairs = np.column_stack([states[k % 16].ravel() for k in range(2000)])
@@ -625,11 +625,13 @@ class TestChannelQuadrature:
             tracemalloc.stop()
         assert peak < 8_000_000
 
-    def test_sweep_is_bit_identical_at_every_cutoff_from_two(self):
+    def test_sweep_is_bit_identical_at_every_cutoff_from_two(self, monkeypatch):
         # L is conserved and a chain state has no L = 2 weight, so a larger
-        # cutoff only renames basis indices
+        # cutoff only renames basis indices: the mode's cut at two photons
+        # loses nothing
         def quadratures(cutoff):
-            config = rd.readout_config(emission_cutoff=cutoff, time_points=401)
+            at_emission_cutoff(monkeypatch, cutoff)
+            config = rd.readout_config(time_points=401)
             return full_quadratures(sweep_states(config), rd.emission_model(config))[0]
 
         reference = quadratures(2)
@@ -638,8 +640,8 @@ class TestChannelQuadrature:
 
     def test_channel_annihilation_is_dense_a_on_the_channel(self):
         model = rd.emission_model(rd.readout_config())
-        p = resonant_subspace(model.config)
-        a = annihilation(rd.emission_basis(model.config), 2).matrix
+        p = resonant_subspace()
+        a = annihilation(rd.EMISSION_BASIS, 2).matrix
         # 1/sqrt(2)^2 * 2 rounds to 1 + 2.2e-16
         np.testing.assert_allclose(p.conj().T @ a @ p, rd._CHANNEL_ANNIHILATION,
                                    rtol=0, atol=3e-16)
@@ -679,7 +681,8 @@ def whole_table_quadratures(pairs, model, method):
 
 
 class TestSlabbedPhaseFactors:
-    QUADRATURES = {"full": rd._full_quadrature, "perturbative": rd._perturbative_quadrature}
+    QUADRATURES = {"full": lambda pairs, model: rd._full_quadrature(pairs, model)[0],
+                   "perturbative": perturbative_quadrature}
 
     @staticmethod
     def _pairs(config, count):
@@ -701,7 +704,7 @@ class TestSlabbedPhaseFactors:
         pairs = self._pairs(config, count)
         if block is not None:
             monkeypatch.setattr(rd, "_BLOCK_AMPLITUDES", 4 * block * len(model.states))
-        quadratures, _ = self.QUADRATURES[method](pairs, model)
+        quadratures = self.QUADRATURES[method](pairs, model)
         np.testing.assert_array_equal(quadratures, whole_table_quadratures(pairs, model, method))
 
     def test_model_holds_nothing_that_grows_with_the_grid(self):

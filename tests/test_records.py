@@ -33,7 +33,7 @@ _LEVEL_SCHEME_INVALID = [
     (dict(final_time=1e-3), "final_time must cover at least one cycle"),
     (dict(photon_number=-1), "photon_number must be non-negative"),
     (dict(coupling=0.0), "coupling must be positive when photons"),
-    (dict(photon_number=20), "fock_cutoffs must be at least photon_number"),
+    (dict(coupling=-1.0), "coupling must be positive when photons"),
 ]
 
 # record factory -> [(changed fields, the ValueError message they raise)]
@@ -62,7 +62,7 @@ RECORDS = {
     "Mode": (lambda: h.Mode(1), [(dict(cutoff=0), "mode cutoff must be >= 1")]),
     "ReadoutConfig": (lambda: readout.readout_config(time_points=5), [
         (dict(detuning=0.0), "the drive detuning must be nonzero"),
-        (dict(emission_mode_cutoff=0), "emission_mode_cutoff must be >= 1"),
+        (dict(readout_times=(1.0, 0.0)), "readout_times must be strictly increasing"),
         (dict(fit_periods=0.0), "fit_periods must be positive"),
         (dict(readout_times=(0.0, 1.0, 1.0)), "readout_times must be strictly increasing"),
     ]),
@@ -176,7 +176,7 @@ def _built_bases():
                zm.four_level_config_from_deltas(1.0, 0.5, cycle_time=0.02, final_time=0.2,
                                                 photon_number=2)]
     return ([z2.pair_basis(config) for config in configs]
-            + [readout.emission_basis(readout.readout_config())]
+            + [readout.EMISSION_BASIS]
             + [h.build_basis([h.Atom(4), h.Atom(4)]), h.build_basis([h.Atom(2)]),
                h.build_basis([h.Mode(1)])])
 

@@ -62,14 +62,6 @@ class TestSchemeModel:
         assert config.fock_cutoffs == (n + 2,) * modes
         assert z2.pair_basis(config).dims == (config.LEVELS, config.LEVELS) + (n + 3,) * modes
 
-    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    @pytest.mark.parametrize("cutoffs", [(3, 4), (4, 3), (1, 1)])
-    def test_cutoff_below_photon_number_plus_two_raises(self, scheme, cutoffs):
-        config = SCHEMES[scheme](2)
-        assert config.replace(fock_cutoffs=(4, 5)).fock_cutoffs == (4, 5)
-        with pytest.raises(ValueError, match="fock_cutoffs must be at least photon_number"):
-            config.replace(fock_cutoffs=cutoffs)
-
 
 class TestHamiltonians:
     def test_three_level_hermitian(self):
