@@ -4,7 +4,8 @@ Subcommands: dephasing, zeno2, zeno4, readout, allan.  Every run writes a
 manifest (resolved configuration, tool version, seed, result summary)
 beside its outputs, and identical manifests produce byte-identical files.
 Every run, a survival-curve sweep's cycle times included, runs on the
-calling thread.
+calling thread; only dephasing's Monte Carlo pass may fork one child
+process, for half its draw (byte-identical CSVs either way).
 
 Exit codes: 0 success or -h/--help; 2 usage (see parse_args) or configuration
 error; 3 out-of-regime parameters under --strict; 4 numerical-validity failure.

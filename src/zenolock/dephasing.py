@@ -10,7 +10,10 @@ clock disciplined by those atoms.
 This is the only module that works in plain Hz and seconds.
 """
 
+import itertools
 import math
+import os
+import pickle
 from collections import deque
 from typing import NamedTuple
 
@@ -25,11 +28,7 @@ TWO_PI = 2.0 * np.pi
 # Monte Carlo fold reduces.  A fixed budget, so the blocking depends on the
 # input shape only and a block's working set stays near 1 MB whatever the
 # replica count: 21 replicas on the default independent curve, 274 on the
-# locked one (one atom each).  On a 2-core Xeon VM with one BLAS thread and
-# the cos/sin seed the default curves took 0.08-0.10 s and 0.006-0.008 s at
-# 2^17, about the same at 2^18, and 0.11-0.18 s and 0.007-0.016 s at
-# 2^15-2^16, where a block is a few replicas and the per-block numpy calls
-# dominate.
+# locked one (one atom each).  Other budgets: ROADMAP, "Measured and not queued".
 _BLOCK_ENTRIES = 1 << 17
 # Float64 entries of the buffer the Monte Carlo draws replica frequencies
 # into, a whole number of _phasor_blocks blocks at a time (at least one):
@@ -86,14 +85,10 @@ def _philox_generator(seed: int, replica: int) -> "np.random.Generator":
 
 
 def _stream() -> tuple:
-    """A re-keyable Philox stream for :func:`_replica_rng`.
-
-    That is a generator, its bit generator, a state dict and the dict's key
-    list.  The state dict is a fresh generator's with its arrays turned into
-    lists of Python ints, which the state setter reads about three times
-    faster than numpy scalars.  One draw makes one stream and re-keys it
-    once per replica.
-    """
+    """A re-keyable Philox stream for :func:`_replica_rng`: a generator, its
+    bit generator, and a fresh generator's state dict and its key list, the
+    dict's arrays turned into lists of Python ints, which the state setter
+    reads about three times faster.  A draw re-keys one stream per replica."""
     rng = _philox_generator(0, 0)
     fresh = rng.bit_generator.state
     state = {**fresh, "buffer": fresh["buffer"].tolist(),
@@ -107,9 +102,8 @@ def _replica_rng(stream: tuple, seed: int, replica: int) -> "np.random.Generator
     A Philox stream is fixed by its key and counter (Salmon et al., SC'11),
     so instead of constructing a generator per replica this re-keys the
     generator of ``stream`` (see :func:`_stream`) through its state setter:
-    key (seed, replica), zero counter, empty buffer.  Only the key changes
-    from call to call.  The draws are bit-identical to a fresh generator's.
-    The result is valid until the stream's next re-key.
+    key (seed, replica), zero counter, empty buffer.  The draws are
+    bit-identical to a fresh generator's until the stream's next re-key.
     """
     rng, bit_generator, state, key = stream
     key[0] = seed & 0xFFFFFFFFFFFFFFFF
@@ -130,20 +124,26 @@ def _draw(config: EnsembleConfig, out: np.ndarray, first: int, stream: tuple) ->
     return out
 
 
-def _draw_chunks(config: EnsembleConfig, rows: int, means=None, leading=None):
+def _chunk_rows(config: EnsembleConfig, rows: int) -> int:
+    """Replicas per chunk of :func:`_draw_chunks`, whole ``rows``-replica blocks."""
+    return min(config.replicas, rows * max(1, _DRAW_ENTRIES // (rows * config.atom_count)))
+
+
+def _draw_chunks(config: EnsembleConfig, rows: int, means=None, leading=None,
+                 part: slice = slice(None)):
     """The frequencies of every replica, in chunks of whole ``rows``-replica
     blocks drawn one after another into one reused buffer.
 
-    A chunk holds as many blocks as _DRAW_ENTRIES floats allow, at least
-    one; the last chunk holds the rest.  Each chunk is a view the next one
-    overwrites.  Each replica's mean frequency goes into ``means``, and the
-    leading replicas and atoms of the draw into ``leading``, when given.
+    A chunk holds as many blocks as _DRAW_ENTRIES floats allow (at least
+    one; the last holds the rest) and is a view the next one overwrites;
+    ``part`` picks the chunks drawn.  Each replica's mean frequency goes into
+    ``means``, and the leading replicas and atoms into ``leading``, if given.
     """
     replicas = config.replicas
-    size = min(replicas, rows * max(1, _DRAW_ENTRIES // (rows * config.atom_count)))
+    size = _chunk_rows(config, rows)
     buffer = np.empty((size, config.atom_count))
     stream = _stream()
-    for lo in range(0, replicas, size):
+    for lo in range(0, replicas, size)[part]:
         chunk = _draw(config, buffer[:min(size, replicas - lo)], lo, stream)
         hi = lo + chunk.shape[0]
         if means is not None:
@@ -285,27 +285,32 @@ def _phasor_blocks(chunks, rows: int, step: float, points: int):
             yield means
 
 
-def _fold(blocks, points: int):
-    """(mean, standard error) over replicas of the (replicas, points) blocks.
+def _moments(block):
+    """(replicas, sum, M2) over the replicas of a (replicas, points) block."""
+    n = block.shape[0]
+    # replicas along the contiguous axis, so numpy sums them pairwise
+    block_sum = np.ascontiguousarray(block.T).sum(axis=1)
+    deviations = block - block_sum / n
+    deviations *= deviations
+    return n, block_sum, deviations.sum(axis=0)
 
-    Each block's sum and its sum of squared deviations M2 join the running
-    count, sum and M2 by the parallel update of Chan, Golub and LeVeque, the
-    running sum Kahan-compensated, so no (points, replicas) array is formed.
+
+def _fold(moments, points: int):
+    """(mean, standard error) over replicas from blocks' :func:`_moments`.
+
+    In replica order, each block's sum (consumed in place) and sum of squared
+    deviations M2 join the running count, sum and M2 by the parallel update
+    of Chan, Golub and LeVeque, the running sum Kahan-compensated, so no
+    (points, replicas) array is formed.
     """
     count = 0
     total = np.zeros(points)  # sum of the values so far, Kahan-compensated by lost
     lost = np.zeros(points)
     m2 = np.zeros(points)
-    for block in blocks:
-        n = block.shape[0]
-        # replicas along the contiguous axis, so numpy sums them pairwise
-        block_sum = np.ascontiguousarray(block.T).sum(axis=1)
-        block_mean = block_sum / n
-        deviations = block - block_mean
-        deviations *= deviations
-        m2 += deviations.sum(axis=0)
+    for n, block_sum, block_m2 in moments:
+        m2 += block_m2
         if count:
-            delta = block_mean - total / count
+            delta = block_sum / n - total / count
             m2 += delta * delta * (count * n / (count + n))
         block_sum -= lost
         new_total = total + block_sum
@@ -318,24 +323,95 @@ def _fold(blocks, points: int):
     return mean, np.sqrt(m2 / (count - 1)) / np.sqrt(count)
 
 
+def _fork_cpus():
+    """This process's CPUs but the one it runs on, for :func:`_forked_fold`; None
+    without os.fork, /proc/self/stat or another CPU, or with threads (a fork can deadlock)."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            fields = stat.read().rpartition(b")")[2].split()  # from field 3 of proc_pid_stat(5)
+        cpus = os.sched_getaffinity(0) - {int(fields[36])}  # field 39, processor
+    except (AttributeError, OSError, IndexError, ValueError):
+        return None
+    return cpus if fields[17] == b"1" and cpus and hasattr(os, "fork") else None  # num_threads
+
+
+def _forked_fold(cpus, config, rows, step, points, means, leading):
+    """:func:`_fold` of the independent pass, its odd-numbered draw chunks run
+    by a child forked onto ``cpus`` (else the scheduler may keep it on our
+    CPU).  The child pipes a tag byte, sum and M2 per block, replica means and
+    leading rows per chunk, or its pickled exception, and leaves by os._exit.
+    The merge keeps replica order: the result is bit-identical to the
+    in-process pass.  On any exception the parent kills the child; it always
+    reaps it."""
+    def chunks(part):  # per chunk that part picks: first and end replica, blocks' moments
+        size = _chunk_rows(config, rows)
+        blocks = _phasor_blocks(_draw_chunks(config, rows, means, leading, part), rows, step,
+                                points)
+        for lo in range(0, config.replicas, size)[part]:
+            hi = min(lo + size, config.replicas)
+            yield lo, hi, map(_moments, itertools.islice(blocks, -(-(hi - lo) // rows)))
+
+    def receive(pipe, out):
+        if pipe.readinto(out) != out.nbytes:
+            raise ChildProcessError("the Monte Carlo child process ended before its last chunk")
+        return out
+
+    def merged(pipe):  # every block's moments in replica order, the odd chunks' piped
+        for first, lo, moments in chunks(slice(0, None, 2)):
+            yield from moments
+            hi = min(2 * lo - first, config.replicas)  # the child's chunk after this one
+            for start in range(lo, hi, rows):
+                if pipe.read(1) == b"e":
+                    raise pickle.load(pipe)  # the child's exception, with its type and message
+                yield (min(rows, hi - start), *receive(pipe, np.empty((2, points))))  # sum, M2
+            for out in (means, leading):
+                if out is not None:
+                    receive(pipe, out[lo:hi])
+
+    _stream()  # imports numpy.random here, not once in each process
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with open(write_end, "wb", buffering=1 << 16) as pipe:  # a pipe's capacity
+                try:
+                    os.sched_setaffinity(0, cpus)
+                    for lo, hi, moments in chunks(slice(1, None, 2)):
+                        for _, block_sum, block_m2 in moments:
+                            pipe.writelines((b"p", block_sum, block_m2))
+                        pipe.writelines(out[lo:hi] for out in (means, leading) if out is not None)
+                        pipe.flush()
+                except BaseException as error:
+                    pipe.write(b"e" + pickle.dumps(error))
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb", buffering=1 << 16) as pipe:  # a full pipe per wake-up
+            return _fold(merged(pipe), points)
+    except BaseException:
+        os.kill(pid, 9)  # SIGKILL, without loading the signal module
+        raise
+    finally:
+        os.waitpid(pid, 0)
+
+
 def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False, means=None,
                          leading=None):
     """Replica-averaged mean cosine on the config time grid.
 
     Returns ``(mean, standard_error)`` arrays.  In the locked variant every
     atom of a replica oscillates at that replica's mean frequency, so each
-    replica is a one-atom ensemble.  The independent pass draws the replicas
-    a whole number of kernel blocks at a time into one reused buffer of
-    about _DRAW_ENTRIES floats, and feeds each chunk straight into the
-    baby- and giant-step phasor powers of :func:`_phasor_blocks`, whose
-    blocks :func:`_fold` folds into running per-point moments as soon as
-    they are made.  No (replicas, atom_count) or (grid, replicas) array is
-    formed.  The independent pass writes each replica's mean frequency into
-    ``means`` and the leading replicas and atoms of its draw into
-    ``leading``, when given; the locked call reads the ``means`` of that
-    draw, or streams the draw for them when given none.
-    The blocking depends on the input shape only, whatever the draw's
-    chunks, and each replica's atom sums are one matrix product of a shape
+    replica is a one-atom ensemble.  The independent pass streams the draw
+    (:func:`_draw_chunks`) through :func:`_phasor_blocks` into :func:`_fold`
+    and forms no (replicas, atom_count) or (grid, replicas) array; it writes
+    each replica's mean frequency into ``means`` and the leading replicas
+    and atoms of its draw into ``leading``, when given.  The locked call
+    reads those ``means``, or streams the draw for them when given none.  A
+    draw of two chunks or more runs in two processes when :func:`_fork_cpus`
+    allows (:func:`_forked_fold`).  The blocking depends on the input shape
+    only, and each replica's atom sums are one matrix product of a shape
     fixed by the grid and the atom count, so the result is fixed by the
     inputs.  On the shapes CI compares, the CSVs of a run are byte-identical
     at 1 and 2 BLAS threads; larger per-replica products can differ in the
@@ -351,8 +427,10 @@ def monte_carlo_mean_cos(config: EnsembleConfig, locked: bool = False, means=Non
         chunks = [means[:, None]]
     else:
         rows = _block_rows(config.replicas, config.atom_count, points)
+        if _chunk_rows(config, rows) < config.replicas and (cpus := _fork_cpus()):
+            return _forked_fold(cpus, config, rows, step, points, means, leading)
         chunks = _draw_chunks(config, rows, means, leading)
-    return _fold(_phasor_blocks(chunks, rows, step, points), points)
+    return _fold(map(_moments, _phasor_blocks(chunks, rows, step, points)), points)
 
 
 def ensemble_pass(config: EnsembleConfig, locked_time_max: float, histogram_replicas: int,
@@ -366,7 +444,8 @@ def ensemble_pass(config: EnsembleConfig, locked_time_max: float, histogram_repl
     read-only, for :func:`bandwidth_histogram`.  The independent curve
     writes each replica's mean, which the locked curve reads, and the part
     of that sample it draws; the function draws only the rest (all of it
-    when the histogram has more atoms than the curve).
+    when the histogram has more atoms than the curve).  Only the
+    independent curve may fork, with bit-identical results either way.
     """
     histogram = config.replace(replicas=histogram_replicas, atom_count=histogram_atoms)
     freqs = np.empty((histogram_replicas, histogram_atoms))

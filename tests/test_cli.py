@@ -1416,13 +1416,14 @@ assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
 
 class TestStartup:
     @staticmethod
-    def _unloaded_after_cli_import(module, argv=None):
-        """Check in a fresh interpreter, after ``cli.main(argv)`` if ``argv`` is given."""
+    def _unloaded_after_cli_import(module, argv=None, **variables):
+        """Check in a fresh interpreter with the environment ``variables``, after
+        ``cli.main(argv)`` if ``argv`` is given."""
         run = "" if argv is None else f"assert zenolock.cli.main({argv!r}) == 0; "
         result = subprocess.run(
             [sys.executable, "-c",
              f"import sys, zenolock.cli; {run}assert {module!r} not in sys.modules"],
-            env=fresh_env(), capture_output=True, text=True, timeout=300)
+            env=fresh_env(**variables), capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
 
     def test_cli_import_leaves_numpy_random_unloaded(self):
@@ -1442,6 +1443,15 @@ class TestStartup:
         self._unloaded_after_cli_import("concurrent.futures", [
             "zeno2", "--config", str(REPO / "configs" / "defaults.cfg"),
             "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures", "signal",
+                                        "subprocess"])
+    def test_default_dephasing_run_loads_no_process_machinery(self, tmp_path, module):
+        # at one BLAS thread on two CPUs the Monte Carlo pass forks its helper
+        # process with os and pickle alone, both loaded anyway
+        self._unloaded_after_cli_import(module, [
+            "dephasing", "--config", str(REPO / "configs" / "defaults.cfg"),
+            "--out", str(tmp_path / "out")], OPENBLAS_NUM_THREADS="1")
 
     def test_cli_import_leaves_dataclasses_unloaded(self, tmp_path):
         # the records of src/ are plain classes: a frozen dataclass took about

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -572,7 +574,7 @@ def full_draw_run(config, locked_config, hist_config):
 
     def curve(freqs, curve_config):
         step = curve_config.time_max / (points - 1)
-        return dp._fold(phasor_blocks(freqs, step, points), points)
+        return dp._fold(map(dp._moments, phasor_blocks(freqs, step, points)), points)
 
     return (curve(freqs, config), curve(freqs.mean(axis=1, keepdims=True), locked_config),
             dp.bandwidth_histogram(dp.sample_all_replicas(hist_config)))
@@ -649,6 +651,197 @@ class TestStreamedDraw:
         # replicas x atom_count at the schema cap, 2^24 frequencies (128 MiB
         # as one array), against the same run at 64 atoms
         assert self._peak_rss_mb(tmp_path, 4096) - self._peak_rss_mb(tmp_path, 64) < 16
+
+
+def forcing_fork(monkeypatch, fork):
+    """Force the independent pass to fork (onto every CPU of this process) or
+    not, whatever its thread count; returns the pids of the children forked."""
+    monkeypatch.setattr(dp, "_fork_cpus", lambda: os.sched_getaffinity(0) if fork else None)
+    pids = []
+    real_fork = os.fork
+
+    def recording():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_in_child(error):
+    """A _moments that raises ``error`` in the forked child only."""
+    original, parent_pid = dp._moments, os.getpid()
+
+    def moments(block):
+        if os.getpid() != parent_pid:
+            raise error
+        return original(block)
+
+    return moments
+
+
+# a forced fork of a multi-threaded test process (OpenBLAS threads) warns on
+# Python 3.12+; the pass itself forks only a one-thread process
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+class TestForkedPass:
+    @pytest.mark.parametrize("atoms, replicas, entries, hist_replicas, hist_atoms, chunks", [
+        (100, 100, 1 << 30, 60, 9, [100]),
+        (100, 84, 2 * 21 * 100, 84, 9, [42, 42]),
+        (100, 100, 2 * 21 * 100, 100, 9, [42, 42, 16]),
+        (100, 160, 2 * 21 * 100, 30, 9, [42, 42, 42, 34]),
+        (100, 100, 2 * 21 * 100, 60, 9, [42, 42, 16]),
+        (100, 100, 2 * 21 * 100, 60, 120, [42, 42, 16]),
+        (4099, 5, 1, 5, 9, [1] * 5),
+    ], ids=["one-chunk", "two-chunks", "odd-chunk-count-ragged-last-block",
+            "even-chunk-count-ragged-last-chunk", "histogram-rows-cross-into-the-child",
+            "more-histogram-atoms", "one-replica-blocks"])
+    def test_forked_pass_equals_in_process_pass(self, monkeypatch, atoms, replicas, entries,
+                                                hist_replicas, hist_atoms, chunks):
+        # the mean, standard error, replica means and leading histogram rows
+        # (none when the histogram has more atoms than the curve) are
+        # bit-identical, and only a draw of two chunks or more forks
+        config = make_config(atom_count=atoms, replicas=replicas, time_points=201)
+        monkeypatch.setattr(dp, "_DRAW_ENTRIES", entries)
+        rows = dp._block_rows(replicas, atoms, config.time_points)
+        assert [chunk.shape[0] for chunk in dp._draw_chunks(config, rows)] == chunks
+        kept = min(hist_replicas, replicas) if hist_atoms <= atoms else 0
+        outputs = {}
+        for fork in (False, True):
+            with monkeypatch.context() as patch:
+                pids = forcing_fork(patch, fork)
+                means = np.full(replicas, np.nan)
+                leading = np.full((kept, hist_atoms), np.nan)
+                mean, se = dp.monte_carlo_mean_cos(config, means=means, leading=leading)
+            assert len(pids) == (1 if fork and len(chunks) > 1 else 0)
+            outputs[fork] = (mean, se, means, leading)
+        for in_process, forked in zip(outputs[False], outputs[True]):
+            assert np.array_equal(in_process, forked)
+        assert np.array_equal(outputs[True][2], dp.sample_all_replicas(config).mean(axis=1))
+        assert_no_child_left()
+
+    def test_forked_pass_holds_no_grid_by_replicas_array(self, monkeypatch):
+        # TestStreamingFold's bounds with the fork forced: the parent holds one
+        # block's sums and M2s of the child's at a time
+        pids = forcing_fork(monkeypatch, True)
+        config = TestStreamingFold._default_config(False)
+        peak = functools.partial(TestStreamingFold._traced_peak, dp.monte_carlo_mean_cos)
+        assert peak(config) < 2 << 20
+        small, large = (peak(config.replace(replicas=replicas)) for replicas in (2_000, 20_000))
+        assert large - small < 1 << 20
+        assert len(pids) == 3
+
+    def test_child_error_reaches_the_caller(self, monkeypatch):
+        # raised in an odd chunk, pickled in the child and raised again here
+        forcing_fork(monkeypatch, True)
+        monkeypatch.setattr(dp, "_DRAW_ENTRIES", 2 * 21 * 100)
+        monkeypatch.setattr(dp, "_moments", failing_in_child(
+            FloatingPointError("overflow encountered in multiply (child)")))
+        with pytest.raises(FloatingPointError, match=r"overflow encountered in multiply \(child\)"):
+            dp.monte_carlo_mean_cos(make_config(replicas=100))
+        assert_no_child_left()
+
+    def test_parent_error_kills_and_reaps_the_child(self, monkeypatch):
+        # the child would sleep through its first block for a minute
+        forcing_fork(monkeypatch, True)
+        monkeypatch.setattr(dp, "_DRAW_ENTRIES", 2 * 21 * 100)
+        parent_pid, original = os.getpid(), dp._moments
+
+        def moments(block):
+            if os.getpid() == parent_pid:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return original(block)
+
+        statuses = []
+        real_waitpid = os.waitpid
+
+        def recording(pid, options):
+            statuses.append(real_waitpid(pid, options))
+            return statuses[-1]
+
+        monkeypatch.setattr(dp, "_moments", moments)
+        monkeypatch.setattr(os, "waitpid", recording)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            dp.monte_carlo_mean_cos(make_config(replicas=100))
+        assert time.monotonic() - started < 30
+        [(_, status)] = statuses
+        assert os.waitstatus_to_exitcode(status) == -9  # SIGKILL
+        monkeypatch.undo()
+        assert_no_child_left()
+
+    def test_cli_run_leaves_no_child(self, monkeypatch, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("[dephasing]\nreplicas = 2000\nhistogram_replicas = 2000\n"
+                          "time_points = 31\n")
+        outputs = {}
+        for fork in (False, True):
+            with monkeypatch.context() as patch:
+                pids = forcing_fork(patch, fork)
+                out = tmp_path / f"fork-{fork}"
+                assert cli.main(["dephasing", "--config", str(config), "--out", str(out)]) == 0
+            assert len(pids) == (1 if fork else 0)
+            assert_no_child_left()
+            outputs[fork] = {path.name: path.read_bytes() for path in out.glob("*.csv")}
+        assert len(outputs[True]) == 3
+        assert outputs[True] == outputs[False]
+
+    def test_child_overflow_exits_numerical_naming_the_key(self, monkeypatch, tmp_path,
+                                                           capsys):
+        # as in-process: _overflow_names names the largest key, exit code 4
+        forcing_fork(monkeypatch, True)
+        monkeypatch.setattr(dp, "_moments", failing_in_child(FloatingPointError("overflow")))
+        config = tmp_path / "run.cfg"
+        config.write_text("[dephasing]\nreplicas = 2000\nhistogram_replicas = 2000\n"
+                          "time_points = 31\ncenter_frequency = 1e6\n")
+        argv = ["dephasing", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        assert ("[dephasing] center_frequency = 1000000.0 overflows the sampled frequencies"
+                in capsys.readouterr().err)
+        assert_no_child_left()
+
+    def test_threaded_process_does_not_fork(self):
+        started, release = threading.Event(), threading.Event()
+
+        def waiting():
+            started.set()
+            release.wait(60)
+
+        thread = threading.Thread(target=waiting)
+        thread.start()
+        try:
+            started.wait(60)
+            assert dp._fork_cpus() is None
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/self/stat")
+    @pytest.mark.parametrize("one_cpu", [False, True])
+    def test_fork_cpus_of_a_one_thread_process(self, one_cpu):
+        # every CPU of the process but the one it runs on; none on one CPU
+        cpus = sorted(os.sched_getaffinity(0))[:1] if one_cpu else sorted(os.sched_getaffinity(0))
+        src = str(Path(dp.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-c", "import os\nfrom zenolock import dephasing as dp\n"
+             f"os.sched_setaffinity(0, {cpus!r})\nprint(dp._fork_cpus())"],
+            env=env, capture_output=True, text=True, check=True)
+        allowed = eval(run.stdout)  # a set of CPU numbers, or None
+        if len(cpus) < 2:
+            assert allowed is None
+        else:
+            assert len(allowed) == len(cpus) - 1 and allowed < set(cpus)
 
 
 class TestAllanDeviation:
