@@ -309,21 +309,6 @@ class SurvivalTrace(Record):
         property(lambda self, i=i: self.table[:, i]) for i in range(len(COLUMNS)))
 
 
-def _record_cycles(total_cycles: int, max_points: int) -> np.ndarray:
-    """At most ``max_points`` cycle indices, every stride-th one plus the last.
-
-    Python ints from 2^63 - 1 cycles on, where numpy's int64 arange turns float64.
-    """
-    if max_points < 1:
-        raise ValueError(f"max_points must be at least 1, got {max_points}")
-    stride = max(1, -(-total_cycles // max_points))
-    exact = np.int64 if total_cycles < np.iinfo(np.int64).max else object
-    recorded = np.arange(stride, total_cycles + 1, stride, dtype=exact)
-    if recorded.size == 0 or recorded[-1] != total_cycles:
-        recorded = np.append(recorded, total_cycles)
-    return recorded
-
-
 def _atom_states(basis: h.ProductBasis, photons: int) -> np.ndarray:
     """Basis index of every atom state, in order, with ``photons`` photons in every mode."""
     modes = len(basis.dims) - 2
@@ -363,16 +348,17 @@ def cycle_matrix(config, evolver: h.BlockEvolver, window: np.ndarray) -> np.ndar
     return window[_injected(config, evolver)]
 
 
-def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray,
-                       p_success: np.ndarray, p_error: np.ndarray) -> np.ndarray:
-    """Write the survival at each recorded cycle; return the last state.
+def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, stride: int, cycles: int,
+                       t: np.ndarray, p_success: np.ndarray, p_error: np.ndarray) -> np.ndarray:
+    """Write each recorded cycle and its survival; return the last state.
 
-    With a and b the squared norms of ``x`` after and before recorded cycle
-    i, ``p_success[i]`` is a and ``p_error[i]`` is 1 - a / b.  A gap of g
-    cycles costs two matrix-vector products: the cached ``map**(g-1)``, then
-    the map.  The states are buffered :data:`RECORD_CHUNK` recorded cycles
-    at a time and normed by one stacked (1 x d) @ (d x 1) product per real
-    and imaginary part, the bits of ``x.real @ x.real + x.imag @ x.imag``.
+    Row i records cycle min((i + 1) stride, ``cycles``) into ``t``; with a
+    and b the squared norms of ``x`` after and before it, ``p_success[i]`` is
+    a and ``p_error[i]`` is 1 - a / b.  Every gap but the last is ``stride``,
+    and a gap of g cycles costs two matrix-vector products: ``map**(g-1)``,
+    then the map.  The states are buffered :data:`RECORD_CHUNK` recorded
+    cycles at a time and normed by one stacked (1 x d) @ (d x 1) product per
+    real and imaginary part, the bits of ``x.real @ x.real + x.imag @ x.imag``.
     At the first recorded cycle whose squared norm falls below
     :data:`RESCALE_BELOW`, the state is scaled by the power of two that
     brings its largest entry into [0.5, 1), which is exact, the cycles after
@@ -383,14 +369,18 @@ def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray,
     # ndarray.dot (np.dot without its dispatch) copies a matrix that is not
     # contiguous on every call
     cycle_map = np.ascontiguousarray(cycle_map)
-    gaps = np.diff(record, prepend=0)
-    powers = {gap: np.linalg.matrix_power(cycle_map, gap - 1)
-              for gap in set(gaps.tolist()) if gap > 1}
+    rows = len(t)
+    stride_power, last_power = (None if gap == 1 else np.linalg.matrix_power(cycle_map, gap - 1)
+                                for gap in (stride, cycles - (rows - 1) * stride))
+    # Python ints, exact at any cycle count; the last row holds ``cycles`` instead
+    recorded = range(stride, rows * stride + 1, stride)
     states = np.empty((RECORD_CHUNK, 2, len(x)), dtype=complex)
     befores, afters = list(states[:, 0]), list(states[:, 1])
     start = exponent = 0
-    while start < len(record):
-        jumps = [powers.get(gap) for gap in gaps[start:start + RECORD_CHUNK].tolist()]
+    while start < rows:
+        jumps = [stride_power] * min(RECORD_CHUNK, rows - start)
+        if start + len(jumps) == rows:
+            jumps[-1] = last_power
         for before, after, jump in zip(befores, afters, jumps):
             if jump is None:
                 before[:] = x
@@ -405,8 +395,10 @@ def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray,
             kept = np.flatnonzero(norms[:, 1, 0, 0] < RESCALE_BELOW)[0] + 1
         x = states[kept - 1, 1]
         if not x.any():
-            raise ProtocolError(f"survival is exactly zero by cycle {record[start + kept - 1]}")
+            raise ProtocolError(
+                f"survival is exactly zero by cycle {min(recorded[start + kept - 1], cycles)}")
         previous, current = norms[:kept, 0, 0, 0], norms[:kept, 1, 0, 0]
+        t[start:start + kept] = recorded[start:start + kept]
         p_error[start:start + kept] = 1.0 - current / previous
         p_success[start:start + kept] = np.ldexp(current, exponent)
         start += kept
@@ -414,6 +406,7 @@ def _recorded_survival(cycle_map: np.ndarray, x: np.ndarray, record: np.ndarray,
             shift = -np.frexp(np.max(np.abs(x)))[1]
             x = np.ldexp(x.view(float), shift).view(complex)
             exponent -= 2 * shift
+    t[-1] = cycles
     return x.copy()
 
 
@@ -431,14 +424,14 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: np.ndarray,
     The run works on the atom sector with the per-cycle map (see
     :func:`cycle_matrix`), read off one batched :func:`coupling_window`.
     Every stride-th cycle and the last are recorded, at most
-    ``max_trace_points`` of them, and the run jumps between them: across a gap
-    of g cycles it applies the cached power ``map**(g-1)`` (one per distinct
-    gap, so at most two) and then one more ``map``, whose success probability
-    is the recorded cycle's own, so the cost follows the recorded points, not
+    ``max_trace_points`` of them, and the run jumps between them: across a
+    gap of g cycles (the stride, or fewer at the last) it applies
+    ``map**(g-1)`` and then one more ``map``, whose success probability is
+    the recorded cycle's own, so the cost follows the recorded points, not
     the cycles (see :func:`_recorded_survival`).  ``p_success`` is the
     cumulative product of per-cycle success probabilities.  The loop writes
-    it and the per-cycle error into the trace's table, where the other
-    columns are then made in place.
+    the cycle numbers, it and the per-cycle error into the trace's table,
+    the run's only array as long as the record; the rest is made in place.
 
     The closed forms come from the scheme: with m the
     :func:`mean_square_splitting` of ``config.deltas()``, ``analytic_p_s`` is
@@ -479,7 +472,10 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: np.ndarray,
     remainder = max(0.0, config.final_time - cycles * cycle)
     out_of_regime = mean_square * (config.free_interval * config.free_interval) > 1.0
 
-    record = _record_cycles(cycles, max_trace_points)
+    if max_trace_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_trace_points}")
+    stride = -(-cycles // max_trace_points)
+    rows = -(-cycles // stride)
     evolver = h.BlockEvolver(hamiltonian)
     window = coupling_window(config, evolver, np.exp(-1j * config.free_interval * energies))
     cycle_map = cycle_matrix(config, evolver, window)
@@ -488,16 +484,15 @@ def run_zeno(config, hamiltonian: h.SectorHamiltonian, initial: np.ndarray,
                    for photons in np.unravel_index(evolver.states, basis.dims)[2:])
 
     # column-major: a contiguous column takes the ufunc loops of a separate array
-    table = np.empty((len(record) + 1 + (remainder > 0.0), 4), order="F")
+    table = np.empty((rows + 1 + (remainder > 0.0), 4), order="F")
     t, p_success, p_error, analytic = table.T
-    x = _recorded_survival(cycle_map, x, record, p_success[1:], p_error[1:])
+    x = _recorded_survival(cycle_map, x, stride, cycles, *table[1:rows + 1, :3].T)
     x = x / np.linalg.norm(x)
     if remainder > 0.0:
         x = h._propagate_diagonal(energies, x, remainder)
         table[-1, :3] = config.final_time, p_success[-2], 0.0
     table[0, :3] = 0.0, 1.0, 0.0
-    # unsafe: an object record of Python ints multiplies into Python floats
-    np.multiply(record, cycle, out=t[1:len(record) + 1], casting="unsafe")
+    t[1:rows + 1] *= cycle
     np.clip(p_success, 0.0, 1.0, out=p_success)
     np.exp(np.multiply(-rate, t, out=analytic), out=analytic)
     return SurvivalTrace(table, final_state=x.reshape(levels), out_of_regime=out_of_regime,

@@ -302,6 +302,11 @@ def zeno_cycle(state: StateVector, config: z2.TwoLevelConfig) -> CycleResult:
                            h.BlockEvolver(hamiltonian))
 
 
+def recorded_cycles(stride: int, cycles: int) -> list:
+    """Every ``stride``-th of ``cycles`` cycles and the last, as Python ints."""
+    return [*range(stride, cycles, stride), cycles]
+
+
 def run_protocol(config, max_trace_points: int = 2000) -> z2.SurvivalTrace:
     """Any pair's protocol from its subradiant state, run state by state.
 
@@ -329,11 +334,11 @@ def run_protocol(config, max_trace_points: int = 2000) -> z2.SurvivalTrace:
     except z2.OutOfRegimeError:
         out_of_regime = True
 
-    record = z2._record_cycles(cycles, max_trace_points)
+    record = recorded_cycles(-(-cycles // max_trace_points), cycles)
     # survival before and after each recorded cycle
     survival = np.empty((len(record), 2))
     max_tail = 0.0
-    record_set = set(int(j) for j in record)
+    record_set = set(record)
     slot = 0
     previous = 1.0
     final = subradiant_state(config)
@@ -353,7 +358,7 @@ def run_protocol(config, max_trace_points: int = 2000) -> z2.SurvivalTrace:
     if remainder > 0.0:
         final = StateVector(final.basis, drift(final.amplitudes, remainder))
 
-    times = np.concatenate([[0.0], record * cycle])
+    times = np.concatenate([[0.0], np.array(record, dtype=float) * cycle])
     if remainder > 0.0:
         times = np.append(times, config.final_time)
         cumulative = np.append(cumulative, cumulative[-1])

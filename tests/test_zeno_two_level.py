@@ -317,18 +317,25 @@ class TestRunProtocol:
     @pytest.mark.parametrize("total", [2**63 - 2, 2**63 - 1, 10**19, 2**64, 10**303])
     def test_recorded_cycles_are_exact_integers(self, total):
         # from 2^63 - 1 cycles numpy's arange made them float64 up to 2^64,
-        # and the float gaps reached np.linalg.matrix_power
-        record = z2._record_cycles(total, 7)
-        gaps = np.diff(record, prepend=0).tolist()
-        assert all(type(gap) is int for gap in gaps)
-        assert len(gaps) == 7 and sum(gaps) == total
-        assert len(set(gaps[:-1])) == 1 and 0 < gaps[-1] <= gaps[0]
+        # and the float gaps reached np.linalg.matrix_power; every power of
+        # this phase map is exact, so the run reaches the last row
+        stride = -(-total // 7)
+        rows = -(-total // stride)
+        assert rows == 7
+        phase = np.diag([1.0, 1j])
+        t, p_success, p_error = np.full((3, rows), np.nan)
+        z2._recorded_survival(phase, np.array([1.0, 0.0], dtype=complex), stride, total,
+                              t, p_success, p_error)
+        for i in range(rows):
+            assert t[i] == float(min((i + 1) * stride, total))
+        assert np.array_equal(p_success, np.ones(rows))
 
     def test_warm_run_holds_one_table(self):
-        # 300,000 recorded cycles: the trace's table takes 32 bytes a point
-        # and the recorded cycles and their gaps 8 each.  Building each column
-        # as its own array, and a survival and an exponent array besides,
-        # held 97 bytes a point.
+        # 300,000 recorded cycles: the trace's table takes 32 bytes a point,
+        # and SurvivalTrace's monotonicity check a transient 8 more.  The
+        # recorded cycles and their gaps as two more arrays held 56 bytes a
+        # point; each column as its own array, with a survival and an
+        # exponent array besides, 97.
         config = z2.config_for_cycle_time(0.001, 300.0)
         z2.run_protocol(config, max_trace_points=300_000)
         tracemalloc.start()
@@ -338,7 +345,24 @@ class TestRunProtocol:
         finally:
             tracemalloc.stop()
         assert len(trace.times) == 300_001
-        assert peak < 64 * 300_000
+        assert peak < 48 * 300_000
+
+    def test_run_past_the_float_range_holds_no_record(self):
+        # 1.25e302 cycles empty the state long before the last of 200,000
+        # recorded points.  Besides its (200,002, 4) table the run holds less
+        # than 1 MB; an object array of the recorded cycles, Python ints of
+        # about 1000 bits, held about 345 bytes a point.
+        config = z2.config_for_cycle_time(0.001, 1e300)
+        with pytest.raises(z2.ProtocolError, match="^survival is exactly zero by cycle "):
+            z2.run_protocol(config, max_trace_points=200_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(z2.ProtocolError):
+                z2.run_protocol(config, max_trace_points=200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 200_002 + 1_000_000
 
     @pytest.mark.filterwarnings("error")
     def test_survival_past_underflow_reaches_zero(self):
@@ -351,18 +375,18 @@ class TestRunProtocol:
     def test_exactly_zero_survival_raises(self):
         # a nilpotent map empties the state at the second cycle; a state that
         # only shrinks is scaled by powers of two, and its norms are exact
-        record = np.arange(1, 5)
         nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(z2.ProtocolError, match="^survival is exactly zero by cycle 2$"):
-            z2._recorded_survival(nilpotent, np.array([0.0, 1.0], dtype=complex), record,
-                                  *np.empty((2, len(record))))
+            z2._recorded_survival(nilpotent, np.array([0.0, 1.0], dtype=complex), 1, 4,
+                                  *np.empty((3, 4)))
         record = np.arange(1, 15)
         shrinking = np.diag([2.0**-50, 2.0**-51]).astype(complex)
-        p_success, p_error = np.full((2, len(record)), np.nan)
-        x = z2._recorded_survival(shrinking, np.array([1.0, 0.0], dtype=complex), record,
-                                  p_success, p_error)
+        t, p_success, p_error = np.full((3, len(record)), np.nan)
+        x = z2._recorded_survival(shrinking, np.array([1.0, 0.0], dtype=complex), 1, 14,
+                                  t, p_success, p_error)
         # the state is rescaled to 0.5 after cycles 7 and 13, below 2**-600,
         # so the ratios stay exact; the survival rounds to 0.0 past 2**-1074
+        assert np.array_equal(t, record)
         assert np.array_equal(p_success, np.ldexp(1.0, -100 * record))
         assert np.array_equal(p_error, np.full(len(record), 1.0 - 2.0**-100))
         assert np.abs(x).max() == 2.0**-51
@@ -571,28 +595,29 @@ class TestHeldWindow:
         assert h._largest_energy(weights) == np.max(np.abs(energies))
 
 
-def survival_state_by_state(cycle_map, x, record):
-    """Squared norms before and after each recorded cycle, one state at a time, as two rows.
+def survival_state_by_state(cycle_map, x, stride, cycles):
+    """Recorded cycles, and squared norms before and after each as two rows, one state at a time.
 
     The bit-level oracle of the chunked norms of ``_recorded_survival``.
     """
+    record = so.recorded_cycles(stride, cycles)
     survival = []
     done = 0
-    for j in record.tolist():
+    for j in record:
         if j - done > 1:
             x = np.linalg.matrix_power(cycle_map, j - done - 1) @ x
         previous = float(x.real @ x.real + x.imag @ x.imag)
         x = cycle_map @ x
         survival.append((previous, float(x.real @ x.real + x.imag @ x.imag)))
         done = j
-    return np.array(survival).T, x
+    return np.array(record, dtype=float), np.array(survival).T, x
 
 
 CHUNK_EDGES = [z2.RECORD_CHUNK - 1, z2.RECORD_CHUNK, z2.RECORD_CHUNK + 1, 2 * z2.RECORD_CHUNK + 1]
 
 
 def chunk_case(records, stride, scheme):
-    """(cycle map, random start, recorded cycles) of ``records`` records at ``stride``.
+    """(cycle map, random start, stride, cycles) of ``records`` records at ``stride``.
 
     At stride 3 the last gap is a ragged 2, so the run takes two powers of the map.
     """
@@ -604,9 +629,9 @@ def chunk_case(records, stride, scheme):
     cycle_map = pair_cycle_map(config)
     rng = np.random.default_rng(records)
     x = rng.standard_normal(len(cycle_map)) + 1j * rng.standard_normal(len(cycle_map))
-    record = z2._record_cycles(stride * records - (stride > 1), records)
-    assert len(record) == records
-    return cycle_map, x, record
+    cycles = stride * records - (stride > 1)
+    assert len(so.recorded_cycles(stride, cycles)) == records
+    return cycle_map, x, stride, cycles
 
 
 class TestRecordChunks:
@@ -614,10 +639,12 @@ class TestRecordChunks:
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("scheme", ["two", "four"])
     def test_chunk_norms_are_the_per_state_dot(self, records, stride, scheme):
-        cycle_map, x, record = chunk_case(records, stride, scheme)
-        p_success, p_error = np.full((2, records), np.nan)
-        last = z2._recorded_survival(cycle_map, x, record, p_success, p_error)
-        (before, after), expected_last = survival_state_by_state(cycle_map, x, record)
+        cycle_map, x, stride, cycles = chunk_case(records, stride, scheme)
+        t, p_success, p_error = np.full((3, records), np.nan)
+        last = z2._recorded_survival(cycle_map, x, stride, cycles, t, p_success, p_error)
+        record, (before, after), expected_last = survival_state_by_state(cycle_map, x, stride,
+                                                                         cycles)
+        np.testing.assert_array_equal(t, record)
         np.testing.assert_array_equal(p_success, after)
         np.testing.assert_array_equal(p_error, 1.0 - after / before)
         np.testing.assert_array_equal(last, expected_last)
@@ -629,11 +656,12 @@ class TestRecordChunks:
         # the map scaled by 2**-20 takes 2**-40 off the squared norm a cycle,
         # so the state is rescaled every 15 cycles, inside chunks and across
         # their edges; every scaling is by a power of two, which is exact
-        cycle_map, x, record = chunk_case(records, stride, scheme)
-        p_success, p_error = np.full((2, records), np.nan)
-        z2._recorded_survival(cycle_map * 2.0**-20, x, record, p_success, p_error)
-        (before, after), _ = survival_state_by_state(cycle_map, x, record)
-        np.testing.assert_array_equal(p_success, np.ldexp(after, -40 * record))
+        cycle_map, x, stride, cycles = chunk_case(records, stride, scheme)
+        t, p_success, p_error = np.full((3, records), np.nan)
+        z2._recorded_survival(cycle_map * 2.0**-20, x, stride, cycles, t, p_success, p_error)
+        record, (before, after), _ = survival_state_by_state(cycle_map, x, stride, cycles)
+        np.testing.assert_array_equal(t, record)
+        np.testing.assert_array_equal(p_success, np.ldexp(after, -40 * record.astype(int)))
         np.testing.assert_array_equal(p_error, 1.0 - np.ldexp(after / before, -40))
 
     @pytest.mark.parametrize("cycles", CHUNK_EDGES[:3])
